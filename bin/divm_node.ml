@@ -7,7 +7,7 @@
 
    The worker connects to the coordinator's Unix domain socket,
    identifies itself with a Hello frame, receives the marshaled
-   distributed program, and then serves Load_batch / Run_block /
+   distributed program, and then serves Load_share / Run_block /
    Pull_map / Deliver / Clear_map requests until Shutdown (see
    Protocol). Under the default mesh topology the coordinator also
    sends Peers / Mesh_connect (establishing direct worker-to-worker

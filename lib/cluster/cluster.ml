@@ -56,17 +56,24 @@ type transfer = {
 type pstmt =
   | PDriver of string * int * (unit -> unit)
       (* span label, profiler slot, compiled stmt *)
-  | PWorkers of string * int * (unit -> unit) array
   | PTransfer of transfer
 
-type pblock = { pmode : Dprog.mode; pstmts : pstmt list }
+(* A local block runs on the driver; a distributed block runs block [i]
+   of the trigger's compiled worker blocks on every node. *)
+type pblock = PLocal of pstmt list | PDist of int
+
+type ptrigger = {
+  pblocks : pblock list;
+  pscatter : Runtime.scatter option; (* share layout; [None]: no Δ read *)
+  pnodes : Runtime.blocks array; (* per node *)
+}
 
 type t = {
   cfg : config;
   dprog : Dprog.t;
   driver : Runtime.t;
   nodes : Runtime.t array;
-  plans : (string * pblock list) list;
+  plans : (string * ptrigger) list;
   par : Par.Pool.t option;
   delta_at_workers : bool;
   worker_ops_gauges : Obs.Gauge.t array;
@@ -101,45 +108,43 @@ let create ?(config = default_config) ?domains (dp : Dprog.t) =
   let nodes =
     Array.init config.workers (fun _ -> Runtime.create ~domains:1 rprog)
   in
-  let compile_block trigger (b : Dprog.block) =
-    {
-      pmode = b.bmode;
-      pstmts =
-        List.map
-          (fun d ->
-            match d with
-            | Dprog.Transfer { tname; tkind; key; source } ->
-                PTransfer
-                  {
-                    tname;
-                    tkind;
-                    key;
-                    source;
-                    tslot = Prof.slot ~trigger ~label:("transfer:" ^ tname);
-                  }
-            | Dprog.Compute s -> (
-                match Dprog.mode_of dp.locs (Dprog.Compute s) with
-                | Dprog.MLocal ->
-                    let label = "driver:" ^ s.target in
-                    PDriver
-                      ( label,
-                        Prof.slot ~trigger ~label,
-                        List.hd (Runtime.compile_stmts driver [ s ]) )
-                | Dprog.MDist ->
-                    let label = "stmt:" ^ s.target in
-                    PWorkers
-                      ( label,
-                        Prof.slot ~trigger ~label,
-                        Array.map
-                          (fun rt -> List.hd (Runtime.compile_stmts rt [ s ]))
-                          nodes )))
-          b.bstmts;
-    }
+  let compile_block trigger bi (b : Dprog.block) =
+    match b.bmode with
+    | Dprog.MDist -> PDist bi
+    | Dprog.MLocal ->
+        PLocal
+          (List.map
+             (fun d ->
+               match d with
+               | Dprog.Transfer { tname; tkind; key; source } ->
+                   PTransfer
+                     {
+                       tname;
+                       tkind;
+                       key;
+                       source;
+                       tslot = Prof.slot ~trigger ~label:("transfer:" ^ tname);
+                     }
+               | Dprog.Compute s ->
+                   let label = "driver:" ^ s.target in
+                   PDriver
+                     ( label,
+                       Prof.slot ~trigger ~label,
+                       List.hd (Runtime.compile_stmts driver [ s ]) ))
+             b.bstmts)
   in
   let plans =
     List.map
       (fun (tr : Dprog.dtrigger) ->
-        (tr.drelation, List.map (compile_block tr.drelation) tr.blocks))
+        let rel = tr.drelation in
+        let wblocks = Dprog.worker_blocks tr in
+        ( rel,
+          {
+            pblocks = List.mapi (compile_block rel) tr.blocks;
+            pscatter = Runtime.scatter_plan rprog ~rel wblocks;
+            pnodes =
+              Array.map (fun rt -> Runtime.compile_blocks rt ~rel wblocks) nodes;
+          } ))
       dp.dtriggers
   in
   (* Batches live at the workers when the delta pre-aggregations do. *)
@@ -245,27 +250,28 @@ let apply_batch t ~rel batch =
   let wops0 = Obs.Counter.value m_worker_ops in
   let dops0 = Obs.Counter.value m_driver_ops in
   Obs.span ("cluster:" ^ rel) @@ fun () ->
-  (* distribute the incoming batch *)
-  if t.delta_at_workers then begin
-    let shares = Array.init w (fun _ -> Gmr.create ()) in
-    let i = ref 0 in
-    Gmr.iter
-      (fun tup m ->
-        Gmr.add shares.(!i mod w) tup m;
-        incr i)
-      batch;
-    Array.iteri (fun wi rt -> Runtime.load_batch rt ~rel shares.(wi)) t.nodes;
-    Runtime.load_batch t.driver ~rel (Gmr.create ())
-  end
-  else begin
-    Runtime.load_batch t.driver ~rel batch;
-    Array.iter (fun rt -> Runtime.load_batch rt ~rel (Gmr.create ())) t.nodes
-  end;
-  let blocks =
+  let pt =
     match List.assoc_opt rel t.plans with
-    | Some b -> b
+    | Some pt -> pt
     | None -> invalid_arg ("Cluster.apply_batch: no trigger for " ^ rel)
   in
+  (* Distribute the incoming batch exactly as the multiprocess
+     coordinator does: the same dealing function, the same column
+     pruning, so a simulated node and a worker process hold identical
+     shares. The batch lives at the workers when the delta
+     pre-aggregations do. *)
+  (match pt.pscatter with
+  | Some sc ->
+      let shares =
+        Runtime.deal sc ~parts:w
+          (if t.delta_at_workers then batch else Gmr.create ())
+      in
+      Array.iteri
+        (fun wi rt -> Runtime.set_batch rt pt.pnodes.(wi) shares.(wi))
+        t.nodes
+  | None -> ());
+  Runtime.load_batch t.driver ~rel
+    (if t.delta_at_workers then Gmr.create () else batch);
   let net = { total_bytes = 0; into_node = Array.make w 0; into_driver = 0 } in
   let latency = ref 0. in
   let stages = ref 0 in
@@ -277,8 +283,8 @@ let apply_batch t ~rel batch =
   let pending_max_into = ref 0 in
   List.iter
     (fun b ->
-      match b.pmode with
-      | Dprog.MLocal ->
+      match b with
+      | PLocal pstmts ->
           List.iter
             (fun ps ->
               match ps with
@@ -318,10 +324,9 @@ let apply_batch t ~rel batch =
                           | Dprog.Repart -> "repart");
                         Obs.set_attr "bytes"
                           (string_of_int (net.total_bytes - bytes_before))
-                      end)
-              | PWorkers _ -> assert false)
-            b.pstmts
-      | Dprog.MDist ->
+                      end))
+            pstmts
+      | PDist bi ->
           incr stages;
           let stage_lbl =
             if Obs.tracing () then Printf.sprintf "stage:%d" !stages
@@ -329,8 +334,8 @@ let apply_batch t ~rel batch =
           in
           Obs.span stage_lbl (fun () ->
               (* Every simulated node owns disjoint state (its own runtime,
-                 pools, batch partitions), so the per-worker closure arrays
-                 are embarrassingly parallel. Each task writes only its own
+                 pools, batch share), so the per-node blocks are
+                 embarrassingly parallel. Each task writes only its own
                  [deltas] cell; the modeled time is computed afterwards by
                  a serial reduction over [deltas], which is a pure function
                  of the per-worker op counts — so modeled latency and
@@ -339,13 +344,7 @@ let apply_batch t ~rel batch =
               let deltas = Array.make w 0 in
               let run_worker wi rt =
                 let o0 = Runtime.ops rt in
-                List.iter
-                  (fun ps ->
-                    match ps with
-                    | PWorkers (lbl, slot, fs) ->
-                        Runtime.run_attributed rt ~label:lbl ~slot fs.(wi)
-                    | PDriver _ | PTransfer _ -> assert false)
-                  b.pstmts;
+                Runtime.run_block rt pt.pnodes.(wi) bi;
                 deltas.(wi) <- Runtime.ops rt - o0
               in
               (match t.par with
@@ -382,7 +381,7 @@ let apply_batch t ~rel batch =
                 Obs.set_attr "max_worker_ops" (string_of_int !max_ops);
                 Obs.set_attr "workers" (string_of_int w)
               end))
-    blocks;
+    pt.pblocks;
   (* account the batch into the registry, then read the record back *)
   Obs.Counter.add m_bytes_shuffled net.total_bytes;
   Obs.Counter.add m_stages !stages;

@@ -60,7 +60,7 @@ type t
 (** [domains] (precedence: [config.domains], else [?domains], else the
     [DIVM_DOMAINS] environment variable, else 1 — contradictory explicit
     values raise [Invalid_argument]) runs each distributed stage's
-    per-worker closures as tasks on the
+    per-node block executors as tasks on the
     shared {!Divm_par.Par} pool — simulated nodes own disjoint runtimes,
     so a stage is embarrassingly parallel. The cost model is evaluated by
     a serial reduction over the per-worker op counts after the barrier,
@@ -74,8 +74,11 @@ val workers : t -> int
 
 (** Process one batch through the trigger of [rel]; batches are partitioned
     across the workers like the paper's experiments (each worker receives a
-    random share) unless the program was compiled with deltas at the
-    driver.
+    round-robin share, {!Divm_runtime.Runtime.deal} — the multiprocess
+    coordinator's dealing function) unless the program was compiled with
+    deltas at the driver. Each node runs its distributed blocks through
+    the runtime's vectorized block executor
+    ({!Divm_runtime.Runtime.run_block}).
 
     Under [Obs.set_tracing true] the batch produces a [cluster:rel] span
     whose [stage:N] and [transfer:NAME] children each carry a [modeled_ms]

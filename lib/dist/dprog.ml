@@ -162,3 +162,22 @@ let pp ppf t =
         tr.blocks;
       Format.fprintf ppf "@]@.")
     t.dtriggers
+
+let worker_blocks tr =
+  let delivered = ref [] in
+  List.map
+    (fun b ->
+      let filled = !delivered in
+      List.iter
+        (function
+          | Transfer { tname; _ } -> delivered := tname :: !delivered
+          | Compute _ -> ())
+        b.bstmts;
+      match b.bmode with
+      | MLocal -> ([], [])
+      | MDist ->
+          ( filled,
+            List.filter_map
+              (function Compute s -> Some s | Transfer _ -> None)
+              b.bstmts ))
+    tr.blocks

@@ -72,3 +72,9 @@ val block_counts : dtrigger -> int * int
     order: what each node's runtime compiles (the cluster simulator) and
     what EXPLAIN's access-pattern analysis runs on. *)
 val compute_prog : t -> Prog.t
+
+(** Per block of the trigger, what the workers run it over: the maps
+    transfers filled before the block starts, and the block's compute
+    statements ([([], [])] for a local block). The shape the runtime's
+    worker-block compiler takes. *)
+val worker_blocks : dtrigger -> (string list * Prog.stmt list) list

@@ -12,6 +12,12 @@ let m_wire_bytes = Obs.Counter.make "divm_node_wire_bytes_total"
 let m_stages = Obs.Counter.make "divm_node_stages_total"
 let m_batches = Obs.Counter.make "divm_node_batches_total"
 let m_worker_ops = Obs.Counter.make "divm_node_worker_ops_total"
+
+(* The batch-scatter layer on its own: socket bytes of the share frames
+   and their acks, and the tuples those shares carried. Deterministic for
+   a given stream, so their ratio is a CI-checkable layer cost. *)
+let m_scatter_wire = Obs.Counter.make "divm_node_scatter_wire_bytes_total"
+let m_scatter_tuples = Obs.Counter.make "divm_node_scattered_tuples_total"
 let m_driver_ops = Obs.Counter.make "divm_node_driver_ops_total"
 let g_workers = Obs.Gauge.make "divm_node_workers"
 
@@ -26,7 +32,7 @@ let h_straggler =
 (* The worker side's share of [divm_record_ops_total] ([Counter.make] is
    idempotent per name, so in-process this is the runtime's own
    instrument). Workers fold their op deltas in explicitly — they run
-   compiled block closures directly, never [Runtime.apply_batch] — which
+   compiled blocks directly, never [Runtime.apply_batch] — which
    keeps the profiler invariant (slot sums = registry deltas) intact on
    the worker's own registry, and therefore on the coordinator's after
    the labeled merge. *)
@@ -83,12 +89,9 @@ let ignore_sigpipe () =
 (* Worker side                                                     *)
 (* -------------------------------------------------------------- *)
 
-(* Per-statement worker plans carry the profiler label and slot resolved
-   at compile time, like the runtime's own executor lists: the firing
-   path under an enabled profiler pays array additions, not lookups. *)
 type wstate = {
   wrt : Runtime.t;
-  wplans : (string * (string * int * (unit -> unit)) list array) list;
+  wblocks : (string * Runtime.blocks) list;
   wtransfers : (string * int array * string) array;
       (* the coordinator's Shuffle frames index into this; both sides
          derive it from the identical marshaled program *)
@@ -96,54 +99,28 @@ type wstate = {
 
 let build_wstate (dp : Dprog.t) =
   (* Same compilation path as the simulator's nodes: one serial runtime
-     over the compute program, closures per distributed block. The block
-     array indexes line up with the coordinator's plan because both walk
-     the identical marshaled [Dprog.t]. *)
+     over the compute program, the trigger's worker blocks compiled by
+     the runtime's own planner. The block indexes line up with the
+     coordinator's plan because both walk the identical marshaled
+     [Dprog.t]. *)
   let rt = Runtime.create ~domains:1 (Dprog.compute_prog dp) in
-  let wplans =
+  let wblocks =
     List.map
       (fun (tr : Dprog.dtrigger) ->
         ( tr.drelation,
-          Array.of_list
-            (List.map
-               (fun (b : Dprog.block) ->
-                 match b.bmode with
-                 | Dprog.MLocal -> []
-                 | Dprog.MDist ->
-                     List.filter_map
-                       (fun d ->
-                         match d with
-                         | Dprog.Transfer _ -> None
-                         | Dprog.Compute s ->
-                             let label = "stmt:" ^ s.target in
-                             Some
-                               ( label,
-                                 Prof.slot ~trigger:tr.drelation ~label,
-                                 List.hd (Runtime.compile_stmts rt [ s ]) ))
-                       b.bstmts)
-               tr.blocks) ))
+          Runtime.compile_blocks rt ~rel:tr.drelation (Dprog.worker_blocks tr) ))
       dp.dtriggers
   in
-  { wrt = rt; wplans; wtransfers = Dprog.transfers dp }
+  { wrt = rt; wblocks; wtransfers = Dprog.transfers dp }
+
+let wblocks s rel =
+  match List.assoc_opt rel s.wblocks with
+  | Some b -> b
+  | None -> failwith ("divm_node worker: no trigger for " ^ rel)
 
 (* Baseline registry snapshot for the worker's telemetry deltas: each
    [Pull_telemetry] ships [diff] against this and advances it. *)
 let w_last_snap = ref []
-
-(* Run one distributed statement under whatever observers the
-   coordinator enabled. With the profiler on, the firing is attributed
-   to its slot AND its op delta is folded into the worker's registered
-   [divm_record_ops_total] — symmetric accounting, so the shipped slot
-   rows reconcile exactly against the shipped registry delta. Telemetry
-   off costs one flag check ([Obs.span] with tracing disabled invokes
-   [f] directly). *)
-let wexec s ~label ~slot f =
-  if Prof.enabled () then begin
-    let o0 = Runtime.ops s.wrt in
-    Runtime.run_attributed s.wrt ~label ~slot f;
-    Obs.Counter.add w_record_ops (Runtime.ops s.wrt - o0)
-  end
-  else Obs.span label f
 
 (* Everything observed since the last pull: registry delta (zero entries
    dropped — a worker registers instruments it never touches), nonzero
@@ -450,24 +427,24 @@ let serve ~id fd =
               let dp : Dprog.t = Marshal.from_string s 0 in
               state := Some (build_wstate dp);
               Protocol.Ack
-          | Protocol.Load_batch (rel, g) ->
-              Runtime.load_batch (st ()).wrt ~rel g;
+          | Protocol.Load_share (rel, cb) ->
+              let s = st () in
+              Runtime.set_batch s.wrt (wblocks s rel) cb;
               Protocol.Ack
           | Protocol.Run_block (rel, bi) ->
               let s = st () in
               let o0 = Runtime.ops s.wrt in
               let wall0 = Unix.gettimeofday () in
-              (match List.assoc_opt rel s.wplans with
-              | Some blocks when bi >= 0 && bi < Array.length blocks ->
-                  List.iter
-                    (fun (label, slot, f) -> wexec s ~label ~slot f)
-                    blocks.(bi)
-              | _ ->
-                  failwith
-                    (Printf.sprintf "divm_node worker: no block %d for %s" bi
-                       rel));
-              Protocol.Block_done
-                (Runtime.ops s.wrt - o0, Unix.gettimeofday () -. wall0)
+              (try Runtime.run_block s.wrt (wblocks s rel) bi
+               with Invalid_argument msg -> failwith ("divm_node worker: " ^ msg));
+              (* With the profiler on, the block's op delta is folded
+                 into the worker's registered [divm_record_ops_total] —
+                 symmetric with the per-unit slot attribution, so the
+                 shipped slot rows reconcile exactly against the shipped
+                 registry delta. *)
+              let dops = Runtime.ops s.wrt - o0 in
+              if Prof.enabled () then Obs.Counter.add w_record_ops dops;
+              Protocol.Block_done (dops, Unix.gettimeofday () -. wall0)
           | Protocol.Pull_map name ->
               Protocol.Map_contents (Runtime.map_contents (st ()).wrt name)
           | Protocol.Deliver (name, g) ->
@@ -517,7 +494,8 @@ let serve ~id fd =
           | Protocol.Shutdown ->
               running := false;
               Protocol.Ack
-          | Protocol.Hello _ | Protocol.Ack | Protocol.Block_done _
+          | Protocol.Hello _ | Protocol.Load_batch _ | Protocol.Ack
+          | Protocol.Block_done _
           | Protocol.Map_contents _ | Protocol.Telemetry _
           | Protocol.Shuffle_done _ | Protocol.Mesh_data _ ->
               failwith "divm_node worker: unexpected coordinator message"
@@ -569,6 +547,9 @@ type t = {
   driver : Runtime.t;
   conns : conn array;
   plans : (string * nblock list) list;
+  scatter : (string * Runtime.scatter option) list;
+      (* per trigger: the share layout the workers' blocks read, [None]
+         when they read no Δ (then no share ships) *)
   delta_at_workers : bool;
   mutable wire : int; (* actual socket bytes, current batch *)
   mutable alive : bool;
@@ -791,6 +772,7 @@ let create ?(config = default_config) (dp : Dprog.t) =
       driver = Runtime.create ~domains:1 (Dprog.compute_prog dp);
       conns;
       plans = [];
+      scatter = [];
       delta_at_workers = false;
       wire = 0;
       alive = true;
@@ -890,8 +872,17 @@ let create ?(config = default_config) (dp : Dprog.t) =
         && Loc.find dp.locs m.mname <> Loc.Local)
       dp.base.maps
   in
+  let scatter =
+    let cprog = Dprog.compute_prog dp in
+    List.map
+      (fun (tr : Dprog.dtrigger) ->
+        ( tr.drelation,
+          Runtime.scatter_plan cprog ~rel:tr.drelation (Dprog.worker_blocks tr)
+        ))
+      dp.dtriggers
+  in
   Obs.Gauge.set g_workers (float_of_int config.workers);
-  { t0 with plans; delta_at_workers }
+  { t0 with plans; scatter; delta_at_workers }
 
 (* ---- transfers (star topology through the coordinator) ---- *)
 
@@ -1126,28 +1117,22 @@ let apply_batch t ~rel batch =
   t.wire <- 0;
   maybe_start_telemetry t;
   Obs.span ("node:" ^ rel) @@ fun () ->
-  if t.delta_at_workers then begin
-    let shares = Array.init w (fun _ -> Gmr.create ()) in
-    let i = ref 0 in
-    Gmr.iter
-      (fun tup m ->
-        Gmr.add shares.(!i mod w) tup m;
-        incr i)
-      batch;
-    Array.iteri
-      (fun wi _ -> send t wi (Protocol.Load_batch (rel, shares.(wi))))
-      t.conns;
-    Array.iteri (fun wi _ -> expect_ack t wi) t.conns;
-    Runtime.load_batch t.driver ~rel (Gmr.create ())
-  end
-  else begin
-    Runtime.load_batch t.driver ~rel batch;
-    let empty = Gmr.create () in
-    Array.iteri
-      (fun wi _ -> send t wi (Protocol.Load_batch (rel, empty)))
-      t.conns;
-    Array.iteri (fun wi _ -> expect_ack t wi) t.conns
-  end;
+  (* The batch lives at the workers when the delta pre-aggregations do;
+     otherwise the driver keeps it and workers that read Δ see none. *)
+  (match List.assoc_opt rel t.scatter with
+  | Some (Some sc) ->
+      let wire0 = t.wire in
+      let batch = if t.delta_at_workers then batch else Gmr.create () in
+      let shares = Runtime.deal sc ~parts:w batch in
+      Array.iteri
+        (fun wi _ -> send t wi (Protocol.Load_share (rel, shares.(wi))))
+        t.conns;
+      Array.iteri (fun wi _ -> expect_ack t wi) t.conns;
+      Obs.Counter.add m_scatter_wire (t.wire - wire0);
+      Obs.Counter.add m_scatter_tuples (Gmr.cardinal batch)
+  | Some None | None -> ());
+  Runtime.load_batch t.driver ~rel
+    (if t.delta_at_workers then Gmr.create () else batch);
   let blocks =
     match List.assoc_opt rel t.plans with
     | Some b -> b

@@ -22,7 +22,11 @@
     default) ships them directly over an N×N worker connection mesh set
     up at [create] time, leaving the coordinator as the barrier/ack
     control plane. Gathers and replicated-source transfers stay on the
-    star path under either setting. Workers compile the identical
+    star path under either setting. Each batch is transposed once on the
+    coordinator and dealt to the workers as column shares
+    ({!Divm_runtime.Runtime.deal}: only the columns the workers' blocks
+    read travel); workers run their blocks through the runtime's
+    vectorized block executor. Workers compile the identical
     statements, shard identically, hash-partition identically, and apply
     received shuffle buffers in ascending source order, so stores are
     bit-identical to a {!Divm_cluster.Cluster} run of the same program

@@ -20,6 +20,7 @@ type msg =
   | Hello of int
   | Init of string
   | Load_batch of string * Gmr.t
+  | Load_share of string * Colbatch.t
   | Run_block of string * int
   | Block_done of int * float
   | Pull_map of string
@@ -175,6 +176,50 @@ let add_rows b g =
    kept for empty and mixed-arity GMRs. Both layouts preserve the
    source's slot iteration order, so replaying a decoded GMR rebuilds a
    bit-identical store. *)
+(* One typed column of [n] cells: a u8 kind tag, then an unboxed
+   payload — one contiguous run per attribute instead of a tag per
+   cell. *)
+let add_col b n (c : Colbatch.col) =
+  match c with
+  | Colbatch.CInt a ->
+      Buffer.add_uint8 b 0;
+      for i = 0 to n - 1 do
+        Buffer.add_int64_be b (Int64.of_int a.(i))
+      done
+  | Colbatch.CFloat a ->
+      Buffer.add_uint8 b 1;
+      for i = 0 to n - 1 do
+        Buffer.add_int64_be b (Int64.bits_of_float a.(i))
+      done
+  | Colbatch.CDate a ->
+      Buffer.add_uint8 b 2;
+      for i = 0 to n - 1 do
+        Buffer.add_int64_be b (Int64.of_int a.(i))
+      done
+  | Colbatch.CBoxed a ->
+      Buffer.add_uint8 b 3;
+      for i = 0 to n - 1 do
+        add_value b a.(i)
+      done
+  | Colbatch.CDict (d, codes) ->
+      (* dictionary once, then one i32 code per row — repeated strings
+         never travel twice *)
+      Buffer.add_uint8 b 4;
+      let dn = Colbatch.dict_size d in
+      add_count b dn;
+      for e = 0 to dn - 1 do
+        add_string b (Colbatch.dict_entry d e)
+      done;
+      for i = 0 to n - 1 do
+        Buffer.add_int32_be b (Int32.of_int codes.(i))
+      done
+
+(* GMR payload: entry count, then a layout byte. Layout 1 ships the
+   entries as flat typed columns (u16 width; per column an [add_col]
+   run; then the multiplicities). Layout 0 is the per-row fallback, kept
+   for empty and mixed-arity GMRs. Both layouts preserve the source's
+   slot iteration order, so replaying a decoded GMR rebuilds a
+   bit-identical store. *)
 let add_gmr b g =
   Buffer.add_int32_be b (Int32.of_int (Gmr.cardinal g));
   match gmr_width g with
@@ -187,35 +232,7 @@ let add_gmr b g =
       Colbatch.dictify cb;
       let n = Colbatch.length cb in
       for c = 0 to w - 1 do
-        match Colbatch.col cb c with
-        | Colbatch.CInt a ->
-            Buffer.add_uint8 b 0;
-            for i = 0 to n - 1 do
-              Buffer.add_int64_be b (Int64.of_int a.(i))
-            done
-        | Colbatch.CFloat a ->
-            Buffer.add_uint8 b 1;
-            for i = 0 to n - 1 do
-              Buffer.add_int64_be b (Int64.bits_of_float a.(i))
-            done
-        | Colbatch.CDate a ->
-            Buffer.add_uint8 b 2;
-            for i = 0 to n - 1 do
-              Buffer.add_int64_be b (Int64.of_int a.(i))
-            done
-        | Colbatch.CBoxed a ->
-            Buffer.add_uint8 b 3;
-            Array.iter (add_value b) a
-        | Colbatch.CDict (d, codes) ->
-            (* dictionary once, then one i32 code per row — repeated
-               strings never travel twice *)
-            Buffer.add_uint8 b 4;
-            let dn = Colbatch.dict_size d in
-            add_count b dn;
-            for e = 0 to dn - 1 do
-              add_string b (Colbatch.dict_entry d e)
-            done;
-            Array.iter (fun c -> Buffer.add_int32_be b (Int32.of_int c)) codes
+        add_col b n (Colbatch.col cb c)
       done;
       Array.iter
         (fun m -> Buffer.add_int64_be b (Int64.bits_of_float m))
@@ -223,6 +240,37 @@ let add_gmr b g =
   | _ ->
       Buffer.add_uint8 b 0;
       add_rows b g
+
+(* Batch share payload: stream width (u16), row count (i32), live column
+   count (u16); per live column its position (u16), its cell count (i32,
+   always the row count) and an [add_col] run; then the multiplicities —
+   u8 1 and one f64 when every row carries the same bit pattern (the
+   common all-inserts or all-deletes batch), else u8 0 and one f64 per
+   row. Absent columns cost nothing. *)
+let add_share b cb =
+  let w = Colbatch.width cb and n = Colbatch.length cb in
+  if w > 0xffff then err "share width %d exceeds encoding limit" w;
+  let live = Colbatch.live_cols cb in
+  Buffer.add_uint16_be b w;
+  Buffer.add_int32_be b (Int32.of_int n);
+  Buffer.add_uint16_be b (Array.length live);
+  Array.iter
+    (fun c ->
+      Buffer.add_uint16_be b c;
+      Buffer.add_int32_be b (Int32.of_int n);
+      add_col b n (Colbatch.col cb c))
+    live;
+  let ms = Colbatch.mults cb in
+  let bits = Int64.bits_of_float in
+  if n > 0 && Array.for_all (fun m -> Int64.equal (bits m) (bits ms.(0))) ms
+  then begin
+    Buffer.add_uint8 b 1;
+    Buffer.add_int64_be b (bits ms.(0))
+  end
+  else begin
+    Buffer.add_uint8 b 0;
+    Array.iter (fun m -> Buffer.add_int64_be b (bits m)) ms
+  end
 
 let tag_of = function
   | Hello _ -> 1
@@ -244,8 +292,9 @@ let tag_of = function
   | Shuffle _ -> 17
   | Shuffle_done _ -> 18
   | Mesh_data _ -> 19
+  | Load_share _ -> 20
 
-let max_tag = 19
+let max_tag = 20
 
 (* Names for diagnostics only: a malformed frame's error message cites
    the message it claimed to be, so a bad peer is debuggable from the
@@ -270,6 +319,7 @@ let tag_name = function
   | 17 -> "Shuffle"
   | 18 -> "Shuffle_done"
   | 19 -> "Mesh_data"
+  | 20 -> "Load_share"
   | _ -> "unknown"
 
 let encode m =
@@ -281,6 +331,9 @@ let encode m =
   | Load_batch (rel, g) ->
       add_string b rel;
       add_gmr b g
+  | Load_share (rel, cb) ->
+      add_string b rel;
+      add_share b cb
   | Run_block (rel, bi) ->
       add_string b rel;
       Buffer.add_int32_be b (Int32.of_int bi)
@@ -387,11 +440,43 @@ let get_tuple r : Vtuple.t =
   let n = get_u16 r in
   Array.init n (fun _ -> get_value r)
 
-let get_gmr r =
+(* One [add_col] run of [n] cells. *)
+let get_col r n : Colbatch.col =
+  match get_u8 r with
+  | 0 -> Colbatch.CInt (Array.init n (fun _ -> Int64.to_int (get_i64 r)))
+  | 1 -> Colbatch.CFloat (Array.init n (fun _ -> Int64.float_of_bits (get_i64 r)))
+  | 2 -> Colbatch.CDate (Array.init n (fun _ -> Int64.to_int (get_i64 r)))
+  | 3 -> Colbatch.CBoxed (Array.init n (fun _ -> get_value r))
+  | 4 ->
+      let dn = get_count r "dictionary entry" in
+      let seen = Hashtbl.create (max 16 dn) in
+      let vals =
+        Array.init dn (fun _ ->
+            let s = get_string r in
+            if Hashtbl.mem seen s then err "duplicate dictionary entry %S" s;
+            Hashtbl.add seen s ();
+            s)
+      in
+      let codes =
+        Array.init n (fun _ ->
+            let c = get_i32 r in
+            if c < 0 || c >= dn then
+              err "dictionary code %d out of range [0,%d)" c dn;
+            c)
+      in
+      Colbatch.CDict (Colbatch.dict_of_strings vals, codes)
+  | k -> err "unknown column kind %d" k
+
+(* Row counts are bounded before any allocation, so a corrupt count can
+   allocate at most a frame's worth of 8-byte multiplicities. *)
+let get_rows r what =
   let n = get_i32 r in
-  if n < 0 then err "negative entry count %d" n;
-  (* every entry carries at least an 8-byte multiplicity *)
-  if n > max_frame / 8 then err "entry count %d exceeds frame capacity" n;
+  if n < 0 then err "negative %s count %d" what n;
+  if n > max_frame / 8 then err "%s count %d exceeds frame capacity" what n;
+  n
+
+let get_gmr r =
+  let n = get_rows r "entry" in
   match get_u8 r with
   | 0 ->
       let g = Gmr.create ~size:(max 16 n) () in
@@ -405,45 +490,39 @@ let get_gmr r =
       let w = get_u16 r in
       if w = 0 then err "columnar layout with zero width";
       if n = 0 then err "columnar layout with zero entries";
-      let cols =
-        Array.init w (fun _ ->
-            match get_u8 r with
-            | 0 ->
-                Colbatch.CInt
-                  (Array.init n (fun _ -> Int64.to_int (get_i64 r)))
-            | 1 ->
-                Colbatch.CFloat
-                  (Array.init n (fun _ -> Int64.float_of_bits (get_i64 r)))
-            | 2 ->
-                Colbatch.CDate
-                  (Array.init n (fun _ -> Int64.to_int (get_i64 r)))
-            | 3 -> Colbatch.CBoxed (Array.init n (fun _ -> get_value r))
-            | 4 ->
-                let dn = get_count r "dictionary entry" in
-                let seen = Hashtbl.create (max 16 dn) in
-                let vals =
-                  Array.init dn (fun _ ->
-                      let s = get_string r in
-                      if Hashtbl.mem seen s then
-                        err "duplicate dictionary entry %S" s;
-                      Hashtbl.add seen s ();
-                      s)
-                in
-                let codes =
-                  Array.init n (fun _ ->
-                      let c = get_i32 r in
-                      if c < 0 || c >= dn then
-                        err "dictionary code %d out of range [0,%d)" c dn;
-                      c)
-                in
-                Colbatch.CDict (Colbatch.dict_of_strings vals, codes)
-            | k -> err "unknown column kind %d" k)
-      in
+      let cols = Array.init w (fun _ -> get_col r n) in
       let mults =
         Array.init n (fun _ -> Int64.float_of_bits (get_i64 r))
       in
       Colbatch.to_gmr (Colbatch.of_cols cols ~mults)
   | l -> err "unknown gmr layout %d" l
+
+let get_share r =
+  let w = get_u16 r in
+  let n = get_rows r "row" in
+  let k = get_u16 r in
+  if k > w then err "%d live columns for stream width %d" k w;
+  let seen = Array.make w false in
+  let cols =
+    Array.init k (fun _ ->
+        let c = get_u16 r in
+        if c >= w then err "column index %d out of range (stream width %d)" c w;
+        if seen.(c) then err "duplicate column index %d" c;
+        seen.(c) <- true;
+        let len = get_i32 r in
+        if len <> n then
+          err "column %d carries %d cells for %d rows" c len n;
+        (c, get_col r n))
+  in
+  let mults =
+    match get_u8 r with
+    | 0 -> Array.init n (fun _ -> get_f64 r)
+    | 1 ->
+        if n = 0 then err "constant multiplicity for zero rows";
+        Array.make n (get_f64 r)
+    | l -> err "unknown multiplicity layout %d" l
+  in
+  Colbatch.of_live_cols ~width:w cols ~mults
 
 let get_snapshot r : Obs.snapshot =
   let n = get_count r "snapshot entry" in
@@ -583,6 +662,9 @@ let decode s =
           let src = get_i32 r in
           if src < 0 then err "negative mesh source id %d" src;
           Mesh_data (src, get_gmr r)
+      | 20 ->
+          let rel = get_string r in
+          Load_share (rel, get_share r)
       | _ -> assert false
     with Error msg ->
       err "bad %s frame (tag %d, %d-byte payload): %s" (tag_name tag) tag

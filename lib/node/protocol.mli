@@ -57,7 +57,19 @@ type msg =
           and to an accepting peer on each mesh link *)
   | Init of string
       (** marshaled {!Divm_dist.Dprog.t}; the worker builds its runtime *)
-  | Load_batch of string * Gmr.t  (** relation, this worker's batch share *)
+  | Load_batch of string * Gmr.t
+      (** relation, a batch share in row form. The engine itself ships
+          [Load_share]; this row-form message stays decodable for
+          codec replays and tools built on the GMR layout. Workers reject
+          it. *)
+  | Load_share of string * Colbatch.t
+      (** relation, this worker's share of the update batch as typed
+          columns ({!Colbatch.deal}). Only the share's live columns travel
+          — the ones the worker's blocks for that trigger read — each
+          tagged with its position and cell count; a constant
+          multiplicity travels once. The decoder rejects a position at or
+          past the stream width, a repeated position, a cell count other
+          than the row count, and a dictionary code out of range. *)
   | Run_block of string * int  (** trigger relation, block index *)
   | Block_done of int * float
       (** record-op delta and wall seconds the block took on the worker *)

@@ -129,12 +129,19 @@ let explain_dist ?(name = "program") (dp : Dprog.t) =
   List.iter
     (fun (tr : Dprog.dtrigger) ->
       let stage = ref 0 in
+      (* worker statements' routes from the planner the workers run *)
+      let routes =
+        Array.of_list
+          (Runtime.block_routes_ex cprog ~rel:tr.drelation
+             (Dprog.worker_blocks tr))
+      in
       List.iteri
         (fun bi (b : Dprog.block) ->
           if b.bmode = Dprog.MDist then incr stage;
           let cur_stage =
             if b.bmode = Dprog.MDist then Some !stage else None
           in
+          let pending = ref routes.(bi) in
           List.iter
             (fun d ->
               match d with
@@ -155,20 +162,23 @@ let explain_dist ?(name = "program") (dp : Dprog.t) =
                     }
                     :: !transfers
               | Dprog.Compute s ->
-                  let mode = Dprog.mode_of dp.locs d in
+                  let label, selvec, rowwise =
+                    match (b.bmode, !pending) with
+                    | Dprog.MDist, (_, lbl, sv, rw) :: rest ->
+                        pending := rest;
+                        (lbl, sv, rw)
+                    | _ -> ("driver:" ^ s.target, 0, 0)
+                  in
                   stmts :=
                     {
                       sp_trigger = tr.drelation;
-                      sp_label =
-                        (match mode with
-                        | Dprog.MLocal -> "driver:"
-                        | Dprog.MDist -> "stmt:")
-                        ^ s.target;
+                      sp_label = label;
                       sp_target = s.target;
                       sp_op = op_str s.op;
-                      sp_columnar = false;
-                      sp_selvec = 0;
-                      sp_rowwise = 0;
+                      sp_columnar =
+                        b.bmode = Dprog.MDist && route_of_label label <> "stmt";
+                      sp_selvec = selvec;
+                      sp_rowwise = rowwise;
                       sp_block = Some bi;
                       sp_stage = cur_stage;
                       sp_loc =
@@ -375,15 +385,28 @@ let plan_json (p : plan) =
 (* Reports                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The plan label of a slot label: a worker row merged as ["L@wI"]
+   summarizes like the plan statement ["L"]. *)
+let plan_label lbl =
+  match String.rindex_opt lbl '@' with
+  | Some i
+    when i + 2 < String.length lbl
+         && lbl.[i + 1] = 'w'
+         && String.for_all
+              (function '0' .. '9' -> true | _ -> false)
+              (String.sub lbl (i + 2) (String.length lbl - i - 2)) ->
+      String.sub lbl 0 i
+  | _ -> lbl
+
 (* Compact access summary for a slot, looked up in the static plan. *)
 let plan_summary plan r =
   match plan with
   | None -> ""
   | Some p -> (
+      let lbl = plan_label r.Prof.r_label in
       match
         List.find_opt
-          (fun s ->
-            s.sp_trigger = r.Prof.r_trigger && s.sp_label = r.Prof.r_label)
+          (fun s -> s.sp_trigger = r.Prof.r_trigger && s.sp_label = lbl)
           p.pl_stmts
       with
       | Some s ->

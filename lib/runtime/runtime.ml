@@ -737,13 +737,17 @@ let fuse_ok group (p : vplan) =
                 || (q.vp_stmt.op = Prog.Add_to && p.vp_stmt.op = Prog.Add_to)))
            group
 
-let plan_trigger (prog : Prog.t) (tr : Prog.trigger) : unit_plan list =
+(* Plan a run of consecutive statements of trigger [rel]. A transient
+   qualifies as a source once its Assign has executed: [assigned] holds
+   the transients assigned so far and is extended in place, so planning
+   the pieces of one trigger in order (a distributed trigger's blocks)
+   sees the same sources as planning it whole. *)
+let plan_stmts (prog : Prog.t) ~rel ~assigned (stmts : Prog.stmt list) :
+    unit_plan list =
   let kinds = Hashtbl.create 16 in
   List.iter
     (fun (m : Prog.map_decl) -> Hashtbl.replace kinds m.mname m.mkind)
     prog.maps;
-  (* a transient qualifies as a source once its Assign has executed *)
-  let assigned = Hashtbl.create 8 in
   let plans =
     List.map
       (fun (s : Prog.stmt) ->
@@ -751,7 +755,7 @@ let plan_trigger (prog : Prog.t) (tr : Prog.trigger) : unit_plan list =
           Hashtbl.find_opt kinds n = Some Prog.Transient && Hashtbl.mem assigned n
         in
         let p =
-          match plan_stmt_exn ~rel:tr.relation ~transient_ready s with
+          match plan_stmt_exn ~rel ~transient_ready s with
           | p -> Some p
           | exception Not_vectorizable -> None
         in
@@ -760,7 +764,7 @@ let plan_trigger (prog : Prog.t) (tr : Prog.trigger) : unit_plan list =
           && Hashtbl.find_opt kinds s.target = Some Prog.Transient
         then Hashtbl.replace assigned s.target ();
         (s, p))
-      tr.stmts
+      stmts
   in
   let finish group acc =
     match group with [] -> acc | g -> UGroup (List.rev g) :: acc
@@ -780,6 +784,27 @@ let plan_trigger (prog : Prog.t) (tr : Prog.trigger) : unit_plan list =
       | UGroup [ p ] when (not p.vp_source.vs_batch) && p.vp_reads = [] ->
           UStmt p.vp_stmt
       | u -> u)
+    units
+
+let plan_trigger (prog : Prog.t) (tr : Prog.trigger) =
+  plan_stmts prog ~rel:tr.relation ~assigned:(Hashtbl.create 8) tr.stmts
+
+(* A distributed trigger's worker blocks, planned in block order. Each
+   block comes with the transients transfers filled before it starts:
+   like an Assign, a delivery makes its destination a source. *)
+let plan_blocks (prog : Prog.t) ~rel (blocks : (string list * Prog.stmt list) list) =
+  let assigned = Hashtbl.create 8 in
+  List.map
+    (fun (filled, stmts) ->
+      List.iter (fun n -> Hashtbl.replace assigned n ()) filled;
+      plan_stmts prog ~rel ~assigned stmts)
+    blocks
+
+(* Whether a unit left on the generic path reads the update batch: only
+   those read the batch pool, so only they make a firing fill it. *)
+let reads_batch_pool (units : unit_plan list) =
+  List.exists
+    (function UStmt st -> Calc.has_deltas st.Prog.rhs | UGroup _ -> false)
     units
 
 (* ------------------------------------------------------------------ *)
@@ -2213,6 +2238,31 @@ let bind_group_par (rt : t) (pl : Par.Pool.t) (ps : vplan list) :
     Obs.Counter.add m_selvec_scanned (Array.fold_left ( + ) 0 scs);
     Obs.Counter.add m_selvec_selected (Array.fold_left ( + ) 0 ses)
 
+(* One planned unit bound against [rt]'s pools: a generic compiled
+   statement, or a vectorized group (plus its domain-parallel twin when
+   the runtime owns a domain pool). *)
+let compile_unit (rt : t) ~trigger = function
+  | UStmt st ->
+      let label = "stmt:" ^ st.Prog.target in
+      let f = compile_stmt rt ~mode:Batch st in
+      {
+        eu_label = label;
+        eu_slot = Prof.slot ~trigger ~label;
+        eu_run = (fun _ -> f ());
+        eu_par = None;
+      }
+  | UGroup ps ->
+      let label = route_label_of_group ps in
+      {
+        eu_label = label;
+        eu_slot = Prof.slot ~trigger ~label;
+        eu_run = bind_group rt ps;
+        eu_par =
+          (match rt.par with
+          | Some pl -> Some (bind_group_par rt pl ps)
+          | None -> None);
+      }
+
 (* ------------------------------------------------------------------ *)
 (* Program loading                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -2271,39 +2321,8 @@ let create ?(auto_index = true) ?(columnar = true) ?domains
           if columnar then plan_trigger prog tr
           else List.map (fun s -> UStmt s) tr.stmts
         in
-        let tx_units =
-          List.map
-            (function
-              | UStmt st ->
-                  let label = "stmt:" ^ st.Prog.target in
-                  let f = compile_stmt rt ~mode:Batch st in
-                  {
-                    eu_label = label;
-                    eu_slot = Prof.slot ~trigger:tr.relation ~label;
-                    eu_run = (fun _ -> f ());
-                    eu_par = None;
-                  }
-              | UGroup ps ->
-                  let label = route_label_of_group ps in
-                  {
-                    eu_label = label;
-                    eu_slot = Prof.slot ~trigger:tr.relation ~label;
-                    eu_run = bind_group rt ps;
-                    eu_par =
-                      (match rt.par with
-                      | Some pl -> Some (bind_group_par rt pl ps)
-                      | None -> None);
-                  })
-            units
-        in
-        let tx_load =
-          List.exists
-            (function
-              | UStmt st -> Calc.has_deltas st.Prog.rhs
-              | UGroup _ -> false)
-            units
-        in
-        (tr.relation, { tx_load; tx_units }))
+        let tx_units = List.map (compile_unit rt ~trigger:tr.relation) units in
+        (tr.relation, { tx_load = reads_batch_pool units; tx_units }))
       prog.triggers;
   rt.triggers_single <-
     List.map
@@ -2444,6 +2463,86 @@ let apply_single rt ~rel tup m =
   else List.iter (fun (_, f) -> f ()) stmts;
   report rt ~ops0 ~tuples:1 ~t0 ~single:true
 
+(* ------------------------------------------------------------------ *)
+(* Distributed blocks                                                  *)
+(* ------------------------------------------------------------------ *)
+
+type scatter = { sc_width : int; sc_cols : int array }
+
+let stream_width (prog : Prog.t) rel =
+  match List.assoc_opt rel prog.streams with
+  | Some vars -> List.length vars
+  | None -> invalid_arg ("Runtime: unknown stream " ^ rel)
+
+(* The column-pruning rule. Vectorized batch-sourced groups read exactly
+   their group shape's columns — possibly none (a COUNT( * ) still needs
+   the rows and multiplicities); a generic unit reading the batch pool
+   may read any column, so then every column ships. *)
+let scatter_plan (prog : Prog.t) ~rel blocks =
+  let plans = plan_blocks prog ~rel blocks in
+  let width = stream_width prog rel in
+  let batch_groups =
+    List.concat_map
+      (List.filter_map (function
+        | UGroup (p :: _ as ps) when p.vp_source.vs_batch -> Some ps
+        | UGroup _ | UStmt _ -> None))
+      plans
+  in
+  if List.exists reads_batch_pool plans then
+    Some { sc_width = width; sc_cols = Array.init width Fun.id }
+  else if batch_groups = [] then None
+  else
+    let cols =
+      List.concat_map
+        (fun ps -> Array.to_list (group_shape ps).sh_sel)
+        batch_groups
+    in
+    Some
+      { sc_width = width; sc_cols = Array.of_list (List.sort_uniq compare cols) }
+
+let deal sc ~parts batch =
+  let cb = Colbatch.of_gmr ~cols:sc.sc_cols ~width:sc.sc_width batch in
+  Colbatch.dictify_cols cb (Array.to_list sc.sc_cols);
+  Array.init parts (Colbatch.deal cb ~parts)
+
+type blocks = {
+  bk_rel : string;
+  bk_units : exec_unit list array;
+  bk_load : bool; (* a generic unit reads the batch pool *)
+  mutable bk_raw : Colbatch.t Lazy.t;
+}
+
+let compile_blocks rt ~rel blocks =
+  let plans = plan_blocks rt.prog ~rel blocks in
+  let width = stream_width rt.prog rel in
+  {
+    bk_rel = rel;
+    bk_units =
+      Array.of_list (List.map (List.map (compile_unit rt ~trigger:rel)) plans);
+    bk_load = List.exists reads_batch_pool plans;
+    bk_raw =
+      Lazy.from_val
+        (Colbatch.of_cols (Array.make width (Colbatch.CInt [||])) ~mults:[||]);
+  }
+
+let set_batch rt bk cb =
+  bk.bk_raw <- Lazy.from_val cb;
+  if bk.bk_load then begin
+    let bp = Hashtbl.find rt.batch_pools bk.bk_rel in
+    Pool.clear bp;
+    Colbatch.iter_rows cb (Pool.add bp)
+  end
+
+let run_block rt bk bi =
+  if bi < 0 || bi >= Array.length bk.bk_units then
+    invalid_arg
+      (Printf.sprintf "Runtime.run_block: no block %d for %s" bi bk.bk_rel);
+  List.iter
+    (fun u ->
+      run_attributed rt ~label:u.eu_label ~slot:u.eu_slot (fun () ->
+          u.eu_run bk.bk_raw))
+    bk.bk_units.(bi)
+
 let load rt tables =
   (* streams absent from the load are empty relations *)
   let tables =
@@ -2482,6 +2581,19 @@ let ops (rt : t) = Obs.Counter.value rt.ops
 let reset_ops (rt : t) = Obs.Counter.reset rt.ops
 let domains (rt : t) = rt.domains
 
+let routes_of_units units =
+  List.concat_map
+    (function
+      | UStmt s -> [ (s, "stmt:" ^ s.Prog.target, 0, 0) ]
+      | UGroup ps ->
+          let lbl = route_label_of_group ps in
+          List.map
+            (fun (p : vplan) ->
+              let sv, rw = plan_filter_split p in
+              (p.vp_stmt, lbl, sv, rw))
+            ps)
+    units
+
 (* Per trigger, each statement (in original order) with the route label
    batch mode gives it plus its filter split: "stmt:T" for the generic
    closure path, "columnar:T" / "columnar-join:T" for solo vectorized
@@ -2496,19 +2608,11 @@ let stmt_routes_ex (prog : Prog.t) :
     (string * (Prog.stmt * string * int * int) list) list =
   List.map
     (fun (tr : Prog.trigger) ->
-      ( tr.relation,
-        List.concat_map
-          (function
-            | UStmt s -> [ (s, "stmt:" ^ s.Prog.target, 0, 0) ]
-            | UGroup ps ->
-                let lbl = route_label_of_group ps in
-                List.map
-                  (fun (p : vplan) ->
-                    let sv, rw = plan_filter_split p in
-                    (p.vp_stmt, lbl, sv, rw))
-                  ps)
-          (plan_trigger prog tr) ))
+      (tr.relation, routes_of_units (plan_trigger prog tr)))
     prog.Prog.triggers
+
+let block_routes_ex (prog : Prog.t) ~rel blocks =
+  List.map routes_of_units (plan_blocks prog ~rel blocks)
 
 let stmt_routes (prog : Prog.t) : (string * (Prog.stmt * string) list) list =
   List.map

@@ -158,17 +158,78 @@ val storage_stats : t -> (string * Pool.stats) list
     [slot]. Exposed for the cluster simulator's block executor. *)
 val run_attributed : t -> label:string -> slot:int -> (unit -> unit) -> unit
 
-(** {1 Hooks for the cluster simulator}
+(** Like {!stmt_routes_ex} for the worker blocks of one distributed
+    trigger: [blocks] holds, per block in trigger order, the transient
+    maps transfers filled before the block and the statements the
+    workers run (both empty for blocks that run elsewhere); the result
+    is aligned with the statements. Produced by the planner
+    {!compile_blocks} uses. *)
+val block_routes_ex :
+  Prog.t ->
+  rel:string ->
+  (string list * Prog.stmt list) list ->
+  (Prog.stmt * string * int * int) list list
+
+(** {1 Hooks for the distributed engines}
 
     The distributed runtime executes statements at a finer granularity than
     whole triggers and moves map contents between nodes itself. *)
 
 (** Compile an arbitrary statement list against this runtime's pools
-    (batch mode). *)
+    (batch mode, generic path). The coordinator's driver statements. *)
 val compile_stmts : t -> Prog.stmt list -> (unit -> unit) list
 
 (** Load the update batch for [rel] without firing its trigger. *)
 val load_batch : t -> rel:string -> Gmr.t -> unit
+
+(** {2 Worker blocks}
+
+    A distributed trigger's worker statements run through the same
+    planner and vectorized executor as {!apply_batch}: each block's
+    statements are planned by {!stmt_routes}'s rules (a transient
+    assigned in an earlier block, or filled by a transfer before this
+    one, qualifies as a source) and every
+    vectorized group reads its columns straight from the worker's
+    columnar batch share. *)
+
+(** How one trigger's update batches are cut into worker shares: the
+    stream width and the columns to ship. *)
+type scatter = { sc_width : int; sc_cols : int array }
+
+(** The column-pruning rule, derived from the block planner: the columns
+    the vectorized batch-sourced groups of [blocks] read, or every
+    column when a unit left on the generic path reads Δ. [None] when no
+    worker unit reads Δ at all — there is nothing to ship. Both the
+    coordinator and the simulator derive it from the same program, so
+    both ends agree on the layout without negotiating it. *)
+val scatter_plan :
+  Prog.t -> rel:string -> (string list * Prog.stmt list) list -> scatter option
+
+(** [deal sc ~parts batch] transposes [batch] once (only [sc]'s columns,
+    dictionary-encoding the low-cardinality string ones) and cuts it
+    round-robin into [parts] shares ({!Colbatch.deal}): row [i] goes to
+    worker [i mod parts]. The simulator and the multiprocess coordinator
+    both call this, so simulated and real workers see identical shares. *)
+val deal : scatter -> parts:int -> Gmr.t -> Colbatch.t array
+
+(** One distributed trigger's worker blocks, compiled against this
+    runtime's pools. *)
+type blocks
+
+(** [compile_blocks rt ~rel blocks] compiles each block's statements
+    ([blocks] as for {!block_routes_ex}). *)
+val compile_blocks :
+  t -> rel:string -> (string list * Prog.stmt list) list -> blocks
+
+(** Install this worker's share of the current batch. The batch pool is
+    filled from it only when a generic unit reads Δ ({!scatter_plan}
+    then ships every column). *)
+val set_batch : t -> blocks -> Colbatch.t -> unit
+
+(** Run block [bi] over the installed share, each unit under
+    {!run_attributed} with its route label. Raises [Invalid_argument]
+    for an index outside the trigger's blocks. *)
+val run_block : t -> blocks -> int -> unit
 
 (** Add one tuple into a map (used to deliver shuffled data). *)
 val add_to_map : t -> string -> Vtuple.t -> float -> unit

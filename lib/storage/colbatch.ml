@@ -110,12 +110,26 @@ type t = {
   tbase : int; (* cachesim arena base; 0 = untraced batch *)
   tstride : int; (* rows per column in the arena layout *)
   mutable bytes : int; (* memoized [byte_size]; -1 = not yet computed *)
+  live : int array option;
+      (* ascending positions of the columns carrying data; [None] = all.
+         Absent columns alias one shared all-zero [CInt] array. *)
 }
 
 let width t = Array.length t.cols
 let length t = t.n
 let col t c = t.cols.(c)
 let mults t = t.mults
+
+let live_cols t =
+  match t.live with Some l -> l | None -> Array.init (width t) Fun.id
+
+(* Fill every position [live] does not name with one shared zero column
+   of [n] rows: reads of an absent column stay in bounds. *)
+let fill_absent cols n live =
+  let present = Array.make (Array.length cols) false in
+  Array.iter (fun c -> present.(c) <- true) live;
+  let z = CInt (Array.make n 0) in
+  Array.iteri (fun c p -> if not p then cols.(c) <- z) present
 
 let get c i =
   match c with
@@ -194,8 +208,10 @@ let alloc_arena w stride =
 
 let cell_addr t c i = t.tbase + (((c * t.tstride) + i) * 8)
 
-let of_iter ~width ~count iter =
+let of_iter ?cols:live ~width ~count iter =
   let cap = count in
+  let lc = match live with Some l -> l | None -> Array.init width Fun.id in
+  let nl = Array.length lc in
   let cols = Array.make width (CInt [||]) in
   let mults = Array.make cap 0. in
   let tbase = alloc_arena width cap in
@@ -203,10 +219,12 @@ let of_iter ~width ~count iter =
   iter (fun (tup : Vtuple.t) m ->
       let r = !i in
       if r = 0 then
-        for c = 0 to width - 1 do
+        for k = 0 to nl - 1 do
+          let c = lc.(k) in
           cols.(c) <- new_col cap tup.(c)
         done;
-      for c = 0 to width - 1 do
+      for k = 0 to nl - 1 do
+        let c = Array.unsafe_get lc k in
         set_cell cols c cap r tup.(c);
         if tbase <> 0 then
           Trace.emit (tbase + (((c * cap) + r) * 8)) Trace.Write
@@ -216,6 +234,7 @@ let of_iter ~width ~count iter =
         Trace.emit (tbase + (((width * cap) + r) * 8)) Trace.Write;
       incr i);
   let n = !i in
+  Option.iter (fill_absent cols n) live;
   {
     cols = Array.map (trunc_col n) cols;
     mults = (if n = cap then mults else Array.sub mults 0 n);
@@ -223,25 +242,53 @@ let of_iter ~width ~count iter =
     tbase;
     tstride = cap;
     bytes = -1;
+    live;
   }
 
-let of_gmr ~width g =
-  of_iter ~width ~count:(Gmr.cardinal g) (fun f -> Gmr.iter f g)
+let of_gmr ?cols ~width g =
+  of_iter ?cols ~width ~count:(Gmr.cardinal g) (fun f -> Gmr.iter f g)
+
+let col_length = function
+  | CInt a | CDate a -> Array.length a
+  | CFloat a -> Array.length a
+  | CDict (_, a) -> Array.length a
+  | CBoxed a -> Array.length a
 
 let of_cols cols ~mults =
   let n = Array.length mults in
   Array.iter
     (fun c ->
-      let l =
-        match c with
-        | CInt a | CDate a -> Array.length a
-        | CFloat a -> Array.length a
-        | CDict (_, a) -> Array.length a
-        | CBoxed a -> Array.length a
-      in
-      if l <> n then invalid_arg "Colbatch.of_cols: column length mismatch")
+      if col_length c <> n then
+        invalid_arg "Colbatch.of_cols: column length mismatch")
     cols;
-  { cols; mults; n; tbase = 0; tstride = 0; bytes = -1 }
+  { cols; mults; n; tbase = 0; tstride = 0; bytes = -1; live = None }
+
+let of_live_cols ~width (pairs : (int * col) array) ~mults =
+  let n = Array.length mults in
+  let pairs = Array.copy pairs in
+  Array.sort (fun (a, _) (b, _) -> compare a b) pairs;
+  Array.iteri
+    (fun k (c, col) ->
+      if c < 0 || c >= width then
+        invalid_arg "Colbatch.of_live_cols: column position out of range";
+      if k > 0 && fst pairs.(k - 1) = c then
+        invalid_arg "Colbatch.of_live_cols: duplicate column position";
+      if col_length col <> n then
+        invalid_arg "Colbatch.of_live_cols: column length mismatch")
+    pairs;
+  let live = Array.map fst pairs in
+  let cols = Array.make width (CInt [||]) in
+  Array.iter (fun (c, col) -> cols.(c) <- col) pairs;
+  fill_absent cols n live;
+  {
+    cols;
+    mults;
+    n;
+    tbase = 0;
+    tstride = 0;
+    bytes = -1;
+    live = (if Array.length live = width then None else Some live);
+  }
 
 let to_gmr t =
   let g = Gmr.create ~size:t.n () in
@@ -290,9 +337,18 @@ let filter t pred =
     tbase = 0;
     tstride = 0;
     bytes = -1;
+    live = t.live;
   }
 
 let project t keep =
+  let live =
+    Option.map
+      (fun l ->
+        let pos = ref [] in
+        Array.iteri (fun j c -> if Array.mem c l then pos := j :: !pos) keep;
+        Array.of_list (List.rev !pos))
+      t.live
+  in
   {
     cols = Array.map (fun c -> t.cols.(c)) keep;
     mults = t.mults;
@@ -300,6 +356,32 @@ let project t keep =
     tbase = 0;
     tstride = 0;
     bytes = -1;
+    live;
+  }
+
+(* Round-robin share [p]: rows p, p + parts, p + 2·parts, … Only live
+   columns are gathered; absent ones alias one fresh zero column. *)
+let deal t ~parts p =
+  if parts < 1 || p < 0 || p >= parts then invalid_arg "Colbatch.deal";
+  let m = if t.n > p then ((t.n - p - 1) / parts) + 1 else 0 in
+  let keep = Array.init m (fun j -> p + (j * parts)) in
+  let cols =
+    match t.live with
+    | None -> Array.map (gather_col keep) t.cols
+    | Some l ->
+        let cols = Array.make (width t) (CInt [||]) in
+        Array.iter (fun c -> cols.(c) <- gather_col keep t.cols.(c)) l;
+        fill_absent cols m l;
+        cols
+  in
+  {
+    cols;
+    mults = Array.map (fun j -> Array.unsafe_get t.mults j) keep;
+    n = m;
+    tbase = 0;
+    tstride = 0;
+    bytes = -1;
+    live = t.live;
   }
 
 let aggregate t = to_gmr t
@@ -502,6 +584,7 @@ let commit_walk t ~sel ~nk ~drop_cancelled ~(perm : int array)
       tbase = obase;
       tstride = m;
       bytes = -1;
+      live = None;
     }
   in
   let starts =
@@ -640,7 +723,9 @@ let col_bytes n c =
 let byte_size t =
   if t.bytes < 0 then
     t.bytes <-
-      Array.fold_left (fun acc c -> acc + col_bytes t.n c) (8 * t.n) t.cols;
+      Array.fold_left
+        (fun acc c -> acc + col_bytes t.n t.cols.(c))
+        (8 * t.n) (live_cols t);
   t.bytes
 
 (* Representation upgrade: promote one [CBoxed] column holding only

@@ -54,19 +54,47 @@ val width : t -> int
 val length : t -> int
 
 (** Row-to-column transformer. [width] must be the tuple width; empty GMRs
-    need it to be supplied explicitly. *)
-val of_gmr : width:int -> Gmr.t -> t
+    need it to be supplied explicitly. With [~cols] (ascending, distinct
+    positions) only those columns are transposed; the others are
+    {e absent} (see {!live_cols}). *)
+val of_gmr : ?cols:int array -> width:int -> Gmr.t -> t
 
 (** [of_iter ~width ~count iter] builds a batch by running [iter emit]
     where [emit tup m] appends one row. [count] must be an upper bound on
     the number of rows emitted (e.g. [Pool.cardinal]); tuples are copied,
-    so borrowed rows are fine. *)
+    so borrowed rows are fine. [~cols] as for {!of_gmr}. *)
 val of_iter :
-  width:int -> count:int -> ((Vtuple.t -> float -> unit) -> unit) -> t
+  ?cols:int array ->
+  width:int ->
+  count:int ->
+  ((Vtuple.t -> float -> unit) -> unit) ->
+  t
 
 (** Wrap pre-built columns (all the same length as [mults]). Used by the
     wire codec, which ships columns as flat arrays. *)
 val of_cols : col array -> mults:float array -> t
+
+(** [of_live_cols ~width pairs ~mults] builds a [width]-column batch from
+    [(position, column)] pairs; every position not named is absent. The
+    share decoder's constructor. Raises [Invalid_argument] on a position
+    outside [0, width), a repeated position, or a column whose length is
+    not [Array.length mults]. *)
+val of_live_cols :
+  width:int -> (int * col) array -> mults:float array -> t
+
+(** Positions of the columns that carry data, ascending: every column of
+    an ordinary batch; the selected ones of a batch built with [~cols]
+    (and of its {!deal} shares). An absent column reads as [Int 0] in
+    every row — it exists only so that positional column access stays in
+    bounds, and only a reader that knows it never touches it (the
+    distributed block executor's column-pruning rule) may build one. *)
+val live_cols : t -> int array
+
+(** [deal b ~parts p] is round-robin share [p] of [parts]: rows [p],
+    [p + parts], [p + 2·parts], … of [b], in row order, with [b]'s live
+    columns. The distributed engines split every update batch this way,
+    so row [i] always lands on worker [i mod parts]. *)
+val deal : t -> parts:int -> int -> t
 
 (** Column-to-row transformer; adds rows in row order (so replaying a
     decoded batch is deterministic). *)
@@ -168,7 +196,8 @@ val compact_group_sorted :
     collide. Reset to [None] after use. *)
 val hash_bits_for_tests : int option ref
 
-(** Serialized size in bytes. O(width) arithmetic on typed columns;
+(** Serialized size in bytes of the live columns plus multiplicities.
+    O(width) arithmetic on typed columns;
     dictionary columns account the dictionary payload (count +
     length-prefixed entries) plus one i32 code per row; boxed columns are
     scanned once. The result is memoized — representation upgrades

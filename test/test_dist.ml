@@ -94,6 +94,17 @@ let test_cluster_scalar () =
       ("R", mk2 [ (5, 10, 2.); (1, 10, -1.) ]);
     ]
 
+let test_cluster_count () =
+  (* COUNT( * ): the workers' delta pre-aggregation reads none of the
+     batch's columns, yet still needs its rows and multiplicities. *)
+  let q = sum [] (rel "R" [ va; vb ]) in
+  run_cluster_equiv ~msg:"count" ~keys:[ "B" ]
+    ~queries:[ ("Qcount", q) ]
+    [
+      ("R", mk2 [ (1, 10, 1.); (2, 20, 3.); (3, 30, 1.) ]);
+      ("R", mk2 [ (5, 10, 2.); (1, 10, -1.) ]);
+    ]
+
 let test_cluster_nested () =
   (* Q17 shape: correlated nested aggregate, co-partitioned on B. *)
   let q =
@@ -254,6 +265,8 @@ let suites =
           test_cluster_running;
         Alcotest.test_case "cluster = local (scalar agg)" `Quick
           test_cluster_scalar;
+        Alcotest.test_case "cluster = local (count, no column read)" `Quick
+          test_cluster_count;
         Alcotest.test_case "cluster = local (nested)" `Quick
           test_cluster_nested;
         Alcotest.test_case "block fusion reduces blocks" `Quick

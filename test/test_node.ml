@@ -150,6 +150,56 @@ let gen_shuffle_stat =
          (list_size (int_range 0 4) (int_range 0 1_000_000)))
       gen_f)
 
+(* Batch shares: every column kind, a random live subset (possibly
+   empty, possibly all), and both multiplicity layouts — constant (the
+   all-inserts / all-deletes batch) and per row. *)
+let gen_col n =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, map (fun l -> Colbatch.CInt (Array.of_list l)) (list_repeat n int));
+        ( 2,
+          map
+            (fun l -> Colbatch.CFloat (Array.of_list l))
+            (list_repeat n gen_f) );
+        ( 1,
+          map
+            (fun l -> Colbatch.CDate (Array.of_list l))
+            (list_repeat n (int_range 19920101 19981231)) );
+        ( 2,
+          int_range 1 4 >>= fun dn ->
+          map
+            (fun codes ->
+              Colbatch.CDict
+                ( Colbatch.dict_of_strings
+                    (Array.init dn (fun e -> Printf.sprintf "s%d" e)),
+                  Array.of_list codes ))
+            (list_repeat n (int_range 0 (dn - 1))) );
+        ( 1,
+          map
+            (fun l -> Colbatch.CBoxed (Array.of_list l))
+            (list_repeat n gen_value) );
+      ])
+
+let gen_share =
+  QCheck.Gen.(
+    int_range 1 6 >>= fun width ->
+    int_range 0 25 >>= fun n ->
+    list_repeat width (pair bool (gen_col n)) >>= fun cols ->
+    map
+      (fun mults ->
+        let pairs =
+          List.concat
+            (List.mapi (fun c (live, col) -> if live then [ (c, col) ] else []) cols)
+        in
+        Colbatch.of_live_cols ~width (Array.of_list pairs)
+          ~mults:(Array.of_list mults))
+      (oneof
+         [
+           map (fun m -> List.init n (fun _ -> m)) (oneofl [ 1.; -1.; -0.0 ]);
+           list_repeat n gen_f;
+         ]))
+
 let gen_msg =
   QCheck.Gen.(
     frequency
@@ -158,6 +208,8 @@ let gen_msg =
         (1, map (fun s -> Protocol.Init s) (string_size (int_range 0 64)));
         ( 3,
           map2 (fun r g -> Protocol.Load_batch (r, g)) gen_name gen_gmr );
+        ( 3,
+          map2 (fun r cb -> Protocol.Load_share (r, cb)) gen_name gen_share );
         (1, map2 (fun r i -> Protocol.Run_block (r, i)) gen_name (int_range 0 50));
         ( 1,
           map2
@@ -201,6 +253,39 @@ let gmr_bits_equal a b =
 
 let fbits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
+let value_bits_equal (a : Value.t) (b : Value.t) =
+  match (a, b) with
+  | Value.Float x, Value.Float y -> fbits_equal x y
+  | a, b -> a = b
+
+(* Same physical representation, cell for cell (floats by their bits,
+   dictionaries entry for entry). *)
+let col_bits_equal (a : Colbatch.col) (b : Colbatch.col) =
+  let all2 f x y = Array.length x = Array.length y && Array.for_all2 f x y in
+  match (a, b) with
+  | Colbatch.CInt x, Colbatch.CInt y | Colbatch.CDate x, Colbatch.CDate y ->
+      x = y
+  | Colbatch.CFloat x, Colbatch.CFloat y -> all2 fbits_equal x y
+  | Colbatch.CDict (d1, c1), Colbatch.CDict (d2, c2) ->
+      c1 = c2
+      && Colbatch.dict_size d1 = Colbatch.dict_size d2
+      && List.for_all
+           (fun e -> Colbatch.dict_entry d1 e = Colbatch.dict_entry d2 e)
+           (List.init (Colbatch.dict_size d1) Fun.id)
+  | Colbatch.CBoxed x, Colbatch.CBoxed y -> all2 value_bits_equal x y
+  | _ -> false
+
+(* Shares compare on what travels: width, rows, live positions, live
+   columns and multiplicities. Absent columns carry no data. *)
+let share_bits_equal a b =
+  Colbatch.width a = Colbatch.width b
+  && Colbatch.length a = Colbatch.length b
+  && Colbatch.live_cols a = Colbatch.live_cols b
+  && Array.for_all
+       (fun c -> col_bits_equal (Colbatch.col a c) (Colbatch.col b c))
+       (Colbatch.live_cols a)
+  && Array.for_all2 fbits_equal (Colbatch.mults a) (Colbatch.mults b)
+
 let obs_value_equal a b =
   match (a, b) with
   | Obs.VCounter x, Obs.VCounter y -> x = y
@@ -242,6 +327,8 @@ let msg_equal (a : Protocol.msg) (b : Protocol.msg) =
   | Protocol.Load_batch (r1, g1), Protocol.Load_batch (r2, g2)
   | Protocol.Deliver (r1, g1), Protocol.Deliver (r2, g2) ->
       String.equal r1 r2 && gmr_bits_equal g1 g2
+  | Protocol.Load_share (r1, s1), Protocol.Load_share (r2, s2) ->
+      String.equal r1 r2 && share_bits_equal s1 s2
   | Protocol.Map_contents g1, Protocol.Map_contents g2 -> gmr_bits_equal g1 g2
   | Protocol.Block_done (o1, w1), Protocol.Block_done (o2, w2) ->
       o1 = o2 && fbits_equal w1 w2
@@ -404,10 +491,6 @@ let test_codec_dict_strict () =
   expect_error "negative code" (fun () ->
       Protocol.decode (dict_payload ~entries:[| "x" |] ~codes:[| -1 |]))
 
-(* ------------------------------------------------------------------ *)
-(* Mesh frame strictness + error context                               *)
-(* ------------------------------------------------------------------ *)
-
 let contains s sub =
   let n = String.length sub in
   let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
@@ -425,6 +508,104 @@ let expect_error_with name substrings f =
       Alcotest.failf "%s: expected Protocol.Error, got %s" name
         (Printexc.to_string e)
   | _ -> Alcotest.failf "%s: malformed input accepted" name
+
+(* ------------------------------------------------------------------ *)
+(* Batch share frames                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A hand-built [Load_share] payload for stream "r": [cols] lists
+   (position, declared cell count, kind + payload writer); the
+   multiplicity is the constant 1. *)
+let share_payload ?(width = 3) ?(rows = 2) ?(trailing = "") cols =
+  let b = Buffer.create 64 in
+  Buffer.add_uint8 b 20 (* Load_share *);
+  Buffer.add_int32_be b 1l;
+  Buffer.add_string b "r";
+  Buffer.add_uint16_be b width;
+  Buffer.add_int32_be b (Int32.of_int rows);
+  Buffer.add_uint16_be b (List.length cols);
+  List.iter
+    (fun (c, len, body) ->
+      Buffer.add_uint16_be b c;
+      Buffer.add_int32_be b (Int32.of_int len);
+      body b)
+    cols;
+  Buffer.add_uint8 b 1;
+  Buffer.add_int64_be b (Int64.bits_of_float 1.);
+  Buffer.add_string b trailing;
+  Buffer.contents b
+
+let int_cells cells b =
+  Buffer.add_uint8 b 0;
+  List.iter (fun x -> Buffer.add_int64_be b (Int64.of_int x)) cells
+
+let dict_cells entries codes b =
+  Buffer.add_uint8 b 4;
+  Buffer.add_int32_be b (Int32.of_int (List.length entries));
+  List.iter
+    (fun s ->
+      Buffer.add_int32_be b (Int32.of_int (String.length s));
+      Buffer.add_string b s)
+    entries;
+  List.iter (fun c -> Buffer.add_int32_be b (Int32.of_int c)) codes
+
+(* A share ships only its live columns, each tagged with its position,
+   and decodes straight into a typed batch; the strict decoder names the
+   frame for every defect the encoder can never produce. *)
+let test_codec_share_strict () =
+  (match
+     Protocol.decode
+       (share_payload
+          [ (0, 2, int_cells [ 7; 8 ]); (2, 2, dict_cells [ "A"; "R" ] [ 1; 0 ]) ])
+   with
+  | Protocol.Load_share ("r", cb) ->
+      Alcotest.(check (array int)) "live positions" [| 0; 2 |]
+        (Colbatch.live_cols cb);
+      Alcotest.(check int) "stream width" 3 (Colbatch.width cb);
+      Alcotest.(check bool) "dictionary cells decode" true
+        (Colbatch.get (Colbatch.col cb 2) 0 = Value.String "R");
+      Alcotest.(check (array (float 0.))) "constant multiplicity" [| 1.; 1. |]
+        (Colbatch.mults cb)
+  | _ -> Alcotest.fail "decoded to a different message");
+  let rejects name sub cols ?width ?rows ?trailing () =
+    expect_error_with name [ "Load_share"; sub ] (fun () ->
+        Protocol.decode (share_payload ?width ?rows ?trailing cols))
+  in
+  rejects "column index past the stream width" "out of range"
+    [ (3, 2, int_cells [ 1; 2 ]) ]
+    ();
+  rejects "duplicate column index" "duplicate column index 1"
+    [ (1, 2, int_cells [ 1; 2 ]); (1, 2, int_cells [ 3; 4 ]) ]
+    ();
+  rejects "dictionary code out of range" "dictionary code 1 out of range"
+    [ (0, 2, dict_cells [ "x" ] [ 0; 1 ]) ]
+    ();
+  rejects "column length differs from the row count" "3 cells for 2 rows"
+    [ (0, 3, int_cells [ 1; 2; 3 ]) ]
+    ();
+  rejects "trailing bytes" "trailing bytes"
+    [ (0, 2, int_cells [ 1; 2 ]) ]
+    ~trailing:"\x00" ();
+  (* the encoder's own output for a pruned share: absent columns cost
+     nothing on the wire *)
+  let cb =
+    Colbatch.of_live_cols ~width:16
+      [| (4, Colbatch.CFloat [| 1.5; 2.5 |]) |]
+      ~mults:[| 1.; 1. |]
+  in
+  let full =
+    Colbatch.of_live_cols ~width:16
+      (Array.init 16 (fun c -> (c, Colbatch.CFloat [| 1.5; 2.5 |])))
+      ~mults:[| 1.; 1. |]
+  in
+  let size cb = String.length (Protocol.encode (Protocol.Load_share ("r", cb))) in
+  Alcotest.(check int) "15 absent columns save 15 column runs"
+    (15 * (2 + 4 + 1 + 16))
+    (size full - size cb)
+
+(* ------------------------------------------------------------------ *)
+(* Mesh frame strictness + error context                               *)
+(* ------------------------------------------------------------------ *)
 
 (* The strict decoder rejects negative fields the encoder would never
    produce, and every field-level failure cites the frame's claimed tag
@@ -552,6 +733,77 @@ let qcheck_node_equiv =
         tpch_queries;
       true)
 
+(* Replay [stream] through the simulator and a star and a mesh process
+   cluster of query [qn] at [workers]: every modeled quantity (latency,
+   shuffle bytes, stages) and every non-transient store must agree bit
+   for bit across the three. Returns the star and mesh transfer-stage
+   wire bytes and, per result view, the simulator's and the mesh
+   cluster's contents. *)
+let replay_sim_star_mesh ~workers ~stream qn =
+  let w = Workload.find qn in
+  let prog = Workload.compile w in
+  let dp = Workload.distribute w prog in
+  let sim = Cluster.create ~config:(Cluster.config ~workers ()) ~domains:1 dp in
+  let star = Node.create ~config:(Node.config ~workers ~shuffle:Node.Star ()) dp in
+  let mesh = Node.create ~config:(Node.config ~workers ~shuffle:Node.Mesh ()) dp in
+  let star_tw = ref 0 and mesh_tw = ref 0 in
+  let transfer_wire acc (m : Node.metrics) =
+    List.iter
+      (fun (s : Node.stage_stat) ->
+        if String.length s.Node.sname >= 9
+           && String.sub s.Node.sname 0 9 = "transfer:"
+        then acc := !acc + s.Node.swire)
+      m.Node.stage_stats
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Node.shutdown star;
+      Node.shutdown mesh)
+    (fun () ->
+      List.iter
+        (fun (rel, b) ->
+          let ms = Cluster.apply_batch sim ~rel b in
+          let mst = Node.apply_batch star ~rel b in
+          let mme = Node.apply_batch mesh ~rel b in
+          transfer_wire star_tw mst;
+          transfer_wire mesh_tw mme;
+          List.iter
+            (fun (which, (mn : Node.metrics)) ->
+              if not (close_rel ms.Cluster.latency mn.Node.latency) then
+                Alcotest.failf
+                  "%s/%dw/%s: predicted latency diverges from simulator: %g \
+                   vs %g"
+                  qn workers which mn.Node.latency ms.Cluster.latency;
+              if ms.Cluster.bytes_shuffled <> mn.Node.bytes_shuffled then
+                Alcotest.failf
+                  "%s/%dw/%s: modeled shuffle bytes diverge: %d vs %d" qn
+                  workers which mn.Node.bytes_shuffled ms.Cluster.bytes_shuffled;
+              if ms.Cluster.stages <> mn.Node.stages then
+                Alcotest.failf "%s/%dw/%s: stage counts diverge: %d vs %d" qn
+                  workers which mn.Node.stages ms.Cluster.stages)
+            [ ("star", mst); ("mesh", mme) ])
+        stream;
+      List.iter
+        (fun (m : Divm_compiler.Prog.map_decl) ->
+          if m.mkind <> Divm_compiler.Prog.Transient then begin
+            let gs = Cluster.map_contents sim m.mname in
+            let gst = Node.map_contents star m.mname in
+            let gme = Node.map_contents mesh m.mname in
+            if not (gmr_bits_equal gs gst) then
+              Alcotest.failf "%s/%dw: store %s differs simulator vs star" qn
+                workers m.mname;
+            if not (gmr_bits_equal gst gme) then
+              Alcotest.failf "%s/%dw: store %s differs star vs mesh" qn workers
+                m.mname
+          end)
+        prog.Divm_compiler.Prog.maps;
+      ( !star_tw,
+        !mesh_tw,
+        List.map
+          (fun (name, _) ->
+            (name, Cluster.result sim name, Node.result mesh name))
+          w.Workload.maps ))
+
 (* Tentpole acceptance of the shuffle mesh: over the same random TPC-H
    stream, the star and mesh topologies leave every non-transient store
    bit-identical to each other and to the simulator — at 2 AND 4 workers
@@ -572,85 +824,11 @@ let qcheck_star_mesh_equiv =
       List.iter
         (fun workers ->
           let star_tw = ref 0 and mesh_tw = ref 0 in
-          let transfer_wire acc (m : Node.metrics) =
-            List.iter
-              (fun (s : Node.stage_stat) ->
-                if String.length s.Node.sname >= 9
-                   && String.sub s.Node.sname 0 9 = "transfer:"
-                then acc := !acc + s.Node.swire)
-              m.Node.stage_stats
-          in
           List.iter
             (fun qn ->
-              let w = Workload.find qn in
-              let prog = Workload.compile w in
-              let dp = Workload.distribute w prog in
-              let sim =
-                Cluster.create ~config:(Cluster.config ~workers ()) ~domains:1
-                  dp
-              in
-              let star =
-                Node.create
-                  ~config:(Node.config ~workers ~shuffle:Node.Star ())
-                  dp
-              in
-              let mesh =
-                Node.create
-                  ~config:(Node.config ~workers ~shuffle:Node.Mesh ())
-                  dp
-              in
-              Fun.protect
-                ~finally:(fun () ->
-                  Node.shutdown star;
-                  Node.shutdown mesh)
-                (fun () ->
-                  List.iter
-                    (fun (rel, b) ->
-                      let ms = Cluster.apply_batch sim ~rel b in
-                      let mst = Node.apply_batch star ~rel b in
-                      let mme = Node.apply_batch mesh ~rel b in
-                      transfer_wire star_tw mst;
-                      transfer_wire mesh_tw mme;
-                      List.iter
-                        (fun (which, (mn : Node.metrics)) ->
-                          if not (close_rel ms.Cluster.latency mn.Node.latency)
-                          then
-                            Alcotest.failf
-                              "%s/%dw/%s: predicted latency diverges from \
-                               simulator: %g vs %g"
-                              qn workers which mn.Node.latency
-                              ms.Cluster.latency;
-                          if
-                            ms.Cluster.bytes_shuffled
-                            <> mn.Node.bytes_shuffled
-                          then
-                            Alcotest.failf
-                              "%s/%dw/%s: modeled shuffle bytes diverge: %d \
-                               vs %d"
-                              qn workers which mn.Node.bytes_shuffled
-                              ms.Cluster.bytes_shuffled;
-                          if ms.Cluster.stages <> mn.Node.stages then
-                            Alcotest.failf
-                              "%s/%dw/%s: stage counts diverge: %d vs %d" qn
-                              workers which mn.Node.stages ms.Cluster.stages)
-                        [ ("star", mst); ("mesh", mme) ])
-                    stream;
-                  List.iter
-                    (fun (m : Divm_compiler.Prog.map_decl) ->
-                      if m.mkind <> Divm_compiler.Prog.Transient then begin
-                        let gs = Cluster.map_contents sim m.mname in
-                        let gst = Node.map_contents star m.mname in
-                        let gme = Node.map_contents mesh m.mname in
-                        if not (gmr_bits_equal gs gst) then
-                          Alcotest.failf
-                            "%s/%dw: store %s differs simulator vs star" qn
-                            workers m.mname;
-                        if not (gmr_bits_equal gst gme) then
-                          Alcotest.failf
-                            "%s/%dw: store %s differs star vs mesh" qn workers
-                            m.mname
-                      end)
-                    prog.Divm_compiler.Prog.maps))
+              let st, me, _ = replay_sim_star_mesh ~workers ~stream qn in
+              star_tw := !star_tw + st;
+              mesh_tw := !mesh_tw + me)
             tpch_queries;
           if !mesh_tw = 0 then
             Alcotest.failf "%dw: no mesh transfer wire traffic at all" workers;
@@ -671,6 +849,90 @@ let qcheck_star_mesh_equiv =
               "%dw: mesh transfer wire bytes %d not below star's %d" workers
               !mesh_tw !star_tw)
         [ 2; 4 ];
+      true)
+
+(* The stream with every batch retracted [k] batches later (after the
+   last insert, the remaining ones in order): about half the rows are
+   deletes, keys cancel to zero and leave pools, and the vectorized
+   worker groups drop cancelled rows ([group_drop_cancelled]). *)
+let with_retractions ~k stream =
+  let a = Array.of_list stream in
+  let n = Array.length a in
+  let neg (rel, b) = (rel, Gmr.scale b (-1.)) in
+  List.concat
+    (List.init (n + k) (fun i ->
+         (if i < n then [ a.(i) ] else [])
+         @ if i >= k && i - k < n then [ neg a.(i - k) ] else []))
+
+(* First key whose multiplicities differ by more than 1e-9 of the view's
+   largest magnitude (incremental float sums carry rounding error on the
+   scale of their summands, not of the result). *)
+let view_difference want got =
+  let largest g = Gmr.fold (fun _ m a -> Float.max a (Float.abs m)) g 1. in
+  let tol = 1e-9 *. Float.max (largest want) (largest got) in
+  let first a b =
+    Gmr.fold
+      (fun t m d ->
+        match d with
+        | None when Float.abs (m -. Gmr.mult b t) > tol -> Some t
+        | d -> d)
+      a None
+  in
+  match first want got with Some t -> Some t | None -> first got want
+
+(* The simulator = star = mesh contract over retraction streams, at 2
+   and 4 workers, with the reference interpreter as the oracle: both
+   engines' result views must match [Exec] re-evaluated over the net
+   base contents the stream leaves behind. *)
+let qcheck_retraction_equiv =
+  let arb = QCheck.(make ~print:Print.int Gen.(int_range 0 10_000)) in
+  QCheck.Test.make
+    ~name:"retraction streams: simulator = star = mesh = Exec at 2 and 4 workers"
+    ~count:1 arb
+    (fun seed ->
+      let inserts =
+        Tpch.Gen.stream { Tpch.Gen.scale = 0.01; seed } ~batch_size:200
+      in
+      let stream = with_retractions ~k:3 inserts in
+      List.iter
+        (fun qn ->
+          let w = Workload.find qn in
+          let net = Hashtbl.create 8 in
+          List.iter
+            (fun (rel, b) ->
+              let g =
+                match Hashtbl.find_opt net rel with
+                | Some g -> g
+                | None ->
+                    let g = Gmr.create () in
+                    Hashtbl.replace net rel g;
+                    g
+              in
+              Gmr.iter (fun t m -> Gmr.add g t m) b)
+            stream;
+          let ex = Divm_runtime.Exec.create (Workload.compile w) in
+          Divm_runtime.Exec.load ex
+            (Hashtbl.fold (fun r g l -> (r, g) :: l) net []);
+          List.iter
+            (fun workers ->
+              let _, _, views = replay_sim_star_mesh ~workers ~stream qn in
+              List.iter
+                (fun (name, gsim, gproc) ->
+                  let want = Divm_runtime.Exec.result ex name in
+                  List.iter
+                    (fun (which, got) ->
+                      match view_difference want got with
+                      | None -> ()
+                      | Some key ->
+                          Alcotest.failf
+                            "%s/%dw/%s: view %s differs from Exec at %s: \
+                             expected %.17g, got %.17g"
+                            qn workers which name (Vtuple.to_string key)
+                            (Gmr.mult want key) (Gmr.mult got key))
+                    [ ("simulator", gsim); ("multiprocess", gproc) ])
+                views)
+            [ 2; 4 ])
+        tpch_queries;
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -1033,10 +1295,13 @@ let suites =
           test_codec_dict_roundtrip;
         Alcotest.test_case "dict frames decode strictly" `Quick
           test_codec_dict_strict;
+        Alcotest.test_case "share frames decode strictly" `Quick
+          test_codec_share_strict;
         Alcotest.test_case "mesh frames decode strictly with error context"
           `Quick test_codec_mesh_strict;
         QCheck_alcotest.to_alcotest qcheck_node_equiv;
         QCheck_alcotest.to_alcotest qcheck_star_mesh_equiv;
+        QCheck_alcotest.to_alcotest qcheck_retraction_equiv;
         Alcotest.test_case "engine backends agree" `Quick test_engine_backends;
         Alcotest.test_case "columnar on/off stores agree on every backend"
           `Slow test_columnar_backend_equiv;
