@@ -915,8 +915,7 @@ let quick () =
   in
   let g_tps = geomean (fun (_, t, _, _, _) -> t) in
   let g_ops = geomean (fun (_, _, o, _, _) -> o) in
-  (* Actual socket traffic, multiprocess only (0 elsewhere): the number
-     the star-vs-mesh shuffle A/B compares. *)
+  (* Actual socket traffic, multiprocess only (0 elsewhere). *)
   let total_wire =
     List.fold_left (fun a (_, _, _, _, w) -> a + w) 0 results
   in

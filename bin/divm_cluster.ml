@@ -5,8 +5,9 @@
    modeled latency, shuffled bytes, stages. --backend multiprocess: real
    worker processes over Unix domain sockets; the same cost model runs as
    a predictor, and each batch reports modeled latency next to measured
-   wall time and actual wire bytes (--stage-json FILE writes the
-   per-stage reconciliation). Both backends leave bit-identical stores.
+   wall time and actual wire bytes. Both backends are one executor over
+   two transports: they leave bit-identical stores, and --stage-json
+   FILE writes the same per-stage reconciliation on either.
 
    With --trace FILE every batch becomes a cluster:REL (or node:REL) span
    whose stage:N and transfer:NAME children carry modeled_ms attributes;

@@ -7,14 +7,12 @@
 
    The worker connects to the coordinator's Unix domain socket,
    identifies itself with a Hello frame, receives the marshaled
-   distributed program, and then serves Load_share / Run_block /
-   Pull_map / Deliver / Clear_map requests until Shutdown (see
-   Protocol). Under the default mesh topology the coordinator also
-   sends Peers / Mesh_connect (establishing direct worker-to-worker
-   sockets) and drives each transfer with a Shuffle request, whose
-   payload bytes travel peer-to-peer as Mesh_data frames instead of
-   through the coordinator. It never parses queries or opens data
-   files itself — everything arrives over the wire. *)
+   distributed program, wires up direct sockets to its peers (Peers /
+   Mesh_connect), and then serves Load_share / Run_block / Pull_map /
+   Deliver / Shuffle requests until Shutdown (see Protocol). A Shuffle's
+   payload travels peer-to-peer as Mesh_data frames, not through the
+   coordinator. It never parses queries or opens data files itself —
+   everything arrives over the wire. *)
 
 let usage () =
   prerr_endline

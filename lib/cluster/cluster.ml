@@ -1,4 +1,3 @@
-open Divm_ring
 open Divm_storage
 open Divm_compiler
 open Divm_dist
@@ -7,43 +6,243 @@ module Obs = Divm_obs.Obs
 module Prof = Divm_obs.Prof
 module Par = Divm_par.Par
 
-(* Registry instruments. [apply_batch]'s metrics record is a view over
-   these: each batch is accounted into the counters first and the record
-   is read back as the deltas, so `--metrics` totals and per-batch records
-   can never disagree. *)
-let m_bytes_shuffled = Obs.Counter.make "divm_cluster_bytes_shuffled_total"
-let m_stages = Obs.Counter.make "divm_cluster_stages_total"
-let m_batches = Obs.Counter.make "divm_cluster_batches_total"
-let m_worker_ops = Obs.Counter.make "divm_cluster_max_worker_ops_total"
-let m_worker_ops_all = Obs.Counter.make "divm_cluster_worker_ops_total"
-let m_driver_ops = Obs.Counter.make "divm_cluster_driver_ops_total"
+type config = { workers : int; cost : Costmodel.t }
 
-let h_latency =
-  Obs.Histogram.make "divm_cluster_batch_latency_seconds" (* modeled *)
-
-let g_workers = Obs.Gauge.make "divm_cluster_workers"
-let g_last_latency = Obs.Gauge.make "divm_cluster_last_latency_seconds"
-let g_max_bytes_per_worker = Obs.Gauge.make "divm_cluster_max_bytes_per_worker"
-
-type config = {
-  workers : int;
-  domains : int option;
-  cost : Costmodel.t;
-}
-
-let config ?(workers = 50) ?domains ?(cost = Costmodel.default) () =
-  { workers; domains; cost }
-
+let config ?(workers = 50) ?(cost = Costmodel.default) () = { workers; cost }
 let default_config = config ()
+
+type stage_stat = {
+  sname : string;
+  predicted : float;
+  measured : float;
+  sbytes : int;
+  swire : int;
+  spwire : int;
+  swalls : float array;
+  slinks : (int * int * int) list;
+}
 
 type metrics = {
   latency : float;
+  wall : float;
   stages : int;
   bytes_shuffled : int;
-  max_bytes_per_worker : int;
+  wire_bytes : int;
   max_worker_ops : int;
   driver_ops : int;
+  stage_stats : stage_stat list;
 }
+
+type shuffle_stat = {
+  ss_ser : int;
+  ss_modeled : int array;
+  ss_sent : int array;
+  ss_wall : float;
+}
+
+(* ------------------------------------------------------------------ *)
+(* Worker side, shared by both transports                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The worker side's share of [divm_record_ops_total] ([Counter.make] is
+   idempotent per name, so this is the runtime's own instrument). Workers
+   run compiled blocks directly, never [Runtime.apply_batch], so under
+   the profiler they fold their block op deltas in explicitly — keeping
+   the invariant slot sums = registry deltas intact on the worker's own
+   registry, and across processes after the coordinator's labeled merge. *)
+let w_record_ops = Obs.Counter.make "divm_record_ops_total"
+
+type worker = {
+  wrt : Runtime.t;
+  wblocks : (string * Runtime.blocks) list;
+  wtransfers : (string * int array * string) array;
+      (* shuffles name a transfer by its index here; every worker and the
+         executor derive it from the same program *)
+}
+
+(* One serial runtime over the compute program (the executor's
+   parallelism is one task or process per worker), the trigger's worker
+   blocks compiled by the runtime's own planner. Block indexes line up
+   with the executor's plan because both walk the same [Dprog.t]. *)
+let worker_of rprog (dp : Dprog.t) =
+  let rt = Runtime.create ~domains:1 rprog in
+  {
+    wrt = rt;
+    wblocks =
+      List.map
+        (fun (tr : Dprog.dtrigger) ->
+          ( tr.drelation,
+            Runtime.compile_blocks rt ~rel:tr.drelation (Dprog.worker_blocks tr)
+          ))
+        dp.dtriggers;
+    wtransfers = Dprog.transfers dp;
+  }
+
+let worker dp = worker_of (Dprog.compute_prog dp) dp
+
+let blocks_of wk rel =
+  match List.assoc_opt rel wk.wblocks with
+  | Some b -> b
+  | None -> invalid_arg ("no trigger for " ^ rel)
+
+let worker_load wk ~rel share =
+  Runtime.set_batch wk.wrt (blocks_of wk rel) share
+
+let worker_run_block wk ~rel bi =
+  let o0 = Runtime.ops wk.wrt in
+  let wall0 = Unix.gettimeofday () in
+  Runtime.run_block wk.wrt (blocks_of wk rel) bi;
+  let dops = Runtime.ops wk.wrt - o0 in
+  if Prof.enabled () then Obs.Counter.add w_record_ops dops;
+  (dops, Unix.gettimeofday () -. wall0)
+
+let worker_contents wk name = Runtime.map_contents wk.wrt name
+
+(* Replay in slot order: a GMR that crossed the wire preserves the
+   sender's buffer order, so any reordering here would permute the map's
+   slots and perturb downstream float summation. *)
+let worker_replace wk name g =
+  Runtime.clear_map wk.wrt name;
+  Gmr.iter (fun tup m -> Runtime.add_to_map wk.wrt name tup m) g
+
+let transfer_of wk idx =
+  if idx < 0 || idx >= Array.length wk.wtransfers then
+    failwith
+      (Printf.sprintf "transfer index %d out of range (%d transfers)" idx
+         (Array.length wk.wtransfers));
+  wk.wtransfers.(idx)
+
+(* The worker a keyed transfer sends [tup] to: the hash partition of its
+   key columns. (An empty key broadcasts to every worker instead.) *)
+let dest ~key ~parts tup =
+  Divm_ring.Vtuple.hash (Divm_ring.Vtuple.project tup key) mod parts
+
+(* One worker's half of a direct shuffle: cut its partition of the
+   source into one buffer per destination. A partition holds each tuple
+   once, so a buffer never pre-sums. The modeled byte accounting is the
+   cost model's rule: a tuple that stays on its origin worker is free. *)
+let shuffle_partition wk ~self ~parts idx =
+  let _, key, source = transfer_of wk idx in
+  let outs = Array.init parts (fun _ -> Gmr.create ()) in
+  let ser = ref 0 in
+  let modeled = Array.make parts 0 in
+  let send d tup mult b =
+    Gmr.add outs.(d) tup mult;
+    if d <> self then modeled.(d) <- modeled.(d) + b
+  in
+  Gmr.iter
+    (fun tup mult ->
+      let b = Costmodel.tuple_bytes tup in
+      ser := !ser + b;
+      if Array.length key = 0 then
+        for d = 0 to parts - 1 do
+          send d tup mult b
+        done
+      else send (dest ~key ~parts tup) tup mult b)
+    (worker_contents wk source);
+  (outs, !ser, modeled)
+
+(* The other half: replace the destination partition with the buffers
+   every source sent it, applied in ascending source id ([from src] is
+   called once per source, in order) — one fixed order for the float
+   association of cross-source collisions and for slot creation,
+   whichever transport carried the buffers. *)
+let shuffle_apply wk ~parts idx from =
+  let tname, _, _ = transfer_of wk idx in
+  Runtime.clear_map wk.wrt tname;
+  for src = 0 to parts - 1 do
+    Gmr.iter (fun tup m -> Runtime.add_to_map wk.wrt tname tup m) (from src)
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Transports                                                          *)
+(* ------------------------------------------------------------------ *)
+
+type transport = {
+  name : string;
+  share : rel:string -> Colbatch.t array -> unit;
+  run_block : rel:string -> int -> (int * float) array;
+  pull : string -> int array -> Gmr.t array;
+  deliver : string -> Gmr.t array -> unit;
+  shuffle : int -> shuffle_stat array;
+  wire : unit -> int;
+  after_stage : unit -> unit;
+}
+
+let in_process ~domains (nodes : worker array) =
+  let w = Array.length nodes in
+  let par = if domains > 1 then Some (Par.get ~domains) else None in
+  let run_block ~rel bi =
+    (* Simulated workers own disjoint runtimes, so a stage is
+       embarrassingly parallel; each task writes only its own cell. The
+       profiler, span tracer and cachesim sink are single-writer, so
+       while any of them is on the stage runs serially. *)
+    let out = Array.make w (0, 0.) in
+    let run wi = out.(wi) <- worker_run_block nodes.(wi) ~rel bi in
+    (match par with
+    | Some pl
+      when (not (Prof.enabled ()))
+           && (not (Obs.tracing ()))
+           && not (Trace.enabled ()) ->
+        Par.Pool.run pl (Array.init w (fun wi () -> run wi))
+    | _ ->
+        for wi = 0 to w - 1 do
+          if Obs.tracing () then
+            Obs.span (Printf.sprintf "worker:%d" wi) (fun () -> run wi)
+          else run wi
+        done);
+    out
+  in
+  let shuffle idx =
+    let walls = Array.make w 0. in
+    let timed wi f =
+      let t0 = Unix.gettimeofday () in
+      let r = f () in
+      walls.(wi) <- walls.(wi) +. (Unix.gettimeofday () -. t0);
+      r
+    in
+    let parts =
+      Array.mapi
+        (fun self wk ->
+          timed self (fun () -> shuffle_partition wk ~self ~parts:w idx))
+        nodes
+    in
+    Array.iteri
+      (fun d wk ->
+        timed d (fun () ->
+            shuffle_apply wk ~parts:w idx (fun src ->
+                let outs, _, _ = parts.(src) in
+                outs.(d))))
+      nodes;
+    Array.mapi
+      (fun wi (_, ser, modeled) ->
+        {
+          ss_ser = ser;
+          ss_modeled = modeled;
+          ss_sent = Array.make w 0;
+          ss_wall = walls.(wi);
+        })
+      parts
+  in
+  {
+    name = "cluster";
+    share =
+      (fun ~rel shares ->
+        Array.iteri (fun wi wk -> worker_load wk ~rel shares.(wi)) nodes);
+    run_block;
+    pull =
+      (fun name ws -> Array.map (fun wi -> worker_contents nodes.(wi) name) ws);
+    deliver =
+      (fun name gs ->
+        Array.iteri (fun wi wk -> worker_replace wk name gs.(wi)) nodes);
+    shuffle;
+    wire = (fun () -> 0);
+    after_stage = ignore;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* The executor                                                        *)
+(* ------------------------------------------------------------------ *)
 
 type transfer = {
   tname : string;
@@ -51,101 +250,184 @@ type transfer = {
   key : int array;
   source : string;
   tslot : int; (* profiler slot: shuffled bytes are charged here *)
+  tmesh : int option;
+      (* index into [Dprog.transfers] when the transfer runs as a direct
+         worker-to-worker shuffle *)
+  tcross : int; (* socket crossings per shuffled byte, for the wire predictor *)
 }
 
-type pstmt =
-  | PDriver of string * int * (unit -> unit)
+(* A trigger's blocks, flattened: local blocks contribute their driver
+   statements and transfers, each distributed block one stage. *)
+type step =
+  | Driver of string * int * (unit -> unit)
       (* span label, profiler slot, compiled stmt *)
-  | PTransfer of transfer
+  | Move of transfer
+  | Stage of int * int * string (* block index, profiler slot, label *)
 
-(* A local block runs on the driver; a distributed block runs block [i]
-   of the trigger's compiled worker blocks on every node. *)
-type pblock = PLocal of pstmt list | PDist of int
-
-type ptrigger = {
-  pblocks : pblock list;
-  pscatter : Runtime.scatter option; (* share layout; [None]: no Δ read *)
-  pnodes : Runtime.blocks array; (* per node *)
+type plan = {
+  steps : step list;
+  scatter : Runtime.scatter option; (* share layout; [None]: no Δ read *)
 }
+
+(* Registry instruments of one executor, named after its transport. The
+   per-batch metrics record is a view over them: each batch is accounted
+   into the counters first and the record is read back as the deltas, so
+   `--metrics` totals and per-batch records can never disagree. *)
+type instruments = {
+  bytes_shuffled : Obs.Counter.t;
+  wire_bytes : Obs.Counter.t;
+  stages : Obs.Counter.t;
+  batches : Obs.Counter.t;
+  max_worker_ops : Obs.Counter.t;
+  worker_ops : Obs.Counter.t;
+  driver_ops : Obs.Counter.t;
+  scatter_wire : Obs.Counter.t;
+  scattered : Obs.Counter.t;
+  latency : Obs.Histogram.t; (* modeled *)
+  last_latency : Obs.Gauge.t;
+  g_workers : Obs.Gauge.t;
+  wops : Obs.Counter.t array; (* *_worker_ops_total{worker=i} *)
+  wstage : Obs.Histogram.t array; (* *_stage_seconds{worker=i} *)
+  links : (int * int, Obs.Counter.t) Hashtbl.t;
+      (* *_mesh_bytes_total{src,dst}, registered on first traffic *)
+}
+
+(* Straggler detector: max/median worker wall per distributed stage. A
+   perfectly balanced stage lands in the first bucket; the tail buckets
+   say one worker ran several times longer than the typical one. *)
+let h_straggler =
+  Obs.Histogram.make
+    ~buckets:[| 1.0; 1.05; 1.1; 1.25; 1.5; 2.0; 3.0; 5.0; 10.0 |]
+    "divm_stage_straggler_ratio"
+
+let instruments name w =
+  let fam s = Printf.sprintf "divm_%s_%s" name s in
+  let c s = Obs.Counter.make (fam s) in
+  let lbl s wi = Obs.with_labels (fam s) [ ("worker", string_of_int wi) ] in
+  {
+    bytes_shuffled = c "bytes_shuffled_total";
+    wire_bytes = c "wire_bytes_total";
+    stages = c "stages_total";
+    batches = c "batches_total";
+    max_worker_ops = c "max_worker_ops_total";
+    worker_ops = c "worker_ops_total";
+    driver_ops = c "driver_ops_total";
+    scatter_wire = c "scatter_wire_bytes_total";
+    scattered = c "scattered_tuples_total";
+    latency = Obs.Histogram.make (fam "batch_latency_seconds");
+    last_latency = Obs.Gauge.make (fam "last_latency_seconds");
+    g_workers = Obs.Gauge.make (fam "workers");
+    wops =
+      Array.init w (fun wi -> Obs.Counter.make (lbl "worker_ops_total" wi));
+    wstage =
+      Array.init w (fun wi -> Obs.Histogram.make (lbl "stage_seconds" wi));
+    links = Hashtbl.create 16;
+  }
 
 type t = {
-  cfg : config;
+  workers : int;
+  cost : Costmodel.t;
   dprog : Dprog.t;
   driver : Runtime.t;
-  nodes : Runtime.t array;
-  plans : (string * ptrigger) list;
-  par : Par.Pool.t option;
+  plans : (string * plan) list;
   delta_at_workers : bool;
-  worker_ops_gauges : Obs.Gauge.t array;
-      (* per-worker ops of the last batch, labeled Prometheus-style *)
+  tp : transport;
+  local : worker array; (* the in-process workers; empty for remote ones *)
+  m : instruments;
 }
 
-let workers t = t.cfg.workers
+let workers t = t.workers
+let all_workers t = Array.init t.workers Fun.id
 
-let create ?(config = default_config) ?domains (dp : Dprog.t) =
-  (* Explicit precedence: the config record pins the domain count; the
-     optional argument is a convenience for callers without a config. Both
-     given and disagreeing is a caller bug, not a silent override. *)
-  let domains =
-    match (config.domains, domains) with
-    | Some a, Some b when a <> b ->
-        invalid_arg
-          (Printf.sprintf
-             "Cluster.create: contradictory domain counts (config.domains=%d \
-              vs ~domains:%d)"
-             a b)
-    | Some d, _ | None, Some d -> max 1 d
-    | None, None -> Par.default_domains ()
+(* A transfer runs as a direct shuffle when every byte both starts and
+   ends on workers: distributed-to-distributed scatters and
+   repartitions. Gathers end at the driver and local or replicated
+   sources live there (or are read from one worker), so those stay
+   driver-bound. *)
+let is_mesh (locs : Loc.catalog) tkind ~source ~tname =
+  tkind <> Dprog.Gather
+  && (match Loc.find locs source with
+     | Loc.Dist _ | Loc.Random -> true
+     | Loc.Local | Loc.Replicated -> false)
+  && Loc.find locs tname <> Loc.Local
+
+(* How many times a shuffled byte crosses a socket, feeding the a-priori
+   wire predictor. A shuffle ships direct: one crossing per remote
+   destination (a keyed repartition keeps ~1/w of the bytes home, which
+   the per-byte estimate rounds to one crossing). A driver-bound
+   transfer pulls a remote source once, then delivers once per
+   destination (a broadcast fans out to every worker). *)
+let crossings locs ~workers ~mesh tkind key source =
+  let fanout =
+    if Array.length key = 0 && tkind <> Dprog.Gather then workers else 1
   in
-  (* The runtimes never fire whole triggers themselves, but the compute
-     statements of the distributed program (with their transfer-renamed
-     map references) must be visible to the access-pattern analysis so
-     the pools get their slice indexes. Simulated nodes run serially
-     within themselves ([domains:1]): the cluster's own parallelism is one
-     pool task per worker node, and nesting pools is not supported. *)
+  if mesh then max 1 (fanout - 1)
+  else
+    match tkind with
+    | Dprog.Gather -> 1
+    | Dprog.Scatter | Dprog.Repart ->
+        (if Loc.find locs source = Loc.Local then 0 else 1) + fanout
+
+let make ~cost ~workers ~local tp (dp : Dprog.t) =
+  (* The driver never fires whole triggers, but the compute statements
+     of the distributed program (with their transfer-renamed map
+     references) must be visible to the access-pattern analysis so the
+     pools get their slice indexes. *)
   let rprog = Dprog.compute_prog dp in
   let driver = Runtime.create ~domains:1 rprog in
-  let nodes =
-    Array.init config.workers (fun _ -> Runtime.create ~domains:1 rprog)
+  let transfers = Dprog.transfers dp in
+  let transfer_index k =
+    let rec go i =
+      if i >= Array.length transfers then
+        invalid_arg "Cluster: transfer missing from Dprog.transfers"
+      else if transfers.(i) = k then i
+      else go (i + 1)
+    in
+    go 0
   in
-  let compile_block trigger bi (b : Dprog.block) =
-    match b.bmode with
-    | Dprog.MDist -> PDist bi
-    | Dprog.MLocal ->
-        PLocal
-          (List.map
-             (fun d ->
-               match d with
-               | Dprog.Transfer { tname; tkind; key; source } ->
-                   PTransfer
-                     {
-                       tname;
-                       tkind;
-                       key;
-                       source;
-                       tslot = Prof.slot ~trigger ~label:("transfer:" ^ tname);
-                     }
-               | Dprog.Compute s ->
-                   let label = "driver:" ^ s.target in
-                   PDriver
-                     ( label,
-                       Prof.slot ~trigger ~label,
-                       List.hd (Runtime.compile_stmts driver [ s ]) ))
-             b.bstmts)
-  in
-  let plans =
-    List.map
-      (fun (tr : Dprog.dtrigger) ->
-        let rel = tr.drelation in
-        let wblocks = Dprog.worker_blocks tr in
-        ( rel,
-          {
-            pblocks = List.mapi (compile_block rel) tr.blocks;
-            pscatter = Runtime.scatter_plan rprog ~rel wblocks;
-            pnodes =
-              Array.map (fun rt -> Runtime.compile_blocks rt ~rel wblocks) nodes;
-          } ))
-      dp.dtriggers
+  let compile (tr : Dprog.dtrigger) =
+    let trigger = tr.drelation in
+    let nstages = ref 0 in
+    let local_step = function
+      | Dprog.Transfer { tname; tkind; key; source } ->
+          let mesh = is_mesh dp.locs tkind ~source ~tname in
+          Move
+            {
+              tname;
+              tkind;
+              key;
+              source;
+              tslot = Prof.slot ~trigger ~label:("transfer:" ^ tname);
+              tmesh =
+                (if mesh then Some (transfer_index (tname, key, source))
+                 else None);
+              tcross = crossings dp.locs ~workers ~mesh tkind key source;
+            }
+      | Dprog.Compute s ->
+          let label = "driver:" ^ s.target in
+          Driver
+            ( label,
+              Prof.slot ~trigger ~label,
+              List.hd (Runtime.compile_stmts driver [ s ]) )
+    in
+    let steps =
+      List.concat
+        (List.mapi
+           (fun bi (b : Dprog.block) ->
+             match b.bmode with
+             | Dprog.MDist ->
+                 incr nstages;
+                 let label = Printf.sprintf "stage:%d" !nstages in
+                 [ Stage (bi, Prof.slot ~trigger ~label, label) ]
+             | Dprog.MLocal -> List.map local_step b.bstmts)
+           tr.blocks)
+    in
+    ( trigger,
+      {
+        steps;
+        scatter =
+          Runtime.scatter_plan rprog ~rel:trigger (Dprog.worker_blocks tr);
+      } )
   in
   (* Batches live at the workers when the delta pre-aggregations do. *)
   let delta_at_workers =
@@ -156,259 +438,317 @@ let create ?(config = default_config) ?domains (dp : Dprog.t) =
         && Loc.find dp.locs m.mname <> Loc.Local)
       dp.base.maps
   in
-  let worker_ops_gauges =
-    Array.init config.workers (fun i ->
-        Obs.Gauge.make (Printf.sprintf "divm_worker_ops{worker=\"%d\"}" i))
-  in
   {
-    cfg = config;
+    workers;
+    cost;
     dprog = dp;
     driver;
-    nodes;
-    plans;
-    par = (if domains > 1 then Some (Par.get ~domains) else None);
+    plans = List.map compile dp.dtriggers;
     delta_at_workers;
-    worker_ops_gauges;
+    tp;
+    local;
+    m = instruments tp.name workers;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Transfers                                                           *)
-(* ------------------------------------------------------------------ *)
+let of_transport ~cost ~workers tp dp = make ~cost ~workers ~local:[||] tp dp
 
+let create ?(config = default_config) ?domains (dp : Dprog.t) =
+  let domains =
+    match domains with Some d -> max 1 d | None -> Par.default_domains ()
+  in
+  let rprog = Dprog.compute_prog dp in
+  let local = Array.init config.workers (fun _ -> worker_of rprog dp) in
+  make ~cost:config.cost ~workers:config.workers ~local
+    (in_process ~domains local) dp
+
+(* Modeled bytes moved by one batch's transfers. *)
 type net = {
-  mutable total_bytes : int;
-  mutable into_node : int array; (* bytes received per worker since reset *)
+  mutable total : int;
+  into_node : int array; (* bytes received per worker *)
   mutable into_driver : int;
 }
 
-let tuple_bytes = Costmodel.tuple_bytes
+let max_into net = Array.fold_left max net.into_driver net.into_node
 
-(* Execute one transfer; returns (total network bytes, max bytes into one
-   node, serialization bytes at sources). *)
-let run_transfer t net tr =
-  let src_loc = Loc.find t.dprog.locs tr.source in
-  let dst_loc = Loc.find t.dprog.locs tr.tname in
-  let w = t.cfg.workers in
-  (* (origin, contents) pairs; origin -1 = driver, -2 = replicated *)
+let charge net ~origin ~dst b =
+  if origin <> dst then begin
+    net.total <- net.total + b;
+    if dst < 0 then net.into_driver <- net.into_driver + b
+    else net.into_node.(dst) <- net.into_node.(dst) + b
+  end
+
+(* A driver-bound transfer: read the source where it lives (origin -1 =
+   driver, -2 = replicated), then a gather fills the driver's map and a
+   scatter deals per-destination buffers that replace each worker's
+   partition. Buffers pre-sum duplicates in source-iteration order, the
+   same float association as in-order adds into a cleared map. Returns
+   the modeled serialized bytes. *)
+let driver_transfer t net tr =
+  let w = t.workers in
   let sources =
-    match src_loc with
-    | Loc.Local -> [ (-1, Runtime.map_contents t.driver tr.source) ]
-    | Loc.Replicated -> [ (-2, Runtime.map_contents t.nodes.(0) tr.source) ]
+    match Loc.find t.dprog.locs tr.source with
+    | Loc.Local -> [| (-1, Runtime.map_contents t.driver tr.source) |]
+    | Loc.Replicated -> [| (-2, (t.tp.pull tr.source [| 0 |]).(0)) |]
     | Loc.Dist _ | Loc.Random ->
-        Array.to_list
-          (Array.mapi (fun i rt -> (i, Runtime.map_contents rt tr.source)) t.nodes)
+        Array.mapi (fun i g -> (i, g)) (t.tp.pull tr.source (all_workers t))
   in
-  (* clear destinations *)
-  (match dst_loc with
-  | Loc.Local -> Runtime.clear_map t.driver tr.tname
-  | _ -> Array.iter (fun rt -> Runtime.clear_map rt tr.tname) t.nodes);
-  let deliver_worker origin wi tup m =
-    Runtime.add_to_map t.nodes.(wi) tr.tname tup m;
-    if origin <> wi then begin
-      let b = tuple_bytes tup in
-      net.total_bytes <- net.total_bytes + b;
-      net.into_node.(wi) <- net.into_node.(wi) + b
-    end
-  in
-  let deliver_driver origin tup m =
-    Runtime.add_to_map t.driver tr.tname tup m;
-    if origin <> -1 then begin
-      let b = tuple_bytes tup in
-      net.total_bytes <- net.total_bytes + b;
-      net.into_driver <- net.into_driver + b
-    end
-  in
-  let ser_bytes = ref 0 in
-  List.iter
+  let gather = tr.tkind = Dprog.Gather in
+  if gather then Runtime.clear_map t.driver tr.tname;
+  let outs = Array.init (if gather then 0 else w) (fun _ -> Gmr.create ()) in
+  let ser = ref 0 in
+  Array.iter
     (fun (origin, contents) ->
       Gmr.iter
         (fun tup m ->
-          ser_bytes := !ser_bytes + tuple_bytes tup;
-          match tr.tkind with
-          | Dprog.Gather -> deliver_driver origin tup m
-          | Dprog.Scatter | Dprog.Repart ->
-              if Array.length tr.key = 0 then
-                for wi = 0 to w - 1 do
-                  deliver_worker origin wi tup m
-                done
-              else
-                let sub = Vtuple.project tup tr.key in
-                deliver_worker origin (Vtuple.hash sub mod w) tup m)
+          let b = Costmodel.tuple_bytes tup in
+          ser := !ser + b;
+          if gather then begin
+            Runtime.add_to_map t.driver tr.tname tup m;
+            charge net ~origin ~dst:(-1) b
+          end
+          else if Array.length tr.key = 0 then
+            for d = 0 to w - 1 do
+              Gmr.add outs.(d) tup m;
+              charge net ~origin ~dst:d b
+            done
+          else begin
+            let d = dest ~key:tr.key ~parts:w tup in
+            Gmr.add outs.(d) tup m;
+            charge net ~origin ~dst:d b
+          end)
         contents)
     sources;
-  !ser_bytes
+  if not gather then t.tp.deliver tr.tname outs;
+  !ser
 
-(* ------------------------------------------------------------------ *)
-(* Batch execution                                                     *)
-(* ------------------------------------------------------------------ *)
+let link_counter t src dst =
+  match Hashtbl.find_opt t.m.links (src, dst) with
+  | Some c -> c
+  | None ->
+      let c =
+        Obs.Counter.make
+          (Obs.with_labels
+             (Printf.sprintf "divm_%s_mesh_bytes_total" t.tp.name)
+             [ ("src", string_of_int src); ("dst", string_of_int dst) ])
+      in
+      Hashtbl.add t.m.links (src, dst) c;
+      c
+
+(* A direct shuffle: every worker partitions, exchanges and applies on
+   its own, and reports the modeled bytes by the same origin-is-free
+   rule as [driver_transfer], so the ledger — and every modeled latency
+   downstream — is the same whichever transport ran it. Payload bytes a
+   transport put on sockets arrive in [ss_sent] and land on the per-link
+   counters. Returns (modeled ser bytes, per-worker walls, (src, dst,
+   wire bytes) per active link). *)
+let shuffle t net idx =
+  let w = t.workers in
+  let stats = t.tp.shuffle idx in
+  let ser = ref 0 in
+  let links = ref [] in
+  Array.iteri
+    (fun src st ->
+      if Array.length st.ss_modeled <> w || Array.length st.ss_sent <> w then
+        failwith
+          (Printf.sprintf
+             "Cluster: worker %d: shuffle stat arity mismatch (%d/%d \
+              destinations, %d workers)"
+             src
+             (Array.length st.ss_modeled)
+             (Array.length st.ss_sent) w);
+      ser := !ser + st.ss_ser;
+      Array.iteri (fun dst b -> charge net ~origin:src ~dst b) st.ss_modeled;
+      Array.iteri
+        (fun dst b ->
+          if dst <> src && b > 0 then begin
+            Obs.Counter.add (link_counter t src dst) b;
+            links := (src, dst, b) :: !links
+          end)
+        st.ss_sent)
+    stats;
+  (!ser, Array.map (fun st -> st.ss_wall) stats, List.rev !links)
+
+let median sorted =
+  let n = Array.length sorted in
+  if n land 1 = 1 then sorted.(n / 2)
+  else (sorted.((n / 2) - 1) +. sorted.(n / 2)) /. 2.
 
 let apply_batch t ~rel batch =
-  let w = t.cfg.workers in
-  (* registry state before this batch: the returned record is the delta *)
-  let bytes0 = Obs.Counter.value m_bytes_shuffled in
-  let stages0 = Obs.Counter.value m_stages in
-  let wops0 = Obs.Counter.value m_worker_ops in
-  let dops0 = Obs.Counter.value m_driver_ops in
-  Obs.span ("cluster:" ^ rel) @@ fun () ->
-  let pt =
+  let plan =
     match List.assoc_opt rel t.plans with
-    | Some pt -> pt
+    | Some p -> p
     | None -> invalid_arg ("Cluster.apply_batch: no trigger for " ^ rel)
   in
-  (* Distribute the incoming batch exactly as the multiprocess
-     coordinator does: the same dealing function, the same column
-     pruning, so a simulated node and a worker process hold identical
-     shares. The batch lives at the workers when the delta
-     pre-aggregations do. *)
-  (match pt.pscatter with
+  let w = t.workers and m = t.m and tp = t.tp in
+  let now = Unix.gettimeofday in
+  let batch_wall0 = now () in
+  let wire0 = tp.wire () in
+  (* registry state before this batch: the returned record is the delta *)
+  let bytes0 = Obs.Counter.value m.bytes_shuffled in
+  let stages0 = Obs.Counter.value m.stages in
+  let max_ops0 = Obs.Counter.value m.max_worker_ops in
+  let dops0 = Obs.Counter.value m.driver_ops in
+  Obs.span (tp.name ^ ":" ^ rel) @@ fun () ->
+  (* Deal the batch into column shares carrying only the columns the
+     workers' blocks read; it lives at the workers when the delta
+     pre-aggregations do, otherwise the driver keeps it and workers that
+     read Δ see none. *)
+  (match plan.scatter with
   | Some sc ->
-      let shares =
-        Runtime.deal sc ~parts:w
-          (if t.delta_at_workers then batch else Gmr.create ())
-      in
-      Array.iteri
-        (fun wi rt -> Runtime.set_batch rt pt.pnodes.(wi) shares.(wi))
-        t.nodes
+      let shipped = if t.delta_at_workers then batch else Gmr.create () in
+      let sw0 = tp.wire () in
+      tp.share ~rel (Runtime.deal sc ~parts:w shipped);
+      Obs.Counter.add m.scatter_wire (tp.wire () - sw0);
+      Obs.Counter.add m.scattered (Gmr.cardinal shipped)
   | None -> ());
   Runtime.load_batch t.driver ~rel
     (if t.delta_at_workers then Gmr.create () else batch);
-  let net = { total_bytes = 0; into_node = Array.make w 0; into_driver = 0 } in
+  let net = { total = 0; into_node = Array.make w 0; into_driver = 0 } in
   let latency = ref 0. in
   let stages = ref 0 in
-  let worker_ops = Array.make w 0 in
+  let link_wire = ref 0 in
   let driver_ops0 = Runtime.ops t.driver in
-  let pending_bytes = ref 0 in
-  (* bytes into the busiest node since the last distributed stage, for the
-     straggler factor *)
+  (* bytes into the busiest node since the last distributed stage, for
+     the straggler factor *)
   let pending_max_into = ref 0 in
+  let stats = ref [] in
+  let attr k fmt = Printf.ksprintf (Obs.set_attr k) fmt in
   List.iter
-    (fun b ->
-      match b with
-      | PLocal pstmts ->
-          List.iter
-            (fun ps ->
-              match ps with
-              | PDriver (lbl, slot, f) ->
-                  Runtime.run_attributed t.driver ~label:lbl ~slot f
-              | PTransfer tr ->
-                  Obs.span ("transfer:" ^ tr.tname) (fun () ->
-                      let wall0 = Unix.gettimeofday () in
-                      let before_max =
-                        Array.fold_left max net.into_driver net.into_node
-                      in
-                      let bytes_before = net.total_bytes in
-                      let ser = run_transfer t net tr in
-                      if Prof.enabled () then
-                        Prof.add tr.tslot ~ops:0 ~probes:0 ~misses:0 ~scanned:0
-                          ~svscan:0 ~svsel:0
-                          ~bytes:(net.total_bytes - bytes_before)
-                          ~wall:(Unix.gettimeofday () -. wall0);
-                      let after_max =
-                        Array.fold_left max net.into_driver net.into_node
-                      in
-                      pending_bytes := !pending_bytes + ser;
-                      pending_max_into :=
-                        max !pending_max_into (after_max - before_max);
-                      let dt =
-                        Costmodel.transfer_latency t.cfg.cost ~ser_bytes:ser
-                          ~max_into:(after_max - before_max)
-                      in
-                      latency := !latency +. dt;
-                      if Obs.tracing () then begin
-                        Obs.set_attr "modeled_ms"
-                          (Printf.sprintf "%.6f" (dt *. 1e3));
-                        Obs.set_attr "kind"
-                          (match tr.tkind with
-                          | Dprog.Gather -> "gather"
-                          | Dprog.Scatter -> "scatter"
-                          | Dprog.Repart -> "repart");
-                        Obs.set_attr "bytes"
-                          (string_of_int (net.total_bytes - bytes_before))
-                      end))
-            pstmts
-      | PDist bi ->
-          incr stages;
-          let stage_lbl =
-            if Obs.tracing () then Printf.sprintf "stage:%d" !stages
-            else ""
-          in
-          Obs.span stage_lbl (fun () ->
-              (* Every simulated node owns disjoint state (its own runtime,
-                 pools, batch share), so the per-node blocks are
-                 embarrassingly parallel. Each task writes only its own
-                 [deltas] cell; the modeled time is computed afterwards by
-                 a serial reduction over [deltas], which is a pure function
-                 of the per-worker op counts — so modeled latency and
-                 shuffled bytes are bit-identical whether the stage ran on
-                 one domain or many. *)
-              let deltas = Array.make w 0 in
-              let run_worker wi rt =
-                let o0 = Runtime.ops rt in
-                Runtime.run_block rt pt.pnodes.(wi) bi;
-                deltas.(wi) <- Runtime.ops rt - o0
+    (function
+      | Driver (label, slot, f) ->
+          Runtime.run_attributed t.driver ~label ~slot f
+      | Move tr ->
+          Obs.span ("transfer:" ^ tr.tname) (fun () ->
+              let wall0 = now () and tw0 = tp.wire () in
+              let bytes_before = net.total and before_max = max_into net in
+              let ser, walls, links =
+                match tr.tmesh with
+                | Some idx -> shuffle t net idx
+                | None -> (driver_transfer t net tr, [||], [])
               in
-              (match t.par with
-              | Some pl
-                when (not (Prof.enabled ()))
-                     && (not (Obs.tracing ()))
-                     && not (Trace.enabled ()) ->
-                  Par.Pool.run pl
-                    (Array.mapi (fun wi rt () -> run_worker wi rt) t.nodes)
-              | _ ->
-                  Array.iteri
-                    (fun wi rt ->
-                      if Obs.tracing () then
-                        Obs.span (Printf.sprintf "worker:%d" wi) (fun () ->
-                            run_worker wi rt)
-                      else run_worker wi rt)
-                    t.nodes);
-              let max_ops = ref 0 in
-              Array.iteri
-                (fun wi d ->
-                  worker_ops.(wi) <- worker_ops.(wi) + d;
-                  max_ops := max !max_ops d)
-                deltas;
-              Obs.Counter.add m_worker_ops !max_ops;
+              let sent = List.fold_left (fun a (_, _, b) -> a + b) 0 links in
+              link_wire := !link_wire + sent;
+              let wall = now () -. wall0 in
+              let bytes = net.total - bytes_before in
+              let into = max_into net - before_max in
+              if Prof.enabled () then
+                Prof.add tr.tslot ~ops:0 ~probes:0 ~misses:0 ~scanned:0
+                  ~svscan:0 ~svsel:0 ~bytes ~wall;
+              pending_max_into := max !pending_max_into into;
               let dt =
-                Costmodel.stage_latency t.cfg.cost ~workers:w ~max_ops:!max_ops
+                Costmodel.transfer_latency t.cost ~ser_bytes:ser ~max_into:into
+              in
+              latency := !latency +. dt;
+              stats :=
+                {
+                  sname = "transfer:" ^ tr.tname;
+                  predicted = dt;
+                  measured = wall;
+                  sbytes = bytes;
+                  swire = tp.wire () - tw0 + sent;
+                  spwire =
+                    Costmodel.predicted_wire_bytes ~crossings:tr.tcross
+                      ~workers:w ~ser_bytes:ser;
+                  swalls = walls;
+                  slinks = links;
+                }
+                :: !stats;
+              if Obs.tracing () then begin
+                attr "modeled_ms" "%.6f" (dt *. 1e3);
+                attr "measured_ms" "%.6f" (wall *. 1e3);
+                attr "kind" "%s"
+                  (match tr.tkind with
+                  | Dprog.Gather -> "gather"
+                  | Dprog.Scatter -> "scatter"
+                  | Dprog.Repart -> "repart");
+                attr "bytes" "%d" bytes
+              end)
+      | Stage (bi, slot, label) ->
+          incr stages;
+          Obs.span label (fun () ->
+              let wall0 = now () and tw0 = tp.wire () in
+              let replies = tp.run_block ~rel bi in
+              let wall = now () -. wall0 in
+              let walls = Array.map snd replies in
+              let ops = ref 0 and max_ops = ref 0 in
+              Array.iteri
+                (fun wi (d, wl) ->
+                  Obs.Counter.add m.wops.(wi) d;
+                  Obs.Histogram.observe m.wstage.(wi) wl;
+                  ops := !ops + d;
+                  max_ops := max !max_ops d)
+                replies;
+              Obs.Counter.add m.worker_ops !ops;
+              Obs.Counter.add m.max_worker_ops !max_ops;
+              (* Straggler ratio over the workers' own measured walls —
+                 transport turnaround excluded, so a loaded coordinator
+                 does not read as a slow worker. *)
+              (if w > 1 then
+                 let sorted = Array.copy walls in
+                 Array.sort compare sorted;
+                 let med = median sorted in
+                 if med > 0. then
+                   Obs.Histogram.observe h_straggler (sorted.(w - 1) /. med));
+              if Prof.enabled () then
+                Prof.add slot ~ops:!ops ~probes:0 ~misses:0 ~scanned:0
+                  ~svscan:0 ~svsel:0 ~bytes:0 ~wall;
+              (* The modeled time is a pure function of the per-worker op
+                 counts, so it is the same at any domain count and on
+                 either transport. *)
+              let dt =
+                Costmodel.stage_latency t.cost ~workers:w ~max_ops:!max_ops
                   ~pending_max_into:!pending_max_into
               in
-              pending_bytes := 0;
               pending_max_into := 0;
               latency := !latency +. dt;
+              stats :=
+                {
+                  sname = label;
+                  predicted = dt;
+                  measured = wall;
+                  sbytes = 0;
+                  swire = tp.wire () - tw0;
+                  spwire = 0;
+                  swalls = walls;
+                  slinks = [];
+                }
+                :: !stats;
               if Obs.tracing () then begin
-                Obs.set_attr "modeled_ms" (Printf.sprintf "%.6f" (dt *. 1e3));
-                Obs.set_attr "max_worker_ops" (string_of_int !max_ops);
-                Obs.set_attr "workers" (string_of_int w)
-              end))
-    pt.pblocks;
+                attr "modeled_ms" "%.6f" (dt *. 1e3);
+                attr "measured_ms" "%.6f" (wall *. 1e3);
+                attr "max_worker_ops" "%d" !max_ops;
+                attr "workers" "%d" w
+              end);
+          (* outside the stage span, so e.g. telemetry pulls never
+             pollute the stage's wire/wall accounting *)
+          tp.after_stage ())
+    plan.steps;
   (* account the batch into the registry, then read the record back *)
-  Obs.Counter.add m_bytes_shuffled net.total_bytes;
-  Obs.Counter.add m_stages !stages;
-  Obs.Counter.incr m_batches;
-  Obs.Counter.add m_driver_ops (Runtime.ops t.driver - driver_ops0);
-  Obs.Counter.add m_worker_ops_all (Array.fold_left ( + ) 0 worker_ops);
-  Obs.Histogram.observe h_latency !latency;
-  Obs.Gauge.set g_workers (float_of_int w);
-  Obs.Gauge.set g_last_latency !latency;
-  Obs.Gauge.set g_max_bytes_per_worker
-    (float_of_int (Array.fold_left max 0 net.into_node));
-  Array.iteri
-    (fun wi g -> Obs.Gauge.set g (float_of_int worker_ops.(wi)))
-    t.worker_ops_gauges;
+  let wire = tp.wire () - wire0 + !link_wire in
+  Obs.Counter.add m.bytes_shuffled net.total;
+  Obs.Counter.add m.wire_bytes wire;
+  Obs.Counter.add m.stages !stages;
+  Obs.Counter.incr m.batches;
+  Obs.Counter.add m.driver_ops (Runtime.ops t.driver - driver_ops0);
+  Obs.Histogram.observe m.latency !latency;
+  Obs.Gauge.set m.last_latency !latency;
+  Obs.Gauge.set m.g_workers (float_of_int w);
   if Obs.tracing () then begin
-    Obs.set_attr "modeled_latency_ms" (Printf.sprintf "%.6f" (!latency *. 1e3));
-    Obs.set_attr "stages" (string_of_int !stages);
-    Obs.set_attr "bytes_shuffled" (string_of_int net.total_bytes);
-    Obs.set_attr "tuples" (string_of_int (Gmr.cardinal batch))
+    attr "modeled_latency_ms" "%.6f" (!latency *. 1e3);
+    attr "stages" "%d" !stages;
+    attr "bytes_shuffled" "%d" net.total;
+    attr "wire_bytes" "%d" wire;
+    attr "tuples" "%d" (Gmr.cardinal batch)
   end;
   {
     latency = !latency;
-    stages = Obs.Counter.value m_stages - stages0;
-    bytes_shuffled = Obs.Counter.value m_bytes_shuffled - bytes0;
-    max_bytes_per_worker = Array.fold_left max 0 net.into_node;
-    max_worker_ops = Obs.Counter.value m_worker_ops - wops0;
-    driver_ops = Obs.Counter.value m_driver_ops - dops0;
+    wall = now () -. batch_wall0;
+    stages = Obs.Counter.value m.stages - stages0;
+    bytes_shuffled = Obs.Counter.value m.bytes_shuffled - bytes0;
+    wire_bytes = wire;
+    max_worker_ops = Obs.Counter.value m.max_worker_ops - max_ops0;
+    driver_ops = Obs.Counter.value m.driver_ops - dops0;
+    stage_stats = List.rev !stats;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -418,12 +758,10 @@ let apply_batch t ~rel batch =
 let map_contents t name =
   match Loc.find t.dprog.locs name with
   | Loc.Local -> Runtime.map_contents t.driver name
-  | Loc.Replicated -> Runtime.map_contents t.nodes.(0) name
+  | Loc.Replicated -> (t.tp.pull name [| 0 |]).(0)
   | Loc.Dist _ | Loc.Random ->
       let out = Gmr.create () in
-      Array.iter
-        (fun rt -> Gmr.union_into out (Runtime.map_contents rt name))
-        t.nodes;
+      Array.iter (Gmr.union_into out) (t.tp.pull name (all_workers t));
       out
 
 let result t qname =
@@ -431,18 +769,34 @@ let result t qname =
   | Some m -> map_contents t m
   | None -> invalid_arg ("Cluster.result: unknown query " ^ qname)
 
-(* Storage self-metrics for the driver and one representative worker
-   (partitions are symmetric modulo hashing skew). *)
+(* Storage self-metrics for the driver and, when the workers live in
+   this process, one representative worker (partitions are symmetric
+   modulo hashing skew). *)
 let storage_stats t =
-  List.map
-    (fun (n, s) -> ("driver/" ^ n, s))
-    (Runtime.storage_stats t.driver)
+  List.map (fun (n, s) -> ("driver/" ^ n, s)) (Runtime.storage_stats t.driver)
   @
-  if t.cfg.workers = 0 then []
+  if Array.length t.local = 0 then []
   else
     List.map
       (fun (n, s) -> ("w0/" ^ n, s))
-      (Runtime.storage_stats t.nodes.(0))
+      (Runtime.storage_stats t.local.(0).wrt)
+
+let check_replicas t =
+  List.iter
+    (fun (m : Prog.map_decl) ->
+      match Loc.find t.dprog.locs m.mname with
+      | Loc.Replicated ->
+          let parts = t.tp.pull m.mname (all_workers t) in
+          Array.iteri
+            (fun wi g ->
+              if not (Gmr.equal parts.(0) g) then
+                failwith
+                  (Printf.sprintf
+                     "Cluster.check_replicas: %s diverges on worker %d" m.mname
+                     wi))
+            parts
+      | _ -> ())
+    t.dprog.base.maps
 
 (* ------------------------------------------------------------------ *)
 (* Fault tolerance                                                     *)
@@ -450,7 +804,7 @@ let storage_stats t =
 
 module Checkpoint = struct
   (* node -> (map name -> contents); index 0 is the driver, 1..W workers *)
-  type snapshot = (string * (Vtuple.t * float) list) list array
+  type snapshot = (string * (Divm_ring.Vtuple.t * float) list) list array
 
   let save_file (s : snapshot) path =
     let oc = open_out_bin path in
@@ -463,89 +817,62 @@ module Checkpoint = struct
     close_in ic;
     s
 
-  let byte_size (s : snapshot) =
-    Array.fold_left
-      (fun acc node ->
+  let node_bytes node =
+    List.fold_left
+      (fun acc (_, entries) ->
         List.fold_left
-          (fun acc (_, entries) ->
-            List.fold_left
-              (fun acc (tup, _) -> acc + Vtuple.byte_size tup + 8)
-              acc entries)
-          acc node)
-      0 s
+          (fun acc (tup, _) -> acc + Divm_ring.Vtuple.byte_size tup + 8)
+          acc entries)
+      0 node
+
+  let byte_size (s : snapshot) =
+    Array.fold_left (fun acc node -> acc + node_bytes node) 0 s
 end
 
-let snapshot_node rt maps =
+let persistent_maps t =
   List.filter_map
     (fun (m : Prog.map_decl) ->
-      match m.mkind with
-      | Prog.Transient -> None
-      | _ -> Some (m.mname, Gmr.to_list (Runtime.map_contents rt m.mname)))
-    maps
+      if m.mkind = Prog.Transient then None else Some m.mname)
+    t.dprog.base.maps
 
 let checkpoint t =
-  let maps = t.dprog.base.maps in
+  let maps = persistent_maps t in
+  let pulled = List.map (fun n -> (n, t.tp.pull n (all_workers t))) maps in
   let snap =
-    Array.init
-      (1 + t.cfg.workers)
-      (fun i ->
-        if i = 0 then snapshot_node t.driver maps
-        else snapshot_node t.nodes.(i - 1) maps)
+    Array.init (1 + t.workers) (fun i ->
+        if i = 0 then
+          List.map
+            (fun n -> (n, Gmr.to_list (Runtime.map_contents t.driver n)))
+            maps
+        else List.map (fun (n, parts) -> (n, Gmr.to_list parts.(i - 1))) pulled)
   in
   (* Nodes serialize their partitions in parallel; the checkpoint barrier
      costs one sync round plus the slowest node's serialization. *)
   let max_node_bytes =
-    Array.fold_left
-      (fun acc node ->
-        max acc
-          (List.fold_left
-             (fun a (_, entries) ->
-               List.fold_left
-                 (fun a (tup, _) -> a + Vtuple.byte_size tup + 8)
-                 a entries)
-             0 node))
-      0 snap
+    Array.fold_left (fun a node -> max a (Checkpoint.node_bytes node)) 0 snap
   in
-  let latency =
-    Costmodel.checkpoint_latency t.cfg.cost ~workers:t.cfg.workers
-      ~max_node_bytes
-  in
-  (snap, latency)
+  ( snap,
+    Costmodel.checkpoint_latency t.cost ~workers:t.workers ~max_node_bytes )
 
-let restore_node rt node =
+let restore t (snap : Checkpoint.snapshot) =
   List.iter
     (fun (name, entries) ->
-      Runtime.clear_map rt name;
-      List.iter (fun (tup, m) -> Runtime.add_to_map rt name tup m) entries)
-    node
-
-let restore t snap =
-  restore_node t.driver snap.(0);
-  Array.iteri (fun i rt -> restore_node rt snap.(i + 1)) t.nodes
+      Runtime.clear_map t.driver name;
+      List.iter
+        (fun (tup, m) -> Runtime.add_to_map t.driver name tup m)
+        entries)
+    snap.(0);
+  List.iter
+    (fun (name, _) ->
+      t.tp.deliver name
+        (Array.init t.workers (fun wi ->
+             Gmr.of_list (List.assoc name snap.(wi + 1)))))
+    snap.(1)
 
 let fail_worker t wi =
   List.iter
-    (fun (m : Prog.map_decl) ->
-      match m.mkind with
-      | Prog.Transient -> ()
-      | _ -> Runtime.clear_map t.nodes.(wi) m.mname)
-    t.dprog.base.maps
-
-let check_replicas t =
-  List.iter
-    (fun (m : Prog.map_decl) ->
-      match Loc.find t.dprog.locs m.mname with
-      | Loc.Replicated ->
-          let ref_contents = Runtime.map_contents t.nodes.(0) m.mname in
-          Array.iteri
-            (fun wi rt ->
-              if
-                wi > 0
-                && not (Gmr.equal ref_contents (Runtime.map_contents rt m.mname))
-              then
-                failwith
-                  (Printf.sprintf "Cluster.check_replicas: %s diverges on worker %d"
-                     m.mname wi))
-            t.nodes
-      | _ -> ())
-    t.dprog.base.maps
+    (fun name ->
+      let parts = t.tp.pull name (all_workers t) in
+      parts.(wi) <- Gmr.create ();
+      t.tp.deliver name parts)
+    (persistent_maps t)

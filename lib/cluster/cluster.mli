@@ -1,12 +1,20 @@
-(** Simulated synchronous driver/worker cluster (the Spark substitute, cf.
-    DESIGN.md).
+(** The distributed executor: one driver for both distributed backends.
 
-    Real execution, modeled time. The simulator holds one specialized
-    runtime per worker plus one for the driver, executes every block of the
-    distributed program on real partitioned data, and counts the work: per
-    worker elementary operations per stage, bytes moved per transfer. A cost
-    model calibrated against the paper's §6.2 measurements converts the
-    counts into latency:
+    A compiled distributed program (§4–5) is a sequence of local blocks,
+    distributed blocks and transfers per trigger. {!apply_batch} walks it
+    once, over a {!transport} that hides only where each worker's runtime
+    lives: {!create} builds the in-process transport (the simulated
+    cluster, the Spark substitute of DESIGN.md), {!Divm_node.Node.create}
+    the socket transport to real worker processes. Plan compilation,
+    batch dealing, transfer routing and the modeled-byte ledger, the cost
+    model, per-stage statistics, registry accounting, inspection and
+    checkpointing exist once, here — so the simulator and the process
+    engine agree by construction.
+
+    Real execution, modeled time. Every block runs on real partitioned
+    data and the work is counted: per worker elementary operations per
+    stage, bytes moved per transfer. A cost model calibrated against the
+    paper's §6.2 measurements converts the counts into latency:
 
     - per distributed stage: [sync_base + sync_per_worker·W] (driver-worker
       coordination; the paper's Q6 measures 65 ms at 50 workers and 386 ms
@@ -24,12 +32,6 @@ open Divm_dist
 
 type config = {
   workers : int;  (** simulated worker nodes *)
-  domains : int option;
-      (** execution domains for the stage fan-out; [None] defers to the
-          [?domains] argument of {!create}, then [DIVM_DOMAINS]. When both
-          the record and the argument pin a count they must agree —
-          {!create} raises [Invalid_argument] on contradiction instead of
-          silently preferring one. *)
   cost : Costmodel.t;
       (** the latency model (calibrated defaults: {!Costmodel.default}) *)
 }
@@ -37,55 +39,157 @@ type config = {
 (** Calibrated to the paper's cluster (see module doc). 50 workers. *)
 val default_config : config
 
-val config :
-  ?workers:int -> ?domains:int -> ?cost:Costmodel.t -> unit -> config
+val config : ?workers:int -> ?cost:Costmodel.t -> unit -> config
 
-(** Per-batch cost record. Since the observability layer this is a view
-    over the {!Divm_obs.Obs} registry: every batch is first accounted into
-    the global counters ([divm_cluster_bytes_shuffled_total],
-    [divm_cluster_stages_total], …) and the record reports the deltas, so
-    summing per-batch records always matches the registry totals printed
-    by [--metrics]. *)
+(** One distributed stage or transfer of a batch: the cost model's
+    prediction next to what actually happened. *)
+type stage_stat = {
+  sname : string;  (** ["stage:N"] or ["transfer:NAME"] *)
+  predicted : float;  (** modeled seconds ({!Divm_dist.Costmodel}) *)
+  measured : float;  (** wall-clock seconds *)
+  sbytes : int;  (** modeled shuffled payload bytes *)
+  swire : int;  (** actual framed bytes on the sockets (0 in process) *)
+  spwire : int;
+      (** a-priori wire prediction for transfers
+          ({!Costmodel.predicted_wire_bytes}); 0 for stages *)
+  swalls : float array;
+      (** per-worker wall seconds the workers measured for this stage or
+          direct shuffle (empty for driver-bound transfers) — the
+          straggler detector's input *)
+  slinks : (int * int * int) list;
+      (** direct shuffles over sockets: [(src, dst, wire bytes)] per
+          active link, in ascending (src, dst) order; [[]] otherwise *)
+}
+
+(** Per-batch cost record. A view over the {!Divm_obs.Obs} registry:
+    every batch is first accounted into the counters of the transport's
+    family ([divm_cluster_*] in process, [divm_node_*] over sockets:
+    [bytes_shuffled_total], [stages_total], …) and the record reports the
+    deltas, so summing per-batch records always matches the registry
+    totals printed by [--metrics]. *)
 type metrics = {
   latency : float;  (** modeled end-to-end seconds for the batch *)
+  wall : float;  (** measured end-to-end seconds *)
   stages : int;
-  bytes_shuffled : int;  (** total over the network *)
-  max_bytes_per_worker : int;
+  bytes_shuffled : int;  (** modeled payload bytes over the network *)
+  wire_bytes : int;  (** actual bytes written to + read from sockets *)
   max_worker_ops : int;  (** summed over stages *)
   driver_ops : int;
+  stage_stats : stage_stat list;  (** in execution order *)
 }
+
+(** One worker's report of a direct shuffle. [ss_modeled] and [ss_sent]
+    are indexed by destination worker: [ss_modeled] is the cost model's
+    byte accounting (origin = destination moves are free), [ss_sent] the
+    framed bytes actually written to each peer socket (0 in process and
+    at the worker's own index). [ss_ser] is the modeled serialized size
+    of everything this worker shuffled out, and [ss_wall] the seconds its
+    partition/exchange/apply took. *)
+type shuffle_stat = {
+  ss_ser : int;
+  ss_modeled : int array;
+  ss_sent : int array;
+  ss_wall : float;
+}
+
+(** {1 Workers}
+
+    One worker's state and the operations a transport performs on it —
+    shared by the in-process transport and the [divm_node] worker
+    processes, so both run identical code. *)
+
+type worker
+
+(** A serial runtime over the program's compute statements with every
+    trigger's worker blocks compiled. *)
+val worker : Dprog.t -> worker
+
+(** Install this worker's share of the current batch of [rel]. *)
+val worker_load : worker -> rel:string -> Colbatch.t -> unit
+
+(** Run block [bi] of [rel]'s worker blocks; returns the record-op delta
+    and wall seconds. Under the profiler the delta is also folded into
+    [divm_record_ops_total]. Raises [Invalid_argument] for an unknown
+    trigger or block. *)
+val worker_run_block : worker -> rel:string -> int -> int * float
+
+val worker_contents : worker -> string -> Gmr.t
+
+(** Replace the worker's partition of a map: clear, then slot-order
+    replay. *)
+val worker_replace : worker -> string -> Gmr.t -> unit
+
+(** [shuffle_partition wk ~self ~parts idx] cuts worker [self]'s
+    partition of transfer [idx]'s source ({!Divm_dist.Dprog.transfers})
+    into one buffer per destination worker; returns the buffers, the
+    modeled serialized bytes and the modeled bytes per destination. *)
+val shuffle_partition :
+  worker -> self:int -> parts:int -> int -> Gmr.t array * int * int array
+
+(** [shuffle_apply wk ~parts idx from] replaces the worker's partition of
+    transfer [idx]'s destination with [from 0], …, [from (parts-1)],
+    applied in that order. *)
+val shuffle_apply : worker -> parts:int -> int -> (int -> Gmr.t) -> unit
+
+(** {1 Transports} *)
+
+(** Where the workers' runtimes live. Every operation addresses all
+    workers at once (except [pull], which names them) and returns after
+    all of them finished. *)
+type transport = {
+  name : string;
+      (** ["cluster"] or ["node"]: the batch span prefix and the
+          [divm_NAME_*] metric family *)
+  share : rel:string -> Colbatch.t array -> unit;  (** one share per worker *)
+  run_block : rel:string -> int -> (int * float) array;
+      (** per-worker (ops, wall) *)
+  pull : string -> int array -> Gmr.t array;
+      (** a map's partition on each listed worker *)
+  deliver : string -> Gmr.t array -> unit;
+      (** replace each worker's partition of a map ({!worker_replace}) *)
+  shuffle : int -> shuffle_stat array;
+      (** run one {!Divm_dist.Dprog.transfers} entry as a direct shuffle;
+          per-source stats *)
+  wire : unit -> int;  (** socket bytes so far (monotone) *)
+  after_stage : unit -> unit;  (** hook after each stage barrier *)
+}
+
+(** {1 The executor} *)
 
 type t
 
-(** [domains] (precedence: [config.domains], else [?domains], else the
-    [DIVM_DOMAINS] environment variable, else 1 — contradictory explicit
-    values raise [Invalid_argument]) runs each distributed stage's
-    per-node block executors as tasks on the
-    shared {!Divm_par.Par} pool — simulated nodes own disjoint runtimes,
-    so a stage is embarrassingly parallel. The cost model is evaluated by
-    a serial reduction over the per-worker op counts after the barrier,
-    so modeled latency, stage counts, and shuffled bytes are bit-identical
-    at any domain count. While the profiler, span tracer, or cachesim
-    sink is enabled, stages run serially (those observers are
-    single-writer; see {!Divm_obs.Obs}'s memory-ordering contract). *)
+(** The simulator: [config.workers] in-process workers. [domains] (else
+    the [DIVM_DOMAINS] environment variable, else 1) runs each stage's
+    per-worker blocks as tasks on the shared {!Divm_par.Par} pool —
+    simulated workers own disjoint runtimes, so a stage is embarrassingly
+    parallel. The cost model is evaluated by a serial reduction over the
+    per-worker op counts after the barrier, so modeled latency, stage
+    counts, and shuffled bytes are bit-identical at any domain count.
+    While the profiler, span tracer, or cachesim sink is enabled, stages
+    run serially (those observers are single-writer; see
+    {!Divm_obs.Obs}'s memory-ordering contract). *)
 val create : ?config:config -> ?domains:int -> Dprog.t -> t
+
+(** The executor over another transport with [workers] workers, already
+    initialized with the same program. *)
+val of_transport : cost:Costmodel.t -> workers:int -> transport -> Dprog.t -> t
 
 val workers : t -> int
 
-(** Process one batch through the trigger of [rel]; batches are partitioned
-    across the workers like the paper's experiments (each worker receives a
-    round-robin share, {!Divm_runtime.Runtime.deal} — the multiprocess
-    coordinator's dealing function) unless the program was compiled with
-    deltas at the driver. Each node runs its distributed blocks through
-    the runtime's vectorized block executor
-    ({!Divm_runtime.Runtime.run_block}).
+(** Process one batch through the trigger of [rel]. Each batch is
+    transposed once and dealt round-robin to the workers as column
+    shares ({!Divm_runtime.Runtime.deal}: only the columns the workers'
+    blocks read) unless the program was compiled with deltas at the
+    driver. Distributed blocks run on every worker, then barrier.
+    Distributed-to-distributed transfers run as direct shuffles
+    ({!transport.shuffle}); gathers and transfers from local or
+    replicated sources go through the driver, where that data lives.
 
-    Under [Obs.set_tracing true] the batch produces a [cluster:rel] span
-    whose [stage:N] and [transfer:NAME] children each carry a [modeled_ms]
-    attribute; those attributes sum exactly to [latency] (driver
-    statements execute for real but contribute no modeled latency, as in
-    the cost model above). Wall time is the span duration itself, so both
-    clocks travel in one trace. *)
+    Under [Obs.set_tracing true] the batch produces a [cluster:rel] (or
+    [node:rel]) span whose [stage:N] and [transfer:NAME] children each
+    carry a [modeled_ms] attribute; those attributes sum exactly to
+    [latency] (driver statements execute for real but contribute no
+    modeled latency, as in the cost model above). *)
 val apply_batch : t -> rel:string -> Gmr.t -> metrics
 
 (** Assembled global contents of a map (driver + all worker partitions). *)
@@ -93,9 +197,9 @@ val map_contents : t -> string -> Gmr.t
 
 val result : t -> string -> Gmr.t
 
-(** Per-pool storage self-metrics for the driver (["driver/…"]) and one
-    representative worker (["w0/…"]); partitions are symmetric modulo
-    hashing skew. Cold path. *)
+(** Per-pool storage self-metrics for the driver (["driver/…"]) and, for
+    in-process workers, one representative worker (["w0/…"]); partitions
+    are symmetric modulo hashing skew. Cold path. *)
 val storage_stats : t -> (string * Divm_storage.Pool.stats) list
 
 (** Consistency check: replicated maps hold identical contents on every

@@ -16,9 +16,10 @@
     - {!Exec}, {!Runtime} — interpreted and specialized local runtimes (§5);
     - {!Loc}, {!Dprog}, {!Distribute} — the distributed compiler (§4);
       {!Costmodel} — the latency model shared by simulator and predictor;
-    - {!Cluster} — the simulated Spark-like cluster (§6.2);
-    - {!Protocol}, {!Node} — the multi-process engine: real worker
-      processes over a framed binary shuffle protocol;
+    - {!Cluster} — the distributed executor and its in-process
+      transport, the simulated Spark-like cluster (§6.2);
+    - {!Protocol}, {!Node} — the executor's socket transport: real
+      worker processes over a framed binary shuffle protocol;
     - {!Engine} — the unified backend API every front end drives
       ([Local] runtime, [Simulated] cluster, [Multiprocess] node engine
       behind one [create]/[apply_batch]/[query]/[shutdown]);

@@ -49,10 +49,10 @@ val checkpoint_latency : t -> workers:int -> max_node_bytes:int -> float
 (** [predicted_wire_bytes ~crossings ~workers ~ser_bytes]: a-priori
     framed bytes one transfer should put on real sockets — the modeled
     payload shipped once per wire crossing, plus a per-worker control
-    envelope (request + ack frames). [crossings] encodes the topology:
-    a star-relayed worker shuffle crosses twice (source → coordinator →
-    destination), a direct mesh shuffle, gather, or scatter crosses
-    once, and a broadcast fans out once per receiving peer. Reporting
-    only — this never enters a latency formula, so modeled latencies
-    stay bit-identical across topologies. *)
+    envelope (request + ack frames). [crossings] encodes the route: a
+    direct worker-to-worker shuffle, gather, or local-source scatter
+    crosses once, a replicated-source scatter twice (pulled from a
+    worker, then delivered), and a broadcast fans out once per receiving
+    peer. Reporting only — this never enters a latency formula, so
+    modeled latencies do not depend on where the workers live. *)
 val predicted_wire_bytes : crossings:int -> workers:int -> ser_bytes:int -> int

@@ -35,13 +35,10 @@ type report = {
   stages : int;
   bytes_shuffled : int;
   wire_bytes : int;
-  stage_stats : Node.stage_stat list;
+  stage_stats : Cluster.stage_stat list;
 }
 
-type impl =
-  | ILocal of Runtime.t
-  | ISim of Cluster.t
-  | IProc of Node.t
+type impl = ILocal of Runtime.t | IDist of Cluster.t
 
 type t = {
   cfg : config;
@@ -49,25 +46,37 @@ type t = {
   eprog : Prog.t;
   edprog : Dprog.t option;
   impl : impl;
+  close : unit -> unit;
 }
 
 let create ?(config = default_config) (w : Workload.t) =
   let prog = Workload.compile ~preaggregate:config.preaggregate w in
+  let dist build =
+    let dp = Workload.distribute ~level:config.opt_level w prog in
+    let c, close = build dp in
+    { cfg = config; w; eprog = prog; edprog = Some dp; impl = IDist c; close }
+  in
   match config.backend with
   | Local ->
       let rt =
         Runtime.create ~auto_index:config.auto_index ~columnar:config.columnar
           ?domains:config.domains prog
       in
-      { cfg = config; w; eprog = prog; edprog = None; impl = ILocal rt }
+      {
+        cfg = config;
+        w;
+        eprog = prog;
+        edprog = None;
+        impl = ILocal rt;
+        close = ignore;
+      }
   | Simulated cc ->
-      let dp = Workload.distribute ~level:config.opt_level w prog in
-      let c = Cluster.create ~config:cc ?domains:config.domains dp in
-      { cfg = config; w; eprog = prog; edprog = Some dp; impl = ISim c }
+      dist (fun dp ->
+          (Cluster.create ~config:cc ?domains:config.domains dp, ignore))
   | Multiprocess nc ->
-      let dp = Workload.distribute ~level:config.opt_level w prog in
-      let n = Node.create ~config:nc dp in
-      { cfg = config; w; eprog = prog; edprog = Some dp; impl = IProc n }
+      dist (fun dp ->
+          let n = Node.create ~config:nc dp in
+          (Node.executor n, fun () -> Node.shutdown n))
 
 let conf t = t.cfg
 let workload t = t.w
@@ -75,69 +84,45 @@ let prog t = t.eprog
 let dprog t = t.edprog
 
 let backend_name t =
-  match t.impl with
-  | ILocal _ -> "local"
-  | ISim _ -> "simulated"
-  | IProc _ -> "multiprocess"
+  match t.cfg.backend with
+  | Local -> "local"
+  | Simulated _ -> "simulated"
+  | Multiprocess _ -> "multiprocess"
 
-let domains t =
-  match t.impl with ILocal rt -> Runtime.domains rt | ISim _ | IProc _ -> 1
+let domains t = match t.impl with ILocal rt -> Runtime.domains rt | IDist _ -> 1
+
+let local_report (r : Runtime.batch_report) =
+  {
+    tuples = r.tuples;
+    ops = r.ops;
+    wall = r.wall;
+    modeled = None;
+    stages = 0;
+    bytes_shuffled = 0;
+    wire_bytes = 0;
+    stage_stats = [];
+  }
 
 let apply_batch t ~rel batch =
   match t.impl with
-  | ILocal rt ->
-      let r = Runtime.apply_batch rt ~rel batch in
-      {
-        tuples = r.Runtime.tuples;
-        ops = r.Runtime.ops;
-        wall = r.Runtime.wall;
-        modeled = None;
-        stages = 0;
-        bytes_shuffled = 0;
-        wire_bytes = 0;
-        stage_stats = [];
-      }
-  | ISim c ->
-      let t0 = Unix.gettimeofday () in
+  | ILocal rt -> local_report (Runtime.apply_batch rt ~rel batch)
+  | IDist c ->
       let m = Cluster.apply_batch c ~rel batch in
       {
         tuples = Gmr.cardinal batch;
-        ops = m.Cluster.driver_ops + m.Cluster.max_worker_ops;
-        wall = Unix.gettimeofday () -. t0;
-        modeled = Some m.Cluster.latency;
-        stages = m.Cluster.stages;
-        bytes_shuffled = m.Cluster.bytes_shuffled;
-        wire_bytes = 0;
-        stage_stats = [];
-      }
-  | IProc n ->
-      let m = Node.apply_batch n ~rel batch in
-      {
-        tuples = Gmr.cardinal batch;
-        ops = m.Node.driver_ops + m.Node.max_worker_ops;
-        wall = m.Node.wall;
-        modeled = Some m.Node.latency;
-        stages = m.Node.stages;
-        bytes_shuffled = m.Node.bytes_shuffled;
-        wire_bytes = m.Node.wire_bytes;
-        stage_stats = m.Node.stage_stats;
+        ops = m.driver_ops + m.max_worker_ops;
+        wall = m.wall;
+        modeled = Some m.latency;
+        stages = m.stages;
+        bytes_shuffled = m.bytes_shuffled;
+        wire_bytes = m.wire_bytes;
+        stage_stats = m.stage_stats;
       }
 
 let apply_single t ~rel tup m =
   match t.impl with
-  | ILocal rt ->
-      let r = Runtime.apply_single rt ~rel tup m in
-      {
-        tuples = r.Runtime.tuples;
-        ops = r.Runtime.ops;
-        wall = r.Runtime.wall;
-        modeled = None;
-        stages = 0;
-        bytes_shuffled = 0;
-        wire_bytes = 0;
-        stage_stats = [];
-      }
-  | ISim _ | IProc _ ->
+  | ILocal rt -> local_report (Runtime.apply_single rt ~rel tup m)
+  | IDist _ ->
       let b = Gmr.create ~size:1 () in
       Gmr.add b tup m;
       apply_batch t ~rel b
@@ -145,152 +130,106 @@ let apply_single t ~rel tup m =
 let load t entries =
   match t.impl with
   | ILocal rt -> Runtime.load rt entries
-  | ISim c ->
+  | IDist c ->
       List.iter (fun (rel, b) -> ignore (Cluster.apply_batch c ~rel b)) entries
-  | IProc n ->
-      List.iter (fun (rel, b) -> ignore (Node.apply_batch n ~rel b)) entries
 
 let query t qname =
   match t.impl with
   | ILocal rt -> Runtime.result rt qname
-  | ISim c -> Cluster.result c qname
-  | IProc n -> Node.result n qname
+  | IDist c -> Cluster.result c qname
 
 let map_contents t name =
   match t.impl with
   | ILocal rt -> Runtime.map_contents rt name
-  | ISim c -> Cluster.map_contents c name
-  | IProc n -> Node.map_contents n name
+  | IDist c -> Cluster.map_contents c name
 
 let storage_stats t =
   match t.impl with
   | ILocal rt -> Runtime.storage_stats rt
-  | ISim c -> Cluster.storage_stats c
-  | IProc _ -> []
+  | IDist c -> Cluster.storage_stats c
 
-let shutdown t = match t.impl with IProc n -> Node.shutdown n | _ -> ()
+let shutdown t = t.close ()
 
 (* Reconciliation artifact: per stage name, how the predictor did against
    the measurement, summed over the batches. Distributed stages also
    aggregate the workers' self-measured walls, attributing the slowest
    worker and its straggler ratio (max/median over the summed walls);
    mesh transfers additionally aggregate per-link wire bytes. *)
-type srow = {
-  mutable rn : int;
-  mutable rp : float;
-  mutable rm : float;
-  mutable rb : int;
-  mutable rwb : int;
-  mutable rpwb : int;
-  mutable rws : float array;
-  rlinks : (int * int, int ref) Hashtbl.t;
-}
-
 let reconcile_json reports =
-  let order = ref [] in
-  let tbl = Hashtbl.create 16 in
+  (* stage name -> its stats in batch order, names in first-seen order *)
+  let groups = Hashtbl.create 16 and order = ref [] in
   List.iter
     (fun r ->
       List.iter
-        (fun (s : Node.stage_stat) ->
-          let row =
-            match Hashtbl.find_opt tbl s.Node.sname with
-            | Some row -> row
-            | None ->
-                let row =
-                  {
-                    rn = 0;
-                    rp = 0.;
-                    rm = 0.;
-                    rb = 0;
-                    rwb = 0;
-                    rpwb = 0;
-                    rws = [||];
-                    rlinks = Hashtbl.create 4;
-                  }
-                in
-                Hashtbl.add tbl s.Node.sname row;
-                order := s.Node.sname :: !order;
-                row
-          in
-          (if Array.length s.Node.swalls > 0 then
-             row.rws <-
-               (if Array.length row.rws = Array.length s.Node.swalls then
-                  Array.mapi (fun i w -> w +. s.Node.swalls.(i)) row.rws
-                else Array.copy s.Node.swalls));
-          List.iter
-            (fun (src, dst, b) ->
-              match Hashtbl.find_opt row.rlinks (src, dst) with
-              | Some r -> r := !r + b
-              | None -> Hashtbl.add row.rlinks (src, dst) (ref b))
-            s.Node.slinks;
-          row.rn <- row.rn + 1;
-          row.rp <- row.rp +. s.Node.predicted;
-          row.rm <- row.rm +. s.Node.measured;
-          row.rb <- row.rb + s.Node.sbytes;
-          row.rwb <- row.rwb + s.Node.swire;
-          row.rpwb <- row.rpwb + s.Node.spwire)
+        (fun (s : Cluster.stage_stat) ->
+          match Hashtbl.find_opt groups s.sname with
+          | Some l -> l := s :: !l
+          | None ->
+              order := s.sname :: !order;
+              Hashtbl.add groups s.sname (ref [ s ]))
         r.stage_stats)
     reports;
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "[";
-  List.iteri
-    (fun i name ->
-      let row = Hashtbl.find tbl name in
-      let n, p, m, b, wb, ws =
-        (row.rn, row.rp, row.rm, row.rb, row.rwb, row.rws)
+  let row name =
+    let ss = List.rev !(Hashtbl.find groups name) in
+    let sum f = List.fold_left (fun a s -> a + f s) 0 ss in
+    let sumf f = List.fold_left (fun a s -> a +. f s) 0. ss in
+    let b = Buffer.create 256 in
+    let add fmt = Printf.bprintf b fmt in
+    let list f l = add "%s" (String.concat ", " (List.map f l)) in
+    add "\n  {\"name\": %S, \"batches\": %d, \"predicted_ms\": %.6f, \
+         \"measured_ms\": %.6f, \"bytes\": %d, \"wire_bytes\": %d"
+      name (List.length ss)
+      (sumf (fun s -> s.predicted) *. 1e3)
+      (sumf (fun s -> s.measured) *. 1e3)
+      (sum (fun s -> s.sbytes))
+      (sum (fun s -> s.swire));
+    let pwire = sum (fun s -> s.spwire) in
+    if pwire > 0 then add ", \"predicted_wire_bytes\": %d" pwire;
+    let links = Hashtbl.create 4 in
+    List.iter
+      (fun (s : Cluster.stage_stat) ->
+        List.iter
+          (fun (src, dst, n) ->
+            let k = (src, dst) in
+            Hashtbl.replace links k
+              (n + Option.value (Hashtbl.find_opt links k) ~default:0))
+          s.slinks)
+      ss;
+    if Hashtbl.length links > 0 then begin
+      add ", \"mesh_links\": [";
+      list
+        (fun ((src, dst), n) ->
+          Printf.sprintf "{\"src\": %d, \"dst\": %d, \"bytes\": %d}" src dst n)
+        (List.sort compare (List.of_seq (Hashtbl.to_seq links)));
+      add "]"
+    end;
+    let ws =
+      List.fold_left
+        (fun acc (s : Cluster.stage_stat) ->
+          if s.swalls = [||] then acc
+          else if Array.length acc = Array.length s.swalls then
+            Array.map2 ( +. ) acc s.swalls
+          else Array.copy s.swalls)
+        [||] ss
+    in
+    let w = Array.length ws in
+    if w > 0 then begin
+      add ", \"worker_walls_ms\": [";
+      list (fun x -> Printf.sprintf "%.6f" (x *. 1e3)) (Array.to_list ws);
+      add "]";
+      let slowest = ref 0 in
+      Array.iteri (fun j x -> if x > ws.(!slowest) then slowest := j) ws;
+      let sorted = Array.copy ws in
+      Array.sort compare sorted;
+      let median =
+        if w land 1 = 1 then sorted.(w / 2)
+        else (sorted.((w / 2) - 1) +. sorted.(w / 2)) /. 2.
       in
-      if i > 0 then Buffer.add_string buf ",";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n  {\"name\": %S, \"batches\": %d, \"predicted_ms\": %.6f, \
-            \"measured_ms\": %.6f, \"bytes\": %d, \"wire_bytes\": %d"
-           name n (p *. 1e3) (m *. 1e3) b wb);
-      if row.rpwb > 0 then
-        Buffer.add_string buf
-          (Printf.sprintf ", \"predicted_wire_bytes\": %d" row.rpwb);
-      (if Hashtbl.length row.rlinks > 0 then begin
-         let links =
-           List.sort compare
-             (Hashtbl.fold
-                (fun (src, dst) r acc -> (src, dst, !r) :: acc)
-                row.rlinks [])
-         in
-         Buffer.add_string buf ", \"mesh_links\": [";
-         List.iteri
-           (fun j (src, dst, lb) ->
-             if j > 0 then Buffer.add_string buf ", ";
-             Buffer.add_string buf
-               (Printf.sprintf "{\"src\": %d, \"dst\": %d, \"bytes\": %d}" src
-                  dst lb))
-           links;
-         Buffer.add_string buf "]"
-       end);
-      let w = Array.length ws in
-      if w > 0 then begin
-        Buffer.add_string buf ", \"worker_walls_ms\": [";
-        Array.iteri
-          (fun j x ->
-            if j > 0 then Buffer.add_string buf ", ";
-            Buffer.add_string buf (Printf.sprintf "%.6f" (x *. 1e3)))
-          ws;
-        Buffer.add_string buf "]";
-        let slowest = ref 0 in
-        Array.iteri (fun j x -> if x > ws.(!slowest) then slowest := j) ws;
-        let sorted = Array.copy ws in
-        Array.sort compare sorted;
-        let median =
-          if w land 1 = 1 then sorted.(w / 2)
-          else (sorted.((w / 2) - 1) +. sorted.(w / 2)) /. 2.
-        in
-        Buffer.add_string buf
-          (Printf.sprintf ", \"slowest_worker\": %d" !slowest);
-        if median > 0. then
-          Buffer.add_string buf
-            (Printf.sprintf ", \"straggler_ratio\": %.4f"
-               (sorted.(w - 1) /. median))
-      end;
-      Buffer.add_string buf "}")
-    (List.rev !order);
-  Buffer.add_string buf "\n]\n";
-  Buffer.contents buf
+      add ", \"slowest_worker\": %d" !slowest;
+      if median > 0. then
+        add ", \"straggler_ratio\": %.4f" (sorted.(w - 1) /. median)
+    end;
+    add "}";
+    Buffer.contents b
+  in
+  "[" ^ String.concat "," (List.rev_map row !order) ^ "\n]\n"

@@ -19,8 +19,9 @@
       over the measured op counts as a predictor, so {!report} carries
       modeled latency next to wall time and actual wire bytes.
 
-    Simulated and Multiprocess leave bit-identical stores for the same
-    input stream (qcheck-verified over the TPC-H suite in [test_node]). *)
+    Simulated and Multiprocess are one executor over two transports
+    ({!Divm_cluster.Cluster}), so they leave bit-identical stores and
+    report the same modeled quantities for the same input stream. *)
 
 open Divm_ring
 open Divm_storage
@@ -36,10 +37,9 @@ type config = {
   backend : backend;
   domains : int option;
       (** execution domains: the local runtime's batch fan-out, or the
-          simulator's stage fan-out (where it composes with
-          [Cluster.config.domains] under that record's precedence rules).
-          Ignored by [Multiprocess] — its parallelism is the worker
-          processes. [None] defers to [DIVM_DOMAINS]. *)
+          simulator's stage fan-out. Ignored by [Multiprocess] — its
+          parallelism is the worker processes. [None] defers to
+          [DIVM_DOMAINS]. *)
   batch_size : int;  (** for front ends that synthesize streams *)
   opt_level : int;  (** distributed optimization level 0–3 (Fig. 13) *)
   preaggregate : bool;  (** §3.3 batch pre-aggregation *)
@@ -64,9 +64,9 @@ val default_config : config
 
 (** Uniform per-batch accounting. Local runs fill [tuples]/[ops]/[wall]
     and leave the distributed fields zero; distributed runs model
-    [latency] with the cost model and count shuffled bytes; multiprocess
-    runs additionally measure [wire_bytes] and per-stage
-    predicted-vs-measured {!Divm_node.Node.stage_stat}s. *)
+    [latency] with the cost model, count shuffled bytes, and report
+    per-stage predicted-vs-measured {!Divm_cluster.Cluster.stage_stat}s;
+    multiprocess runs additionally measure [wire_bytes]. *)
 type report = {
   tuples : int;
   ops : int;
@@ -77,7 +77,7 @@ type report = {
   stages : int;
   bytes_shuffled : int;
   wire_bytes : int;
-  stage_stats : Divm_node.Node.stage_stat list;
+  stage_stats : Divm_cluster.Cluster.stage_stat list;
 }
 
 type t

@@ -9,7 +9,7 @@ type telem = {
   t_spans : Obs.event list;
 }
 
-type shuffle_stat = {
+type shuffle_stat = Divm_cluster.Cluster.shuffle_stat = {
   ss_ser : int;
   ss_modeled : int array;
   ss_sent : int array;
@@ -26,7 +26,6 @@ type msg =
   | Pull_map of string
   | Map_contents of Gmr.t
   | Deliver of string * Gmr.t
-  | Clear_map of string
   | Ack
   | Shutdown
   | Start_telemetry of bool * bool
@@ -281,7 +280,6 @@ let tag_of = function
   | Pull_map _ -> 6
   | Map_contents _ -> 7
   | Deliver _ -> 8
-  | Clear_map _ -> 9
   | Ack -> 10
   | Shutdown -> 11
   | Start_telemetry _ -> 12
@@ -294,7 +292,10 @@ let tag_of = function
   | Mesh_data _ -> 19
   | Load_share _ -> 20
 
+(* Tag 9 is retired ([Deliver] clears the destination itself): it
+   decodes as unknown, so a frame from a mismatched peer fails loudly. *)
 let max_tag = 20
+let known_tag tag = tag >= 1 && tag <= max_tag && tag <> 9
 
 (* Names for diagnostics only: a malformed frame's error message cites
    the message it claimed to be, so a bad peer is debuggable from the
@@ -308,7 +309,6 @@ let tag_name = function
   | 6 -> "Pull_map"
   | 7 -> "Map_contents"
   | 8 -> "Deliver"
-  | 9 -> "Clear_map"
   | 10 -> "Ack"
   | 11 -> "Shutdown"
   | 12 -> "Start_telemetry"
@@ -340,7 +340,7 @@ let encode m =
   | Block_done (ops, wall) ->
       Buffer.add_int64_be b (Int64.of_int ops);
       add_f64 b wall
-  | Pull_map name | Clear_map name -> add_string b name
+  | Pull_map name -> add_string b name
   | Map_contents g -> add_gmr b g
   | Deliver (name, g) ->
       add_string b name;
@@ -618,7 +618,7 @@ let get_shuffle_stat r =
 let decode s =
   let r = { buf = s; pos = 0 } in
   let tag = get_u8 r in
-  if tag < 1 || tag > max_tag then err "unknown message tag %d" tag;
+  if not (known_tag tag) then err "unknown message tag %d" tag;
   let m =
     (* Re-raise field-level defects with the frame's identity attached:
        which message it claimed to be and how long the payload actually
@@ -641,7 +641,6 @@ let decode s =
       | 8 ->
           let name = get_string r in
           Deliver (name, get_gmr r)
-      | 9 -> Clear_map (get_string r)
       | 10 -> Ack
       | 11 -> Shutdown
       | 12 ->

@@ -36,15 +36,9 @@ type telem = {
 }
 
 (** One worker's report of a direct mesh shuffle it just finished, the
-    coordinator's only involvement in the data movement. [ss_modeled]
-    and [ss_sent] are indexed by destination worker: [ss_modeled] is the
-    cost model's byte accounting (origin = destination moves are free,
-    exactly the simulator's rule), [ss_sent] the framed bytes actually
-    written to each peer socket (0 at the worker's own index). [ss_ser]
-    is the modeled serialized size of everything this worker shuffled
-    out, and [ss_wall] the seconds the whole partition/exchange/apply
-    took. *)
-type shuffle_stat = {
+    coordinator's only involvement in the data movement (the executor's
+    {!Divm_cluster.Cluster.shuffle_stat}). *)
+type shuffle_stat = Divm_cluster.Cluster.shuffle_stat = {
   ss_ser : int;
   ss_modeled : int array;
   ss_sent : int array;
@@ -75,8 +69,9 @@ type msg =
       (** record-op delta and wall seconds the block took on the worker *)
   | Pull_map of string
   | Map_contents of Gmr.t  (** reply to [Pull_map] *)
-  | Deliver of string * Gmr.t  (** shuffle delivery into a transient map *)
-  | Clear_map of string
+  | Deliver of string * Gmr.t
+      (** replace the worker's partition of a map: clear, then replay the
+          entries in slot order (driver-bound scatters, restores) *)
   | Ack
   | Shutdown
   | Start_telemetry of bool * bool

@@ -175,9 +175,8 @@ type common = { engine : Engine.config; opts : opts }
 (* Re-point the backend variant: a [--backend] name keeps the current
    backend's parameters when it already is that variant (so [defaults]
    survive), otherwise starts from that backend's default config;
-   [--workers] re-parameterizes whichever distributed backend won, and
-   [--shuffle] the multiprocess backend's transfer topology. *)
-let resolve_backend (current : Engine.backend) backend workers shuffle =
+   [--workers] re-parameterizes whichever distributed backend won. *)
+let resolve_backend (current : Engine.backend) backend workers =
   let base =
     match backend with
     | None -> current
@@ -191,27 +190,21 @@ let resolve_backend (current : Engine.backend) backend workers shuffle =
         | Engine.Multiprocess _ -> current
         | _ -> Engine.Multiprocess (Divm_node.Node.config ()))
   in
-  let base =
-    match (workers, base) with
-    | None, b -> b
-    | Some w, Engine.Simulated cc ->
-        Engine.Simulated { cc with Divm_cluster.Cluster.workers = w }
-    | Some w, Engine.Multiprocess nc ->
-        Engine.Multiprocess { nc with Divm_node.Node.workers = w }
-    | Some _, Engine.Local -> Engine.Local
-  in
-  match (shuffle, base) with
-  | Some s, Engine.Multiprocess nc ->
-      Engine.Multiprocess { nc with Divm_node.Node.shuffle = s }
-  | _, b -> b
+  match (workers, base) with
+  | None, b -> b
+  | Some w, Engine.Simulated cc ->
+      Engine.Simulated { cc with Divm_cluster.Cluster.workers = w }
+  | Some w, Engine.Multiprocess nc ->
+      Engine.Multiprocess { nc with Divm_node.Node.workers = w }
+  | Some _, Engine.Local -> Engine.Local
 
-let combine (defaults : Engine.config) backend workers shuffle domains batch
-    level opts =
+let combine (defaults : Engine.config) backend workers domains batch level opts
+    =
   let engine =
     {
       defaults with
       Engine.backend =
-        resolve_backend defaults.Engine.backend backend workers shuffle;
+        resolve_backend defaults.Engine.backend backend workers;
       domains =
         (match domains with Some _ -> domains | None -> defaults.Engine.domains);
       batch_size = Option.value batch ~default:defaults.Engine.batch_size;
@@ -223,9 +216,6 @@ let combine (defaults : Engine.config) backend workers shuffle domains batch
 let backend_conv =
   Arg.enum
     [ ("local", `Local); ("simulated", `Simulated); ("multiprocess", `Multiprocess) ]
-
-let shuffle_conv =
-  Arg.enum [ ("star", Divm_node.Node.Star); ("mesh", Divm_node.Node.Mesh) ]
 
 let parse_common ?(defaults = Engine.default_config) () =
   let backend_t =
@@ -246,18 +236,6 @@ let parse_common ?(defaults = Engine.default_config) () =
       & opt (some int) None
       & info [ "workers"; "w" ] ~docv:"N"
           ~doc:"Worker count for the simulated or multiprocess backend.")
-  in
-  let shuffle_t =
-    Arg.(
-      value
-      & opt (some shuffle_conv) None
-      & info [ "shuffle" ] ~docv:"TOPOLOGY"
-          ~doc:
-            "Multiprocess transfer topology: $(b,mesh) (default) ships \
-             worker-to-worker shuffles directly over an N\xC3\x97N worker \
-             connection mesh, $(b,star) relays every payload byte through \
-             the coordinator. Results and modeled latencies are identical; \
-             only real wire traffic differs.")
   in
   let domains_t =
     Arg.(
@@ -285,13 +263,12 @@ let parse_common ?(defaults = Engine.default_config) () =
   in
   Term.(
     const (combine defaults)
-    $ backend_t $ workers_t $ shuffle_t $ domains_t $ batch_t $ level_t $ setup)
+    $ backend_t $ workers_t $ domains_t $ batch_t $ level_t $ setup)
 
 let scan_common ?(defaults = Engine.default_config) () =
   let rest = scan_argv () in
   let backend = ref None
   and workers = ref None
-  and shuffle = ref None
   and domains = ref None
   and batch = ref None
   and level = ref None in
@@ -313,13 +290,6 @@ let scan_common ?(defaults = Engine.default_config) () =
     | ("--workers" | "-w") :: v :: tl ->
         workers := Some (int_arg "--workers" v);
         go acc tl
-    | "--shuffle" :: v :: tl ->
-        (shuffle :=
-           match v with
-           | "star" -> Some Divm_node.Node.Star
-           | "mesh" -> Some Divm_node.Node.Mesh
-           | _ -> invalid_arg ("unknown shuffle topology " ^ v));
-        go acc tl
     | "--domains" :: v :: tl ->
         domains := Some (int_arg "--domains" v);
         go acc tl
@@ -332,7 +302,7 @@ let scan_common ?(defaults = Engine.default_config) () =
     | a :: tl -> go (a :: acc) tl
   in
   let rest = go [] rest in
-  ( combine defaults !backend !workers !shuffle !domains !batch !level
+  ( combine defaults !backend !workers !domains !batch !level
       { explain = false; profile = false },
     rest )
 

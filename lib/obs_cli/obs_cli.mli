@@ -67,9 +67,8 @@ val scan_argv : unit -> string list
 (** {1 Unified engine flags}
 
     Every front end takes the same engine flags — [--backend
-    local|simulated|multiprocess], [--workers], [--shuffle star|mesh],
-    [--domains], [--batch], [--opt-level] — plus the five observability
-    flags above, and turns them into one {!Divm_engine.Engine.config}.
+    local|simulated|multiprocess], [--workers], [--domains], [--batch],
+    [--opt-level] — plus the five observability flags above, and turns them into one {!Divm_engine.Engine.config}.
     This is the only flag parser the binaries use; none of them
     constructs a runtime, simulator or node engine by hand anymore. *)
 

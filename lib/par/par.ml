@@ -198,12 +198,6 @@ let get ~domains =
   Mutex.unlock global_lock;
   p
 
-let spawned_domains () =
-  Mutex.lock global_lock;
-  let n = match !global with Some p -> Pool.domains p - 1 | None -> 0 in
-  Mutex.unlock global_lock;
-  n
-
 let default_domains () =
   match Sys.getenv_opt "DIVM_DOMAINS" with
   | Some s -> ( match int_of_string_opt (String.trim s) with

@@ -50,13 +50,6 @@ end
     domains total, once. *)
 val get : domains:int -> Pool.t
 
-(** Worker domains currently alive in the shared pool (0 until {!get} has
-    spawned any). [Unix.fork] is only safe while this is 0 — forking a
-    multi-domain OCaml 5 process leaves the child's runtime waiting on
-    domains that no longer exist; {!Divm_node.Node} consults this before
-    choosing fork-based worker spawning. *)
-val spawned_domains : unit -> int
-
 (** Default domain count for CLIs and [create ?domains] callers that were
     given nothing explicit: the [DIVM_DOMAINS] environment variable when
     set to a positive integer, else 1 (serial). *)
