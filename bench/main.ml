@@ -12,6 +12,7 @@
 
 open Divm
 module B = Divm_bench.Bench_util
+module Obs_cli = Divm_obs_cli.Obs_cli
 
 (* ------------------------------------------------------------------ *)
 (* Shared workload plumbing                                            *)
@@ -864,7 +865,7 @@ let micro () =
 
 let quick_queries = [ "Q1"; "Q3"; "Q6"; "Q13"; "Q17"; "Q19"; "Q22" ]
 
-(* The engine config parsed from the command line by Obs_cli.scan_common
+(* The engine config parsed from the command line by Obs_cli.parse_common
    (--backend/--workers/--domains/--batch/--opt-level). Default: local
    backend, B=1000, DIVM_DOMAINS — the historical QUICK_JSON setup, so
    the perf trajectory stays comparable. *)
@@ -977,22 +978,14 @@ let experiments =
     ("micro", "bechamel micro-benchmarks", micro);
   ]
 
-let () =
-  (* Engine + observability flags are shared with the CLIs
-     (--backend/--workers/--domains/--batch/--opt-level, --metrics/
-     --trace/--profile); the remaining arguments select experiments. *)
-  let common, args = Divm_obs_cli.Obs_cli.scan_common () in
-  cli_engine := common.Divm_obs_cli.Obs_cli.engine;
-  (* accept both [quick] and [--quick] forms *)
-  let strip a =
-    if String.length a > 2 && String.sub a 0 2 = "--" then
-      String.sub a 2 (String.length a - 2)
-    else a
-  in
+let run names (common : Obs_cli.common) =
+  cli_engine := common.engine;
+  (* no static plan spans every experiment: --profile reports slots only *)
+  Obs_cli.activate common.opts;
   let selected =
-    match List.map strip args with
+    match names with
     | [] -> List.map (fun (n, _, _) -> n) experiments
-    | args -> args
+    | names -> names
   in
   Printf.printf
     "divm benchmark harness — mode: %s (set DIVM_BENCH=full for larger \
@@ -1009,3 +1002,23 @@ let () =
           Printf.eprintf "unknown experiment %s; available: %s\n" name
             (String.concat ", " (List.map (fun (n, _, _) -> n) experiments)))
     selected
+
+(* Engine + observability flags are shared with the CLIs
+   (--backend/--workers/--domains/--batch/--opt-level, --metrics/
+   --trace/--profile); the positional arguments select experiments. *)
+let () =
+  let open Cmdliner in
+  let names_t =
+    Arg.(
+      value & pos_all string []
+      & info [] ~docv:"EXPERIMENT"
+          ~doc:
+            ("Experiments to run (default: all): "
+            ^ String.concat ", " (List.map (fun (n, _, _) -> n) experiments)
+            ^ "."))
+  in
+  exit
+    (Cmd.eval
+       (Cmd.v
+          (Cmd.info "bench" ~doc:"Regenerate the paper's experiments")
+          Term.(const run $ names_t $ Obs_cli.parse_common ())))

@@ -86,7 +86,7 @@ let blocks_of wk rel =
   | None -> invalid_arg ("no trigger for " ^ rel)
 
 let worker_load wk ~rel share =
-  Runtime.set_batch wk.wrt (blocks_of wk rel) share
+  Runtime.set_batch wk.wrt (blocks_of wk rel) (Runtime.Share share)
 
 let worker_run_block wk ~rel bi =
   let o0 = Runtime.ops wk.wrt in
@@ -256,16 +256,17 @@ type transfer = {
   tcross : int; (* socket crossings per shuffled byte, for the wire predictor *)
 }
 
-(* A trigger's blocks, flattened: local blocks contribute their driver
-   statements and transfers, each distributed block one stage. *)
+(* A trigger's blocks, flattened: local blocks contribute their runs of
+   driver statements and their transfers, each distributed block one
+   stage. *)
 type step =
-  | Driver of string * int * (unit -> unit)
-      (* span label, profiler slot, compiled stmt *)
+  | Driver of int (* index into the plan's driver blocks *)
   | Move of transfer
   | Stage of int * int * string (* block index, profiler slot, label *)
 
 type plan = {
   steps : step list;
+  driver : Runtime.blocks; (* [Dprog.driver_blocks], on the driver *)
   scatter : Runtime.scatter option; (* share layout; [None]: no Δ read *)
 }
 
@@ -388,27 +389,31 @@ let make ~cost ~workers ~local tp (dp : Dprog.t) =
   let compile (tr : Dprog.dtrigger) =
     let trigger = tr.drelation in
     let nstages = ref 0 in
+    (* driver runs split exactly where [Dprog.driver_blocks] splits them:
+       at transfers and distributed blocks *)
+    let nruns = ref 0 and in_run = ref false in
     let local_step = function
       | Dprog.Transfer { tname; tkind; key; source } ->
+          in_run := false;
           let mesh = is_mesh dp.locs tkind ~source ~tname in
-          Move
-            {
-              tname;
-              tkind;
-              key;
-              source;
-              tslot = Prof.slot ~trigger ~label:("transfer:" ^ tname);
-              tmesh =
-                (if mesh then Some (transfer_index (tname, key, source))
-                 else None);
-              tcross = crossings dp.locs ~workers ~mesh tkind key source;
-            }
-      | Dprog.Compute s ->
-          let label = "driver:" ^ s.target in
-          Driver
-            ( label,
-              Prof.slot ~trigger ~label,
-              List.hd (Runtime.compile_stmts driver [ s ]) )
+          Some
+            (Move
+               {
+                 tname;
+                 tkind;
+                 key;
+                 source;
+                 tslot = Prof.slot ~trigger ~label:("transfer:" ^ tname);
+                 tmesh =
+                   (if mesh then Some (transfer_index (tname, key, source))
+                    else None);
+                 tcross = crossings dp.locs ~workers ~mesh tkind key source;
+               })
+      | Dprog.Compute _ when !in_run -> None
+      | Dprog.Compute _ ->
+          in_run := true;
+          incr nruns;
+          Some (Driver (!nruns - 1))
     in
     let steps =
       List.concat
@@ -416,15 +421,19 @@ let make ~cost ~workers ~local tp (dp : Dprog.t) =
            (fun bi (b : Dprog.block) ->
              match b.bmode with
              | Dprog.MDist ->
+                 in_run := false;
                  incr nstages;
                  let label = Printf.sprintf "stage:%d" !nstages in
                  [ Stage (bi, Prof.slot ~trigger ~label, label) ]
-             | Dprog.MLocal -> List.map local_step b.bstmts)
+             | Dprog.MLocal -> List.filter_map local_step b.bstmts)
            tr.blocks)
     in
+    let runs = Dprog.driver_blocks tr in
+    assert (List.length runs = !nruns);
     ( trigger,
       {
         steps;
+        driver = Runtime.compile_blocks driver ~rel:trigger runs;
         scatter =
           Runtime.scatter_plan rprog ~rel:trigger (Dprog.worker_blocks tr);
       } )
@@ -453,6 +462,7 @@ let make ~cost ~workers ~local tp (dp : Dprog.t) =
 let of_transport ~cost ~workers tp dp = make ~cost ~workers ~local:[||] tp dp
 
 let create ?(config = default_config) ?domains (dp : Dprog.t) =
+  if config.workers < 1 then invalid_arg "Cluster.create: workers must be >= 1";
   let domains =
     match domains with Some d -> max 1 d | None -> Par.default_domains ()
   in
@@ -601,8 +611,8 @@ let apply_batch t ~rel batch =
       Obs.Counter.add m.scatter_wire (tp.wire () - sw0);
       Obs.Counter.add m.scattered (Gmr.cardinal shipped)
   | None -> ());
-  Runtime.load_batch t.driver ~rel
-    (if t.delta_at_workers then Gmr.create () else batch);
+  Runtime.set_batch t.driver plan.driver
+    (Runtime.Rows (if t.delta_at_workers then Gmr.create () else batch));
   let net = { total = 0; into_node = Array.make w 0; into_driver = 0 } in
   let latency = ref 0. in
   let stages = ref 0 in
@@ -615,8 +625,7 @@ let apply_batch t ~rel batch =
   let attr k fmt = Printf.ksprintf (Obs.set_attr k) fmt in
   List.iter
     (function
-      | Driver (label, slot, f) ->
-          Runtime.run_attributed t.driver ~label ~slot f
+      | Driver di -> Runtime.run_block t.driver plan.driver di
       | Move tr ->
           Obs.span ("transfer:" ^ tr.tname) (fun () ->
               let wall0 = now () and tw0 = tp.wire () in

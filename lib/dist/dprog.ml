@@ -181,3 +181,25 @@ let worker_blocks tr =
               (function Compute s -> Some s | Transfer _ -> None)
               b.bstmts ))
     tr.blocks
+
+let driver_blocks tr =
+  let delivered = ref [] and run = ref [] and runs = ref [] in
+  let close () =
+    if !run <> [] then runs := (!delivered, List.rev !run) :: !runs;
+    run := []
+  in
+  List.iter
+    (fun b ->
+      match b.bmode with
+      | MDist -> close ()
+      | MLocal ->
+          List.iter
+            (function
+              | Compute s -> run := s :: !run
+              | Transfer { tname; _ } ->
+                  close ();
+                  delivered := tname :: !delivered)
+            b.bstmts)
+    tr.blocks;
+  close ();
+  List.rev !runs

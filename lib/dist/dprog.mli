@@ -78,3 +78,9 @@ val compute_prog : t -> Prog.t
     statements ([([], [])] for a local block). The shape the runtime's
     worker-block compiler takes. *)
 val worker_blocks : dtrigger -> (string list * Prog.stmt list) list
+
+(** The driver's counterpart of {!worker_blocks}: one entry per run of
+    consecutive compute statements in the trigger's local blocks (a
+    transfer or a distributed block ends a run), in trigger order, with
+    the maps transfers filled before the run starts. *)
+val driver_blocks : dtrigger -> (string list * Prog.stmt list) list

@@ -33,6 +33,49 @@ let ignore_sigpipe () =
   try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore) with _ -> ()
 
 (* -------------------------------------------------------------- *)
+(* Sockets                                                         *)
+(* -------------------------------------------------------------- *)
+
+(* Bounded waits, so a wedged peer fails the batch instead of hanging a
+   CI job: how long a reply (or a mesh exchange) may take, and how long
+   a peer may take to connect at start-up. *)
+let reply_timeout = 120.
+let connect_timeout = 30.
+
+let set_reply_timeout fd =
+  try Unix.setsockopt_float fd Unix.SO_RCVTIMEO reply_timeout with _ -> ()
+
+(* Connect to a Unix-domain listener that may not be bound yet, retrying
+   every 50 ms for up to 5 s. *)
+let connect_retry path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let rec go tries =
+    try Unix.connect fd (Unix.ADDR_UNIX path)
+    with Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+    when tries > 0 ->
+      Unix.sleepf 0.05;
+      go (tries - 1)
+  in
+  go 100;
+  fd
+
+(* Accept [n] peers on [lfd], each opening with [Hello id]; [take id fd]
+   validates and records one (raising [Failure] to reject it). [who]
+   names the peers in the errors. *)
+let accept_hellos lfd ~n ~who ~take =
+  for _ = 1 to n do
+    (match Unix.select [ lfd ] [] [] connect_timeout with
+    | [], _, _ ->
+        failwith
+          (Printf.sprintf "%s did not connect within %.0fs" who connect_timeout)
+    | _ -> ());
+    let fd, _ = Unix.accept lfd in
+    match Protocol.read_msg fd with
+    | Protocol.Hello id, _ -> take id fd
+    | _ -> failwith ("bad handshake from " ^ who)
+  done
+
+(* -------------------------------------------------------------- *)
 (* Worker side                                                     *)
 (* -------------------------------------------------------------- *)
 
@@ -107,36 +150,23 @@ let mesh_bind ~id paths =
 let mesh_connect m =
   let w = Array.length m.mpaths in
   for j = 0 to m.mself - 1 do
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    let rec conn tries =
-      try Unix.connect fd (Unix.ADDR_UNIX m.mpaths.(j))
-      with Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
-      when tries > 0 ->
-        Unix.sleepf 0.05;
-        conn (tries - 1)
-    in
-    conn 100;
+    let fd = connect_retry m.mpaths.(j) in
     ignore (Protocol.write_msg fd (Protocol.Hello m.mself));
-    (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 120. with _ -> ());
+    set_reply_timeout fd;
     m.mpeers.(j) <- Some fd
   done;
   (match m.mlisten with
   | None -> ()
   | Some lfd ->
       (* Higher ids arrive in arbitrary order; the Hello identifies each. *)
-      for _ = m.mself + 1 to w - 1 do
-        (match Unix.select [ lfd ] [] [] 30. with
-        | [], _, _ ->
-            failwith "divm_node worker: mesh peer did not connect within 30s"
-        | _ -> ());
-        let fd, _ = Unix.accept lfd in
-        match Protocol.read_msg fd with
-        | Protocol.Hello j, _ when j > m.mself && j < w && m.mpeers.(j) = None
-          ->
-            (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 120. with _ -> ());
-            m.mpeers.(j) <- Some fd
-        | _ -> failwith "divm_node worker: bad mesh handshake"
-      done;
+      (try
+         accept_hellos lfd ~n:(w - 1 - m.mself) ~who:"mesh peer"
+           ~take:(fun j fd ->
+             if j <= m.mself || j >= w || m.mpeers.(j) <> None then
+               failwith "bad mesh handshake";
+             set_reply_timeout fd;
+             m.mpeers.(j) <- Some fd)
+       with Failure msg -> failwith ("divm_node worker: " ^ msg));
       (try Unix.close lfd with _ -> ());
       (try Unix.unlink m.mpaths.(m.mself) with _ -> ());
       m.mlisten <- None)
@@ -189,10 +219,12 @@ let mesh_exchange m (frames : string array) =
   in
   Fun.protect ~finally:restore @@ fun () ->
   let scratch = Bytes.create 65536 in
-  let deadline = Unix.gettimeofday () +. 120. in
+  let deadline = Unix.gettimeofday () +. reply_timeout in
   while Array.exists not out_done || Array.exists not in_done do
     if Unix.gettimeofday () > deadline then
-      raise (Protocol.Error "mesh exchange timed out after 120s");
+      raise
+        (Protocol.Error
+           (Printf.sprintf "mesh exchange timed out after %.0fs" reply_timeout));
     let rds =
       List.filter_map
         (fun (fd, i) -> if in_done.(i) then None else Some fd)
@@ -364,15 +396,7 @@ let serve ~id fd =
 
 let worker_main ~socket ~id =
   ignore_sigpipe ();
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let rec connect tries =
-    try Unix.connect fd (Unix.ADDR_UNIX socket)
-    with Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
-    when tries > 0 ->
-      Unix.sleepf 0.05;
-      connect (tries - 1)
-  in
-  connect 100;
+  let fd = connect_retry socket in
   ignore (Protocol.write_msg fd (Protocol.Hello id));
   serve ~id fd;
   (try Unix.close fd with _ -> ())
@@ -539,19 +563,16 @@ let spawn_exec exe cfg =
     (try Unix.unlink path with _ -> ());
     failwith ("divm_node: " ^ msg)
   in
-  for _ = 1 to cfg.workers do
-    (match Unix.select [ listener ] [] [] 30. with
-    | [], _, _ -> fail "worker did not connect within 30s"
-    | _ -> ());
-    let fd, _ = Unix.accept listener in
-    match Protocol.read_msg fd with
-    | Protocol.Hello wid, _ when wid >= 0 && wid < cfg.workers ->
-        if conns.(wid) <> None then
-          fail (Printf.sprintf "worker %d connected twice" wid);
-        conns.(wid) <- Some fd
-    | _ -> fail "bad handshake from worker"
-    | exception e -> fail ("handshake failed: " ^ Printexc.to_string e)
-  done;
+  (try
+     accept_hellos listener ~n:cfg.workers ~who:"worker" ~take:(fun wid fd ->
+         if wid < 0 || wid >= cfg.workers then
+           failwith "bad handshake from worker";
+         if conns.(wid) <> None then
+           failwith (Printf.sprintf "worker %d connected twice" wid);
+         conns.(wid) <- Some fd)
+   with
+  | Failure msg -> fail msg
+  | e -> fail ("handshake failed: " ^ Printexc.to_string e));
   (try Unix.close listener with _ -> ());
   (try Unix.unlink path with _ -> ());
   Array.mapi
@@ -657,12 +678,7 @@ let create ?(config = default_config) (dp : Dprog.t) =
   if config.workers < 1 then invalid_arg "Node.create: workers must be >= 1";
   ignore_sigpipe ();
   let conns = spawn_exec (discover_exe config) config in
-  Array.iter
-    (fun c ->
-      (* Bounded coordinator waits: a wedged worker fails the batch
-         instead of hanging a CI job. *)
-      try Unix.setsockopt_float c.fd Unix.SO_RCVTIMEO 120. with _ -> ())
-    conns;
+  Array.iter (fun c -> set_reply_timeout c.fd) conns;
   let c =
     {
       conns;

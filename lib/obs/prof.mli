@@ -16,8 +16,9 @@ val set_enabled : bool -> unit
 
 (** [slot ~trigger ~label] returns the dense id for the (trigger, label)
     pair, allocating it on first use. Idempotent; ids are stable for the
-    process lifetime. Labels follow ["stmt:<target>"], ["columnar:<target>"],
-    ["driver:<target>"], ["transfer:<name>"]. *)
+    process lifetime. Labels follow the runtime's route labels
+    (["stmt:<target>"], ["columnar:<target>"], …), ["stage:<n>"] and
+    ["transfer:<name>"]. *)
 val slot : trigger:string -> label:string -> int
 
 (** Charge one firing plus counter deltas to a slot. *)

@@ -37,35 +37,23 @@ let listen port =
   Printf.eprintf "serving /metrics on http://127.0.0.1:%d\n%!" bound;
   bound
 
-(* Registry state when profiling was switched on, so the exit report can
-   reconcile slot sums against the registry deltas of the same window. *)
-let profile_baseline = ref None
-
-let enable_profile () =
-  Obs.set_collection true;
-  Profile.reset ();
-  Profile.set_enabled true;
-  profile_baseline := Some (Obs.snapshot ())
-
-let profile_report ?plan ?storage () =
-  let diff =
-    Option.map
-      (fun earlier -> Obs.diff ~later:(Obs.snapshot ()) ~earlier)
-      !profile_baseline
-  in
-  Profile.report ?plan ?storage ?diff ()
-
 let activate ?plan ?storage opts =
   (match (opts.explain, plan) with
   | true, Some p -> print_string (Profile.render p)
   | _ -> ());
   if opts.profile then begin
-    enable_profile ();
+    Obs.set_collection true;
+    Profile.reset ();
+    Profile.set_enabled true;
+    (* registry state when profiling starts: the exit report reconciles
+       slot sums against the registry deltas of the same window *)
+    let earlier = Obs.snapshot () in
     at_exit (fun () ->
+        let diff = Obs.diff ~later:(Obs.snapshot ()) ~earlier in
         prerr_string
-          (profile_report ?plan
+          (Profile.report ?plan
              ?storage:(Option.map (fun f -> f ()) storage)
-             ()))
+             ~diff ()))
   end
 
 open Cmdliner
@@ -134,37 +122,6 @@ let setup =
         (match listen_port with Some p -> ignore (listen p) | None -> ());
         { explain; profile })
     $ metrics_t $ metrics_json_t $ trace_t $ listen_t $ explain_t $ profile_t)
-
-let scan_argv () =
-  let rec go acc = function
-    | [] -> List.rev acc
-    | "--metrics" :: tl ->
-        install ~metrics:true ~trace:None ();
-        go acc tl
-    | "--metrics-json" :: file :: tl ->
-        install ~metrics:false ~metrics_json:file ~trace:None ();
-        go acc tl
-    | "--trace" :: file :: tl ->
-        install ~metrics:false ~trace:(Some file) ();
-        go acc tl
-    | arg :: tl when String.length arg > 8 && String.sub arg 0 8 = "--trace=" ->
-        install ~metrics:false
-          ~trace:(Some (String.sub arg 8 (String.length arg - 8)))
-          ();
-        go acc tl
-    | "--listen" :: port :: tl ->
-        (match int_of_string_opt port with
-        | Some p -> ignore (listen p)
-        | None -> invalid_arg ("--listen expects a port, got " ^ port));
-        go acc tl
-    | "--profile" :: tl ->
-        (* no static plan available here: report slots only *)
-        enable_profile ();
-        at_exit (fun () -> prerr_string (profile_report ()));
-        go acc tl
-    | arg :: tl -> go (arg :: acc) tl
-  in
-  go [] (List.tl (Array.to_list Sys.argv))
 
 (* ---------------- unified engine flags ---------------- *)
 
@@ -264,47 +221,6 @@ let parse_common ?(defaults = Engine.default_config) () =
   Term.(
     const (combine defaults)
     $ backend_t $ workers_t $ domains_t $ batch_t $ level_t $ setup)
-
-let scan_common ?(defaults = Engine.default_config) () =
-  let rest = scan_argv () in
-  let backend = ref None
-  and workers = ref None
-  and domains = ref None
-  and batch = ref None
-  and level = ref None in
-  let int_arg flag v =
-    match int_of_string_opt v with
-    | Some i -> i
-    | None -> invalid_arg (flag ^ " expects an integer, got " ^ v)
-  in
-  let rec go acc = function
-    | [] -> List.rev acc
-    | "--backend" :: v :: tl ->
-        (backend :=
-           match v with
-           | "local" -> Some `Local
-           | "simulated" -> Some `Simulated
-           | "multiprocess" -> Some `Multiprocess
-           | _ -> invalid_arg ("unknown backend " ^ v));
-        go acc tl
-    | ("--workers" | "-w") :: v :: tl ->
-        workers := Some (int_arg "--workers" v);
-        go acc tl
-    | "--domains" :: v :: tl ->
-        domains := Some (int_arg "--domains" v);
-        go acc tl
-    | "--batch" :: v :: tl ->
-        batch := Some (int_arg "--batch" v);
-        go acc tl
-    | "--opt-level" :: v :: tl ->
-        level := Some (int_arg "--opt-level" v);
-        go acc tl
-    | a :: tl -> go (a :: acc) tl
-  in
-  let rest = go [] rest in
-  ( combine defaults !backend !workers !domains !batch !level
-      { explain = false; profile = false },
-    rest )
 
 let activate_engine eng opts =
   let name = (Engine.workload eng).Divm_workload.Workload.wname in

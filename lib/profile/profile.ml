@@ -97,28 +97,34 @@ let route_of_label lbl =
   | Some i -> String.sub lbl 0 i
   | None -> lbl
 
+(* One statement's plan entry from its planner route. *)
+let stmt_plan sp bp ~trigger ?block ?stage ?loc
+    ((st : Prog.stmt), lbl, selvec, rowwise) =
+  {
+    sp_trigger = trigger;
+    sp_label = lbl;
+    sp_target = st.target;
+    sp_op = op_str st.op;
+    sp_columnar = route_of_label lbl <> "stmt";
+    sp_selvec = selvec;
+    sp_rowwise = rowwise;
+    sp_block = block;
+    sp_stage = stage;
+    sp_loc = loc;
+    sp_accesses = accesses_of sp bp st;
+  }
+
 let explain ?(name = "program") (prog : Prog.t) =
   let sp = Patterns.slices prog and bp = Patterns.batch_slices prog in
   let stmts =
     List.concat_map
-      (fun (rel, routed) ->
+      (fun (tr : Prog.trigger) ->
         List.map
-          (fun ((st : Prog.stmt), lbl, selvec, rowwise) ->
-            {
-              sp_trigger = rel;
-              sp_label = lbl;
-              sp_target = st.Prog.target;
-              sp_op = op_str st.op;
-              sp_columnar = route_of_label lbl <> "stmt";
-              sp_selvec = selvec;
-              sp_rowwise = rowwise;
-              sp_block = None;
-              sp_stage = None;
-              sp_loc = None;
-              sp_accesses = accesses_of sp bp st;
-            })
-          routed)
-      (Runtime.stmt_routes_ex prog)
+          (stmt_plan sp bp ~trigger:tr.relation)
+          (List.concat
+             (Runtime.block_routes_ex prog ~rel:tr.relation
+                [ ([], tr.stmts) ])))
+      prog.triggers
   in
   { pl_name = name; pl_dist = false; pl_stmts = stmts; pl_transfers = [] }
 
@@ -129,11 +135,18 @@ let explain_dist ?(name = "program") (dp : Dprog.t) =
   List.iter
     (fun (tr : Dprog.dtrigger) ->
       let stage = ref 0 in
-      (* worker statements' routes from the planner the workers run *)
+      (* every statement's route from the planner that runs it: the
+         workers' per block, the driver's in trigger order *)
       let routes =
         Array.of_list
           (Runtime.block_routes_ex cprog ~rel:tr.drelation
              (Dprog.worker_blocks tr))
+      in
+      let driver =
+        ref
+          (List.concat
+             (Runtime.block_routes_ex cprog ~rel:tr.drelation
+                (Dprog.driver_blocks tr)))
       in
       List.iteri
         (fun bi (b : Dprog.block) ->
@@ -141,7 +154,9 @@ let explain_dist ?(name = "program") (dp : Dprog.t) =
           let cur_stage =
             if b.bmode = Dprog.MDist then Some !stage else None
           in
-          let pending = ref routes.(bi) in
+          let pending =
+            if b.bmode = Dprog.MDist then ref routes.(bi) else driver
+          in
           List.iter
             (fun d ->
               match d with
@@ -161,33 +176,19 @@ let explain_dist ?(name = "program") (dp : Dprog.t) =
                       tp_block = bi;
                     }
                     :: !transfers
-              | Dprog.Compute s ->
-                  let label, selvec, rowwise =
-                    match (b.bmode, !pending) with
-                    | Dprog.MDist, (_, lbl, sv, rw) :: rest ->
-                        pending := rest;
-                        (lbl, sv, rw)
-                    | _ -> ("driver:" ^ s.target, 0, 0)
-                  in
-                  stmts :=
-                    {
-                      sp_trigger = tr.drelation;
-                      sp_label = label;
-                      sp_target = s.target;
-                      sp_op = op_str s.op;
-                      sp_columnar =
-                        b.bmode = Dprog.MDist && route_of_label label <> "stmt";
-                      sp_selvec = selvec;
-                      sp_rowwise = rowwise;
-                      sp_block = Some bi;
-                      sp_stage = cur_stage;
-                      sp_loc =
-                        Some
-                          (Format.asprintf "%a" Loc.pp
-                             (Loc.find dp.locs s.target));
-                      sp_accesses = accesses_of sp bp s;
-                    }
-                    :: !stmts)
+              | Dprog.Compute s -> (
+                  match !pending with
+                  | route :: rest ->
+                      pending := rest;
+                      stmts :=
+                        stmt_plan sp bp ~trigger:tr.drelation ~block:bi
+                          ?stage:cur_stage
+                          ~loc:
+                            (Format.asprintf "%a" Loc.pp
+                               (Loc.find dp.locs s.target))
+                          route
+                        :: !stmts
+                  | [] -> invalid_arg "Profile.explain_dist: unplanned statement"))
             b.bstmts)
         tr.blocks)
     dp.dtriggers;

@@ -12,8 +12,9 @@
     the block/stage structure, and the transfers each block induces. The
     analysis reuses the exact walks the runtime compiles from
     ({!Divm_runtime.Patterns.accesses},
-    {!Divm_runtime.Runtime.columnar_routed}), so the printout cannot
-    disagree with execution.
+    {!Divm_runtime.Runtime.block_routes_ex}): local, worker and driver
+    statements are labelled by the planner that runs them, so the
+    printout cannot disagree with execution.
 
     {1 Profiling}
 

@@ -41,23 +41,28 @@ let m_selvec_selected = Obs.Counter.make "divm_selvec_rows_selected_total"
 type env = Value.t array
 type code = env -> (float -> unit) -> unit
 
-(* One entry of a trigger's batch-mode executor list: a generic compiled
-   statement or a vectorized (possibly fused) statement group, in original
-   statement order. The lazy colbatch is the raw batch transposed at most
-   once per trigger firing, shared by every batch-sourced group. *)
+(* One entry of a block's executor list: a generic compiled statement or
+   a vectorized (possibly fused) statement group, in original statement
+   order. The lazy colbatch is the installed batch, transposed at most
+   once per firing and shared by every batch-sourced group; the flag
+   selects a group's domain-parallel instances ([run_block]'s gate).
+   Generic statements ignore both. *)
 type exec_unit = {
   eu_label : string;
   eu_slot : int; (* profiler slot *)
-  eu_run : Colbatch.t Lazy.t -> unit;
-  (* domain-parallel executor for the same unit, bound only for vectorized
-     groups when the runtime was created with [domains > 1]; generic
-     statements serialize (see [par_routes]) *)
-  eu_par : (Colbatch.t Lazy.t -> unit) option;
+  eu_run : Colbatch.t Lazy.t -> bool -> unit;
 }
 
-type trigger_exec = {
-  tx_load : bool; (* any generic statement still reads the batch pool *)
-  tx_units : exec_unit list;
+(* A statement sequence of one trigger compiled as blocks: a local
+   trigger is one block, a distributed trigger's worker or driver
+   statements one block per stage or run. *)
+type blocks = {
+  bk_rel : string;
+  bk_width : int; (* stream width *)
+  bk_units : exec_unit list array;
+  bk_load : bool; (* a generic unit reads the batch pool *)
+  mutable bk_raw : Colbatch.t Lazy.t;
+  mutable bk_rows : int; (* rows of the installed batch *)
 }
 
 type t = {
@@ -70,7 +75,8 @@ type t = {
   domains : int;
   par : Par.Pool.t option; (* shared domain pool when [domains > 1] *)
   par_min_rows : int; (* batches below this stay on the serial path *)
-  mutable triggers_batch : (string * trigger_exec) list;
+  columnar : bool; (* plan vectorized groups, else every unit is generic *)
+  mutable triggers : (string * blocks) list; (* one block per trigger *)
   mutable triggers_single : (string * (int * (unit -> unit)) list) list;
 }
 
@@ -786,10 +792,8 @@ let plan_stmts (prog : Prog.t) ~rel ~assigned (stmts : Prog.stmt list) :
       | u -> u)
     units
 
-let plan_trigger (prog : Prog.t) (tr : Prog.trigger) =
-  plan_stmts prog ~rel:tr.relation ~assigned:(Hashtbl.create 8) tr.stmts
-
-(* A distributed trigger's worker blocks, planned in block order. Each
+(* A trigger's blocks, planned in block order: a local trigger's one
+   block, or a distributed trigger's worker blocks or driver runs. Each
    block comes with the transients transfers filled before it starts:
    like an Assign, a delivery makes its destination a source. *)
 let plan_blocks (prog : Prog.t) ~rel (blocks : (string list * Prog.stmt list) list) =
@@ -852,7 +856,7 @@ let classify_side (p : vplan) (ve : Vexpr.t) : kside option =
   | _ -> None
 
 (* [classify_filter] is the single authority on hoistability: the
-   EXPLAIN labels ([route_label_of_group], [stmt_routes_ex]) and the
+   EXPLAIN labels ([route_label_of_group], [block_routes_ex]) and the
    kernel binder ([bind_instance]) both consume it, so the plan a user
    reads and the code that runs can never disagree. Comparisons are
    canonicalized column-first via [mirror_op]. String/numeric mixes are
@@ -1263,23 +1267,15 @@ let pass_col_str (cache : (Colbatch.dict * bool array) option ref)
   | col -> fun i -> Calc.eval_cmp op (Colbatch.get col i) kv
 
 
-(* One independent execution instance of a group: its own batch cursor,
-   accessor caches, auxiliary slots, and scratch — so instances on
-   different domains share nothing but the read-only compacted columns
-   and the store pools they probe. [buffered] gives each member a private
-   [Gmr] output buffer (paired with its merge target) instead of writing
-   the target pool directly; the parallel driver merges the buffers
-   serially after the barrier. *)
 (* One member of an execution instance: its per-row closure plus the
    selection-vector kernels hoisted from its filter chain. [gm_kerns]
    holds pass *builders*: they read [ctx.vc_cols] (assigned once per
-   batch) and specialize on the column representation, so the drivers
-   rebuild [gm_passes] exactly once per batch ([prep_insts]) and the
-   grouped driver pays no per-group dispatch or closure allocation.
+   batch) and specialize on the column representation, so the driver
+   rebuilds [gm_passes] exactly once per batch ([prep_inst]) and the
+   grouped loop pays no per-group dispatch or closure allocation.
    [gm_sel] is the member's packed survivor index vector (grown on
    demand); [gm_cnt] is the survivor count after the last kernel pass,
-   or -1 when the member runs dense (no kernels, or the grouped driver
-   chose the dense loop for it this group). *)
+   or -1 when the member runs dense (it has no kernels). *)
 type gmember = {
   gm_run : unit -> unit;
   gm_kerns : (unit -> kern) array;
@@ -1290,13 +1286,16 @@ type gmember = {
   mutable gm_cnt : int;
 }
 
+(* One independent execution instance of a group: its own batch cursor,
+   accessor caches, auxiliary slots, and scratch — so instances on
+   different domains share nothing but the read-only compacted columns
+   and the store pools they probe. [buffered] gives each member a private
+   [Gmr] output buffer (paired with its merge target) instead of writing
+   the target pool directly; the group driver merges the buffers
+   serially after the domain barrier. *)
 type ginst = {
   gi_ctx : vctx;
   gi_members : gmember array;
-  gi_kerned : bool;
-      (* any member with kernels? false routes the drivers through the
-         row-major loops (identical to the pre-selection-vector path:
-         no survivor bookkeeping, no per-member passes) *)
   gi_gaccs : gacc array;
   gi_gslices : gslice array;
   gi_bufs : (Pool.t * Gmr.t) array; (* per member, only when buffered *)
@@ -1793,8 +1792,6 @@ let bind_instance (rt : t) ~(shape : gshape) ~buffered (ps : vplan list) :
                gm_cnt = -1;
              })
            members);
-    gi_kerned =
-      List.exists (fun (_, _, kerns) -> Array.length kerns > 0) members;
     gi_gaccs = Array.of_list !gaccs;
     gi_gslices = Array.of_list !gslices;
     gi_bufs = Array.of_list (List.rev !bufs);
@@ -1839,12 +1836,11 @@ let resolve_slice ctx gs =
    batch's concrete columns, so the per-group hot loop below never
    re-dispatches on column representation or allocates a closure. *)
 let prep_inst (inst : ginst) =
-  if inst.gi_kerned then
-    Array.iter
-      (fun m ->
-        if Array.length m.gm_kerns > 0 then
-          m.gm_passes <- Array.map (fun build -> build ()) m.gm_kerns)
-      inst.gi_members
+  Array.iter
+    (fun m ->
+      if Array.length m.gm_kerns > 0 then
+        m.gm_passes <- Array.map (fun build -> build ()) m.gm_kerns)
+    inst.gi_members
 
 (* Run member [m]'s kernel pipeline over rows [lo, lo+len): a dense
    first pass, then in-place refines over the survivors. Leaves the
@@ -1875,39 +1871,26 @@ let run_kerns (m : gmember) lo len =
 let run_rows (inst : ginst) lo hi =
   let ctx = inst.gi_ctx in
   let members = inst.gi_members in
-  if not inst.gi_kerned then begin
-    (* pure row-major, exactly the pre-kernel path *)
-    let nm = Array.length members in
-    for r = lo to hi - 1 do
-      ctx.vc_row <- r;
-      for mi = 0 to nm - 1 do
-        (Array.unsafe_get members mi).gm_run ()
+  let svscan = ref 0 and svsel = ref 0 in
+  for mi = 0 to Array.length members - 1 do
+    let m = members.(mi) in
+    if Array.length m.gm_kerns = 0 then
+      for r = lo to hi - 1 do
+        ctx.vc_row <- r;
+        m.gm_run ()
       done
-    done;
-    (0, 0)
-  end
-  else begin
-    let svscan = ref 0 and svsel = ref 0 in
-    for mi = 0 to Array.length members - 1 do
-      let m = members.(mi) in
-      if Array.length m.gm_kerns = 0 then
-        for r = lo to hi - 1 do
-          ctx.vc_row <- r;
-          m.gm_run ()
-        done
-      else begin
-        let sc, se = run_kerns m lo (hi - lo) in
-        svscan := !svscan + sc;
-        svsel := !svsel + se;
-        let sel = m.gm_sel in
-        for j = 0 to m.gm_cnt - 1 do
-          ctx.vc_row <- Array.unsafe_get sel j;
-          m.gm_run ()
-        done
-      end
-    done;
-    (!svscan, !svsel)
-  end
+    else begin
+      let sc, se = run_kerns m lo (hi - lo) in
+      svscan := !svscan + sc;
+      svsel := !svsel + se;
+      let sel = m.gm_sel in
+      for j = 0 to m.gm_cnt - 1 do
+        ctx.vc_row <- Array.unsafe_get sel j;
+        m.gm_run ()
+      done
+    end
+  done;
+  (!svscan, !svsel)
 
 (* Run one instance over key groups [glo, ghi): run the selection
    kernels first, resolve the shared accessors once per group, then fire
@@ -1921,38 +1904,6 @@ let run_groups (inst : ginst) starts (counts : float array) glo ghi =
   let members = inst.gi_members in
   let nm = Array.length members in
   let saved = ref 0 and svscan = ref 0 and svsel = ref 0 in
-  if not inst.gi_kerned then
-    (* pure row-major per group, exactly the pre-kernel path *)
-    for g = glo to ghi - 1 do
-      let lo = starts.(g) and hi = starts.(g + 1) in
-      ctx.vc_row <- lo;
-      let orig = ref 0. in
-      for r = lo to hi - 1 do
-        orig := !orig +. counts.(r)
-      done;
-      let orig = int_of_float !orig in
-      Array.iter
-        (fun a ->
-          let kw = Array.length a.ga_key in
-          for j = 0 to kw - 1 do
-            a.ga_scratch.(j) <- Colbatch.get ctx.vc_cols.(a.ga_key.(j)) lo
-          done;
-          a.ga_val <- Pool.get a.ga_pool a.ga_scratch;
-          saved := !saved + (a.ga_uses * orig) - 1)
-        inst.gi_gaccs;
-      Array.iter
-        (fun gs ->
-          resolve_slice ctx gs;
-          saved := !saved + (gs.gs_uses * orig) - 1)
-        inst.gi_gslices;
-      for r = lo to hi - 1 do
-        ctx.vc_row <- r;
-        for mi = 0 to nm - 1 do
-          (Array.unsafe_get members mi).gm_run ()
-        done
-      done
-    done
-  else
   for g = glo to ghi - 1 do
     let lo = starts.(g) and hi = starts.(g + 1) in
     ctx.vc_row <- lo;
@@ -2032,8 +1983,6 @@ let source_colbatch rt (shape : gshape) raw =
 let group_drop_cancelled (ps : vplan list) =
   List.for_all (fun (p : vplan) -> not p.vp_source.vs_exists) ps
 
-(* Whether any member resolves store accessors per group (probes or
-   slices) — the grouped driver only pays for compaction when it does. *)
 (* Pre-box the columns in [boxed] (compacted slot numbers): per-row
    boxed readers then return an existing heap value instead of
    allocating a fresh [Value] on every read. Columns only read through
@@ -2049,6 +1998,8 @@ let box_reads (cols : Colbatch.col array) n (boxed : int array) =
       | col -> cols.(c) <- Colbatch.CBoxed (Array.init n (Colbatch.get col)))
     boxed
 
+(* Whether any member resolves store accessors per group (probes or
+   slices) — the group driver only pays for compaction when it does. *)
 let plans_have_access (ps : vplan list) =
   List.exists
     (fun (p : vplan) ->
@@ -2056,191 +2007,143 @@ let plans_have_access (ps : vplan list) =
       || List.exists (function VSlice _ -> true | _ -> false) p.vp_steps)
     ps
 
-let bind_group (rt : t) (ps : vplan list) : Colbatch.t Lazy.t -> unit =
+(* [d] contiguous instance ranges: source rows split evenly, or key
+   groups balanced by compacted row count (a group must not split: its
+   accessors resolve once). *)
+let ranges d ~rows = function
+  | None -> Array.init (d + 1) (fun di -> di * rows / d)
+  | Some starts ->
+      let ng = Array.length starts - 1 in
+      let bounds = Array.make (d + 1) ng in
+      bounds.(0) <- 0;
+      let gi = ref 0 in
+      for di = 1 to d - 1 do
+        let row_target = di * rows / d in
+        while !gi < ng && starts.(!gi) < row_target do
+          incr gi
+        done;
+        bounds.(di) <- !gi
+      done;
+      bounds
+
+(* The one driver of a vectorized group. Each firing prepares the
+   source once — transpose or pool scan, dictionary encoding, Assign
+   clears, key compaction when some member resolves store accessors,
+   pre-boxing — then runs either the unbuffered serial instance over the
+   whole range or, when the caller's gate says [par], one buffered
+   instance per domain over disjoint contiguous ranges, whose buffers
+   merge serially into the target pools by ring [+] after the barrier
+   (§6's argument applied locally). The fan-out is sound for every
+   plannable group: a vectorized statement never reads its own target
+   ([plan_stmt_exn]) and no member writes a pool any member probes
+   ([fuse_ok]), so store pools are read-only while it runs. Counter
+   totals (ops, probes, rows compacted, probes saved, selection-vector
+   tallies) are the same either way: the same groups resolve the same
+   accessors, only on different domains. Without store accessors
+   grouping has nothing to amortize, so compaction is skipped and the
+   members run straight over the source rows (each a distinct tuple,
+   support count 1). *)
+let bind_group (rt : t) (ps : vplan list) : Colbatch.t Lazy.t -> bool -> unit =
   let shape = group_shape ps in
   let drop_cancelled = group_drop_cancelled ps in
   let has_access = plans_have_access ps in
   let wd = dict_want ps shape ~keys:has_access in
-  let inst = bind_instance rt ~shape ~buffered:false ps in
-  let ctx = inst.gi_ctx in
-  let clears = inst.gi_clears in
-  (* No store accessors means grouping has nothing to amortize: skip the
-     sort-based compaction and run the members straight over the batch
-     rows (each batch/pool row is a distinct tuple, so per-row support
-     counts are 1). *)
-  let no_access = not has_access in
+  let serial = bind_instance rt ~shape ~buffered:false ps in
+  let par =
+    Option.map
+      (fun pl ->
+        ( pl,
+          Array.init rt.domains (fun _ ->
+              bind_instance rt ~shape ~buffered:true ps) ))
+      rt.par
+  in
+  (* Assign targets are shared pools: every instance lists the same ones *)
+  let clears = serial.gi_clears in
   let ones = ref [||] in
   let ones_of n =
     if Array.length !ones < n then ones := Array.make (max n 1024) 1.;
     !ones
   in
-  if no_access then fun raw ->
+  fun raw use_par ->
     let cb = source_colbatch rt shape raw in
     if wd <> [] then Colbatch.dictify_cols cb wd;
     List.iter Pool.clear clears;
-    let n = Colbatch.length cb in
-    ctx.vc_cols <- Array.map (Colbatch.col cb) shape.sh_sel;
-    box_reads ctx.vc_cols n inst.gi_boxed;
-    ctx.vc_mults <- Colbatch.mults cb;
-    ctx.vc_counts <- ones_of n;
-    prep_inst inst;
-    let sc, se = run_rows inst 0 n in
-    Obs.Counter.add m_selvec_scanned sc;
-    Obs.Counter.add m_selvec_selected se;
-    (* an Assign member's freshly-cleared target now holds exactly the
-       distinct rows of the batch under that statement's key set: the
-       difference is the per-statement batch compaction *)
-    List.iter
-      (fun p -> Obs.Counter.add m_rows_compacted (max 0 (n - Pool.cardinal p)))
-      clears
-  else fun raw ->
-    let cb = source_colbatch rt shape raw in
-    if wd <> [] then Colbatch.dictify_cols cb wd;
-    List.iter Pool.clear clears;
-    let comp, starts, counts =
-      Colbatch.compact_group ~drop_cancelled cb ~key:shape.sh_sk
-        ~rest:shape.sh_rest
+    let cols, rows, mults, counts, starts =
+      if has_access then begin
+        let comp, starts, counts =
+          Colbatch.compact_group ~drop_cancelled cb ~key:shape.sh_sk
+            ~rest:shape.sh_rest
+        in
+        let rows = Colbatch.length comp in
+        Obs.Counter.add m_rows_compacted (Colbatch.length cb - rows);
+        ( Array.init (Array.length shape.sh_sel) (Colbatch.col comp),
+          rows,
+          Colbatch.mults comp,
+          counts,
+          Some starts )
+      end
+      else
+        let rows = Colbatch.length cb in
+        ( Array.map (Colbatch.col cb) shape.sh_sel,
+          rows,
+          Colbatch.mults cb,
+          ones_of rows,
+          None )
     in
-    Obs.Counter.add m_rows_compacted
-      (Colbatch.length cb - Colbatch.length comp);
-    ctx.vc_cols <- Array.init (Array.length shape.sh_sel) (Colbatch.col comp);
-    box_reads ctx.vc_cols (Colbatch.length comp) inst.gi_boxed;
-    ctx.vc_mults <- Colbatch.mults comp;
-    ctx.vc_counts <- counts;
-    prep_inst inst;
+    box_reads cols rows serial.gi_boxed;
+    (* one instance over a range of rows, or of key groups *)
+    let run inst lo hi =
+      let ctx = inst.gi_ctx in
+      ctx.vc_cols <- cols;
+      ctx.vc_mults <- mults;
+      ctx.vc_counts <- counts;
+      prep_inst inst;
+      match starts with
+      | None ->
+          let sc, se = run_rows inst lo hi in
+          (0, sc, se)
+      | Some starts -> run_groups inst starts counts lo hi
+    in
     let saved, sc, se =
-      run_groups inst starts counts 0 (Array.length starts - 1)
+      match par with
+      | Some (pl, insts) when use_par ->
+          let d = Array.length insts in
+          let bounds = ranges d ~rows starts in
+          let out = Array.make d (0, 0, 0) in
+          Par.Pool.run pl
+            (Array.init d (fun di () ->
+                 out.(di) <- run insts.(di) bounds.(di) bounds.(di + 1)));
+          Array.iter
+            (fun inst ->
+              Array.iter
+                (fun (target, buf) ->
+                  (* bulk merge replaying the buffer's cached hashes; keys
+                     are transferred (the buffer is cleared right after) *)
+                  Pool.merge_gmr target buf;
+                  Gmr.clear buf)
+                inst.gi_bufs)
+            insts;
+          Array.fold_left
+            (fun (a, b, c) (x, y, z) -> (a + x, b + y, c + z))
+            (0, 0, 0) out
+      | _ ->
+          run serial 0
+            (match starts with None -> rows | Some s -> Array.length s - 1)
     in
     Obs.Counter.add m_probes_saved saved;
     Obs.Counter.add m_selvec_scanned sc;
-    Obs.Counter.add m_selvec_selected se
-
-(* Domain-parallel driver for one vectorized group (§6's argument applied
-   locally): D shared-nothing instances run disjoint contiguous ranges of
-   the same compacted batch, emitting into private per-member buffers,
-   which then merge serially into the target pools by ring [+]. Sound for
-   every plannable group because a vectorized statement never reads its
-   own target ([plan_stmt_exn]) and no member writes a pool any member
-   probes ([fuse_ok]) — so during the fan-out, store pools are read-only
-   and all writes land in domain-private buffers. Counter totals (ops,
-   probes, rows compacted, probes saved) are identical to the serial
-   driver's: the same groups resolve the same accessors, only on
-   different domains. *)
-let bind_group_par (rt : t) (pl : Par.Pool.t) (ps : vplan list) :
-    Colbatch.t Lazy.t -> unit =
-  let d = rt.domains in
-  let shape = group_shape ps in
-  let drop_cancelled = group_drop_cancelled ps in
-  let has_access = plans_have_access ps in
-  let wd = dict_want ps shape ~keys:has_access in
-  let insts =
-    Array.init d (fun _ -> bind_instance rt ~shape ~buffered:true ps)
-  in
-  let inst0 = insts.(0) in
-  (* Assign targets are shared pools: every instance lists the same ones *)
-  let clears = inst0.gi_clears in
-  let no_access = not has_access in
-  let merge () =
-    Array.iter
-      (fun inst ->
-        Array.iter
-          (fun (target, buf) ->
-            (* bulk merge replaying the buffer's cached hashes; keys are
-               transferred (the buffer is cleared immediately after) *)
-            Pool.merge_gmr target buf;
-            Gmr.clear buf)
-          inst.gi_bufs)
-      insts
-  in
-  let ones = ref [||] in
-  let ones_of n =
-    if Array.length !ones < n then ones := Array.make (max n 1024) 1.;
-    !ones
-  in
-  if no_access then fun raw ->
-    let cb = source_colbatch rt shape raw in
-    if wd <> [] then Colbatch.dictify_cols cb wd;
-    List.iter Pool.clear clears;
-    let n = Colbatch.length cb in
-    let cols = Array.map (Colbatch.col cb) shape.sh_sel in
-    box_reads cols n inst0.gi_boxed;
-    let mults = Colbatch.mults cb in
-    let counts = ones_of n in
-    let scs = Array.make d 0 and ses = Array.make d 0 in
-    let tasks =
-      Array.init d (fun di ->
-          let lo = di * n / d and hi = (di + 1) * n / d in
-          fun () ->
-            let inst = insts.(di) in
-            let ctx = inst.gi_ctx in
-            ctx.vc_cols <- cols;
-            ctx.vc_mults <- mults;
-            ctx.vc_counts <- counts;
-            prep_inst inst;
-            let sc, se = run_rows inst lo hi in
-            scs.(di) <- sc;
-            ses.(di) <- se)
-    in
-    Par.Pool.run pl tasks;
-    merge ();
-    Obs.Counter.add m_selvec_scanned (Array.fold_left ( + ) 0 scs);
-    Obs.Counter.add m_selvec_selected (Array.fold_left ( + ) 0 ses);
-    List.iter
-      (fun p -> Obs.Counter.add m_rows_compacted (max 0 (n - Pool.cardinal p)))
-      clears
-  else fun raw ->
-    let cb = source_colbatch rt shape raw in
-    if wd <> [] then Colbatch.dictify_cols cb wd;
-    List.iter Pool.clear clears;
-    let comp, starts, counts =
-      Colbatch.compact_group ~drop_cancelled cb ~key:shape.sh_sk
-        ~rest:shape.sh_rest
-    in
-    Obs.Counter.add m_rows_compacted
-      (Colbatch.length cb - Colbatch.length comp);
-    let cols = Array.init (Array.length shape.sh_sel) (Colbatch.col comp) in
-    box_reads cols (Colbatch.length comp) inst0.gi_boxed;
-    let mults = Colbatch.mults comp in
-    let ng = Array.length starts - 1 in
-    (* contiguous group ranges, balanced by compacted row count (group
-       boundaries must not split: an accessor is resolved once per group) *)
-    let bounds = Array.make (d + 1) ng in
-    bounds.(0) <- 0;
-    let total = Colbatch.length comp in
-    let gi = ref 0 in
-    for di = 1 to d - 1 do
-      let row_target = di * total / d in
-      while !gi < ng && starts.(!gi) < row_target do
-        incr gi
-      done;
-      bounds.(di) <- !gi
-    done;
-    let saved = Array.make d 0 in
-    let scs = Array.make d 0 and ses = Array.make d 0 in
-    let tasks =
-      Array.init d (fun di () ->
-          let inst = insts.(di) in
-          let ctx = inst.gi_ctx in
-          ctx.vc_cols <- cols;
-          ctx.vc_mults <- mults;
-          ctx.vc_counts <- counts;
-          prep_inst inst;
-          let sv, sc, se =
-            run_groups inst starts counts bounds.(di) bounds.(di + 1)
-          in
-          saved.(di) <- sv;
-          scs.(di) <- sc;
-          ses.(di) <- se)
-    in
-    Par.Pool.run pl tasks;
-    merge ();
-    Obs.Counter.add m_probes_saved (Array.fold_left ( + ) 0 saved);
-    Obs.Counter.add m_selvec_scanned (Array.fold_left ( + ) 0 scs);
-    Obs.Counter.add m_selvec_selected (Array.fold_left ( + ) 0 ses)
+    Obs.Counter.add m_selvec_selected se;
+    (* an uncompacted Assign member's freshly-cleared target now holds
+       exactly the distinct rows of the batch under that statement's key
+       set: the difference is the per-statement batch compaction *)
+    if not has_access then
+      List.iter
+        (fun p ->
+          Obs.Counter.add m_rows_compacted (max 0 (rows - Pool.cardinal p)))
+        clears
 
 (* One planned unit bound against [rt]'s pools: a generic compiled
-   statement, or a vectorized group (plus its domain-parallel twin when
-   the runtime owns a domain pool). *)
+   statement, or a vectorized group. *)
 let compile_unit (rt : t) ~trigger = function
   | UStmt st ->
       let label = "stmt:" ^ st.Prog.target in
@@ -2248,8 +2151,7 @@ let compile_unit (rt : t) ~trigger = function
       {
         eu_label = label;
         eu_slot = Prof.slot ~trigger ~label;
-        eu_run = (fun _ -> f ());
-        eu_par = None;
+        eu_run = (fun _ _ -> f ());
       }
   | UGroup ps ->
       let label = route_label_of_group ps in
@@ -2257,11 +2159,102 @@ let compile_unit (rt : t) ~trigger = function
         eu_label = label;
         eu_slot = Prof.slot ~trigger ~label;
         eu_run = bind_group rt ps;
-        eu_par =
-          (match rt.par with
-          | Some pl -> Some (bind_group_par rt pl ps)
-          | None -> None);
       }
+
+(* ------------------------------------------------------------------ *)
+(* The block executor                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let stream_width (prog : Prog.t) rel =
+  match List.assoc_opt rel prog.streams with
+  | Some vars -> List.length vars
+  | None -> invalid_arg ("Runtime: unknown stream " ^ rel)
+
+let compile_blocks rt ~rel blocks =
+  let plans =
+    if rt.columnar then plan_blocks rt.prog ~rel blocks
+    else List.map (fun (_, stmts) -> List.map (fun s -> UStmt s) stmts) blocks
+  in
+  let width = stream_width rt.prog rel in
+  {
+    bk_rel = rel;
+    bk_width = width;
+    bk_units =
+      Array.of_list (List.map (List.map (compile_unit rt ~trigger:rel)) plans);
+    bk_load = List.exists reads_batch_pool plans;
+    bk_raw =
+      Lazy.from_val
+        (Colbatch.of_cols (Array.make width (Colbatch.CInt [||])) ~mults:[||]);
+    bk_rows = 0;
+  }
+
+type batch = Rows of Gmr.t | Share of Colbatch.t
+
+let set_batch rt bk batch =
+  let fill =
+    if bk.bk_load then begin
+      let bp = Hashtbl.find rt.batch_pools bk.bk_rel in
+      Pool.clear bp;
+      Some bp
+    end
+    else None
+  in
+  match batch with
+  | Rows g ->
+      bk.bk_rows <- Gmr.cardinal g;
+      bk.bk_raw <- lazy (Colbatch.of_gmr ~width:bk.bk_width g);
+      Option.iter (fun bp -> Gmr.iter (fun tup m -> Pool.add bp tup m) g) fill
+  | Share cb ->
+      bk.bk_rows <- Colbatch.length cb;
+      bk.bk_raw <- Lazy.from_val cb;
+      Option.iter (fun bp -> Colbatch.iter_rows cb (Pool.add bp)) fill
+
+(* Attribute one firing's counter deltas to a profiler slot. Reads four
+   counters before and after the closure — O(#statements) per batch, and
+   with the profiler disabled the firing path pays only the flag check in
+   [run_block]. *)
+let attributed (rt : t) slot f =
+  let t0 = Unix.gettimeofday () in
+  let o0 = Obs.Counter.value rt.ops
+  and p0 = Obs.Counter.value m_probes
+  and ms0 = Obs.Counter.value m_probe_misses
+  and s0 = Obs.Counter.value m_slice_scanned
+  and v0 = Obs.Counter.value m_selvec_scanned
+  and e0 = Obs.Counter.value m_selvec_selected in
+  f ();
+  Prof.add slot
+    ~ops:(Obs.Counter.value rt.ops - o0)
+    ~probes:(Obs.Counter.value m_probes - p0)
+    ~misses:(Obs.Counter.value m_probe_misses - ms0)
+    ~scanned:(Obs.Counter.value m_slice_scanned - s0)
+    ~svscan:(Obs.Counter.value m_selvec_scanned - v0)
+    ~svsel:(Obs.Counter.value m_selvec_selected - e0)
+    ~bytes:0
+    ~wall:(Unix.gettimeofday () -. t0)
+
+(* Parallel execution excludes itself while any single-writer observer is
+   live: the profiler's slot arrays, the span tracer's stack, and the
+   cachesim's trace sink all keep global mutable state (see obs.mli's
+   memory-ordering contract). Those runs take the serial path, which also
+   keeps their exact-equality reconciliations trivially intact. *)
+let par_active rt =
+  rt.par <> None
+  && (not (Prof.enabled ()))
+  && (not (Obs.tracing ()))
+  && not (Trace.enabled ())
+
+let run_block rt bk bi =
+  if bi < 0 || bi >= Array.length bk.bk_units then
+    invalid_arg
+      (Printf.sprintf "Runtime.run_block: no block %d for %s" bi bk.bk_rel);
+  let par = par_active rt && bk.bk_rows >= rt.par_min_rows in
+  List.iter
+    (fun u ->
+      let f () = u.eu_run bk.bk_raw par in
+      if Prof.enabled () then
+        Obs.span u.eu_label (fun () -> attributed rt u.eu_slot f)
+      else Obs.span u.eu_label f)
+    bk.bk_units.(bi)
 
 (* ------------------------------------------------------------------ *)
 (* Program loading                                                     *)
@@ -2307,22 +2300,18 @@ let create ?(auto_index = true) ?(columnar = true) ?domains
       domains;
       par = (if domains > 1 then Some (Par.get ~domains) else None);
       par_min_rows;
-      triggers_batch = [];
+      columnar;
+      triggers = [];
       triggers_single = [];
     }
   in
-  (* Batch mode: one ordered executor list per trigger — vectorized
-     (possibly fused) statement groups interleaved with generic compiled
-     statements, in original statement order. *)
-  rt.triggers_batch <-
+  (* Batch mode: each trigger is one block — vectorized (possibly fused)
+     statement groups interleaved with generic compiled statements, in
+     original statement order. *)
+  rt.triggers <-
     List.map
       (fun (tr : Prog.trigger) ->
-        let units =
-          if columnar then plan_trigger prog tr
-          else List.map (fun s -> UStmt s) tr.stmts
-        in
-        let tx_units = List.map (compile_unit rt ~trigger:tr.relation) units in
-        (tr.relation, { tx_load = reads_batch_pool units; tx_units }))
+        (tr.relation, compile_blocks rt ~rel:tr.relation [ ([], tr.stmts) ]))
       prog.triggers;
   rt.triggers_single <-
     List.map
@@ -2337,21 +2326,8 @@ let create ?(auto_index = true) ?(columnar = true) ?domains
   rt
 
 let prog rt = rt.prog
-
-let compile_stmts rt stmts = List.map (compile_stmt rt ~mode:Batch) stmts
-
-let load_batch rt ~rel batch =
-  let bp =
-    match Hashtbl.find_opt rt.batch_pools rel with
-    | Some p -> p
-    | None -> invalid_arg ("Runtime.load_batch: unknown stream " ^ rel)
-  in
-  Pool.clear bp;
-  Gmr.iter (fun tup m -> Pool.add bp tup m) batch
-
 let add_to_map rt name tup m = Pool.add (pool rt name) tup m
 let clear_map rt name = Pool.clear (pool rt name)
-let map_cardinal rt name = Pool.cardinal (pool rt name)
 
 let total_tuples rt =
   List.fold_left
@@ -2377,73 +2353,17 @@ let report (rt : t) ~ops0 ~tuples ~t0 ~single =
   end;
   { ops = dops; tuples; wall }
 
-(* Attribute one firing's counter deltas to a profiler slot. Reads four
-   counters before and after the closure — O(#statements) per batch, and
-   with the profiler disabled the firing path pays only the flag check in
-   the callers below. *)
-let attributed (rt : t) slot f =
-  let t0 = Unix.gettimeofday () in
-  let o0 = Obs.Counter.value rt.ops
-  and p0 = Obs.Counter.value m_probes
-  and ms0 = Obs.Counter.value m_probe_misses
-  and s0 = Obs.Counter.value m_slice_scanned
-  and v0 = Obs.Counter.value m_selvec_scanned
-  and e0 = Obs.Counter.value m_selvec_selected in
-  f ();
-  Prof.add slot
-    ~ops:(Obs.Counter.value rt.ops - o0)
-    ~probes:(Obs.Counter.value m_probes - p0)
-    ~misses:(Obs.Counter.value m_probe_misses - ms0)
-    ~scanned:(Obs.Counter.value m_slice_scanned - s0)
-    ~svscan:(Obs.Counter.value m_selvec_scanned - v0)
-    ~svsel:(Obs.Counter.value m_selvec_selected - e0)
-    ~bytes:0
-    ~wall:(Unix.gettimeofday () -. t0)
-
-let run_attributed rt ~label ~slot f =
-  if Prof.enabled () then Obs.span label (fun () -> attributed rt slot f)
-  else Obs.span label f
-
-(* Parallel execution excludes itself while any single-writer observer is
-   live: the profiler's slot arrays, the span tracer's stack, and the
-   cachesim's trace sink all keep global mutable state (see obs.mli's
-   memory-ordering contract). Those runs take the serial path, which also
-   keeps their exact-equality reconciliations trivially intact. *)
-let par_active rt =
-  rt.par <> None
-  && (not (Prof.enabled ()))
-  && (not (Obs.tracing ()))
-  && not (Trace.enabled ())
-
 let apply_batch rt ~rel batch =
-  let tx =
-    match List.assoc_opt rel rt.triggers_batch with
-    | Some tx -> tx
+  let bk =
+    match List.assoc_opt rel rt.triggers with
+    | Some bk -> bk
     | None -> invalid_arg ("Runtime.apply_batch: no trigger for " ^ rel)
   in
   let t0 = Unix.gettimeofday () in
   let ops0 = Obs.Counter.value rt.ops in
-  let use_par = par_active rt && Gmr.cardinal batch >= rt.par_min_rows in
   Obs.span ("trigger:" ^ rel) (fun () ->
-      (* the batch pool only matters to generic statements; fully
-         vectorized triggers skip the per-tuple load entirely *)
-      if tx.tx_load then load_batch rt ~rel batch;
-      let width =
-        match List.assoc_opt rel rt.prog.streams with
-        | Some vars -> List.length vars
-        | None -> 0
-      in
-      let raw = lazy (Colbatch.of_gmr ~width batch) in
-      List.iter
-        (fun u ->
-          let run =
-            match u.eu_par with
-            | Some pf when use_par -> pf
-            | _ -> u.eu_run
-          in
-          run_attributed rt ~label:u.eu_label ~slot:u.eu_slot (fun () ->
-              run raw))
-        tx.tx_units);
+      set_batch rt bk (Rows batch);
+      run_block rt bk 0);
   report rt ~ops0 ~tuples:(Gmr.cardinal batch) ~t0 ~single:false
 
 let apply_single rt ~rel tup m =
@@ -2464,15 +2384,10 @@ let apply_single rt ~rel tup m =
   report rt ~ops0 ~tuples:1 ~t0 ~single:true
 
 (* ------------------------------------------------------------------ *)
-(* Distributed blocks                                                  *)
+(* Distributed batch shares                                            *)
 (* ------------------------------------------------------------------ *)
 
 type scatter = { sc_width : int; sc_cols : int array }
-
-let stream_width (prog : Prog.t) rel =
-  match List.assoc_opt rel prog.streams with
-  | Some vars -> List.length vars
-  | None -> invalid_arg ("Runtime: unknown stream " ^ rel)
 
 (* The column-pruning rule. Vectorized batch-sourced groups read exactly
    their group shape's columns — possibly none (a COUNT( * ) still needs
@@ -2504,44 +2419,6 @@ let deal sc ~parts batch =
   let cb = Colbatch.of_gmr ~cols:sc.sc_cols ~width:sc.sc_width batch in
   Colbatch.dictify_cols cb (Array.to_list sc.sc_cols);
   Array.init parts (Colbatch.deal cb ~parts)
-
-type blocks = {
-  bk_rel : string;
-  bk_units : exec_unit list array;
-  bk_load : bool; (* a generic unit reads the batch pool *)
-  mutable bk_raw : Colbatch.t Lazy.t;
-}
-
-let compile_blocks rt ~rel blocks =
-  let plans = plan_blocks rt.prog ~rel blocks in
-  let width = stream_width rt.prog rel in
-  {
-    bk_rel = rel;
-    bk_units =
-      Array.of_list (List.map (List.map (compile_unit rt ~trigger:rel)) plans);
-    bk_load = List.exists reads_batch_pool plans;
-    bk_raw =
-      Lazy.from_val
-        (Colbatch.of_cols (Array.make width (Colbatch.CInt [||])) ~mults:[||]);
-  }
-
-let set_batch rt bk cb =
-  bk.bk_raw <- Lazy.from_val cb;
-  if bk.bk_load then begin
-    let bp = Hashtbl.find rt.batch_pools bk.bk_rel in
-    Pool.clear bp;
-    Colbatch.iter_rows cb (Pool.add bp)
-  end
-
-let run_block rt bk bi =
-  if bi < 0 || bi >= Array.length bk.bk_units then
-    invalid_arg
-      (Printf.sprintf "Runtime.run_block: no block %d for %s" bi bk.bk_rel);
-  List.iter
-    (fun u ->
-      run_attributed rt ~label:u.eu_label ~slot:u.eu_slot (fun () ->
-          u.eu_run bk.bk_raw))
-    bk.bk_units.(bi)
 
 let load rt tables =
   (* streams absent from the load are empty relations *)
@@ -2581,9 +2458,19 @@ let ops (rt : t) = Obs.Counter.value rt.ops
 let reset_ops (rt : t) = Obs.Counter.reset rt.ops
 let domains (rt : t) = rt.domains
 
-let routes_of_units units =
-  List.concat_map
-    (function
+(* Per block, each statement (in original order) with the route label
+   its planner gives it plus its filter split: "stmt:T" for the generic
+   closure path, "columnar:T" / "columnar-join:T" for solo vectorized
+   statements ("selvec:T" / "selvec-join:T" when ≥1 filter hoists to a
+   selection-vector kernel), and a shared "fused:T1+T2" /
+   "fused-selvec:T1+T2" label for every member of a fused group. The
+   ints are (filters hoisted to kernels, filters on the per-row path)
+   for that statement. The same [plan_blocks] that [compile_blocks] uses
+   produces this, and the same [classify_filter] the binder uses decides
+   the split — so EXPLAIN agrees with the runtime by construction. *)
+let block_routes_ex (prog : Prog.t) ~rel blocks =
+  List.map
+    (List.concat_map (function
       | UStmt s -> [ (s, "stmt:" ^ s.Prog.target, 0, 0) ]
       | UGroup ps ->
           let lbl = route_label_of_group ps in
@@ -2591,81 +2478,8 @@ let routes_of_units units =
             (fun (p : vplan) ->
               let sv, rw = plan_filter_split p in
               (p.vp_stmt, lbl, sv, rw))
-            ps)
-    units
-
-(* Per trigger, each statement (in original order) with the route label
-   batch mode gives it plus its filter split: "stmt:T" for the generic
-   closure path, "columnar:T" / "columnar-join:T" for solo vectorized
-   statements ("selvec:T" / "selvec-join:T" when ≥1 filter hoists to a
-   selection-vector kernel), and a shared "fused:T1+T2" /
-   "fused-selvec:T1+T2" label for every member of a fused group. The
-   ints are (filters hoisted to kernels, filters on the per-row path)
-   for that statement. The same [plan_trigger] that [create] uses
-   produces this, and the same [classify_filter] the binder uses decides
-   the split — so EXPLAIN agrees with the runtime by construction. *)
-let stmt_routes_ex (prog : Prog.t) :
-    (string * (Prog.stmt * string * int * int) list) list =
-  List.map
-    (fun (tr : Prog.trigger) ->
-      (tr.relation, routes_of_units (plan_trigger prog tr)))
-    prog.Prog.triggers
-
-let block_routes_ex (prog : Prog.t) ~rel blocks =
-  List.map routes_of_units (plan_blocks prog ~rel blocks)
-
-let stmt_routes (prog : Prog.t) : (string * (Prog.stmt * string) list) list =
-  List.map
-    (fun (rel, stmts) ->
-      (rel, List.map (fun (s, lbl, _, _) -> (s, lbl)) stmts))
-    (stmt_routes_ex prog)
-
-(* Per-statement multicore decision, from the same planner and access
-   analysis EXPLAIN uses: every vectorized group fans its batch ranges out
-   over domains and merges per-domain partial deltas by ring [+]; every
-   generic statement serializes on the applying domain, and the reason
-   names what defeats vectorization — the self-read, or the first
-   unbindable full-map scan ([Patterns.Foreach] over a store map). *)
-let par_routes (prog : Prog.t) : (string * (Prog.stmt * string) list) list =
-  List.map
-    (fun (rel, stmts) ->
-      ( rel,
-        List.map
-          (fun ((s : Prog.stmt), lbl) ->
-            let generic =
-              String.length lbl >= 5
-              && String.equal (String.sub lbl 0 5) "stmt:"
-            in
-            let decision =
-              if not generic then "parallel"
-              else if List.mem s.target (Calc.map_refs s.rhs) then
-                "serialize: reads own target"
-              else
-                match
-                  List.find_opt
-                    (fun (a : Patterns.access) ->
-                      a.acc_kind = `Map && a.acc_path = Patterns.Foreach)
-                    (Patterns.accesses s)
-                with
-                | Some a -> "serialize: full scan of " ^ a.acc_name
-                | None -> "serialize: not vectorizable"
-            in
-            (s, decision))
-          stmts ))
-    (stmt_routes prog)
-
-(* The (trigger relation, target) pairs batch mode routes through the
-   vectorized executor, exposed for EXPLAIN and its tests. *)
-let columnar_routed (prog : Prog.t) =
-  List.concat_map
-    (fun (rel, stmts) ->
-      List.filter_map
-        (fun ((s : Prog.stmt), lbl) ->
-          if String.length lbl >= 5 && String.equal (String.sub lbl 0 5) "stmt:"
-          then None
-          else Some (rel, s.target))
-        stmts)
-    (stmt_routes prog)
+            ps))
+    (plan_blocks prog ~rel blocks)
 
 let storage_stats rt =
   let maps =

@@ -53,8 +53,8 @@ type batch_report = {
     {!Divm_par.Par} pool, every domain running its own instance of the
     compiled group lock-free (store pools are read-only during the
     fan-out; all writes land in domain-private buffers merged serially by
-    ring [+] after the barrier). Generic statements serialize — see
-    {!par_routes} for the per-statement decision. Results are exact for
+    ring [+] after the barrier). Generic statements run serially on the
+    applying domain. Results are exact for
     integer multiplicities; float stores can differ from the serial path
     by summation order within [Gmr.zero_eps]-style epsilons, exactly like
     the columnar on/off contract. Batches smaller than [par_min_rows]
@@ -113,84 +113,73 @@ val total_tuples : t -> int
     and index-probe counter deltas (plus wall time) to its slot; disabled,
     the firing path pays one flag check. *)
 
-(** Per trigger, each statement (in original order) paired with the route
-    label batch mode gives it: ["stmt:T"] for the generic closure path,
-    ["columnar:T"] for a solo vectorized pass with no store reads,
-    ["columnar-join:T"] for a solo vectorized statement with key-grouped
-    store probes, and a shared ["fused:T1+T2"] label for every member of a
-    fused group. When at least one of a group's filters hoists to a
-    selection-vector kernel the labels become ["selvec:T"] /
-    ["selvec-join:T"] / ["fused-selvec:T1+T2"]. Produced by the same
-    planner [create] uses, so EXPLAIN cannot disagree with the runtime. *)
-val stmt_routes : Prog.t -> (string * (Prog.stmt * string) list) list
-
-(** Like {!stmt_routes}, with each statement's filter split appended:
-    [(stmt, label, selvec, rowwise)] where [selvec] is the number of its
-    filters compiled to selection-vector kernels (columnar scans into
-    packed survivor index vectors) and [rowwise] the number left on the
-    per-row closure path (genuinely dynamic predicates: aux-variable
-    operands, arithmetic over columns, string/numeric mixes). Both are 0
-    for ["stmt:"] routes. Decided by the same classification the binder
-    uses, so the printed split matches what actually executes. *)
-val stmt_routes_ex :
-  Prog.t -> (string * (Prog.stmt * string * int * int) list) list
-
-(** The (trigger relation, statement target) pairs that batch mode routes
-    through the vectorized executor (any non-["stmt:"] label above). *)
-val columnar_routed : Prog.t -> (string * string) list
-
-(** Per trigger, each statement paired with its multicore execution
-    decision, derived from the same planner as {!stmt_routes}:
-    ["parallel"] for vectorized groups (batch ranges fan out over domains,
-    per-domain partial deltas merge by ring [+]), or a
-    ["serialize: <reason>"] naming what pins the statement to the applying
-    domain (a self-reading RHS, or a full scan of a store map that the
-    {!Patterns.accesses} analysis could not bind). *)
-val par_routes : Prog.t -> (string * (Prog.stmt * string) list) list
-
 (** Per-pool storage self-metrics (maps first, then [batch_*] update
     pools), also published as registry gauges ({!Pool.observe}). Computed
     on demand; cold path. *)
 val storage_stats : t -> (string * Pool.stats) list
 
-(** [run_attributed rt ~label ~slot f] runs [f] inside an [Obs.span label]
-    and, when the profiler is enabled, charges its counter deltas to
-    [slot]. Exposed for the cluster simulator's block executor. *)
-val run_attributed : t -> label:string -> slot:int -> (unit -> unit) -> unit
+(** {1 The block executor}
 
-(** Like {!stmt_routes_ex} for the worker blocks of one distributed
-    trigger: [blocks] holds, per block in trigger order, the transient
-    maps transfers filled before the block and the statements the
-    workers run (both empty for blocks that run elsewhere); the result
-    is aligned with the statements. Produced by the planner
-    {!compile_blocks} uses. *)
+    Every batch runs through one executor. A trigger's statements are
+    compiled as blocks ({!compile_blocks}): a local trigger is one block
+    ({!apply_batch}), a distributed trigger's worker statements one block
+    per stage and its driver statements one block per run between
+    transfers and stages. The planner splits each block into vectorized
+    (possibly fused) statement groups and generic closures; a transient
+    assigned in an earlier block, or filled by a transfer before this
+    one, qualifies as a group source. Each firing installs the batch
+    ({!set_batch}) and runs blocks by index ({!run_block}): every unit
+    runs under an [Obs.span] with its route label and, when the profiler
+    is enabled, charges its counter deltas to its slot. A group takes
+    its domain-parallel instances when the runtime owns a domain pool,
+    the installed batch has at least [par_min_rows] rows and no
+    single-writer observer is live. *)
+
+(** Each block's statements (in original order) with the route label its
+    planner gives it: ["stmt:T"] for the generic closure path,
+    ["columnar:T"] for a solo vectorized pass with no store reads,
+    ["columnar-join:T"] for a solo vectorized statement with key-grouped
+    store probes, and a shared ["fused:T1+T2"] label for every member of
+    a fused group; when at least one of a group's filters hoists to a
+    selection-vector kernel the labels become ["selvec:T"] /
+    ["selvec-join:T"] / ["fused-selvec:T1+T2"]. Each statement also
+    carries its filter split [(selvec, rowwise)]: the number of its
+    filters compiled to selection-vector kernels and the number left on
+    the per-row closure path (both 0 for ["stmt:"] routes). [blocks]
+    holds, per block in trigger order, the transient maps transfers
+    filled before the block and its statements. Produced by the planner
+    {!compile_blocks} uses, so EXPLAIN cannot disagree with the runtime. *)
 val block_routes_ex :
   Prog.t ->
   rel:string ->
   (string list * Prog.stmt list) list ->
   (Prog.stmt * string * int * int) list list
 
-(** {1 Hooks for the distributed engines}
+(** One trigger's statements compiled as blocks against a runtime's
+    pools, with the batch installed for the current firing. *)
+type blocks
 
-    The distributed runtime executes statements at a finer granularity than
-    whole triggers and moves map contents between nodes itself. *)
+(** [compile_blocks rt ~rel blocks] compiles each block's statements
+    ([blocks] as for {!block_routes_ex}). With [columnar = false] every
+    unit is generic. *)
+val compile_blocks :
+  t -> rel:string -> (string list * Prog.stmt list) list -> blocks
 
-(** Compile an arbitrary statement list against this runtime's pools
-    (batch mode, generic path). The coordinator's driver statements. *)
-val compile_stmts : t -> Prog.stmt list -> (unit -> unit) list
+(** An update batch as rows, or as a worker's column share
+    ({!deal}). *)
+type batch = Rows of Gmr.t | Share of Colbatch.t
 
-(** Load the update batch for [rel] without firing its trigger. *)
-val load_batch : t -> rel:string -> Gmr.t -> unit
+(** Install the current batch. Rows are transposed lazily, the first
+    time a vectorized group reads them. The batch pool is filled only
+    when a generic unit reads Δ ({!scatter_plan} then ships every
+    column). *)
+val set_batch : t -> blocks -> batch -> unit
 
-(** {2 Worker blocks}
+(** Run block [bi] over the installed batch. Raises [Invalid_argument]
+    for an index outside the trigger's blocks. *)
+val run_block : t -> blocks -> int -> unit
 
-    A distributed trigger's worker statements run through the same
-    planner and vectorized executor as {!apply_batch}: each block's
-    statements are planned by {!stmt_routes}'s rules (a transient
-    assigned in an earlier block, or filled by a transfer before this
-    one, qualifies as a source) and every
-    vectorized group reads its columns straight from the worker's
-    columnar batch share. *)
+(** {2 Worker shares} *)
 
 (** How one trigger's update batches are cut into worker shares: the
     stream width and the columns to ship. *)
@@ -212,29 +201,11 @@ val scatter_plan :
     both call this, so simulated and real workers see identical shares. *)
 val deal : scatter -> parts:int -> Gmr.t -> Colbatch.t array
 
-(** One distributed trigger's worker blocks, compiled against this
-    runtime's pools. *)
-type blocks
+(** {2 Moving map contents}
 
-(** [compile_blocks rt ~rel blocks] compiles each block's statements
-    ([blocks] as for {!block_routes_ex}). *)
-val compile_blocks :
-  t -> rel:string -> (string list * Prog.stmt list) list -> blocks
-
-(** Install this worker's share of the current batch. The batch pool is
-    filled from it only when a generic unit reads Δ ({!scatter_plan}
-    then ships every column). *)
-val set_batch : t -> blocks -> Colbatch.t -> unit
-
-(** Run block [bi] over the installed share, each unit under
-    {!run_attributed} with its route label. Raises [Invalid_argument]
-    for an index outside the trigger's blocks. *)
-val run_block : t -> blocks -> int -> unit
+    The distributed engines move map contents between nodes themselves. *)
 
 (** Add one tuple into a map (used to deliver shuffled data). *)
 val add_to_map : t -> string -> Vtuple.t -> float -> unit
 
 val clear_map : t -> string -> unit
-
-(** Number of stored tuples in one map. *)
-val map_cardinal : t -> string -> int

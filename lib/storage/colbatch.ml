@@ -146,8 +146,6 @@ let float_get c i =
   | CDict (d, c) -> Value.to_float (Array.unsafe_get d.dboxed (Array.unsafe_get c i))
   | CBoxed a -> Value.to_float (Array.unsafe_get a i)
 
-let column t c = Array.init t.n (get t.cols.(c))
-
 (* ------------------------------------------------------------------ *)
 (* Construction: per-column representation commitment                  *)
 (* ------------------------------------------------------------------ *)
@@ -324,41 +322,6 @@ let gather_col (keep : int array) c =
       CDict (d, Array.init m (fun j -> Array.unsafe_get a keep.(j)))
   | CBoxed a -> CBoxed (Array.init m (fun j -> Array.unsafe_get a keep.(j)))
 
-let filter t pred =
-  let keep = ref [] in
-  for i = t.n - 1 downto 0 do
-    if pred i then keep := i :: !keep
-  done;
-  let keep = Array.of_list !keep in
-  {
-    cols = Array.map (gather_col keep) t.cols;
-    mults = Array.map (fun j -> t.mults.(j)) keep;
-    n = Array.length keep;
-    tbase = 0;
-    tstride = 0;
-    bytes = -1;
-    live = t.live;
-  }
-
-let project t keep =
-  let live =
-    Option.map
-      (fun l ->
-        let pos = ref [] in
-        Array.iteri (fun j c -> if Array.mem c l then pos := j :: !pos) keep;
-        Array.of_list (List.rev !pos))
-      t.live
-  in
-  {
-    cols = Array.map (fun c -> t.cols.(c)) keep;
-    mults = t.mults;
-    n = t.n;
-    tbase = 0;
-    tstride = 0;
-    bytes = -1;
-    live;
-  }
-
 (* Round-robin share [p]: rows p, p + parts, p + 2·parts, … Only live
    columns are gathered; absent ones alias one fresh zero column. *)
 let deal t ~parts p =
@@ -383,8 +346,6 @@ let deal t ~parts p =
     bytes = -1;
     live = t.live;
   }
-
-let aggregate t = to_gmr t
 
 (* ------------------------------------------------------------------ *)
 (* Row hashing (Vtuple/Oaidx-compatible, no boxing)                    *)

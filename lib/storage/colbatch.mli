@@ -109,9 +109,6 @@ val get : col -> int -> Value.t
 (** Unboxed numeric read ([Value.to_float] semantics). *)
 val float_get : col -> int -> float
 
-(** Materialize column [c] as boxed values (copies; test/debug aid). *)
-val column : t -> int -> Value.t array
-
 val mults : t -> float array
 
 (** [iter_rows b f] calls [f tuple mult] per row. The tuple array is a
@@ -120,17 +117,6 @@ val mults : t -> float array
     it (e.g. via [Gmr.add] / [Pool.add], which copy keys) before retaining
     it anywhere. *)
 val iter_rows : t -> (Vtuple.t -> float -> unit) -> unit
-
-(** [filter b pred] keeps the rows whose index satisfies [pred] (the
-    predicate reads columns directly). *)
-val filter : t -> (int -> bool) -> t
-
-(** [project b keep] keeps the columns at positions [keep]. *)
-val project : t -> int array -> t
-
-(** [aggregate b] merges equal rows, summing multiplicities (the row-format
-    output is the pre-aggregated batch). *)
-val aggregate : t -> Gmr.t
 
 (** {2 Row hashing for bulk merges}
 

@@ -79,7 +79,6 @@ let upsert_h ~copy r h tup m =
 let upsert ~copy r tup m = upsert_h ~copy r (Oaidx.hash tup) tup m
 let add r tup m = upsert ~copy:false r tup m
 let add_borrow r tup m = upsert ~copy:true r tup m
-let add_hashed r h tup m = upsert_h ~copy:false r h tup m
 
 (* Columnar upsert: the key exists only as typed cells on the producer's
    side. [eq] compares those cells against a stored tuple; [make]

@@ -28,11 +28,6 @@ val add : t -> Vtuple.t -> float -> unit
     when this is its first insertion. *)
 val add_borrow : t -> Vtuple.t -> float -> unit
 
-(** [add_hashed r h tup m]: [add] with the finalized [Oaidx.hash] already
-    in hand (e.g. replayed from another table via {!iter_hashed}). [tup]
-    is retained by reference. *)
-val add_hashed : t -> int -> Vtuple.t -> float -> unit
-
 (** Columnar upsert: probe with a precomputed [hash] and a cell-level
     [eq] against stored tuples; [make] materializes the key tuple and is
     called only on first insert. Lets columnar producers merge rows

@@ -813,7 +813,3 @@ let find name =
   match List.find_opt (fun q -> String.equal q.qname name) all with
   | Some q -> q
   | None -> invalid_arg ("Tpch.Queries.find: unknown query " ^ name)
-
-let distributed_subset =
-  [ "Q1"; "Q2"; "Q3"; "Q4"; "Q6"; "Q7"; "Q8"; "Q10"; "Q11"; "Q12"; "Q13";
-    "Q14"; "Q17"; "Q19"; "Q22" ]

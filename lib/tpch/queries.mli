@@ -22,6 +22,3 @@ type t = {
 val all : t list
 
 val find : string -> t
-
-(** Queries used in the paper's distributed experiments (Fig. 9–11). *)
-val distributed_subset : string list

@@ -257,6 +257,19 @@ let test_plan_quality_no_view_gather () =
     (Printf.sprintf "orders trigger multi-stage (%d)" stages)
     true (stages >= 2)
 
+(* A cluster without workers would run no stage and report an empty
+   view: creating one is an error, as it is for the process engine. *)
+let test_cluster_rejects_no_workers () =
+  let dp = compile_dist ~level:3 ~keys:[ "B"; "C" ] [ ("Q", q_running) ] in
+  List.iter
+    (fun w ->
+      Alcotest.check_raises
+        (Printf.sprintf "%d workers" w)
+        (Invalid_argument "Cluster.create: workers must be >= 1")
+        (fun () ->
+          ignore (Cluster.create ~config:(Cluster.config ~workers:w ()) dp)))
+    [ 0; -1 ]
+
 let suites =
   [
     ( "dist",
@@ -280,5 +293,7 @@ let suites =
           test_optimization_reduces_shuffle;
         Alcotest.test_case "plan quality: no whole-view gathers" `Quick
           test_plan_quality_no_view_gather;
+        Alcotest.test_case "cluster rejects fewer than one worker" `Quick
+          test_cluster_rejects_no_workers;
       ] );
   ]

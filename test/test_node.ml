@@ -672,9 +672,6 @@ let test_codec_mesh_strict () =
 (* Simulated vs multiprocess store equivalence                         *)
 (* ------------------------------------------------------------------ *)
 
-let tpch_queries =
-  [ "Q1"; "Q3"; "Q4"; "Q6"; "Q7"; "Q12"; "Q13"; "Q14"; "Q17"; "Q19"; "Q22" ]
-
 let non_transient (prog : Divm_compiler.Prog.t) =
   List.filter_map
     (fun (m : Divm_compiler.Prog.map_decl) ->
@@ -753,7 +750,7 @@ let qcheck_node_equiv =
           let wire =
             List.fold_left
               (fun acc qn -> acc + snd (replay_sim_proc ~workers ~stream qn))
-              0 tpch_queries
+              0 Tpch_suite.queries
           in
           if batch_size = 500 && wire = 0 then
             Alcotest.failf "%dw: no mesh transfer wire traffic at all" workers)
@@ -841,7 +838,7 @@ let qcheck_retraction_equiv =
                     [ ("simulator", gsim); ("multiprocess", gproc) ])
                 views)
             [ 2; 4 ])
-        tpch_queries;
+        Tpch_suite.queries;
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -962,7 +959,7 @@ let test_columnar_backend_equiv () =
                   qn bname n1)
             unboxed boxed)
         backends)
-    tpch_queries
+    Tpch_suite.queries
 
 let test_engine_single_and_load () =
   (* apply_single on a distributed backend is a one-tuple batch; load on a

@@ -91,35 +91,93 @@ let test_explain_routes () =
   Alcotest.(check bool) "generic route remains" true
     (contains ~affix:"[stmt:" txt
     && contains ~affix:"via foreach (full scan)" txt);
-  (* every labelled statement agrees with the runtime's planner *)
-  let routed = Runtime.columnar_routed prog in
   Alcotest.(check bool) "Q17 takes a vectorized route" true
-    (List.mem ("lineitem", "Q17") routed);
-  List.iter
-    (fun s ->
-      if s.Profile.sp_columnar then
-        Alcotest.(check bool)
-          (s.Profile.sp_label ^ " agrees with runtime")
-          true
-          (List.mem (s.Profile.sp_trigger, s.Profile.sp_target) routed))
-    p.Profile.pl_stmts
+    (List.exists
+       (fun s ->
+         s.Profile.sp_trigger = "lineitem"
+         && s.Profile.sp_target = "Q17" && s.Profile.sp_columnar)
+       p.Profile.pl_stmts)
 
+(* EXPLAIN names what runs: every slot a firing charges — local trigger
+   units, worker block units, the coordinator's driver runs, transfers —
+   is a (trigger, label) row of the plan explaining the same program.
+   Driver statements are planned like every other block, so at least
+   one fires under a planner label and none under a [driver:] one. *)
 let test_explain_matches_runtime_columnar () =
-  let w = Workload.find "Q3" in
-  let prog = Workload.compile w in
-  let routed = Runtime.columnar_routed prog in
-  let p = Profile.explain prog in
-  let planned =
-    List.filter_map
-      (fun s ->
-        if s.Profile.sp_columnar then
-          Some (s.Profile.sp_trigger, s.Profile.sp_target)
-        else None)
-      p.Profile.pl_stmts
+  (* a worker row merged across processes reads "LABEL@wI" *)
+  let strip_worker l =
+    match String.rindex_opt l '@' with Some i -> String.sub l 0 i | None -> l
   in
-  Alcotest.(check (list (pair string string)))
-    "columnar routes agree with the runtime" routed planned;
-  Alcotest.(check bool) "Q3 uses the columnar route" true (routed <> [])
+  let driver_rows = ref 0 in
+  let fired () =
+    List.filter_map
+      (fun r ->
+        if r.Prof.r_firings > 0 && not (String.starts_with ~prefix:"stage:" r.Prof.r_label)
+        then Some (r.Prof.r_trigger, strip_worker r.Prof.r_label)
+        else None)
+      (Prof.rows ())
+  in
+  let check what (plan : Profile.plan) rows =
+    let rows_of_plan =
+      List.map (fun s -> (s.Profile.sp_trigger, s.Profile.sp_label)) plan.pl_stmts
+      @ List.map
+          (fun t -> (t.Profile.tp_trigger, t.Profile.tp_label))
+          plan.pl_transfers
+    in
+    Alcotest.(check bool) (what ^ ": some slot fired") true (rows <> []);
+    List.iter
+      (fun (tr, lbl) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s/%s is in the plan" what tr lbl)
+          true
+          (List.mem (tr, lbl) rows_of_plan);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s is not a driver: label" what lbl)
+          false
+          (String.starts_with ~prefix:"driver:" lbl))
+      rows
+  in
+  List.iter
+    (fun qn ->
+      let w = Workload.find qn in
+      let prog = Workload.compile w in
+      let stream =
+        Divm_tpch.Gen.stream { Divm_tpch.Gen.scale = 0.02; seed = 5 }
+          ~batch_size:200
+      in
+      let local =
+        with_profiler (fun () ->
+            let rt = Runtime.create prog in
+            List.iter (fun (rel, b) -> ignore (Runtime.apply_batch rt ~rel b)) stream;
+            fired ())
+      in
+      check (qn ^ " local") (Profile.explain prog) local;
+      let dp = Workload.distribute w prog in
+      let dist =
+        with_profiler (fun () ->
+            let c =
+              Divm_cluster.Cluster.create
+                ~config:(Divm_cluster.Cluster.config ~workers:2 ())
+                dp
+            in
+            List.iter
+              (fun (rel, b) -> ignore (Divm_cluster.Cluster.apply_batch c ~rel b))
+              stream;
+            fired ())
+      in
+      let plan = Profile.explain_dist dp in
+      check (qn ^ " simulator") plan dist;
+      List.iter
+        (fun s ->
+          if
+            s.Profile.sp_stage = None
+            && List.mem (s.Profile.sp_trigger, s.Profile.sp_label) dist
+          then incr driver_rows)
+        plan.Profile.pl_stmts)
+    [ "Q3"; "Q6"; "Q17" ];
+  (* Q3 runs every statement on the workers; Q6 and Q17 finish on the
+     driver *)
+  Alcotest.(check bool) "a driver statement fired" true (!driver_rows > 0)
 
 let test_explain_dist () =
   let w = Workload.find "Q3" in

@@ -150,15 +150,10 @@ let qcheck_rt_agree =
 
 (* Vectorized-executor equivalence: the same random TPC-H stream replayed
    through columnar-on and columnar-off runtimes must leave every
-   non-transient store identical. The bench queries cover the batched-join
-   and fused-group routes (Q17 joins against stores, Q7 fuses statements
-   that access shared transients under different positional names). *)
+   non-transient store identical, on every route [Tpch_suite] covers. *)
 let qcheck_columnar_equiv =
   let module Workload = Divm_workload.Workload in
   let module Tpch = Divm_tpch in
-  let queries =
-    [ "Q1"; "Q3"; "Q4"; "Q6"; "Q7"; "Q12"; "Q13"; "Q14"; "Q17"; "Q19"; "Q22" ]
-  in
   let arb =
     QCheck.(
       make
@@ -192,7 +187,7 @@ let qcheck_columnar_equiv =
                     "%s: store %s diverges between columnar and generic paths"
                     qn m.mname)
             prog.Prog.maps)
-        queries;
+        Tpch_suite.queries;
       true)
 
 (* Domain-parallel executor equivalence: the same random TPC-H stream
@@ -204,9 +199,6 @@ let qcheck_columnar_equiv =
 let qcheck_parallel_equiv =
   let module Workload = Divm_workload.Workload in
   let module Tpch = Divm_tpch in
-  let queries =
-    [ "Q1"; "Q3"; "Q4"; "Q6"; "Q7"; "Q12"; "Q13"; "Q14"; "Q17"; "Q19"; "Q22" ]
-  in
   let arb =
     QCheck.(
       make
@@ -250,7 +242,7 @@ let qcheck_parallel_equiv =
                   [ (2, par2); (4, par4) ]
               end)
             prog.Prog.maps)
-        queries;
+        Tpch_suite.queries;
       true)
 
 let test_rt_ops_counter () =
@@ -436,9 +428,9 @@ let qcheck_selvec_equiv =
       true)
 
 (* The planner actually hoists those filters: constant int/float/string
-   comparisons count as selvec in the EXPLAIN split, the dynamic A-vs-C+1
-   operand stays rowwise, and the split agrees between stmt_routes_ex and
-   what a classifiable-only program labels. *)
+   comparisons count as selvec in the EXPLAIN split and the dynamic
+   A-vs-C+1 operand stays rowwise, as [block_routes_ex] reports it for the
+   trigger's one block. *)
 let test_selvec_route_split () =
   let q =
     sum [ vb ]
@@ -455,7 +447,9 @@ let test_selvec_route_split () =
     Compile.compile ~streams:[ ("R", [ va; vb; vc; vds ]) ] [ ("Q", q) ]
   in
   let split =
-    List.concat_map snd (Runtime.stmt_routes_ex prog)
+    List.concat
+      (Runtime.block_routes_ex prog ~rel:"R"
+         [ ([], (List.hd prog.Prog.triggers).Prog.stmts) ])
     |> List.filter_map (fun (_, label, sv, rw) ->
            if String.length label >= 6 && String.sub label 0 6 = "selvec" then
              Some (sv, rw)

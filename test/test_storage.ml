@@ -84,20 +84,6 @@ let test_colbatch_roundtrip () =
   Alcotest.(check int) "width" 2 (Colbatch.width b);
   Alcotest.(check bool) "roundtrip" true (Gmr.equal g (Colbatch.to_gmr b))
 
-let test_colbatch_filter_project () =
-  let g =
-    Gmr.of_list [ (t2 1 10, 1.); (t2 2 20, 1.); (t2 3 10, 1.) ]
-  in
-  let b = Colbatch.of_gmr ~width:2 g in
-  let col1 = Colbatch.column b 1 in
-  let fb = Colbatch.filter b (fun j -> Value.equal col1.(j) (i 10)) in
-  Alcotest.(check int) "filtered" 2 (Colbatch.length fb);
-  let pb = Colbatch.project fb [| 1 |] in
-  Alcotest.(check int) "projected width" 1 (Colbatch.width pb);
-  (* aggregation merges the two B=10 rows *)
-  let agg = Colbatch.aggregate pb in
-  Alcotest.(check (float 1e-9)) "aggregated" 2. (Gmr.mult agg [| i 10 |])
-
 let test_trace_hooks () =
   let events = ref 0 in
   Trace.set_sink (Some (fun _ _ -> incr events));
@@ -673,8 +659,6 @@ let suites =
           test_pool_growth_and_gmr;
         Alcotest.test_case "pool clear" `Quick test_pool_clear;
         Alcotest.test_case "colbatch roundtrip" `Quick test_colbatch_roundtrip;
-        Alcotest.test_case "colbatch filter/project" `Quick
-          test_colbatch_filter_project;
         Alcotest.test_case "trace hooks" `Quick test_trace_hooks;
         Alcotest.test_case "compact_group drop_cancelled" `Quick
           test_compact_drop_cancelled;
