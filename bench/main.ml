@@ -886,9 +886,17 @@ let quick () =
         let prefix, suffix = split_warm stream in
         Engine.load eng prefix;
         (* Repeat the measured suffix until the budget elapses; account
-           only in-trigger wall time so stream bookkeeping is excluded. *)
+           only in-trigger wall time so stream bookkeeping is excluded.
+           Allocation is this process's words allocated around the loop
+           (the coordinator's, on a distributed backend): a deterministic
+           per-tuple cost that does not drift with the host. *)
         let tuples = ref 0 and ops = ref 0 and wall = ref 0. in
         let wire = ref 0 in
+        let words () =
+          let s = Gc.quick_stat () in
+          s.minor_words +. s.major_words -. s.promoted_words
+        in
+        let words0 = words () in
         let deadline = Unix.gettimeofday () +. budget in
         (try
            while true do
@@ -903,10 +911,12 @@ let quick () =
                suffix
            done
          with Exit -> ());
+        let alloc = words () -. words0 in
         Engine.shutdown eng;
         let tps = float_of_int !tuples /. !wall in
         let ops_s = float_of_int !ops /. !wall in
-        (qn, tps, ops_s, float_of_int !ops /. float_of_int !tuples, !wire))
+        let per x = x /. float_of_int !tuples in
+        (qn, tps, ops_s, per (float_of_int !ops), !wire, per alloc))
       quick_queries
   in
   let geomean f =
@@ -914,11 +924,11 @@ let quick () =
       (List.fold_left (fun a r -> a +. log (f r)) 0. results
       /. float_of_int (List.length results))
   in
-  let g_tps = geomean (fun (_, t, _, _, _) -> t) in
-  let g_ops = geomean (fun (_, _, o, _, _) -> o) in
+  let g_tps = geomean (fun (_, t, _, _, _, _) -> t) in
+  let g_ops = geomean (fun (_, _, o, _, _, _) -> o) in
   (* Actual socket traffic, multiprocess only (0 elsewhere). *)
   let total_wire =
-    List.fold_left (fun a (_, _, _, _, w) -> a + w) 0 results
+    List.fold_left (fun a (_, _, _, _, w, _) -> a + w) 0 results
   in
   B.print_table
     ~title:
@@ -926,19 +936,25 @@ let quick () =
          "Quick micro-bench — batched TPC-H triggers (B=%d, %s backend, \
           domains=%d)"
          bs !backend !used_domains)
-    ~header:[ "query"; "tuples/s"; "record-ops/s"; "ops/tuple" ]
+    ~header:[ "query"; "tuples/s"; "record-ops/s"; "ops/tuple"; "words/tuple" ]
     (List.map
-       (fun (qn, tps, ops_s, opt, _) ->
-         [ qn; B.fmt_rate tps; B.fmt_rate ops_s; Printf.sprintf "%.1f" opt ])
+       (fun (qn, tps, ops_s, opt, _, apt) ->
+         [
+           qn;
+           B.fmt_rate tps;
+           B.fmt_rate ops_s;
+           Printf.sprintf "%.1f" opt;
+           Printf.sprintf "%.1f" apt;
+         ])
        results
-    @ [ [ "geomean"; B.fmt_rate g_tps; B.fmt_rate g_ops; "-" ] ]);
+    @ [ [ "geomean"; B.fmt_rate g_tps; B.fmt_rate g_ops; "-"; "-" ] ]);
   let fields =
     String.concat ","
       (List.map
-         (fun (qn, tps, ops_s, opt, wire) ->
+         (fun (qn, tps, ops_s, opt, wire, apt) ->
            Printf.sprintf
-             "\"%s\":{\"tuples_per_s\":%.0f,\"ops_per_s\":%.0f,\"ops_per_tuple\":%.2f%s}"
-             qn tps ops_s opt
+             "\"%s\":{\"tuples_per_s\":%.0f,\"ops_per_s\":%.0f,\"ops_per_tuple\":%.2f,\"alloc_words_per_tuple\":%.2f%s}"
+             qn tps ops_s opt apt
              (if wire > 0 then Printf.sprintf ",\"wire_bytes\":%d" wire else ""))
          results)
   in

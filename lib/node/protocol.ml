@@ -46,109 +46,179 @@ let max_frame = 64 * 1024 * 1024
 (* Encoding                                                        *)
 (* -------------------------------------------------------------- *)
 
-let add_string b s =
+(* A frame under construction: one buffer, length prefix included,
+   filled front to back. The bulk payload of a data frame is its last
+   field; [fit] sizes the buffer to end exactly after it, so the finished
+   frame is the buffer itself. *)
+type writer = { mutable buf : Bytes.t; mutable len : int }
+
+(* Offset of [n] freshly reserved bytes. *)
+let reserve w n =
+  let pos = w.len in
+  if n > Bytes.length w.buf - pos then begin
+    let b = Bytes.create (max (pos + n) (2 * Bytes.length w.buf)) in
+    Bytes.blit w.buf 0 b 0 pos;
+    w.buf <- b
+  end;
+  w.len <- pos + n;
+  pos
+
+(* Make the buffer end exactly [n] bytes past what is written so far. *)
+let fit w n =
+  if Bytes.length w.buf <> w.len + n then begin
+    let b = Bytes.create (w.len + n) in
+    Bytes.blit w.buf 0 b 0 w.len;
+    w.buf <- b
+  end
+
+let put_u8 w v =
+  let p = reserve w 1 in
+  Bytes.set_uint8 w.buf p v
+
+let put_u16 w v =
+  let p = reserve w 2 in
+  Bytes.set_uint16_be w.buf p v
+
+let put_i32 w v =
+  let p = reserve w 4 in
+  Bytes.set_int32_be w.buf p (Int32.of_int v)
+
+let put_i64 w v =
+  let p = reserve w 8 in
+  Bytes.set_int64_be w.buf p (Int64.of_int v)
+
+let put_f64 w f =
+  let p = reserve w 8 in
+  Bytes.set_int64_be w.buf p (Int64.bits_of_float f)
+
+let put_string w s =
   let n = String.length s in
   if n > max_frame then err "string field of %d bytes exceeds max_frame" n;
-  Buffer.add_int32_be b (Int32.of_int n);
-  Buffer.add_string b s
-
-let add_f64 b f = Buffer.add_int64_be b (Int64.bits_of_float f)
-let add_i64 b i = Buffer.add_int64_be b (Int64.of_int i)
+  put_i32 w n;
+  let p = reserve w n in
+  Bytes.blit_string s 0 w.buf p n
 
 (* Element count of a list field. Every element encodes to >= 1 byte, so
    the frame cap bounds any legitimate count; the decoder enforces the
    same bound before allocating. *)
-let add_count b n =
+let put_count w n =
   if n > max_frame then err "list of %d elements exceeds max_frame" n;
-  Buffer.add_int32_be b (Int32.of_int n)
+  put_i32 w n
+
+(* Typed runs: all [n] cells are reserved at once, then filled in a
+   loop. *)
+let put_ints w n (a : int array) =
+  let p = reserve w (8 * n) in
+  let b = w.buf in
+  for i = 0 to n - 1 do
+    Bytes.set_int64_be b (p + (8 * i)) (Int64.of_int a.(i))
+  done
+
+let put_floats w n (a : float array) =
+  let p = reserve w (8 * n) in
+  let b = w.buf in
+  for i = 0 to n - 1 do
+    Bytes.set_int64_be b (p + (8 * i)) (Int64.bits_of_float a.(i))
+  done
+
+let put_codes w n (a : int array) =
+  let p = reserve w (4 * n) in
+  let b = w.buf in
+  for i = 0 to n - 1 do
+    Bytes.set_int32_be b (p + (4 * i)) (Int32.of_int a.(i))
+  done
 
 (* Telemetry payload: registry snapshot entries (name + kind byte:
    0 = counter, 1 = gauge, 2 = histogram with its bucket layout),
    profiler slot rows, completed spans. Floats travel as IEEE-754 bits,
    like the data plane, so merged-vs-local reconciliation is exact. *)
-let add_snapshot b (snap : Obs.snapshot) =
-  add_count b (List.length snap);
+let put_snapshot w (snap : Obs.snapshot) =
+  put_count w (List.length snap);
   List.iter
     (fun (name, v) ->
-      add_string b name;
+      put_string w name;
       match (v : Obs.value) with
       | Obs.VCounter c ->
-          Buffer.add_uint8 b 0;
-          add_i64 b c
+          put_u8 w 0;
+          put_i64 w c
       | Obs.VGauge g ->
-          Buffer.add_uint8 b 1;
-          add_f64 b g
+          put_u8 w 1;
+          put_f64 w g
       | Obs.VHistogram { buckets; counts; sum; count } ->
-          Buffer.add_uint8 b 2;
-          add_count b (Array.length buckets);
+          put_u8 w 2;
+          put_count w (Array.length buckets);
           if Array.length counts <> Array.length buckets + 1 then
             err "histogram %s: %d counts for %d buckets" name
               (Array.length counts) (Array.length buckets);
-          Array.iter (add_f64 b) buckets;
-          Array.iter (add_i64 b) counts;
-          add_f64 b sum;
-          add_i64 b count)
+          Array.iter (put_f64 w) buckets;
+          Array.iter (put_i64 w) counts;
+          put_f64 w sum;
+          put_i64 w count)
     snap
 
-let add_slots b (rows : Prof.row list) =
-  add_count b (List.length rows);
+let put_slots w (rows : Prof.row list) =
+  put_count w (List.length rows);
   List.iter
     (fun (r : Prof.row) ->
-      add_string b r.r_trigger;
-      add_string b r.r_label;
-      add_i64 b r.r_firings;
-      add_i64 b r.r_ops;
-      add_i64 b r.r_probes;
-      add_i64 b r.r_misses;
-      add_i64 b r.r_scanned;
-      add_i64 b r.r_svscan;
-      add_i64 b r.r_svsel;
-      add_i64 b r.r_bytes;
-      add_f64 b r.r_wall)
+      put_string w r.r_trigger;
+      put_string w r.r_label;
+      put_i64 w r.r_firings;
+      put_i64 w r.r_ops;
+      put_i64 w r.r_probes;
+      put_i64 w r.r_misses;
+      put_i64 w r.r_scanned;
+      put_i64 w r.r_svscan;
+      put_i64 w r.r_svsel;
+      put_i64 w r.r_bytes;
+      put_f64 w r.r_wall)
     rows
 
-let add_spans b (evs : Obs.event list) =
-  add_count b (List.length evs);
+let put_spans w (evs : Obs.event list) =
+  put_count w (List.length evs);
   List.iter
     (fun (e : Obs.event) ->
-      add_string b e.ev_name;
-      add_f64 b e.ev_start;
-      add_f64 b e.ev_dur;
-      Buffer.add_int32_be b (Int32.of_int e.ev_depth);
-      add_count b (List.length e.ev_attrs);
+      put_string w e.ev_name;
+      put_f64 w e.ev_start;
+      put_f64 w e.ev_dur;
+      put_i32 w e.ev_depth;
+      put_count w (List.length e.ev_attrs);
       List.iter
         (fun (k, v) ->
-          add_string b k;
-          add_string b v)
+          put_string w k;
+          put_string w v)
         e.ev_attrs)
     evs
 
-let add_telem b t =
-  add_f64 b t.t_now;
-  add_snapshot b t.t_snap;
-  add_slots b t.t_slots;
-  add_spans b t.t_spans
+let put_telem w t =
+  put_f64 w t.t_now;
+  put_snapshot w t.t_snap;
+  put_slots w t.t_slots;
+  put_spans w t.t_spans
 
-let add_value b (v : Value.t) =
+let put_value w (v : Value.t) =
   match v with
   | Value.Int i ->
-      Buffer.add_uint8 b 0;
-      Buffer.add_int64_be b (Int64.of_int i)
+      put_u8 w 0;
+      put_i64 w i
   | Value.Float f ->
-      Buffer.add_uint8 b 1;
-      Buffer.add_int64_be b (Int64.bits_of_float f)
+      put_u8 w 1;
+      put_f64 w f
   | Value.String s ->
-      Buffer.add_uint8 b 2;
-      add_string b s
+      put_u8 w 2;
+      put_string w s
   | Value.Date d ->
-      Buffer.add_uint8 b 3;
-      Buffer.add_int64_be b (Int64.of_int d)
+      put_u8 w 3;
+      put_i64 w d
 
-let add_tuple b (tup : Vtuple.t) =
+let value_size : Value.t -> int = function
+  | Value.Int _ | Value.Float _ | Value.Date _ -> 9
+  | Value.String s -> 5 + String.length s
+
+let put_tuple w (tup : Vtuple.t) =
   let n = Array.length tup in
   if n > 0xffff then err "tuple arity %d exceeds encoding limit" n;
-  Buffer.add_uint16_be b n;
-  Array.iter (add_value b) tup
+  put_u16 w n;
+  Array.iter (put_value w) tup
 
 (* Uniform tuple arity of a GMR, or [None] for mixed arities (which must
    fall back to the row layout). *)
@@ -161,114 +231,124 @@ let gmr_width g =
     g;
   if !ok && !w >= 0 && !w <= 0xffff then Some !w else None
 
-let add_rows b g =
-  Gmr.iter
-    (fun tup m ->
-      add_tuple b tup;
-      Buffer.add_int64_be b (Int64.bits_of_float m))
-    g
-
-(* GMR payload: entry count, then a layout byte. Layout 1 ships the
-   entries as flat typed columns (u16 width; per column a u8 kind tag and
-   an unboxed payload; then the multiplicities) — one contiguous run per
-   attribute instead of a tag per cell. Layout 0 is the per-row fallback,
-   kept for empty and mixed-arity GMRs. Both layouts preserve the
-   source's slot iteration order, so replaying a decoded GMR rebuilds a
-   bit-identical store. *)
 (* One typed column of [n] cells: a u8 kind tag, then an unboxed
    payload — one contiguous run per attribute instead of a tag per
    cell. *)
-let add_col b n (c : Colbatch.col) =
+let put_col w n (c : Colbatch.col) =
   match c with
   | Colbatch.CInt a ->
-      Buffer.add_uint8 b 0;
-      for i = 0 to n - 1 do
-        Buffer.add_int64_be b (Int64.of_int a.(i))
-      done
+      put_u8 w 0;
+      put_ints w n a
   | Colbatch.CFloat a ->
-      Buffer.add_uint8 b 1;
-      for i = 0 to n - 1 do
-        Buffer.add_int64_be b (Int64.bits_of_float a.(i))
-      done
+      put_u8 w 1;
+      put_floats w n a
   | Colbatch.CDate a ->
-      Buffer.add_uint8 b 2;
-      for i = 0 to n - 1 do
-        Buffer.add_int64_be b (Int64.of_int a.(i))
-      done
+      put_u8 w 2;
+      put_ints w n a
   | Colbatch.CBoxed a ->
-      Buffer.add_uint8 b 3;
+      put_u8 w 3;
       for i = 0 to n - 1 do
-        add_value b a.(i)
+        put_value w a.(i)
       done
   | Colbatch.CDict (d, codes) ->
       (* dictionary once, then one i32 code per row — repeated strings
          never travel twice *)
-      Buffer.add_uint8 b 4;
+      put_u8 w 4;
       let dn = Colbatch.dict_size d in
-      add_count b dn;
+      put_count w dn;
       for e = 0 to dn - 1 do
-        add_string b (Colbatch.dict_entry d e)
+        put_string w (Colbatch.dict_entry d e)
       done;
+      put_codes w n codes
+
+(* Encoded size of a [put_col] run. *)
+let col_size n (c : Colbatch.col) =
+  match c with
+  | Colbatch.CInt _ | Colbatch.CFloat _ | Colbatch.CDate _ -> 1 + (8 * n)
+  | Colbatch.CBoxed a ->
+      let s = ref 1 in
       for i = 0 to n - 1 do
-        Buffer.add_int32_be b (Int32.of_int codes.(i))
-      done
-
-(* GMR payload: entry count, then a layout byte. Layout 1 ships the
-   entries as flat typed columns (u16 width; per column an [add_col]
-   run; then the multiplicities). Layout 0 is the per-row fallback, kept
-   for empty and mixed-arity GMRs. Both layouts preserve the source's
-   slot iteration order, so replaying a decoded GMR rebuilds a
-   bit-identical store. *)
-let add_gmr b g =
-  Buffer.add_int32_be b (Int32.of_int (Gmr.cardinal g));
-  match gmr_width g with
-  | Some w when Gmr.cardinal g > 0 && w > 0 ->
-      Buffer.add_uint8 b 1;
-      Buffer.add_uint16_be b w;
-      let cb = Colbatch.of_gmr ~width:w g in
-      (* safety net: any all-string column that arrived boxed (legacy
-         construction paths) still ships dictionary-encoded *)
-      Colbatch.dictify cb;
-      let n = Colbatch.length cb in
-      for c = 0 to w - 1 do
-        add_col b n (Colbatch.col cb c)
+        s := !s + value_size a.(i)
       done;
-      Array.iter
-        (fun m -> Buffer.add_int64_be b (Int64.bits_of_float m))
-        (Colbatch.mults cb)
-  | _ ->
-      Buffer.add_uint8 b 0;
-      add_rows b g
+      !s
+  | Colbatch.CDict (d, _) ->
+      let s = ref (5 + (4 * n)) in
+      for e = 0 to Colbatch.dict_size d - 1 do
+        s := !s + 4 + String.length (Colbatch.dict_entry d e)
+      done;
+      !s
 
-(* Batch share payload: stream width (u16), row count (i32), live column
-   count (u16); per live column its position (u16), its cell count (i32,
-   always the row count) and an [add_col] run; then the multiplicities —
-   u8 1 and one f64 when every row carries the same bit pattern (the
-   common all-inserts or all-deletes batch), else u8 0 and one f64 per
-   row. Absent columns cost nothing. *)
-let add_share b cb =
-  let w = Colbatch.width cb and n = Colbatch.length cb in
-  if w > 0xffff then err "share width %d exceeds encoding limit" w;
+(* GMR payload, always a frame's last field: entry count, then a layout
+   byte. Layout 1 ships the entries as flat typed columns (u16 width; per
+   column a [put_col] run; then the multiplicities), transposed like a
+   one-way deal, so low-cardinality string columns travel as dictionary
+   + codes. Layout 0 is the per-row fallback, kept for empty and
+   mixed-arity GMRs. Both layouts preserve the source's slot iteration
+   order, so replaying a decoded GMR rebuilds a bit-identical store. *)
+let put_gmr w g =
+  let n = Gmr.cardinal g in
+  match gmr_width g with
+  | Some wd when n > 0 && wd > 0 ->
+      let cb =
+        (Colbatch.shares_of_gmr ~cols:(Array.init wd Fun.id) ~width:wd ~parts:1
+           g).(0)
+      in
+      let cols = Array.init wd (Colbatch.col cb) in
+      fit w
+        (Array.fold_left (fun s c -> s + col_size n c) (7 + (8 * n)) cols);
+      put_i32 w n;
+      put_u8 w 1;
+      put_u16 w wd;
+      Array.iter (put_col w n) cols;
+      put_floats w n (Colbatch.mults cb)
+  | _ ->
+      put_i32 w n;
+      put_u8 w 0;
+      Gmr.iter
+        (fun tup m ->
+          put_tuple w tup;
+          put_f64 w m)
+        g
+
+(* Batch share payload, always a frame's last field: stream width (u16),
+   row count (i32), live column count (u16); per live column its
+   position (u16), its cell count (i32, always the row count) and a
+   [put_col] run; then the multiplicities — u8 1 and one f64 when every
+   row carries the same bit pattern (the common all-inserts or
+   all-deletes batch), else u8 0 and one f64 per row. Absent columns
+   cost nothing. The frame is sized exactly before the payload is
+   written. *)
+let rec same_bits (ms : float array) b i =
+  i >= Array.length ms
+  || (Int64.equal (Int64.bits_of_float ms.(i)) b && same_bits ms b (i + 1))
+
+let put_share w cb =
+  let wd = Colbatch.width cb and n = Colbatch.length cb in
+  if wd > 0xffff then err "share width %d exceeds encoding limit" wd;
   let live = Colbatch.live_cols cb in
-  Buffer.add_uint16_be b w;
-  Buffer.add_int32_be b (Int32.of_int n);
-  Buffer.add_uint16_be b (Array.length live);
+  let ms = Colbatch.mults cb in
+  let constant = n > 0 && same_bits ms (Int64.bits_of_float ms.(0)) 1 in
+  fit w
+    (Array.fold_left
+       (fun s c -> s + 6 + col_size n (Colbatch.col cb c))
+       (9 + if constant then 8 else 8 * n)
+       live);
+  put_u16 w wd;
+  put_i32 w n;
+  put_u16 w (Array.length live);
   Array.iter
     (fun c ->
-      Buffer.add_uint16_be b c;
-      Buffer.add_int32_be b (Int32.of_int n);
-      add_col b n (Colbatch.col cb c))
+      put_u16 w c;
+      put_i32 w n;
+      put_col w n (Colbatch.col cb c))
     live;
-  let ms = Colbatch.mults cb in
-  let bits = Int64.bits_of_float in
-  if n > 0 && Array.for_all (fun m -> Int64.equal (bits m) (bits ms.(0))) ms
-  then begin
-    Buffer.add_uint8 b 1;
-    Buffer.add_int64_be b (bits ms.(0))
+  if constant then begin
+    put_u8 w 1;
+    put_f64 w ms.(0)
   end
   else begin
-    Buffer.add_uint8 b 0;
-    Array.iter (fun m -> Buffer.add_int64_be b (bits m)) ms
+    put_u8 w 0;
+    put_floats w n ms
   end
 
 let tag_of = function
@@ -322,63 +402,82 @@ let tag_name = function
   | 20 -> "Load_share"
   | _ -> "unknown"
 
-let encode m =
-  let b = Buffer.create 256 in
-  Buffer.add_uint8 b (tag_of m);
-  (match m with
-  | Hello wid -> Buffer.add_int32_be b (Int32.of_int wid)
-  | Init s -> add_string b s
+let put_msg w m =
+  put_u8 w (tag_of m);
+  match m with
+  | Hello wid -> put_i32 w wid
+  | Init s -> put_string w s
   | Load_batch (rel, g) ->
-      add_string b rel;
-      add_gmr b g
+      put_string w rel;
+      put_gmr w g
   | Load_share (rel, cb) ->
-      add_string b rel;
-      add_share b cb
+      put_string w rel;
+      put_share w cb
   | Run_block (rel, bi) ->
-      add_string b rel;
-      Buffer.add_int32_be b (Int32.of_int bi)
+      put_string w rel;
+      put_i32 w bi
   | Block_done (ops, wall) ->
-      Buffer.add_int64_be b (Int64.of_int ops);
-      add_f64 b wall
-  | Pull_map name -> add_string b name
-  | Map_contents g -> add_gmr b g
+      put_i64 w ops;
+      put_f64 w wall
+  | Pull_map name -> put_string w name
+  | Map_contents g -> put_gmr w g
   | Deliver (name, g) ->
-      add_string b name;
-      add_gmr b g
+      put_string w name;
+      put_gmr w g
   | Ack | Shutdown | Pull_telemetry | Mesh_connect -> ()
   | Start_telemetry (profile, trace) ->
-      Buffer.add_uint8 b (Bool.to_int profile);
-      Buffer.add_uint8 b (Bool.to_int trace)
-  | Telemetry t -> add_telem b t
+      put_u8 w (Bool.to_int profile);
+      put_u8 w (Bool.to_int trace)
+  | Telemetry t -> put_telem w t
   | Peers paths ->
-      add_count b (Array.length paths);
-      Array.iter (add_string b) paths
-  | Shuffle idx -> Buffer.add_int32_be b (Int32.of_int idx)
+      put_count w (Array.length paths);
+      Array.iter (put_string w) paths
+  | Shuffle idx -> put_i32 w idx
   | Shuffle_done st ->
       (* control-plane reply on the hot per-transfer path: the per-peer
          byte counts are bounded by max_frame, so they ship as i32, not
          i64 — at w workers that is 8w fewer bytes on every transfer *)
-      add_i64 b st.ss_ser;
-      add_count b (Array.length st.ss_modeled);
-      Array.iter (fun v -> Buffer.add_int32_be b (Int32.of_int v)) st.ss_modeled;
-      add_count b (Array.length st.ss_sent);
-      Array.iter (fun v -> Buffer.add_int32_be b (Int32.of_int v)) st.ss_sent;
-      add_f64 b st.ss_wall
+      put_i64 w st.ss_ser;
+      put_count w (Array.length st.ss_modeled);
+      Array.iter (put_i32 w) st.ss_modeled;
+      put_count w (Array.length st.ss_sent);
+      Array.iter (put_i32 w) st.ss_sent;
+      put_f64 w st.ss_wall
   | Mesh_data (src, g) ->
-      Buffer.add_int32_be b (Int32.of_int src);
-      add_gmr b g);
-  Buffer.contents b
+      put_i32 w src;
+      put_gmr w g
+
+(* The frame is built once: the length prefix is reserved up front and
+   patched in place. Share and columnar GMR frames come out exactly
+   sized ([fit]) and are returned without a copy; the small rest is
+   trimmed. *)
+let encode_frame m =
+  let w = { buf = Bytes.create 64; len = 4 } in
+  put_msg w m;
+  let n = w.len - 4 in
+  if n > max_frame then
+    err "%s frame (tag %d) of %d bytes exceeds max_frame %d"
+      (tag_name (tag_of m)) (tag_of m) n max_frame;
+  Bytes.set_int32_be w.buf 0 (Int32.of_int n);
+  if w.len = Bytes.length w.buf then Bytes.unsafe_to_string w.buf
+  else Bytes.sub_string w.buf 0 w.len
+
+let encode m =
+  let f = encode_frame m in
+  String.sub f 4 (String.length f - 4)
 
 (* -------------------------------------------------------------- *)
 (* Decoding (strict: every read is bounds-checked)                 *)
 (* -------------------------------------------------------------- *)
 
-type reader = { buf : string; mutable pos : int }
+(* The payload is [buf]'s bytes [base, stop): a frame decodes in place,
+   behind its length prefix. *)
+type reader = { buf : string; mutable pos : int; base : int; stop : int }
 
 let need r n =
-  if r.pos + n > String.length r.buf then
-    err "truncated payload: need %d bytes at offset %d of %d" n r.pos
-      (String.length r.buf)
+  if n > r.stop - r.pos then
+    err "truncated payload: need %d bytes at offset %d of %d" n
+      (r.pos - r.base) (r.stop - r.base)
 
 let get_u8 r =
   need r 1;
@@ -414,12 +513,13 @@ let get_string r =
 
 let get_f64 r = Int64.float_of_bits (get_i64 r)
 
-(* List element count: bounded before any allocation. Every element of
-   the lists below encodes to >= 8 bytes, so max_frame / 8 is a safe
-   upper bound for a payload that can actually exist. *)
-let get_count r what =
+(* List element count: bounded before any allocation. It is capped at
+   max_frame / 8, and the [elt] bytes each element takes at least must
+   still be in the payload. *)
+let get_count r what ~elt =
   let n = get_i32 r in
   if n < 0 || n > max_frame / 8 then err "%s count %d out of range" what n;
+  need r (elt * n);
   n
 
 let get_bool r what =
@@ -440,35 +540,70 @@ let get_tuple r : Vtuple.t =
   let n = get_u16 r in
   Array.init n (fun _ -> get_value r)
 
-(* One [add_col] run of [n] cells. *)
+(* Start of a typed run of [n] cells of [size] bytes: the run's whole
+   length is checked once, before its array is allocated, so a truncated
+   run cannot allocate what it declares. *)
+let run r size n =
+  need r (size * n);
+  let p = r.pos in
+  r.pos <- p + (size * n);
+  p
+
+let get_ints r n =
+  let p = run r 8 n in
+  let s = r.buf and a = Array.make n 0 in
+  for i = 0 to n - 1 do
+    a.(i) <- Int64.to_int (String.get_int64_be s (p + (8 * i)))
+  done;
+  a
+
+let get_floats r n =
+  let p = run r 8 n in
+  let s = r.buf and a = Array.create_float n in
+  for i = 0 to n - 1 do
+    a.(i) <- Int64.float_of_bits (String.get_int64_be s (p + (8 * i)))
+  done;
+  a
+
+let get_codes r n ~dn =
+  let p = run r 4 n in
+  let s = r.buf and a = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let c = Int32.to_int (String.get_int32_be s (p + (4 * i))) in
+    if c < 0 || c >= dn then err "dictionary code %d out of range [0,%d)" c dn;
+    a.(i) <- c
+  done;
+  a
+
+(* One [put_col] run of [n] cells. *)
 let get_col r n : Colbatch.col =
   match get_u8 r with
-  | 0 -> Colbatch.CInt (Array.init n (fun _ -> Int64.to_int (get_i64 r)))
-  | 1 -> Colbatch.CFloat (Array.init n (fun _ -> Int64.float_of_bits (get_i64 r)))
-  | 2 -> Colbatch.CDate (Array.init n (fun _ -> Int64.to_int (get_i64 r)))
-  | 3 -> Colbatch.CBoxed (Array.init n (fun _ -> get_value r))
+  | 0 -> Colbatch.CInt (get_ints r n)
+  | 1 -> Colbatch.CFloat (get_floats r n)
+  | 2 -> Colbatch.CDate (get_ints r n)
+  | 3 ->
+      (* a boxed cell takes at least 5 bytes (tag + empty string) *)
+      need r (5 * n);
+      let a = Array.make n (Value.Int 0) in
+      for i = 0 to n - 1 do
+        a.(i) <- get_value r
+      done;
+      Colbatch.CBoxed a
   | 4 ->
-      let dn = get_count r "dictionary entry" in
+      let dn = get_count r "dictionary entry" ~elt:4 in
       let seen = Hashtbl.create (max 16 dn) in
-      let vals =
-        Array.init dn (fun _ ->
-            let s = get_string r in
-            if Hashtbl.mem seen s then err "duplicate dictionary entry %S" s;
-            Hashtbl.add seen s ();
-            s)
-      in
-      let codes =
-        Array.init n (fun _ ->
-            let c = get_i32 r in
-            if c < 0 || c >= dn then
-              err "dictionary code %d out of range [0,%d)" c dn;
-            c)
-      in
-      Colbatch.CDict (Colbatch.dict_of_strings vals, codes)
+      let vals = Array.make dn "" in
+      for e = 0 to dn - 1 do
+        let s = get_string r in
+        if Hashtbl.mem seen s then err "duplicate dictionary entry %S" s;
+        Hashtbl.add seen s ();
+        vals.(e) <- s
+      done;
+      Colbatch.CDict (Colbatch.dict_of_strings vals, get_codes r n ~dn)
   | k -> err "unknown column kind %d" k
 
-(* Row counts are bounded before any allocation, so a corrupt count can
-   allocate at most a frame's worth of 8-byte multiplicities. *)
+(* Row counts are range-checked here; the runs that carry the rows are
+   length-checked before they are allocated. *)
 let get_rows r what =
   let n = get_i32 r in
   if n < 0 then err "negative %s count %d" what n;
@@ -479,11 +614,12 @@ let get_gmr r =
   let n = get_rows r "entry" in
   match get_u8 r with
   | 0 ->
+      (* a row takes at least 10 bytes: arity + multiplicity *)
+      need r (10 * n);
       let g = Gmr.create ~size:(max 16 n) () in
       for _ = 1 to n do
         let tup = get_tuple r in
-        let m = Int64.float_of_bits (get_i64 r) in
-        Gmr.add g tup m
+        Gmr.add g tup (get_f64 r)
       done;
       g
   | 1 ->
@@ -491,9 +627,7 @@ let get_gmr r =
       if w = 0 then err "columnar layout with zero width";
       if n = 0 then err "columnar layout with zero entries";
       let cols = Array.init w (fun _ -> get_col r n) in
-      let mults =
-        Array.init n (fun _ -> Int64.float_of_bits (get_i64 r))
-      in
+      let mults = get_floats r n in
       Colbatch.to_gmr (Colbatch.of_cols cols ~mults)
   | l -> err "unknown gmr layout %d" l
 
@@ -516,7 +650,7 @@ let get_share r =
   in
   let mults =
     match get_u8 r with
-    | 0 -> Array.init n (fun _ -> get_f64 r)
+    | 0 -> get_floats r n
     | 1 ->
         if n = 0 then err "constant multiplicity for zero rows";
         Array.make n (get_f64 r)
@@ -525,14 +659,14 @@ let get_share r =
   Colbatch.of_live_cols ~width:w cols ~mults
 
 let get_snapshot r : Obs.snapshot =
-  let n = get_count r "snapshot entry" in
+  let n = get_count r "snapshot entry" ~elt:13 in
   List.init n (fun _ ->
       let name = get_string r in
       match get_u8 r with
       | 0 -> (name, Obs.VCounter (Int64.to_int (get_i64 r)))
       | 1 -> (name, Obs.VGauge (get_f64 r))
       | 2 ->
-          let nb = get_count r "histogram bucket" in
+          let nb = get_count r "histogram bucket" ~elt:16 in
           let buckets = Array.init nb (fun _ -> get_f64 r) in
           let counts =
             Array.init (nb + 1) (fun _ -> Int64.to_int (get_i64 r))
@@ -543,7 +677,7 @@ let get_snapshot r : Obs.snapshot =
       | k -> err "unknown snapshot value kind %d" k)
 
 let get_slots r : Prof.row list =
-  let n = get_count r "profiler slot" in
+  let n = get_count r "profiler slot" ~elt:80 in
   List.init n (fun _ ->
       let r_trigger = get_string r in
       let r_label = get_string r in
@@ -571,14 +705,14 @@ let get_slots r : Prof.row list =
       })
 
 let get_spans r : Obs.event list =
-  let n = get_count r "span" in
+  let n = get_count r "span" ~elt:28 in
   List.init n (fun _ ->
       let ev_name = get_string r in
       let ev_start = get_f64 r in
       let ev_dur = get_f64 r in
       let ev_depth = get_i32 r in
       if ev_depth < 0 then err "negative span depth %d" ev_depth;
-      let na = get_count r "span attribute" in
+      let na = get_count r "span attribute" ~elt:8 in
       let ev_attrs =
         List.init na (fun _ ->
             let k = get_string r in
@@ -606,17 +740,18 @@ let get_nonneg32 r what =
 
 let get_shuffle_stat r =
   let ss_ser = get_nonneg r "serialized byte count" in
-  let nm = get_count r "modeled byte entry" in
+  let nm = get_count r "modeled byte entry" ~elt:4 in
   let ss_modeled =
     Array.init nm (fun _ -> get_nonneg32 r "modeled byte count")
   in
-  let ns = get_count r "sent byte entry" in
+  let ns = get_count r "sent byte entry" ~elt:4 in
   let ss_sent = Array.init ns (fun _ -> get_nonneg32 r "sent byte count") in
   let ss_wall = get_f64 r in
   { ss_ser; ss_modeled; ss_sent; ss_wall }
 
-let decode s =
-  let r = { buf = s; pos = 0 } in
+(* Decode the payload at [s]'s bytes [base, base + len). *)
+let decode_at s ~base ~len =
+  let r = { buf = s; pos = base; base; stop = base + len } in
   let tag = get_u8 r in
   if not (known_tag tag) then err "unknown message tag %d" tag;
   let m =
@@ -649,7 +784,7 @@ let decode s =
       | 13 -> Pull_telemetry
       | 14 -> Telemetry (get_telem r)
       | 15 ->
-          let n = get_count r "peer" in
+          let n = get_count r "peer" ~elt:4 in
           Peers (Array.init n (fun _ -> get_string r))
       | 16 -> Mesh_connect
       | 17 ->
@@ -666,29 +801,19 @@ let decode s =
           Load_share (rel, get_share r)
       | _ -> assert false
     with Error msg ->
-      err "bad %s frame (tag %d, %d-byte payload): %s" (tag_name tag) tag
-        (String.length s) msg
+      err "bad %s frame (tag %d, %d-byte payload): %s" (tag_name tag) tag len
+        msg
   in
-  if r.pos <> String.length s then
+  if r.pos <> r.stop then
     err "bad %s frame (tag %d): %d trailing bytes after message"
-      (tag_name tag) tag
-      (String.length s - r.pos);
+      (tag_name tag) tag (r.stop - r.pos);
   m
+
+let decode s = decode_at s ~base:0 ~len:(String.length s)
 
 (* -------------------------------------------------------------- *)
 (* Framing                                                         *)
 (* -------------------------------------------------------------- *)
-
-let encode_frame m =
-  let payload = encode m in
-  let n = String.length payload in
-  if n > max_frame then
-    err "%s frame (tag %d) of %d bytes exceeds max_frame %d"
-      (tag_name (tag_of m)) (tag_of m) n max_frame;
-  let b = Buffer.create (n + 4) in
-  Buffer.add_int32_be b (Int32.of_int n);
-  Buffer.add_string b payload;
-  Buffer.contents b
 
 (* When enough bytes follow a bad length prefix, cite the would-be tag:
    a frame-cap trip usually means desynced framing, and the byte where
@@ -713,7 +838,7 @@ let decode_frame s =
   if String.length s < 4 + n then
     err "truncated frame: length prefix says %d, only %d available" n
       (String.length s - 4);
-  (decode (String.sub s 4 n), 4 + n)
+  (decode_at s ~base:4 ~len:n, 4 + n)
 
 let write_msg fd m =
   let frame = encode_frame m in

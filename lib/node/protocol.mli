@@ -16,7 +16,10 @@
 
     Decoding is strict: a frame longer than [max_frame], a payload that
     ends mid-field, an unknown tag, or trailing bytes after the message
-    all raise {!Error} rather than yielding a partial message. *)
+    all raise {!Error} rather than yielding a partial message. Typed
+    runs and counted lists are checked against the bytes left before
+    their arrays are allocated, so a truncated frame cannot allocate the
+    rows it declares. *)
 
 open Divm_storage
 open Divm_obs
@@ -58,7 +61,7 @@ type msg =
           it. *)
   | Load_share of string * Colbatch.t
       (** relation, this worker's share of the update batch as typed
-          columns ({!Colbatch.deal}). Only the share's live columns travel
+          columns ({!Colbatch.shares_of_gmr}). Only the share's live columns travel
           — the ones the worker's blocks for that trigger read — each
           tagged with its position and cell count; a constant
           multiplicity travels once. The decoder rejects a position at or
@@ -122,7 +125,8 @@ val encode : msg -> string
     truncated fields, or trailing bytes. *)
 val decode : string -> msg
 
-(** [encode_frame m] is the complete frame: length prefix + payload. *)
+(** [encode_frame m] is the complete frame: length prefix + payload,
+    built once in one buffer. *)
 val encode_frame : msg -> string
 
 (** [decode_frame s] parses one complete frame and returns the message and

@@ -2207,7 +2207,9 @@ let set_batch rt bk batch =
   | Share cb ->
       bk.bk_rows <- Colbatch.length cb;
       bk.bk_raw <- Lazy.from_val cb;
-      Option.iter (fun bp -> Colbatch.iter_rows cb (Pool.add bp)) fill
+      (* [iter_rows] lends one scratch row: the pool must copy the keys
+         it keeps *)
+      Option.iter (fun bp -> Colbatch.iter_rows cb (Pool.add_borrow bp)) fill
 
 (* Attribute one firing's counter deltas to a profiler slot. Reads four
    counters before and after the closure — O(#statements) per batch, and
@@ -2416,9 +2418,7 @@ let scatter_plan (prog : Prog.t) ~rel blocks =
       { sc_width = width; sc_cols = Array.of_list (List.sort_uniq compare cols) }
 
 let deal sc ~parts batch =
-  let cb = Colbatch.of_gmr ~cols:sc.sc_cols ~width:sc.sc_width batch in
-  Colbatch.dictify_cols cb (Array.to_list sc.sc_cols);
-  Array.init parts (Colbatch.deal cb ~parts)
+  Colbatch.shares_of_gmr ~cols:sc.sc_cols ~width:sc.sc_width ~parts batch
 
 let load rt tables =
   (* streams absent from the load are empty relations *)

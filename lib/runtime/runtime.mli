@@ -194,11 +194,12 @@ type scatter = { sc_width : int; sc_cols : int array }
 val scatter_plan :
   Prog.t -> rel:string -> (string list * Prog.stmt list) list -> scatter option
 
-(** [deal sc ~parts batch] transposes [batch] once (only [sc]'s columns,
-    dictionary-encoding the low-cardinality string ones) and cuts it
-    round-robin into [parts] shares ({!Colbatch.deal}): row [i] goes to
-    worker [i mod parts]. The simulator and the multiprocess coordinator
-    both call this, so simulated and real workers see identical shares. *)
+(** [deal sc ~parts batch] cuts [batch] round-robin into [parts] column
+    shares in one pass over its rows, writing only [sc]'s columns
+    ({!Colbatch.shares_of_gmr}: low-cardinality string columns share one
+    dictionary across shares): row [i] goes to worker [i mod parts]. The
+    simulator and the multiprocess coordinator both call this, so
+    simulated and real workers see identical shares. *)
 val deal : scatter -> parts:int -> Gmr.t -> Colbatch.t array
 
 (** {2 Moving map contents}

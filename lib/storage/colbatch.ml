@@ -61,30 +61,29 @@ let dict_append d s =
   d.dn <- c + 1;
   c
 
+let rec phys_scan (vals : string array) s lim i =
+  if i >= lim then -1
+  else if Array.unsafe_get vals i == s then i
+  else phys_scan vals s lim (i + 1)
+
 (* Physical-equality fast path first: low-cardinality categorical
    columns (flags, segments, ship modes) almost always reuse the same
    string blocks, so a pointer scan over the first entries resolves the
    common case without hashing the string. High-cardinality columns fall
-   through to the hash table after a bounded scan. *)
+   through to the hash table after a bounded scan. Neither path
+   allocates on a hit: interning runs once per string cell. *)
 let dict_intern d s =
-  let lim = if d.dn < 16 then d.dn else 16 in
-  let vals = d.dvals in
-  let rec scan i =
-    if i >= lim then -1
-    else if Array.unsafe_get vals i == s then i
-    else scan (i + 1)
-  in
-  let phys = scan 0 in
+  let phys = phys_scan d.dvals s (if d.dn < 16 then d.dn else 16) 0 in
   if phys >= 0 then begin
     Obs.Counter.incr m_dict_hits;
     phys
   end
   else
-    match Hashtbl.find_opt d.dtbl s with
-    | Some c ->
+    match Hashtbl.find d.dtbl s with
+    | c ->
         Obs.Counter.incr m_dict_hits;
         c
-    | None ->
+    | exception Not_found ->
         Obs.Counter.incr m_dict_misses;
         dict_append d s
 
@@ -126,10 +125,12 @@ let live_cols t =
 (* Fill every position [live] does not name with one shared zero column
    of [n] rows: reads of an absent column stay in bounds. *)
 let fill_absent cols n live =
-  let present = Array.make (Array.length cols) false in
-  Array.iter (fun c -> present.(c) <- true) live;
-  let z = CInt (Array.make n 0) in
-  Array.iteri (fun c p -> if not p then cols.(c) <- z) present
+  if Array.length live < Array.length cols then begin
+    let present = Array.make (Array.length cols) false in
+    Array.iter (fun c -> present.(c) <- true) live;
+    let z = CInt (Array.make n 0) in
+    Array.iteri (fun c p -> if not p then cols.(c) <- z) present
+  end
 
 let get c i =
   match c with
@@ -158,8 +159,9 @@ let new_col cap (v : Value.t) : col =
   (* Strings commit to [CBoxed]: transposition stays a pointer write
      per cell. Dictionary encoding is an explicit upgrade for the
      columns that profit from it — filter-kernel operands and
-     compaction keys ([dictify_cols], driven by the runtime's planner)
-     and whole batches headed for the wire ([dictify]). *)
+     compaction keys ([dictify_cols], driven by the runtime's planner);
+     batches headed for the wire intern while they are dealt
+     ([shares_of_gmr]). *)
   | Value.String _ -> CBoxed (Array.make cap v)
 
 let box_upto c i cap =
@@ -206,10 +208,8 @@ let alloc_arena w stride =
 
 let cell_addr t c i = t.tbase + (((c * t.tstride) + i) * 8)
 
-let of_iter ?cols:live ~width ~count iter =
+let of_iter ~width ~count iter =
   let cap = count in
-  let lc = match live with Some l -> l | None -> Array.init width Fun.id in
-  let nl = Array.length lc in
   let cols = Array.make width (CInt [||]) in
   let mults = Array.make cap 0. in
   let tbase = alloc_arena width cap in
@@ -217,12 +217,10 @@ let of_iter ?cols:live ~width ~count iter =
   iter (fun (tup : Vtuple.t) m ->
       let r = !i in
       if r = 0 then
-        for k = 0 to nl - 1 do
-          let c = lc.(k) in
+        for c = 0 to width - 1 do
           cols.(c) <- new_col cap tup.(c)
         done;
-      for k = 0 to nl - 1 do
-        let c = Array.unsafe_get lc k in
+      for c = 0 to width - 1 do
         set_cell cols c cap r tup.(c);
         if tbase <> 0 then
           Trace.emit (tbase + (((c * cap) + r) * 8)) Trace.Write
@@ -232,7 +230,6 @@ let of_iter ?cols:live ~width ~count iter =
         Trace.emit (tbase + (((width * cap) + r) * 8)) Trace.Write;
       incr i);
   let n = !i in
-  Option.iter (fill_absent cols n) live;
   {
     cols = Array.map (trunc_col n) cols;
     mults = (if n = cap then mults else Array.sub mults 0 n);
@@ -240,11 +237,11 @@ let of_iter ?cols:live ~width ~count iter =
     tbase;
     tstride = cap;
     bytes = -1;
-    live;
+    live = None;
   }
 
-let of_gmr ?cols ~width g =
-  of_iter ?cols ~width ~count:(Gmr.cardinal g) (fun f -> Gmr.iter f g)
+let of_gmr ~width g =
+  of_iter ~width ~count:(Gmr.cardinal g) (fun f -> Gmr.iter f g)
 
 let col_length = function
   | CInt a | CDate a -> Array.length a
@@ -292,7 +289,10 @@ let to_gmr t =
   let g = Gmr.create ~size:t.n () in
   let w = width t in
   for i = 0 to t.n - 1 do
-    let tup = Array.init w (fun c -> get t.cols.(c) i) in
+    let tup = Array.make w (Value.Int 0) in
+    for c = 0 to w - 1 do
+      tup.(c) <- get t.cols.(c) i
+    done;
     (if t.tbase <> 0 then
        for c = 0 to w - 1 do
          Trace.emit (cell_addr t c i) Trace.Read
@@ -322,30 +322,86 @@ let gather_col (keep : int array) c =
       CDict (d, Array.init m (fun j -> Array.unsafe_get a keep.(j)))
   | CBoxed a -> CBoxed (Array.init m (fun j -> Array.unsafe_get a keep.(j)))
 
-(* Round-robin share [p]: rows p, p + parts, p + 2·parts, … Only live
-   columns are gathered; absent ones alias one fresh zero column. *)
-let deal t ~parts p =
-  if parts < 1 || p < 0 || p >= parts then invalid_arg "Colbatch.deal";
-  let m = if t.n > p then ((t.n - p - 1) / parts) + 1 else 0 in
-  let keep = Array.init m (fun j -> p + (j * parts)) in
-  let cols =
-    match t.live with
-    | None -> Array.map (gather_col keep) t.cols
-    | Some l ->
-        let cols = Array.make (width t) (CInt [||]) in
-        Array.iter (fun c -> cols.(c) <- gather_col keep t.cols.(c)) l;
-        fill_absent cols m l;
-        cols
+(* ------------------------------------------------------------------ *)
+(* Dealing a GMR into round-robin shares                               *)
+(* ------------------------------------------------------------------ *)
+
+(* One column of the dealing pass holds one typed array per share; batch
+   row [i] is share [i mod parts], position [i / parts]. Its
+   representation is batch-wide: row 0 commits it (strings to one
+   dictionary shared by every share), and a cell that does not fit turns
+   the column boxed in every share: [box_shares] boxes every share's
+   cells written so far — rows [0, r) of each share, plus row [r] of the
+   shares before [q] — and puts [v] at share [q], position [r]. *)
+let box_shares (sh : col array) q r v =
+  for q' = 0 to Array.length sh - 1 do
+    let c = sh.(q') in
+    let a = box_upto c (if q' < q then r + 1 else r) (col_length c) in
+    if q' = q then a.(r) <- v;
+    sh.(q') <- CBoxed a
+  done
+
+let deal_cell (sh : col array) q r (v : Value.t) =
+  match (Array.unsafe_get sh q, v) with
+  | CInt a, Value.Int x -> Array.unsafe_set a r x
+  | CDate a, Value.Date x -> Array.unsafe_set a r x
+  | CFloat a, Value.Float x -> Array.unsafe_set a r x
+  | CDict (d, c), Value.String s ->
+      Array.unsafe_set c r (dict_intern d s);
+      if d.dn > dict_demote then box_shares sh q r v
+  | CBoxed a, v -> Array.unsafe_set a r v
+  | _, v -> box_shares sh q r v
+
+let shares_of_gmr ~cols:live ~width ~parts g =
+  if parts < 1 then invalid_arg "Colbatch.shares_of_gmr: parts < 1";
+  let n = Gmr.cardinal g in
+  let caps =
+    Array.init parts (fun q -> if n > q then ((n - q - 1) / parts) + 1 else 0)
   in
-  {
-    cols;
-    mults = Array.map (fun j -> Array.unsafe_get t.mults j) keep;
-    n = m;
-    tbase = 0;
-    tstride = 0;
-    bytes = -1;
-    live = t.live;
-  }
+  let nl = Array.length live in
+  (* [sh.(k).(q)]: share [q]'s array for live column [k]; an empty batch
+     keeps the placeholder [CInt [||]] *)
+  let sh = Array.make_matrix nl parts (CInt [||]) in
+  let mults = Array.map Array.create_float caps in
+  let q = ref 0 and r = ref 0 in
+  Gmr.iter
+    (fun (tup : Vtuple.t) m ->
+      let qi = !q and ri = !r in
+      if qi = 0 && ri = 0 then
+        for k = 0 to nl - 1 do
+          sh.(k) <-
+            (match tup.(live.(k)) with
+            | Value.String _ ->
+                let d = dict_create () in
+                Array.map (fun cap -> CDict (d, Array.make cap 0)) caps
+            | v -> Array.map (fun cap -> new_col cap v) caps)
+        done;
+      for k = 0 to nl - 1 do
+        deal_cell (Array.unsafe_get sh k) qi ri
+          tup.(Array.unsafe_get live k)
+      done;
+      Array.unsafe_set (Array.unsafe_get mults qi) ri m;
+      if qi + 1 = parts then begin
+        q := 0;
+        r := ri + 1
+      end
+      else q := qi + 1)
+    g;
+  Array.mapi
+    (fun qi cap ->
+      let cols = Array.make width (CInt [||]) in
+      Array.iteri (fun k c -> cols.(c) <- sh.(k).(qi)) live;
+      fill_absent cols cap live;
+      {
+        cols;
+        mults = mults.(qi);
+        n = cap;
+        tbase = 0;
+        tstride = 0;
+        bytes = -1;
+        live = (if nl = width then None else Some live);
+      })
+    caps
 
 (* ------------------------------------------------------------------ *)
 (* Row hashing (Vtuple/Oaidx-compatible, no boxing)                    *)
@@ -726,12 +782,3 @@ let dictify_cols t cis =
     List.fold_left (fun acc ci -> dictify_col t ci || acc) false cis
   in
   if changed then t.bytes <- -1
-
-(* Whole-batch upgrade for the wire path: every all-string column below
-   the cardinality cutoff ships as dictionary + codes. *)
-let dictify t =
-  let changed = ref false in
-  for ci = 0 to Array.length t.cols - 1 do
-    if dictify_col t ci then changed := true
-  done;
-  if !changed then t.bytes <- -1

@@ -54,21 +54,32 @@ val width : t -> int
 val length : t -> int
 
 (** Row-to-column transformer. [width] must be the tuple width; empty GMRs
-    need it to be supplied explicitly. With [~cols] (ascending, distinct
-    positions) only those columns are transposed; the others are
-    {e absent} (see {!live_cols}). *)
-val of_gmr : ?cols:int array -> width:int -> Gmr.t -> t
+    need it to be supplied explicitly. *)
+val of_gmr : width:int -> Gmr.t -> t
 
 (** [of_iter ~width ~count iter] builds a batch by running [iter emit]
     where [emit tup m] appends one row. [count] must be an upper bound on
     the number of rows emitted (e.g. [Pool.cardinal]); tuples are copied,
-    so borrowed rows are fine. [~cols] as for {!of_gmr}. *)
+    so borrowed rows are fine. *)
 val of_iter :
-  ?cols:int array ->
-  width:int ->
-  count:int ->
-  ((Vtuple.t -> float -> unit) -> unit) ->
-  t
+  width:int -> count:int -> ((Vtuple.t -> float -> unit) -> unit) -> t
+
+(** [shares_of_gmr ~cols ~width ~parts g] deals [g]'s rows round-robin
+    into [parts] column batches in one pass: row [i] (in [Gmr.iter]
+    order) becomes row [i / parts] of share [i mod parts]. Only the
+    columns at [cols] (ascending, distinct positions below [width]) are
+    written; the others are {e absent} (see {!live_cols}).
+
+    Each column's representation is chosen for the whole batch, so every
+    share agrees: Int, Date and Float columns are unboxed; a string
+    column is dictionary-encoded with one dictionary for all shares,
+    entries in first-appearance order; a column that mixes kinds, or has
+    more than 64 distinct strings, is [CBoxed] in every share. The
+    columns of an empty batch are empty [CInt]s. The distributed engines
+    cut update batches this way ([parts] = workers), and the wire codec
+    transposes a GMR payload with [parts = 1]. *)
+val shares_of_gmr :
+  cols:int array -> width:int -> parts:int -> Gmr.t -> t array
 
 (** Wrap pre-built columns (all the same length as [mults]). Used by the
     wire codec, which ships columns as flat arrays. *)
@@ -83,18 +94,12 @@ val of_live_cols :
   width:int -> (int * col) array -> mults:float array -> t
 
 (** Positions of the columns that carry data, ascending: every column of
-    an ordinary batch; the selected ones of a batch built with [~cols]
-    (and of its {!deal} shares). An absent column reads as [Int 0] in
-    every row — it exists only so that positional column access stays in
+    an ordinary batch; the selected ones of a {!shares_of_gmr} share or a
+    {!of_live_cols} batch. An absent column reads as [Int 0] in every
+    row — it exists only so that positional column access stays in
     bounds, and only a reader that knows it never touches it (the
     distributed block executor's column-pruning rule) may build one. *)
 val live_cols : t -> int array
-
-(** [deal b ~parts p] is round-robin share [p] of [parts]: rows [p],
-    [p + parts], [p + 2·parts], … of [b], in row order, with [b]'s live
-    columns. The distributed engines split every update batch this way,
-    so row [i] always lands on worker [i mod parts]. *)
-val deal : t -> parts:int -> int -> t
 
 (** Column-to-row transformer; adds rows in row order (so replaying a
     decoded batch is deterministic). *)
@@ -114,8 +119,9 @@ val mults : t -> float array
 (** [iter_rows b f] calls [f tuple mult] per row. The tuple array is a
     single scratch buffer BORROWED by [f] for the duration of the call
     only: it is overwritten in place before the next row, so [f] must copy
-    it (e.g. via [Gmr.add] / [Pool.add], which copy keys) before retaining
-    it anywhere. *)
+    it before retaining it anywhere. [Gmr.add] and [Pool.add] keep their
+    key by reference; [Gmr.add_borrow] / [Pool.add_borrow] copy it on
+    first insert and are the ones to pass here. *)
 val iter_rows : t -> (Vtuple.t -> float -> unit) -> unit
 
 (** {2 Row hashing for bulk merges}
@@ -187,23 +193,18 @@ val hash_bits_for_tests : int option ref
     dictionary columns account the dictionary payload (count +
     length-prefixed entries) plus one i32 code per row; boxed columns are
     scanned once. The result is memoized — representation upgrades
-    ([dictify]) invalidate the memo. *)
+    ([dictify_cols]) invalidate the memo. *)
 val byte_size : t -> int
 
-(** Promote every [CBoxed] column holding only strings to [CDict] in
-    place (the wire path: each such column then ships as dictionary +
-    codes). High-cardinality columns — more than 64 distinct entries,
-    e.g. generated per-row names — are left boxed: a near-distinct
-    dictionary pays hash-and-append per cell and compresses nothing.
-    Invalidates the [byte_size] memo when anything changed. *)
-val dictify : t -> unit
-
-(** Targeted form of {!dictify}: promote only the named columns (by
-    index). The runtime's planner calls this once per batch with the
-    columns whose dictionary form pays for itself — string
+(** Promote the named [CBoxed] columns (by index) that hold only strings
+    to [CDict] in place. The runtime's planner calls this once per batch
+    with the columns whose dictionary form pays for itself — string
     filter-kernel operands (the kernel then tests an int-indexed
     per-dictionary truth table) and string compaction keys (the radix
     path then hashes cached per-entry hashes instead of boxed cells).
-    Already-[CDict], non-string, and high-cardinality columns are
-    skipped; same cutoff as {!dictify}. *)
+    Already-[CDict] and non-string columns are skipped, and so are
+    high-cardinality ones — more than 64 distinct entries, e.g. generated
+    per-row names: a near-distinct dictionary pays hash-and-append per
+    cell and compresses nothing. Invalidates the [byte_size] memo when
+    anything changed. *)
 val dictify_cols : t -> int list -> unit

@@ -10,6 +10,7 @@ module Obs = Divm_obs.Obs
 module Prof = Divm_obs.Prof
 module Profile = Divm_profile.Profile
 module Protocol = Divm_node.Protocol
+module Runtime = Divm_runtime.Runtime
 module Node = Divm_node.Node
 module Cluster = Divm_cluster.Cluster
 module Workload = Divm_workload.Workload
@@ -39,15 +40,46 @@ let gen_value =
 
 let gen_tuple = QCheck.Gen.(map Array.of_list (list_size (int_range 0 6) gen_value))
 
-let gen_gmr =
+(* Payload row counts: [small] is what the truncation check can afford
+   (it cuts every prefix of every frame); [large] also draws runs of up
+   to 2,000 rows. *)
+let small_rows = QCheck.Gen.int_range 0 25
+
+let large_rows =
+  QCheck.Gen.(frequency [ (3, int_range 0 25); (1, int_range 26 2000) ])
+
+(* One column's cells: a single kind (the typed runs), low-cardinality
+   strings (dictionary runs) or any value (boxed runs). *)
+let gen_cells =
   QCheck.Gen.(
+    oneofl
+      [
+        map (fun i -> Value.Int i) int;
+        map (fun f -> Value.Float f) float;
+        map (fun d -> Value.Date d) (int_range 19920101 19981231);
+        map (fun s -> Value.String s) (oneofl [ "AIR"; "RAIL"; "MAIL"; "" ]);
+        gen_value;
+      ])
+
+(* Mixed arities travel in the row layout; one arity in the columnar
+   layout. *)
+let gen_gmr_sized rows =
+  QCheck.Gen.(
+    rows >>= fun n ->
+    oneof
+      [
+        list_repeat n gen_tuple;
+        ( int_range 1 6 >>= fun w ->
+          list_repeat w gen_cells >>= fun cols ->
+          list_repeat n (map Array.of_list (flatten_l cols)) );
+      ]
+    >>= fun tuples ->
     map
-      (fun l ->
+      (fun ms ->
         let g = Gmr.create () in
-        List.iter (fun (t, m) -> Gmr.add g t m) l;
+        List.iter2 (Gmr.add g) tuples ms;
         g)
-      (list_size (int_range 0 25)
-         (pair gen_tuple (oneof [ float; oneofl [ 1.; -2.; 0.5 ] ]))))
+      (list_repeat n (oneof [ float; oneofl [ 1.; -2.; 0.5 ] ])))
 
 let gen_name =
   QCheck.Gen.(
@@ -182,10 +214,10 @@ let gen_col n =
             (list_repeat n gen_value) );
       ])
 
-let gen_share =
+let gen_share_sized rows =
   QCheck.Gen.(
     int_range 1 6 >>= fun width ->
-    int_range 0 25 >>= fun n ->
+    rows >>= fun n ->
     list_repeat width (pair bool (gen_col n)) >>= fun cols ->
     map
       (fun mults ->
@@ -201,7 +233,8 @@ let gen_share =
            list_repeat n gen_f;
          ]))
 
-let gen_msg =
+let gen_msg_sized rows =
+  let gen_gmr = gen_gmr_sized rows in
   QCheck.Gen.(
     frequency
       [
@@ -210,7 +243,9 @@ let gen_msg =
         ( 3,
           map2 (fun r g -> Protocol.Load_batch (r, g)) gen_name gen_gmr );
         ( 3,
-          map2 (fun r cb -> Protocol.Load_share (r, cb)) gen_name gen_share );
+          map2
+            (fun r cb -> Protocol.Load_share (r, cb))
+            gen_name (gen_share_sized rows) );
         (1, map2 (fun r i -> Protocol.Run_block (r, i)) gen_name (int_range 0 50));
         ( 1,
           map2
@@ -343,7 +378,7 @@ let msg_equal (a : Protocol.msg) (b : Protocol.msg) =
   | a, b -> a = b
 
 let qcheck_codec_roundtrip =
-  let arb = QCheck.make ~print:(fun _ -> "<msg>") gen_msg in
+  let arb = QCheck.make ~print:(fun _ -> "<msg>") (gen_msg_sized large_rows) in
   QCheck.Test.make ~name:"protocol codec round-trips bit-exactly" ~count:500 arb
     (fun m ->
       let payload = Protocol.encode m in
@@ -368,7 +403,7 @@ let expect_error name f =
   | _ -> Alcotest.failf "%s: malformed input accepted" name
 
 let qcheck_codec_truncated =
-  let arb = QCheck.make ~print:(fun _ -> "<msg>") gen_msg in
+  let arb = QCheck.make ~print:(fun _ -> "<msg>") (gen_msg_sized small_rows) in
   QCheck.Test.make ~name:"truncated frames and payloads are rejected" ~count:200
     arb (fun m ->
       let frame = Protocol.encode_frame m in
@@ -605,6 +640,176 @@ let test_codec_share_strict () =
   Alcotest.(check int) "15 absent columns save 15 column runs"
     (15 * (2 + 4 + 1 + 16))
     (size full - size cb)
+
+(* Words allocated by [f ()], exceptions included. *)
+let alloc_words f =
+  let words () =
+    let s = Gc.quick_stat () in
+    Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let w0 = words () in
+  (try f () with _ -> ());
+  words () -. w0
+
+(* A 29-byte share frame declaring 8,000,000 rows of one Int column
+   carries one cell: the run's length is checked before its array is
+   allocated, so the decoder rejects it without allocating the declared
+   64 MB. *)
+let test_codec_truncated_run () =
+  let b = Buffer.create 32 in
+  Buffer.add_uint8 b 20 (* Load_share *);
+  Buffer.add_int32_be b 1l;
+  Buffer.add_string b "r";
+  Buffer.add_uint16_be b 1 (* stream width *);
+  Buffer.add_int32_be b 8_000_000l (* rows *);
+  Buffer.add_uint16_be b 1 (* live columns *);
+  Buffer.add_uint16_be b 0 (* position *);
+  Buffer.add_int32_be b 8_000_000l (* cells *);
+  Buffer.add_uint8 b 0 (* Int run *);
+  Buffer.add_int64_be b 42L;
+  let payload = Buffer.contents b in
+  Alcotest.(check int) "payload bytes" 29 (String.length payload);
+  expect_error_with "truncated Int run" [ "Load_share"; "truncated" ] (fun () ->
+      Protocol.decode payload);
+  let words = alloc_words (fun () -> ignore (Protocol.decode payload)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "rejected after allocating %.0f words (< 1 MB)" words)
+    true
+    (words *. float_of_int (Sys.word_size / 8) < 1024. *. 1024.)
+
+(* [Runtime.deal] over random batches: every width 1–6, random column
+   subsets, every cell kind, a column mixing Int and Float, a string
+   column past the 64-entry dictionary cutoff, the empty batch and 1–4
+   parts. *)
+type cell_kind = KInt | KFloat | KDate | KStr | KStrWide | KMixed
+
+let gen_kind_cell = function
+  | KInt -> QCheck.Gen.map (fun i -> Value.Int i) (QCheck.Gen.int_range (-5) 5)
+  | KFloat -> QCheck.Gen.map (fun f -> Value.Float f) gen_f
+  | KDate ->
+      QCheck.Gen.map (fun d -> Value.Date d)
+        (QCheck.Gen.int_range 19920101 19981231)
+  | KStr ->
+      QCheck.Gen.map (fun s -> Value.String s)
+        (QCheck.Gen.oneofl [ "AIR"; "RAIL"; "MAIL"; "SHIP" ])
+  | KStrWide ->
+      QCheck.Gen.map
+        (fun i -> Value.String (Printf.sprintf "name-%d" i))
+        (QCheck.Gen.int_range 0 999)
+  | KMixed ->
+      QCheck.Gen.oneof
+        [
+          QCheck.Gen.map (fun i -> Value.Int i) (QCheck.Gen.int_range 0 9);
+          QCheck.Gen.map (fun f -> Value.Float f) gen_f;
+        ]
+
+let gen_deal_case =
+  QCheck.Gen.(
+    int_range 1 6 >>= fun width ->
+    list_repeat width (oneofl [ KInt; KFloat; KDate; KStr; KStrWide; KMixed ])
+    >>= fun kinds ->
+    frequency [ (1, return 0); (4, int_range 1 200) ] >>= fun n ->
+    list_repeat n
+      (pair
+         (map Array.of_list (flatten_l (List.map gen_kind_cell kinds)))
+         (oneof [ oneofl [ 1.; -1.; 2. ]; float_range (-10.) 10. ]))
+    >>= fun rows ->
+    list_repeat width bool >>= fun sel ->
+    int_range 1 4 >|= fun parts ->
+    let g = Gmr.create () in
+    List.iter (fun (t, m) -> Gmr.add g t m) rows;
+    let cols =
+      List.concat (List.mapi (fun c s -> if s then [ c ] else []) sel)
+    in
+    (width, Array.of_list cols, parts, g))
+
+let col_kind = function
+  | Colbatch.CInt _ -> "int"
+  | Colbatch.CDate _ -> "date"
+  | Colbatch.CFloat _ -> "float"
+  | Colbatch.CDict _ -> "dict"
+  | Colbatch.CBoxed _ -> "boxed"
+
+(* The batch-wide representation of one column's cells, as the
+   transpose + dictionary-encode + gather pipeline chose it. *)
+let expected_kind (cells : Value.t list) =
+  let all p = List.for_all p cells in
+  match cells with
+  | [] -> "int"
+  | _ when all (function Value.Int _ -> true | _ -> false) -> "int"
+  | _ when all (function Value.Float _ -> true | _ -> false) -> "float"
+  | _ when all (function Value.Date _ -> true | _ -> false) -> "date"
+  | _ when all (function Value.String _ -> true | _ -> false) ->
+      if List.length (List.sort_uniq compare cells) <= 64 then "dict"
+      else "boxed"
+  | _ -> "boxed"
+
+let qcheck_deal =
+  let print (width, cols, parts, g) =
+    Printf.sprintf "width=%d cols=[%s] parts=%d rows=%d" width
+      (String.concat ";" (Array.to_list (Array.map string_of_int cols)))
+      parts (Gmr.cardinal g)
+  in
+  QCheck.Test.make ~name:"deal: round-robin rows, batch-wide kinds, one dictionary"
+    ~count:300 (QCheck.make ~print gen_deal_case)
+    (fun (width, cols, parts, g) ->
+      let shares = Runtime.deal { Runtime.sc_width = width; sc_cols = cols } ~parts g in
+      let rows = Array.of_list (List.rev (Gmr.fold (fun t m acc -> (t, m) :: acc) g [])) in
+      let n = Array.length rows in
+      Alcotest.(check int) "one share per part" parts (Array.length shares);
+      Array.iteri
+        (fun p sh ->
+          Alcotest.(check int) "share width" width (Colbatch.width sh);
+          Alcotest.(check (array int)) "live columns = sc_cols" cols
+            (Colbatch.live_cols sh);
+          Alcotest.(check int) "share rows"
+            (if n > p then ((n - p - 1) / parts) + 1 else 0)
+            (Colbatch.length sh);
+          for j = 0 to Colbatch.length sh - 1 do
+            let tup, m = rows.(p + (j * parts)) in
+            if not (fbits_equal m (Colbatch.mults sh).(j)) then
+              Alcotest.failf "share %d row %d: multiplicity differs" p j;
+            Array.iter
+              (fun c ->
+                if not (value_bits_equal tup.(c) (Colbatch.get (Colbatch.col sh c) j))
+                then Alcotest.failf "share %d row %d column %d differs" p j c)
+              cols
+          done)
+        shares;
+      Array.iter
+        (fun c ->
+          let cells = Array.to_list (Array.map (fun (t, _) -> t.(c)) rows) in
+          let kinds = Array.map (fun sh -> col_kind (Colbatch.col sh c)) shares in
+          Array.iter
+            (fun k ->
+              Alcotest.(check string)
+                (Printf.sprintf "column %d kind" c)
+                (expected_kind cells) k)
+            kinds;
+          match Colbatch.col shares.(0) c with
+          | Colbatch.CDict (d, _) ->
+              Array.iter
+                (fun sh ->
+                  match Colbatch.col sh c with
+                  | Colbatch.CDict (d', _) when d' == d -> ()
+                  | _ -> Alcotest.failf "column %d: a dictionary per share" c)
+                shares;
+              let first_seen =
+                List.fold_left
+                  (fun acc v ->
+                    match v with
+                    | Value.String s when not (List.mem s acc) -> s :: acc
+                    | _ -> acc)
+                  [] cells
+                |> List.rev
+              in
+              Alcotest.(check (list string))
+                (Printf.sprintf "column %d: entries in first-appearance order" c)
+                first_seen
+                (List.init (Colbatch.dict_size d) (Colbatch.dict_entry d))
+          | _ -> ())
+        cols;
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Mesh frame strictness + error context                               *)
@@ -1301,6 +1506,9 @@ let suites =
           test_codec_dict_strict;
         Alcotest.test_case "share frames decode strictly" `Quick
           test_codec_share_strict;
+        Alcotest.test_case "truncated run rejected before allocating" `Quick
+          test_codec_truncated_run;
+        QCheck_alcotest.to_alcotest qcheck_deal;
         Alcotest.test_case "mesh frames decode strictly with error context"
           `Quick test_codec_mesh_strict;
         QCheck_alcotest.to_alcotest qcheck_node_equiv;

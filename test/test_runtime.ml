@@ -245,6 +245,55 @@ let qcheck_parallel_equiv =
         Tpch_suite.queries;
       true)
 
+(* A worker's column share installed under generic Δ readers (a
+   [columnar:false] runtime reads Δ only through the batch pool) must
+   fill the pool with one row per share row, as the same batch installed
+   as rows does. *)
+let test_share_fills_batch_pool () =
+  let module Workload = Divm_workload.Workload in
+  let module Tpch = Divm_tpch in
+  let stream =
+    Tpch.Gen.stream { Tpch.Gen.scale = 0.02; seed = 5 } ~batch_size:40
+  in
+  List.iter
+    (fun qn ->
+      let prog = Workload.compile (Workload.find qn) in
+      let runtime () =
+        let rt = Runtime.create ~columnar:false prog in
+        ( rt,
+          List.map
+            (fun (tr : Prog.trigger) ->
+              ( tr.relation,
+                Runtime.compile_blocks rt ~rel:tr.relation [ ([], tr.stmts) ] ))
+            prog.Prog.triggers )
+      in
+      let rows, rows_bk = runtime () and shares, shares_bk = runtime () in
+      List.iter
+        (fun (rel, b) ->
+          match (List.assoc_opt rel rows_bk, List.assoc_opt rel shares_bk) with
+          | Some bk, Some bk' ->
+              Runtime.set_batch rows bk (Runtime.Rows b);
+              Runtime.run_block rows bk 0;
+              let width = List.length (List.assoc rel prog.Prog.streams) in
+              Runtime.set_batch shares bk'
+                (Runtime.Share (Colbatch.of_gmr ~width b));
+              Runtime.run_block shares bk' 0
+          | _ -> ())
+        stream;
+      List.iter
+        (fun (m : Prog.map_decl) ->
+          if
+            m.mkind <> Prog.Transient
+            && not
+                 (Gmr.equal ~eps:1e-6
+                    (Runtime.map_contents rows m.mname)
+                    (Runtime.map_contents shares m.mname))
+          then
+            Alcotest.failf "%s: store %s differs between Rows and Share" qn
+              m.mname)
+        prog.Prog.maps)
+    [ "Q1"; "Q3"; "Q6"; "Q12" ]
+
 let test_rt_ops_counter () =
   let prog = Compile.compile ~streams:streams_rst [ ("Q", q_running) ] in
   let rt = Runtime.create prog in
@@ -476,6 +525,8 @@ let suites =
         Alcotest.test_case "ops counter" `Quick test_rt_ops_counter;
         Alcotest.test_case "columnar preagg path" `Quick test_columnar_path;
         Alcotest.test_case "selvec route split" `Quick test_selvec_route_split;
+        Alcotest.test_case "a share fills the batch pool like its rows" `Quick
+          test_share_fills_batch_pool;
         QCheck_alcotest.to_alcotest qcheck_rt_agree;
         QCheck_alcotest.to_alcotest qcheck_columnar_equiv;
         QCheck_alcotest.to_alcotest qcheck_parallel_equiv;

@@ -505,8 +505,8 @@ let test_dictify_byte_size () =
   Alcotest.(check int) "idempotent" expect (Colbatch.byte_size b)
 
 (* Past the cardinality cutoff (64 distinct entries) the column must stay
-   boxed under both the targeted and the whole-batch upgrade, and the
-   byte_size memo must not churn. *)
+   boxed under both the targeted upgrade and the wire path's dealing
+   pass, and the byte_size memo must not churn. *)
 let test_dictify_cardinality_cutoff () =
   let rows = List.init 80 (fun k -> (k, Printf.sprintf "name-%04d" k)) in
   let b = mk_str_batch rows in
@@ -516,8 +516,11 @@ let test_dictify_cardinality_cutoff () =
   | Colbatch.CBoxed _ -> ()
   | _ -> Alcotest.fail "high-cardinality column must stay boxed (targeted)");
   Alcotest.(check int) "byte_size unchanged" before (Colbatch.byte_size b);
-  Colbatch.dictify b;
-  match Colbatch.col b 1 with
+  let wire =
+    Colbatch.shares_of_gmr ~cols:[| 0; 1 |] ~width:2 ~parts:1
+      (Colbatch.to_gmr b)
+  in
+  match Colbatch.col wire.(0) 1 with
   | Colbatch.CBoxed _ -> ()
   | _ -> Alcotest.fail "high-cardinality column must stay boxed (wire)"
 
