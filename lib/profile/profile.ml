@@ -34,6 +34,9 @@ type stmt_plan = {
           into packed survivor index vectors) *)
   sp_rowwise : int;
       (** filters left on the per-row closure path (dynamic predicates) *)
+  sp_compacts : bool;
+      (** its group compacts the batch to distinct keys (some member
+          probes or slices a store) *)
   sp_block : int option;
   sp_stage : int option;
   sp_loc : string option;
@@ -55,6 +58,9 @@ type plan = {
   pl_dist : bool;
   pl_stmts : stmt_plan list;
   pl_transfers : transfer_plan list;
+  pl_batch_cols : (string * string list * int) list;
+      (** local plans: per trigger whose batch some vectorized group
+          reads, the columns a firing transposes and the stream width *)
 }
 
 (* Resolve each atom access against the declared slice patterns — the
@@ -99,7 +105,7 @@ let route_of_label lbl =
 
 (* One statement's plan entry from its planner route. *)
 let stmt_plan sp bp ~trigger ?block ?stage ?loc
-    ((st : Prog.stmt), lbl, selvec, rowwise) =
+    ((st : Prog.stmt), lbl, selvec, rowwise, compacts) =
   {
     sp_trigger = trigger;
     sp_label = lbl;
@@ -108,6 +114,7 @@ let stmt_plan sp bp ~trigger ?block ?stage ?loc
     sp_columnar = route_of_label lbl <> "stmt";
     sp_selvec = selvec;
     sp_rowwise = rowwise;
+    sp_compacts = compacts;
     sp_block = block;
     sp_stage = stage;
     sp_loc = loc;
@@ -126,7 +133,27 @@ let explain ?(name = "program") (prog : Prog.t) =
                 [ ([], tr.stmts) ])))
       prog.triggers
   in
-  { pl_name = name; pl_dist = false; pl_stmts = stmts; pl_transfers = [] }
+  let batch_cols =
+    List.filter_map
+      (fun (tr : Prog.trigger) ->
+        let vars = List.assoc tr.relation prog.streams in
+        Option.map
+          (fun cols ->
+            ( tr.relation,
+              List.map
+                (fun c -> (List.nth vars c : Divm_ring.Schema.var).name)
+                (Array.to_list cols),
+              List.length vars ))
+          (Runtime.batch_columns prog ~rel:tr.relation [ ([], tr.stmts) ]))
+      prog.triggers
+  in
+  {
+    pl_name = name;
+    pl_dist = false;
+    pl_stmts = stmts;
+    pl_transfers = [];
+    pl_batch_cols = batch_cols;
+  }
 
 let explain_dist ?(name = "program") (dp : Dprog.t) =
   let cprog = Dprog.compute_prog dp in
@@ -197,6 +224,7 @@ let explain_dist ?(name = "program") (dp : Dprog.t) =
     pl_dist = true;
     pl_stmts = List.rev !stmts;
     pl_transfers = List.rev !transfers;
+    pl_batch_cols = [];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -245,29 +273,32 @@ let render_stmt buf indent s =
     | "selvec-join" ->
         "vectorized batched join (selection-vector kernels, key-grouped \
          probes)"
-    | "fused" -> "fused columnar group (one pass over the grouped batch)"
+    | "fused" -> "fused columnar group (one pass over the batch)"
     | "fused-selvec" ->
         "fused columnar group (selection-vector kernels, one pass)"
     | _ -> "compiled closure")
     (match s.sp_loc with Some l -> "  @" ^ l | None -> "");
   match route with
-  | "columnar" ->
-      Printf.bprintf buf
-        "%s    batch transposed once; filters scan single columns\n" indent
-  | "selvec" ->
-      Printf.bprintf buf
-        "%s    filters (%s): kernels pack survivor indexes; chain runs over \
-         survivors only\n"
-        indent (filter_split_str s)
-  | "columnar-join" | "fused" ->
+  | ("columnar-join" | "fused") when s.sp_compacts ->
       Printf.bprintf buf
         "%s    batch compacted to distinct keys; store accessors resolved \
          once per key group\n"
         indent
-  | "selvec-join" | "fused-selvec" ->
+  | ("selvec-join" | "fused-selvec") when s.sp_compacts ->
       Printf.bprintf buf
         "%s    batch compacted to distinct keys; filters (%s) gate rows \
          before accessor resolution\n"
+        indent (filter_split_str s)
+  | "columnar" ->
+      Printf.bprintf buf
+        "%s    batch transposed once; filters scan single columns\n" indent
+  | "fused" ->
+      Printf.bprintf buf
+        "%s    no store reads: members run over the uncompacted rows\n" indent
+  | "selvec" | "fused-selvec" ->
+      Printf.bprintf buf
+        "%s    filters (%s): kernels pack survivor indexes; chain runs over \
+         survivors only\n"
         indent (filter_split_str s)
   | _ ->
       List.iter
@@ -291,6 +322,12 @@ let render (p : plan) =
         List.filter (fun t -> t.tp_trigger = tr) p.pl_transfers
       in
       Printf.bprintf buf "ON UPDATE %s:\n" tr;
+      (match List.find_opt (fun (t, _, _) -> t = tr) p.pl_batch_cols with
+      | Some (_, cols, width) ->
+          Printf.bprintf buf "  batch columns: %d of %d%s\n"
+            (List.length cols) width
+            (if cols = [] then "" else " (" ^ String.concat ", " cols ^ ")")
+      | None -> ());
       if not p.pl_dist then List.iter (render_stmt buf "  ") stmts
       else begin
         let max_block =

@@ -60,6 +60,9 @@ type stmt_plan = {
           into packed survivor index vectors); 0 on generic routes *)
   sp_rowwise : int;
       (** filters left on the per-row closure path (dynamic predicates) *)
+  sp_compacts : bool;
+      (** its group compacts the batch to distinct keys before running:
+          only groups with a member that probes or slices a store do *)
   sp_block : int option;  (** distributed programs only *)
   sp_stage : int option;  (** 1-based distributed stage, if any *)
   sp_loc : string option;  (** rendered location tag of the target *)
@@ -81,6 +84,10 @@ type plan = {
   pl_dist : bool;
   pl_stmts : stmt_plan list;
   pl_transfers : transfer_plan list;
+  pl_batch_cols : (string * string list * int) list;
+      (** local plans: per trigger whose update batch some vectorized
+          group reads, the names of the columns a firing transposes
+          ({!Divm_runtime.Runtime.batch_columns}) and the stream width *)
 }
 
 val explain : ?name:string -> Prog.t -> plan

@@ -59,6 +59,7 @@ type exec_unit = {
 type blocks = {
   bk_rel : string;
   bk_width : int; (* stream width *)
+  bk_cols : int array; (* the columns a firing transposes ([batch_cols]) *)
   bk_units : exec_unit list array;
   bk_load : bool; (* a generic unit reads the batch pool *)
   mutable bk_raw : Colbatch.t Lazy.t;
@@ -517,7 +518,7 @@ type vplan = {
   vp_sign : float; (* product of constant factors *)
   vp_source : vsource;
   vp_probes : vprobe list; (* accessor table; VGet/VExists/VLift indices *)
-  vp_steps : vstep list; (* factor order; at most one VSlice *)
+  vp_steps : vstep list; (* gates first, then factor order; ≤ 1 VSlice *)
   vp_tkey : vref list; (* target key, one ref per target variable *)
   vp_used : int list; (* source columns read anywhere, sorted *)
   vp_keycols : int list; (* source columns feeding probes/slice binds *)
@@ -704,6 +705,17 @@ let plan_stmt_exn ~rel ~transient_ready (s : Prog.stmt) : vplan =
                     es))
         | _ -> raise Not_vectorizable)
       rest
+  in
+  (* Gates first: a get/exists probe is keyed only by source columns and
+     resolved per key group before any member runs, so no step can feed
+     it. Checking it first lets a row whose probe is 0 skip the lifts,
+     filters, weights and slice scan behind it; the rest keeps factor
+     order (lifts and slice outputs bind what later steps read). *)
+  let steps =
+    let gates, rest =
+      List.partition (function VGet _ | VExists _ -> true | _ -> false) steps
+    in
+    gates @ rest
   in
   let tkey = List.map vref s.target_vars in
   {
@@ -989,6 +1001,27 @@ let group_shape (ps : vplan list) =
     sh_sel = sel;
     sh_cpos = cpos;
   }
+
+(* The column rule: the stream columns the vectorized batch-sourced
+   groups of [plans] read, the union of their group shapes — possibly
+   none (a COUNT( * ) still needs the rows and multiplicities). [None]
+   when no group reads the batch as columns. A local firing transposes
+   exactly these ([set_batch]); a worker share ships them unless a
+   generic unit reads Δ ([scatter_plan]). *)
+let batch_cols (plans : unit_plan list list) =
+  match
+    List.concat_map
+      (List.filter_map (function
+        | UGroup (p :: _ as ps) when p.vp_source.vs_batch -> Some ps
+        | UGroup _ | UStmt _ -> None))
+      plans
+  with
+  | [] -> None
+  | groups ->
+      let cols =
+        List.concat_map (fun ps -> Array.to_list (group_shape ps).sh_sel) groups
+      in
+      Some (Array.of_list (List.sort_uniq compare cols))
 
 (* Source columns worth dictionary-encoding for this group, this batch:
    operands of hoistable string filters (the selection kernel then
@@ -2179,6 +2212,7 @@ let compile_blocks rt ~rel blocks =
   {
     bk_rel = rel;
     bk_width = width;
+    bk_cols = Option.value (batch_cols plans) ~default:[||];
     bk_units =
       Array.of_list (List.map (List.map (compile_unit rt ~trigger:rel)) plans);
     bk_load = List.exists reads_batch_pool plans;
@@ -2202,7 +2236,10 @@ let set_batch rt bk batch =
   match batch with
   | Rows g ->
       bk.bk_rows <- Gmr.cardinal g;
-      bk.bk_raw <- lazy (Colbatch.of_gmr ~width:bk.bk_width g);
+      bk.bk_raw <-
+        lazy
+          (Colbatch.shares_of_gmr ~cols:bk.bk_cols ~width:bk.bk_width ~parts:1
+             g).(0);
       Option.iter (fun bp -> Gmr.iter (fun tup m -> Pool.add bp tup m) g) fill
   | Share cb ->
       bk.bk_rows <- Colbatch.length cb;
@@ -2391,31 +2428,18 @@ let apply_single rt ~rel tup m =
 
 type scatter = { sc_width : int; sc_cols : int array }
 
-(* The column-pruning rule. Vectorized batch-sourced groups read exactly
-   their group shape's columns — possibly none (a COUNT( * ) still needs
-   the rows and multiplicities); a generic unit reading the batch pool
-   may read any column, so then every column ships. *)
+(* A share carries the columns [batch_cols] names, except that a generic
+   unit reading the batch pool may read any column: then every column
+   ships, since a worker fills its pool from the share. *)
 let scatter_plan (prog : Prog.t) ~rel blocks =
   let plans = plan_blocks prog ~rel blocks in
   let width = stream_width prog rel in
-  let batch_groups =
-    List.concat_map
-      (List.filter_map (function
-        | UGroup (p :: _ as ps) when p.vp_source.vs_batch -> Some ps
-        | UGroup _ | UStmt _ -> None))
-      plans
-  in
   if List.exists reads_batch_pool plans then
     Some { sc_width = width; sc_cols = Array.init width Fun.id }
-  else if batch_groups = [] then None
   else
-    let cols =
-      List.concat_map
-        (fun ps -> Array.to_list (group_shape ps).sh_sel)
-        batch_groups
-    in
-    Some
-      { sc_width = width; sc_cols = Array.of_list (List.sort_uniq compare cols) }
+    Option.map
+      (fun cols -> { sc_width = width; sc_cols = cols })
+      (batch_cols plans)
 
 let deal sc ~parts batch =
   Colbatch.shares_of_gmr ~cols:sc.sc_cols ~width:sc.sc_width ~parts batch
@@ -2465,21 +2489,27 @@ let domains (rt : t) = rt.domains
    selection-vector kernel), and a shared "fused:T1+T2" /
    "fused-selvec:T1+T2" label for every member of a fused group. The
    ints are (filters hoisted to kernels, filters on the per-row path)
-   for that statement. The same [plan_blocks] that [compile_blocks] uses
-   produces this, and the same [classify_filter] the binder uses decides
-   the split — so EXPLAIN agrees with the runtime by construction. *)
+   for that statement, and the bool is whether its group compacts the
+   batch ([plans_have_access], the predicate [bind_group] tests). The
+   same [plan_blocks] that [compile_blocks] uses produces this, and the
+   same [classify_filter] the binder uses decides the split — so EXPLAIN
+   agrees with the runtime by construction. *)
 let block_routes_ex (prog : Prog.t) ~rel blocks =
   List.map
     (List.concat_map (function
-      | UStmt s -> [ (s, "stmt:" ^ s.Prog.target, 0, 0) ]
+      | UStmt s -> [ (s, "stmt:" ^ s.Prog.target, 0, 0, false) ]
       | UGroup ps ->
           let lbl = route_label_of_group ps in
+          let compacts = plans_have_access ps in
           List.map
             (fun (p : vplan) ->
               let sv, rw = plan_filter_split p in
-              (p.vp_stmt, lbl, sv, rw))
+              (p.vp_stmt, lbl, sv, rw, compacts))
             ps))
     (plan_blocks prog ~rel blocks)
+
+let batch_columns (prog : Prog.t) ~rel blocks =
+  batch_cols (plan_blocks prog ~rel blocks)
 
 let storage_stats rt =
   let maps =

@@ -145,15 +145,26 @@ val storage_stats : t -> (string * Pool.stats) list
     ["selvec-join:T"] / ["fused-selvec:T1+T2"]. Each statement also
     carries its filter split [(selvec, rowwise)]: the number of its
     filters compiled to selection-vector kernels and the number left on
-    the per-row closure path (both 0 for ["stmt:"] routes). [blocks]
-    holds, per block in trigger order, the transient maps transfers
-    filled before the block and its statements. Produced by the planner
-    {!compile_blocks} uses, so EXPLAIN cannot disagree with the runtime. *)
+    the per-row closure path (both 0 for ["stmt:"] routes), and whether
+    its group compacts the batch to distinct keys before running (only
+    a group with a member that probes or slices a store does; [false]
+    for ["stmt:"] routes). [blocks] holds, per block in trigger order,
+    the transient maps transfers filled before the block and its
+    statements. Produced by the planner {!compile_blocks} uses, so
+    EXPLAIN cannot disagree with the runtime. *)
 val block_routes_ex :
   Prog.t ->
   rel:string ->
   (string list * Prog.stmt list) list ->
-  (Prog.stmt * string * int * int) list list
+  (Prog.stmt * string * int * int * bool) list list
+
+(** The column rule: the stream columns (ascending positions) the
+    vectorized groups of [blocks] that read the update batch read —
+    possibly none, when a group only counts rows. [None] when no group
+    reads the batch. A local firing transposes exactly these columns
+    ({!set_batch}), and {!scatter_plan} ships them to workers. *)
+val batch_columns :
+  Prog.t -> rel:string -> (string list * Prog.stmt list) list -> int array option
 
 (** One trigger's statements compiled as blocks against a runtime's
     pools, with the batch installed for the current firing. *)
@@ -170,9 +181,11 @@ val compile_blocks :
 type batch = Rows of Gmr.t | Share of Colbatch.t
 
 (** Install the current batch. Rows are transposed lazily, the first
-    time a vectorized group reads them. The batch pool is filled only
-    when a generic unit reads Δ ({!scatter_plan} then ships every
-    column). *)
+    time a vectorized group reads them, and only the columns of
+    {!batch_columns}; the other columns of the transposed batch are
+    absent ({!Colbatch.live_cols}). The batch pool is filled only when a
+    generic unit reads Δ: from the rows themselves, or from a share
+    ({!scatter_plan} then ships every column). *)
 val set_batch : t -> blocks -> batch -> unit
 
 (** Run block [bi] over the installed batch. Raises [Invalid_argument]
@@ -185,8 +198,7 @@ val run_block : t -> blocks -> int -> unit
     stream width and the columns to ship. *)
 type scatter = { sc_width : int; sc_cols : int array }
 
-(** The column-pruning rule, derived from the block planner: the columns
-    the vectorized batch-sourced groups of [blocks] read, or every
+(** The columns a share carries: {!batch_columns} of [blocks], or every
     column when a unit left on the generic path reads Δ. [None] when no
     worker unit reads Δ at all — there is nothing to ship. Both the
     coordinator and the simulator derive it from the same program, so

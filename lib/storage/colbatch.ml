@@ -160,7 +160,7 @@ let new_col cap (v : Value.t) : col =
      per cell. Dictionary encoding is an explicit upgrade for the
      columns that profit from it — filter-kernel operands and
      compaction keys ([dictify_cols], driven by the runtime's planner);
-     batches headed for the wire intern while they are dealt
+     update batches intern while they are transposed or dealt
      ([shares_of_gmr]). *)
   | Value.String _ -> CBoxed (Array.make cap v)
 
@@ -363,6 +363,9 @@ let shares_of_gmr ~cols:live ~width ~parts g =
      keeps the placeholder [CInt [||]] *)
   let sh = Array.make_matrix nl parts (CInt [||]) in
   let mults = Array.map Array.create_float caps in
+  (* under a cachesim sink each share gets an arena, written as [of_iter]
+     writes one: a live cell and a multiplicity per row *)
+  let tbases = Array.map (alloc_arena width) caps in
   let q = ref 0 and r = ref 0 in
   Gmr.iter
     (fun (tup : Vtuple.t) m ->
@@ -381,6 +384,14 @@ let shares_of_gmr ~cols:live ~width ~parts g =
           tup.(Array.unsafe_get live k)
       done;
       Array.unsafe_set (Array.unsafe_get mults qi) ri m;
+      let tb = Array.unsafe_get tbases qi in
+      if tb <> 0 then begin
+        let cap = caps.(qi) in
+        for k = 0 to nl - 1 do
+          Trace.emit (tb + (((live.(k) * cap) + ri) * 8)) Trace.Write
+        done;
+        Trace.emit (tb + (((width * cap) + ri) * 8)) Trace.Write
+      end;
       if qi + 1 = parts then begin
         q := 0;
         r := ri + 1
@@ -396,8 +407,8 @@ let shares_of_gmr ~cols:live ~width ~parts g =
         cols;
         mults = mults.(qi);
         n = cap;
-        tbase = 0;
-        tstride = 0;
+        tbase = tbases.(qi);
+        tstride = cap;
         bytes = -1;
         live = (if nl = width then None else Some live);
       })

@@ -53,8 +53,10 @@ type t
 val width : t -> int
 val length : t -> int
 
-(** Row-to-column transformer. [width] must be the tuple width; empty GMRs
-    need it to be supplied explicitly. *)
+(** Row-to-column transformer over every column. [width] must be the
+    tuple width; empty GMRs need it to be supplied explicitly. The
+    engine transposes through {!shares_of_gmr}, which writes only the
+    columns its reader needs. *)
 val of_gmr : width:int -> Gmr.t -> t
 
 (** [of_iter ~width ~count iter] builds a batch by running [iter emit]
@@ -76,8 +78,11 @@ val of_iter :
     entries in first-appearance order; a column that mixes kinds, or has
     more than 64 distinct strings, is [CBoxed] in every share. The
     columns of an empty batch are empty [CInt]s. The distributed engines
-    cut update batches this way ([parts] = workers), and the wire codec
-    transposes a GMR payload with [parts = 1]. *)
+    cut update batches this way ([parts] = workers); the local runtime
+    transposes a firing's batch, and the wire codec a GMR payload, with
+    [parts = 1]. Under a {!Trace} sink each share gets an arena and every
+    written cell and multiplicity is reported as a write, as {!of_iter}
+    does. *)
 val shares_of_gmr :
   cols:int array -> width:int -> parts:int -> Gmr.t -> t array
 

@@ -962,35 +962,6 @@ let qcheck_node_equiv =
         [ 2; 4 ];
       true)
 
-(* The stream with every batch retracted [k] batches later (after the
-   last insert, the remaining ones in order): about half the rows are
-   deletes, keys cancel to zero and leave pools, and the vectorized
-   worker groups drop cancelled rows ([group_drop_cancelled]). *)
-let with_retractions ~k stream =
-  let a = Array.of_list stream in
-  let n = Array.length a in
-  let neg (rel, b) = (rel, Gmr.scale b (-1.)) in
-  List.concat
-    (List.init (n + k) (fun i ->
-         (if i < n then [ a.(i) ] else [])
-         @ if i >= k && i - k < n then [ neg a.(i - k) ] else []))
-
-(* First key whose multiplicities differ by more than 1e-9 of the view's
-   largest magnitude (incremental float sums carry rounding error on the
-   scale of their summands, not of the result). *)
-let view_difference want got =
-  let largest g = Gmr.fold (fun _ m a -> Float.max a (Float.abs m)) g 1. in
-  let tol = 1e-9 *. Float.max (largest want) (largest got) in
-  let first a b =
-    Gmr.fold
-      (fun t m d ->
-        match d with
-        | None when Float.abs (m -. Gmr.mult b t) > tol -> Some t
-        | d -> d)
-      a None
-  in
-  match first want got with Some t -> Some t | None -> first got want
-
 (* The simulator = processes contract over retraction streams, at 2 and
    4 workers, with the reference interpreter as the oracle: both
    backends' result views must match [Exec] re-evaluated over the net
@@ -1004,26 +975,12 @@ let qcheck_retraction_equiv =
       let inserts =
         Tpch.Gen.stream { Tpch.Gen.scale = 0.01; seed } ~batch_size:200
       in
-      let stream = with_retractions ~k:3 inserts in
+      let stream = Tpch_suite.with_retractions ~k:3 inserts in
       List.iter
         (fun qn ->
           let w = Workload.find qn in
-          let net = Hashtbl.create 8 in
-          List.iter
-            (fun (rel, b) ->
-              let g =
-                match Hashtbl.find_opt net rel with
-                | Some g -> g
-                | None ->
-                    let g = Gmr.create () in
-                    Hashtbl.replace net rel g;
-                    g
-              in
-              Gmr.iter (fun t m -> Gmr.add g t m) b)
-            stream;
           let ex = Divm_runtime.Exec.create (Workload.compile w) in
-          Divm_runtime.Exec.load ex
-            (Hashtbl.fold (fun r g l -> (r, g) :: l) net []);
+          Divm_runtime.Exec.load ex (Tpch_suite.net_contents stream);
           List.iter
             (fun workers ->
               let views, _ = replay_sim_proc ~workers ~stream qn in
@@ -1032,7 +989,7 @@ let qcheck_retraction_equiv =
                   let want = Divm_runtime.Exec.result ex name in
                   List.iter
                     (fun (which, got) ->
-                      match view_difference want got with
+                      match Tpch_suite.view_difference want got with
                       | None -> ()
                       | Some key ->
                           Alcotest.failf

@@ -98,6 +98,52 @@ let test_explain_routes () =
          && s.Profile.sp_target = "Q17" && s.Profile.sp_columnar)
        p.Profile.pl_stmts)
 
+(* EXPLAIN says what a firing does with the batch. Q6 transposes 4 of
+   lineitem's 14 columns. A group compacts the batch to distinct keys
+   only when a member probes or slices a store, so only those rows say
+   so: Q1's and Q17's DELTA pre-aggregations read no store and run over
+   the uncompacted rows, while Q3's and Q17's store-probing groups
+   compact. *)
+let test_explain_batch_columns_and_compaction () =
+  let explain qn = Profile.explain ~name:qn (Workload.compile (Workload.find qn)) in
+  Alcotest.(check bool) "Q6 batch columns" true
+    (contains
+       ~affix:"batch columns: 4 of 14 (l_qty, l_price, l_disc, l_sdate)"
+       (Profile.render (explain "Q6")));
+  (* the detail line under each statement whose label starts [prefix] *)
+  let details p prefix =
+    let rec go acc = function
+      | l :: d :: tl when String.starts_with ~prefix:("  [" ^ prefix) l ->
+          go (d :: acc) tl
+      | _ :: tl -> go acc tl
+      | [] -> List.rev acc
+    in
+    go [] (String.split_on_char '\n' (Profile.render p))
+  in
+  let expect what p prefix compacts =
+    let ds = details p prefix in
+    Alcotest.(check bool) (what ^ ": rows found") true (ds <> []);
+    List.iter
+      (fun d ->
+        Alcotest.(check bool)
+          (what ^ ": " ^ String.trim d)
+          compacts
+          (contains ~affix:"batch compacted to distinct keys" d))
+      ds;
+    List.iter
+      (fun s ->
+        if String.starts_with ~prefix s.Profile.sp_label then
+          Alcotest.(check bool) (what ^ ": sp_compacts") compacts
+            s.Profile.sp_compacts)
+      p.Profile.pl_stmts
+  in
+  let q1 = explain "Q1" and q3 = explain "Q3" and q17 = explain "Q17" in
+  expect "Q1 DELTA group" q1 "fused-selvec:DELTA_lineitem" false;
+  expect "Q17 DELTA pre-aggregation" q17 "fused:DELTA_lineitem" false;
+  expect "Q3 store-probing groups" q3 "fused:Q3" true;
+  expect "Q17 store-probing join" q17 "columnar-join:Q17" true;
+  expect "Q17 store-probing groups" q17 "fused:Q17" true
+
 (* EXPLAIN names what runs: every slot a firing charges — local trigger
    units, worker block units, the coordinator's driver runs, transfers —
    is a (trigger, label) row of the plan explaining the same program.
@@ -398,6 +444,8 @@ let suites =
         Alcotest.test_case "explain: columnar route matches runtime" `Quick
           test_explain_matches_runtime_columnar;
         Alcotest.test_case "explain: distributed plan" `Quick test_explain_dist;
+        Alcotest.test_case "explain: batch columns and compaction" `Quick
+          test_explain_batch_columns_and_compaction;
         Alcotest.test_case "profiler: local slot sums = registry deltas" `Quick
           test_profile_local_reconciles;
         Alcotest.test_case "profiler: cluster slot sums = registry deltas"

@@ -4,6 +4,7 @@ open Divm_calc
 open Divm_calc.Calc
 open Divm_compiler
 open Divm_runtime
+module Prof = Divm_obs.Prof
 
 let i x = Value.Int x
 let va = Schema.var "A"
@@ -150,7 +151,10 @@ let qcheck_rt_agree =
 
 (* Vectorized-executor equivalence: the same random TPC-H stream replayed
    through columnar-on and columnar-off runtimes must leave every
-   non-transient store identical, on every route [Tpch_suite] covers. *)
+   non-transient store identical, on every route [Tpch_suite] covers —
+   insert-only, and with every batch retracted three batches later. On
+   the retraction stream the columnar-on views must also match [Exec]
+   re-evaluated over the net base contents. *)
 let qcheck_columnar_equiv =
   let module Workload = Divm_workload.Workload in
   let module Tpch = Divm_tpch in
@@ -163,31 +167,54 @@ let qcheck_columnar_equiv =
   QCheck.Test.make ~name:"columnar on/off stores agree on random TPC-H streams"
     ~count:4 arb
     (fun (seed, batch_size) ->
-      let stream =
+      let inserts =
         Tpch.Gen.stream { Tpch.Gen.scale = 0.03; seed } ~batch_size
       in
+      let retractions = Tpch_suite.with_retractions ~k:3 inserts in
+      let net = Tpch_suite.net_contents retractions in
       List.iter
-        (fun qn ->
-          let w = Workload.find qn in
-          let prog = Workload.compile w in
-          let on = Runtime.create ~columnar:true prog in
-          let off = Runtime.create ~columnar:false prog in
+        (fun (what, stream, oracle) ->
           List.iter
-            (fun (rel, b) ->
-              ignore (Runtime.apply_batch on ~rel b);
-              ignore (Runtime.apply_batch off ~rel b))
-            stream;
-          List.iter
-            (fun (m : Prog.map_decl) ->
-              if m.mkind <> Prog.Transient then
-                let g_on = Runtime.map_contents on m.mname in
-                let g_off = Runtime.map_contents off m.mname in
-                if not (Gmr.equal ~eps:1e-6 g_on g_off) then
-                  Alcotest.failf
-                    "%s: store %s diverges between columnar and generic paths"
-                    qn m.mname)
-            prog.Prog.maps)
-        Tpch_suite.queries;
+            (fun qn ->
+              let w = Workload.find qn in
+              let prog = Workload.compile w in
+              let on = Runtime.create ~columnar:true prog in
+              let off = Runtime.create ~columnar:false prog in
+              List.iter
+                (fun (rel, b) ->
+                  ignore (Runtime.apply_batch on ~rel b);
+                  ignore (Runtime.apply_batch off ~rel b))
+                stream;
+              List.iter
+                (fun (m : Prog.map_decl) ->
+                  if m.mkind <> Prog.Transient then
+                    let g_on = Runtime.map_contents on m.mname in
+                    let g_off = Runtime.map_contents off m.mname in
+                    if not (Gmr.equal ~eps:1e-6 g_on g_off) then
+                      Alcotest.failf
+                        "%s (%s): store %s diverges between columnar and \
+                         generic paths"
+                        qn what m.mname)
+                prog.Prog.maps;
+              if oracle then begin
+                let ex = Exec.create prog in
+                Exec.load ex net;
+                List.iter
+                  (fun (name, _) ->
+                    let want = Exec.result ex name
+                    and got = Runtime.result on name in
+                    match Tpch_suite.view_difference want got with
+                    | None -> ()
+                    | Some key ->
+                        Alcotest.failf
+                          "%s (%s): view %s differs from Exec at %s: \
+                           expected %.17g, got %.17g"
+                          qn what name (Vtuple.to_string key)
+                          (Gmr.mult want key) (Gmr.mult got key))
+                  prog.Prog.queries
+              end)
+            Tpch_suite.queries)
+        [ ("inserts", inserts, false); ("retractions", retractions, true) ];
       true)
 
 (* Domain-parallel executor equivalence: the same random TPC-H stream
@@ -499,7 +526,7 @@ let test_selvec_route_split () =
     List.concat
       (Runtime.block_routes_ex prog ~rel:"R"
          [ ([], (List.hd prog.Prog.triggers).Prog.stmts) ])
-    |> List.filter_map (fun (_, label, sv, rw) ->
+    |> List.filter_map (fun (_, label, sv, rw, _) ->
            if String.length label >= 6 && String.sub label 0 6 = "selvec" then
              Some (sv, rw)
            else None)
@@ -509,6 +536,114 @@ let test_selvec_route_split () =
       Alcotest.(check int) "three filters hoist to kernels" 3 sv;
       Alcotest.(check int) "dynamic filter stays rowwise" 1 rw
   | _ -> Alcotest.fail "expected exactly one selvec-routed statement"
+
+(* Gates first: a get probe that follows a slice in factor order still
+   runs before it. Q(C) += ΔR(A,B) · S(B,C) · T(A) plans as a batched
+   join with the slice on S and a get on T; every row of the first batch
+   probes a T key that is 0, so the statement's slot charges one record
+   op per (distinct) source row and none for the three S rows each row's
+   slice would yield — run in factor order, it charged those too. The
+   second batch hits T, and every batch leaves Q equal to [Exec]'s. *)
+let test_zero_get_skips_slice () =
+  let base name vars =
+    { Prog.mname = name; mschema = vars; mkind = Prog.Auxiliary;
+      definition = rel name vars }
+  in
+  let body r s t = Prod [ r "R" [ va; vb ]; s "S" [ vb; vc ]; t "T" [ va ] ] in
+  let map_ mname mvars = Map { mname; mvars } in
+  let prog : Prog.t =
+    {
+      maps =
+        [
+          base "S" [ vb; vc ];
+          base "T" [ va ];
+          { mname = "Q"; mschema = [ vc ]; mkind = Prog.Query;
+            definition = Sum ([ vc ], body rel rel rel) };
+        ];
+      triggers =
+        [
+          {
+            relation = "R";
+            stmts =
+              [
+                { target = "Q"; target_vars = [ vc ]; op = Prog.Add_to;
+                  rhs = Sum ([ vc ], body delta_rel map_ map_) };
+              ];
+          };
+        ];
+      queries = [ ("Q", "Q") ];
+      streams = [ ("R", [ va; vb ]); ("S", [ vb; vc ]); ("T", [ va ]) ];
+    }
+  in
+  let label =
+    match
+      Runtime.block_routes_ex prog ~rel:"R"
+        [ ([], (List.hd prog.triggers).stmts) ]
+    with
+    | [ [ (_, l, _, _, true) ] ] -> l
+    | _ -> Alcotest.fail "expected one compacting vectorized statement"
+  in
+  let tables =
+    [
+      ("S", mk2 (List.init 12 (fun k -> ((k / 3) + 1, (k mod 3) + 1, 1.))));
+      ("T", Gmr.of_list [ ([| i 100 |], 2.); ([| i 101 |], 1.) ]);
+    ]
+  in
+  let rt = Runtime.create prog and ex = Exec.create prog in
+  Runtime.load rt tables;
+  Exec.load ex tables;
+  let same what =
+    Alcotest.(check bool) what true
+      (Gmr.equal (Exec.result ex "Q") (Runtime.result rt "Q"))
+  in
+  let n = 8 in
+  let misses = mk2 (List.init n (fun a -> (a, (a mod 4) + 1, 1.))) in
+  Prof.reset ();
+  Prof.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Prof.set_enabled false)
+    (fun () -> ignore (Runtime.apply_batch rt ~rel:"R" misses));
+  let ops =
+    List.fold_left
+      (fun acc (r : Prof.row) ->
+        if r.r_trigger = "R" && r.r_label = label then acc + r.r_ops else acc)
+      0 (Prof.rows ())
+  in
+  Alcotest.(check int) "one record op per source row" n ops;
+  Exec.apply_batch ex ~rel:"R" misses;
+  same "zero gets: Q = Exec";
+  let hits = mk2 [ (100, 1, 1.); (101, 2, 3.); (5, 3, 1.) ] in
+  ignore (Runtime.apply_batch rt ~rel:"R" hits);
+  Exec.apply_batch ex ~rel:"R" hits;
+  Alcotest.(check bool) "hits reach Q" true
+    (Gmr.cardinal (Runtime.result rt "Q") > 0);
+  same "Q = Exec"
+
+(* A local firing transposes only the columns its groups read, and that
+   pruned batch stays visible to the cache model: with a [Trace] sink
+   attached, one Q6 batch of n rows writes at least one arena cell per
+   row for each of its 4 columns and its multiplicity. *)
+let test_pruned_batch_traced () =
+  let module Workload = Divm_workload.Workload in
+  let module Tpch = Divm_tpch in
+  let prog = Workload.compile (Workload.find "Q6") in
+  let rt = Runtime.create prog in
+  let rel, b =
+    List.find
+      (fun (rel, b) -> rel = "lineitem" && Gmr.cardinal b >= 100)
+      (Tpch.Gen.stream { Tpch.Gen.scale = 0.1; seed = 3 } ~batch_size:200)
+  in
+  let writes = ref 0 in
+  Trace.set_sink
+    (Some (fun _ k -> if k = Trace.Write then incr writes));
+  Fun.protect
+    ~finally:(fun () -> Trace.set_sink None)
+    (fun () -> ignore (Runtime.apply_batch rt ~rel b));
+  let n = Gmr.cardinal b in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d writes for %d rows" !writes n)
+    true
+    (!writes >= 5 * n)
 
 let suites =
   [
@@ -527,6 +662,10 @@ let suites =
         Alcotest.test_case "selvec route split" `Quick test_selvec_route_split;
         Alcotest.test_case "a share fills the batch pool like its rows" `Quick
           test_share_fills_batch_pool;
+        Alcotest.test_case "a zero get skips the slice before it" `Quick
+          test_zero_get_skips_slice;
+        Alcotest.test_case "a pruned local batch is traced" `Quick
+          test_pruned_batch_traced;
         QCheck_alcotest.to_alcotest qcheck_rt_agree;
         QCheck_alcotest.to_alcotest qcheck_columnar_equiv;
         QCheck_alcotest.to_alcotest qcheck_parallel_equiv;
