@@ -885,13 +885,15 @@ let quick () =
         let stream = Tpch.Gen.stream tpch_cfg ~batch_size:bs in
         let prefix, suffix = split_warm stream in
         Engine.load eng prefix;
-        (* Repeat the measured suffix until the budget elapses; account
-           only in-trigger wall time so stream bookkeeping is excluded.
-           Allocation is this process's words allocated around the loop
-           (the coordinator's, on a distributed backend): a deterministic
-           per-tuple cost that does not drift with the host. *)
+        (* Repeat the measured suffix until the budget elapses, in whole
+           passes (a pass is a few batches), so per-batch counts are exact
+           means over the suffix; account only in-trigger wall time so
+           stream bookkeeping is excluded. Allocation is this process's
+           words allocated around the loop (the coordinator's, on a
+           distributed backend): a deterministic per-tuple cost that does
+           not drift with the host. *)
         let tuples = ref 0 and ops = ref 0 and wall = ref 0. in
-        let wire = ref 0 in
+        let wire = ref 0 and batches = ref 0 and round_trips = ref 0 in
         let words () =
           let s = Gc.quick_stat () in
           s.minor_words +. s.major_words -. s.promoted_words
@@ -907,8 +909,10 @@ let quick () =
                  ops := !ops + r.Engine.ops;
                  wall := !wall +. r.Engine.wall;
                  wire := !wire + r.Engine.wire_bytes;
-                 if Unix.gettimeofday () > deadline then raise Exit)
-               suffix
+                 incr batches;
+                 round_trips := !round_trips + r.Engine.round_trips)
+               suffix;
+             if Unix.gettimeofday () > deadline then raise Exit
            done
          with Exit -> ());
         let alloc = words () -. words0 in
@@ -916,19 +920,21 @@ let quick () =
         let tps = float_of_int !tuples /. !wall in
         let ops_s = float_of_int !ops /. !wall in
         let per x = x /. float_of_int !tuples in
-        (qn, tps, ops_s, per (float_of_int !ops), !wire, per alloc))
+        let rt = float_of_int !round_trips /. float_of_int !batches in
+        (qn, tps, ops_s, per (float_of_int !ops), !wire, per alloc, rt))
       quick_queries
   in
+  let dist = !backend <> "local" in
   let geomean f =
     exp
       (List.fold_left (fun a r -> a +. log (f r)) 0. results
       /. float_of_int (List.length results))
   in
-  let g_tps = geomean (fun (_, t, _, _, _, _) -> t) in
-  let g_ops = geomean (fun (_, _, o, _, _, _) -> o) in
+  let g_tps = geomean (fun (_, t, _, _, _, _, _) -> t) in
+  let g_ops = geomean (fun (_, _, o, _, _, _, _) -> o) in
   (* Actual socket traffic, multiprocess only (0 elsewhere). *)
   let total_wire =
-    List.fold_left (fun a (_, _, _, _, w, _) -> a + w) 0 results
+    List.fold_left (fun a (_, _, _, _, w, _, _) -> a + w) 0 results
   in
   B.print_table
     ~title:
@@ -936,26 +942,34 @@ let quick () =
          "Quick micro-bench — batched TPC-H triggers (B=%d, %s backend, \
           domains=%d)"
          bs !backend !used_domains)
-    ~header:[ "query"; "tuples/s"; "record-ops/s"; "ops/tuple"; "words/tuple" ]
+    ~header:
+      ([ "query"; "tuples/s"; "record-ops/s"; "ops/tuple"; "words/tuple" ]
+      @ if dist then [ "round trips/batch" ] else [])
     (List.map
-       (fun (qn, tps, ops_s, opt, _, apt) ->
+       (fun (qn, tps, ops_s, opt, _, apt, rt) ->
          [
            qn;
            B.fmt_rate tps;
            B.fmt_rate ops_s;
            Printf.sprintf "%.1f" opt;
            Printf.sprintf "%.1f" apt;
-         ])
+         ]
+         @ if dist then [ Printf.sprintf "%.3f" rt ] else [])
        results
-    @ [ [ "geomean"; B.fmt_rate g_tps; B.fmt_rate g_ops; "-"; "-" ] ]);
+    @ [
+        [ "geomean"; B.fmt_rate g_tps; B.fmt_rate g_ops; "-"; "-" ]
+        @ if dist then [ "-" ] else [];
+      ]);
   let fields =
     String.concat ","
       (List.map
-         (fun (qn, tps, ops_s, opt, wire, apt) ->
+         (fun (qn, tps, ops_s, opt, wire, apt, rt) ->
            Printf.sprintf
-             "\"%s\":{\"tuples_per_s\":%.0f,\"ops_per_s\":%.0f,\"ops_per_tuple\":%.2f,\"alloc_words_per_tuple\":%.2f%s}"
+             "\"%s\":{\"tuples_per_s\":%.0f,\"ops_per_s\":%.0f,\"ops_per_tuple\":%.2f,\"alloc_words_per_tuple\":%.2f%s%s}"
              qn tps ops_s opt apt
-             (if wire > 0 then Printf.sprintf ",\"wire_bytes\":%d" wire else ""))
+             (if wire > 0 then Printf.sprintf ",\"wire_bytes\":%d" wire else "")
+             (if dist then Printf.sprintf ",\"round_trips_per_batch\":%.4f" rt
+              else ""))
          results)
   in
   Printf.printf

@@ -30,6 +30,7 @@ type metrics = {
   wire_bytes : int;
   max_worker_ops : int;
   driver_ops : int;
+  round_trips : int;
   stage_stats : stage_stat list;
 }
 
@@ -160,11 +161,15 @@ let shuffle_apply wk ~parts idx from =
 
 type transport = {
   name : string;
-  share : rel:string -> Colbatch.t array -> unit;
-  run_block : rel:string -> int -> (int * float) array;
-  pull : string -> int array -> Gmr.t array;
+  run_block :
+    rel:string ->
+    int ->
+    share:Colbatch.t array option ->
+    pulls:string array ->
+    (int * float) array * Gmr.t array array;
+  pull : string array -> int array -> Gmr.t array array;
   deliver : string -> Gmr.t array -> unit;
-  shuffle : int -> shuffle_stat array;
+  shuffle : int array -> shuffle_stat array array;
   wire : unit -> int;
   after_stage : unit -> unit;
 }
@@ -172,7 +177,12 @@ type transport = {
 let in_process ~domains (nodes : worker array) =
   let w = Array.length nodes in
   let par = if domains > 1 then Some (Par.get ~domains) else None in
-  let run_block ~rel bi =
+  let contents names wk = Array.map (worker_contents wk) names in
+  let run_block ~rel bi ~share ~pulls =
+    Option.iter
+      (fun shares ->
+        Array.iteri (fun wi wk -> worker_load wk ~rel shares.(wi)) nodes)
+      share;
     (* Simulated workers own disjoint runtimes, so a stage is
        embarrassingly parallel; each task writes only its own cell. The
        profiler, span tracer and cachesim sink are single-writer, so
@@ -191,47 +201,55 @@ let in_process ~domains (nodes : worker array) =
             Obs.span (Printf.sprintf "worker:%d" wi) (fun () -> run wi)
           else run wi
         done);
-    out
+    (out, Array.map (contents pulls) nodes)
   in
-  let shuffle idx =
-    let walls = Array.make w 0. in
-    let timed wi f =
+  (* Every transfer of the run is partitioned on every worker before any
+     is applied, then each is applied in run order — the order a worker
+     process follows around its one exchange. *)
+  let shuffle idxs =
+    let walls = Array.make_matrix w (Array.length idxs) 0. in
+    let timed wi j f =
       let t0 = Unix.gettimeofday () in
       let r = f () in
-      walls.(wi) <- walls.(wi) +. (Unix.gettimeofday () -. t0);
+      walls.(wi).(j) <- walls.(wi).(j) +. (Unix.gettimeofday () -. t0);
       r
     in
     let parts =
       Array.mapi
         (fun self wk ->
-          timed self (fun () -> shuffle_partition wk ~self ~parts:w idx))
+          Array.mapi
+            (fun j idx ->
+              timed self j (fun () -> shuffle_partition wk ~self ~parts:w idx))
+            idxs)
         nodes
     in
     Array.iteri
       (fun d wk ->
-        timed d (fun () ->
-            shuffle_apply wk ~parts:w idx (fun src ->
-                let outs, _, _ = parts.(src) in
-                outs.(d))))
+        Array.iteri
+          (fun j idx ->
+            timed d j (fun () ->
+                shuffle_apply wk ~parts:w idx (fun src ->
+                    let outs, _, _ = parts.(src).(j) in
+                    outs.(d))))
+          idxs)
       nodes;
     Array.mapi
-      (fun wi (_, ser, modeled) ->
-        {
-          ss_ser = ser;
-          ss_modeled = modeled;
-          ss_sent = Array.make w 0;
-          ss_wall = walls.(wi);
-        })
+      (fun wi per ->
+        Array.mapi
+          (fun j (_, ser, modeled) ->
+            {
+              ss_ser = ser;
+              ss_modeled = modeled;
+              ss_sent = Array.make w 0;
+              ss_wall = walls.(wi).(j);
+            })
+          per)
       parts
   in
   {
     name = "cluster";
-    share =
-      (fun ~rel shares ->
-        Array.iteri (fun wi wk -> worker_load wk ~rel shares.(wi)) nodes);
     run_block;
-    pull =
-      (fun name ws -> Array.map (fun wi -> worker_contents nodes.(wi) name) ws);
+    pull = (fun names ws -> Array.map (fun wi -> contents names nodes.(wi)) ws);
     deliver =
       (fun name gs ->
         Array.iteri (fun wi wk -> worker_replace wk name gs.(wi)) nodes);
@@ -244,28 +262,39 @@ let in_process ~domains (nodes : worker array) =
 (* The executor                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Where a transfer's source contents come from. *)
+type route =
+  | Fetched (* a gather: its stage's reply or its run's pull brought them *)
+  | Mesh (* a direct worker-to-worker shuffle, in its run's exchange *)
+  | Driver_bound (* pulled (or read on the driver) at its own step *)
+
 type transfer = {
-  tname : string;
-  tkind : Dprog.transfer_kind;
-  key : int array;
-  source : string;
+  tr : Dprog.transfer;
   tslot : int; (* profiler slot: shuffled bytes are charged here *)
-  tmesh : int option;
-      (* index into [Dprog.transfers] when the transfer runs as a direct
-         worker-to-worker shuffle *)
+  troute : route;
   tcross : int; (* socket crossings per shuffled byte, for the wire predictor *)
 }
 
-(* A trigger's blocks, flattened: local blocks contribute their runs of
-   driver statements and their transfers, each distributed block one
-   stage. *)
+(* A trigger's steps ([Dprog.steps]), annotated for the executor. *)
 type step =
   | Driver of int (* index into the plan's driver blocks *)
   | Move of transfer
   | Stage of int * int * string (* block index, profiler slot, label *)
 
+(* The transport call a step makes, for itself and for the later steps
+   of its [Dprog.calls] entry. *)
+type call =
+  | No_call
+  | Fetch of string array * int array
+      (* the sources of these gathers (a stage's [pulls], else one
+         [pull]), and the gathers' step positions *)
+  | Exchange of int array * int array
+      (* one [shuffle] of these [Dprog.transfers] entries, and the
+         transfers' step positions *)
+
 type plan = {
-  steps : step list;
+  steps : step array;
+  calls : call array; (* per step *)
   driver : Runtime.blocks; (* [Dprog.driver_blocks], on the driver *)
   scatter : Runtime.scatter option; (* share layout; [None]: no Δ read *)
 }
@@ -283,7 +312,10 @@ type instruments = {
   worker_ops : Obs.Counter.t;
   driver_ops : Obs.Counter.t;
   scatter_wire : Obs.Counter.t;
+      (* registered here for the family; the socket transport adds the
+         frames that carry the shares *)
   scattered : Obs.Counter.t;
+  round_trips : Obs.Counter.t;
   latency : Obs.Histogram.t; (* modeled *)
   last_latency : Obs.Gauge.t;
   g_workers : Obs.Gauge.t;
@@ -315,6 +347,7 @@ let instruments name w =
     driver_ops = c "driver_ops_total";
     scatter_wire = c "scatter_wire_bytes_total";
     scattered = c "scattered_tuples_total";
+    round_trips = c "round_trips_total";
     latency = Obs.Histogram.make (fam "batch_latency_seconds");
     last_latency = Obs.Gauge.make (fam "last_latency_seconds");
     g_workers = Obs.Gauge.make (fam "workers");
@@ -340,36 +373,49 @@ type t = {
 let workers t = t.workers
 let all_workers t = Array.init t.workers Fun.id
 
-(* A transfer runs as a direct shuffle when every byte both starts and
-   ends on workers: distributed-to-distributed scatters and
-   repartitions. Gathers end at the driver and local or replicated
-   sources live there (or are read from one worker), so those stay
-   driver-bound. *)
-let is_mesh (locs : Loc.catalog) tkind ~source ~tname =
-  tkind <> Dprog.Gather
-  && (match Loc.find locs source with
-     | Loc.Dist _ | Loc.Random -> true
-     | Loc.Local | Loc.Replicated -> false)
-  && Loc.find locs tname <> Loc.Local
-
 (* How many times a shuffled byte crosses a socket, feeding the a-priori
    wire predictor. A shuffle ships direct: one crossing per remote
    destination (a keyed repartition keeps ~1/w of the bytes home, which
    the per-byte estimate rounds to one crossing). A driver-bound
    transfer pulls a remote source once, then delivers once per
    destination (a broadcast fans out to every worker). *)
-let crossings locs ~workers ~mesh tkind key source =
+let crossings locs ~workers ~mesh (tr : Dprog.transfer) =
   let fanout =
-    if Array.length key = 0 && tkind <> Dprog.Gather then workers else 1
+    if Array.length tr.key = 0 && tr.tkind <> Dprog.Gather then workers else 1
   in
   if mesh then max 1 (fanout - 1)
   else
-    match tkind with
+    match tr.tkind with
     | Dprog.Gather -> 1
     | Dprog.Scatter | Dprog.Repart ->
-        (if Loc.find locs source = Loc.Local then 0 else 1) + fanout
+        (if Loc.find locs tr.source = Loc.Local then 0 else 1) + fanout
+
+(* Every transport call addresses the workers and waits for all of them:
+   one round trip, counted here so both transports count alike. *)
+let counted c tp =
+  let call () = Obs.Counter.incr c in
+  {
+    tp with
+    run_block =
+      (fun ~rel bi ~share ~pulls ->
+        call ();
+        tp.run_block ~rel bi ~share ~pulls);
+    pull =
+      (fun names ws ->
+        call ();
+        tp.pull names ws);
+    deliver =
+      (fun name gs ->
+        call ();
+        tp.deliver name gs);
+    shuffle =
+      (fun idxs ->
+        call ();
+        tp.shuffle idxs);
+  }
 
 let make ~cost ~workers ~local tp (dp : Dprog.t) =
+  let m = instruments tp.name workers in
   (* The driver never fires whole triggers, but the compute statements
      of the distributed program (with their transfer-renamed map
      references) must be visible to the access-pattern analysis so the
@@ -377,65 +423,81 @@ let make ~cost ~workers ~local tp (dp : Dprog.t) =
   let rprog = Dprog.compute_prog dp in
   let driver = Runtime.create ~domains:1 rprog in
   let transfers = Dprog.transfers dp in
-  let transfer_index k =
+  let transfer_index (tr : Dprog.transfer) =
     let rec go i =
       if i >= Array.length transfers then
         invalid_arg "Cluster: transfer missing from Dprog.transfers"
-      else if transfers.(i) = k then i
+      else if transfers.(i) = (tr.tname, tr.key, tr.source) then i
       else go (i + 1)
     in
     go 0
   in
-  let compile (tr : Dprog.dtrigger) =
-    let trigger = tr.drelation in
+  let compile (dtr : Dprog.dtrigger) =
+    let trigger = dtr.drelation in
+    let dsteps = Dprog.steps dtr in
+    let moved p =
+      match dsteps.(p) with
+      | Dprog.Move tr -> tr
+      | Dprog.Driver _ | Dprog.Stage _ -> invalid_arg "Cluster: call on a non-transfer"
+    in
+    let calls = Array.make (Array.length dsteps) No_call in
+    let route = Array.make (Array.length dsteps) Driver_bound in
+    let fetch at ps =
+      List.iter (fun p -> route.(p) <- Fetched) ps;
+      calls.(at) <-
+        Fetch
+          ( Array.of_list (List.map (fun p -> (moved p).source) ps),
+            Array.of_list ps )
+    in
+    List.iter
+      (function
+        | Dprog.Run (s, ps) -> fetch s ps
+        | Dprog.Pull (p :: _ as ps) -> fetch p ps
+        | Dprog.Exchange (p :: _ as ps) ->
+            List.iter (fun p -> route.(p) <- Mesh) ps;
+            calls.(p) <-
+              Exchange
+                ( Array.of_list (List.map (fun p -> transfer_index (moved p)) ps),
+                  Array.of_list ps )
+        | Dprog.Pull [] | Dprog.Exchange [] | Dprog.Via_driver _ -> ())
+      (Dprog.calls dp.locs dsteps);
     let nstages = ref 0 in
-    (* driver runs split exactly where [Dprog.driver_blocks] splits them:
-       at transfers and distributed blocks *)
-    let nruns = ref 0 and in_run = ref false in
-    let local_step = function
-      | Dprog.Transfer { tname; tkind; key; source } ->
-          in_run := false;
-          let mesh = is_mesh dp.locs tkind ~source ~tname in
-          Some
-            (Move
-               {
-                 tname;
-                 tkind;
-                 key;
-                 source;
-                 tslot = Prof.slot ~trigger ~label:("transfer:" ^ tname);
-                 tmesh =
-                   (if mesh then Some (transfer_index (tname, key, source))
-                    else None);
-                 tcross = crossings dp.locs ~workers ~mesh tkind key source;
-               })
-      | Dprog.Compute _ when !in_run -> None
-      | Dprog.Compute _ ->
-          in_run := true;
-          incr nruns;
-          Some (Driver (!nruns - 1))
-    in
     let steps =
-      List.concat
-        (List.mapi
-           (fun bi (b : Dprog.block) ->
-             match b.bmode with
-             | Dprog.MDist ->
-                 in_run := false;
-                 incr nstages;
-                 let label = Printf.sprintf "stage:%d" !nstages in
-                 [ Stage (bi, Prof.slot ~trigger ~label, label) ]
-             | Dprog.MLocal -> List.filter_map local_step b.bstmts)
-           tr.blocks)
+      Array.mapi
+        (fun i -> function
+          | Dprog.Driver di -> Driver di
+          | Dprog.Stage bi ->
+              incr nstages;
+              let label = Printf.sprintf "stage:%d" !nstages in
+              Stage (bi, Prof.slot ~trigger ~label, label)
+          | Dprog.Move tr ->
+              let mesh = route.(i) = Mesh in
+              Move
+                {
+                  tr;
+                  tslot = Prof.slot ~trigger ~label:("transfer:" ^ tr.tname);
+                  troute = route.(i);
+                  tcross = crossings dp.locs ~workers ~mesh tr;
+                })
+        dsteps
     in
-    let runs = Dprog.driver_blocks tr in
-    assert (List.length runs = !nruns);
+    let runs = Dprog.driver_blocks dtr in
+    assert (
+      List.length runs
+      = Array.fold_left
+          (fun n -> function Driver _ -> n + 1 | Move _ | Stage _ -> n)
+          0 steps);
+    let scatter =
+      Runtime.scatter_plan rprog ~rel:trigger (Dprog.worker_blocks dtr)
+    in
+    (* the batch share rides the first stage's [run_block] *)
+    assert (scatter = None || !nstages > 0);
     ( trigger,
       {
         steps;
+        calls;
         driver = Runtime.compile_blocks driver ~rel:trigger runs;
-        scatter =
-          Runtime.scatter_plan rprog ~rel:trigger (Dprog.worker_blocks tr);
+        scatter;
       } )
   in
   (* Batches live at the workers when the delta pre-aggregations do. *)
@@ -454,9 +516,9 @@ let make ~cost ~workers ~local tp (dp : Dprog.t) =
     driver;
     plans = List.map compile dp.dtriggers;
     delta_at_workers;
-    tp;
+    tp = counted m.round_trips tp;
     local;
-    m = instruments tp.name workers;
+    m;
   }
 
 let of_transport ~cost ~workers tp dp = make ~cost ~workers ~local:[||] tp dp
@@ -487,21 +549,25 @@ let charge net ~origin ~dst b =
     else net.into_node.(dst) <- net.into_node.(dst) + b
   end
 
-(* A driver-bound transfer: read the source where it lives (origin -1 =
-   driver, -2 = replicated), then a gather fills the driver's map and a
-   scatter deals per-destination buffers that replace each worker's
-   partition. Buffers pre-sum duplicates in source-iteration order, the
-   same float association as in-order adds into a cleared map. Returns
-   the modeled serialized bytes. *)
-let driver_transfer t net tr =
+(* Where a driver-bound transfer reads its source: on the driver
+   (origin -1), on one worker for a replicated map (origin -2), or every
+   worker's partition. *)
+let driver_sources t (tr : Dprog.transfer) =
+  match Loc.find t.dprog.locs tr.source with
+  | Loc.Local -> [| (-1, Runtime.map_contents t.driver tr.source) |]
+  | Loc.Replicated -> [| (-2, (t.tp.pull [| tr.source |] [| 0 |]).(0).(0)) |]
+  | Loc.Dist _ | Loc.Random ->
+      Array.mapi
+        (fun i g -> (i, g.(0)))
+        (t.tp.pull [| tr.source |] (all_workers t))
+
+(* A transfer through the driver, over its source contents: a gather
+   fills the driver's map, and a scatter deals per-destination buffers
+   that replace each worker's partition. Buffers pre-sum duplicates in
+   source-iteration order, the same float association as in-order adds
+   into a cleared map. Returns the modeled serialized bytes. *)
+let driver_transfer t net (tr : Dprog.transfer) sources =
   let w = t.workers in
-  let sources =
-    match Loc.find t.dprog.locs tr.source with
-    | Loc.Local -> [| (-1, Runtime.map_contents t.driver tr.source) |]
-    | Loc.Replicated -> [| (-2, (t.tp.pull tr.source [| 0 |]).(0)) |]
-    | Loc.Dist _ | Loc.Random ->
-        Array.mapi (fun i g -> (i, g)) (t.tp.pull tr.source (all_workers t))
-  in
   let gather = tr.tkind = Dprog.Gather in
   if gather then Runtime.clear_map t.driver tr.tname;
   let outs = Array.init (if gather then 0 else w) (fun _ -> Gmr.create ()) in
@@ -544,16 +610,16 @@ let link_counter t src dst =
       Hashtbl.add t.m.links (src, dst) c;
       c
 
-(* A direct shuffle: every worker partitions, exchanges and applies on
-   its own, and reports the modeled bytes by the same origin-is-free
-   rule as [driver_transfer], so the ledger — and every modeled latency
+(* The ledger of one direct shuffle, from every worker's stat for it:
+   each worker partitioned, exchanged and applied on its own, and
+   reported the modeled bytes by the same origin-is-free rule as
+   [driver_transfer], so the ledger — and every modeled latency
    downstream — is the same whichever transport ran it. Payload bytes a
    transport put on sockets arrive in [ss_sent] and land on the per-link
    counters. Returns (modeled ser bytes, per-worker walls, (src, dst,
    wire bytes) per active link). *)
-let shuffle t net idx =
+let shuffle t net stats =
   let w = t.workers in
-  let stats = t.tp.shuffle idx in
   let ser = ref 0 in
   let links = ref [] in
   Array.iteri
@@ -583,6 +649,13 @@ let median sorted =
   if n land 1 = 1 then sorted.(n / 2)
   else (sorted.((n / 2) - 1) +. sorted.(n / 2)) /. 2.
 
+(* [per_worker.(wi).(j)] for call member [j], moved to [into.(positions.(j))]
+   as one array over the workers. *)
+let unpack into positions per_worker =
+  for j = 0 to Array.length positions - 1 do
+    into.(positions.(j)) <- Array.map (fun per -> per.(j)) per_worker
+  done
+
 let apply_batch t ~rel batch =
   let plan =
     match List.assoc_opt rel t.plans with
@@ -598,18 +671,18 @@ let apply_batch t ~rel batch =
   let stages0 = Obs.Counter.value m.stages in
   let max_ops0 = Obs.Counter.value m.max_worker_ops in
   let dops0 = Obs.Counter.value m.driver_ops in
+  let rt0 = Obs.Counter.value m.round_trips in
   Obs.span (tp.name ^ ":" ^ rel) @@ fun () ->
   (* Deal the batch into column shares carrying only the columns the
      workers' blocks read; it lives at the workers when the delta
      pre-aggregations do, otherwise the driver keeps it and workers that
-     read Δ see none. *)
+     read Δ see none. The shares ride the first stage's call. *)
+  let shares = ref None in
   (match plan.scatter with
   | Some sc ->
       let shipped = if t.delta_at_workers then batch else Gmr.create () in
-      let sw0 = tp.wire () in
-      tp.share ~rel (Runtime.deal sc ~parts:w shipped);
-      Obs.Counter.add m.scatter_wire (tp.wire () - sw0);
-      Obs.Counter.add m.scattered (Gmr.cardinal shipped)
+      Obs.Counter.add m.scattered (Gmr.cardinal shipped);
+      shares := Some (Runtime.deal sc ~parts:w shipped)
   | None -> ());
   Runtime.set_batch t.driver plan.driver
     (Runtime.Rows (if t.delta_at_workers then Gmr.create () else batch));
@@ -622,19 +695,35 @@ let apply_batch t ~rel batch =
      the straggler factor *)
   let pending_max_into = ref 0 in
   let stats = ref [] in
+  (* what a call brought for a later step of it, by step position:
+     gathered partitions, and shuffle stats *)
+  let fetched = Array.make (Array.length plan.steps) [||] in
+  let exchanged = Array.make (Array.length plan.steps) [||] in
   let attr k fmt = Printf.ksprintf (Obs.set_attr k) fmt in
-  List.iter
-    (function
+  Array.iteri
+    (fun i -> function
       | Driver di -> Runtime.run_block t.driver plan.driver di
       | Move tr ->
-          Obs.span ("transfer:" ^ tr.tname) (fun () ->
+          Obs.span ("transfer:" ^ tr.tr.tname) (fun () ->
               let wall0 = now () and tw0 = tp.wire () in
               let bytes_before = net.total and before_max = max_into net in
+              (match plan.calls.(i) with
+              | Fetch (names, ps) ->
+                  unpack fetched ps (tp.pull names (all_workers t))
+              | Exchange (idxs, ps) -> unpack exchanged ps (tp.shuffle idxs)
+              | No_call -> ());
               let ser, walls, links =
-                match tr.tmesh with
-                | Some idx -> shuffle t net idx
-                | None -> (driver_transfer t net tr, [||], [])
+                match tr.troute with
+                | Mesh -> shuffle t net exchanged.(i)
+                | Fetched ->
+                    ( driver_transfer t net tr.tr
+                        (Array.mapi (fun wi g -> (wi, g)) fetched.(i)),
+                      [||],
+                      [] )
+                | Driver_bound ->
+                    (driver_transfer t net tr.tr (driver_sources t tr.tr), [||], [])
               in
+              fetched.(i) <- [||];
               let sent = List.fold_left (fun a (_, _, b) -> a + b) 0 links in
               link_wire := !link_wire + sent;
               let wall = now () -. wall0 in
@@ -650,7 +739,7 @@ let apply_batch t ~rel batch =
               latency := !latency +. dt;
               stats :=
                 {
-                  sname = "transfer:" ^ tr.tname;
+                  sname = "transfer:" ^ tr.tr.tname;
                   predicted = dt;
                   measured = wall;
                   sbytes = bytes;
@@ -666,7 +755,7 @@ let apply_batch t ~rel batch =
                 attr "modeled_ms" "%.6f" (dt *. 1e3);
                 attr "measured_ms" "%.6f" (wall *. 1e3);
                 attr "kind" "%s"
-                  (match tr.tkind with
+                  (match tr.tr.tkind with
                   | Dprog.Gather -> "gather"
                   | Dprog.Scatter -> "scatter"
                   | Dprog.Repart -> "repart");
@@ -676,7 +765,17 @@ let apply_batch t ~rel batch =
           incr stages;
           Obs.span label (fun () ->
               let wall0 = now () and tw0 = tp.wire () in
-              let replies = tp.run_block ~rel bi in
+              let replies, got =
+                tp.run_block ~rel bi ~share:!shares
+                  ~pulls:
+                    (match plan.calls.(i) with
+                    | Fetch (names, _) -> names
+                    | No_call | Exchange _ -> [||])
+              in
+              shares := None;
+              (match plan.calls.(i) with
+              | Fetch (_, ps) -> unpack fetched ps got
+              | No_call | Exchange _ -> ());
               let wall = now () -. wall0 in
               let walls = Array.map snd replies in
               let ops = ref 0 and max_ops = ref 0 in
@@ -747,6 +846,7 @@ let apply_batch t ~rel batch =
     attr "stages" "%d" !stages;
     attr "bytes_shuffled" "%d" net.total;
     attr "wire_bytes" "%d" wire;
+    attr "round_trips" "%d" (Obs.Counter.value m.round_trips - rt0);
     attr "tuples" "%d" (Gmr.cardinal batch)
   end;
   {
@@ -757,6 +857,7 @@ let apply_batch t ~rel batch =
     wire_bytes = wire;
     max_worker_ops = Obs.Counter.value m.max_worker_ops - max_ops0;
     driver_ops = Obs.Counter.value m.driver_ops - dops0;
+    round_trips = Obs.Counter.value m.round_trips - rt0;
     stage_stats = List.rev !stats;
   }
 
@@ -767,10 +868,12 @@ let apply_batch t ~rel batch =
 let map_contents t name =
   match Loc.find t.dprog.locs name with
   | Loc.Local -> Runtime.map_contents t.driver name
-  | Loc.Replicated -> (t.tp.pull name [| 0 |]).(0)
+  | Loc.Replicated -> (t.tp.pull [| name |] [| 0 |]).(0).(0)
   | Loc.Dist _ | Loc.Random ->
       let out = Gmr.create () in
-      Array.iter (Gmr.union_into out) (t.tp.pull name (all_workers t));
+      Array.iter
+        (fun g -> Gmr.union_into out g.(0))
+        (t.tp.pull [| name |] (all_workers t));
       out
 
 let result t qname =
@@ -795,10 +898,10 @@ let check_replicas t =
     (fun (m : Prog.map_decl) ->
       match Loc.find t.dprog.locs m.mname with
       | Loc.Replicated ->
-          let parts = t.tp.pull m.mname (all_workers t) in
+          let parts = t.tp.pull [| m.mname |] (all_workers t) in
           Array.iteri
             (fun wi g ->
-              if not (Gmr.equal parts.(0) g) then
+              if not (Gmr.equal parts.(0).(0) g.(0)) then
                 failwith
                   (Printf.sprintf
                      "Cluster.check_replicas: %s diverges on worker %d" m.mname
@@ -846,7 +949,12 @@ let persistent_maps t =
 
 let checkpoint t =
   let maps = persistent_maps t in
-  let pulled = List.map (fun n -> (n, t.tp.pull n (all_workers t))) maps in
+  (* one map per call, so no frame holds more than one map's contents *)
+  let pulled =
+    List.map
+      (fun n -> (n, Array.map (fun g -> g.(0)) (t.tp.pull [| n |] (all_workers t))))
+      maps
+  in
   let snap =
     Array.init (1 + t.workers) (fun i ->
         if i = 0 then
@@ -881,7 +989,7 @@ let restore t (snap : Checkpoint.snapshot) =
 let fail_worker t wi =
   List.iter
     (fun name ->
-      let parts = t.tp.pull name (all_workers t) in
+      let parts = Array.map (fun g -> g.(0)) (t.tp.pull [| name |] (all_workers t)) in
       parts.(wi) <- Gmr.create ();
       t.tp.deliver name parts)
     (persistent_maps t)

@@ -46,16 +46,25 @@ val config : ?workers:int -> ?cost:Costmodel.t -> unit -> config
 type stage_stat = {
   sname : string;  (** ["stage:N"] or ["transfer:NAME"] *)
   predicted : float;  (** modeled seconds ({!Divm_dist.Costmodel}) *)
-  measured : float;  (** wall-clock seconds *)
+  measured : float;
+      (** wall-clock seconds of this step. A transport call shared by
+          several steps is measured once, on the step that makes it: the
+          stage for the share and the gathers riding its reply, the first
+          transfer for a pull or an exchange. *)
   sbytes : int;  (** modeled shuffled payload bytes *)
-  swire : int;  (** actual framed bytes on the sockets (0 in process) *)
+  swire : int;
+      (** actual framed bytes on the sockets (0 in process), counted on
+          the step that makes the call like [measured]; a mesh transfer
+          adds its own buffers' bytes *)
   spwire : int;
       (** a-priori wire prediction for transfers
           ({!Costmodel.predicted_wire_bytes}); 0 for stages *)
   swalls : float array;
       (** per-worker wall seconds the workers measured for this stage or
-          direct shuffle (empty for driver-bound transfers) — the
-          straggler detector's input *)
+          direct shuffle (empty for transfers through the driver) — the
+          straggler detector's input. A shuffle's walls are its own
+          partition and apply; the exchange they share is charged to the
+          first transfer of the exchange. *)
   slinks : (int * int * int) list;
       (** direct shuffles over sockets: [(src, dst, wire bytes)] per
           active link, in ascending (src, dst) order; [[]] otherwise *)
@@ -75,16 +84,22 @@ type metrics = {
   wire_bytes : int;  (** actual bytes written to + read from sockets *)
   max_worker_ops : int;  (** summed over stages *)
   driver_ops : int;
+  round_trips : int;
+      (** transport calls that waited on the workers
+          ({!Divm_dist.Dprog.round_trips} of the trigger); telemetry pulls
+          do not count *)
   stage_stats : stage_stat list;  (** in execution order *)
 }
 
-(** One worker's report of a direct shuffle. [ss_modeled] and [ss_sent]
-    are indexed by destination worker: [ss_modeled] is the cost model's
-    byte accounting (origin = destination moves are free), [ss_sent] the
-    framed bytes actually written to each peer socket (0 in process and
-    at the worker's own index). [ss_ser] is the modeled serialized size
-    of everything this worker shuffled out, and [ss_wall] the seconds its
-    partition/exchange/apply took. *)
+(** One worker's report of one transfer of a direct exchange. [ss_modeled]
+    and [ss_sent] are indexed by destination worker: [ss_modeled] is the
+    cost model's byte accounting (origin = destination moves are free),
+    [ss_sent] the framed bytes of this transfer's buffer written to each
+    peer socket (0 in process and at the worker's own index; the frame
+    header counts on the exchange's first transfer). [ss_ser] is the
+    modeled serialized size of everything this worker shuffled out for
+    the transfer, and [ss_wall] the seconds its partition and apply took,
+    plus, on the first transfer, the exchange. *)
 type shuffle_stat = {
   ss_ser : int;
   ss_modeled : int array;
@@ -135,21 +150,31 @@ val shuffle_apply : worker -> parts:int -> int -> (int -> Gmr.t) -> unit
 
 (** Where the workers' runtimes live. Every operation addresses all
     workers at once (except [pull], which names them) and returns after
-    all of them finished. *)
+    all of them finished: one round trip. Per-worker results are indexed
+    by worker, then by the call's maps or transfers in order. *)
 type transport = {
   name : string;
       (** ["cluster"] or ["node"]: the batch span prefix and the
           [divm_NAME_*] metric family *)
-  share : rel:string -> Colbatch.t array -> unit;  (** one share per worker *)
-  run_block : rel:string -> int -> (int * float) array;
-      (** per-worker (ops, wall) *)
-  pull : string -> int array -> Gmr.t array;
-      (** a map's partition on each listed worker *)
+  run_block :
+    rel:string ->
+    int ->
+    share:Colbatch.t array option ->
+    pulls:string array ->
+    (int * float) array * Gmr.t array array;
+      (** [run_block ~rel bi ~share ~pulls] installs each worker's batch
+          share (one per worker, when given), runs block [bi], then reads
+          each worker's partition of every [pulls] map; returns per-worker
+          (ops, wall) and the pulled partitions *)
+  pull : string array -> int array -> Gmr.t array array;
+      (** each listed worker's partition of every named map *)
   deliver : string -> Gmr.t array -> unit;
       (** replace each worker's partition of a map ({!worker_replace}) *)
-  shuffle : int -> shuffle_stat array;
-      (** run one {!Divm_dist.Dprog.transfers} entry as a direct shuffle;
-          per-source stats *)
+  shuffle : int array -> shuffle_stat array array;
+      (** run these {!Divm_dist.Dprog.transfers} entries as one direct
+          exchange: every worker partitions each transfer's source, the
+          buffers cross once, and each transfer is applied in order;
+          per-source stats, one per transfer *)
   wire : unit -> int;  (** socket bytes so far (monotone) *)
   after_stage : unit -> unit;  (** hook after each stage barrier *)
 }
@@ -184,6 +209,9 @@ val workers : t -> int
     Distributed-to-distributed transfers run as direct shuffles
     ({!transport.shuffle}); gathers and transfers from local or
     replicated sources go through the driver, where that data lives.
+    Steps share transport calls as {!Divm_dist.Dprog.calls} groups them:
+    the shares ride the first stage, gathers ride the stage before them
+    or one pull per run, and each run of mesh transfers is one exchange.
 
     Under [Obs.set_tracing true] the batch produces a [cluster:rel] (or
     [node:rel]) span whose [stage:N] and [transfer:NAME] children each

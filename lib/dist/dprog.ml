@@ -3,14 +3,14 @@ open Divm_compiler
 
 type transfer_kind = Scatter | Repart | Gather
 
-type dstmt =
-  | Compute of Prog.stmt
-  | Transfer of {
-      tname : string;
-      tkind : transfer_kind;
-      key : int array;
-      source : string;
-    }
+type transfer = {
+  tname : string;
+  tkind : transfer_kind;
+  key : int array;
+  source : string;
+}
+
+type dstmt = Compute of Prog.stmt | Transfer of transfer
 
 type mode = MLocal | MDist
 
@@ -203,3 +203,96 @@ let driver_blocks tr =
     tr.blocks;
   close ();
   List.rev !runs
+
+(* --- transport calls --- *)
+
+type step = Driver of int | Stage of int | Move of transfer
+
+let steps tr =
+  let nruns = ref 0 and in_run = ref false in
+  List.concat
+    (List.mapi
+       (fun bi b ->
+         match b.bmode with
+         | MDist ->
+             in_run := false;
+             [ Stage bi ]
+         | MLocal ->
+             List.filter_map
+               (function
+                 | Transfer t ->
+                     in_run := false;
+                     Some (Move t)
+                 | Compute _ when !in_run -> None
+                 | Compute _ ->
+                     in_run := true;
+                     incr nruns;
+                     Some (Driver (!nruns - 1)))
+               b.bstmts)
+       tr.blocks)
+  |> Array.of_list
+
+let on_workers locs name =
+  match Loc.find locs name with
+  | Loc.Dist _ | Loc.Random -> true
+  | Loc.Local | Loc.Replicated -> false
+
+let is_mesh locs t =
+  t.tkind <> Gather && on_workers locs t.source
+  && Loc.find locs t.tname <> Loc.Local
+
+type call =
+  | Run of int * int list
+  | Pull of int list
+  | Exchange of int list
+  | Via_driver of int
+
+(* The grouping rule. Driver runs never end a call: they cannot change
+   worker state, and no transfer a call carries reads driver state. *)
+let calls locs steps =
+  let closed = ref [] and cur = ref None in
+  let close () =
+    Option.iter (fun c -> closed := c :: !closed) !cur;
+    cur := None
+  in
+  let dest i = match steps.(i) with Move t -> t.tname | _ -> "" in
+  Array.iteri
+    (fun i step ->
+      match (step, !cur) with
+      | Driver _, _ -> ()
+      | Stage _, _ ->
+          close ();
+          cur := Some (Run (i, []))
+      | Move t, _ when t.tkind = Gather && on_workers locs t.source -> (
+          match !cur with
+          | Some (Run (s, ps)) -> cur := Some (Run (s, ps @ [ i ]))
+          | Some (Pull ps) -> cur := Some (Pull (ps @ [ i ]))
+          | _ ->
+              close ();
+              cur := Some (Pull [ i ]))
+      | Move t, Some (Exchange ps)
+        when is_mesh locs t && not (List.exists (fun p -> dest p = t.source) ps)
+        ->
+          cur := Some (Exchange (ps @ [ i ]))
+      | Move t, _ when is_mesh locs t ->
+          close ();
+          cur := Some (Exchange [ i ])
+      | Move _, _ ->
+          close ();
+          closed := Via_driver i :: !closed)
+    steps;
+  close ();
+  List.rev !closed
+
+let round_trips locs steps calls =
+  List.fold_left
+    (fun n -> function
+      | Run _ | Pull _ | Exchange _ -> n + 1
+      | Via_driver i -> (
+          match steps.(i) with
+          | Move t ->
+              n
+              + (if Loc.find locs t.source = Loc.Local then 0 else 1)
+              + if t.tkind = Gather then 0 else 1
+          | Driver _ | Stage _ -> invalid_arg "Dprog.round_trips"))
+    0 calls

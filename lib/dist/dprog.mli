@@ -7,16 +7,16 @@ open Divm_compiler
 
 type transfer_kind = Scatter | Repart | Gather
 
-type dstmt =
-  | Compute of Prog.stmt
-  | Transfer of {
-      tname : string;  (** destination transient map *)
-      tkind : transfer_kind;
-      key : int array;
-          (** destination partition key positions; [[||]] with [Scatter]
-              replicates to every worker *)
-      source : string;  (** source map *)
-    }
+type transfer = {
+  tname : string;  (** destination transient map *)
+  tkind : transfer_kind;
+  key : int array;
+      (** destination partition key positions; [[||]] with [Scatter]
+          replicates to every worker *)
+  source : string;  (** source map *)
+}
+
+type dstmt = Compute of Prog.stmt | Transfer of transfer
 
 type mode = MLocal | MDist
 
@@ -84,3 +84,56 @@ val worker_blocks : dtrigger -> (string list * Prog.stmt list) list
     transfer or a distributed block ends a run), in trigger order, with
     the maps transfers filled before the run starts. *)
 val driver_blocks : dtrigger -> (string list * Prog.stmt list) list
+
+(** {1 Transport calls}
+
+    How the distributed executor moves one batch: every transport call
+    addresses all workers and waits for all of them, so a call is one
+    round trip. *)
+
+(** One step of a trigger's batch, in execution order. *)
+type step =
+  | Driver of int  (** a run of driver statements: index into {!driver_blocks} *)
+  | Stage of int  (** a distributed block: its index in the trigger's blocks *)
+  | Move of transfer
+
+(** The trigger's blocks flattened into steps: each distributed block is
+    one stage, and a local block contributes its transfers and its runs of
+    driver statements, cut where {!driver_blocks} cuts them. *)
+val steps : dtrigger -> step array
+
+(** A transfer runs as a direct worker-to-worker shuffle when every byte
+    both starts and ends on workers: scatters and repartitions from a map
+    partitioned over the workers into one that is not on the driver.
+    Gathers end at the driver, and local or replicated sources live there
+    (or on every worker), so those stay driver-bound. *)
+val is_mesh : Loc.catalog -> transfer -> bool
+
+(** One transport call of a batch. Every [int] is a position in the
+    {!steps} array; the first position of a call is the step that makes
+    it. *)
+type call =
+  | Run of int * int list
+      (** a stage, and the gathers that ride its reply: gathers from maps
+          partitioned over the workers that directly follow the stage
+          (driver runs may sit between). The trigger's first stage also
+          carries the batch share. *)
+  | Pull of int list  (** any other run of such gathers: one pull *)
+  | Exchange of int list
+      (** a run of consecutive mesh transfers ({!is_mesh}): one exchange *)
+  | Via_driver of int
+      (** a driver-bound transfer: pull its source (unless it lives on the
+          driver), then deliver (unless it is a gather) *)
+
+(** The grouping rule: cut a trigger's steps into transport calls, in
+    order. A run of gathers or of mesh transfers ends at a stage or at a
+    transfer of another kind; a mesh transfer whose source is the
+    destination of an earlier transfer in its run starts a new run. Each
+    gather still fills its driver map at its own step; only the fetch
+    moves. *)
+val calls : Loc.catalog -> step array -> call list
+
+(** Round trips one batch of the trigger makes: one per call, except a
+    driver-bound transfer, which makes one per pull and one per
+    deliver. *)
+val round_trips : Loc.catalog -> step array -> call list -> int

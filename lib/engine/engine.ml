@@ -35,6 +35,7 @@ type report = {
   stages : int;
   bytes_shuffled : int;
   wire_bytes : int;
+  round_trips : int;
   stage_stats : Cluster.stage_stat list;
 }
 
@@ -100,6 +101,7 @@ let local_report (r : Runtime.batch_report) =
     stages = 0;
     bytes_shuffled = 0;
     wire_bytes = 0;
+    round_trips = 0;
     stage_stats = [];
   }
 
@@ -116,6 +118,7 @@ let apply_batch t ~rel batch =
         stages = m.stages;
         bytes_shuffled = m.bytes_shuffled;
         wire_bytes = m.wire_bytes;
+        round_trips = m.round_trips;
         stage_stats = m.stage_stats;
       }
 

@@ -77,6 +77,9 @@ type report = {
   stages : int;
   bytes_shuffled : int;
   wire_bytes : int;
+  round_trips : int;
+      (** distributed: transport calls that waited on the workers
+          ({!Divm_cluster.Cluster.metrics}); 0 locally *)
   stage_stats : Divm_cluster.Cluster.stage_stat list;
 }
 

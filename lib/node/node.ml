@@ -115,12 +115,14 @@ let collect_telemetry () =
 
 (* Mesh state, built by the coordinator's [Peers]/[Mesh_connect]
    handshake: one connected socket per peer worker, indexed by peer id
-   ([None] at our own index). *)
+   ([None] at our own index), non-blocking once connected, and the one
+   read buffer every exchange reuses. *)
 type wmesh = {
   mself : int;
   mpaths : string array;
   mutable mlisten : Unix.file_descr option;
   mpeers : Unix.file_descr option array;
+  mrecv : Bytes.t;
 }
 
 let mesh_bind ~id paths =
@@ -139,7 +141,13 @@ let mesh_bind ~id paths =
     end
     else None
   in
-  { mself = id; mpaths = paths; mlisten; mpeers = Array.make w None }
+  {
+    mself = id;
+    mpaths = paths;
+    mlisten;
+    mpeers = Array.make w None;
+    mrecv = Bytes.create 65536;
+  }
 
 (* Establish the full mesh: initiate to every lower id, accept from
    every higher one. A Unix-domain [connect] completes as soon as the
@@ -169,7 +177,10 @@ let mesh_connect m =
        with Failure msg -> failwith ("divm_node worker: " ^ msg));
       (try Unix.close lfd with _ -> ());
       (try Unix.unlink m.mpaths.(m.mself) with _ -> ());
-      m.mlisten <- None)
+      m.mlisten <- None);
+  (* The handshake is done; from here on the links only carry exchanges,
+     whose select loop never blocks on a socket. *)
+  Array.iter (Option.iter Unix.set_nonblock) m.mpeers
 
 let mesh_close m =
   (match m.mlisten with
@@ -213,12 +224,7 @@ let mesh_exchange m (frames : string array) =
   let in_done = Array.init w (fun i -> i = self) in
   let bufs = Array.init w (fun _ -> Buffer.create 256) in
   let need = Array.make w (-1) in
-  List.iter (fun (fd, _) -> Unix.set_nonblock fd) !peer_idx;
-  let restore () =
-    List.iter (fun (fd, _) -> try Unix.clear_nonblock fd with _ -> ()) !peer_idx
-  in
-  Fun.protect ~finally:restore @@ fun () ->
-  let scratch = Bytes.create 65536 in
+  let chunk = m.mrecv in
   let deadline = Unix.gettimeofday () +. reply_timeout in
   while Array.exists not out_done || Array.exists not in_done do
     if Unix.gettimeofday () > deadline then
@@ -255,13 +261,13 @@ let mesh_exchange m (frames : string array) =
         List.iter
           (fun fd ->
             let i = index_of fd in
-            match Unix.read fd scratch 0 (Bytes.length scratch) with
+            match Unix.read fd chunk 0 (Bytes.length chunk) with
             | 0 ->
                 raise
                   (Protocol.Error
                      (Printf.sprintf "mesh peer %d closed mid-shuffle" i))
             | k ->
-                Buffer.add_subbytes bufs.(i) scratch 0 k;
+                Buffer.add_subbytes bufs.(i) chunk 0 k;
                 if need.(i) < 0 && Buffer.length bufs.(i) >= 4 then begin
                   let n =
                     Int32.to_int
@@ -293,41 +299,75 @@ let mesh_exchange m (frames : string array) =
   done;
   Array.init w (fun i -> if i = self then "" else Buffer.contents bufs.(i))
 
-(* One direct shuffle: partition, exchange with every peer, apply in
-   ascending source order — {!Cluster.shuffle_partition} and
-   {!Cluster.shuffle_apply}, the functions the in-process transport runs,
-   with the socket exchange in between. *)
-let mesh_shuffle wk m idx =
-  let wall0 = Unix.gettimeofday () in
+(* One exchange for a run of direct transfers: partition every transfer,
+   send each peer one frame with one buffer per transfer, then apply each
+   transfer in run order, each in ascending source order —
+   {!Cluster.shuffle_partition} and {!Cluster.shuffle_apply}, the
+   functions the in-process transport runs, with the socket exchange in
+   between. A transfer's wall is its partition and apply; the exchange
+   counts on the first. *)
+let mesh_shuffle wk m idxs =
   let w = Array.length m.mpeers in
   let self = m.mself in
-  let outs, ser, modeled = Cluster.shuffle_partition wk ~self ~parts:w idx in
-  let frames =
-    Array.init w (fun d ->
-        if d = self then ""
-        else Protocol.encode_frame (Protocol.Mesh_data (self, outs.(d))))
+  let walls = Array.make (Array.length idxs) 0. in
+  let timed j f =
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    walls.(j) <- walls.(j) +. (Unix.gettimeofday () -. t0);
+    r
   in
-  let received = if w > 1 then mesh_exchange m frames else frames in
-  Cluster.shuffle_apply wk ~parts:w idx (fun src ->
-      if src = self then outs.(self)
-      else
-        match Protocol.decode_frame received.(src) with
-        | Protocol.Mesh_data (src', g), _ when src' = src -> g
-        | Protocol.Mesh_data (src', _), _ ->
-            failwith
-              (Printf.sprintf
-                 "divm_node worker: mesh frame from peer %d claims src %d" src
-                 src')
-        | _ ->
-            failwith
-              (Printf.sprintf
-                 "divm_node worker: unexpected mesh message from peer %d" src));
-  {
-    Protocol.ss_ser = ser;
-    ss_modeled = modeled;
-    ss_sent = Array.map String.length frames;
-    ss_wall = Unix.gettimeofday () -. wall0;
-  }
+  let parts =
+    Array.mapi
+      (fun j idx ->
+        timed j (fun () -> Cluster.shuffle_partition wk ~self ~parts:w idx))
+      idxs
+  in
+  (* per peer: its frame, and the bytes of it each transfer accounts for *)
+  let framed =
+    Array.init w (fun d ->
+        if d = self then ("", Array.make (Array.length idxs) 0)
+        else
+          timed 0 (fun () ->
+              Protocol.mesh_frame ~src:self
+                (Array.map (fun (outs, _, _) -> outs.(d)) parts)))
+  in
+  let received =
+    timed 0 (fun () ->
+        let raw = if w > 1 then mesh_exchange m (Array.map fst framed) else [||] in
+        Array.mapi
+          (fun src f ->
+            if src = self then [||]
+            else
+              match Protocol.decode_frame f with
+              | Protocol.Mesh_data (src', bufs), _
+                when src' = src && Array.length bufs = Array.length idxs ->
+                  bufs
+              | _ ->
+                  failwith
+                    (Printf.sprintf
+                       "divm_node worker: peer %d did not send its Mesh_data \
+                        with %d buffers"
+                       src (Array.length idxs)))
+          raw)
+  in
+  Array.iteri
+    (fun j idx ->
+      timed j (fun () ->
+          Cluster.shuffle_apply wk ~parts:w idx (fun src ->
+              if src = self then
+                let outs, _, _ = parts.(j) in
+                outs.(self)
+              else received.(src).(j))))
+    idxs;
+  Array.mapi
+    (fun j (_, ser, modeled) ->
+      {
+        Protocol.ss_ser = ser;
+        ss_modeled = modeled;
+        ss_sent = Array.map (fun (_, sizes) -> sizes.(j)) framed;
+        ss_wall = walls.(j);
+      })
+    parts
 
 let serve ~id fd =
   let state = ref None in
@@ -347,16 +387,20 @@ let serve ~id fd =
           | Protocol.Init s ->
               state := Some (Cluster.worker (Marshal.from_string s 0 : Dprog.t));
               Protocol.Ack
-          | Protocol.Load_share (rel, cb) ->
-              Cluster.worker_load (st ()) ~rel cb;
-              Protocol.Ack
-          | Protocol.Run_block (rel, bi) -> (
-              match Cluster.worker_run_block (st ()) ~rel bi with
-              | ops, wall -> Protocol.Block_done (ops, wall)
+          | Protocol.Run_block (rel, bi, share, names) -> (
+              let wk = st () in
+              match
+                Option.iter (Cluster.worker_load wk ~rel) share;
+                Cluster.worker_run_block wk ~rel bi
+              with
+              | ops, wall ->
+                  Protocol.Block_done
+                    (ops, wall, Array.map (Cluster.worker_contents wk) names)
               | exception Invalid_argument msg ->
                   failwith ("divm_node worker: " ^ msg))
-          | Protocol.Pull_map name ->
-              Protocol.Map_contents (Cluster.worker_contents (st ()) name)
+          | Protocol.Pull_map names ->
+              Protocol.Map_contents
+                (Array.map (Cluster.worker_contents (st ())) names)
           | Protocol.Deliver (name, g) ->
               Cluster.worker_replace (st ()) name g;
               Protocol.Ack
@@ -376,9 +420,9 @@ let serve ~id fd =
               | Some m -> mesh_connect m
               | None -> failwith "divm_node worker: Mesh_connect before Peers");
               Protocol.Ack
-          | Protocol.Shuffle idx -> (
+          | Protocol.Shuffle idxs -> (
               match !mesh with
-              | Some m -> Protocol.Shuffle_done (mesh_shuffle (st ()) m idx)
+              | Some m -> Protocol.Shuffle_done (mesh_shuffle (st ()) m idxs)
               | None ->
                   failwith "divm_node worker: Shuffle before the mesh handshake")
           | Protocol.Shutdown ->
@@ -463,27 +507,23 @@ let recv t wi =
   | exception ((Protocol.Error _ | Unix.Unix_error _ | End_of_file) as e) ->
       fail_worker t wi e
 
-(* Worker [wi]'s reply, which [accept] must recognize as [what]. *)
-let expect what accept t wi =
-  match accept (recv t wi) with
-  | Some v -> v
-  | None ->
-      failwith (Printf.sprintf "divm_node: worker %d: expected %s" wi what)
+let unexpected wi what =
+  failwith (Printf.sprintf "divm_node: worker %d: expected %s" wi what)
 
-let expect_ack = expect "Ack" (function Protocol.Ack -> Some () | _ -> None)
+let expect_ack t wi =
+  match recv t wi with Protocol.Ack -> () | _ -> unexpected wi "Ack"
 
-let expect_contents =
-  expect "Map_contents" (function Protocol.Map_contents g -> Some g | _ -> None)
+(* Replies that carry one entry per requested map or transfer must carry
+   exactly [n]. *)
+let expect_contents n t wi =
+  match recv t wi with
+  | Protocol.Map_contents gs when Array.length gs = n -> gs
+  | _ -> unexpected wi (Printf.sprintf "Map_contents of %d maps" n)
 
-let expect_done =
-  expect "Block_done" (function
-    | Protocol.Block_done (ops, wall) -> Some (ops, wall)
-    | _ -> None)
-
-let expect_shuffle_done =
-  expect "Shuffle_done" (function
-    | Protocol.Shuffle_done st -> Some st
-    | _ -> None)
+let expect_shuffle_done n t wi =
+  match recv t wi with
+  | Protocol.Shuffle_done sts when Array.length sts = n -> sts
+  | _ -> unexpected wi (Printf.sprintf "Shuffle_done of %d transfers" n)
 
 (* One frame to every worker, then every acknowledgment. *)
 let barrier t msg =
@@ -639,6 +679,10 @@ let ready t =
   if not t.alive then failwith "divm_node: engine is shut down";
   maybe_start_telemetry t
 
+(* The frames that carry the batch shares are the scatter layer's wire
+   bytes (the executor registers this counter in the node family). *)
+let scatter_wire = Obs.Counter.make "divm_node_scatter_wire_bytes_total"
+
 let transport t =
   let w = Array.length t.conns in
   let broadcast msg =
@@ -648,27 +692,39 @@ let transport t =
   let replies expect = Array.init w (expect t) in
   {
     Cluster.name = "node";
-    share =
-      (fun ~rel shares ->
-        broadcast (fun wi -> Protocol.Load_share (rel, shares.(wi)));
-        ignore (replies expect_ack));
     run_block =
-      (fun ~rel bi ->
-        broadcast (fun _ -> Protocol.Run_block (rel, bi));
-        replies expect_done);
+      (fun ~rel bi ~share ~pulls ->
+        let w0 = t.wire in
+        broadcast (fun wi ->
+            Protocol.Run_block
+              ( rel,
+                bi,
+                (match share with Some s -> Some s.(wi) | None -> None),
+                pulls ));
+        if share <> None then Obs.Counter.add scatter_wire (t.wire - w0);
+        let n = Array.length pulls in
+        let stats = Array.make w (0, 0.) and got = Array.make w [||] in
+        for wi = 0 to w - 1 do
+          match recv t wi with
+          | Protocol.Block_done (ops, wall, gs) when Array.length gs = n ->
+              stats.(wi) <- (ops, wall);
+              got.(wi) <- gs
+          | _ -> unexpected wi (Printf.sprintf "Block_done with %d maps" n)
+        done;
+        (stats, got));
     pull =
-      (fun name ws ->
+      (fun names ws ->
         ready t;
-        Array.iter (fun wi -> send t wi (Protocol.Pull_map name)) ws;
-        Array.map (expect_contents t) ws);
+        Array.iter (fun wi -> send t wi (Protocol.Pull_map names)) ws;
+        Array.map (expect_contents (Array.length names) t) ws);
     deliver =
       (fun name gs ->
         broadcast (fun wi -> Protocol.Deliver (name, gs.(wi)));
         ignore (replies expect_ack));
     shuffle =
-      (fun idx ->
-        broadcast (fun _ -> Protocol.Shuffle idx);
-        replies expect_shuffle_done);
+      (fun idxs ->
+        broadcast (fun _ -> Protocol.Shuffle idxs);
+        replies (expect_shuffle_done (Array.length idxs)));
     wire = (fun () -> t.wire);
     (* Ship the stage's telemetry right at the barrier. *)
     after_stage = (fun () -> if t.telem_started then pull_telemetry t);

@@ -20,11 +20,10 @@ type msg =
   | Hello of int
   | Init of string
   | Load_batch of string * Gmr.t
-  | Load_share of string * Colbatch.t
-  | Run_block of string * int
-  | Block_done of int * float
-  | Pull_map of string
-  | Map_contents of Gmr.t
+  | Run_block of string * int * Colbatch.t option * string array
+  | Block_done of int * float * Gmr.t array
+  | Pull_map of string array
+  | Map_contents of Gmr.t array
   | Deliver of string * Gmr.t
   | Ack
   | Shutdown
@@ -33,9 +32,9 @@ type msg =
   | Telemetry of telem
   | Peers of string array
   | Mesh_connect
-  | Shuffle of int
-  | Shuffle_done of shuffle_stat
-  | Mesh_data of int * Gmr.t
+  | Shuffle of int array
+  | Shuffle_done of shuffle_stat array
+  | Mesh_data of int * Gmr.t array
 
 exception Error of string
 
@@ -47,9 +46,10 @@ let max_frame = 64 * 1024 * 1024
 (* -------------------------------------------------------------- *)
 
 (* A frame under construction: one buffer, length prefix included,
-   filled front to back. The bulk payload of a data frame is its last
-   field; [fit] sizes the buffer to end exactly after it, so the finished
-   frame is the buffer itself. *)
+   filled front to back. The bulk payload of a data frame (a share, or
+   every map a frame carries) is its last field; [fit] sizes the buffer
+   once to end exactly after it, so the finished frame is the buffer
+   itself. *)
 type writer = { mutable buf : Bytes.t; mutable len : int }
 
 (* Offset of [n] freshly reserved bytes. *)
@@ -104,6 +104,13 @@ let put_string w s =
 let put_count w n =
   if n > max_frame then err "list of %d elements exceeds max_frame" n;
   put_i32 w n
+
+(* A counted array field; a loop, so an empty one allocates nothing. *)
+let put_array w put a =
+  put_count w (Array.length a);
+  for i = 0 to Array.length a - 1 do
+    put w a.(i)
+  done
 
 (* Typed runs: all [n] cells are reserved at once, then filled in a
    loop. *)
@@ -278,14 +285,20 @@ let col_size n (c : Colbatch.col) =
       done;
       !s
 
-(* GMR payload, always a frame's last field: entry count, then a layout
-   byte. Layout 1 ships the entries as flat typed columns (u16 width; per
-   column a [put_col] run; then the multiplicities), transposed like a
-   one-way deal, so low-cardinality string columns travel as dictionary
-   + codes. Layout 0 is the per-row fallback, kept for empty and
-   mixed-arity GMRs. Both layouts preserve the source's slot iteration
-   order, so replaying a decoded GMR rebuilds a bit-identical store. *)
-let put_gmr w g =
+(* GMR payload: entry count, then a layout byte. Layout 1 ships the
+   entries as flat typed columns (u16 width; per column a [put_col] run;
+   then the multiplicities), transposed like a one-way deal, so
+   low-cardinality string columns travel as dictionary + codes. Layout 0
+   is the per-row fallback, kept for empty and mixed-arity GMRs. Both
+   layouts preserve the source's slot iteration order, so replaying a
+   decoded GMR rebuilds a bit-identical store. A GMR is transposed and
+   sized first ([gmr_layout]), so a frame carrying several is sized once
+   before any is written. *)
+type gmr_layout = Cols of int * Colbatch.col array * float array | Rows of Gmr.t
+
+let tuple_size tup = Array.fold_left (fun s v -> s + value_size v) 2 tup
+
+let gmr_layout g =
   let n = Gmr.cardinal g in
   match gmr_width g with
   | Some wd when n > 0 && wd > 0 ->
@@ -294,21 +307,39 @@ let put_gmr w g =
            g).(0)
       in
       let cols = Array.init wd (Colbatch.col cb) in
-      fit w
-        (Array.fold_left (fun s c -> s + col_size n c) (7 + (8 * n)) cols);
+      ( Cols (n, cols, Colbatch.mults cb),
+        Array.fold_left (fun s c -> s + col_size n c) (7 + (8 * n)) cols )
+  | _ -> (Rows g, Gmr.fold (fun tup _ s -> s + tuple_size tup + 8) g 5)
+
+let put_layout w = function
+  | Cols (n, cols, mults) ->
       put_i32 w n;
       put_u8 w 1;
-      put_u16 w wd;
+      put_u16 w (Array.length cols);
       Array.iter (put_col w n) cols;
-      put_floats w n (Colbatch.mults cb)
-  | _ ->
-      put_i32 w n;
+      put_floats w n mults
+  | Rows g ->
+      put_i32 w (Gmr.cardinal g);
       put_u8 w 0;
       Gmr.iter
         (fun tup m ->
           put_tuple w tup;
           put_f64 w m)
         g
+
+(* Every GMR of a frame, always its last field: a count, then each GMR.
+   Returns each GMR's encoded size. *)
+let put_gmrs w gs =
+  put_count w (Array.length gs);
+  let laid = Array.map gmr_layout gs in
+  fit w (Array.fold_left (fun s (_, n) -> s + n) 0 laid);
+  Array.iter (fun (l, _) -> put_layout w l) laid;
+  Array.map snd laid
+
+let put_gmr w g =
+  let l, n = gmr_layout g in
+  fit w n;
+  put_layout w l
 
 (* Batch share payload, always a frame's last field: stream width (u16),
    row count (i32), live column count (u16); per live column its
@@ -370,11 +401,11 @@ let tag_of = function
   | Shuffle _ -> 17
   | Shuffle_done _ -> 18
   | Mesh_data _ -> 19
-  | Load_share _ -> 20
 
-(* Tag 9 is retired ([Deliver] clears the destination itself): it
-   decodes as unknown, so a frame from a mismatched peer fails loudly. *)
-let max_tag = 20
+(* Tag 9 is retired ([Deliver] clears the destination itself), and so is
+   tag 20 (the batch share rides [Run_block]): both decode as unknown, so
+   a frame from a mismatched peer fails loudly. *)
+let max_tag = 19
 let known_tag tag = tag >= 1 && tag <= max_tag && tag <> 9
 
 (* Names for diagnostics only: a malformed frame's error message cites
@@ -399,7 +430,6 @@ let tag_name = function
   | 17 -> "Shuffle"
   | 18 -> "Shuffle_done"
   | 19 -> "Mesh_data"
-  | 20 -> "Load_share"
   | _ -> "unknown"
 
 let put_msg w m =
@@ -410,17 +440,21 @@ let put_msg w m =
   | Load_batch (rel, g) ->
       put_string w rel;
       put_gmr w g
-  | Load_share (rel, cb) ->
+  | Run_block (rel, bi, share, names) -> (
       put_string w rel;
-      put_share w cb
-  | Run_block (rel, bi) ->
-      put_string w rel;
-      put_i32 w bi
-  | Block_done (ops, wall) ->
+      put_i32 w bi;
+      put_array w put_string names;
+      match share with
+      | None -> put_u8 w 0
+      | Some cb ->
+          put_u8 w 1;
+          put_share w cb)
+  | Block_done (ops, wall, gs) ->
       put_i64 w ops;
-      put_f64 w wall
-  | Pull_map name -> put_string w name
-  | Map_contents g -> put_gmr w g
+      put_f64 w wall;
+      ignore (put_gmrs w gs)
+  | Pull_map names -> put_array w put_string names
+  | Map_contents gs -> ignore (put_gmrs w gs)
   | Deliver (name, g) ->
       put_string w name;
       put_gmr w g
@@ -429,38 +463,53 @@ let put_msg w m =
       put_u8 w (Bool.to_int profile);
       put_u8 w (Bool.to_int trace)
   | Telemetry t -> put_telem w t
-  | Peers paths ->
-      put_count w (Array.length paths);
-      Array.iter (put_string w) paths
-  | Shuffle idx -> put_i32 w idx
-  | Shuffle_done st ->
+  | Peers paths -> put_array w put_string paths
+  | Shuffle idxs -> put_array w put_i32 idxs
+  | Shuffle_done sts ->
       (* control-plane reply on the hot per-transfer path: the per-peer
          byte counts are bounded by max_frame, so they ship as i32, not
          i64 — at w workers that is 8w fewer bytes on every transfer *)
-      put_i64 w st.ss_ser;
-      put_count w (Array.length st.ss_modeled);
-      Array.iter (put_i32 w) st.ss_modeled;
-      put_count w (Array.length st.ss_sent);
-      Array.iter (put_i32 w) st.ss_sent;
-      put_f64 w st.ss_wall
-  | Mesh_data (src, g) ->
+      put_array w
+        (fun w st ->
+          put_i64 w st.ss_ser;
+          put_array w put_i32 st.ss_modeled;
+          put_array w put_i32 st.ss_sent;
+          put_f64 w st.ss_wall)
+        sts
+  | Mesh_data (src, gs) ->
       put_i32 w src;
-      put_gmr w g
+      ignore (put_gmrs w gs)
 
 (* The frame is built once: the length prefix is reserved up front and
-   patched in place. Share and columnar GMR frames come out exactly
-   sized ([fit]) and are returned without a copy; the small rest is
-   trimmed. *)
-let encode_frame m =
-  let w = { buf = Bytes.create 64; len = 4 } in
-  put_msg w m;
+   patched in place. Frames whose last field is a share or maps come out
+   exactly sized ([fit]) and are returned without a copy; the small rest
+   is trimmed. *)
+let finish_frame w ~tag =
   let n = w.len - 4 in
   if n > max_frame then
-    err "%s frame (tag %d) of %d bytes exceeds max_frame %d"
-      (tag_name (tag_of m)) (tag_of m) n max_frame;
+    err "%s frame (tag %d) of %d bytes exceeds max_frame %d" (tag_name tag)
+      tag n max_frame;
   Bytes.set_int32_be w.buf 0 (Int32.of_int n);
   if w.len = Bytes.length w.buf then Bytes.unsafe_to_string w.buf
   else Bytes.sub_string w.buf 0 w.len
+
+let new_writer () = { buf = Bytes.create 64; len = 4 }
+
+let encode_frame m =
+  let w = new_writer () in
+  put_msg w m;
+  finish_frame w ~tag:(tag_of m)
+
+let mesh_frame ~src bufs =
+  let w = new_writer () and tag = tag_of (Mesh_data (src, bufs)) in
+  put_u8 w tag;
+  put_i32 w src;
+  let sizes = put_gmrs w bufs in
+  let frame = finish_frame w ~tag in
+  if Array.length sizes > 0 then
+    sizes.(0) <-
+      sizes.(0) + String.length frame - Array.fold_left ( + ) 0 sizes;
+  (frame, sizes)
 
 let encode m =
   let f = encode_frame m in
@@ -631,6 +680,16 @@ let get_gmr r =
       Colbatch.to_gmr (Colbatch.of_cols cols ~mults)
   | l -> err "unknown gmr layout %d" l
 
+(* A counted array field whose elements take at least [elt] bytes each:
+   the count is bounded by the payload before the array is allocated. *)
+let get_array r what ~elt get =
+  match get_count r what ~elt with
+  | 0 -> [||]
+  | n -> Array.init n (fun _ -> get r)
+
+(* a GMR takes at least 5 bytes (entry count + layout) *)
+let get_gmrs r = get_array r "map" ~elt:5 get_gmr
+
 let get_share r =
   let w = get_u16 r in
   let n = get_rows r "row" in
@@ -740,12 +799,14 @@ let get_nonneg32 r what =
 
 let get_shuffle_stat r =
   let ss_ser = get_nonneg r "serialized byte count" in
-  let nm = get_count r "modeled byte entry" ~elt:4 in
   let ss_modeled =
-    Array.init nm (fun _ -> get_nonneg32 r "modeled byte count")
+    get_array r "modeled byte entry" ~elt:4 (fun r ->
+        get_nonneg32 r "modeled byte count")
   in
-  let ns = get_count r "sent byte entry" ~elt:4 in
-  let ss_sent = Array.init ns (fun _ -> get_nonneg32 r "sent byte count") in
+  let ss_sent =
+    get_array r "sent byte entry" ~elt:4 (fun r ->
+        get_nonneg32 r "sent byte count")
+  in
   let ss_wall = get_f64 r in
   { ss_ser; ss_modeled; ss_sent; ss_wall }
 
@@ -767,12 +828,18 @@ let decode_at s ~base ~len =
           Load_batch (rel, get_gmr r)
       | 4 ->
           let rel = get_string r in
-          Run_block (rel, get_i32 r)
+          let bi = get_i32 r in
+          let names = get_array r "pulled map" ~elt:4 get_string in
+          let share =
+            if get_bool r "share" then Some (get_share r) else None
+          in
+          Run_block (rel, bi, share, names)
       | 5 ->
           let ops = Int64.to_int (get_i64 r) in
-          Block_done (ops, get_f64 r)
-      | 6 -> Pull_map (get_string r)
-      | 7 -> Map_contents (get_gmr r)
+          let wall = get_f64 r in
+          Block_done (ops, wall, get_gmrs r)
+      | 6 -> Pull_map (get_array r "pulled map" ~elt:4 get_string)
+      | 7 -> Map_contents (get_gmrs r)
       | 8 ->
           let name = get_string r in
           Deliver (name, get_gmr r)
@@ -783,22 +850,20 @@ let decode_at s ~base ~len =
           Start_telemetry (profile, get_bool r "trace")
       | 13 -> Pull_telemetry
       | 14 -> Telemetry (get_telem r)
-      | 15 ->
-          let n = get_count r "peer" ~elt:4 in
-          Peers (Array.init n (fun _ -> get_string r))
+      | 15 -> Peers (get_array r "peer" ~elt:4 get_string)
       | 16 -> Mesh_connect
       | 17 ->
-          let idx = get_i32 r in
-          if idx < 0 then err "negative transfer index %d" idx;
-          Shuffle idx
-      | 18 -> Shuffle_done (get_shuffle_stat r)
+          Shuffle
+            (get_array r "transfer index" ~elt:4 (fun r ->
+                 let idx = get_i32 r in
+                 if idx < 0 then err "negative transfer index %d" idx;
+                 idx))
+      (* a stat takes at least 24 bytes: ser, two counts, wall *)
+      | 18 -> Shuffle_done (get_array r "shuffle stat" ~elt:24 get_shuffle_stat)
       | 19 ->
           let src = get_i32 r in
           if src < 0 then err "negative mesh source id %d" src;
-          Mesh_data (src, get_gmr r)
-      | 20 ->
-          let rel = get_string r in
-          Load_share (rel, get_share r)
+          Mesh_data (src, get_gmrs r)
       | _ -> assert false
     with Error msg ->
       err "bad %s frame (tag %d, %d-byte payload): %s" (tag_name tag) tag len

@@ -38,9 +38,9 @@ type telem = {
   t_spans : Obs.event list;
 }
 
-(** One worker's report of a direct mesh shuffle it just finished, the
-    coordinator's only involvement in the data movement (the executor's
-    {!Divm_cluster.Cluster.shuffle_stat}). *)
+(** One worker's report of one transfer of a mesh exchange it just
+    finished, the coordinator's only involvement in the data movement
+    (the executor's {!Divm_cluster.Cluster.shuffle_stat}). *)
 type shuffle_stat = Divm_cluster.Cluster.shuffle_stat = {
   ss_ser : int;
   ss_modeled : int array;
@@ -56,22 +56,28 @@ type msg =
       (** marshaled {!Divm_dist.Dprog.t}; the worker builds its runtime *)
   | Load_batch of string * Gmr.t
       (** relation, a batch share in row form. The engine itself ships
-          [Load_share]; this row-form message stays decodable for
-          codec replays and tools built on the GMR layout. Workers reject
-          it. *)
-  | Load_share of string * Colbatch.t
-      (** relation, this worker's share of the update batch as typed
-          columns ({!Colbatch.shares_of_gmr}). Only the share's live columns travel
-          — the ones the worker's blocks for that trigger read — each
-          tagged with its position and cell count; a constant
-          multiplicity travels once. The decoder rejects a position at or
-          past the stream width, a repeated position, a cell count other
-          than the row count, and a dictionary code out of range. *)
-  | Run_block of string * int  (** trigger relation, block index *)
-  | Block_done of int * float
-      (** record-op delta and wall seconds the block took on the worker *)
-  | Pull_map of string
-  | Map_contents of Gmr.t  (** reply to [Pull_map] *)
+          each share inside [Run_block]; this row-form message stays
+          decodable for codec replays and tools built on the GMR layout.
+          Workers reject it. *)
+  | Run_block of string * int * Colbatch.t option * string array
+      (** trigger relation, block index, this worker's share of the
+          update batch (the trigger's first stage only), and the maps to
+          send back once the block ran (the gathers that ride this
+          stage). The share travels as typed columns
+          ({!Colbatch.shares_of_gmr}): only its live columns — the ones
+          the worker's blocks for that trigger read — each tagged with
+          its position and cell count; a constant multiplicity travels
+          once. The decoder rejects a position at or past the stream
+          width, a repeated position, a cell count other than the row
+          count, and a dictionary code out of range. *)
+  | Block_done of int * float * Gmr.t array
+      (** record-op delta and wall seconds the block took on the worker,
+          then the worker's partition of every map [Run_block] named, in
+          order *)
+  | Pull_map of string array
+  | Map_contents of Gmr.t array
+      (** reply to [Pull_map]: the worker's partition of every named map,
+          in order *)
   | Deliver of string * Gmr.t
       (** replace the worker's partition of a map: clear, then replay the
           entries in slot order (driver-bound scatters, restores) *)
@@ -88,24 +94,25 @@ type msg =
   | Mesh_connect
       (** coordinator → worker: establish the full connection mesh now
           (initiate to lower ids, accept from higher ids) *)
-  | Shuffle of int
-      (** coordinator → worker: run one direct transfer, named by its
-          index into {!Divm_dist.Dprog.transfers} — both ends derive the
-          identical table from the [Init] program, so four bytes replace
-          the (map name, key, source) strings on the hottest control
-          frame. An empty partition key in the table entry broadcasts to
-          every worker. *)
-  | Shuffle_done of shuffle_stat
-      (** reply to [Shuffle]. The per-peer byte arrays ride as i32 (each
-          entry is bounded by [max_frame]) to keep the per-transfer
-          control floor small. *)
-  | Mesh_data of int * Gmr.t
-      (** worker → worker, on a mesh link: [(source worker id, pre-summed
-          buffer)]. The destination map is implied — the exchange is a
-          synchronous barrier per [Shuffle], so a frame can only belong
-          to the transfer in flight; repeating the map name in every
-          frame would only pad the empty-buffer floor. The sender's slot
-          order is preserved, so replay stays bit-identical. *)
+  | Shuffle of int array
+      (** coordinator → worker: run a run of direct transfers as one
+          exchange, each named by its index into
+          {!Divm_dist.Dprog.transfers} — both ends derive the identical
+          table from the [Init] program, so four bytes replace the (map
+          name, key, source) strings on the hottest control frame. An
+          empty partition key in the table entry broadcasts to every
+          worker. *)
+  | Shuffle_done of shuffle_stat array
+      (** reply to [Shuffle]: one stat per transfer, in order. The
+          per-peer byte arrays ride as i32 (each entry is bounded by
+          [max_frame]) to keep the per-transfer control floor small. *)
+  | Mesh_data of int * Gmr.t array
+      (** worker → worker, on a mesh link: [(source worker id, one
+          pre-summed buffer per transfer of the exchange)]. The
+          destination maps are implied — the exchange is a synchronous
+          barrier per [Shuffle], so a frame can only belong to the run in
+          flight, and its buffers follow the run's order. The sender's
+          slot order is preserved, so replay stays bit-identical. *)
 
 (** Malformed frame or payload. The message names the defect, and for a
     field-level failure also the frame's claimed message tag and payload
@@ -126,8 +133,15 @@ val encode : msg -> string
 val decode : string -> msg
 
 (** [encode_frame m] is the complete frame: length prefix + payload,
-    built once in one buffer. *)
+    built once in one buffer. A frame that carries several maps sizes
+    them all before writing any, so it is returned without a copy. *)
 val encode_frame : msg -> string
+
+(** [mesh_frame ~src bufs] is [encode_frame (Mesh_data (src, bufs))], and
+    the bytes of the frame each buffer accounts for: its own encoding,
+    with the frame's header charged to the first. The sizes sum to the
+    frame's length. *)
+val mesh_frame : src:int -> Gmr.t array -> string * int array
 
 (** [decode_frame s] parses one complete frame and returns the message and
     the number of bytes consumed. Raises {!Error} when [s] is shorter

@@ -53,11 +53,21 @@ type transfer_plan = {
   tp_block : int;
 }
 
+type call_plan = {
+  cp_trigger : string;
+  cp_kind : string;
+  cp_stage : int option;
+  cp_share : bool;
+  cp_transfers : string list;
+  cp_round_trips : int;
+}
+
 type plan = {
   pl_name : string;
   pl_dist : bool;
   pl_stmts : stmt_plan list;
   pl_transfers : transfer_plan list;
+  pl_calls : call_plan list;
   pl_batch_cols : (string * string list * int) list;
       (** local plans: per trigger whose batch some vectorized group
           reads, the columns a firing transposes and the stream width *)
@@ -152,8 +162,47 @@ let explain ?(name = "program") (prog : Prog.t) =
     pl_dist = false;
     pl_stmts = stmts;
     pl_transfers = [];
+    pl_calls = [];
     pl_batch_cols = batch_cols;
   }
+
+(* The transport calls of one trigger's batch, as the executor groups
+   them ([Dprog.calls]); the share rides the first stage. *)
+let calls_of (dp : Dprog.t) cprog (tr : Dprog.dtrigger) =
+  let steps = Dprog.steps tr in
+  let share =
+    ref
+      (Runtime.scatter_plan cprog ~rel:tr.drelation (Dprog.worker_blocks tr)
+      <> None)
+  and stage = ref 0 in
+  let labels =
+    List.map (fun p ->
+        match steps.(p) with
+        | Dprog.Move t -> "transfer:" ^ t.tname
+        | Dprog.Driver _ | Dprog.Stage _ -> invalid_arg "Profile.calls_of")
+  in
+  List.map
+    (fun (c : Dprog.call) ->
+      let kind, members =
+        match c with
+        | Dprog.Run (_, ps) ->
+            incr stage;
+            ("stage", ps)
+        | Dprog.Pull ps -> ("pull", ps)
+        | Dprog.Exchange ps -> ("exchange", ps)
+        | Dprog.Via_driver p -> ("driver", [ p ])
+      in
+      let carries = kind = "stage" && !share in
+      share := !share && not carries;
+      {
+        cp_trigger = tr.drelation;
+        cp_kind = kind;
+        cp_stage = (if kind = "stage" then Some !stage else None);
+        cp_share = carries;
+        cp_transfers = labels members;
+        cp_round_trips = Dprog.round_trips dp.locs steps [ c ];
+      })
+    (Dprog.calls dp.locs steps)
 
 let explain_dist ?(name = "program") (dp : Dprog.t) =
   let cprog = Dprog.compute_prog dp in
@@ -224,6 +273,7 @@ let explain_dist ?(name = "program") (dp : Dprog.t) =
     pl_dist = true;
     pl_stmts = List.rev !stmts;
     pl_transfers = List.rev !transfers;
+    pl_calls = List.concat_map (calls_of dp cprog) dp.dtriggers;
     pl_batch_cols = [];
   }
 
@@ -364,7 +414,25 @@ let render (p : plan) =
               btransfers;
             List.iter (render_stmt buf "    ") bstmts
           end
-        done
+        done;
+        let calls = List.filter (fun c -> c.cp_trigger = tr) p.pl_calls in
+        Printf.bprintf buf "  round trips per batch: %d\n"
+          (List.fold_left (fun n c -> n + c.cp_round_trips) 0 calls);
+        List.iteri
+          (fun i c ->
+            Printf.bprintf buf "    call %d (%d round trip%s): %s%s%s\n" (i + 1)
+              c.cp_round_trips
+              (if c.cp_round_trips = 1 then "" else "s")
+              (match (c.cp_kind, c.cp_stage) with
+              | "stage", Some st -> Printf.sprintf "stage %d" st
+              | "driver", _ -> "through the driver"
+              | k, _ -> k)
+              (if c.cp_share then " + batch share" else "")
+              (match (c.cp_kind, c.cp_transfers) with
+              | _, [] -> ""
+              | "stage", ts -> ", gathers ride the reply: " ^ String.concat ", " ts
+              | _, ts -> ": " ^ String.concat ", " ts))
+          calls
       end)
     (trigger_order p.pl_stmts p.pl_transfers);
   Buffer.contents buf
@@ -416,6 +484,20 @@ let plan_json (p : plan) =
         (js t.tp_trigger) (js t.tp_label) (js t.tp_kind) (js t.tp_source)
         (js t.tp_dest) (positions_str t.tp_key) t.tp_block)
     p.pl_transfers;
+  Buffer.add_string buf "],\"calls\":[";
+  List.iteri
+    (fun i c ->
+      if i > 0 then Buffer.add_char buf ',';
+      Printf.bprintf buf
+        "{\"trigger\":%s,\"kind\":%s,%s\"share\":%b,\"transfers\":[%s],\"round_trips\":%d}"
+        (js c.cp_trigger) (js c.cp_kind)
+        (match c.cp_stage with
+        | Some st -> Printf.sprintf "\"stage\":%d," st
+        | None -> "")
+        c.cp_share
+        (String.concat "," (List.map js c.cp_transfers))
+        c.cp_round_trips)
+    p.pl_calls;
   Buffer.add_string buf "]}";
   Buffer.contents buf
 

@@ -79,11 +79,26 @@ type transfer_plan = {
   tp_block : int;
 }
 
+(** One transport call of a distributed trigger's batch
+    ({!Divm_dist.Dprog.calls}). *)
+type call_plan = {
+  cp_trigger : string;
+  cp_kind : string;  (** ["stage"] / ["pull"] / ["exchange"] / ["driver"] *)
+  cp_stage : int option;  (** 1-based stage a ["stage"] call runs *)
+  cp_share : bool;  (** the call carries the batch share *)
+  cp_transfers : string list;
+      (** labels of the transfers the call moves: the gathers riding a
+          stage's reply, a pull's gathers, an exchange's transfers, or a
+          driver-bound transfer *)
+  cp_round_trips : int;
+}
+
 type plan = {
   pl_name : string;
   pl_dist : bool;
   pl_stmts : stmt_plan list;
   pl_transfers : transfer_plan list;
+  pl_calls : call_plan list;  (** distributed plans only, in trigger order *)
   pl_batch_cols : (string * string list * int) list;
       (** local plans: per trigger whose update batch some vectorized
           group reads, the names of the columns a firing transposes

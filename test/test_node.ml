@@ -14,6 +14,8 @@ module Runtime = Divm_runtime.Runtime
 module Node = Divm_node.Node
 module Cluster = Divm_cluster.Cluster
 module Workload = Divm_workload.Workload
+module Dprog = Divm_dist.Dprog
+module Loc = Divm_dist.Loc
 module Engine = Divm_engine.Engine
 module Tpch = Divm_tpch
 
@@ -233,8 +235,28 @@ let gen_share_sized rows =
            list_repeat n gen_f;
          ]))
 
-let gen_msg_sized rows =
+(* The maps of one frame: 0–20 of them, empty ones included, each of
+   [map_rows] rows — or one map of [rows] rows. *)
+let gen_gmrs ~rows ~map_rows =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 3,
+          map Array.of_list
+            (list_size (int_range 0 20)
+               (frequency
+                  [ (1, return (Gmr.create ())); (3, gen_gmr_sized map_rows) ]))
+        );
+        (1, map (fun g -> [| g |]) (gen_gmr_sized rows));
+      ])
+
+let gen_names = QCheck.Gen.(map Array.of_list (list_size (int_range 0 20) gen_name))
+
+(* [map_rows] sizes the maps of a multi-map frame, [rows] every other
+   payload. *)
+let gen_msg_sized ~rows ~map_rows =
   let gen_gmr = gen_gmr_sized rows in
+  let gen_gmrs = gen_gmrs ~rows ~map_rows in
   QCheck.Gen.(
     frequency
       [
@@ -242,17 +264,18 @@ let gen_msg_sized rows =
         (1, map (fun s -> Protocol.Init s) (string_size (int_range 0 64)));
         ( 3,
           map2 (fun r g -> Protocol.Load_batch (r, g)) gen_name gen_gmr );
+        ( 4,
+          map4
+            (fun r i share names -> Protocol.Run_block (r, i, share, names))
+            gen_name (int_range 0 50)
+            (opt (gen_share_sized rows))
+            gen_names );
         ( 3,
-          map2
-            (fun r cb -> Protocol.Load_share (r, cb))
-            gen_name (gen_share_sized rows) );
-        (1, map2 (fun r i -> Protocol.Run_block (r, i)) gen_name (int_range 0 50));
-        ( 1,
-          map2
-            (fun i w -> Protocol.Block_done (i, w))
-            (int_range 0 1_000_000) gen_f );
-        (1, map (fun m -> Protocol.Pull_map m) gen_name);
-        (3, map (fun g -> Protocol.Map_contents g) gen_gmr);
+          map3
+            (fun i w gs -> Protocol.Block_done (i, w, gs))
+            (int_range 0 1_000_000) gen_f gen_gmrs );
+        (1, map (fun ms -> Protocol.Pull_map ms) gen_names);
+        (3, map (fun gs -> Protocol.Map_contents gs) gen_gmrs);
         (3, map2 (fun m g -> Protocol.Deliver (m, g)) gen_name gen_gmr);
         (1, return Protocol.Ack);
         (1, return Protocol.Shutdown);
@@ -267,12 +290,18 @@ let gen_msg_sized rows =
             (fun ps -> Protocol.Peers (Array.of_list ps))
             (list_size (int_range 0 4) gen_name) );
         (1, return Protocol.Mesh_connect);
-        (1, map (fun i -> Protocol.Shuffle i) (int_range 0 1000));
-        (1, map (fun st -> Protocol.Shuffle_done st) gen_shuffle_stat);
-        ( 2,
+        ( 1,
+          map
+            (fun l -> Protocol.Shuffle (Array.of_list l))
+            (list_size (int_range 0 20) (int_range 0 1000)) );
+        ( 1,
+          map
+            (fun l -> Protocol.Shuffle_done (Array.of_list l))
+            (list_size (int_range 0 20) gen_shuffle_stat) );
+        ( 3,
           map2
-            (fun src g -> Protocol.Mesh_data (src, g))
-            (int_range 0 8) gen_gmr );
+            (fun src gs -> Protocol.Mesh_data (src, gs))
+            (int_range 0 8) gen_gmrs );
       ])
 
 (* Bit-exact multiset equality: same tuples (values compared structurally,
@@ -357,28 +386,39 @@ let telem_equal (a : Protocol.telem) (b : Protocol.telem) =
   && List.length a.t_spans = List.length b.t_spans
   && List.for_all2 event_equal a.t_spans b.t_spans
 
+let all2 f a b = Array.length a = Array.length b && Array.for_all2 f a b
+
 let msg_equal (a : Protocol.msg) (b : Protocol.msg) =
   match (a, b) with
   | Protocol.Load_batch (r1, g1), Protocol.Load_batch (r2, g2)
   | Protocol.Deliver (r1, g1), Protocol.Deliver (r2, g2) ->
       String.equal r1 r2 && gmr_bits_equal g1 g2
-  | Protocol.Load_share (r1, s1), Protocol.Load_share (r2, s2) ->
-      String.equal r1 r2 && share_bits_equal s1 s2
-  | Protocol.Map_contents g1, Protocol.Map_contents g2 -> gmr_bits_equal g1 g2
-  | Protocol.Block_done (o1, w1), Protocol.Block_done (o2, w2) ->
-      o1 = o2 && fbits_equal w1 w2
+  | Protocol.Run_block (r1, i1, s1, n1), Protocol.Run_block (r2, i2, s2, n2)
+    ->
+      String.equal r1 r2 && i1 = i2 && n1 = n2
+      && Option.equal share_bits_equal s1 s2
+  | Protocol.Map_contents g1, Protocol.Map_contents g2 ->
+      all2 gmr_bits_equal g1 g2
+  | Protocol.Block_done (o1, w1, g1), Protocol.Block_done (o2, w2, g2) ->
+      o1 = o2 && fbits_equal w1 w2 && all2 gmr_bits_equal g1 g2
   | Protocol.Telemetry t1, Protocol.Telemetry t2 -> telem_equal t1 t2
   | Protocol.Mesh_data (s1, g1), Protocol.Mesh_data (s2, g2) ->
-      s1 = s2 && gmr_bits_equal g1 g2
+      s1 = s2 && all2 gmr_bits_equal g1 g2
   | Protocol.Shuffle_done st1, Protocol.Shuffle_done st2 ->
-      st1.ss_ser = st2.ss_ser
-      && st1.ss_modeled = st2.ss_modeled
-      && st1.ss_sent = st2.ss_sent
-      && fbits_equal st1.ss_wall st2.ss_wall
+      all2
+        (fun (st1 : Protocol.shuffle_stat) (st2 : Protocol.shuffle_stat) ->
+          st1.ss_ser = st2.ss_ser
+          && st1.ss_modeled = st2.ss_modeled
+          && st1.ss_sent = st2.ss_sent
+          && fbits_equal st1.ss_wall st2.ss_wall)
+        st1 st2
   | a, b -> a = b
 
 let qcheck_codec_roundtrip =
-  let arb = QCheck.make ~print:(fun _ -> "<msg>") (gen_msg_sized large_rows) in
+  let arb =
+    QCheck.make ~print:(fun _ -> "<msg>")
+      (gen_msg_sized ~rows:large_rows ~map_rows:small_rows)
+  in
   QCheck.Test.make ~name:"protocol codec round-trips bit-exactly" ~count:500 arb
     (fun m ->
       let payload = Protocol.encode m in
@@ -403,7 +443,10 @@ let expect_error name f =
   | _ -> Alcotest.failf "%s: malformed input accepted" name
 
 let qcheck_codec_truncated =
-  let arb = QCheck.make ~print:(fun _ -> "<msg>") (gen_msg_sized small_rows) in
+  let arb =
+    QCheck.make ~print:(fun _ -> "<msg>")
+      (gen_msg_sized ~rows:small_rows ~map_rows:(QCheck.Gen.int_range 0 3))
+  in
   QCheck.Test.make ~name:"truncated frames and payloads are rejected" ~count:200
     arb (fun m ->
       let frame = Protocol.encode_frame m in
@@ -435,6 +478,16 @@ let expect_error_with name substrings f =
         (Printexc.to_string e)
   | _ -> Alcotest.failf "%s: malformed input accepted" name
 
+(* Words allocated by [f ()], exceptions included. *)
+let alloc_words f =
+  let words () =
+    let s = Gc.quick_stat () in
+    Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let w0 = words () in
+  (try f () with _ -> ());
+  words () -. w0
+
 let test_codec_malformed () =
   (* Length prefix exceeding max_frame. *)
   let oversized =
@@ -456,17 +509,33 @@ let test_codec_malformed () =
   (* Trailing garbage after a complete message. *)
   expect_error "trailing bytes" (fun () ->
       Protocol.decode (Protocol.encode Protocol.Ack ^ "\x00"));
-  (* Gmr count claiming more entries than the payload holds. *)
+  (* Gmr count claiming more entries than the payload holds: patch the
+     entry count of the one empty map (after tag and map count). *)
   let lying =
-    let b = Buffer.create 16 in
-    Buffer.add_string b (Protocol.encode (Protocol.Map_contents (Gmr.create ())))
-    ;
-    (* patch the count field (last 4 bytes of the empty-Gmr encoding) *)
-    let s = Bytes.of_string (Buffer.contents b) in
-    Bytes.set s (Bytes.length s - 1) '\xff';
+    let s =
+      Bytes.of_string
+        (Protocol.encode (Protocol.Map_contents [| Gmr.create () |]))
+    in
+    Bytes.set_int32_be s 5 1000l;
     Bytes.to_string s
   in
-  expect_error "lying entry count" (fun () -> Protocol.decode lying)
+  expect_error "lying entry count" (fun () -> Protocol.decode lying);
+  (* A map count larger than the payload is rejected before the map
+     array is allocated: 10 bytes declaring 8,000,000 maps. *)
+  let many =
+    let b = Buffer.create 16 in
+    Buffer.add_uint8 b 7 (* Map_contents *);
+    Buffer.add_int32_be b 8_000_000l;
+    Buffer.add_int32_be b 0l;
+    Buffer.add_uint8 b 0;
+    Buffer.contents b
+  in
+  expect_error_with "map count past the payload" [ "Map_contents"; "truncated" ]
+    (fun () -> Protocol.decode many);
+  let words = alloc_words (fun () -> ignore (Protocol.decode many)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "map count rejected after allocating %.0f words" words)
+    true (words < 1000.)
 
 (* ------------------------------------------------------------------ *)
 (* Dictionary-encoded string columns on the wire (PR 9)                *)
@@ -483,13 +552,13 @@ let test_codec_dict_roundtrip () =
   for k = 0 to 39 do
     Gmr.add g [| Value.Int (k mod 7); Value.String modes.(k mod 4) |] 1.
   done;
-  let payload = Protocol.encode (Protocol.Map_contents g) in
-  let kind_pos n = 1 + 4 + 1 + 2 + 1 + (8 * n) in
+  let payload = Protocol.encode (Protocol.Map_contents [| g |]) in
+  let kind_pos n = 1 + 4 + 4 + 1 + 2 + 1 + (8 * n) in
   Alcotest.(check char)
     "string column ships dictionary-encoded" '\x04'
     payload.[kind_pos (Gmr.cardinal g)];
   (match Protocol.decode payload with
-  | Protocol.Map_contents g' ->
+  | Protocol.Map_contents [| g' |] ->
       Alcotest.(check bool) "dict round-trip bit-exact" true
         (gmr_bits_equal g g')
   | _ -> Alcotest.fail "decoded to a different message");
@@ -497,12 +566,12 @@ let test_codec_dict_roundtrip () =
   for k = 0 to 69 do
     Gmr.add gh [| Value.Int k; Value.String (Printf.sprintf "name-%04d" k) |] 1.
   done;
-  let ph = Protocol.encode (Protocol.Map_contents gh) in
+  let ph = Protocol.encode (Protocol.Map_contents [| gh |]) in
   Alcotest.(check char)
     "high-cardinality column stays boxed" '\x03'
     ph.[kind_pos (Gmr.cardinal gh)];
   match Protocol.decode ph with
-  | Protocol.Map_contents g' ->
+  | Protocol.Map_contents [| g' |] ->
       Alcotest.(check bool) "boxed round-trip bit-exact" true
         (gmr_bits_equal gh g')
   | _ -> Alcotest.fail "decoded to a different message"
@@ -514,6 +583,7 @@ let dict_payload ~entries ~codes =
   let n = Array.length codes in
   let b = Buffer.create 64 in
   Buffer.add_uint8 b 7 (* Map_contents *);
+  Buffer.add_int32_be b 1l (* one map *);
   Buffer.add_int32_be b (Int32.of_int n);
   Buffer.add_uint8 b 1 (* columnar layout *);
   Buffer.add_uint16_be b 1 (* width *);
@@ -536,7 +606,7 @@ let test_codec_dict_strict () =
   (match
      Protocol.decode (dict_payload ~entries:[| "x"; "y" |] ~codes:[| 0; 1; 0 |])
    with
-  | Protocol.Map_contents g ->
+  | Protocol.Map_contents [| g |] ->
       Alcotest.(check (float 1e-9)) "codes decode through the dictionary" 2.
         (Gmr.mult g [| Value.String "x" |])
   | _ -> Alcotest.fail "decoded to a different message");
@@ -551,14 +621,22 @@ let test_codec_dict_strict () =
 (* Batch share frames                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* A hand-built [Load_share] payload for stream "r": [cols] lists
+(* The head of a [Run_block] payload for stream "r", block 0, pulling
+   no map, that carries a share. *)
+let run_block_head b =
+  Buffer.add_uint8 b 4 (* Run_block *);
+  Buffer.add_int32_be b 1l;
+  Buffer.add_string b "r";
+  Buffer.add_int32_be b 0l (* block *);
+  Buffer.add_int32_be b 0l (* pulled maps *);
+  Buffer.add_uint8 b 1 (* a share follows *)
+
+(* A hand-built share-carrying [Run_block] payload: [cols] lists
    (position, declared cell count, kind + payload writer); the
    multiplicity is the constant 1. *)
 let share_payload ?(width = 3) ?(rows = 2) ?(trailing = "") cols =
   let b = Buffer.create 64 in
-  Buffer.add_uint8 b 20 (* Load_share *);
-  Buffer.add_int32_be b 1l;
-  Buffer.add_string b "r";
+  run_block_head b;
   Buffer.add_uint16_be b width;
   Buffer.add_int32_be b (Int32.of_int rows);
   Buffer.add_uint16_be b (List.length cols);
@@ -596,7 +674,7 @@ let test_codec_share_strict () =
        (share_payload
           [ (0, 2, int_cells [ 7; 8 ]); (2, 2, dict_cells [ "A"; "R" ] [ 1; 0 ]) ])
    with
-  | Protocol.Load_share ("r", cb) ->
+  | Protocol.Run_block ("r", 0, Some cb, [||]) ->
       Alcotest.(check (array int)) "live positions" [| 0; 2 |]
         (Colbatch.live_cols cb);
       Alcotest.(check int) "stream width" 3 (Colbatch.width cb);
@@ -606,7 +684,7 @@ let test_codec_share_strict () =
         (Colbatch.mults cb)
   | _ -> Alcotest.fail "decoded to a different message");
   let rejects name sub cols ?width ?rows ?trailing () =
-    expect_error_with name [ "Load_share"; sub ] (fun () ->
+    expect_error_with name [ "Run_block"; sub ] (fun () ->
         Protocol.decode (share_payload ?width ?rows ?trailing cols))
   in
   rejects "column index past the stream width" "out of range"
@@ -636,30 +714,20 @@ let test_codec_share_strict () =
       (Array.init 16 (fun c -> (c, Colbatch.CFloat [| 1.5; 2.5 |])))
       ~mults:[| 1.; 1. |]
   in
-  let size cb = String.length (Protocol.encode (Protocol.Load_share ("r", cb))) in
+  let size cb =
+    String.length (Protocol.encode (Protocol.Run_block ("r", 0, Some cb, [||])))
+  in
   Alcotest.(check int) "15 absent columns save 15 column runs"
     (15 * (2 + 4 + 1 + 16))
     (size full - size cb)
 
-(* Words allocated by [f ()], exceptions included. *)
-let alloc_words f =
-  let words () =
-    let s = Gc.quick_stat () in
-    Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
-  in
-  let w0 = words () in
-  (try f () with _ -> ());
-  words () -. w0
-
-(* A 29-byte share frame declaring 8,000,000 rows of one Int column
+(* A 38-byte share frame declaring 8,000,000 rows of one Int column
    carries one cell: the run's length is checked before its array is
    allocated, so the decoder rejects it without allocating the declared
    64 MB. *)
 let test_codec_truncated_run () =
   let b = Buffer.create 32 in
-  Buffer.add_uint8 b 20 (* Load_share *);
-  Buffer.add_int32_be b 1l;
-  Buffer.add_string b "r";
+  run_block_head b;
   Buffer.add_uint16_be b 1 (* stream width *);
   Buffer.add_int32_be b 8_000_000l (* rows *);
   Buffer.add_uint16_be b 1 (* live columns *);
@@ -668,8 +736,8 @@ let test_codec_truncated_run () =
   Buffer.add_uint8 b 0 (* Int run *);
   Buffer.add_int64_be b 42L;
   let payload = Buffer.contents b in
-  Alcotest.(check int) "payload bytes" 29 (String.length payload);
-  expect_error_with "truncated Int run" [ "Load_share"; "truncated" ] (fun () ->
+  Alcotest.(check int) "payload bytes" 38 (String.length payload);
+  expect_error_with "truncated Int run" [ "Run_block"; "truncated" ] (fun () ->
       Protocol.decode payload);
   let words = alloc_words (fun () -> ignore (Protocol.decode payload)) in
   Alcotest.(check bool)
@@ -819,40 +887,45 @@ let qcheck_deal =
    produce, and every field-level failure cites the frame's claimed tag
    and payload length — debuggable from the exception alone. *)
 let test_codec_mesh_strict () =
-  (* Negative transfer index: the i32 right after the tag byte. *)
-  let shuffle = Protocol.encode (Protocol.Shuffle 3) in
+  (* Negative transfer index: the first i32 after the tag byte and the
+     index count. *)
+  let shuffle = Protocol.encode (Protocol.Shuffle [| 3 |]) in
   let neg_idx = Bytes.of_string shuffle in
-  Bytes.set neg_idx 1 '\xff';
+  Bytes.set neg_idx 5 '\xff';
   expect_error_with "negative transfer index"
     [ "Shuffle"; "tag 17"; "negative transfer index" ]
     (fun () -> Protocol.decode (Bytes.to_string neg_idx));
   (* Negative mesh source id: the i32 right after the tag byte. *)
-  let md = Protocol.encode (Protocol.Mesh_data (0, Gmr.create ())) in
+  let md = Protocol.encode (Protocol.Mesh_data (0, [| Gmr.create () |])) in
   let neg_src = Bytes.of_string md in
   Bytes.set neg_src 1 '\xff';
   expect_error_with "negative mesh source id"
     [ "Mesh_data"; "tag 19"; "negative mesh source id" ]
     (fun () -> Protocol.decode (Bytes.to_string neg_src));
-  (* Negative serialized byte count: the i64 right after the tag byte. *)
+  (* Negative serialized byte count: the i64 right after the tag byte and
+     the stat count. *)
   let sd =
     Protocol.encode
       (Protocol.Shuffle_done
-         {
-           Protocol.ss_ser = 1;
-           ss_modeled = [| 2 |];
-           ss_sent = [| 3 |];
-           ss_wall = 0.;
-         })
+         [|
+           {
+             Protocol.ss_ser = 1;
+             ss_modeled = [| 2 |];
+             ss_sent = [| 3 |];
+             ss_wall = 0.;
+           };
+         |])
   in
   let neg_ser = Bytes.of_string sd in
-  Bytes.set neg_ser 1 '\xff';
+  Bytes.set neg_ser 5 '\xff';
   expect_error_with "negative serialized byte count"
     [ "Shuffle_done"; "tag 18"; "negative" ]
     (fun () -> Protocol.decode (Bytes.to_string neg_ser));
   (* Negative modeled byte count: the per-peer arrays ride as i32;
-     layout is tag(1) + ser i64(8) + count(4), then the first entry. *)
+     layout is tag(1) + stat count(4) + ser i64(8) + count(4), then the
+     first entry. *)
   let neg_modeled = Bytes.of_string sd in
-  Bytes.set neg_modeled 13 '\xff';
+  Bytes.set neg_modeled 17 '\xff';
   expect_error_with "negative modeled byte count"
     [ "Shuffle_done"; "tag 18"; "negative modeled byte count" ]
     (fun () -> Protocol.decode (Bytes.to_string neg_modeled));
@@ -883,16 +956,22 @@ let non_transient (prog : Divm_compiler.Prog.t) =
       if m.mkind <> Divm_compiler.Prog.Transient then Some m.mname else None)
     prog.maps
 
-(* Replay [stream] through the simulator and a process cluster of query
-   [qn] at [workers]: every modeled quantity (latency, shuffle bytes,
-   stages, and per stage its name, modeled bytes and prediction) must be
-   bit-identical, and so must every non-transient store. Returns, per
-   result view, the simulator's and the process cluster's contents, and
-   the process cluster's transfer-stage wire bytes. *)
-let replay_sim_proc ~workers ~stream qn =
+(* Round trips one batch of [rel] makes under [dp]'s grouping rule. *)
+let static_round_trips (dp : Dprog.t) rel =
+  let steps = Dprog.steps (Dprog.find_trigger dp rel) in
+  Dprog.round_trips dp.locs steps (Dprog.calls dp.locs steps)
+
+(* Replay [stream] through the simulator and a process cluster of [dp]
+   (query [qn]'s program, possibly edited) at [workers]: every modeled
+   quantity (latency, shuffle bytes, stages, and per stage its name,
+   modeled bytes and prediction) must be bit-identical, and so must every
+   non-transient store; both must make the round trips the grouping rule
+   predicts. Returns, per result view, the simulator's and the process
+   cluster's contents, and the process cluster's transfer-stage wire
+   bytes. *)
+let replay_dp ~workers ~stream qn dp =
   let w = Workload.find qn in
   let prog = Workload.compile w in
-  let dp = Workload.distribute w prog in
   let sim = Cluster.create ~config:(Cluster.config ~workers ()) ~domains:1 dp in
   let node = Node.create ~config:(Node.config ~workers ()) dp in
   let proc = Node.executor node in
@@ -908,6 +987,9 @@ let replay_sim_proc ~workers ~stream qn =
           if not (fbits_equal ms.latency mp.latency) then fail "modeled latency";
           if ms.bytes_shuffled <> mp.bytes_shuffled then fail "shuffled bytes";
           if ms.stages <> mp.stages then fail "stage count";
+          if ms.round_trips <> mp.round_trips then fail "round trips";
+          if ms.round_trips <> static_round_trips dp rel then
+            fail ("round trips of a " ^ rel ^ " batch vs the grouping rule");
           if List.length ms.stage_stats <> List.length mp.stage_stats then
             fail "stage list";
           List.iter2
@@ -931,6 +1013,32 @@ let replay_sim_proc ~workers ~stream qn =
           (fun (name, _) -> (name, Cluster.result sim name, Cluster.result proc name))
           w.Workload.maps,
         !transfer_wire ))
+
+let replay_sim_proc ?level ~workers ~stream qn =
+  let w = Workload.find qn in
+  replay_dp ~workers ~stream qn
+    (Workload.distribute ?level w (Workload.compile w))
+
+(* Both backends' result views must match [Exec] re-evaluated over the
+   net base contents [stream] leaves behind. *)
+let check_views_vs_exec ~stream ~what qn views =
+  let ex = Divm_runtime.Exec.create (Workload.compile (Workload.find qn)) in
+  Divm_runtime.Exec.load ex (Tpch_suite.net_contents stream);
+  List.iter
+    (fun (name, gsim, gproc) ->
+      let want = Divm_runtime.Exec.result ex name in
+      List.iter
+        (fun (which, got) ->
+          match Tpch_suite.view_difference want got with
+          | None -> ()
+          | Some key ->
+              Alcotest.failf
+                "%s/%s/%s: view %s differs from Exec at %s: expected %.17g, \
+                 got %.17g"
+                qn what which name (Vtuple.to_string key) (Gmr.mult want key)
+                (Gmr.mult got key))
+        [ ("simulator", gsim); ("multiprocess", gproc) ])
+    views
 
 (* The acceptance property of the whole subsystem: a real process
    cluster replaying a random TPC-H stream, at 2 and 4 workers, agrees
@@ -963,13 +1071,16 @@ let qcheck_node_equiv =
       true)
 
 (* The simulator = processes contract over retraction streams, at 2 and
-   4 workers, with the reference interpreter as the oracle: both
-   backends' result views must match [Exec] re-evaluated over the net
-   base contents the stream leaves behind. *)
+   4 workers, and at opt level 0 (which moves more than twice the
+   transfers of level 3) at 2, with the reference interpreter as the
+   oracle: both backends' result views must match [Exec] re-evaluated
+   over the net base contents the stream leaves behind. *)
 let qcheck_retraction_equiv =
   let arb = QCheck.(make ~print:Print.int Gen.(int_range 0 10_000)) in
   QCheck.Test.make
-    ~name:"retraction streams: simulator = processes = Exec at 2 and 4 workers"
+    ~name:
+      "retraction streams: simulator = processes = Exec at 2 and 4 workers, \
+       and at opt level 0"
     ~count:1 arb
     (fun seed ->
       let inserts =
@@ -978,30 +1089,175 @@ let qcheck_retraction_equiv =
       let stream = Tpch_suite.with_retractions ~k:3 inserts in
       List.iter
         (fun qn ->
-          let w = Workload.find qn in
-          let ex = Divm_runtime.Exec.create (Workload.compile w) in
-          Divm_runtime.Exec.load ex (Tpch_suite.net_contents stream);
           List.iter
-            (fun workers ->
-              let views, _ = replay_sim_proc ~workers ~stream qn in
-              List.iter
-                (fun (name, gsim, gproc) ->
-                  let want = Divm_runtime.Exec.result ex name in
-                  List.iter
-                    (fun (which, got) ->
-                      match Tpch_suite.view_difference want got with
-                      | None -> ()
-                      | Some key ->
-                          Alcotest.failf
-                            "%s/%dw/%s: view %s differs from Exec at %s: \
-                             expected %.17g, got %.17g"
-                            qn workers which name (Vtuple.to_string key)
-                            (Gmr.mult want key) (Gmr.mult got key))
-                    [ ("simulator", gsim); ("multiprocess", gproc) ])
-                views)
-            [ 2; 4 ])
+            (fun (level, workers) ->
+              let views, _ = replay_sim_proc ?level ~workers ~stream qn in
+              check_views_vs_exec ~stream
+                ~what:
+                  (Printf.sprintf "%dw/O%d" workers (Option.value level ~default:3))
+                qn views)
+            [ (None, 2); (None, 4); (Some 0, 2) ])
         Tpch_suite.queries;
       true)
+
+(* ------------------------------------------------------------------ *)
+(* Round trips: one transport call per transfer run                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Per batch at 2 workers, on both transports: Q1 and Q6 ship the share
+   with their one stage, whose reply carries every gather; Q17's lineitem
+   trigger runs stage 1 (with the share), one exchange of its four
+   repartitions, and stage 2 carrying its fifteen gathers back. *)
+let test_round_trips () =
+  let stream =
+    Tpch.Gen.stream { Tpch.Gen.scale = 0.02; seed = 11 } ~batch_size:300
+  in
+  List.iter
+    (fun (qn, rel, want) ->
+      let w = Workload.find qn in
+      let dp = Workload.distribute w (Workload.compile w) in
+      Alcotest.(check int) (qn ^ " " ^ rel ^ ": grouping rule") want
+        (static_round_trips dp rel);
+      let batch = List.assoc rel stream in
+      let sim = Cluster.create ~config:(Cluster.config ~workers:2 ()) ~domains:1 dp in
+      let node = Node.create ~config:(Node.config ~workers:2 ()) dp in
+      Fun.protect
+        ~finally:(fun () -> Node.shutdown node)
+        (fun () ->
+          List.iter
+            (fun (which, ex, family) ->
+              let c = Printf.sprintf "divm_%s_round_trips_total" family in
+              let before = Obs.counter_value (Obs.snapshot ()) c in
+              let m = Cluster.apply_batch ex ~rel batch in
+              Alcotest.(check int)
+                (Printf.sprintf "%s %s on the %s" qn rel which)
+                want m.Cluster.round_trips;
+              Alcotest.(check int)
+                (Printf.sprintf "%s %s: %s counter" qn rel which)
+                want
+                (Obs.counter_value (Obs.snapshot ()) c - before))
+            [ ("simulator", sim, "cluster"); ("processes", Node.executor node, "node") ]))
+    [ ("Q1", "lineitem", 1); ("Q6", "lineitem", 1); ("Q17", "lineitem", 3) ]
+
+(* Q17 with one repartition split into two hops: the first moves
+   DELTA_lineitem_1 into a fresh map on another key, the second reads
+   that map. The second hop's source is the destination of the transfer
+   just before it, so the run rule cuts the exchange in two. On both
+   transports the views must still equal [Exec], and every stored map
+   must equal the unedited program's (Q17's scalar result is often empty
+   on small streams; the maps it is maintained from are not). *)
+let test_run_rule_chain () =
+  let w = Workload.find "Q17" in
+  let dp = Workload.distribute w (Workload.compile w) in
+  let steps dp = Dprog.steps (Dprog.find_trigger dp "lineitem") in
+  let exchanges dp =
+    List.filter_map
+      (function Dprog.Exchange ps -> Some (List.length ps) | _ -> None)
+      (Dprog.calls dp.Dprog.locs (steps dp))
+  in
+  Alcotest.(check (list int)) "Q17 lineitem: one exchange of 4" [ 4 ]
+    (exchanges dp);
+  let first =
+    Array.fold_left
+      (fun acc s ->
+        match (acc, s) with
+        | None, Dprog.Move t when Dprog.is_mesh dp.locs t -> Some t
+        | _ -> acc)
+      None (steps dp)
+    |> Option.get
+  in
+  let hop = first.tname ^ "_hop" in
+  let decl =
+    List.find (fun (m : Divm_compiler.Prog.map_decl) -> m.mname = first.tname)
+      dp.base.maps
+  in
+  let arity = List.length decl.mschema in
+  let chained =
+    {
+      Dprog.base =
+        { dp.base with maps = dp.base.maps @ [ { decl with mname = hop } ] };
+      locs = (hop, Loc.Dist [| arity - 1 |]) :: dp.locs;
+      dtriggers =
+        List.map
+          (fun (tr : Dprog.dtrigger) ->
+            {
+              tr with
+              blocks =
+                List.map
+                  (fun (b : Dprog.block) ->
+                    {
+                      b with
+                      bstmts =
+                        List.concat_map
+                          (function
+                            | Dprog.Transfer t when t = first ->
+                                [
+                                  Dprog.Transfer
+                                    { t with tname = hop; key = [| arity - 1 |] };
+                                  Dprog.Transfer { t with source = hop };
+                                ]
+                            | d -> [ d ])
+                          b.bstmts;
+                    })
+                  tr.blocks;
+            })
+          dp.dtriggers;
+    }
+  in
+  Alcotest.(check (list int)) "the chain cuts the run: exchanges of 1 and 4"
+    [ 1; 4 ] (exchanges chained);
+  Alcotest.(check int) "one more round trip per lineitem batch" 4
+    (static_round_trips chained "lineitem");
+  let stream =
+    Tpch.Gen.stream { Tpch.Gen.scale = 0.02; seed = 19 } ~batch_size:300
+  in
+  let views, _ = replay_dp ~workers:2 ~stream "Q17" chained in
+  check_views_vs_exec ~stream ~what:"chained" "Q17" views;
+  let stores dp =
+    let c = Cluster.create ~config:(Cluster.config ~workers:2 ()) ~domains:1 dp in
+    List.iter (fun (rel, b) -> ignore (Cluster.apply_batch c ~rel b)) stream;
+    List.map (fun n -> (n, Cluster.map_contents c n)) (non_transient dp.base)
+  in
+  let want = stores dp in
+  Alcotest.(check bool) "the stream fills some store" true
+    (List.exists (fun (_, g) -> Gmr.cardinal g > 0) want);
+  List.iter2
+    (fun (n, g) (_, g') ->
+      if not (Gmr.equal ~eps:1e-6 g g') then
+        Alcotest.failf "store %s: chained program differs from Q17's" n)
+    want (stores chained)
+
+(* Q3's customer trigger at level 3 gathers a delta, scatters it back
+   through the driver, then repartitions: the gather rides stage 1's
+   reply, and the driver-bound scatter keeps its place between it and
+   the exchange. *)
+let test_q3_customer_order () =
+  let w = Workload.find "Q3" in
+  let dp = Workload.distribute ~level:3 w (Workload.compile w) in
+  let steps = Dprog.steps (Dprog.find_trigger dp "customer") in
+  let kind p =
+    match steps.(p) with
+    | Dprog.Move { tkind = Dprog.Gather; _ } -> "gather"
+    | Dprog.Move { tkind = Dprog.Scatter; _ } -> "scatter"
+    | Dprog.Move { tkind = Dprog.Repart; _ } -> "repart"
+    | Dprog.Stage _ | Dprog.Driver _ -> "?"
+  in
+  Alcotest.(check (list string)) "calls in plan order"
+    [ "stage [gather]"; "driver scatter"; "exchange [repart]"; "stage []" ]
+    (List.map
+       (function
+         | Dprog.Run (_, ps) ->
+             "stage [" ^ String.concat "," (List.map kind ps) ^ "]"
+         | Dprog.Pull ps -> "pull [" ^ String.concat "," (List.map kind ps) ^ "]"
+         | Dprog.Exchange ps ->
+             "exchange [" ^ String.concat "," (List.map kind ps) ^ "]"
+         | Dprog.Via_driver p -> "driver " ^ kind p)
+       (Dprog.calls dp.locs steps));
+  let stream =
+    Tpch.Gen.stream { Tpch.Gen.scale = 0.02; seed = 23 } ~batch_size:300
+  in
+  let views, _ = replay_dp ~workers:2 ~stream "Q3" dp in
+  check_views_vs_exec ~stream ~what:"O3" "Q3" views
 
 (* ------------------------------------------------------------------ *)
 (* Engine facade                                                       *)
@@ -1419,35 +1675,42 @@ let test_merged_trace_monotonic () =
     [ 1; 2; 3 ]
 
 (* A worker killed mid-stream surfaces as a [Failure] naming the worker
-   and its signal, not an opaque socket error. *)
+   and its signal, not an opaque socket error: on Q6, and on Q17's
+   lineitem trigger, whose batch is a stage, an exchange and a stage
+   carrying its gathers. *)
 let test_worker_death_report () =
   let stream =
     Tpch.Gen.stream { Tpch.Gen.scale = 0.02; seed = 2 } ~batch_size:200
   in
-  let w = Workload.find "Q6" in
-  let dp = Workload.distribute w (Workload.compile w) in
-  let node = Node.create ~config:(Node.config ~workers:2 ()) dp in
-  Fun.protect
-    ~finally:(fun () -> Node.shutdown node)
-    (fun () ->
-      let rel, batch = List.hd stream in
-      let ex = Node.executor node in
-      ignore (Cluster.apply_batch ex ~rel batch);
-      (match Node.worker_pids node with
-      | pid :: _ -> Unix.kill pid Sys.sigkill
-      | _ -> Alcotest.fail "coordinator does not know its worker pids");
-      Unix.sleepf 0.1;
-      match
-        List.iter (fun (rel, b) -> ignore (Cluster.apply_batch ex ~rel b)) stream
-      with
-      | exception Failure msg ->
-          Alcotest.(check bool)
-            (Printf.sprintf "error names the dead worker: %s" msg)
-            true (contains msg "worker 0");
-          Alcotest.(check bool)
-            (Printf.sprintf "error carries the signal: %s" msg)
-            true (contains msg "signaled")
-      | () -> Alcotest.fail "batches kept succeeding with a dead worker")
+  List.iter
+    (fun (qn, rel, victim) ->
+      let w = Workload.find qn in
+      let dp = Workload.distribute w (Workload.compile w) in
+      let batches = List.filter (fun (r, _) -> r = rel) stream in
+      let node = Node.create ~config:(Node.config ~workers:2 ()) dp in
+      Fun.protect
+        ~finally:(fun () -> Node.shutdown node)
+        (fun () ->
+          let ex = Node.executor node in
+          ignore (Cluster.apply_batch ex ~rel (List.assoc rel batches));
+          Unix.kill (List.nth (Node.worker_pids node) victim) Sys.sigkill;
+          Unix.sleepf 0.1;
+          match
+            List.iter
+              (fun (rel, b) -> ignore (Cluster.apply_batch ex ~rel b))
+              batches
+          with
+          | exception Failure msg ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: error names the dead worker: %s" qn msg)
+                true
+                (contains msg (Printf.sprintf "worker %d" victim));
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: error carries the signal: %s" qn msg)
+                true (contains msg "signaled")
+          | () ->
+              Alcotest.failf "%s: batches kept succeeding with a dead worker" qn))
+    [ ("Q6", "lineitem", 0); ("Q17", "lineitem", 1) ]
 
 let suites =
   [
@@ -1487,5 +1750,11 @@ let suites =
           `Quick test_merged_trace_monotonic;
         Alcotest.test_case "worker death names the worker and signal" `Quick
           test_worker_death_report;
+        Alcotest.test_case "round trips per batch on both transports" `Quick
+          test_round_trips;
+        Alcotest.test_case "a chained repartition takes two exchanges" `Quick
+          test_run_rule_chain;
+        Alcotest.test_case "Q3 customer: gather, driver scatter, exchange"
+          `Quick test_q3_customer_order;
       ] );
   ]

@@ -252,8 +252,54 @@ let test_explain_dist () =
     (contains ~affix:"@DIST<" txt || contains ~affix:"@RANDOM" txt);
   (* JSON exporter emits something structurally plausible for both shapes *)
   let j = Profile.plan_json p in
-  Alcotest.(check bool) "plan JSON has statements and transfers" true
-    (contains ~affix:"\"statements\"" j && contains ~affix:"\"transfers\"" j)
+  Alcotest.(check bool) "plan JSON has statements, transfers and calls" true
+    (contains ~affix:"\"statements\"" j
+    && contains ~affix:"\"transfers\"" j
+    && contains ~affix:"\"calls\"" j);
+  (* Each trigger ends with its transport calls: Q3's customer trigger
+     is stage 1 carrying the share and its gather, the driver-bound
+     scatter, one exchange and stage 2. *)
+  Alcotest.(check (list (pair string int)))
+    "Q3 customer calls"
+    [ ("stage", 1); ("driver", 1); ("exchange", 1); ("stage", 1) ]
+    (List.filter_map
+       (fun c ->
+         if c.Profile.cp_trigger = "customer" then
+           Some (c.Profile.cp_kind, c.Profile.cp_round_trips)
+         else None)
+       p.Profile.pl_calls);
+  Alcotest.(check bool) "the first stage carries the share and the gather"
+    true
+    (List.exists
+       (fun c ->
+         c.Profile.cp_trigger = "customer" && c.Profile.cp_share
+         && c.Profile.cp_stage = Some 1
+         && List.length c.Profile.cp_transfers = 1)
+       p.Profile.pl_calls);
+  let q17 =
+    Profile.render
+      (Profile.explain_dist ~name:"Q17"
+         (Workload.distribute (Workload.find "Q17")
+            (Workload.compile (Workload.find "Q17"))))
+  in
+  (* the lineitem trigger's lines: up to the next trigger's header *)
+  let lineitem =
+    let lines = String.split_on_char '\n' q17 in
+    let rec from = function
+      | [] -> []
+      | l :: tl when l = "ON UPDATE lineitem:" -> upto tl
+      | _ :: tl -> from tl
+    and upto = function
+      | l :: _ when String.starts_with ~prefix:"ON UPDATE" l -> []
+      | l :: tl -> l :: upto tl
+      | [] -> []
+    in
+    String.concat "\n" (from lines)
+  in
+  Alcotest.(check bool) "Q17 lineitem: 3 round trips per batch" true
+    (contains ~affix:"round trips per batch: 3" lineitem
+    && contains ~affix:"exchange: transfer:" lineitem
+    && contains ~affix:"gathers ride the reply" lineitem)
 
 (* ------------------------------------------------------------------ *)
 (* Attribution: slot sums = registry deltas                            *)
