@@ -34,9 +34,9 @@ type stmt_plan = {
           into packed survivor index vectors) *)
   sp_rowwise : int;
       (** filters left on the per-row closure path (dynamic predicates) *)
-  sp_compacts : bool;
-      (** its group compacts the batch to distinct keys (some member
-          probes or slices a store) *)
+  sp_grouped : bool;
+      (** its group groups the batch by probe key (some member probes or
+          slices a store) *)
   sp_block : int option;
   sp_stage : int option;
   sp_loc : string option;
@@ -115,7 +115,7 @@ let route_of_label lbl =
 
 (* One statement's plan entry from its planner route. *)
 let stmt_plan sp bp ~trigger ?block ?stage ?loc
-    ((st : Prog.stmt), lbl, selvec, rowwise, compacts) =
+    ((st : Prog.stmt), lbl, selvec, rowwise, grouped) =
   {
     sp_trigger = trigger;
     sp_label = lbl;
@@ -124,7 +124,7 @@ let stmt_plan sp bp ~trigger ?block ?stage ?loc
     sp_columnar = route_of_label lbl <> "stmt";
     sp_selvec = selvec;
     sp_rowwise = rowwise;
-    sp_compacts = compacts;
+    sp_grouped = grouped;
     sp_block = block;
     sp_stage = stage;
     sp_loc = loc;
@@ -329,22 +329,22 @@ let render_stmt buf indent s =
     | _ -> "compiled closure")
     (match s.sp_loc with Some l -> "  @" ^ l | None -> "");
   match route with
-  | ("columnar-join" | "fused") when s.sp_compacts ->
+  | ("columnar-join" | "fused") when s.sp_grouped ->
       Printf.bprintf buf
-        "%s    batch compacted to distinct keys; store accessors resolved \
-         once per key group\n"
+        "%s    batch grouped by probe key; store accessors resolved once \
+         per key group\n"
         indent
-  | ("selvec-join" | "fused-selvec") when s.sp_compacts ->
+  | ("selvec-join" | "fused-selvec") when s.sp_grouped ->
       Printf.bprintf buf
-        "%s    batch compacted to distinct keys; filters (%s) gate rows \
-         before accessor resolution\n"
+        "%s    batch grouped by probe key; filters (%s) gate rows before \
+         accessor resolution\n"
         indent (filter_split_str s)
   | "columnar" ->
       Printf.bprintf buf
         "%s    batch transposed once; filters scan single columns\n" indent
   | "fused" ->
       Printf.bprintf buf
-        "%s    no store reads: members run over the uncompacted rows\n" indent
+        "%s    no store reads: members run over the batch rows\n" indent
   | "selvec" | "fused-selvec" ->
       Printf.bprintf buf
         "%s    filters (%s): kernels pack survivor indexes; chain runs over \

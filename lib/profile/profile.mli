@@ -60,9 +60,10 @@ type stmt_plan = {
           into packed survivor index vectors); 0 on generic routes *)
   sp_rowwise : int;
       (** filters left on the per-row closure path (dynamic predicates) *)
-  sp_compacts : bool;
-      (** its group compacts the batch to distinct keys before running:
-          only groups with a member that probes or slices a store do *)
+  sp_grouped : bool;
+      (** its group groups the batch by probe key before running, so
+          each store accessor resolves once per key group: only groups
+          with a member that probes or slices a store do *)
   sp_block : int option;  (** distributed programs only *)
   sp_stage : int option;  (** 1-based distributed stage, if any *)
   sp_loc : string option;  (** rendered location tag of the target *)

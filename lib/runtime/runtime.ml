@@ -24,9 +24,10 @@ let m_probes = Obs.Counter.make "divm_index_probes_total"
 let m_probe_misses = Obs.Counter.make "divm_index_probe_misses_total"
 let m_slice_scanned = Obs.Counter.make "divm_slice_scanned_total"
 
-(* Vectorized executor gauges of what the batching bought: rows merged
-   away by key compaction, and probes the generic row-at-a-time path
-   would have issued but the key-grouped accessors did not. *)
+(* Vectorized executor gauges of what the batching bought: batch rows
+   an Assign target of a store-free group dedups (a pre-aggregation's
+   distinct keys), and probes the generic row-at-a-time path would have
+   issued but the key-grouped accessors did not. *)
 let m_rows_compacted = Obs.Counter.make "divm_batch_rows_compacted_total"
 let m_probes_saved = Obs.Counter.make "divm_probes_saved_total"
 
@@ -474,15 +475,16 @@ let compile_stmt rt ~mode (s : Prog.stmt) : unit -> unit =
    that are fully keyed by source columns (get probes, resolved once per
    distinct key group), at most one partially keyed map (a slice probe),
    lifts of fully keyed probes, and comparisons / value terms over the
-   bound columns. The source is compacted to the group's used columns
-   (duplicate keys coalesce) and sort-grouped by the probe key columns,
-   so every accessor resolves once per distinct key instead of once per
-   batch row — O(K) probes for a batch with K distinct keys (§5.2). *)
+   bound columns. The source's used columns are grouped by the probe
+   key columns, so every accessor resolves once per distinct key instead
+   of once per batch row — O(K) probes for a batch with K distinct keys
+   (§5.2). Rows are never merged: each runs the member chain and equal
+   rows meet at the target, whose ring [+] sums them. *)
 
 type vsource = {
   vs_name : string; (* delta stream or transient map *)
   vs_batch : bool; (* raw update batch vs transient pool *)
-  vs_exists : bool; (* Exists-wrapped: row weight is support, not mult *)
+  vs_exists : bool; (* Exists-wrapped: each row weighs 1, not its mult *)
   vs_vars : Schema.t;
 }
 
@@ -926,13 +928,12 @@ let route_label_of_group (ps : vplan list) =
 (* Vectorized batched joins: binding and execution                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-group mutable view of the compacted source batch; every bound
+(* Per-group mutable view of the grouped source batch; every bound
    closure reads the current row through this record, so one binding
    serves every batch. *)
 type vctx = {
   mutable vc_cols : Colbatch.col array; (* group column layout, typed *)
   mutable vc_mults : float array;
-  mutable vc_counts : float array; (* source rows merged per compacted row *)
   mutable vc_row : int;
 }
 
@@ -940,7 +941,7 @@ type vctx = {
    distinct key group, read by every member referencing it. *)
 type gacc = {
   ga_pool : Pool.t;
-  ga_key : int array; (* compacted column positions, in map-key order *)
+  ga_key : int array; (* group column positions, in map-key order *)
   ga_scratch : Vtuple.t;
   mutable ga_val : float;
   mutable ga_uses : int; (* member references, for the probes-saved model *)
@@ -953,7 +954,7 @@ type gacc = {
 type gslice = {
   gs_pool : Pool.t;
   gs_index : int option; (* declared slice index; None scans with checks *)
-  gs_bcols : int array; (* compacted columns of the bound part *)
+  gs_bcols : int array; (* group columns of the bound part *)
   gs_bpos : int array;
   gs_sub : Vtuple.t;
   mutable gs_keys : Vtuple.t array;
@@ -962,7 +963,7 @@ type gslice = {
   mutable gs_uses : int;
 }
 
-(* The static shape of a group: which source columns the compacted batch
+(* The static shape of a group: which source columns the grouped batch
    keeps and how they are ordered. Shared by every execution instance of
    the group (the serial driver binds one, the parallel driver one per
    domain). *)
@@ -972,7 +973,7 @@ type gshape = {
   sh_sk : int array; (* grouping-key columns *)
   sh_rest : int array;
   sh_sel : int array;
-  sh_cpos : int array; (* original source column -> compacted column *)
+  sh_cpos : int array; (* original source column -> group column *)
 }
 
 let group_shape (ps : vplan list) =
@@ -1026,9 +1027,9 @@ let batch_cols (plans : unit_plan list list) =
 (* Source columns worth dictionary-encoding for this group, this batch:
    operands of hoistable string filters (the selection kernel then
    tests an int-indexed per-dictionary truth table instead of comparing
-   strings) and, when the group compacts, its grouping-key columns (the
-   radix path then hashes the dictionary's cached entry hashes instead
-   of boxed cells). The drivers pass the list to
+   strings) and, when the group groups the batch by key, its key
+   columns (the radix path then hashes dictionary codes instead of
+   boxed cells). The drivers pass the list to
    [Colbatch.dictify_cols] once per batch; it skips everything that is
    not a low-cardinality all-string column, so over-asking (e.g. int
    key columns) costs one representation check. *)
@@ -1321,7 +1322,7 @@ type gmember = {
 
 (* One independent execution instance of a group: its own batch cursor,
    accessor caches, auxiliary slots, and scratch — so instances on
-   different domains share nothing but the read-only compacted columns
+   different domains share nothing but the read-only group columns
    and the store pools they probe. [buffered] gives each member a private
    [Gmr] output buffer (paired with its merge target) instead of writing
    the target pool directly; the group driver merges the buffers
@@ -1341,7 +1342,7 @@ type ginst = {
 let bind_instance (rt : t) ~(shape : gshape) ~buffered (ps : vplan list) :
     ginst =
   let cpos = shape.sh_cpos in
-  let ctx = { vc_cols = [||]; vc_mults = [||]; vc_counts = [||]; vc_row = 0 } in
+  let ctx = { vc_cols = [||]; vc_mults = [||]; vc_row = 0 } in
   let gaccs = ref [] in
   let gacc_for map cols =
     let ccols = Array.of_list (List.map (fun c -> cpos.(c)) cols) in
@@ -1392,7 +1393,7 @@ let bind_instance (rt : t) ~(shape : gshape) ~buffered (ps : vplan list) :
   in
   let ops = rt.ops in
   let bufs = ref [] in
-  (* compacted columns some bound reader reads as boxed [Value]s, row by
+  (* group columns some bound reader reads as boxed [Value]s, row by
      row — the batch prep pre-boxes exactly these once per batch so the
      hot loops chase one pointer instead of allocating per read *)
   let boxed_cols : (int, unit) Hashtbl.t = Hashtbl.create 8 in
@@ -1800,9 +1801,7 @@ let bind_instance (rt : t) ~(shape : gshape) ~buffered (ps : vplan list) :
     let exists = p.vp_source.vs_exists in
     let clear = p.vp_stmt.op = Prog.Assign in
     let run () =
-      let base =
-        if exists then ctx.vc_counts.(ctx.vc_row) else ctx.vc_mults.(ctx.vc_row)
-      in
+      let base = if exists then 1. else ctx.vc_mults.(ctx.vc_row) in
       if base <> 0. then begin
         Obs.Counter.incr ops;
         body (base *. sign)
@@ -1893,7 +1892,7 @@ let run_kerns (m : gmember) lo len =
   m.gm_cnt <- !c;
   (!scanned, !c)
 
-(* Run one instance straight over compacted rows [lo, hi) (the no-access
+(* Run one instance straight over source rows [lo, hi) (the no-access
    fast path: nothing to resolve per group). Members with hoisted filter
    kernels scan their columns into packed survivor vectors first and
    fire the per-row chain only over survivors; kernel-less members
@@ -1932,7 +1931,7 @@ let run_rows (inst : ginst) lo hi =
    accessors are never resolved at all — the whole group is skipped
    before a single probe. Returns (probes saved, rows scanned, rows
    selected) for the range. *)
-let run_groups (inst : ginst) starts (counts : float array) glo ghi =
+let run_groups (inst : ginst) starts glo ghi =
   let ctx = inst.gi_ctx in
   let members = inst.gi_members in
   let nm = Array.length members in
@@ -1957,11 +1956,7 @@ let run_groups (inst : ginst) starts (counts : float array) glo ghi =
     (* the row-at-a-time path would have probed per source row per
        reference; the group resolves each accessor exactly once — or
        zero times, when the kernels filtered the whole group away *)
-    let orig = ref 0. in
-    for r = lo to hi - 1 do
-      orig := !orig +. counts.(r)
-    done;
-    let orig = int_of_float !orig in
+    let orig = hi - lo in
     if !live then begin
       Array.iter
         (fun a ->
@@ -2009,14 +2004,7 @@ let source_colbatch rt (shape : gshape) raw =
     Colbatch.of_iter ~width:shape.sh_width ~count:(Pool.cardinal p) (fun f ->
         Pool.foreach p f)
 
-(* Merged batch rows whose multiplicity cancelled to ~0 can be dropped
-   before execution when every member weights rows by multiplicity; an
-   Exists-wrapped source reads support counts instead, and a cancelled
-   row still has support. *)
-let group_drop_cancelled (ps : vplan list) =
-  List.for_all (fun (p : vplan) -> not p.vp_source.vs_exists) ps
-
-(* Pre-box the columns in [boxed] (compacted slot numbers): per-row
+(* Pre-box the columns in [boxed] (group column slots): per-row
    boxed readers then return an existing heap value instead of
    allocating a fresh [Value] on every read. Columns only read through
    unboxed paths (float-compiled filters/weights, [row_hash]) keep
@@ -2032,7 +2020,7 @@ let box_reads (cols : Colbatch.col array) n (boxed : int array) =
     boxed
 
 (* Whether any member resolves store accessors per group (probes or
-   slices) — the group driver only pays for compaction when it does. *)
+   slices) — the group driver only pays for key grouping when it does. *)
 let plans_have_access (ps : vplan list) =
   List.exists
     (fun (p : vplan) ->
@@ -2041,8 +2029,8 @@ let plans_have_access (ps : vplan list) =
     ps
 
 (* [d] contiguous instance ranges: source rows split evenly, or key
-   groups balanced by compacted row count (a group must not split: its
-   accessors resolve once). *)
+   groups balanced by row count (a group must not split: its accessors
+   resolve once). *)
 let ranges d ~rows = function
   | None -> Array.init (d + 1) (fun di -> di * rows / d)
   | Some starts ->
@@ -2061,7 +2049,7 @@ let ranges d ~rows = function
 
 (* The one driver of a vectorized group. Each firing prepares the
    source once — transpose or pool scan, dictionary encoding, Assign
-   clears, key compaction when some member resolves store accessors,
+   clears, key grouping when some member resolves store accessors,
    pre-boxing — then runs either the unbuffered serial instance over the
    whole range or, when the caller's gate says [par], one buffered
    instance per domain over disjoint contiguous ranges, whose buffers
@@ -2073,12 +2061,10 @@ let ranges d ~rows = function
    totals (ops, probes, rows compacted, probes saved, selection-vector
    tallies) are the same either way: the same groups resolve the same
    accessors, only on different domains. Without store accessors
-   grouping has nothing to amortize, so compaction is skipped and the
-   members run straight over the source rows (each a distinct tuple,
-   support count 1). *)
+   grouping has nothing to amortize, so it is skipped and the members
+   run straight over the source rows. *)
 let bind_group (rt : t) (ps : vplan list) : Colbatch.t Lazy.t -> bool -> unit =
   let shape = group_shape ps in
-  let drop_cancelled = group_drop_cancelled ps in
   let has_access = plans_have_access ps in
   let wd = dict_want ps shape ~keys:has_access in
   let serial = bind_instance rt ~shape ~buffered:false ps in
@@ -2092,36 +2078,20 @@ let bind_group (rt : t) (ps : vplan list) : Colbatch.t Lazy.t -> bool -> unit =
   in
   (* Assign targets are shared pools: every instance lists the same ones *)
   let clears = serial.gi_clears in
-  let ones = ref [||] in
-  let ones_of n =
-    if Array.length !ones < n then ones := Array.make (max n 1024) 1.;
-    !ones
-  in
   fun raw use_par ->
     let cb = source_colbatch rt shape raw in
     if wd <> [] then Colbatch.dictify_cols cb wd;
     List.iter Pool.clear clears;
-    let cols, rows, mults, counts, starts =
-      if has_access then begin
-        let comp, starts, counts =
-          Colbatch.compact_group ~drop_cancelled cb ~key:shape.sh_sk
-            ~rest:shape.sh_rest
+    let rows = Colbatch.length cb in
+    let cols, mults, starts =
+      if has_access then
+        let grouped, starts =
+          Colbatch.compact_group cb ~key:shape.sh_sk ~rest:shape.sh_rest
         in
-        let rows = Colbatch.length comp in
-        Obs.Counter.add m_rows_compacted (Colbatch.length cb - rows);
-        ( Array.init (Array.length shape.sh_sel) (Colbatch.col comp),
-          rows,
-          Colbatch.mults comp,
-          counts,
+        ( Array.init (Array.length shape.sh_sel) (Colbatch.col grouped),
+          Colbatch.mults grouped,
           Some starts )
-      end
-      else
-        let rows = Colbatch.length cb in
-        ( Array.map (Colbatch.col cb) shape.sh_sel,
-          rows,
-          Colbatch.mults cb,
-          ones_of rows,
-          None )
+      else (Array.map (Colbatch.col cb) shape.sh_sel, Colbatch.mults cb, None)
     in
     box_reads cols rows serial.gi_boxed;
     (* one instance over a range of rows, or of key groups *)
@@ -2129,13 +2099,12 @@ let bind_group (rt : t) (ps : vplan list) : Colbatch.t Lazy.t -> bool -> unit =
       let ctx = inst.gi_ctx in
       ctx.vc_cols <- cols;
       ctx.vc_mults <- mults;
-      ctx.vc_counts <- counts;
       prep_inst inst;
       match starts with
       | None ->
           let sc, se = run_rows inst lo hi in
           (0, sc, se)
-      | Some starts -> run_groups inst starts counts lo hi
+      | Some starts -> run_groups inst starts lo hi
     in
     let saved, sc, se =
       match par with
@@ -2166,7 +2135,7 @@ let bind_group (rt : t) (ps : vplan list) : Colbatch.t Lazy.t -> bool -> unit =
     Obs.Counter.add m_probes_saved saved;
     Obs.Counter.add m_selvec_scanned sc;
     Obs.Counter.add m_selvec_selected se;
-    (* an uncompacted Assign member's freshly-cleared target now holds
+    (* a store-free Assign member's freshly-cleared target now holds
        exactly the distinct rows of the batch under that statement's key
        set: the difference is the per-statement batch compaction *)
     if not has_access then
@@ -2489,22 +2458,22 @@ let domains (rt : t) = rt.domains
    selection-vector kernel), and a shared "fused:T1+T2" /
    "fused-selvec:T1+T2" label for every member of a fused group. The
    ints are (filters hoisted to kernels, filters on the per-row path)
-   for that statement, and the bool is whether its group compacts the
-   batch ([plans_have_access], the predicate [bind_group] tests). The
-   same [plan_blocks] that [compile_blocks] uses produces this, and the
-   same [classify_filter] the binder uses decides the split — so EXPLAIN
-   agrees with the runtime by construction. *)
+   for that statement, and the bool is whether its group groups the
+   batch by probe key ([plans_have_access], the predicate [bind_group]
+   tests). The same [plan_blocks] that [compile_blocks] uses produces
+   this, and the same [classify_filter] the binder uses decides the
+   split — so EXPLAIN agrees with the runtime by construction. *)
 let block_routes_ex (prog : Prog.t) ~rel blocks =
   List.map
     (List.concat_map (function
       | UStmt s -> [ (s, "stmt:" ^ s.Prog.target, 0, 0, false) ]
       | UGroup ps ->
           let lbl = route_label_of_group ps in
-          let compacts = plans_have_access ps in
+          let grouped = plans_have_access ps in
           List.map
             (fun (p : vplan) ->
               let sv, rw = plan_filter_split p in
-              (p.vp_stmt, lbl, sv, rw, compacts))
+              (p.vp_stmt, lbl, sv, rw, grouped))
             ps))
     (plan_blocks prog ~rel blocks)
 

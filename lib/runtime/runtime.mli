@@ -49,8 +49,8 @@ type batch_report = {
 
     [domains] (default: the [DIVM_DOMAINS] environment variable, else 1)
     enables domain-parallel batch execution: each vectorized statement
-    group fans disjoint ranges of the compacted batch out over the shared
-    {!Divm_par.Par} pool, every domain running its own instance of the
+    group fans disjoint ranges of the batch (of its key groups, when it
+    probes a store) out over the shared {!Divm_par.Par} pool, every domain running its own instance of the
     compiled group lock-free (store pools are read-only during the
     fan-out; all writes land in domain-private buffers merged serially by
     ring [+] after the barrier). Generic statements run serially on the
@@ -146,9 +146,10 @@ val storage_stats : t -> (string * Pool.stats) list
     carries its filter split [(selvec, rowwise)]: the number of its
     filters compiled to selection-vector kernels and the number left on
     the per-row closure path (both 0 for ["stmt:"] routes), and whether
-    its group compacts the batch to distinct keys before running (only
-    a group with a member that probes or slices a store does; [false]
-    for ["stmt:"] routes). [blocks] holds, per block in trigger order,
+    its group groups the batch by probe key before running, so each
+    store accessor resolves once per key group (only a group with a
+    member that probes or slices a store does; [false] for ["stmt:"]
+    routes). [blocks] holds, per block in trigger order,
     the transient maps transfers filled before the block and its
     statements. Produced by the planner {!compile_blocks} uses, so
     EXPLAIN cannot disagree with the runtime. *)

@@ -1,10 +1,6 @@
 open Divm_ring
 module Obs = Divm_obs.Obs
 
-(* Rows whose merged multiplicity cancelled to ~0 and were dropped by
-   [compact_group ~drop_cancelled:true] (counted in source rows). *)
-let m_cancelled = Obs.Counter.make "divm_batch_rows_cancelled_total"
-
 (* Dictionary interning outcomes while building [CDict] columns: a hit
    reuses an existing code, a miss appends a new dictionary entry. *)
 let m_dict_hits = Obs.Counter.make "divm_dict_intern_hits_total"
@@ -159,7 +155,7 @@ let new_col cap (v : Value.t) : col =
   (* Strings commit to [CBoxed]: transposition stays a pointer write
      per cell. Dictionary encoding is an explicit upgrade for the
      columns that profit from it — filter-kernel operands and
-     compaction keys ([dictify_cols], driven by the runtime's planner);
+     grouping keys ([dictify_cols], driven by the runtime's planner);
      update batches intern while they are transposed or dealt
      ([shares_of_gmr]). *)
   | Value.String _ -> CBoxed (Array.make cap v)
@@ -471,19 +467,19 @@ let row_tuple (cols : col array) (sel : int array) i =
   Array.init (Array.length sel) (fun c -> get cols.(sel.(c)) i)
 
 (* ------------------------------------------------------------------ *)
-(* Batch compaction: radix-hash partitioning                           *)
+(* Key grouping: radix-hash partitioning                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Test hook: when set to [Some b], every per-cell compaction hash keeps
-   only its low [b] bits, forcing distinct values to collide so the
-   comparison fallback is exercised. *)
+(* Test hook: when set to [Some b], every per-cell grouping hash keeps
+   only its low [b] bits, forcing distinct keys to collide so the cell
+   comparison that places group boundaries is exercised. *)
 let hash_bits_for_tests : int option ref = ref None
 
 let mixmul = 0x2545F4914F6CDD1D
 
-(* Internal fast cell hash for compaction ordering — consistent with
-   cell equality within one column (the only comparisons compaction
-   makes), including the Int/Float normalization boxed columns need.
+(* Internal fast cell hash for key grouping — consistent with cell
+   equality within one column (the only comparisons grouping makes),
+   including the Int/Float normalization boxed columns need.
    Unlike [cell_vhash] this never calls [Hashtbl.hash] on immediates. *)
 let cell_ih c i =
   match c with
@@ -494,7 +490,7 @@ let cell_ih c i =
       if Float.is_integer x && Float.abs x < 1e15 then int_of_float x
       else Int64.to_int (Int64.bits_of_float x)
   | CDict (_, c) ->
-      (* Codes are unique per string within one dict, and compaction only
+      (* Codes are unique per string within one dict, and grouping only
          compares cells within one column, so the raw code is consistent
          with [cells_eq] — no string hashing in the hot loop. *)
       Array.unsafe_get c i
@@ -543,97 +539,59 @@ let counting_pass (keys : int array) (perm_in : int array)
     Array.unsafe_set cnt b (Array.unsafe_get cnt b + 1)
   done
 
-(* Shared commit walk: given rows in an order that places duplicates
-   (rows equal on every selected column) adjacently, merge runs, detect
-   key-group boundaries by comparing actual cell values, optionally drop
-   runs whose multiplicity cancelled, and gather the survivors into
-   fresh typed columns. [dup] and [key_eq] compare two source rows. *)
-let commit_walk t ~sel ~nk ~drop_cancelled ~(perm : int array)
-    ~(dup : int -> int -> bool) ~(key_eq : int -> int -> bool) =
+(* Gather the selected columns [sel] in [perm] order, and cut the result
+   into runs of equal keys: a group boundary falls wherever [key_eq] says
+   two neighbouring source rows differ on the key. Every source row is
+   one output row. *)
+let gather_groups t ~sel ~(perm : int array) ~key_eq =
   let n = Array.length perm in
   let sw = Array.length sel in
-  let src = Array.make n 0 in
-  let msum = Array.make n 0. in
-  let counts = Array.make n 0. in
-  let starts = ref [ 0 ] in
-  let out = ref 0 in
-  let prev_key = ref (-1) in
-  let cancelled = ref 0 in
-  let i = ref 0 in
-  while !i < n do
-    let r0 = perm.(!i) in
-    let m = ref t.mults.(r0) in
-    let c = ref 1 in
-    incr i;
-    let continue = ref true in
-    while !continue && !i < n do
-      let r = perm.(!i) in
-      if dup r0 r then begin
-        m := !m +. t.mults.(r);
-        incr c;
-        incr i
-      end
-      else continue := false
-    done;
-    if drop_cancelled && Float.abs !m < Mult.zero_eps then
-      cancelled := !cancelled + !c
-    else begin
-      if !out > 0 && nk > 0 && not (key_eq !prev_key r0) then
-        starts := !out :: !starts;
-      src.(!out) <- r0;
-      msum.(!out) <- !m;
-      counts.(!out) <- float_of_int !c;
-      prev_key := r0;
-      incr out
+  let bounds = Array.make (n + 1) 0 in
+  let g = ref 0 in
+  for k = 1 to n - 1 do
+    if not (key_eq perm.(k - 1) perm.(k)) then begin
+      incr g;
+      bounds.(!g) <- k
     end
   done;
-  if !cancelled > 0 then Obs.Counter.add m_cancelled !cancelled;
-  let m = !out in
-  let src = if m = n then src else Array.sub src 0 m in
-  let obase = alloc_arena sw m in
+  if n > 0 then begin
+    incr g;
+    bounds.(!g) <- n
+  end;
+  let obase = alloc_arena sw n in
   let cols =
     Array.init sw (fun c ->
-        let cin = t.cols.(sel.(c)) in
-        let out = gather_col src cin in
+        let out = gather_col perm t.cols.(sel.(c)) in
         if obase <> 0 then
-          for k = 0 to m - 1 do
+          for k = 0 to n - 1 do
             if t.tbase <> 0 then
-              Trace.emit (cell_addr t sel.(c) src.(k)) Trace.Read;
-            Trace.emit (obase + (((c * m) + k) * 8)) Trace.Write
+              Trace.emit (cell_addr t sel.(c) perm.(k)) Trace.Read;
+            Trace.emit (obase + (((c * n) + k) * 8)) Trace.Write
           done;
         out)
   in
-  let trunc a = if Array.length a = m then a else Array.sub a 0 m in
   let batch =
     {
       cols;
-      mults = trunc msum;
-      n = m;
+      mults = Array.map (fun r -> t.mults.(r)) perm;
+      n;
       tbase = obase;
-      tstride = m;
+      tstride = n;
       bytes = -1;
       live = None;
     }
   in
-  let starts =
-    if m = 0 then [| 0 |] else Array.of_list (List.rev (m :: !starts))
-  in
-  (batch, starts, trunc counts)
+  (batch, Array.sub bounds 0 (!g + 1))
 
-let compact_group ?(drop_cancelled = false) t ~key ~rest =
+let compact_group t ~key ~rest =
   let n = t.n in
-  let sel = Array.append key rest in
   let nk = Array.length key in
-  let sw = Array.length sel in
-  let nr = Array.length rest in
-  (* Per-row hashes: [hk] over the grouping key, [ha] over every selected
-     column ([ha] continues the unfinalized key fold). The test hook masks
-     each cell hash to force collisions. *)
+  (* Per-row key hashes; the test hook masks each cell hash to force
+     collisions. *)
   let cmask =
     match !hash_bits_for_tests with None -> -1 | Some b -> (1 lsl b) - 1
   in
   let hk = Array.make (max n 1) 0 in
-  let ha = Array.make (max n 1) 0 in
   let traced = t.tbase <> 0 in
   for i = 0 to n - 1 do
     let h = ref 17 in
@@ -642,55 +600,24 @@ let compact_group ?(drop_cancelled = false) t ~key ~rest =
       h := (!h + (x land cmask)) * mixmul;
       if traced then Trace.emit (cell_addr t key.(c) i) Trace.Read
     done;
-    Array.unsafe_set hk i (fin !h);
-    for c = 0 to nr - 1 do
-      let x = cell_ih (Array.unsafe_get t.cols (Array.unsafe_get rest c)) i in
-      h := (!h + (x land cmask)) * mixmul;
-      if traced then Trace.emit (cell_addr t rest.(c) i) Trace.Read
-    done;
-    Array.unsafe_set ha i (fin !h)
+    Array.unsafe_set hk i (fin !h)
   done;
-  (* Order rows by (key hash, full hash) with two stable counting passes:
-     minor pass on [ha], major pass on [hk]. Duplicate rows always share
-     both hashes, so they land adjacently (up to low-bit collisions, which
-     at worst split a run — linearly equivalent downstream). Key groups
-     end up contiguous for the same reason. *)
+  (* One stable counting pass on the key hash's low bits: rows of one key
+     share the hash, so they land adjacently, in source order. Keys whose
+     hashes share a bucket may interleave and split into several runs. *)
   let bbits =
     let rec go b = if 1 lsl b >= n || b >= 16 then b else go (b + 1) in
     go 4
   in
   let bmask = (1 lsl bbits) - 1 in
-  let cnt = Array.make (bmask + 1) 0 in
   let perm0 = Array.init n (fun i -> i) in
-  let perm1 = Array.make n 0 in
   let perm =
-    if sw = 0 then perm0
-    else if nr = 0 then begin
-      (* sel = key: one pass on hk *)
-      counting_pass hk perm0 perm1 cnt bmask;
-      perm1
-    end
-    else if nk = 0 then begin
-      (* no grouping: one pass on ha *)
-      counting_pass ha perm0 perm1 cnt bmask;
-      perm1
-    end
+    if nk = 0 then perm0
     else begin
-      counting_pass ha perm0 perm1 cnt bmask;
-      counting_pass hk perm1 perm0 cnt bmask;
-      perm0
+      let perm1 = Array.make n 0 in
+      counting_pass hk perm0 perm1 (Array.make (bmask + 1) 0) bmask;
+      perm1
     end
-  in
-  let dup a b =
-    hk.(a) = hk.(b)
-    && ha.(a) = ha.(b)
-    &&
-    let rec go c =
-      c < 0
-      || cells_eq (Array.unsafe_get t.cols (Array.unsafe_get sel c)) a b
-         && go (c - 1)
-    in
-    go (sw - 1)
   in
   let key_eq a b =
     hk.(a) = hk.(b)
@@ -702,29 +629,25 @@ let compact_group ?(drop_cancelled = false) t ~key ~rest =
     in
     go (nk - 1)
   in
-  commit_walk t ~sel ~nk ~drop_cancelled ~perm ~dup ~key_eq
+  gather_groups t ~sel:(Array.append key rest) ~perm ~key_eq
 
-(* Sort-based reference (the PR 4 algorithm): comparison sort over boxed
-   cell values. Kept as the equivalence oracle for the radix path. *)
-let compact_group_sorted ?(drop_cancelled = false) t ~key ~rest =
-  let n = t.n in
-  let sel = Array.append key rest in
-  let nk = Array.length key in
-  let sw = Array.length sel in
-  let cmp_upto k a b =
+(* Sort-based reference: a stable comparison sort by the boxed key
+   cells. Kept as the equivalence oracle for the radix path. *)
+let compact_group_sorted t ~key ~rest =
+  let cmp a b =
     let rec go c =
-      if c >= k then 0
+      if c >= Array.length key then 0
       else
-        let r = Value.compare (get t.cols.(sel.(c)) a) (get t.cols.(sel.(c)) b) in
+        let col = t.cols.(key.(c)) in
+        let r = Value.compare (get col a) (get col b) in
         if r <> 0 then r else go (c + 1)
     in
     go 0
   in
-  let perm = Array.init n (fun i -> i) in
-  Array.sort (cmp_upto sw) perm;
-  commit_walk t ~sel ~nk ~drop_cancelled ~perm
-    ~dup:(fun a b -> cmp_upto sw a b = 0)
-    ~key_eq:(fun a b -> cmp_upto nk a b = 0)
+  let perm = Array.init t.n (fun i -> i) in
+  Array.stable_sort cmp perm;
+  gather_groups t ~sel:(Array.append key rest) ~perm
+    ~key_eq:(fun a b -> cmp a b = 0)
 
 (* ------------------------------------------------------------------ *)
 (* Size accounting                                                     *)
@@ -786,7 +709,7 @@ let dictify_col t ci =
 
 (* Targeted upgrade: the runtime's planner names the columns whose
    dictionary form pays for itself this batch (string filter-kernel
-   operands, string compaction keys). Already-[CDict] and non-string
+   operands, string grouping keys). Already-[CDict] and non-string
    columns are skipped. Invalidates the [byte_size] memo on change. *)
 let dictify_cols t cis =
   let changed =

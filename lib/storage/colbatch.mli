@@ -10,11 +10,12 @@
     to and from row-oriented GMRs/pools.
 
     [compact_group] is the workhorse of the vectorized batched-join
-    executor: it coalesces duplicate rows and groups the survivors by key
-    so downstream probes run once per distinct key, not once per row.
-    Since v2 it orders rows by cached hashes (two stable counting
-    passes — no comparison sort); cell values are compared only between
-    hash-equal neighbours. *)
+    executor: it groups a batch's rows by probe key so downstream probes
+    run once per distinct key, not once per row. It orders rows by a
+    cached key hash (one stable counting pass — no comparison sort) and
+    compares key cells only between neighbours. It never merges rows:
+    rows equal on every column each run and meet at their target, whose
+    ring [+] sums them. *)
 
 open Divm_ring
 
@@ -26,7 +27,7 @@ type dict
 (** The physical representation of one column. Read-only: the arrays are
     owned by the batch. [CInt]/[CDate]/[CFloat] are the unboxed fast
     paths; [CDict] is the dictionary-encoded string path (per-batch
-    dictionary + int code per row — equality and compaction hashing run
+    dictionary + int code per row — equality and grouping hashing run
     on codes, never on string contents); [CBoxed] is the fallback for
     genuinely mixed-type columns. *)
 type col =
@@ -136,61 +137,41 @@ val iter_rows : t -> (Vtuple.t -> float -> unit) -> unit
     equals [Oaidx.hash] of the materialized sub-tuple, [row_eq] matches
     [Vtuple.equal], and [row_tuple] materializes the sub-tuple (only
     needed on first insert). Together with [Pool.add_by]/[Gmr.add_by]
-    they let the executor's ring-(+) merge apply compacted rows without
+    they let the executor's ring-(+) merge apply grouped rows without
     building a [Vtuple] per row. *)
 
 val row_hash : col array -> int array -> int -> int
 val row_eq : col array -> int array -> int -> Vtuple.t -> bool
 val row_tuple : col array -> int array -> int -> Vtuple.t
 
-(** [compact_group b ~key ~rest] merges rows that agree on every selected
-    column [key @ rest] (original column positions, summing
-    multiplicities), groups the survivors by the [key] columns, and
-    returns [(compacted, starts, counts)]:
+(** [compact_group b ~key ~rest] groups [b]'s rows by the [key] columns
+    (original column positions) and returns [(grouped, starts)]:
 
-    - [compacted] has exactly the columns [key @ rest] in that order and
-      one row per distinct selected-column combination;
+    - [grouped] has exactly the columns [key @ rest] in that order, and
+      one row per row of [b] with that row's multiplicity;
     - [starts] delimits runs of equal [key] columns: group [g] spans rows
-      [starts.(g) .. starts.(g+1) - 1] of [compacted] (with [key = [||]]
-      the whole batch is one group);
-    - [counts.(i)] is the number of source rows merged into row [i]
-      (needed by Exists-style consumers that count support rather than
-      summing multiplicities).
+      [starts.(g) .. starts.(g+1) - 1] of [grouped] (with [key = [||]]
+      the whole batch is one group, in source order).
 
-    Rows are ordered by cached 64-bit hashes (radix-style stable counting
-    partitions), not sorted by value: duplicate rows always share hashes
-    and therefore always merge, but in the (vanishingly rare) event of a
-    hash collision a key group may be emitted split across two ranges of
-    [starts]. Consumers must treat groups as "runs of equal keys", not
-    "all rows of that key" — the executor's per-group accessor resolution
-    is correct either way, it merely amortizes slightly less on a split.
+    Rows are ordered by a cached 64-bit key hash (one stable counting
+    pass over its low bits), not sorted by value; within a run they keep
+    their source order. Keys whose hashes fall in the same bucket may
+    interleave, so a key can be emitted as several runs of [starts].
+    Consumers must treat groups as "runs of equal keys", not "all rows of
+    that key" — the executor's per-group accessor resolution is correct
+    either way, it merely amortizes less on a split. *)
+val compact_group : t -> key:int array -> rest:int array -> t * int array
 
-    With [~drop_cancelled:true], merged rows whose multiplicity cancels
-    to ~0 ([Mult.zero_eps]) are dropped and counted in
-    [divm_batch_rows_cancelled_total]. Only sound when every consumer
-    weights rows by multiplicity; count/Exists-style consumers (which
-    read [counts]) must keep cancelled rows. *)
-val compact_group :
-  ?drop_cancelled:bool ->
-  t ->
-  key:int array ->
-  rest:int array ->
-  t * int array * float array
-
-(** The PR 4 sort-based compaction (comparison sort over boxed cells).
-    Reference implementation: slower, but its output satisfies the same
-    contract with perfect grouping. Kept as the qcheck oracle for the
-    radix path. *)
+(** Sort-based reference: a stable comparison sort over the boxed key
+    cells. Slower, but its output satisfies the same contract with one
+    run per key. Kept as the qcheck oracle for the radix path. *)
 val compact_group_sorted :
-  ?drop_cancelled:bool ->
-  t ->
-  key:int array ->
-  rest:int array ->
-  t * int array * float array
+  t -> key:int array -> rest:int array -> t * int array
 
-(** Test hook for the radix path: when [Some b], per-cell compaction
-    hashes keep only their low [b] bits, forcing distinct values to
-    collide. Reset to [None] after use. *)
+(** Test hook for the radix path: when [Some b], per-cell grouping
+    hashes keep only their low [b] bits, forcing distinct keys to
+    collide, so the key-cell comparison that places group boundaries
+    decides every boundary. Reset to [None] after use. *)
 val hash_bits_for_tests : int option ref
 
 (** Serialized size in bytes of the live columns plus multiplicities.
@@ -205,8 +186,8 @@ val byte_size : t -> int
     to [CDict] in place. The runtime's planner calls this once per batch
     with the columns whose dictionary form pays for itself — string
     filter-kernel operands (the kernel then tests an int-indexed
-    per-dictionary truth table) and string compaction keys (the radix
-    path then hashes cached per-entry hashes instead of boxed cells).
+    per-dictionary truth table) and string grouping keys (the radix
+    path then hashes dictionary codes instead of boxed cells).
     Already-[CDict] and non-string columns are skipped, and so are
     high-cardinality ones — more than 64 distinct entries, e.g. generated
     per-row names: a near-distinct dictionary pays hash-and-append per

@@ -99,12 +99,11 @@ let test_explain_routes () =
        p.Profile.pl_stmts)
 
 (* EXPLAIN says what a firing does with the batch. Q6 transposes 4 of
-   lineitem's 14 columns. A group compacts the batch to distinct keys
-   only when a member probes or slices a store, so only those rows say
-   so: Q1's and Q17's DELTA pre-aggregations read no store and run over
-   the uncompacted rows, while Q3's and Q17's store-probing groups
-   compact. *)
-let test_explain_batch_columns_and_compaction () =
+   lineitem's 14 columns. A group groups the batch by probe key only
+   when a member probes or slices a store, so only those rows say so:
+   Q1's and Q17's DELTA pre-aggregations read no store and run over the
+   batch rows, while Q3's and Q17's store-probing groups group them. *)
+let test_explain_batch_columns_and_grouping () =
   let explain qn = Profile.explain ~name:qn (Workload.compile (Workload.find qn)) in
   Alcotest.(check bool) "Q6 batch columns" true
     (contains
@@ -120,21 +119,21 @@ let test_explain_batch_columns_and_compaction () =
     in
     go [] (String.split_on_char '\n' (Profile.render p))
   in
-  let expect what p prefix compacts =
+  let expect what p prefix grouped =
     let ds = details p prefix in
     Alcotest.(check bool) (what ^ ": rows found") true (ds <> []);
     List.iter
       (fun d ->
         Alcotest.(check bool)
           (what ^ ": " ^ String.trim d)
-          compacts
-          (contains ~affix:"batch compacted to distinct keys" d))
+          grouped
+          (contains ~affix:"batch grouped by probe key" d))
       ds;
     List.iter
       (fun s ->
         if String.starts_with ~prefix s.Profile.sp_label then
-          Alcotest.(check bool) (what ^ ": sp_compacts") compacts
-            s.Profile.sp_compacts)
+          Alcotest.(check bool) (what ^ ": sp_grouped") grouped
+            s.Profile.sp_grouped)
       p.Profile.pl_stmts
   in
   let q1 = explain "Q1" and q3 = explain "Q3" and q17 = explain "Q17" in
@@ -490,8 +489,8 @@ let suites =
         Alcotest.test_case "explain: columnar route matches runtime" `Quick
           test_explain_matches_runtime_columnar;
         Alcotest.test_case "explain: distributed plan" `Quick test_explain_dist;
-        Alcotest.test_case "explain: batch columns and compaction" `Quick
-          test_explain_batch_columns_and_compaction;
+        Alcotest.test_case "explain: batch columns and grouping" `Quick
+          test_explain_batch_columns_and_grouping;
         Alcotest.test_case "profiler: local slot sums = registry deltas" `Quick
           test_profile_local_reconciles;
         Alcotest.test_case "profiler: cluster slot sums = registry deltas"

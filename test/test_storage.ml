@@ -288,13 +288,12 @@ let qcheck_pool_churn =
       && ok_slice)
 
 (* ------------------------------------------------------------------ *)
-(* Radix compaction vs the sort-based oracle                           *)
+(* Radix key grouping vs the sort-based oracle                         *)
 (* ------------------------------------------------------------------ *)
 
-(* A compacted batch's linear content: rows (over all its columns) summed
-   into a GMR. Both compaction paths must agree on this even when a hash
-   collision leaves the radix output with a duplicate row or a split
-   group — the duplicate's multiplicities sum right back together. *)
+(* A grouped batch's linear content: rows (over all its columns) summed
+   into a GMR. Both grouping paths emit the same rows in different
+   orders, so they must agree on it. *)
 let compact_rows_gmr cb weights =
   let g = Gmr.create () in
   let w = Colbatch.width cb in
@@ -313,6 +312,11 @@ let check_starts cb starts =
     if starts.(gi) >= starts.(gi + 1) then
       Alcotest.failf "starts not strictly increasing at %d" gi
   done
+
+(* Grouping neither merges nor drops: one output row per input row. *)
+let check_one_row_per_row src cb =
+  Alcotest.(check int) "one output row per input row" (Colbatch.length src)
+    (Colbatch.length cb)
 
 let check_groups_key_constant cb starts nk =
   for gi = 0 to Array.length starts - 2 do
@@ -374,13 +378,12 @@ let show_compact_case (w, rows, key, rest) =
               m)
           rows))
 
-(* The radix path (cached-hash counting passes) against the PR 4
-   comparison sort, on the same batch: identical linear content (rows ×
-   mults and rows × source counts as GMRs), valid group structure, and
-   with [drop_cancelled] no surviving ~0 rows. The second round masks
-   compaction hashes to 2 bits so distinct values collide constantly —
-   the radix output may then split groups or leave duplicates unmerged,
-   but never change what the batch sums to. *)
+(* The radix path (one counting pass over the key hash) against a
+   stable comparison sort by key, on the same batch: one output row per
+   input row, identical linear content (rows × mults as GMRs) and valid,
+   key-constant groups. The second round masks grouping hashes to 2 bits
+   so distinct keys collide constantly — the radix output may then split
+   a key into several runs, but never change what the batch sums to. *)
 let qcheck_compact_radix_vs_sorted =
   let arb = QCheck.make ~print:show_compact_case gen_compact_case in
   QCheck.Test.make ~name:"radix compact_group = sorted oracle" ~count:300 arb
@@ -396,67 +399,22 @@ let qcheck_compact_radix_vs_sorted =
           Fun.protect
             ~finally:(fun () -> Colbatch.hash_bits_for_tests := None)
             (fun () ->
-              List.iter
-                (fun drop ->
-                  let cr, sr, nr =
-                    Colbatch.compact_group ~drop_cancelled:drop b ~key ~rest
-                  in
-                  let cs, ss, ns =
-                    Colbatch.compact_group_sorted ~drop_cancelled:drop b ~key
-                      ~rest
-                  in
-                  if
-                    not
-                      (Gmr.equal ~eps:1e-9
-                         (compact_rows_gmr cr (Colbatch.mults cr))
-                         (compact_rows_gmr cs (Colbatch.mults cs)))
-                  then
-                    Alcotest.failf "row/mult content diverges (drop=%b)" drop;
-                  (* counts only matter to consumers that keep cancelled
-                     rows, so compare them in the keep-everything mode *)
-                  if
-                    (not drop)
-                    && not
-                         (Gmr.equal ~eps:1e-9 (compact_rows_gmr cr nr)
-                            (compact_rows_gmr cs ns))
-                  then Alcotest.fail "source-count content diverges";
-                  check_starts cr sr;
-                  check_starts cs ss;
-                  check_groups_key_constant cr sr nk;
-                  check_groups_key_constant cs ss nk;
-                  if drop then
-                    Array.iter
-                      (fun m ->
-                        if Float.abs m < Gmr.zero_eps then
-                          Alcotest.fail "cancelled row survived drop")
-                      (Colbatch.mults cr))
-                [ false; true ]))
+              let cr, sr = Colbatch.compact_group b ~key ~rest in
+              let cs, ss = Colbatch.compact_group_sorted b ~key ~rest in
+              check_one_row_per_row b cr;
+              check_one_row_per_row b cs;
+              if
+                not
+                  (Gmr.equal ~eps:1e-9
+                     (compact_rows_gmr cr (Colbatch.mults cr))
+                     (compact_rows_gmr cs (Colbatch.mults cs)))
+              then Alcotest.fail "row/mult content diverges";
+              check_starts cr sr;
+              check_starts cs ss;
+              check_groups_key_constant cr sr nk;
+              check_groups_key_constant cs ss nk))
         [ None; Some 2 ];
       true)
-
-(* Exact cancellation is dropped (and counted) only when asked to. *)
-let test_compact_drop_cancelled () =
-  let g0 = Obs.snapshot () in
-  let b =
-    Colbatch.of_iter ~width:2 ~count:4 (fun emit ->
-        emit (t2 1 10) 2.;
-        emit (t2 2 20) 1.;
-        emit (t2 1 10) (-2.);
-        emit (t2 2 20) 1.)
-  in
-  let keep, _, _ = Colbatch.compact_group b ~key:[| 0 |] ~rest:[| 1 |] in
-  Alcotest.(check int) "kept without flag" 2 (Colbatch.length keep);
-  let dropped, _, _ =
-    Colbatch.compact_group ~drop_cancelled:true b ~key:[| 0 |] ~rest:[| 1 |]
-  in
-  Alcotest.(check int) "cancelled row dropped" 1 (Colbatch.length dropped);
-  let cancelled =
-    Obs.counter_value
-      (Obs.diff ~later:(Obs.snapshot ()) ~earlier:g0)
-      "divm_batch_rows_cancelled_total"
-  in
-  (* the counter tallies cancelled *source* rows: both the +2 and the -2 *)
-  Alcotest.(check int) "counter incremented" 2 cancelled
 
 (* ------------------------------------------------------------------ *)
 (* Dictionary-encoded string columns (PR 9)                            *)
@@ -549,9 +507,10 @@ let test_dictify_targeted () =
   Alcotest.(check bool) "content unchanged by promotion" true
     (Gmr.equal orig (Colbatch.to_gmr b))
 
-(* Radix compaction over CDict columns (cached per-entry hashes) against
-   the sort-based oracle, including forced 2-bit hash collisions: same
-   linear content, valid group structure. Mirrors
+(* Radix key grouping over CDict columns (codes as cell hashes) against
+   the sort-based oracle, including forced 2-bit hash collisions: one
+   output row per input row, same linear content, valid group
+   structure. Mirrors
    [qcheck_compact_radix_vs_sorted], but guarantees dictionary-encoded
    key and rest columns. *)
 let gen_dict_compact_case =
@@ -593,14 +552,16 @@ let qcheck_compact_dict_vs_sorted =
           Fun.protect
             ~finally:(fun () -> Colbatch.hash_bits_for_tests := None)
             (fun () ->
-              let cr, sr, _ = Colbatch.compact_group b ~key ~rest in
-              let cs, ss, _ = Colbatch.compact_group_sorted b ~key ~rest in
+              let cr, sr = Colbatch.compact_group b ~key ~rest in
+              let cs, ss = Colbatch.compact_group_sorted b ~key ~rest in
+              check_one_row_per_row b cr;
+              check_one_row_per_row b cs;
               if
                 not
                   (Gmr.equal ~eps:1e-9
                      (compact_rows_gmr cr (Colbatch.mults cr))
                      (compact_rows_gmr cs (Colbatch.mults cs)))
-              then Alcotest.fail "dict compaction content diverges";
+              then Alcotest.fail "dict grouping content diverges";
               check_starts cr sr;
               check_starts cs ss;
               check_groups_key_constant cr sr nk))
@@ -663,8 +624,6 @@ let suites =
         Alcotest.test_case "pool clear" `Quick test_pool_clear;
         Alcotest.test_case "colbatch roundtrip" `Quick test_colbatch_roundtrip;
         Alcotest.test_case "trace hooks" `Quick test_trace_hooks;
-        Alcotest.test_case "compact_group drop_cancelled" `Quick
-          test_compact_drop_cancelled;
         Alcotest.test_case "dictify accounts bytes + invalidates memo" `Quick
           test_dictify_byte_size;
         Alcotest.test_case "dictify cardinality cutoff" `Quick

@@ -10,8 +10,7 @@ let queries =
 
 (* The stream with every batch retracted [k] batches later (after the
    last insert, the remaining ones in order): about half the rows are
-   deletes, keys cancel to zero and leave pools, and the vectorized
-   groups drop cancelled rows ([group_drop_cancelled]). *)
+   deletes, and keys cancel to zero and leave pools. *)
 let with_retractions ~k stream =
   let a = Array.of_list stream in
   let n = Array.length a in
