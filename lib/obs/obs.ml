@@ -347,18 +347,6 @@ let ingest ~labels snap =
           dst.h_count <- dst.h_count + h.count)
     snap
 
-let reset_all () =
-  Hashtbl.iter
-    (fun _ i ->
-      match i with
-      | ICounter c -> Counter.reset c
-      | IGauge _ -> ()
-      | IHist h ->
-          Array.fill h.h_counts 0 (Array.length h.h_counts) 0;
-          h.h_sum <- 0.;
-          h.h_count <- 0)
-    registry
-
 (* ------------------------------------------------------------------ *)
 (* Exporters                                                           *)
 (* ------------------------------------------------------------------ *)

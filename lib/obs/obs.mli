@@ -47,9 +47,8 @@
       point that orders all prior increments before the read —
       [Domain.join], or a {!Divm_par.Par.Pool.run} barrier — the value is
       exact.
-    - {!Counter.reset}/{!reset_all} are quiescent-only: call them when no
-      other domain is incrementing, or concurrent increments may survive
-      the reset.
+    - {!Counter.reset} is quiescent-only: call it when no other domain
+      is incrementing, or concurrent increments may survive the reset.
     - {!Gauge.set}/{!Gauge.value} are sequentially-consistent atomics:
       last-writer-wins, no tearing.
     - {!Histogram.observe} and the span tracer ({!span}, {!set_attr}) are
@@ -178,11 +177,6 @@ val to_text : snapshot -> string
 (** One JSON object per instrument, keyed by metric name; histograms
     include estimated [p50]/[p95]/[p99] (see {!Histogram.percentile}). *)
 val to_json : snapshot -> string
-
-(** Reset every registered counter and histogram to zero (gauges keep
-    their value). Tests and per-run CLIs use this; long-lived processes
-    should prefer {!snapshot} + {!diff}. *)
-val reset_all : unit -> unit
 
 (** {1 Span tracing} *)
 

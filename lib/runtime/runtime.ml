@@ -1024,38 +1024,6 @@ let batch_cols (plans : unit_plan list list) =
       in
       Some (Array.of_list (List.sort_uniq compare cols))
 
-(* Source columns worth dictionary-encoding for this group, this batch:
-   operands of hoistable string filters (the selection kernel then
-   tests an int-indexed per-dictionary truth table instead of comparing
-   strings) and, when the group groups the batch by key, its key
-   columns (the radix path then hashes dictionary codes instead of
-   boxed cells). The drivers pass the list to
-   [Colbatch.dictify_cols] once per batch; it skips everything that is
-   not a low-cardinality all-string column, so over-asking (e.g. int
-   key columns) costs one representation check. *)
-let dict_want (ps : vplan list) (shape : gshape) ~keys =
-  let acc = ref [] in
-  let addc c = if not (List.mem c !acc) then acc := c :: !acc in
-  let add_side = function KSCol c -> addc c | _ -> () in
-  let add_cmp p cmp =
-    match classify_filter p cmp with
-    | Some (_, l, r) ->
-        add_side l;
-        add_side r
-    | None -> ()
-  in
-  List.iter
-    (fun p ->
-      List.iter
-        (function
-          | VFilter (op, a, b) -> add_cmp p (op, a, b)
-          | VFilterIn cs -> List.iter (add_cmp p) cs
-          | _ -> ())
-        p.vp_steps)
-    ps;
-  if keys then Array.iter addc shape.sh_sk;
-  !acc
-
 (* ------------------------------------------------------------------ *)
 (* Selection-vector kernels: columnar filter evaluation                *)
 (* ------------------------------------------------------------------ *)
@@ -1997,12 +1965,14 @@ let run_groups (inst : ginst) starts glo ghi =
   done;
   (!saved, !svscan, !svsel)
 
-let source_colbatch rt (shape : gshape) raw =
+(* A transient source is built like a batch: only the group's columns
+   [cols] (its [sh_sel], ascending), each committed once. *)
+let source_colbatch rt (shape : gshape) ~cols raw =
   if shape.sh_src.vs_batch then Lazy.force raw
   else
     let p = pool rt shape.sh_src.vs_name in
-    Colbatch.of_iter ~width:shape.sh_width ~count:(Pool.cardinal p) (fun f ->
-        Pool.foreach p f)
+    Colbatch.of_iter ~cols ~width:shape.sh_width ~count:(Pool.cardinal p)
+      (fun f -> Pool.foreach p f)
 
 (* Pre-box the columns in [boxed] (group column slots): per-row
    boxed readers then return an existing heap value instead of
@@ -2048,16 +2018,16 @@ let ranges d ~rows = function
       bounds
 
 (* The one driver of a vectorized group. Each firing prepares the
-   source once — transpose or pool scan, dictionary encoding, Assign
-   clears, key grouping when some member resolves store accessors,
-   pre-boxing — then runs either the unbuffered serial instance over the
-   whole range or, when the caller's gate says [par], one buffered
-   instance per domain over disjoint contiguous ranges, whose buffers
-   merge serially into the target pools by ring [+] after the barrier
-   (§6's argument applied locally). The fan-out is sound for every
-   plannable group: a vectorized statement never reads its own target
-   ([plan_stmt_exn]) and no member writes a pool any member probes
-   ([fuse_ok]), so store pools are read-only while it runs. Counter
+   source once — transpose or pool scan, Assign clears, key grouping
+   when some member resolves store accessors, pre-boxing — then runs
+   either the unbuffered serial instance over the whole range or, when
+   the caller's gate says [par], one buffered instance per domain over
+   disjoint contiguous ranges, whose buffers merge serially into the
+   target pools by ring [+] after the barrier (§6's argument applied
+   locally). The fan-out is sound for every plannable group: a
+   vectorized statement never reads its own target ([plan_stmt_exn])
+   and no member writes a pool any member probes ([fuse_ok]), so store
+   pools are read-only while it runs. Counter
    totals (ops, probes, rows compacted, probes saved, selection-vector
    tallies) are the same either way: the same groups resolve the same
    accessors, only on different domains. Without store accessors
@@ -2066,7 +2036,8 @@ let ranges d ~rows = function
 let bind_group (rt : t) (ps : vplan list) : Colbatch.t Lazy.t -> bool -> unit =
   let shape = group_shape ps in
   let has_access = plans_have_access ps in
-  let wd = dict_want ps shape ~keys:has_access in
+  let src_cols = Array.copy shape.sh_sel in
+  Array.sort compare src_cols;
   let serial = bind_instance rt ~shape ~buffered:false ps in
   let par =
     Option.map
@@ -2079,8 +2050,7 @@ let bind_group (rt : t) (ps : vplan list) : Colbatch.t Lazy.t -> bool -> unit =
   (* Assign targets are shared pools: every instance lists the same ones *)
   let clears = serial.gi_clears in
   fun raw use_par ->
-    let cb = source_colbatch rt shape raw in
-    if wd <> [] then Colbatch.dictify_cols cb wd;
+    let cb = source_colbatch rt shape ~cols:src_cols raw in
     List.iter Pool.clear clears;
     let rows = Colbatch.length cb in
     let cols, mults, starts =

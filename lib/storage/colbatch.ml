@@ -104,7 +104,6 @@ type t = {
   n : int;
   tbase : int; (* cachesim arena base; 0 = untraced batch *)
   tstride : int; (* rows per column in the arena layout *)
-  mutable bytes : int; (* memoized [byte_size]; -1 = not yet computed *)
   live : int array option;
       (* ascending positions of the columns carrying data; [None] = all.
          Absent columns alias one shared all-zero [CInt] array. *)
@@ -143,58 +142,6 @@ let float_get c i =
   | CDict (d, c) -> Value.to_float (Array.unsafe_get d.dboxed (Array.unsafe_get c i))
   | CBoxed a -> Value.to_float (Array.unsafe_get a i)
 
-(* ------------------------------------------------------------------ *)
-(* Construction: per-column representation commitment                  *)
-(* ------------------------------------------------------------------ *)
-
-let new_col cap (v : Value.t) : col =
-  match v with
-  | Value.Int _ -> CInt (Array.make cap 0)
-  | Value.Date _ -> CDate (Array.make cap 0)
-  | Value.Float _ -> CFloat (Array.make cap 0.)
-  (* Strings commit to [CBoxed]: transposition stays a pointer write
-     per cell. Dictionary encoding is an explicit upgrade for the
-     columns that profit from it — filter-kernel operands and
-     grouping keys ([dictify_cols], driven by the runtime's planner);
-     update batches intern while they are transposed or dealt
-     ([shares_of_gmr]). *)
-  | Value.String _ -> CBoxed (Array.make cap v)
-
-let box_upto c i cap =
-  let out = Array.make cap (Value.Int 0) in
-  for j = 0 to i - 1 do
-    out.(j) <- get c j
-  done;
-  out
-
-(* Write cell [i] of column [ci]; the first value whose type does not
-   match the committed representation promotes the column to boxed. *)
-let set_cell (cols : col array) ci cap i (v : Value.t) =
-  match (Array.unsafe_get cols ci, v) with
-  | CInt a, Value.Int x -> Array.unsafe_set a i x
-  | CDate a, Value.Date x -> Array.unsafe_set a i x
-  | CFloat a, Value.Float x -> Array.unsafe_set a i x
-  | CDict (d, c), Value.String s ->
-      Array.unsafe_set c i (dict_intern d s);
-      (* high-cardinality column: demote to boxed for the rest of the
-         fill ([box_upto] replays the interned prefix as shared boxes) *)
-      if d.dn > dict_demote then
-        cols.(ci) <- CBoxed (box_upto (CDict (d, c)) (i + 1) cap)
-  | CBoxed a, v -> Array.unsafe_set a i v
-  | c, v ->
-      let a = box_upto c i cap in
-      a.(i) <- v;
-      cols.(ci) <- CBoxed a
-
-let trunc_col n c =
-  match c with
-  | CInt a -> if Array.length a = n then c else CInt (Array.sub a 0 n)
-  | CDate a -> if Array.length a = n then c else CDate (Array.sub a 0 n)
-  | CFloat a -> if Array.length a = n then c else CFloat (Array.sub a 0 n)
-  | CDict (d, a) ->
-      if Array.length a = n then c else CDict (d, Array.sub a 0 n)
-  | CBoxed a -> if Array.length a = n then c else CBoxed (Array.sub a 0 n)
-
 (* Trace arena for a batch: one region holding [w] columns of [stride]
    rows column-major, multiplicities after the columns. *)
 let alloc_arena w stride =
@@ -203,41 +150,6 @@ let alloc_arena w stride =
   else 0
 
 let cell_addr t c i = t.tbase + (((c * t.tstride) + i) * 8)
-
-let of_iter ~width ~count iter =
-  let cap = count in
-  let cols = Array.make width (CInt [||]) in
-  let mults = Array.make cap 0. in
-  let tbase = alloc_arena width cap in
-  let i = ref 0 in
-  iter (fun (tup : Vtuple.t) m ->
-      let r = !i in
-      if r = 0 then
-        for c = 0 to width - 1 do
-          cols.(c) <- new_col cap tup.(c)
-        done;
-      for c = 0 to width - 1 do
-        set_cell cols c cap r tup.(c);
-        if tbase <> 0 then
-          Trace.emit (tbase + (((c * cap) + r) * 8)) Trace.Write
-      done;
-      mults.(r) <- m;
-      if tbase <> 0 then
-        Trace.emit (tbase + (((width * cap) + r) * 8)) Trace.Write;
-      incr i);
-  let n = !i in
-  {
-    cols = Array.map (trunc_col n) cols;
-    mults = (if n = cap then mults else Array.sub mults 0 n);
-    n;
-    tbase;
-    tstride = cap;
-    bytes = -1;
-    live = None;
-  }
-
-let of_gmr ~width g =
-  of_iter ~width ~count:(Gmr.cardinal g) (fun f -> Gmr.iter f g)
 
 let col_length = function
   | CInt a | CDate a -> Array.length a
@@ -252,7 +164,7 @@ let of_cols cols ~mults =
       if col_length c <> n then
         invalid_arg "Colbatch.of_cols: column length mismatch")
     cols;
-  { cols; mults; n; tbase = 0; tstride = 0; bytes = -1; live = None }
+  { cols; mults; n; tbase = 0; tstride = 0; live = None }
 
 let of_live_cols ~width (pairs : (int * col) array) ~mults =
   let n = Array.length mults in
@@ -277,7 +189,6 @@ let of_live_cols ~width (pairs : (int * col) array) ~mults =
     n;
     tbase = 0;
     tstride = 0;
-    bytes = -1;
     live = (if Array.length live = width then None else Some live);
   }
 
@@ -319,16 +230,35 @@ let gather_col (keep : int array) c =
   | CBoxed a -> CBoxed (Array.init m (fun j -> Array.unsafe_get a keep.(j)))
 
 (* ------------------------------------------------------------------ *)
-(* Dealing a GMR into round-robin shares                               *)
+(* Building a batch: one dealing pass                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* Row 0 commits a column for the whole batch, one array per share:
+   numbers to their unboxed kind, a string to one dictionary whose codes
+   every share stores. *)
+let new_cols caps (v : Value.t) =
+  match v with
+  | Value.Int _ -> Array.map (fun cap -> CInt (Array.make cap 0)) caps
+  | Value.Date _ -> Array.map (fun cap -> CDate (Array.make cap 0)) caps
+  | Value.Float _ -> Array.map (fun cap -> CFloat (Array.make cap 0.)) caps
+  | Value.String _ ->
+      let d = dict_create () in
+      Array.map (fun cap -> CDict (d, Array.make cap 0)) caps
+
+let box_upto c i cap =
+  let out = Array.make cap (Value.Int 0) in
+  for j = 0 to i - 1 do
+    out.(j) <- get c j
+  done;
+  out
+
 (* One column of the dealing pass holds one typed array per share; batch
-   row [i] is share [i mod parts], position [i / parts]. Its
-   representation is batch-wide: row 0 commits it (strings to one
-   dictionary shared by every share), and a cell that does not fit turns
-   the column boxed in every share: [box_shares] boxes every share's
-   cells written so far — rows [0, r) of each share, plus row [r] of the
-   shares before [q] — and puts [v] at share [q], position [r]. *)
+   row [i] is share [i mod parts], position [i / parts]. A cell that does
+   not fit the committed representation — a second value kind, or a
+   string past [dict_demote] distinct entries — turns the column boxed in
+   every share: [box_shares] boxes every share's cells written so far —
+   rows [0, r) of each share, plus row [r] of the shares before [q] — and
+   puts [v] at share [q], position [r]. *)
 let box_shares (sh : col array) q r v =
   for q' = 0 to Array.length sh - 1 do
     let c = sh.(q') in
@@ -348,36 +278,35 @@ let deal_cell (sh : col array) q r (v : Value.t) =
   | CBoxed a, v -> Array.unsafe_set a r v
   | _, v -> box_shares sh q r v
 
-let shares_of_gmr ~cols:live ~width ~parts g =
-  if parts < 1 then invalid_arg "Colbatch.shares_of_gmr: parts < 1";
-  let n = Gmr.cardinal g in
-  let caps =
-    Array.init parts (fun q -> if n > q then ((n - q - 1) / parts) + 1 else 0)
-  in
+(* The one writer of built batches: deals the [count] rows [iter] emits
+   into [parts] shares, writing the columns at [live]. Arrays are sized
+   from [count] and written unchecked, so the row count is checked before
+   a row past it is written, and again at the end. *)
+let build ~cols:live ~width ~parts ~count:n iter =
+  if parts < 1 then invalid_arg "Colbatch: parts < 1";
+  (* share [q] holds [caps.(q)] rows; under a cachesim sink it gets an
+     arena, where a live cell and a multiplicity are written per row *)
+  let caps = Array.make parts 0 and tbases = Array.make parts 0 in
+  for q = 0 to parts - 1 do
+    let cap = if n > q then ((n - q - 1) / parts) + 1 else 0 in
+    caps.(q) <- cap;
+    tbases.(q) <- alloc_arena width cap
+  done;
   let nl = Array.length live in
-  (* [sh.(k).(q)]: share [q]'s array for live column [k]; an empty batch
-     keeps the placeholder [CInt [||]] *)
-  let sh = Array.make_matrix nl parts (CInt [||]) in
+  (* [sh.(k).(q)]: share [q]'s array for live column [k], made by row 0 *)
+  let sh = Array.make nl [||] in
   let mults = Array.map Array.create_float caps in
-  (* under a cachesim sink each share gets an arena, written as [of_iter]
-     writes one: a live cell and a multiplicity per row *)
-  let tbases = Array.map (alloc_arena width) caps in
   let q = ref 0 and r = ref 0 in
-  Gmr.iter
-    (fun (tup : Vtuple.t) m ->
+  iter (fun (tup : Vtuple.t) m ->
       let qi = !q and ri = !r in
+      if ri >= Array.unsafe_get caps qi then
+        invalid_arg "Colbatch: more rows than ~count";
       if qi = 0 && ri = 0 then
         for k = 0 to nl - 1 do
-          sh.(k) <-
-            (match tup.(live.(k)) with
-            | Value.String _ ->
-                let d = dict_create () in
-                Array.map (fun cap -> CDict (d, Array.make cap 0)) caps
-            | v -> Array.map (fun cap -> new_col cap v) caps)
+          sh.(k) <- new_cols caps tup.(live.(k))
         done;
       for k = 0 to nl - 1 do
-        deal_cell (Array.unsafe_get sh k) qi ri
-          tup.(Array.unsafe_get live k)
+        deal_cell (Array.unsafe_get sh k) qi ri tup.(Array.unsafe_get live k)
       done;
       Array.unsafe_set (Array.unsafe_get mults qi) ri m;
       let tb = Array.unsafe_get tbases qi in
@@ -392,12 +321,16 @@ let shares_of_gmr ~cols:live ~width ~parts g =
         q := 0;
         r := ri + 1
       end
-      else q := qi + 1)
-    g;
+      else q := qi + 1);
+  if (!r * parts) + !q <> n then
+    invalid_arg "Colbatch: fewer rows than ~count";
   Array.mapi
     (fun qi cap ->
       let cols = Array.make width (CInt [||]) in
-      Array.iteri (fun k c -> cols.(c) <- sh.(k).(qi)) live;
+      if n > 0 then
+        for k = 0 to nl - 1 do
+          cols.(live.(k)) <- sh.(k).(qi)
+        done;
       fill_absent cols cap live;
       {
         cols;
@@ -405,10 +338,18 @@ let shares_of_gmr ~cols:live ~width ~parts g =
         n = cap;
         tbase = tbases.(qi);
         tstride = cap;
-        bytes = -1;
         live = (if nl = width then None else Some live);
       })
     caps
+
+let shares_of_gmr ~cols ~width ~parts g =
+  build ~cols ~width ~parts ~count:(Gmr.cardinal g) (fun f -> Gmr.iter f g)
+
+let of_iter ~cols ~width ~count iter =
+  (build ~cols ~width ~parts:1 ~count iter).(0)
+
+let of_gmr ~width g =
+  (shares_of_gmr ~cols:(Array.init width Fun.id) ~width ~parts:1 g).(0)
 
 (* ------------------------------------------------------------------ *)
 (* Row hashing (Vtuple/Oaidx-compatible, no boxing)                    *)
@@ -577,7 +518,6 @@ let gather_groups t ~sel ~(perm : int array) ~key_eq =
       n;
       tbase = obase;
       tstride = n;
-      bytes = -1;
       live = None;
     }
   in
@@ -648,71 +588,3 @@ let compact_group_sorted t ~key ~rest =
   Array.stable_sort cmp perm;
   gather_groups t ~sel:(Array.append key rest) ~perm
     ~key_eq:(fun a b -> cmp a b = 0)
-
-(* ------------------------------------------------------------------ *)
-(* Size accounting                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let col_bytes n c =
-  match c with
-  | CInt _ | CDate _ | CFloat _ -> 8 * n
-  | CDict (d, _) ->
-      (* dictionary payload (count + length-prefixed entries, matching
-         [Value.byte_size] per string) + one i32 code per row *)
-      let s = ref 4 in
-      for e = 0 to d.dn - 1 do
-        s := !s + 4 + String.length d.dvals.(e)
-      done;
-      !s + (4 * n)
-  | CBoxed a ->
-      let s = ref 0 in
-      for i = 0 to n - 1 do
-        s := !s + Value.byte_size a.(i)
-      done;
-      !s
-
-let byte_size t =
-  if t.bytes < 0 then
-    t.bytes <-
-      Array.fold_left
-        (fun acc c -> acc + col_bytes t.n t.cols.(c))
-        (8 * t.n) (live_cols t);
-  t.bytes
-
-(* Representation upgrade: promote one [CBoxed] column holding only
-   strings to [CDict] in place. Columns whose dictionary would exceed
-   [dict_demote] distinct entries are left boxed — encoding
-   near-distinct strings (generated names) pays hash-and-append per
-   cell and compresses nothing. Returns whether the column changed. *)
-let dictify_col t ci =
-  match t.cols.(ci) with
-  | CBoxed a
-    when Array.length a > 0
-         && Array.for_all (function Value.String _ -> true | _ -> false) a
-    -> (
-      let d = dict_create () in
-      try
-        let codes =
-          Array.map
-            (function
-              | Value.String s ->
-                  let code = dict_intern d s in
-                  if d.dn > dict_demote then raise Exit;
-                  code
-              | _ -> assert false)
-            a
-        in
-        t.cols.(ci) <- CDict (d, codes);
-        true
-      with Exit -> false)
-  | _ -> false
-
-(* Targeted upgrade: the runtime's planner names the columns whose
-   dictionary form pays for itself this batch (string filter-kernel
-   operands, string grouping keys). Already-[CDict] and non-string
-   columns are skipped. Invalidates the [byte_size] memo on change. *)
-let dictify_cols t cis =
-  let changed =
-    List.fold_left (fun acc ci -> dictify_col t ci || acc) false cis
-  in
-  if changed then t.bytes <- -1

@@ -2,12 +2,14 @@
 
     Input batches and shuffled view contents travel in columnar form: one
     array per attribute plus a multiplicity array. Each column commits to
-    an unboxed physical representation ([int array] for Int and Date,
-    [float array] for Float) chosen from its first row at construction
-    time; a column falls back to boxed [Value.t] cells only when it holds
-    strings or genuinely mixed types. Scans touch flat arrays
+    a physical representation chosen from its first row when the batch is
+    built, and keeps it: [int array] for Int and Date, [float array] for
+    Float, one dictionary plus an [int array] of codes for strings. A
+    column falls back to boxed [Value.t] cells only when it mixes value
+    kinds or holds more than 64 distinct strings. Scans touch flat arrays
     (cache-friendly, no per-cell pointer chase); row transformers convert
-    to and from row-oriented GMRs/pools.
+    to and from row-oriented GMRs/pools. A built batch is never changed
+    afterwards, so groups and domains may share one.
 
     [compact_group] is the workhorse of the vectorized batched-join
     executor: it groups a batch's rows by probe key so downstream probes
@@ -54,38 +56,44 @@ type t
 val width : t -> int
 val length : t -> int
 
-(** Row-to-column transformer over every column. [width] must be the
-    tuple width; empty GMRs need it to be supplied explicitly. The
-    engine transposes through {!shares_of_gmr}, which writes only the
-    columns its reader needs. *)
-val of_gmr : width:int -> Gmr.t -> t
-
-(** [of_iter ~width ~count iter] builds a batch by running [iter emit]
-    where [emit tup m] appends one row. [count] must be an upper bound on
-    the number of rows emitted (e.g. [Pool.cardinal]); tuples are copied,
-    so borrowed rows are fine. *)
-val of_iter :
-  width:int -> count:int -> ((Vtuple.t -> float -> unit) -> unit) -> t
-
 (** [shares_of_gmr ~cols ~width ~parts g] deals [g]'s rows round-robin
     into [parts] column batches in one pass: row [i] (in [Gmr.iter]
     order) becomes row [i / parts] of share [i mod parts]. Only the
     columns at [cols] (ascending, distinct positions below [width]) are
     written; the others are {e absent} (see {!live_cols}).
 
-    Each column's representation is chosen for the whole batch, so every
-    share agrees: Int, Date and Float columns are unboxed; a string
-    column is dictionary-encoded with one dictionary for all shares,
-    entries in first-appearance order; a column that mixes kinds, or has
-    more than 64 distinct strings, is [CBoxed] in every share. The
-    columns of an empty batch are empty [CInt]s. The distributed engines
-    cut update batches this way ([parts] = workers); the local runtime
-    transposes a firing's batch, and the wire codec a GMR payload, with
-    [parts = 1]. Under a {!Trace} sink each share gets an arena and every
-    written cell and multiplicity is reported as a write, as {!of_iter}
-    does. *)
+    This pass writes the cells of every batch not decoded off the wire
+    ({!of_iter} and {!of_gmr} wrap it). Each column's representation is
+    chosen for the whole batch, so every share agrees: Int, Date and
+    Float columns are unboxed; a string column is dictionary-encoded with
+    one dictionary for all shares, entries in first-appearance order; a
+    column that mixes kinds, or has more than 64 distinct strings, is
+    [CBoxed] in every share. The columns of an empty batch are empty
+    [CInt]s. The distributed engines cut update batches this way
+    ([parts] = workers); the local runtime transposes a firing's batch,
+    and the wire codec a GMR payload, with [parts = 1]. Under a {!Trace}
+    sink each share gets an arena and every written cell and
+    multiplicity is reported as a write. *)
 val shares_of_gmr :
   cols:int array -> width:int -> parts:int -> Gmr.t -> t array
+
+(** [of_iter ~cols ~width ~count iter] is one share built, as
+    {!shares_of_gmr} builds it, from the rows [iter emit] emits
+    ([emit tup m] appends one row): the transient sources of vectorized
+    groups, over [Pool.foreach]. Tuples are copied, so borrowed rows are
+    fine. Raises [Invalid_argument] when [iter] emits more or fewer than
+    [count] rows. *)
+val of_iter :
+  cols:int array ->
+  width:int ->
+  count:int ->
+  ((Vtuple.t -> float -> unit) -> unit) ->
+  t
+
+(** Every column of [g] as one share. [width] must be the tuple width;
+    empty GMRs need it to be supplied explicitly. The engine does not
+    call it; the benchmark's transpose replay does. *)
+val of_gmr : width:int -> Gmr.t -> t
 
 (** Wrap pre-built columns (all the same length as [mults]). Used by the
     wire codec, which ships columns as flat arrays. *)
@@ -100,11 +108,11 @@ val of_live_cols :
   width:int -> (int * col) array -> mults:float array -> t
 
 (** Positions of the columns that carry data, ascending: every column of
-    an ordinary batch; the selected ones of a {!shares_of_gmr} share or a
-    {!of_live_cols} batch. An absent column reads as [Int 0] in every
+    an ordinary batch; the selected ones of a batch built with [~cols]
+    or by {!of_live_cols}. An absent column reads as [Int 0] in every
     row — it exists only so that positional column access stays in
-    bounds, and only a reader that knows it never touches it (the
-    distributed block executor's column-pruning rule) may build one. *)
+    bounds, and only a reader that knows it never touches it (a block's
+    or a group's column rule) may build one. *)
 val live_cols : t -> int array
 
 (** Column-to-row transformer; adds rows in row order (so replaying a
@@ -173,24 +181,3 @@ val compact_group_sorted :
     collide, so the key-cell comparison that places group boundaries
     decides every boundary. Reset to [None] after use. *)
 val hash_bits_for_tests : int option ref
-
-(** Serialized size in bytes of the live columns plus multiplicities.
-    O(width) arithmetic on typed columns;
-    dictionary columns account the dictionary payload (count +
-    length-prefixed entries) plus one i32 code per row; boxed columns are
-    scanned once. The result is memoized — representation upgrades
-    ([dictify_cols]) invalidate the memo. *)
-val byte_size : t -> int
-
-(** Promote the named [CBoxed] columns (by index) that hold only strings
-    to [CDict] in place. The runtime's planner calls this once per batch
-    with the columns whose dictionary form pays for itself — string
-    filter-kernel operands (the kernel then tests an int-indexed
-    per-dictionary truth table) and string grouping keys (the radix
-    path then hashes dictionary codes instead of boxed cells).
-    Already-[CDict] and non-string columns are skipped, and so are
-    high-cardinality ones — more than 64 distinct entries, e.g. generated
-    per-row names: a near-distinct dictionary pays hash-and-append per
-    cell and compresses nothing. Invalidates the [byte_size] memo when
-    anything changed. *)
-val dictify_cols : t -> int list -> unit

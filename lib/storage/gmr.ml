@@ -187,8 +187,6 @@ let equal ?(eps = 1e-6) a b =
   cardinal a = cardinal b
   && fold (fun tup m ok -> ok && Float.abs (mult b tup -. m) <= eps) a true
 
-let byte_size r = fold (fun tup _ acc -> acc + Vtuple.byte_size tup + 8) r 0
-
 let pp ppf r =
   Format.fprintf ppf "@[<v>{";
   List.iter

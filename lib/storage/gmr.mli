@@ -69,14 +69,8 @@ val scale : t -> float -> t
 val of_list : (Vtuple.t * float) list -> t
 val to_list : t -> (Vtuple.t * float) list
 
-(** Sorted, canonical listing — used for equality in tests. *)
-val to_sorted_list : t -> (Vtuple.t * float) list
-
 (** Equality up to a small numeric tolerance on multiplicities. *)
 val equal : ?eps:float -> t -> t -> bool
-
-(** Total serialized byte size (tuples + one 8-byte multiplicity each). *)
-val byte_size : t -> int
 
 val pp : Format.formatter -> t -> unit
 

@@ -336,16 +336,6 @@ let to_gmr t =
   foreach t (fun key v -> Gmr.add g key v);
   g
 
-let of_gmr ?name ~key_width ~slices g =
-  let t = create ?name ~key_width ~slices () in
-  Gmr.iter (fun key m -> add t key m) g;
-  t
-
-let byte_size t =
-  let acc = ref 0 in
-  foreach t (fun key _ -> acc := !acc + Vtuple.byte_size key + 8);
-  !acc
-
 let free_slots t = Intvec.length t.free
 let name t = t.pname
 

@@ -39,11 +39,6 @@ val add : t -> Vtuple.t -> float -> unit
     when the record is first inserted. *)
 val add_borrow : t -> Vtuple.t -> float -> unit
 
-(** [add_hashed pool h key m]: [add] with the finalized [Oaidx.hash]
-    already in hand (e.g. replayed from a GMR via [Gmr.iter_hashed]).
-    [key] is retained by reference on insert. *)
-val add_hashed : t -> int -> Vtuple.t -> float -> unit
-
 (** Columnar upsert: probe with a precomputed [hash] and a cell-level
     [eq] against stored keys; [make] materializes the key tuple and is
     called only on first insert. Lets columnar producers apply compacted
@@ -76,11 +71,6 @@ val clear : t -> unit
 
 (** Snapshot to a GMR (fresh). *)
 val to_gmr : t -> Gmr.t
-
-val of_gmr : ?name:string -> key_width:int -> slices:int array list -> Gmr.t -> t
-
-(** Serialized size in bytes (for shuffle accounting). *)
-val byte_size : t -> int
 
 (** Number of free-list slots currently available for reuse. *)
 val free_slots : t -> int

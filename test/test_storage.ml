@@ -63,8 +63,7 @@ let test_pool_growth_and_gmr () =
   Alcotest.(check (float 1e-9)) "value after growth" 500. (Pool.get p [| i 499 |]);
   let g = Pool.to_gmr p in
   Alcotest.(check int) "roundtrip cardinal" 1000 (Gmr.cardinal g);
-  let p2 = Pool.of_gmr ~key_width:1 ~slices:[] g in
-  Alcotest.(check (float 1e-9)) "roundtrip value" 500. (Pool.get p2 [| i 499 |])
+  Alcotest.(check (float 1e-9)) "roundtrip value" 500. (Gmr.mult g [| i 499 |])
 
 let test_pool_clear () =
   let p = Pool.create ~key_width:1 ~slices:[ [| 0 |] ] () in
@@ -291,6 +290,12 @@ let qcheck_pool_churn =
 (* Radix key grouping vs the sort-based oracle                         *)
 (* ------------------------------------------------------------------ *)
 
+(* A batch of [rows] built by [of_iter], writing [cols] (default: all). *)
+let of_rows ?cols ~width rows =
+  let cols = Option.value cols ~default:(Array.init width Fun.id) in
+  Colbatch.of_iter ~cols ~width ~count:(List.length rows) (fun emit ->
+      List.iter (fun (t, m) -> emit t m) rows)
+
 (* A grouped batch's linear content: rows (over all its columns) summed
    into a GMR. Both grouping paths emit the same rows in different
    orders, so they must agree on it. *)
@@ -388,10 +393,7 @@ let qcheck_compact_radix_vs_sorted =
   let arb = QCheck.make ~print:show_compact_case gen_compact_case in
   QCheck.Test.make ~name:"radix compact_group = sorted oracle" ~count:300 arb
     (fun (w, rows, key, rest) ->
-      let b =
-        Colbatch.of_iter ~width:w ~count:(List.length rows) (fun emit ->
-            List.iter (fun (t, m) -> emit t m) rows)
-      in
+      let b = of_rows ~width:w rows in
       let nk = Array.length key in
       List.iter
         (fun bits ->
@@ -417,95 +419,105 @@ let qcheck_compact_radix_vs_sorted =
       true)
 
 (* ------------------------------------------------------------------ *)
-(* Dictionary-encoded string columns (PR 9)                            *)
+(* The batch builder: representation committed at build                *)
 (* ------------------------------------------------------------------ *)
 
+(* width 2: [Int k; String s] per row *)
 let mk_str_batch rows =
-  (* width 2: [Int k; String s] per row, unit multiplicity *)
-  Colbatch.of_iter ~width:2 ~count:(List.length rows) (fun emit ->
-      List.iter (fun (k, s) -> emit [| i k; Value.String s |] 1.) rows)
+  of_rows ~width:2
+    (List.map (fun (k, s, m) -> ([| i k; Value.String s |], m)) rows)
 
-(* [dictify_cols] promotes a low-cardinality string column in place,
-   accounts the dictionary in [byte_size] per the documented wire layout
-   (count + length-prefixed entries + one i32 code per row), and
-   invalidates the memoized boxed size. *)
-let test_dictify_byte_size () =
+(* A low-cardinality string column is dictionary-encoded as it is
+   built, codes in first-seen order; an int column is unboxed. *)
+let test_builder_strings () =
   let names = [ "AIR"; "RAIL"; "MAIL"; "AIR"; "RAIL"; "AIR" ] in
-  let rows = List.mapi (fun k s -> (k, s)) names in
-  let b = mk_str_batch rows in
-  (* memoize the boxed size first, so a stale memo would be caught below *)
-  let boxed_size = Colbatch.byte_size b in
-  Colbatch.dictify_cols b [ 1 ];
-  (match Colbatch.col b 1 with
-  | Colbatch.CDict (d, codes) ->
-      Alcotest.(check int) "dict size" 3 (Colbatch.dict_size d);
-      List.iteri
-        (fun r s ->
-          Alcotest.(check string) "code decodes to source string" s
-            (Colbatch.dict_entry d codes.(r)))
-        names
-  | _ -> Alcotest.fail "low-cardinality string column not promoted to CDict");
-  let n = List.length names in
-  let dict_payload =
-    List.fold_left
-      (fun acc s -> acc + 4 + String.length s)
-      4
-      [ "AIR"; "RAIL"; "MAIL" ]
-  in
-  (* mults (8n) + CInt column (8n) + dictionary payload + i32 codes (4n) *)
-  let expect = (8 * n) + (8 * n) + dict_payload + (4 * n) in
-  Alcotest.(check int) "memo invalidated, dictionary accounted" expect
-    (Colbatch.byte_size b);
-  Alcotest.(check bool) "dict size differs from the boxed size" true
-    (expect <> boxed_size);
-  (* re-running is idempotent: already-CDict columns are skipped *)
-  Colbatch.dictify_cols b [ 1 ];
-  Alcotest.(check int) "idempotent" expect (Colbatch.byte_size b)
-
-(* Past the cardinality cutoff (64 distinct entries) the column must stay
-   boxed under both the targeted upgrade and the wire path's dealing
-   pass, and the byte_size memo must not churn. *)
-let test_dictify_cardinality_cutoff () =
-  let rows = List.init 80 (fun k -> (k, Printf.sprintf "name-%04d" k)) in
-  let b = mk_str_batch rows in
-  let before = Colbatch.byte_size b in
-  Colbatch.dictify_cols b [ 1 ];
-  (match Colbatch.col b 1 with
-  | Colbatch.CBoxed _ -> ()
-  | _ -> Alcotest.fail "high-cardinality column must stay boxed (targeted)");
-  Alcotest.(check int) "byte_size unchanged" before (Colbatch.byte_size b);
-  let wire =
-    Colbatch.shares_of_gmr ~cols:[| 0; 1 |] ~width:2 ~parts:1
-      (Colbatch.to_gmr b)
-  in
-  match Colbatch.col wire.(0) 1 with
-  | Colbatch.CBoxed _ -> ()
-  | _ -> Alcotest.fail "high-cardinality column must stay boxed (wire)"
-
-(* The targeted form only touches the named columns; non-string columns
-   are skipped; content is unchanged either way. *)
-let test_dictify_targeted () =
-  let mk () =
-    Colbatch.of_iter ~width:3 ~count:4 (fun emit ->
-        List.iter
-          (fun (a, s1, s2) ->
-            emit [| i a; Value.String s1; Value.String s2 |] 1.)
-          [ (1, "x", "p"); (2, "y", "q"); (3, "x", "p"); (4, "z", "q") ])
-  in
-  let b = mk () in
-  let orig = Colbatch.to_gmr (mk ()) in
-  Colbatch.dictify_cols b [ 0; 1 ];
+  let b = mk_str_batch (List.mapi (fun k s -> (k, s, 1.)) names) in
   (match Colbatch.col b 0 with
   | Colbatch.CInt _ -> ()
-  | _ -> Alcotest.fail "numeric column must not change representation");
-  (match Colbatch.col b 1 with
-  | Colbatch.CDict _ -> ()
-  | _ -> Alcotest.fail "named string column must promote");
-  (match Colbatch.col b 2 with
-  | Colbatch.CBoxed _ -> ()
-  | _ -> Alcotest.fail "unnamed string column must stay boxed");
-  Alcotest.(check bool) "content unchanged by promotion" true
-    (Gmr.equal orig (Colbatch.to_gmr b))
+  | _ -> Alcotest.fail "int column must be CInt");
+  match Colbatch.col b 1 with
+  | Colbatch.CDict (d, codes) ->
+      Alcotest.(check (list string))
+        "entries in first-seen order" [ "AIR"; "RAIL"; "MAIL" ]
+        (List.init (Colbatch.dict_size d) (Colbatch.dict_entry d));
+      Alcotest.(check (list int))
+        "codes" [ 0; 1; 2; 0; 1; 0 ] (Array.to_list codes)
+  | _ -> Alcotest.fail "low-cardinality string column must be CDict"
+
+(* A cell the committed representation cannot hold — a 65th distinct
+   string, or a second value kind — turns the column boxed in every
+   share, and every cell written before it keeps its value. 64 distinct
+   strings stay encoded. *)
+let test_builder_demotes () =
+  let strs k = List.init k (fun x -> Value.String (Printf.sprintf "s%02d" x)) in
+  let mixed = List.init 9 (fun x -> i x) @ [ Value.Float 0.5; i 9 ] in
+  List.iter
+    (fun (what, cells, boxed) ->
+      let g = Gmr.create () in
+      List.iteri (fun k v -> Gmr.add g [| i k; v |] 1.) cells;
+      let order = ref [] in
+      Gmr.iter (fun t _ -> order := Array.copy t :: !order) g;
+      let order = Array.of_list (List.rev !order) in
+      List.iter
+        (fun parts ->
+          let shares =
+            Colbatch.shares_of_gmr ~cols:[| 0; 1 |] ~width:2 ~parts g
+          in
+          Array.iteri
+            (fun q sh ->
+              (match (Colbatch.col sh 1, boxed) with
+              | Colbatch.CBoxed _, true | Colbatch.CDict _, false -> ()
+              | _ ->
+                  Alcotest.failf "%s, %d parts: share %d has the wrong kind"
+                    what parts q);
+              for r = 0 to Colbatch.length sh - 1 do
+                let want = order.((r * parts) + q) in
+                for c = 0 to 1 do
+                  let got = Colbatch.get (Colbatch.col sh c) r in
+                  if not (Value.equal want.(c) got) then
+                    Alcotest.failf "%s, %d parts: share %d row %d col %d changed"
+                      what parts q r c
+                done
+              done)
+            shares)
+        [ 1; 3 ])
+    [
+      ("64 distinct strings", strs 64, false);
+      ("65 distinct strings", strs 65, true);
+      ("a float in an int column", mixed, true);
+    ]
+
+(* [of_iter ~cols] writes only [cols]; the other columns are absent. *)
+let test_of_iter_cols () =
+  let b =
+    of_rows ~cols:[| 0; 2 |] ~width:3
+      [
+        ([| i 1; i 10; Value.String "x" |], 1.);
+        ([| i 2; i 20; Value.String "y" |], 2.);
+      ]
+  in
+  Alcotest.(check (array int)) "live columns" [| 0; 2 |] (Colbatch.live_cols b);
+  Alcotest.(check int) "width" 3 (Colbatch.width b);
+  Alcotest.(check bool) "written cells" true
+    (Value.equal (i 2) (Colbatch.get (Colbatch.col b 0) 1)
+    && Value.equal (Value.String "y") (Colbatch.get (Colbatch.col b 2) 1))
+
+(* The builder sizes its arrays from [count]: a row more or a row fewer
+   than [count] is an error, not a short or overrun batch. *)
+let test_builder_row_count () =
+  let build count =
+    Colbatch.of_iter ~cols:[| 0; 1 |] ~width:2 ~count (fun emit ->
+        for k = 0 to 2 do
+          emit [| i k; Value.String "a" |] 1.
+        done)
+  in
+  List.iter
+    (fun count ->
+      match build count with
+      | _ -> Alcotest.failf "count %d over 3 rows accepted" count
+      | exception Invalid_argument _ -> ())
+    [ 2; 4 ];
+  Alcotest.(check int) "exact count" 3 (Colbatch.length (build 3))
 
 (* Radix key grouping over CDict columns (codes as cell hashes) against
    the sort-based oracle, including forced 2-bit hash collisions: one
@@ -536,11 +548,7 @@ let qcheck_compact_dict_vs_sorted =
   let arb = QCheck.make ~print gen_dict_compact_case in
   QCheck.Test.make ~name:"radix compact_group on CDict = sorted oracle"
     ~count:200 arb (fun (rows, key, rest) ->
-      let b = mk_str_batch (List.map fst rows) in
-      List.iteri
-        (fun r (_, m) -> (Colbatch.mults b).(r) <- m)
-        rows;
-      Colbatch.dictify_cols b [ 1 ];
+      let b = mk_str_batch (List.map (fun ((k, s), m) -> (k, s, m)) rows) in
       (if List.length rows > 0 then
          match Colbatch.col b 1 with
          | Colbatch.CDict _ -> ()
@@ -624,12 +632,14 @@ let suites =
         Alcotest.test_case "pool clear" `Quick test_pool_clear;
         Alcotest.test_case "colbatch roundtrip" `Quick test_colbatch_roundtrip;
         Alcotest.test_case "trace hooks" `Quick test_trace_hooks;
-        Alcotest.test_case "dictify accounts bytes + invalidates memo" `Quick
-          test_dictify_byte_size;
-        Alcotest.test_case "dictify cardinality cutoff" `Quick
-          test_dictify_cardinality_cutoff;
-        Alcotest.test_case "dictify_cols is targeted" `Quick
-          test_dictify_targeted;
+        Alcotest.test_case "builder interns strings at build" `Quick
+          test_builder_strings;
+        Alcotest.test_case "builder boxes in every share" `Quick
+          test_builder_demotes;
+        Alcotest.test_case "of_iter ~cols leaves rest absent" `Quick
+          test_of_iter_cols;
+        Alcotest.test_case "builder checks the row count" `Quick
+          test_builder_row_count;
         QCheck_alcotest.to_alcotest qcheck_compact_radix_vs_sorted;
         QCheck_alcotest.to_alcotest qcheck_compact_dict_vs_sorted;
         QCheck_alcotest.to_alcotest qcheck_pool_model;
