@@ -89,7 +89,3 @@ let counters h =
     llc_refs = refs h.llc;
     llc_misses = misses h.llc;
   }
-
-let reset_hierarchy h =
-  reset h.l1d;
-  reset h.llc

@@ -34,4 +34,3 @@ type counters = {
 }
 
 val counters : hierarchy -> counters
-val reset_hierarchy : hierarchy -> unit

@@ -17,13 +17,11 @@ type config = {
   batch_size : int;
   opt_level : int;
   preaggregate : bool;
-  auto_index : bool;
-  columnar : bool;
 }
 
 let config ?(backend = Local) ?domains ?(batch_size = 1000) ?(opt_level = 3)
-    ?(preaggregate = true) ?(auto_index = true) ?(columnar = true) () =
-  { backend; domains; batch_size; opt_level; preaggregate; auto_index; columnar }
+    ?(preaggregate = true) () =
+  { backend; domains; batch_size; opt_level; preaggregate }
 
 let default_config = config ()
 
@@ -59,10 +57,7 @@ let create ?(config = default_config) (w : Workload.t) =
   in
   match config.backend with
   | Local ->
-      let rt =
-        Runtime.create ~auto_index:config.auto_index ~columnar:config.columnar
-          ?domains:config.domains prog
-      in
+      let rt = Runtime.create ?domains:config.domains prog in
       {
         cfg = config;
         w;
@@ -79,7 +74,6 @@ let create ?(config = default_config) (w : Workload.t) =
           let n = Node.create ~config:nc dp in
           (Node.executor n, fun () -> Node.shutdown n))
 
-let conf t = t.cfg
 let workload t = t.w
 let prog t = t.eprog
 let dprog t = t.edprog

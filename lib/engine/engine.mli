@@ -43,8 +43,6 @@ type config = {
   batch_size : int;  (** for front ends that synthesize streams *)
   opt_level : int;  (** distributed optimization level 0–3 (Fig. 13) *)
   preaggregate : bool;  (** §3.3 batch pre-aggregation *)
-  auto_index : bool;  (** §5.2.1 automatic indexes ([Local] only) *)
-  columnar : bool;  (** §5.2.2 columnar path ([Local] only) *)
 }
 
 val config :
@@ -53,12 +51,10 @@ val config :
   ?batch_size:int ->
   ?opt_level:int ->
   ?preaggregate:bool ->
-  ?auto_index:bool ->
-  ?columnar:bool ->
   unit ->
   config
-(** Defaults: [Local], [batch_size = 1000], [opt_level = 3], everything
-    on. *)
+(** Defaults: [Local], [batch_size = 1000], [opt_level = 3],
+    pre-aggregation on. *)
 
 val default_config : config
 
@@ -90,7 +86,6 @@ type t
     the backend. [Multiprocess] spawns its worker processes here. *)
 val create : ?config:config -> Divm_workload.Workload.t -> t
 
-val conf : t -> config
 val workload : t -> Divm_workload.Workload.t
 
 (** ["local"], ["simulated"], or ["multiprocess"]. *)

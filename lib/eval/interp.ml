@@ -17,10 +17,6 @@ let source_of_rels rels =
   in
   { rel = get; delta = get; map = get }
 
-let ops = ref 0
-let ops_counter () = !ops
-let reset_ops_counter () = ops := 0
-
 (* Per-eval-call cache of hash indexes over relation contents, keyed by
    (atom kind, name, bound column positions). *)
 type ctx = {
@@ -78,12 +74,10 @@ let rec iter_expr ctx env e (k : Env.t -> float -> unit) =
   match e with
   | Const c -> if c <> 0. then k env c
   | Value v ->
-      incr ops;
       let x = Vexpr.eval (Env.find_exn env) v in
       let f = Value.to_float x in
       if f <> 0. then k env f
   | Cmp (op, a, b) ->
-      incr ops;
       let x = Vexpr.eval (Env.find_exn env) a
       and y = Vexpr.eval (Env.find_exn env) b in
       if Calc.eval_cmp op x y then k env 1.
@@ -94,7 +88,6 @@ let rec iter_expr ctx env e (k : Env.t -> float -> unit) =
       let sch, g = materialize ctx env q in
       Gmr.iter
         (fun tup _m ->
-          incr ops;
           match bind_columns env sch tup with
           | Some env' -> k env' 1.
           | None -> ())
@@ -106,7 +99,6 @@ let rec iter_expr ctx env e (k : Env.t -> float -> unit) =
           (* Scalar lift: always produces one binding, 0 when empty, matching
              SQL scalar aggregates over empty inputs. *)
           let total = Gmr.mult g Vtuple.empty in
-          incr ops;
           match Env.find env v with
           | Some x ->
               if Value.compare_approx x (Value.Float total) = 0 then k env 1.
@@ -114,7 +106,6 @@ let rec iter_expr ctx env e (k : Env.t -> float -> unit) =
       | _ ->
           Gmr.iter
             (fun tup m ->
-              incr ops;
               match bind_columns env sch tup with
               | None -> ()
               | Some env' -> (
@@ -131,7 +122,6 @@ let rec iter_expr ctx env e (k : Env.t -> float -> unit) =
       Gmr.iter (fun tup m -> Gmr.add groups (Vtuple.project tup pos) m) g;
       Gmr.iter
         (fun tup m ->
-          incr ops;
           match bind_columns env out tup with
           | Some env' -> k env' m
           | None -> ())
@@ -153,7 +143,6 @@ and iter_atom ctx env kind name rvars k =
   in
   let g = contents ctx kind name in
   let visit tup m =
-    incr ops;
     match bind_columns env rvars tup with
     | Some env' -> k env' m
     | None -> ()
@@ -161,7 +150,6 @@ and iter_atom ctx env kind name rvars k =
   if List.length bound_pos = List.length rvars then (
     (* Fully bound: direct lookup. *)
     let tup = Env.project env rvars in
-    incr ops;
     let m = Gmr.mult g tup in
     if m <> 0. then k env m)
   else if bound_pos = [] then Gmr.iter visit g

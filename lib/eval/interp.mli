@@ -33,10 +33,3 @@ val eval_closed : source -> Calc.expr -> Schema.t * Gmr.t
 (** Total multiplicity of a fully-aggregated expression (empty schema);
     [0.] when the result is empty. *)
 val eval_scalar : source -> Calc.expr -> float
-
-(** Number of elementary tuple operations (atom visits) performed since the
-    counter was last reset — the interpreter's work metric, used by the
-    baseline cost accounting. *)
-val ops_counter : unit -> int
-
-val reset_ops_counter : unit -> unit

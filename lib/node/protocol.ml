@@ -221,23 +221,6 @@ let value_size : Value.t -> int = function
   | Value.Int _ | Value.Float _ | Value.Date _ -> 9
   | Value.String s -> 5 + String.length s
 
-let put_tuple w (tup : Vtuple.t) =
-  let n = Array.length tup in
-  if n > 0xffff then err "tuple arity %d exceeds encoding limit" n;
-  put_u16 w n;
-  Array.iter (put_value w) tup
-
-(* Uniform tuple arity of a GMR, or [None] for mixed arities (which must
-   fall back to the row layout). *)
-let gmr_width g =
-  let w = ref (-1) and ok = ref true in
-  Gmr.iter
-    (fun tup _ ->
-      let n = Array.length tup in
-      if !w = -1 then w := n else if n <> !w then ok := false)
-    g;
-  if !ok && !w >= 0 && !w <= 0xffff then Some !w else None
-
 (* One typed column of [n] cells: a u8 kind tag, then an unboxed
    payload — one contiguous run per attribute instead of a tag per
    cell. *)
@@ -285,86 +268,43 @@ let col_size n (c : Colbatch.col) =
       done;
       !s
 
-(* GMR payload: entry count, then a layout byte. Layout 1 ships the
-   entries as flat typed columns (u16 width; per column a [put_col] run;
-   then the multiplicities), transposed like a one-way deal, so
-   low-cardinality string columns travel as dictionary + codes. Layout 0
-   is the per-row fallback, kept for empty and mixed-arity GMRs. Both
-   layouts preserve the source's slot iteration order, so replaying a
-   decoded GMR rebuilds a bit-identical store. A GMR is transposed and
-   sized first ([gmr_layout]), so a frame carrying several is sized once
-   before any is written. *)
-type gmr_layout = Cols of int * Colbatch.col array * float array | Rows of Gmr.t
+(* Relation payload, always a frame's last field: width (u16), row count
+   (i32), live column count (u16); per live column its position (u16,
+   ascending), its cell count (i32, always the row count) and a [put_col]
+   run; then the multiplicities — u8 1 and one f64 when every row carries
+   the same bit pattern (the common all-inserts or all-deletes batch),
+   else u8 0 and one f64 per row. A batch share carries the columns its
+   worker's blocks read, and absent columns cost nothing; a map carries
+   every column. A payload is sized ([sized]) before it is written
+   ([put_share]), so a frame carrying several maps is sized once before
+   any is written. *)
+type share = {
+  cb : Colbatch.t;
+  live : int array;
+  constant : bool;
+  size : int;
+}
 
-let tuple_size tup = Array.fold_left (fun s v -> s + value_size v) 2 tup
-
-let gmr_layout g =
-  let n = Gmr.cardinal g in
-  match gmr_width g with
-  | Some wd when n > 0 && wd > 0 ->
-      let cb =
-        (Colbatch.shares_of_gmr ~cols:(Array.init wd Fun.id) ~width:wd ~parts:1
-           g).(0)
-      in
-      let cols = Array.init wd (Colbatch.col cb) in
-      ( Cols (n, cols, Colbatch.mults cb),
-        Array.fold_left (fun s c -> s + col_size n c) (7 + (8 * n)) cols )
-  | _ -> (Rows g, Gmr.fold (fun tup _ s -> s + tuple_size tup + 8) g 5)
-
-let put_layout w = function
-  | Cols (n, cols, mults) ->
-      put_i32 w n;
-      put_u8 w 1;
-      put_u16 w (Array.length cols);
-      Array.iter (put_col w n) cols;
-      put_floats w n mults
-  | Rows g ->
-      put_i32 w (Gmr.cardinal g);
-      put_u8 w 0;
-      Gmr.iter
-        (fun tup m ->
-          put_tuple w tup;
-          put_f64 w m)
-        g
-
-(* Every GMR of a frame, always its last field: a count, then each GMR.
-   Returns each GMR's encoded size. *)
-let put_gmrs w gs =
-  put_count w (Array.length gs);
-  let laid = Array.map gmr_layout gs in
-  fit w (Array.fold_left (fun s (_, n) -> s + n) 0 laid);
-  Array.iter (fun (l, _) -> put_layout w l) laid;
-  Array.map snd laid
-
-let put_gmr w g =
-  let l, n = gmr_layout g in
-  fit w n;
-  put_layout w l
-
-(* Batch share payload, always a frame's last field: stream width (u16),
-   row count (i32), live column count (u16); per live column its
-   position (u16), its cell count (i32, always the row count) and a
-   [put_col] run; then the multiplicities — u8 1 and one f64 when every
-   row carries the same bit pattern (the common all-inserts or
-   all-deletes batch), else u8 0 and one f64 per row. Absent columns
-   cost nothing. The frame is sized exactly before the payload is
-   written. *)
 let rec same_bits (ms : float array) b i =
   i >= Array.length ms
   || (Int64.equal (Int64.bits_of_float ms.(i)) b && same_bits ms b (i + 1))
 
-let put_share w cb =
+let sized cb live =
   let wd = Colbatch.width cb and n = Colbatch.length cb in
   if wd > 0xffff then err "share width %d exceeds encoding limit" wd;
-  let live = Colbatch.live_cols cb in
   let ms = Colbatch.mults cb in
   let constant = n > 0 && same_bits ms (Int64.bits_of_float ms.(0)) 1 in
-  fit w
-    (Array.fold_left
-       (fun s c -> s + 6 + col_size n (Colbatch.col cb c))
-       (9 + if constant then 8 else 8 * n)
-       live);
-  put_u16 w wd;
+  let size =
+    Array.fold_left
+      (fun s c -> s + 6 + col_size n (Colbatch.col cb c))
+      (9 + if constant then 8 else 8 * n)
+      live
+  in
+  { cb; live; constant; size }
+
+let put_share w { cb; live; constant; _ } =
+  let n = Colbatch.length cb in
+  put_u16 w (Colbatch.width cb);
   put_i32 w n;
   put_u16 w (Array.length live);
   Array.iter
@@ -375,12 +315,51 @@ let put_share w cb =
     live;
   if constant then begin
     put_u8 w 1;
-    put_f64 w ms.(0)
+    put_f64 w (Colbatch.mults cb).(0)
   end
   else begin
     put_u8 w 0;
-    put_floats w n ms
+    put_floats w n (Colbatch.mults cb)
   end
+
+(* A payload that is the frame's only one: size the frame, then write. *)
+let put_last w sh =
+  fit w sh.size;
+  put_share w sh
+
+(* A map travels as the share of every column, its rows in slot order, so
+   replaying the decoded map rebuilds a bit-identical store. The width is
+   the arity of its first row, and every row must have it. An empty map
+   is the empty share: width 0, no rows, 9 bytes. *)
+exception Arity of int
+
+let empty_share = sized (Colbatch.of_cols [||] ~mults:[||]) [||]
+
+let map_share g =
+  match Gmr.iter (fun tup _ -> raise_notrace (Arity (Array.length tup))) g with
+  | () -> empty_share
+  | exception Arity wd ->
+      let live = Array.init wd Fun.id in
+      let rows emit =
+        Gmr.iter
+          (fun tup m ->
+            if Array.length tup <> wd then
+              err "map mixes rows of arity %d and %d" wd (Array.length tup);
+            emit tup m)
+          g
+      in
+      sized
+        (Colbatch.of_iter ~cols:live ~width:wd ~count:(Gmr.cardinal g) rows)
+        live
+
+(* Every map of a frame, always its last field: a count, then each map's
+   share. Returns the shares, for their sizes. *)
+let put_maps w gs =
+  put_count w (Array.length gs);
+  let shares = Array.map map_share gs in
+  fit w (Array.fold_left (fun s sh -> s + sh.size) 0 shares);
+  Array.iter (put_share w) shares;
+  shares
 
 let tag_of = function
   | Hello _ -> 1
@@ -439,7 +418,7 @@ let put_msg w m =
   | Init s -> put_string w s
   | Load_batch (rel, g) ->
       put_string w rel;
-      put_gmr w g
+      put_last w (map_share g)
   | Run_block (rel, bi, share, names) -> (
       put_string w rel;
       put_i32 w bi;
@@ -448,16 +427,16 @@ let put_msg w m =
       | None -> put_u8 w 0
       | Some cb ->
           put_u8 w 1;
-          put_share w cb)
+          put_last w (sized cb (Colbatch.live_cols cb)))
   | Block_done (ops, wall, gs) ->
       put_i64 w ops;
       put_f64 w wall;
-      ignore (put_gmrs w gs)
+      ignore (put_maps w gs)
   | Pull_map names -> put_array w put_string names
-  | Map_contents gs -> ignore (put_gmrs w gs)
+  | Map_contents gs -> ignore (put_maps w gs)
   | Deliver (name, g) ->
       put_string w name;
-      put_gmr w g
+      put_last w (map_share g)
   | Ack | Shutdown | Pull_telemetry | Mesh_connect -> ()
   | Start_telemetry (profile, trace) ->
       put_u8 w (Bool.to_int profile);
@@ -478,7 +457,7 @@ let put_msg w m =
         sts
   | Mesh_data (src, gs) ->
       put_i32 w src;
-      ignore (put_gmrs w gs)
+      ignore (put_maps w gs)
 
 (* The frame is built once: the length prefix is reserved up front and
    patched in place. Frames whose last field is a share or maps come out
@@ -504,7 +483,7 @@ let mesh_frame ~src bufs =
   let w = new_writer () and tag = tag_of (Mesh_data (src, bufs)) in
   put_u8 w tag;
   put_i32 w src;
-  let sizes = put_gmrs w bufs in
+  let sizes = Array.map (fun sh -> sh.size) (put_maps w bufs) in
   let frame = finish_frame w ~tag in
   if Array.length sizes > 0 then
     sizes.(0) <-
@@ -585,10 +564,6 @@ let get_value r : Value.t =
   | 3 -> Value.Date (Int64.to_int (get_i64 r))
   | t -> err "unknown value tag %d" t
 
-let get_tuple r : Vtuple.t =
-  let n = get_u16 r in
-  Array.init n (fun _ -> get_value r)
-
 (* Start of a typed run of [n] cells of [size] bytes: the run's whole
    length is checked once, before its array is allocated, so a truncated
    run cannot allocate what it declares. *)
@@ -659,27 +634,6 @@ let get_rows r what =
   if n > max_frame / 8 then err "%s count %d exceeds frame capacity" what n;
   n
 
-let get_gmr r =
-  let n = get_rows r "entry" in
-  match get_u8 r with
-  | 0 ->
-      (* a row takes at least 10 bytes: arity + multiplicity *)
-      need r (10 * n);
-      let g = Gmr.create ~size:(max 16 n) () in
-      for _ = 1 to n do
-        let tup = get_tuple r in
-        Gmr.add g tup (get_f64 r)
-      done;
-      g
-  | 1 ->
-      let w = get_u16 r in
-      if w = 0 then err "columnar layout with zero width";
-      if n = 0 then err "columnar layout with zero entries";
-      let cols = Array.init w (fun _ -> get_col r n) in
-      let mults = get_floats r n in
-      Colbatch.to_gmr (Colbatch.of_cols cols ~mults)
-  | l -> err "unknown gmr layout %d" l
-
 (* A counted array field whose elements take at least [elt] bytes each:
    the count is bounded by the payload before the array is allocated. *)
 let get_array r what ~elt get =
@@ -687,26 +641,27 @@ let get_array r what ~elt get =
   | 0 -> [||]
   | n -> Array.init n (fun _ -> get r)
 
-(* a GMR takes at least 5 bytes (entry count + layout) *)
-let get_gmrs r = get_array r "map" ~elt:5 get_gmr
-
-let get_share r =
+(* The one reader of relation payloads ([put_share]'s format). Positions
+   must ascend, the writer's order, which rules out repeats. A map payload
+   ([~map:true]) must carry every column, so its columns come in position
+   order and are placed as read; its rows are rebuilt in order. *)
+let get_share r ~map =
   let w = get_u16 r in
   let n = get_rows r "row" in
   let k = get_u16 r in
   if k > w then err "%d live columns for stream width %d" k w;
-  let seen = Array.make w false in
-  let cols =
-    Array.init k (fun _ ->
-        let c = get_u16 r in
-        if c >= w then err "column index %d out of range (stream width %d)" c w;
-        if seen.(c) then err "duplicate column index %d" c;
-        seen.(c) <- true;
-        let len = get_i32 r in
-        if len <> n then
-          err "column %d carries %d cells for %d rows" c len n;
-        (c, get_col r n))
-  in
+  if map && k < w then err "map payload carries %d of its %d columns" k w;
+  let live = Array.make k 0 and cols = Array.make k (Colbatch.CInt [||]) in
+  for i = 0 to k - 1 do
+    let c = get_u16 r in
+    if c >= w then err "column index %d out of range (stream width %d)" c w;
+    if i > 0 && c <= live.(i - 1) then
+      err "column index %d after %d: positions must ascend" c live.(i - 1);
+    live.(i) <- c;
+    let len = get_i32 r in
+    if len <> n then err "column %d carries %d cells for %d rows" c len n;
+    cols.(i) <- get_col r n
+  done;
   let mults =
     match get_u8 r with
     | 0 -> get_floats r n
@@ -715,7 +670,16 @@ let get_share r =
         Array.make n (get_f64 r)
     | l -> err "unknown multiplicity layout %d" l
   in
-  Colbatch.of_live_cols ~width:w cols ~mults
+  if map then Colbatch.of_cols cols ~mults
+  else
+    Colbatch.of_live_cols ~width:w
+      (Array.map2 (fun c col -> (c, col)) live cols)
+      ~mults
+
+let get_map r = Colbatch.to_gmr (get_share r ~map:true)
+
+(* a map takes at least 9 bytes: the empty share *)
+let get_maps r = get_array r "map" ~elt:9 get_map
 
 let get_snapshot r : Obs.snapshot =
   let n = get_count r "snapshot entry" ~elt:13 in
@@ -825,24 +789,24 @@ let decode_at s ~base ~len =
       | 2 -> Init (get_string r)
       | 3 ->
           let rel = get_string r in
-          Load_batch (rel, get_gmr r)
+          Load_batch (rel, get_map r)
       | 4 ->
           let rel = get_string r in
           let bi = get_i32 r in
           let names = get_array r "pulled map" ~elt:4 get_string in
           let share =
-            if get_bool r "share" then Some (get_share r) else None
+            if get_bool r "share" then Some (get_share r ~map:false) else None
           in
           Run_block (rel, bi, share, names)
       | 5 ->
           let ops = Int64.to_int (get_i64 r) in
           let wall = get_f64 r in
-          Block_done (ops, wall, get_gmrs r)
+          Block_done (ops, wall, get_maps r)
       | 6 -> Pull_map (get_array r "pulled map" ~elt:4 get_string)
-      | 7 -> Map_contents (get_gmrs r)
+      | 7 -> Map_contents (get_maps r)
       | 8 ->
           let name = get_string r in
-          Deliver (name, get_gmr r)
+          Deliver (name, get_map r)
       | 10 -> Ack
       | 11 -> Shutdown
       | 12 ->
@@ -863,7 +827,7 @@ let decode_at s ~base ~len =
       | 19 ->
           let src = get_i32 r in
           if src < 0 then err "negative mesh source id %d" src;
-          Mesh_data (src, get_gmrs r)
+          Mesh_data (src, get_maps r)
       | _ -> assert false
     with Error msg ->
       err "bad %s frame (tag %d, %d-byte payload): %s" (tag_name tag) tag len

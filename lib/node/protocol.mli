@@ -14,6 +14,17 @@
     body is a marshaled {!Divm_dist.Dprog.t}: the distributed program is
     pure data (no closures) and both ends run the same binary.
 
+    Every relation crosses in one format, the column share
+    ({!Colbatch}): width, row count, then each carried column's position
+    (ascending), cell count and typed run — unboxed numbers, a
+    dictionary plus codes, or boxed values — then the multiplicities,
+    one f64 when every row has the same bit pattern. A batch share
+    carries the columns its worker's blocks read. A map carries every
+    column, its width the arity of its rows (all rows must share it),
+    its rows in slot order, so replaying a decoded map rebuilds a
+    bit-identical store; an empty map is the 9-byte empty share. One
+    writer and one reader serve both.
+
     Decoding is strict: a frame longer than [max_frame], a payload that
     ends mid-field, an unknown tag, or trailing bytes after the message
     all raise {!Error} rather than yielding a partial message. Typed
@@ -55,10 +66,10 @@ type msg =
   | Init of string
       (** marshaled {!Divm_dist.Dprog.t}; the worker builds its runtime *)
   | Load_batch of string * Gmr.t
-      (** relation, a batch share in row form. The engine itself ships
-          each share inside [Run_block]; this row-form message stays
-          decodable for codec replays and tools built on the GMR layout.
-          Workers reject it. *)
+      (** relation, a whole batch as the share of every column. The
+          engine itself ships each worker's share inside [Run_block];
+          this message stays for the benchmark's codec replay. Workers
+          reject it. *)
   | Run_block of string * int * Colbatch.t option * string array
       (** trigger relation, block index, this worker's share of the
           update batch (the trigger's first stage only), and the maps to
@@ -68,19 +79,21 @@ type msg =
           the worker's blocks for that trigger read — each tagged with
           its position and cell count; a constant multiplicity travels
           once. The decoder rejects a position at or past the stream
-          width, a repeated position, a cell count other than the row
-          count, and a dictionary code out of range. *)
+          width, positions that do not ascend, a cell count other than
+          the row count, and a dictionary code out of range. *)
   | Block_done of int * float * Gmr.t array
       (** record-op delta and wall seconds the block took on the worker,
           then the worker's partition of every map [Run_block] named, in
-          order *)
+          order, each as a map share *)
   | Pull_map of string array
   | Map_contents of Gmr.t array
       (** reply to [Pull_map]: the worker's partition of every named map,
-          in order *)
+          in order, each as a map share. The decoder rejects a map share
+          that lacks a column. *)
   | Deliver of string * Gmr.t
-      (** replace the worker's partition of a map: clear, then replay the
-          entries in slot order (driver-bound scatters, restores) *)
+      (** replace the worker's partition of a map, shipped as a map
+          share: clear, then replay the entries in slot order
+          (driver-bound scatters, restores) *)
   | Ack
   | Shutdown
   | Start_telemetry of bool * bool
@@ -108,11 +121,12 @@ type msg =
           [max_frame]) to keep the per-transfer control floor small. *)
   | Mesh_data of int * Gmr.t array
       (** worker → worker, on a mesh link: [(source worker id, one
-          pre-summed buffer per transfer of the exchange)]. The
-          destination maps are implied — the exchange is a synchronous
-          barrier per [Shuffle], so a frame can only belong to the run in
-          flight, and its buffers follow the run's order. The sender's
-          slot order is preserved, so replay stays bit-identical. *)
+          pre-summed buffer per transfer of the exchange, each as a map
+          share)]. The destination maps are implied — the exchange is a
+          synchronous barrier per [Shuffle], so a frame can only belong to
+          the run in flight, and its buffers follow the run's order. The
+          sender's slot order is preserved, so replay stays
+          bit-identical. *)
 
 (** Malformed frame or payload. The message names the defect, and for a
     field-level failure also the frame's claimed message tag and payload
@@ -134,7 +148,8 @@ val decode : string -> msg
 
 (** [encode_frame m] is the complete frame: length prefix + payload,
     built once in one buffer. A frame that carries several maps sizes
-    them all before writing any, so it is returned without a copy. *)
+    them all before writing any, so it is returned without a copy.
+    Raises {!Error} on a map whose rows differ in arity. *)
 val encode_frame : msg -> string
 
 (** [mesh_frame ~src bufs] is [encode_frame (Mesh_data (src, bufs))], and

@@ -96,11 +96,3 @@ let apply_batch t ~rel batch =
                   let g = map_contents t s.target in
                   Gmr.union_into g v))
         tr.stmts)
-
-let total_size t =
-  List.fold_left
-    (fun acc (m : Prog.map_decl) ->
-      match m.mkind with
-      | Prog.Transient -> acc
-      | _ -> acc + Gmr.cardinal (map_contents t m.mname))
-    0 t.prog.maps

@@ -29,6 +29,3 @@ val map_contents : t -> string -> Gmr.t
 
 (** Result of a named query. *)
 val result : t -> string -> Gmr.t
-
-(** Total number of tuples across non-transient maps. *)
-val total_size : t -> int

@@ -91,19 +91,15 @@ val map_contents : t -> string -> Gmr.t
 
 val result : t -> string -> Gmr.t
 
-(** Elementary record operations executed since last reset.
-
-    Deprecated: prefer the [ops] field of {!batch_report} (per firing) or
-    the registry's [divm_record_ops_total] (process totals). Kept as a
-    thin wrapper over the runtime's private counter for the cluster
-    simulator's per-stage deltas and old callers. *)
+(** Elementary record operations executed since last reset. The
+    distributed executor reads it around every block for the per-stage
+    op deltas; per firing, the [ops] field of {!batch_report} has it too,
+    and the registry's [divm_record_ops_total] the process total. *)
 val ops : t -> int
 
-(** Deprecated: see {!ops}. *)
+(** Zero the {!ops} counter (the cache-locality experiment does before
+    each run). *)
 val reset_ops : t -> unit
-
-(** Total stored tuples over non-transient maps. *)
-val total_tuples : t -> int
 
 (** {1 Profiling and EXPLAIN support}
 

@@ -70,19 +70,20 @@ val length : t -> int
     column that mixes kinds, or has more than 64 distinct strings, is
     [CBoxed] in every share. The columns of an empty batch are empty
     [CInt]s. The distributed engines cut update batches this way
-    ([parts] = workers); the local runtime transposes a firing's batch,
-    and the wire codec a GMR payload, with [parts = 1]. Under a {!Trace}
-    sink each share gets an arena and every written cell and
-    multiplicity is reported as a write. *)
+    ([parts] = workers), and the local runtime transposes a firing's
+    batch with [parts = 1]. Under a {!Trace} sink each share gets an
+    arena and every written cell and multiplicity is reported as a
+    write. *)
 val shares_of_gmr :
   cols:int array -> width:int -> parts:int -> Gmr.t -> t array
 
 (** [of_iter ~cols ~width ~count iter] is one share built, as
     {!shares_of_gmr} builds it, from the rows [iter emit] emits
     ([emit tup m] appends one row): the transient sources of vectorized
-    groups, over [Pool.foreach]. Tuples are copied, so borrowed rows are
-    fine. Raises [Invalid_argument] when [iter] emits more or fewer than
-    [count] rows. *)
+    groups, over [Pool.foreach], and every map the wire codec ships, as
+    the share of all its columns. Tuples are copied, so borrowed rows
+    are fine. Raises [Invalid_argument] when [iter] emits more or fewer
+    than [count] rows. *)
 val of_iter :
   cols:int array ->
   width:int ->
@@ -95,13 +96,15 @@ val of_iter :
     call it; the benchmark's transpose replay does. *)
 val of_gmr : width:int -> Gmr.t -> t
 
-(** Wrap pre-built columns (all the same length as [mults]). Used by the
-    wire codec, which ships columns as flat arrays. *)
+(** Wrap pre-built columns (all the same length as [mults]), every
+    column live. The wire decoder's constructor for a map payload, whose
+    columns arrive in position order; with no columns it is the empty
+    batch, or a width-0 map's rows. *)
 val of_cols : col array -> mults:float array -> t
 
 (** [of_live_cols ~width pairs ~mults] builds a [width]-column batch from
     [(position, column)] pairs; every position not named is absent. The
-    share decoder's constructor. Raises [Invalid_argument] on a position
+    wire decoder's constructor for a batch share. Raises [Invalid_argument] on a position
     outside [0, width), a repeated position, or a column whose length is
     not [Array.length mults]. *)
 val of_live_cols :

@@ -29,7 +29,6 @@ type sec = {
 
 type t = {
   pname : string;
-  kw : int;
   rec_bytes : int;
   base : int;
   mutable keys : Vtuple.t array;
@@ -49,7 +48,6 @@ let create ?(name = "anon") ~key_width ~slices () =
   let rec_bytes = (key_width * 8) + 8 + 16 in
   {
     pname = name;
-    kw = key_width;
     rec_bytes;
     base = Trace.alloc_region (1 lsl 28);
     keys = Array.make cap Vtuple.empty;
@@ -79,7 +77,6 @@ let create ?(name = "anon") ~key_width ~slices () =
   }
 
 let cardinal t = t.count
-let key_width t = t.kw
 
 let addr t slot = t.base + (slot * t.rec_bytes)
 

@@ -23,7 +23,6 @@ type t
 val create : ?name:string -> key_width:int -> slices:int array list -> unit -> t
 
 val cardinal : t -> int
-val key_width : t -> int
 
 (** Multiplicity of [key]; [0.] if absent. *)
 val get : t -> Vtuple.t -> float

@@ -40,8 +40,6 @@ let gen_value =
         (1, map (fun d -> Value.Date d) (int_range 19920101 19981231));
       ])
 
-let gen_tuple = QCheck.Gen.(map Array.of_list (list_size (int_range 0 6) gen_value))
-
 (* Payload row counts: [small] is what the truncation check can afford
    (it cuts every prefix of every frame); [large] also draws runs of up
    to 2,000 rows. *)
@@ -63,25 +61,27 @@ let gen_cells =
         gen_value;
       ])
 
-(* Mixed arities travel in the row layout; one arity in the columnar
-   layout. *)
+(* A map has one arity, 0 to 6, like every map and batch that crosses:
+   its rows draw each column from one [gen_cells]. Zero rows make the
+   empty map, zero columns the width-0 map (one row at most, like Q6's
+   scalar result). Multiplicities are constant (the share's one-f64
+   layout) or drawn per row. *)
 let gen_gmr_sized rows =
   QCheck.Gen.(
     rows >>= fun n ->
-    oneof
-      [
-        list_repeat n gen_tuple;
-        ( int_range 1 6 >>= fun w ->
-          list_repeat w gen_cells >>= fun cols ->
-          list_repeat n (map Array.of_list (flatten_l cols)) );
-      ]
-    >>= fun tuples ->
+    int_range 0 6 >>= fun w ->
+    list_repeat w gen_cells >>= fun cols ->
+    list_repeat n (map Array.of_list (flatten_l cols)) >>= fun tuples ->
     map
       (fun ms ->
         let g = Gmr.create () in
         List.iter2 (Gmr.add g) tuples ms;
         g)
-      (list_repeat n (oneof [ float; oneofl [ 1.; -2.; 0.5 ] ])))
+      (oneof
+         [
+           map (fun m -> List.init n (fun _ -> m)) (oneofl [ 1.; -1.; 0.5 ]);
+           list_repeat n (oneof [ float; oneofl [ 1.; -2.; 0.5 ] ]);
+         ]))
 
 let gen_name =
   QCheck.Gen.(
@@ -509,17 +509,25 @@ let test_codec_malformed () =
   (* Trailing garbage after a complete message. *)
   expect_error "trailing bytes" (fun () ->
       Protocol.decode (Protocol.encode Protocol.Ack ^ "\x00"));
-  (* Gmr count claiming more entries than the payload holds: patch the
-     entry count of the one empty map (after tag and map count). *)
+  (* A map claiming more rows than the payload holds: patch the row count
+     of the one empty map (after tag, map count and width). *)
   let lying =
     let s =
       Bytes.of_string
         (Protocol.encode (Protocol.Map_contents [| Gmr.create () |]))
     in
-    Bytes.set_int32_be s 5 1000l;
+    Bytes.set_int32_be s 7 1000l;
     Bytes.to_string s
   in
-  expect_error "lying entry count" (fun () -> Protocol.decode lying);
+  expect_error_with "lying row count" [ "Map_contents"; "truncated" ] (fun () ->
+      Protocol.decode lying);
+  (* A map's rows share one arity; the encoder refuses one that mixes
+     arities rather than cut its rows to the first row's width. *)
+  let mixed =
+    Gmr.of_list [ ([| Value.Int 1 |], 1.); ([| Value.Int 2; Value.Int 3 |], 1.) ]
+  in
+  expect_error_with "map mixing arities" [ "arity 1 and 2" ] (fun () ->
+      Protocol.encode (Protocol.Deliver ("m", mixed)));
   (* A map count larger than the payload is rejected before the map
      array is allocated: 10 bytes declaring 8,000,000 maps. *)
   let many =
@@ -544,8 +552,10 @@ let test_codec_malformed () =
 (* Low-cardinality string columns must actually ship as dictionary +
    codes (column kind 4), round-trip bit-exactly, and high-cardinality
    columns must stay on the boxed layout (kind 3). The kind byte of the
-   second column sits at a computable offset: tag + entry count (i32) +
-   layout (u8) + width (u16) + column 0's kind (u8) + n unboxed i64s. *)
+   second column sits at a computable offset: tag + map count (i32) +
+   share head (width u16, rows i32, live count u16) + column 0 (position
+   u16, cells i32, kind u8, n unboxed i64s) + column 1's position and
+   cells. *)
 let test_codec_dict_roundtrip () =
   let modes = [| "AIR"; "RAIL"; "MAIL"; "SHIP" |] in
   let g = Gmr.create () in
@@ -553,7 +563,7 @@ let test_codec_dict_roundtrip () =
     Gmr.add g [| Value.Int (k mod 7); Value.String modes.(k mod 4) |] 1.
   done;
   let payload = Protocol.encode (Protocol.Map_contents [| g |]) in
-  let kind_pos n = 1 + 4 + 4 + 1 + 2 + 1 + (8 * n) in
+  let kind_pos n = 1 + 4 + (2 + 4 + 2) + (2 + 4 + 1 + (8 * n)) + (2 + 4) in
   Alcotest.(check char)
     "string column ships dictionary-encoded" '\x04'
     payload.[kind_pos (Gmr.cardinal g)];
@@ -576,53 +586,13 @@ let test_codec_dict_roundtrip () =
         (gmr_bits_equal gh g')
   | _ -> Alcotest.fail "decoded to a different message"
 
-(* Hand-built dictionary frames the encoder would never produce: the
-   strict decoder must reject duplicate dictionary entries and codes
-   outside [0, dict size). *)
-let dict_payload ~entries ~codes =
-  let n = Array.length codes in
-  let b = Buffer.create 64 in
-  Buffer.add_uint8 b 7 (* Map_contents *);
-  Buffer.add_int32_be b 1l (* one map *);
-  Buffer.add_int32_be b (Int32.of_int n);
-  Buffer.add_uint8 b 1 (* columnar layout *);
-  Buffer.add_uint16_be b 1 (* width *);
-  Buffer.add_uint8 b 4 (* dictionary column kind *);
-  Buffer.add_int32_be b (Int32.of_int (Array.length entries));
-  Array.iter
-    (fun s ->
-      Buffer.add_int32_be b (Int32.of_int (String.length s));
-      Buffer.add_string b s)
-    entries;
-  Array.iter (fun c -> Buffer.add_int32_be b (Int32.of_int c)) codes;
-  for _ = 1 to n do
-    Buffer.add_int64_be b (Int64.bits_of_float 1.)
-  done;
-  Buffer.contents b
-
-let test_codec_dict_strict () =
-  (* sanity: a well-formed hand-built dict frame decodes, duplicate rows
-     merging by multiplicity *)
-  (match
-     Protocol.decode (dict_payload ~entries:[| "x"; "y" |] ~codes:[| 0; 1; 0 |])
-   with
-  | Protocol.Map_contents [| g |] ->
-      Alcotest.(check (float 1e-9)) "codes decode through the dictionary" 2.
-        (Gmr.mult g [| Value.String "x" |])
-  | _ -> Alcotest.fail "decoded to a different message");
-  expect_error "duplicate dictionary entry" (fun () ->
-      Protocol.decode (dict_payload ~entries:[| "x"; "x" |] ~codes:[| 0 |]));
-  expect_error "code out of range" (fun () ->
-      Protocol.decode (dict_payload ~entries:[| "x" |] ~codes:[| 0; 1 |]));
-  expect_error "negative code" (fun () ->
-      Protocol.decode (dict_payload ~entries:[| "x" |] ~codes:[| -1 |]))
-
 (* ------------------------------------------------------------------ *)
 (* Batch share frames                                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* The head of a [Run_block] payload for stream "r", block 0, pulling
-   no map, that carries a share. *)
+   no map, that carries a share, and of a [Map_contents] payload
+   carrying one map. *)
 let run_block_head b =
   Buffer.add_uint8 b 4 (* Run_block *);
   Buffer.add_int32_be b 1l;
@@ -631,12 +601,17 @@ let run_block_head b =
   Buffer.add_int32_be b 0l (* pulled maps *);
   Buffer.add_uint8 b 1 (* a share follows *)
 
-(* A hand-built share-carrying [Run_block] payload: [cols] lists
-   (position, declared cell count, kind + payload writer); the
-   multiplicity is the constant 1. *)
-let share_payload ?(width = 3) ?(rows = 2) ?(trailing = "") cols =
+let map_contents_head b =
+  Buffer.add_uint8 b 7 (* Map_contents *);
+  Buffer.add_int32_be b 1l (* one map *)
+
+(* A hand-built payload carrying one share, by default in a
+   [Run_block]: [cols] lists (position, declared cell count, kind +
+   payload writer); the multiplicity is the constant 1. *)
+let share_payload ?(head = run_block_head) ?(width = 3) ?(rows = 2)
+    ?(trailing = "") cols =
   let b = Buffer.create 64 in
-  run_block_head b;
+  head b;
   Buffer.add_uint16_be b width;
   Buffer.add_int32_be b (Int32.of_int rows);
   Buffer.add_uint16_be b (List.length cols);
@@ -666,8 +641,10 @@ let dict_cells entries codes b =
   List.iter (fun c -> Buffer.add_int32_be b (Int32.of_int c)) codes
 
 (* A share ships only its live columns, each tagged with its position,
-   and decodes straight into a typed batch; the strict decoder names the
-   frame for every defect the encoder can never produce. *)
+   and decodes straight into a typed batch; a map is the share of every
+   column and decodes into its rows. One reader serves both, and the
+   strict decoder names the frame for every defect the encoder can never
+   produce. *)
 let test_codec_share_strict () =
   (match
      Protocol.decode
@@ -683,19 +660,50 @@ let test_codec_share_strict () =
       Alcotest.(check (array (float 0.))) "constant multiplicity" [| 1.; 1. |]
         (Colbatch.mults cb)
   | _ -> Alcotest.fail "decoded to a different message");
-  let rejects name sub cols ?width ?rows ?trailing () =
-    expect_error_with name [ "Run_block"; sub ] (fun () ->
-        Protocol.decode (share_payload ?width ?rows ?trailing cols))
+  (* rows are rebuilt in order, so equal rows merge by multiplicity *)
+  (match
+     Protocol.decode
+       (share_payload ~head:map_contents_head
+          [
+            (0, 2, int_cells [ 7; 7 ]);
+            (1, 2, dict_cells [ "x"; "y" ] [ 0; 0 ]);
+            (2, 2, int_cells [ 1; 1 ]);
+          ])
+   with
+  | Protocol.Map_contents [| g |] ->
+      Alcotest.(check int) "one distinct row" 1 (Gmr.cardinal g);
+      Alcotest.(check (float 0.)) "codes decode through the dictionary" 2.
+        (Gmr.mult g [| Value.Int 7; Value.String "x"; Value.Int 1 |])
+  | _ -> Alcotest.fail "decoded to a different message");
+  let rejects ?(map = false) name sub cols ?width ?rows ?trailing () =
+    let head = if map then map_contents_head else run_block_head in
+    expect_error_with name
+      [ (if map then "Map_contents" else "Run_block"); sub ]
+      (fun () ->
+        Protocol.decode (share_payload ~head ?width ?rows ?trailing cols))
   in
   rejects "column index past the stream width" "out of range"
     [ (3, 2, int_cells [ 1; 2 ]) ]
     ();
-  rejects "duplicate column index" "duplicate column index 1"
+  rejects "repeated column index" "column index 1 after 1"
     [ (1, 2, int_cells [ 1; 2 ]); (1, 2, int_cells [ 3; 4 ]) ]
+    ();
+  rejects "column indexes out of order" "column index 0 after 2"
+    [ (2, 2, int_cells [ 1; 2 ]); (0, 2, int_cells [ 3; 4 ]) ]
+    ();
+  rejects ~map:true "map payload with an absent column"
+    "map payload carries 2 of its 3 columns"
+    [ (0, 2, int_cells [ 1; 2 ]); (2, 2, int_cells [ 3; 4 ]) ]
     ();
   rejects "dictionary code out of range" "dictionary code 1 out of range"
     [ (0, 2, dict_cells [ "x" ] [ 0; 1 ]) ]
     ();
+  rejects "negative dictionary code" "dictionary code -1 out of range"
+    [ (0, 2, dict_cells [ "x" ] [ 0; -1 ]) ]
+    ();
+  rejects ~map:true "duplicate dictionary entry" "duplicate dictionary entry"
+    [ (0, 2, dict_cells [ "x"; "x" ] [ 0; 1 ]) ]
+    ~width:1 ();
   rejects "column length differs from the row count" "3 cells for 2 rows"
     [ (0, 3, int_cells [ 1; 2; 3 ]) ]
     ();
@@ -1321,64 +1329,6 @@ let test_engine_backends () =
     in
     has json "\"predicted_ms\"" && has json "\"measured_ms\"")
 
-(* Boxed-vs-unboxed equivalence through the Engine facade: every
-   non-transient store reaches the same state whether the Local executor
-   runs typed columnar batches or generic rows, on all three backends.
-   For the distributed backends the [columnar] knob is a no-op on
-   execution, but both runs cross the new columnar wire layout (and its
-   row-layout fallback on mixed-type columns), so the comparison pins the
-   codec too. *)
-let test_columnar_backend_equiv () =
-  let stream =
-    Tpch.Gen.stream { Tpch.Gen.scale = 0.02; seed = 13 } ~batch_size:500
-  in
-  let backends =
-    [
-      ("local", fun () -> Engine.Local);
-      ("simulated", fun () -> Engine.Simulated (Cluster.config ~workers:2 ()));
-      ( "multiprocess",
-        fun () -> Engine.Multiprocess (Node.config ~workers:2 ()) );
-    ]
-  in
-  List.iter
-    (fun qn ->
-      let w = Workload.find qn in
-      let run backend columnar =
-        let eng =
-          Engine.create
-            ~config:(Engine.config ~backend ~domains:1 ~columnar ())
-            w
-        in
-        Fun.protect
-          ~finally:(fun () -> Engine.shutdown eng)
-          (fun () ->
-            List.iter
-              (fun (rel, b) -> ignore (Engine.apply_batch eng ~rel b))
-              stream;
-            List.filter_map
-              (fun (m : Divm_compiler.Prog.map_decl) ->
-                if m.mkind <> Divm_compiler.Prog.Transient then
-                  Some (m.mname, Engine.map_contents eng m.mname)
-                else None)
-              (Engine.prog eng).Divm_compiler.Prog.maps)
-      in
-      List.iter
-        (fun (bname, mk) ->
-          let unboxed = run (mk ()) true and boxed = run (mk ()) false in
-          List.iter2
-            (fun (n1, g1) (n2, g2) ->
-              Alcotest.(check string) "same map order" n1 n2;
-              (* same computation replayed in a different merge order:
-                 equal within summation-order epsilon *)
-              if not (Gmr.equal ~eps:1e-6 g1 g2) then
-                Alcotest.failf
-                  "%s/%s: store %s differs between columnar and generic \
-                   storage"
-                  qn bname n1)
-            unboxed boxed)
-        backends)
-    Tpch_suite.queries
-
 let test_engine_single_and_load () =
   (* apply_single on a distributed backend is a one-tuple batch; load on a
      distributed backend replays entries incrementally. Both must agree
@@ -1722,8 +1672,6 @@ let suites =
           test_codec_malformed;
         Alcotest.test_case "dict columns round-trip on the wire" `Quick
           test_codec_dict_roundtrip;
-        Alcotest.test_case "dict frames decode strictly" `Quick
-          test_codec_dict_strict;
         Alcotest.test_case "share frames decode strictly" `Quick
           test_codec_share_strict;
         Alcotest.test_case "truncated run rejected before allocating" `Quick
@@ -1734,8 +1682,6 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_node_equiv;
         QCheck_alcotest.to_alcotest qcheck_retraction_equiv;
         Alcotest.test_case "engine backends agree" `Quick test_engine_backends;
-        Alcotest.test_case "columnar on/off stores agree on every backend"
-          `Slow test_columnar_backend_equiv;
         Alcotest.test_case "engine single/load paths" `Quick
           test_engine_single_and_load;
         Alcotest.test_case "stage reconciliation agrees across backends"
