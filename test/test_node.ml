@@ -543,6 +543,21 @@ let test_codec_malformed () =
   let words = alloc_words (fun () -> ignore (Protocol.decode many)) in
   Alcotest.(check bool)
     (Printf.sprintf "map count rejected after allocating %.0f words" words)
+    true (words < 1000.);
+  (* The bound is the empty share's 9 bytes: zeros decode as empty maps,
+     and 8 bytes per declared map are too few for them, so the frame is
+     rejected before a single map is decoded. *)
+  let zeros =
+    let b = Buffer.create 800_016 in
+    Buffer.add_uint8 b 7 (* Map_contents *);
+    Buffer.add_int32_be b 100_000l;
+    Buffer.add_string b (String.make 800_000 '\x00');
+    Buffer.contents b
+  in
+  let words = alloc_words (fun () -> ignore (Protocol.decode zeros)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "100,000 maps in 800,000 bytes rejected after %.0f words"
+       words)
     true (words < 1000.)
 
 (* ------------------------------------------------------------------ *)
