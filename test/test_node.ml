@@ -655,6 +655,45 @@ let dict_cells entries codes b =
     entries;
   List.iter (fun c -> Buffer.add_int32_be b (Int32.of_int c)) codes
 
+(* [rejects name sub cols ()] decodes a hand-built share payload (a
+   [Map_contents] one when [map]) and expects a [Protocol.Error] naming
+   the frame and containing [sub]. *)
+let rejects ?(map = false) name sub cols ?width ?rows ?trailing () =
+  let head = if map then map_contents_head else run_block_head in
+  expect_error_with name
+    [ (if map then "Map_contents" else "Run_block"); sub ]
+    (fun () ->
+      Protocol.decode (share_payload ~head ?width ?rows ?trailing cols))
+
+(* Hand-built dictionary runs the encoder would never produce: the
+   strict decoder must reject duplicate dictionary entries and codes
+   outside [0, dict size), in map payloads and batch shares alike. *)
+let test_codec_dict_strict () =
+  (* sanity: a well-formed hand-built dictionary map decodes, duplicate
+     rows merging by multiplicity *)
+  (match
+     Protocol.decode
+       (share_payload ~head:map_contents_head ~width:1 ~rows:3
+          [ (0, 3, dict_cells [ "x"; "y" ] [ 0; 1; 0 ]) ])
+   with
+  | Protocol.Map_contents [| g |] ->
+      Alcotest.(check (float 1e-9)) "codes decode through the dictionary" 2.
+        (Gmr.mult g [| Value.String "x" |])
+  | _ -> Alcotest.fail "decoded to a different message");
+  rejects ~map:true "duplicate dictionary entry" "duplicate dictionary entry"
+    [ (0, 2, dict_cells [ "x"; "x" ] [ 0; 1 ]) ]
+    ~width:1 ();
+  rejects ~map:true "code out of range" "dictionary code 1 out of range"
+    [ (0, 2, dict_cells [ "x" ] [ 0; 1 ]) ]
+    ~width:1 ();
+  rejects ~map:true "negative code" "dictionary code -1 out of range"
+    [ (0, 2, dict_cells [ "x" ] [ 0; -1 ]) ]
+    ~width:1 ();
+  rejects "negative dictionary code in a batch share"
+    "dictionary code -1 out of range"
+    [ (0, 2, dict_cells [ "x" ] [ 0; -1 ]) ]
+    ()
+
 (* A share ships only its live columns, each tagged with its position,
    and decodes straight into a typed batch; a map is the share of every
    column and decodes into its rows. One reader serves both, and the
@@ -690,13 +729,6 @@ let test_codec_share_strict () =
       Alcotest.(check (float 0.)) "codes decode through the dictionary" 2.
         (Gmr.mult g [| Value.Int 7; Value.String "x"; Value.Int 1 |])
   | _ -> Alcotest.fail "decoded to a different message");
-  let rejects ?(map = false) name sub cols ?width ?rows ?trailing () =
-    let head = if map then map_contents_head else run_block_head in
-    expect_error_with name
-      [ (if map then "Map_contents" else "Run_block"); sub ]
-      (fun () ->
-        Protocol.decode (share_payload ~head ?width ?rows ?trailing cols))
-  in
   rejects "column index past the stream width" "out of range"
     [ (3, 2, int_cells [ 1; 2 ]) ]
     ();
@@ -713,12 +745,6 @@ let test_codec_share_strict () =
   rejects "dictionary code out of range" "dictionary code 1 out of range"
     [ (0, 2, dict_cells [ "x" ] [ 0; 1 ]) ]
     ();
-  rejects "negative dictionary code" "dictionary code -1 out of range"
-    [ (0, 2, dict_cells [ "x" ] [ 0; -1 ]) ]
-    ();
-  rejects ~map:true "duplicate dictionary entry" "duplicate dictionary entry"
-    [ (0, 2, dict_cells [ "x"; "x" ] [ 0; 1 ]) ]
-    ~width:1 ();
   rejects "column length differs from the row count" "3 cells for 2 rows"
     [ (0, 3, int_cells [ 1; 2; 3 ]) ]
     ();
@@ -1687,6 +1713,8 @@ let suites =
           test_codec_malformed;
         Alcotest.test_case "dict columns round-trip on the wire" `Quick
           test_codec_dict_roundtrip;
+        Alcotest.test_case "dict frames decode strictly" `Quick
+          test_codec_dict_strict;
         Alcotest.test_case "share frames decode strictly" `Quick
           test_codec_share_strict;
         Alcotest.test_case "truncated run rejected before allocating" `Quick
