@@ -871,6 +871,25 @@ let quick_queries = [ "Q1"; "Q3"; "Q6"; "Q13"; "Q17"; "Q19"; "Q22" ]
    the perf trajectory stays comparable. *)
 let cli_engine = ref (Engine.config ())
 
+(* One query's quick measurement. Selection-vector rows and index probes
+   are registry deltas around the measured loop, so only the local
+   backend fills them: a distributed coordinator does not see its
+   workers' counters. *)
+type quick_row = {
+  q : string;
+  tps : float;
+  ops_s : float;
+  ops_t : float;
+  wire : int;
+  words_t : float;
+  round_trips : float;
+  selvec_t : float;
+  probes_t : float;
+}
+
+let m_selvec = Obs.Counter.make "divm_selvec_rows_scanned_total"
+let m_probes = Obs.Counter.make "divm_index_probes_total"
+
 let quick () =
   let cfg = !cli_engine in
   let bs = cfg.Engine.batch_size in
@@ -899,6 +918,7 @@ let quick () =
           s.minor_words +. s.major_words -. s.promoted_words
         in
         let words0 = words () in
+        let sv0 = Obs.Counter.value m_selvec and pr0 = Obs.Counter.value m_probes in
         let deadline = Unix.gettimeofday () +. budget in
         (try
            while true do
@@ -916,12 +936,20 @@ let quick () =
            done
          with Exit -> ());
         let alloc = words () -. words0 in
-        Engine.shutdown eng;
-        let tps = float_of_int !tuples /. !wall in
-        let ops_s = float_of_int !ops /. !wall in
         let per x = x /. float_of_int !tuples in
-        let rt = float_of_int !round_trips /. float_of_int !batches in
-        (qn, tps, ops_s, per (float_of_int !ops), !wire, per alloc, rt))
+        let delta c c0 = per (float_of_int (Obs.Counter.value c - c0)) in
+        Engine.shutdown eng;
+        {
+          q = qn;
+          tps = float_of_int !tuples /. !wall;
+          ops_s = float_of_int !ops /. !wall;
+          ops_t = per (float_of_int !ops);
+          wire = !wire;
+          words_t = per alloc;
+          round_trips = float_of_int !round_trips /. float_of_int !batches;
+          selvec_t = delta m_selvec sv0;
+          probes_t = delta m_probes pr0;
+        })
       quick_queries
   in
   let dist = !backend <> "local" in
@@ -930,12 +958,10 @@ let quick () =
       (List.fold_left (fun a r -> a +. log (f r)) 0. results
       /. float_of_int (List.length results))
   in
-  let g_tps = geomean (fun (_, t, _, _, _, _, _) -> t) in
-  let g_ops = geomean (fun (_, _, o, _, _, _, _) -> o) in
+  let g_tps = geomean (fun r -> r.tps) in
+  let g_ops = geomean (fun r -> r.ops_s) in
   (* Actual socket traffic, multiprocess only (0 elsewhere). *)
-  let total_wire =
-    List.fold_left (fun a (_, _, _, _, w, _, _) -> a + w) 0 results
-  in
+  let total_wire = List.fold_left (fun a r -> a + r.wire) 0 results in
   B.print_table
     ~title:
       (Printf.sprintf
@@ -944,32 +970,42 @@ let quick () =
          bs !backend !used_domains)
     ~header:
       ([ "query"; "tuples/s"; "record-ops/s"; "ops/tuple"; "words/tuple" ]
-      @ if dist then [ "round trips/batch" ] else [])
+      @
+      if dist then [ "round trips/batch" ]
+      else [ "selvec rows/tuple"; "probes/tuple" ])
     (List.map
-       (fun (qn, tps, ops_s, opt, _, apt, rt) ->
+       (fun r ->
          [
-           qn;
-           B.fmt_rate tps;
-           B.fmt_rate ops_s;
-           Printf.sprintf "%.1f" opt;
-           Printf.sprintf "%.1f" apt;
+           r.q;
+           B.fmt_rate r.tps;
+           B.fmt_rate r.ops_s;
+           Printf.sprintf "%.1f" r.ops_t;
+           Printf.sprintf "%.1f" r.words_t;
          ]
-         @ if dist then [ Printf.sprintf "%.3f" rt ] else [])
+         @
+         if dist then [ Printf.sprintf "%.3f" r.round_trips ]
+         else
+           [ Printf.sprintf "%.2f" r.selvec_t; Printf.sprintf "%.2f" r.probes_t ])
        results
     @ [
         [ "geomean"; B.fmt_rate g_tps; B.fmt_rate g_ops; "-"; "-" ]
-        @ if dist then [ "-" ] else [];
+        @ if dist then [ "-" ] else [ "-"; "-" ];
       ]);
   let fields =
     String.concat ","
       (List.map
-         (fun (qn, tps, ops_s, opt, wire, apt, rt) ->
+         (fun r ->
            Printf.sprintf
              "\"%s\":{\"tuples_per_s\":%.0f,\"ops_per_s\":%.0f,\"ops_per_tuple\":%.2f,\"alloc_words_per_tuple\":%.2f%s%s}"
-             qn tps ops_s opt apt
-             (if wire > 0 then Printf.sprintf ",\"wire_bytes\":%d" wire else "")
-             (if dist then Printf.sprintf ",\"round_trips_per_batch\":%.4f" rt
-              else ""))
+             r.q r.tps r.ops_s r.ops_t r.words_t
+             (if r.wire > 0 then Printf.sprintf ",\"wire_bytes\":%d" r.wire
+              else "")
+             (if dist then
+                Printf.sprintf ",\"round_trips_per_batch\":%.4f" r.round_trips
+              else
+                Printf.sprintf
+                  ",\"selvec_rows_per_tuple\":%.6g,\"index_probes_per_tuple\":%.6g"
+                  r.selvec_t r.probes_t))
          results)
   in
   Printf.printf

@@ -1,5 +1,5 @@
-(* divm_cluster — run a TPC-H query on a distributed backend and report
-   per-batch metrics.
+(* divm_cluster — run a TPC-H or TPC-DS query on a distributed backend
+   and report per-batch metrics.
 
    --backend simulated (default): the deterministic cluster simulator —
    modeled latency, shuffled bytes, stages. --backend multiprocess: real
@@ -28,9 +28,7 @@ let run query scale repeat stage_json (common : Obs_cli.common) =
     | Engine.Multiprocess nc -> nc.Node.workers
     | Engine.Local -> 1
   in
-  let stream =
-    Tpch.Gen.stream { Tpch.Gen.scale; seed = 42 } ~batch_size:cfg.batch_size
-  in
+  let stream = Workload.stream w ~scale ~seed:42 ~batch_size:cfg.batch_size in
   Printf.printf
     "%s on %d %s workers (opt level %d), batches of %d tuples\n\
      %-10s %8s %9s %9s %8s %7s\n"

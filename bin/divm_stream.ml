@@ -15,19 +15,28 @@ module Obs_cli = Divm_obs_cli.Obs_cli
 
 let run query scale single show_result tbl_dir (common : Obs_cli.common) =
   let cfg = common.engine in
+  (* distributed backends have no single-tuple path: they run one-tuple
+     batches, and their compiler needs pre-aggregation *)
   let cfg =
-    if single then { cfg with Engine.preaggregate = false } else cfg
+    match cfg.backend with
+    | Engine.Local when single -> { cfg with Engine.preaggregate = false }
+    | _ -> cfg
   in
   let eng = Engine.create ~config:cfg (Workload.find query) in
   Obs_cli.activate_engine eng common.opts;
   let w = Engine.workload eng in
   let stream =
     match tbl_dir with
+    | Some _ when Workload.is_tpcds w ->
+        Printf.eprintf
+          "divm_stream: --tbl-dir loads dbgen TPC-H files; %s is a TPC-DS query\n"
+          w.Workload.wname;
+        Engine.shutdown eng;
+        exit 2
     | Some dir ->
         (* real dbgen data: each table arrives as one bulk batch *)
         Tpch.Load.load_dir dir
-    | None ->
-        Tpch.Gen.stream { Tpch.Gen.scale; seed = 42 } ~batch_size:cfg.batch_size
+    | None -> Workload.stream w ~scale ~seed:42 ~batch_size:cfg.batch_size
   in
   let tuples = ref 0 in
   let ops = ref 0 in
@@ -81,7 +90,8 @@ let tbl_t =
 
 let cmd =
   Cmd.v
-    (Cmd.info "divm_stream" ~doc:"Maintain a TPC-H query over an update stream")
+    (Cmd.info "divm_stream"
+       ~doc:"Maintain a TPC-H or TPC-DS query over an update stream")
     Term.(
       const run $ query_t $ scale_t $ single_t $ result_t $ tbl_t
       $ Obs_cli.parse_common ~defaults:(Engine.config ~batch_size:1000 ()) ())

@@ -23,7 +23,6 @@ let one = Const 1.
 let zero = Const 0.
 let const c = Const c
 let is_zero = function Const c -> Float.abs c < Mult.zero_eps | _ -> false
-let is_one = function Const 1. -> true | _ -> false
 let rel rname rvars = Rel { rname; rvars }
 let delta_rel rname rvars = DeltaRel { rname; rvars }
 let map_ mname mvars = Map { mname; mvars }
@@ -334,3 +333,20 @@ and pp_vars ppf vs =
     Schema.pp_var ppf vs
 
 let to_string e = Format.asprintf "%a" pp e
+
+let canon_key ~schema def =
+  let tbl = Hashtbl.create 16 in
+  let counter = ref 0 in
+  let f (v : Schema.var) =
+    match Hashtbl.find_opt tbl v.Schema.name with
+    | Some v' -> v'
+    | None ->
+        let v' = { v with Schema.name = Printf.sprintf "!c%d" !counter } in
+        incr counter;
+        Hashtbl.add tbl v.Schema.name v';
+        v'
+  in
+  let cschema = List.map f schema in
+  let cdef = rename f def in
+  to_string cdef ^ " | "
+  ^ String.concat "," (List.map (fun (v : Schema.var) -> v.name) cschema)

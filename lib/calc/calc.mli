@@ -55,7 +55,6 @@ val value : Vexpr.t -> expr
 val cmp_vars : cmp_op -> Schema.var -> Schema.var -> expr
 
 val is_zero : expr -> bool
-val is_one : expr -> bool
 
 (** {1 Analysis} *)
 
@@ -115,6 +114,12 @@ val pp : Format.formatter -> expr -> unit
 val pp_vars : Format.formatter -> Schema.t -> unit
 
 val to_string : expr -> string
+
+(** [canon_key ~schema def] is a map-reuse key: [schema]'s variables are
+    renamed first (so the key is positional in the map's key order), then
+    every other variable of [def] in traversal order. Alpha-equivalent
+    definitions with positionally-identical schemas get equal keys. *)
+val canon_key : schema:Schema.t -> expr -> string
 
 (** Multiplicity of truth: [of_bool true = 1.], [of_bool false = 0.]. *)
 val eval_cmp : cmp_op -> Value.t -> Value.t -> bool

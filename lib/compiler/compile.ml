@@ -3,9 +3,12 @@ open Divm_calc
 open Divm_calc.Calc
 open Divm_delta
 
-type options = { factorize : bool; preaggregate : bool; max_maps : int }
+type options = { factorize : bool; preaggregate : bool }
 
-let default_options = { factorize = true; preaggregate = true; max_maps = 512 }
+let default_options = { factorize = true; preaggregate = true }
+
+(* safety bound on recursive materialization *)
+let max_maps = 512
 
 type mode = Recursive | Classical
 
@@ -22,37 +25,16 @@ type st = {
 
 let is_stream st r = List.mem_assoc r st.streams
 
-(* Canonical key for map reuse: rename schema vars first (so the key is
-   positional in the map's key order), then every other variable in traversal
-   order. Alpha-equivalent definitions with positionally-identical schemas
-   collide. *)
-let canon_key ~schema def =
-  let tbl = Hashtbl.create 16 in
-  let counter = ref 0 in
-  let f (v : Schema.var) =
-    match Hashtbl.find_opt tbl v.Schema.name with
-    | Some v' -> v'
-    | None ->
-        let v' = { v with Schema.name = Printf.sprintf "!c%d" !counter } in
-        incr counter;
-        Hashtbl.add tbl v.Schema.name v';
-        v'
-  in
-  let cschema = List.map f schema in
-  let cdef = Calc.rename f def in
-  Calc.to_string cdef ^ " | "
-  ^ String.concat "," (List.map (fun (v : Schema.var) -> v.name) cschema)
-
 let fresh st hint =
   st.counter <- st.counter + 1;
   Printf.sprintf "%s_%d" hint st.counter
 
 let declare st ~kind ~hint ~schema ~def =
-  let key = canon_key ~schema def in
+  let key = Calc.canon_key ~schema def in
   match Hashtbl.find_opt st.canon key with
   | Some name -> name
   | None ->
-      if List.length st.maps >= st.opts.max_maps then
+      if List.length st.maps >= max_maps then
         failwith "Compile: materialized map limit exceeded";
       let name = fresh st hint in
       let decl =
@@ -512,7 +494,7 @@ let declare_queries st queries =
       in
       st.maps <- decl :: st.maps;
       st.worklist <- decl :: st.worklist;
-      Hashtbl.replace st.canon (canon_key ~schema def) qn;
+      Hashtbl.replace st.canon (Calc.canon_key ~schema def) qn;
       (qn, qn))
     queries
 
@@ -559,7 +541,7 @@ let compile_reeval ~streams queries =
      base map at all. *)
   List.iter
     (fun (_, def) ->
-      Hashtbl.remove st.canon (canon_key ~schema:(Calc.schema def) def))
+      Hashtbl.remove st.canon (Calc.canon_key ~schema:(Calc.schema def) def))
     queries;
   st.worklist <- [];
   List.iter (fun (_, def) -> ignore (subst_base st def)) queries;

@@ -27,7 +27,6 @@ type options = {
           (true in the paper; false only for the ablation bench) *)
   preaggregate : bool;
       (** insert batch pre-aggregation statements (§3.3) *)
-  max_maps : int;  (** safety bound on recursive materialization *)
 }
 
 val default_options : options

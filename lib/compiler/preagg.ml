@@ -19,24 +19,6 @@ let attachable rvars f =
   | Cmp _ | Value _ -> Schema.subset (Calc.all_vars f) rvars
   | _ -> false
 
-(* Positional canonicalization, mirroring Compile.canon_key. *)
-let canon_string ~schema def =
-  let tbl = Hashtbl.create 16 in
-  let counter = ref 0 in
-  let f (v : Schema.var) =
-    match Hashtbl.find_opt tbl v.Schema.name with
-    | Some v' -> v'
-    | None ->
-        let v' = { v with Schema.name = Printf.sprintf "!c%d" !counter } in
-        incr counter;
-        Hashtbl.add tbl v.Schema.name v';
-        v'
-  in
-  let cschema = List.map f schema in
-  let cdef = Calc.rename f def in
-  Calc.to_string cdef ^ " | "
-  ^ String.concat "," (List.map (fun (v : Schema.var) -> v.name) cschema)
-
 (* Can [e] be pre-aggregated standalone? It must read the batch (so there
    is something to pre-aggregate), touch no stores or base relations (so it
    is computable from the batch alone), and be closed (no free input
@@ -62,7 +44,7 @@ let apply (prog : Prog.t) =
         let cache : (string, string * Schema.t) Hashtbl.t = Hashtbl.create 8 in
         let transients = ref [] in
         let intern def schema =
-          let key = canon_string ~schema def in
+          let key = Calc.canon_key ~schema def in
           match Hashtbl.find_opt cache key with
           | Some (n, u) -> (n, u)
           | None ->

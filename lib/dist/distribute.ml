@@ -462,7 +462,11 @@ let compile_stmt st (s : Prog.stmt) =
   in
   if is_delta_def then [ Dprog.Compute s ]
   else begin
-    assert (Calc.delta_rels s.rhs = []);
+    if Calc.delta_rels s.rhs <> [] then
+      invalid_arg
+        ("Distribute: statement of " ^ s.target
+       ^ " reads the update batch directly; the distributed compiler needs \
+          batch pre-aggregation (compile with preaggregate)");
     match best_plan st ~depth:0 s with
     | Some (_, dstmts) -> dstmts
     | None -> (

@@ -30,6 +30,8 @@ type options = {
 val default_options : options
 
 (** [compile ~catalog prog] requires [prog] to be pre-aggregated (no raw
-    delta atom outside transient definitions). The catalog gives locations
-    for [prog]'s maps; locations for transfer transients are added. *)
+    delta atom outside transient definitions) and raises [Invalid_argument]
+    naming the offending statement's target otherwise. The catalog gives
+    locations for [prog]'s maps; locations for transfer transients are
+    added. *)
 val compile : ?options:options -> catalog:Loc.catalog -> Prog.t -> Dprog.t

@@ -33,9 +33,9 @@ let m_probes_saved = Obs.Counter.make "divm_probes_saved_total"
 
 (* Selection-vector kernels: rows examined by columnar filter passes and
    rows that survived them (the survivor-vector length after the last
-   pass). Scanned counts every pass — a member with two hoisted filters
-   charges the dense pass over the range plus the refine pass over the
-   first pass's survivors. *)
+   pass). Scanned counts every pass's input — a member with two hoisted
+   filters charges the first pass over the range plus the second pass
+   over the first pass's survivors. *)
 let m_selvec_scanned = Obs.Counter.make "divm_selvec_rows_scanned_total"
 let m_selvec_selected = Obs.Counter.make "divm_selvec_rows_selected_total"
 
@@ -113,37 +113,42 @@ let slots_of l vars = Array.of_list (List.map (slot l) vars)
 (* Value expression compilation                                        *)
 (* ------------------------------------------------------------------ *)
 
-let rec compile_vexpr l (v : Vexpr.t) : env -> Value.t =
+(* [var] compiles a variable read over whatever the closures receive:
+   env slots on the generic route, the current grouped row and the
+   auxiliary slots in a vectorized member. *)
+let rec compile_vexpr (var : Schema.var -> 'e -> Value.t) (v : Vexpr.t) :
+    'e -> Value.t =
   match v with
   | Vexpr.Const c -> fun _ -> c
-  | Vexpr.Var x ->
-      let s = slot l x in
-      fun env -> env.(s)
-  | Vexpr.Add (a, b) -> bin l Value.add a b
-  | Vexpr.Sub (a, b) -> bin l Value.sub a b
-  | Vexpr.Mul (a, b) -> bin l Value.mul a b
-  | Vexpr.Div (a, b) -> bin l Value.div a b
+  | Vexpr.Var x -> var x
+  | Vexpr.Add (a, b) -> bin var Value.add a b
+  | Vexpr.Sub (a, b) -> bin var Value.sub a b
+  | Vexpr.Mul (a, b) -> bin var Value.mul a b
+  | Vexpr.Div (a, b) -> bin var Value.div a b
   | Vexpr.Neg a ->
-      let ca = compile_vexpr l a in
-      fun env -> Value.neg (ca env)
+      let ca = compile_vexpr var a in
+      fun e -> Value.neg (ca e)
   | Vexpr.Floor a ->
-      let ca = compile_vexpr l a in
-      fun env ->
-        Value.Int (int_of_float (Float.floor (Value.to_float (ca env))))
+      let ca = compile_vexpr var a in
+      fun e -> Value.Int (int_of_float (Float.floor (Value.to_float (ca e))))
   | Vexpr.Min (a, b) ->
-      let ca = compile_vexpr l a and cb = compile_vexpr l b in
-      fun env ->
-        let x = ca env and y = cb env in
+      let ca = compile_vexpr var a and cb = compile_vexpr var b in
+      fun e ->
+        let x = ca e and y = cb e in
         if Value.compare x y <= 0 then x else y
   | Vexpr.Max (a, b) ->
-      let ca = compile_vexpr l a and cb = compile_vexpr l b in
-      fun env ->
-        let x = ca env and y = cb env in
+      let ca = compile_vexpr var a and cb = compile_vexpr var b in
+      fun e ->
+        let x = ca e and y = cb e in
         if Value.compare x y >= 0 then x else y
 
-and bin l op a b =
-  let ca = compile_vexpr l a and cb = compile_vexpr l b in
-  fun env -> op (ca env) (cb env)
+and bin var op a b =
+  let ca = compile_vexpr var a and cb = compile_vexpr var b in
+  fun e -> op (ca e) (cb e)
+
+let env_var l x =
+  let s = slot l x in
+  fun (env : env) -> env.(s)
 
 (* ------------------------------------------------------------------ *)
 (* Atom compilation                                                    *)
@@ -253,6 +258,38 @@ let pool rt name =
   | Some p -> p
   | None -> invalid_arg ("Runtime: unknown map " ^ name)
 
+(* A nested aggregate over bound variables only: sum [cq]'s results and
+   hand the total to [each]. *)
+let summed (cq : code) each : code =
+  fun env k ->
+    let total = ref 0. in
+    cq env (fun m -> total := !total +. m);
+    each env k !total
+
+(* A nested aggregate with output variables in [slots]: group [cq]'s
+   results by them, then per group bind the key back into the env, count
+   one op and call [each]. The temp table and scratch key live as long
+   as the compiled closure: invocations of one closure never overlap, so
+   [clear]-and-reuse replaces a fresh table per evaluation, and
+   [add_borrow] copies the scratch key only on a group's first insert. *)
+let grouped ops slots (cq : code) each : code =
+  let w = Array.length slots in
+  let scratch = Array.make w (Value.Int 0) in
+  let temp = Gmr.create () in
+  fun env k ->
+    Gmr.clear temp;
+    cq env (fun m ->
+        for j = 0 to w - 1 do
+          Array.unsafe_set scratch j env.(Array.unsafe_get slots j)
+        done;
+        Gmr.add_borrow temp scratch m);
+    Gmr.iter
+      (fun key m ->
+        Obs.Counter.incr ops;
+        Array.iteri (fun j s -> env.(s) <- key.(j)) slots;
+        each env k m)
+      temp
+
 type mode = Batch | Single
 
 let rec compile_expr (rt : t) ~mode ~bound l (e : expr) : code =
@@ -260,13 +297,14 @@ let rec compile_expr (rt : t) ~mode ~bound l (e : expr) : code =
   match e with
   | Const c -> fun _ k -> k c
   | Value v ->
-      let cv = compile_vexpr l v in
+      let cv = compile_vexpr (env_var l) v in
       fun env k ->
         Obs.Counter.incr ops;
         let x = Value.to_float (cv env) in
         if x <> 0. then k x
   | Cmp (op, a, b) ->
-      let ca = compile_vexpr l a and cb = compile_vexpr l b in
+      let ca = compile_vexpr (env_var l) a
+      and cb = compile_vexpr (env_var l) b in
       fun env k ->
         Obs.Counter.incr ops;
         if Calc.eval_cmp op (ca env) (cb env) then k 1.
@@ -306,101 +344,34 @@ let rec compile_expr (rt : t) ~mode ~bound l (e : expr) : code =
   | Sum (gb, q) ->
       let out = List.filter (fun v -> not (Schema.mem v bound)) gb in
       let cq = compile_expr rt ~mode ~bound l q in
-      let out_slots = slots_of l out in
-      if out = [] then (fun env k ->
-        let total = ref 0. in
-        cq env (fun m -> total := !total +. m);
-        if Float.abs !total >= Gmr.zero_eps then k !total)
-      else begin
-        (* temp group and scratch key allocated once per compiled closure:
-           invocations of one closure never overlap, so [clear]-and-reuse
-           replaces a fresh table per evaluation, and [add_borrow] copies
-           the scratch key only on first insert of a group *)
-        let ow = Array.length out_slots in
-        let scratch = Array.make ow (Value.Int 0) in
-        let temp = Gmr.create () in
-        fun env k ->
-          Gmr.clear temp;
-          cq env (fun m ->
-              for j = 0 to ow - 1 do
-                Array.unsafe_set scratch j env.(Array.unsafe_get out_slots j)
-              done;
-              Gmr.add_borrow temp scratch m);
-          Gmr.iter
-            (fun key m ->
-              Obs.Counter.incr ops;
-              Array.iteri (fun j s -> env.(s) <- key.(j)) out_slots;
-              k m)
-            temp
-      end
+      if out = [] then
+        summed cq (fun _ k t -> if Float.abs t >= Gmr.zero_eps then k t)
+      else grouped ops (slots_of l out) cq (fun _ k m -> k m)
   | Exists q ->
       let qsch = Calc.schema ~bound q in
       let cq = compile_expr rt ~mode ~bound l q in
-      if qsch = [] then (fun env k ->
-        let total = ref 0. in
-        cq env (fun m -> total := !total +. m);
-        if Float.abs !total >= Gmr.zero_eps then k 1.)
-      else begin
-        let q_slots = slots_of l qsch in
-        let qw = Array.length q_slots in
-        let scratch = Array.make qw (Value.Int 0) in
-        let temp = Gmr.create () in
-        fun env k ->
-          Gmr.clear temp;
-          cq env (fun m ->
-              for j = 0 to qw - 1 do
-                Array.unsafe_set scratch j env.(Array.unsafe_get q_slots j)
-              done;
-              Gmr.add_borrow temp scratch m);
-          Gmr.iter
-            (fun key _m ->
-              Obs.Counter.incr ops;
-              Array.iteri (fun j s -> env.(s) <- key.(j)) q_slots;
-              k 1.)
-            temp
-      end
+      if qsch = [] then
+        summed cq (fun _ k t -> if Float.abs t >= Gmr.zero_eps then k 1.)
+      else grouped ops (slots_of l qsch) cq (fun _ k _ -> k 1.)
   | Lift (v, q) ->
       let qsch = Calc.schema ~bound q in
       let cq = compile_expr rt ~mode ~bound l q in
       let v_bound = Schema.mem v bound in
       let v_slot = slot l v in
+      let lift env k m =
+        if v_bound then begin
+          if Value.compare_approx env.(v_slot) (Value.Float m) = 0 then k 1.
+        end
+        else begin
+          env.(v_slot) <- Value.Float m;
+          k 1.
+        end
+      in
       if qsch = [] then
-        fun env k ->
-          let total = ref 0. in
-          cq env (fun m -> total := !total +. m);
-          Obs.Counter.incr ops;
-          if v_bound then begin
-            if Value.compare_approx env.(v_slot) (Value.Float !total) = 0 then k 1.
-          end
-          else begin
-            env.(v_slot) <- Value.Float !total;
-            k 1.
-          end
-      else begin
-        let q_slots = slots_of l qsch in
-        let qw = Array.length q_slots in
-        let scratch = Array.make qw (Value.Int 0) in
-        let temp = Gmr.create () in
-        fun env k ->
-          Gmr.clear temp;
-          cq env (fun m ->
-              for j = 0 to qw - 1 do
-                Array.unsafe_set scratch j env.(Array.unsafe_get q_slots j)
-              done;
-              Gmr.add_borrow temp scratch m);
-          Gmr.iter
-            (fun key m ->
-              Obs.Counter.incr ops;
-              Array.iteri (fun j s -> env.(s) <- key.(j)) q_slots;
-              if v_bound then begin
-                if Value.compare_approx env.(v_slot) (Value.Float m) = 0 then k 1.
-              end
-              else begin
-                env.(v_slot) <- Value.Float m;
-                k 1.
-              end)
-            temp
-      end
+        summed cq (fun env k t ->
+            Obs.Counter.incr ops;
+            lift env k t)
+      else grouped ops (slots_of l qsch) cq lift
 
 (* ------------------------------------------------------------------ *)
 (* Statement compilation                                               *)
@@ -1044,39 +1015,23 @@ let ftest : Calc.cmp_op -> float -> float -> bool = function
   | Calc.Gt -> fun x y -> fcmp x y > 0
   | Calc.Gte -> fun x y -> fcmp x y >= 0
 
-(* Packed-survivor loops. The dense pass scans rows [lo, lo+len),
-   writing each index unconditionally and advancing the cursor only on a
-   pass (no branch around the store); the refine pass re-tests a packed
-   vector in place (the write cursor never overtakes the read cursor). *)
-let pack dense lo len (sel : int array) (pass : int -> bool) =
-  let k = ref 0 in
-  if dense then
-    for i = lo to lo + len - 1 do
-      Array.unsafe_set sel !k i;
-      k := !k + Bool.to_int (pass i)
-    done
-  else
-    for j = 0 to len - 1 do
+(* A built kernel re-tests the packed row vector [sel] in place over its
+   first [n] entries and returns the survivor count: each index is
+   written unconditionally and the write cursor advances only on a pass
+   (no branch around the store, and it never overtakes the read cursor).
+   Built once per batch from the current columns ([prep_inst]); these
+   loops are the only code that runs per group. *)
+type kern = int -> int array -> int
+
+let kern_of_pass (pass : int -> bool) : kern =
+  fun n sel ->
+    let k = ref 0 in
+    for j = 0 to n - 1 do
       let i = Array.unsafe_get sel j in
       Array.unsafe_set sel !k i;
       k := !k + Bool.to_int (pass i)
     done;
-  !k
-
-(* A built kernel: the dense pass scans a row range into [sel], the
-   refine pass re-tests a packed vector in place. Built once per batch
-   from the current columns ([prep_inst]); the hot loops below are the
-   only code that runs per group. *)
-type kern = {
-  kdense : int -> int -> int array -> int; (* lo len sel -> survivors *)
-  krefine : int -> int array -> int; (* n sel -> survivors *)
-}
-
-let kern_of_pass (pass : int -> bool) =
-  {
-    kdense = (fun lo len sel -> pack true lo len sel pass);
-    krefine = (fun n sel -> pack false 0 n sel pass);
-  }
+    !k
 
 (* Comparator encoded as a 3-bit mask over the comparison's sign
    (bit 0: <, bit 1: =, bit 2: >), so one loop body serves all six
@@ -1092,124 +1047,67 @@ let sign_mask = function
 (* Fully-specialized loops for the hottest kernel shape — an unboxed
    numeric column against a constant: direct array load, direct [fcmp]
    call, mask test, branchless store. *)
-let kern_float_const (a : float array) op (v : float) =
+let kern_float_const (a : float array) op (v : float) : kern =
   let mask = sign_mask op in
-  {
-    kdense =
-      (fun lo len sel ->
-        let k = ref 0 in
-        for i = lo to lo + len - 1 do
-          Array.unsafe_set sel !k i;
-          let c = fcmp (Array.unsafe_get a i) v in
-          let s = Bool.to_int (c >= 0) + Bool.to_int (c > 0) in
-          k := !k + ((mask lsr s) land 1)
-        done;
-        !k);
-    krefine =
-      (fun n sel ->
-        let k = ref 0 in
-        for j = 0 to n - 1 do
-          let i = Array.unsafe_get sel j in
-          Array.unsafe_set sel !k i;
-          let c = fcmp (Array.unsafe_get a i) v in
-          let s = Bool.to_int (c >= 0) + Bool.to_int (c > 0) in
-          k := !k + ((mask lsr s) land 1)
-        done;
-        !k);
-  }
+  fun n sel ->
+    let k = ref 0 in
+    for j = 0 to n - 1 do
+      let i = Array.unsafe_get sel j in
+      Array.unsafe_set sel !k i;
+      let c = fcmp (Array.unsafe_get a i) v in
+      let s = Bool.to_int (c >= 0) + Bool.to_int (c > 0) in
+      k := !k + ((mask lsr s) land 1)
+    done;
+    !k
 
-let kern_int_const (a : int array) op (v : float) =
+let kern_int_const (a : int array) op (v : float) : kern =
   let mask = sign_mask op in
-  {
-    kdense =
-      (fun lo len sel ->
-        let k = ref 0 in
-        for i = lo to lo + len - 1 do
-          Array.unsafe_set sel !k i;
-          let c = fcmp (float_of_int (Array.unsafe_get a i)) v in
-          let s = Bool.to_int (c >= 0) + Bool.to_int (c > 0) in
-          k := !k + ((mask lsr s) land 1)
-        done;
-        !k);
-    krefine =
-      (fun n sel ->
-        let k = ref 0 in
-        for j = 0 to n - 1 do
-          let i = Array.unsafe_get sel j in
-          Array.unsafe_set sel !k i;
-          let c = fcmp (float_of_int (Array.unsafe_get a i)) v in
-          let s = Bool.to_int (c >= 0) + Bool.to_int (c > 0) in
-          k := !k + ((mask lsr s) land 1)
-        done;
-        !k);
-  }
+  fun n sel ->
+    let k = ref 0 in
+    for j = 0 to n - 1 do
+      let i = Array.unsafe_get sel j in
+      Array.unsafe_set sel !k i;
+      let c = fcmp (float_of_int (Array.unsafe_get a i)) v in
+      let s = Bool.to_int (c >= 0) + Bool.to_int (c > 0) in
+      k := !k + ((mask lsr s) land 1)
+    done;
+    !k
 
 (* Band kernels: two constant comparisons against the same column fused
    into one pass — one load serves both tests (ranges like
    [lo <= x < hi] are the common shape: date windows, BETWEEN). *)
-let kern_float_const2 (a : float array) op1 (v1 : float) op2 (v2 : float) =
+let kern_float_const2 (a : float array) op1 (v1 : float) op2 (v2 : float) :
+    kern =
   let m1 = sign_mask op1 and m2 = sign_mask op2 in
-  {
-    kdense =
-      (fun lo len sel ->
-        let k = ref 0 in
-        for i = lo to lo + len - 1 do
-          Array.unsafe_set sel !k i;
-          let x = Array.unsafe_get a i in
-          let c1 = fcmp x v1 in
-          let s1 = Bool.to_int (c1 >= 0) + Bool.to_int (c1 > 0) in
-          let c2 = fcmp x v2 in
-          let s2 = Bool.to_int (c2 >= 0) + Bool.to_int (c2 > 0) in
-          k := !k + ((m1 lsr s1) land (m2 lsr s2) land 1)
-        done;
-        !k);
-    krefine =
-      (fun n sel ->
-        let k = ref 0 in
-        for j = 0 to n - 1 do
-          let i = Array.unsafe_get sel j in
-          Array.unsafe_set sel !k i;
-          let x = Array.unsafe_get a i in
-          let c1 = fcmp x v1 in
-          let s1 = Bool.to_int (c1 >= 0) + Bool.to_int (c1 > 0) in
-          let c2 = fcmp x v2 in
-          let s2 = Bool.to_int (c2 >= 0) + Bool.to_int (c2 > 0) in
-          k := !k + ((m1 lsr s1) land (m2 lsr s2) land 1)
-        done;
-        !k);
-  }
+  fun n sel ->
+    let k = ref 0 in
+    for j = 0 to n - 1 do
+      let i = Array.unsafe_get sel j in
+      Array.unsafe_set sel !k i;
+      let x = Array.unsafe_get a i in
+      let c1 = fcmp x v1 in
+      let s1 = Bool.to_int (c1 >= 0) + Bool.to_int (c1 > 0) in
+      let c2 = fcmp x v2 in
+      let s2 = Bool.to_int (c2 >= 0) + Bool.to_int (c2 > 0) in
+      k := !k + ((m1 lsr s1) land (m2 lsr s2) land 1)
+    done;
+    !k
 
-let kern_int_const2 (a : int array) op1 (v1 : float) op2 (v2 : float) =
+let kern_int_const2 (a : int array) op1 (v1 : float) op2 (v2 : float) : kern =
   let m1 = sign_mask op1 and m2 = sign_mask op2 in
-  {
-    kdense =
-      (fun lo len sel ->
-        let k = ref 0 in
-        for i = lo to lo + len - 1 do
-          Array.unsafe_set sel !k i;
-          let x = float_of_int (Array.unsafe_get a i) in
-          let c1 = fcmp x v1 in
-          let s1 = Bool.to_int (c1 >= 0) + Bool.to_int (c1 > 0) in
-          let c2 = fcmp x v2 in
-          let s2 = Bool.to_int (c2 >= 0) + Bool.to_int (c2 > 0) in
-          k := !k + ((m1 lsr s1) land (m2 lsr s2) land 1)
-        done;
-        !k);
-    krefine =
-      (fun n sel ->
-        let k = ref 0 in
-        for j = 0 to n - 1 do
-          let i = Array.unsafe_get sel j in
-          Array.unsafe_set sel !k i;
-          let x = float_of_int (Array.unsafe_get a i) in
-          let c1 = fcmp x v1 in
-          let s1 = Bool.to_int (c1 >= 0) + Bool.to_int (c1 > 0) in
-          let c2 = fcmp x v2 in
-          let s2 = Bool.to_int (c2 >= 0) + Bool.to_int (c2 > 0) in
-          k := !k + ((m1 lsr s1) land (m2 lsr s2) land 1)
-        done;
-        !k);
-  }
+  fun n sel ->
+    let k = ref 0 in
+    for j = 0 to n - 1 do
+      let i = Array.unsafe_get sel j in
+      Array.unsafe_set sel !k i;
+      let x = float_of_int (Array.unsafe_get a i) in
+      let c1 = fcmp x v1 in
+      let s1 = Bool.to_int (c1 >= 0) + Bool.to_int (c1 > 0) in
+      let c2 = fcmp x v2 in
+      let s2 = Bool.to_int (c2 >= 0) + Bool.to_int (c2 > 0) in
+      k := !k + ((m1 lsr s1) land (m2 lsr s2) land 1)
+    done;
+    !k
 
 (* Row predicates specialized on the column's physical representation
    and the comparator: the representation/op dispatch happens once per
@@ -1277,7 +1175,7 @@ let pass_col_str (cache : (Colbatch.dict * bool array) option ref)
    grouped loop pays no per-group dispatch or closure allocation.
    [gm_sel] is the member's packed survivor index vector (grown on
    demand); [gm_cnt] is the survivor count after the last kernel pass,
-   or -1 when the member runs dense (it has no kernels). *)
+   or -1 when the member runs every row (it has no kernels). *)
 type gmember = {
   gm_run : unit -> unit;
   gm_kerns : (unit -> kern) array;
@@ -1411,40 +1309,10 @@ let bind_instance (rt : t) ~(shape : gshape) ~buffered (ps : vplan list) :
           let i = aux_slot n in
           fun () -> aux_arr.(i)
     in
-    let reader_of_var (v : Schema.var) =
-      match pos_of v.name with
-      | Some c -> reader_of (VSrc c)
-      | None -> reader_of (VAux v.name)
-    in
-    (* value expressions over bound columns, resolved at bind time *)
-    let rec compile_ve (ve : Vexpr.t) : unit -> Value.t =
-      match ve with
-      | Vexpr.Const c -> fun () -> c
-      | Vexpr.Var x -> reader_of_var x
-      | Vexpr.Add (a, b) -> vbin Value.add a b
-      | Vexpr.Sub (a, b) -> vbin Value.sub a b
-      | Vexpr.Mul (a, b) -> vbin Value.mul a b
-      | Vexpr.Div (a, b) -> vbin Value.div a b
-      | Vexpr.Neg a ->
-          let ca = compile_ve a in
-          fun () -> Value.neg (ca ())
-      | Vexpr.Floor a ->
-          let ca = compile_ve a in
-          fun () ->
-            Value.Int (int_of_float (Float.floor (Value.to_float (ca ()))))
-      | Vexpr.Min (a, b) ->
-          let ca = compile_ve a and cb = compile_ve b in
-          fun () ->
-            let x = ca () and y = cb () in
-            if Value.compare x y <= 0 then x else y
-      | Vexpr.Max (a, b) ->
-          let ca = compile_ve a and cb = compile_ve b in
-          fun () ->
-            let x = ca () and y = cb () in
-            if Value.compare x y >= 0 then x else y
-    and vbin op a b =
-      let ca = compile_ve a and cb = compile_ve b in
-      fun () -> op (ca ()) (cb ())
+    let compile_ve =
+      compile_vexpr (fun (v : Schema.var) ->
+          reader_of
+            (match pos_of v.name with Some c -> VSrc c | None -> VAux v.name))
     in
     (* Float-specialized compilation: statically numeric expressions
        evaluate as raw floats, so hot filters and weights never box a
@@ -1730,41 +1598,26 @@ let bind_instance (rt : t) ~(shape : gshape) ~buffered (ps : vplan list) :
               fun m ->
                 let x = Value.to_float (cv ()) in
                 if x <> 0. then next (m *. x))
-      | VSlice _ :: _ -> assert false
-    in
-    let pre, sliced =
-      let rec split acc = function
-        | [] -> (List.rev acc, None)
-        | VSlice sl :: post -> (List.rev acc, Some (sl, post))
-        | st :: tl -> split (st :: acc) tl
-      in
-      split [] steps
-    in
-    let body =
-      match sliced with
-      | None -> chain pre emit
-      | Some (sl, post) ->
+      | VSlice sl :: tl ->
+          (* one op per cached slice row: bind its outputs, run the rest *)
           let gs = gslice_for sl in
           gs.gs_uses <- gs.gs_uses + 1;
-          let out_slots =
+          let outs =
             Array.of_list
               (List.map (fun (v : Schema.var) -> aux_slot v.name) sl.sl_outs)
-          in
-          let opos = sl.sl_opos in
-          let now = Array.length out_slots in
-          let postk = chain post emit in
-          let inner m =
+          and opos = sl.sl_opos
+          and next = chain tl k in
+          fun m ->
             for j = 0 to gs.gs_n - 1 do
               Obs.Counter.incr ops;
               let key = gs.gs_keys.(j) in
-              for x = 0 to now - 1 do
-                aux_arr.(out_slots.(x)) <- key.(opos.(x))
+              for x = 0 to Array.length outs - 1 do
+                aux_arr.(outs.(x)) <- key.(opos.(x))
               done;
-              postk (m *. gs.gs_ms.(j))
+              next (m *. gs.gs_ms.(j))
             done
-          in
-          chain pre inner
     in
+    let body = chain steps emit in
     let sign = p.vp_sign in
     let exists = p.vp_source.vs_exists in
     let clear = p.vp_stmt.op = Prog.Assign in
@@ -1842,63 +1695,35 @@ let prep_inst (inst : ginst) =
         m.gm_passes <- Array.map (fun build -> build ()) m.gm_kerns)
     inst.gi_members
 
-(* Run member [m]'s kernel pipeline over rows [lo, lo+len): a dense
-   first pass, then in-place refines over the survivors. Leaves the
-   survivor count in [gm_cnt] and returns the (rows scanned, rows
+(* Run member [m]'s kernel pipeline over rows [lo, lo+len): write the
+   range into [gm_sel], then let every pass refine it in place. Leaves
+   the survivor count in [gm_cnt] and returns the (rows scanned, rows
    selected) tallies — scanned counts every pass's input rows, selected
    the final survivor-vector length. *)
 let run_kerns (m : gmember) lo len =
   if Array.length m.gm_sel < len then m.gm_sel <- Array.make (max 1024 len) 0;
   let sel = m.gm_sel in
+  for j = 0 to len - 1 do
+    Array.unsafe_set sel j (lo + j)
+  done;
   let passes = m.gm_passes in
-  let scanned = ref len in
-  let c = ref ((Array.unsafe_get passes 0).kdense lo len sel) in
-  for ki = 1 to Array.length passes - 1 do
+  let scanned = ref 0 and c = ref len in
+  for ki = 0 to Array.length passes - 1 do
     scanned := !scanned + !c;
-    c := (Array.unsafe_get passes ki).krefine !c sel
+    c := (Array.unsafe_get passes ki) !c sel
   done;
   m.gm_cnt <- !c;
   (!scanned, !c)
-
-(* Run one instance straight over source rows [lo, hi) (the no-access
-   fast path: nothing to resolve per group). Members with hoisted filter
-   kernels scan their columns into packed survivor vectors first and
-   fire the per-row chain only over survivors; kernel-less members
-   iterate densely. Member-major order is sound for fused groups for
-   the same reason fusion itself is ([fuse_ok]): no member reads another
-   member's target while the group runs. Returns the (rows scanned,
-   rows selected) kernel tallies. *)
-let run_rows (inst : ginst) lo hi =
-  let ctx = inst.gi_ctx in
-  let members = inst.gi_members in
-  let svscan = ref 0 and svsel = ref 0 in
-  for mi = 0 to Array.length members - 1 do
-    let m = members.(mi) in
-    if Array.length m.gm_kerns = 0 then
-      for r = lo to hi - 1 do
-        ctx.vc_row <- r;
-        m.gm_run ()
-      done
-    else begin
-      let sc, se = run_kerns m lo (hi - lo) in
-      svscan := !svscan + sc;
-      svsel := !svsel + se;
-      let sel = m.gm_sel in
-      for j = 0 to m.gm_cnt - 1 do
-        ctx.vc_row <- Array.unsafe_get sel j;
-        m.gm_run ()
-      done
-    end
-  done;
-  (!svscan, !svsel)
 
 (* Run one instance over key groups [glo, ghi): run the selection
    kernels first, resolve the shared accessors once per group, then fire
    members over their survivors (kernel-less members over every row).
    When every member has kernels and nothing survives the group, the
    accessors are never resolved at all — the whole group is skipped
-   before a single probe. Returns (probes saved, rows scanned, rows
-   selected) for the range. *)
+   before a single probe. Member-major order within a group is sound for
+   fused groups for the same reason fusion itself is ([fuse_ok]): no
+   member reads another member's target while the group runs. Returns
+   (probes saved, rows scanned, rows selected) for the range. *)
 let run_groups (inst : ginst) starts glo ghi =
   let ctx = inst.gi_ctx in
   let members = inst.gi_members in
@@ -1998,24 +1823,21 @@ let plans_have_access (ps : vplan list) =
       || List.exists (function VSlice _ -> true | _ -> false) p.vp_steps)
     ps
 
-(* [d] contiguous instance ranges: source rows split evenly, or key
-   groups balanced by row count (a group must not split: its accessors
-   resolve once). *)
-let ranges d ~rows = function
-  | None -> Array.init (d + 1) (fun di -> di * rows / d)
-  | Some starts ->
-      let ng = Array.length starts - 1 in
-      let bounds = Array.make (d + 1) ng in
-      bounds.(0) <- 0;
-      let gi = ref 0 in
-      for di = 1 to d - 1 do
-        let row_target = di * rows / d in
-        while !gi < ng && starts.(!gi) < row_target do
-          incr gi
-        done;
-        bounds.(di) <- !gi
-      done;
-      bounds
+(* [d] contiguous instance ranges of key groups, balanced by row count
+   (a group must not split: its accessors resolve once). *)
+let ranges d ~rows starts =
+  let ng = Array.length starts - 1 in
+  let bounds = Array.make (d + 1) ng in
+  bounds.(0) <- 0;
+  let gi = ref 0 in
+  for di = 1 to d - 1 do
+    let row_target = di * rows / d in
+    while !gi < ng && starts.(!gi) < row_target do
+      incr gi
+    done;
+    bounds.(di) <- !gi
+  done;
+  bounds
 
 (* The one driver of a vectorized group. Each firing prepares the
    source once — transpose or pool scan, Assign clears, key grouping
@@ -2031,8 +1853,8 @@ let ranges d ~rows = function
    totals (ops, probes, rows compacted, probes saved, selection-vector
    tallies) are the same either way: the same groups resolve the same
    accessors, only on different domains. Without store accessors
-   grouping has nothing to amortize, so it is skipped and the members
-   run straight over the source rows. *)
+   grouping has nothing to amortize, so it is skipped: each instance
+   runs its share of the source rows as one group. *)
 let bind_group (rt : t) (ps : vplan list) : Colbatch.t Lazy.t -> bool -> unit =
   let shape = group_shape ps in
   let has_access = plans_have_access ps in
@@ -2053,6 +1875,7 @@ let bind_group (rt : t) (ps : vplan list) : Colbatch.t Lazy.t -> bool -> unit =
     let cb = source_colbatch rt shape ~cols:src_cols raw in
     List.iter Pool.clear clears;
     let rows = Colbatch.length cb in
+    let par = if use_par then par else None in
     let cols, mults, starts =
       if has_access then
         let grouped, starts =
@@ -2060,25 +1883,24 @@ let bind_group (rt : t) (ps : vplan list) : Colbatch.t Lazy.t -> bool -> unit =
         in
         ( Array.init (Array.length shape.sh_sel) (Colbatch.col grouped),
           Colbatch.mults grouped,
-          Some starts )
-      else (Array.map (Colbatch.col cb) shape.sh_sel, Colbatch.mults cb, None)
+          starts )
+      else
+        let d = match par with Some (_, insts) -> Array.length insts | None -> 1 in
+        ( Array.map (Colbatch.col cb) shape.sh_sel,
+          Colbatch.mults cb,
+          Array.init (d + 1) (fun di -> di * rows / d) )
     in
     box_reads cols rows serial.gi_boxed;
-    (* one instance over a range of rows, or of key groups *)
     let run inst lo hi =
       let ctx = inst.gi_ctx in
       ctx.vc_cols <- cols;
       ctx.vc_mults <- mults;
       prep_inst inst;
-      match starts with
-      | None ->
-          let sc, se = run_rows inst lo hi in
-          (0, sc, se)
-      | Some starts -> run_groups inst starts lo hi
+      run_groups inst starts lo hi
     in
     let saved, sc, se =
       match par with
-      | Some (pl, insts) when use_par ->
+      | Some (pl, insts) ->
           let d = Array.length insts in
           let bounds = ranges d ~rows starts in
           let out = Array.make d (0, 0, 0) in
@@ -2098,9 +1920,7 @@ let bind_group (rt : t) (ps : vplan list) : Colbatch.t Lazy.t -> bool -> unit =
           Array.fold_left
             (fun (a, b, c) (x, y, z) -> (a + x, b + y, c + z))
             (0, 0, 0) out
-      | _ ->
-          run serial 0
-            (match starts with None -> rows | Some s -> Array.length s - 1)
+      | None -> run serial 0 (Array.length starts - 1)
     in
     Obs.Counter.add m_probes_saved saved;
     Obs.Counter.add m_selvec_scanned sc;

@@ -10,11 +10,9 @@ type t = {
   partition_keys : string list;
 }
 
-let is_tpcds n = String.length n >= 2 && String.sub n 0 2 = "DS"
-
 let find name =
   let n = String.uppercase_ascii name in
-  if is_tpcds n then
+  if String.length n >= 2 && String.sub n 0 2 = "DS" then
     let q = Divm_tpcds.Queries.find n in
     {
       wname = q.Divm_tpcds.Queries.qname;
@@ -43,6 +41,12 @@ let compile ?(preaggregate = true) w =
   Compile.compile
     ~options:{ Compile.default_options with preaggregate }
     ~streams:w.streams w.maps
+
+let is_tpcds w = w.streams = Divm_tpcds.Schema.streams
+
+let stream w ~scale ~seed ~batch_size =
+  if is_tpcds w then Divm_tpcds.Gen.stream { scale; seed } ~batch_size
+  else Divm_tpch.Gen.stream { scale; seed } ~batch_size
 
 let distribute ?(level = 3) w prog =
   let catalog = Loc.heuristic ~keys:w.partition_keys prog in

@@ -27,6 +27,19 @@ val find : string -> t
 (** [of_sql ?name text] compiles an SQL string over the TPC-H schema. *)
 val of_sql : ?name:string -> string -> t
 
+(** Whether [w] is a TPC-DS query (over {!Divm_tpcds.Schema.streams}). *)
+val is_tpcds : t -> bool
+
+(** [stream w ~scale ~seed ~batch_size] is the synthetic update stream of
+    [w]'s benchmark: {!Divm_tpcds.Gen.stream} for TPC-DS queries,
+    {!Divm_tpch.Gen.stream} for everything else. *)
+val stream :
+  t ->
+  scale:float ->
+  seed:int ->
+  batch_size:int ->
+  (string * Divm_storage.Gmr.t) list
+
 (** Local trigger program ([preaggregate] defaults to [true], §3.3). *)
 val compile : ?preaggregate:bool -> t -> Prog.t
 

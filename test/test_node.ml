@@ -1386,7 +1386,29 @@ let test_engine_single_and_load () =
       Gmr.iter (fun t m -> ignore (Engine.apply_single b ~rel t m)) batch)
     stream;
   if not (Gmr.equal ~eps:1e-6 (Engine.query a "Q6") (Engine.query b "Q6")) then
-    Alcotest.fail "Q6 diverges between batch and single-tuple application"
+    Alcotest.fail "Q6 diverges between batch and single-tuple application";
+  (* without pre-aggregation a statement reads Δ directly, which the
+     distributed compiler cannot place: both backends refuse it before
+     any worker starts *)
+  List.iter
+    (fun backend ->
+      match
+        Engine.create
+          ~config:(Engine.config ~preaggregate:false ~backend ())
+          (Workload.find "Q6")
+      with
+      | eng ->
+          Engine.shutdown eng;
+          Alcotest.fail "a distributed engine accepted a program without pre-aggregation"
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool) ("names the target: " ^ msg) true
+            (contains msg "of Q6");
+          Alcotest.(check bool) "names pre-aggregation" true
+            (contains msg "pre-aggregation"))
+    [
+      Engine.Simulated (Cluster.config ~workers:2 ());
+      Engine.Multiprocess (Node.config ~workers:2 ());
+    ]
 
 (* Both backends report the same per-stage reconciliation: the stage
    names, modeled bytes and predictions in [Engine.reconcile_json] agree

@@ -282,6 +282,91 @@ let qcheck_parallel_equiv =
         Tpch_suite.queries;
       true)
 
+(* The generic-route census (ROADMAP item 5): over every TPC-H and
+   TPC-DS query as compiled by default, each trigger planned as one
+   block, the statements [block_routes_ex] leaves on the generic closure
+   route ("stmt:"). The count is pinned; it may only go down. *)
+let test_generic_route_census () =
+  let module Workload = Divm_workload.Workload in
+  let generic = ref 0 and total = ref 0 in
+  List.iter
+    (fun qn ->
+      let prog = Workload.compile (Workload.find qn) in
+      List.iter
+        (fun (tr : Prog.trigger) ->
+          List.iter
+            (List.iter (fun (_, label, _, _, _) ->
+                 incr total;
+                 if String.starts_with ~prefix:"stmt:" label then incr generic))
+            (Runtime.block_routes_ex prog ~rel:tr.relation [ ([], tr.stmts) ]))
+        prog.Prog.triggers)
+    Tpch_suite.all_queries;
+  Alcotest.(check int) "statements" 1447 !total;
+  if !generic <> 370 then
+    Alcotest.failf
+      "%d of %d statements take the generic route, pinned at 370%s" !generic
+      !total
+      (if !generic < 370 then ": the count fell, lower the pin to it" else "")
+
+(* A fixed-stream oracle under retractions: every TPC-H and TPC-DS
+   query, compiled with pre-aggregation on and off and run with the
+   vectorized executor on and off, replays a stream whose every batch is
+   retracted three batches later; each view must equal [Exec]
+   re-evaluated over the net base contents. Beyond the 11-query suite
+   this reaches Q2, Q5, Q8, Q9 (steps after a slice), Q20 and Q21, and
+   TPC-DS under retractions. At these sizes only Q1, Q4, Q6 and Q13 ever
+   hold a non-empty view, so for the rest the check is that every
+   insert's effect cancels with its retraction's, made against other
+   store contents three batches later. *)
+let test_oracle_retractions () =
+  let module Workload = Divm_workload.Workload in
+  let streams = Hashtbl.create 2 in
+  let stream (w : Workload.t) =
+    let tpcds = Workload.is_tpcds w in
+    match Hashtbl.find_opt streams tpcds with
+    | Some s -> s
+    | None ->
+        let inserts =
+          if tpcds then Workload.stream w ~scale:0.1 ~seed:1 ~batch_size:20
+          else Workload.stream w ~scale:0.03 ~seed:1 ~batch_size:13
+        in
+        let s = Tpch_suite.with_retractions ~k:3 inserts in
+        let s = (s, Tpch_suite.net_contents s) in
+        Hashtbl.replace streams tpcds s;
+        s
+  in
+  List.iter
+    (fun qn ->
+      let w = Workload.find qn in
+      let stream, net = stream w in
+      List.iter
+        (fun preaggregate ->
+          let prog = Workload.compile ~preaggregate w in
+          let ex = Exec.create prog in
+          Exec.load ex net;
+          List.iter
+            (fun columnar ->
+              let rt = Runtime.create ~columnar prog in
+              List.iter
+                (fun (rel, b) -> ignore (Runtime.apply_batch rt ~rel b))
+                stream;
+              List.iter
+                (fun (name, _) ->
+                  let want = Exec.result ex name
+                  and got = Runtime.result rt name in
+                  match Tpch_suite.view_difference want got with
+                  | None -> ()
+                  | Some key ->
+                      Alcotest.failf
+                        "%s (preaggregate %b, columnar %b): view %s differs \
+                         from Exec at %s: expected %.17g, got %.17g"
+                        qn preaggregate columnar name (Vtuple.to_string key)
+                        (Gmr.mult want key) (Gmr.mult got key))
+                prog.Prog.queries)
+            [ true; false ])
+        [ true; false ])
+    Tpch_suite.all_queries
+
 (* A worker's column share installed under generic Δ readers (a
    [columnar:false] runtime reads Δ only through the batch pool) must
    fill the pool with one row per share row, as the same batch installed
@@ -388,7 +473,11 @@ let test_columnar_path () =
    pool includes NaN and two [fcompare_approx] epsilon edges (1+1e-12
    and 1e9+0.5, both approx-equal to a filter constant); the second
    round forces 2-bit grouping hash collisions, which must not change
-   results even for dictionary-coded keys. *)
+   results even for dictionary-coded keys. Half the cases also probe a
+   store S keyed by B, compiled without pre-aggregation so the filters
+   stay on the Δ statement: its batch is then grouped by B, and the
+   kernels run inside key groups that start past row 0 (B = 3 is absent
+   from S, so some groups probe 0). *)
 let vds = Schema.var ~ty:Value.TString "D"
 
 type sv_filter =
@@ -423,16 +512,16 @@ let gen_selvec_case =
       (pair (oneofl sv_floats)
          (pair (oneofl sv_strs) (map float_of_int (oneofl [ -2; -1; 1; 2 ]))))
   in
-  triple bool
+  triple (pair bool bool)
     (list_size (int_range 1 4) gen_filter)
     (list_size (int_range 1 2) (list_size (int_range 0 30) gen_row))
 
-let show_selvec_case (use_date, filters, batches) =
+let show_selvec_case ((use_date, probe), filters, batches) =
   let op_s = function
     | Eq -> "=" | Neq -> "<>" | Lt -> "<" | Lte -> "<=" | Gt -> ">"
     | Gte -> ">="
   in
-  Printf.sprintf "date=%b filters=[%s] batches=%s" use_date
+  Printf.sprintf "date=%b probe=%b filters=[%s] batches=%s" use_date probe
     (String.concat "; "
        (List.map
           (function
@@ -455,13 +544,14 @@ let show_selvec_case (use_date, filters, batches) =
 let qcheck_selvec_equiv =
   let arb = QCheck.make ~print:show_selvec_case gen_selvec_case in
   QCheck.Test.make ~name:"selection vectors = per-row filter evaluation"
-    ~count:150 arb (fun (use_date, filters, batches) ->
+    ~count:150 arb (fun ((use_date, probe), filters, batches) ->
       let mk_a a = if use_date then Value.Date a else Value.Int a in
       let q =
         sum [ vb ]
           (prod
              (rel "R" [ va; vb; vc; vds ]
-             :: List.map
+             :: (if probe then [ rel "S" [ vb ] ] else [])
+             @ List.map
                   (function
                     | FInt (op, k) ->
                         cmp op (Vexpr.var va) (Vexpr.Const (mk_a k))
@@ -478,8 +568,21 @@ let qcheck_selvec_equiv =
                   filters))
       in
       let prog =
-        Compile.compile ~streams:[ ("R", [ va; vb; vc; vds ]) ] [ ("Q", q) ]
+        Compile.compile
+          ~options:{ Compile.default_options with preaggregate = not probe }
+          ~streams:
+            (("R", [ va; vb; vc; vds ]) :: (if probe then [ ("S", [ vb ]) ] else []))
+          [ ("Q", q) ]
       in
+      let r_trigger =
+        List.find (fun (t : Prog.trigger) -> t.relation = "R") prog.Prog.triggers
+      in
+      if probe then
+        List.iter
+          (List.iter (fun (_, _, _, _, grouped) ->
+               if not grouped then Alcotest.fail "the S probe must group ΔR by B"))
+          (Runtime.block_routes_ex prog ~rel:"R" [ ([], r_trigger.stmts) ]);
+      let s_rows = Gmr.of_list [ ([| i 0 |], 1.); ([| i 1 |], 2.); ([| i 2 |], -1.) ] in
       let gmrs =
         List.map
           (fun rows ->
@@ -494,6 +597,10 @@ let qcheck_selvec_equiv =
         (fun bits ->
           let vec = Runtime.create prog in
           let row = Runtime.create ~columnar:false prog in
+          if probe then begin
+            ignore (Runtime.apply_batch vec ~rel:"S" s_rows);
+            ignore (Runtime.apply_batch row ~rel:"S" s_rows)
+          end;
           List.iter
             (fun g ->
               Colbatch.hash_bits_for_tests := bits;
@@ -737,6 +844,10 @@ let suites =
         Alcotest.test_case "ops counter" `Quick test_rt_ops_counter;
         Alcotest.test_case "columnar preagg path" `Quick test_columnar_path;
         Alcotest.test_case "selvec route split" `Quick test_selvec_route_split;
+        Alcotest.test_case "generic-route census" `Quick
+          test_generic_route_census;
+        Alcotest.test_case "every query = Exec under retractions" `Quick
+          test_oracle_retractions;
         Alcotest.test_case "a share fills the batch pool like its rows" `Quick
           test_share_fills_batch_pool;
         Alcotest.test_case "a zero get skips the slice before it" `Quick

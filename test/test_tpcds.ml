@@ -42,10 +42,27 @@ let test_nonempty () =
         (not (Gmr.is_empty (oracle qdef))))
     [ "DS3"; "DS7"; "DS19"; "DS27"; "DS42"; "DS43"; "DS52"; "DS79" ]
 
+(* The CLIs build their stream with [Workload.stream], which must pick
+   the TPC-DS generator for a TPC-DS query: the local engine accepts
+   every batch (a TPC-H stream has no trigger for its relations). *)
+let test_workload_stream () =
+  let module Workload = Divm_workload.Workload in
+  let module Engine = Divm_engine.Engine in
+  List.iter
+    (fun (q : Queries.t) ->
+      let w = Workload.find q.qname in
+      let eng = Engine.create ~config:(Engine.config ~domains:1 ()) w in
+      List.iter
+        (fun (rel, b) -> ignore (Engine.apply_batch eng ~rel b))
+        (Workload.stream w ~scale:0.05 ~seed:42 ~batch_size:100))
+    Queries.all
+
 let suites =
   [
     ( "tpcds",
       Alcotest.test_case "key results nonempty" `Quick test_nonempty
+      :: Alcotest.test_case "the workload stream feeds every query" `Quick
+           test_workload_stream
       :: List.map
            (fun (q : Queries.t) ->
              Alcotest.test_case

@@ -8,6 +8,11 @@ open Divm_storage
 let queries =
   [ "Q1"; "Q3"; "Q4"; "Q6"; "Q7"; "Q12"; "Q13"; "Q14"; "Q17"; "Q19"; "Q22" ]
 
+(* Every TPC-H and TPC-DS query, by name. *)
+let all_queries =
+  List.map (fun (q : Divm_tpch.Queries.t) -> q.qname) Divm_tpch.Queries.all
+  @ List.map (fun (q : Divm_tpcds.Queries.t) -> q.qname) Divm_tpcds.Queries.all
+
 (* The stream with every batch retracted [k] batches later (after the
    last insert, the remaining ones in order): about half the rows are
    deletes, and keys cancel to zero and leave pools. *)
