@@ -17,9 +17,9 @@ open Divm
 open Cmdliner
 module Obs_cli = Divm_obs_cli.Obs_cli
 
-let run query scale repeat stage_json (common : Obs_cli.common) =
+let run w scale repeat stage_json (common : Obs_cli.common) =
   let cfg = common.engine in
-  let eng = Engine.create ~config:cfg (Workload.find query) in
+  let eng = Engine.create ~config:cfg w in
   Obs_cli.activate_engine eng common.opts;
   let w = Engine.workload eng in
   let workers =
@@ -67,7 +67,6 @@ let run query scale repeat stage_json (common : Obs_cli.common) =
       Printf.eprintf "wrote per-stage reconciliation to %s\n%!" file);
   Engine.shutdown eng
 
-let query_t = Arg.(value & pos 0 string "Q3" & info [] ~docv:"QUERY")
 let scale_t = Arg.(value & opt float 2.0 & info [ "scale" ] ~doc:"Stream scale")
 
 let repeat_t =
@@ -101,7 +100,7 @@ let cmd =
          "Distributed incremental view maintenance on the simulated or \
           multi-process cluster")
     Term.(
-      const run $ query_t $ scale_t $ repeat_t $ stage_json_t
+      const run $ Obs_cli.query $ scale_t $ repeat_t $ stage_json_t
       $ Obs_cli.parse_common ~defaults ())
 
 let () = exit (Cmd.eval cmd)

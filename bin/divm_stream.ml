@@ -13,7 +13,7 @@ open Divm
 open Cmdliner
 module Obs_cli = Divm_obs_cli.Obs_cli
 
-let run query scale single show_result tbl_dir (common : Obs_cli.common) =
+let run w scale single show_result tbl_dir (common : Obs_cli.common) =
   let cfg = common.engine in
   (* distributed backends have no single-tuple path: they run one-tuple
      batches, and their compiler needs pre-aggregation *)
@@ -22,7 +22,7 @@ let run query scale single show_result tbl_dir (common : Obs_cli.common) =
     | Engine.Local when single -> { cfg with Engine.preaggregate = false }
     | _ -> cfg
   in
-  let eng = Engine.create ~config:cfg (Workload.find query) in
+  let eng = Engine.create ~config:cfg w in
   Obs_cli.activate_engine eng common.opts;
   let w = Engine.workload eng in
   let stream =
@@ -72,7 +72,6 @@ let run query scale single show_result tbl_dir (common : Obs_cli.common) =
       w.Workload.maps;
   Engine.shutdown eng
 
-let query_t = Arg.(value & pos 0 string "Q3" & info [] ~docv:"QUERY")
 let scale_t = Arg.(value & opt float 1.0 & info [ "scale" ] ~doc:"Stream scale")
 
 let single_t =
@@ -93,7 +92,7 @@ let cmd =
     (Cmd.info "divm_stream"
        ~doc:"Maintain a TPC-H or TPC-DS query over an update stream")
     Term.(
-      const run $ query_t $ scale_t $ single_t $ result_t $ tbl_t
+      const run $ Obs_cli.query $ scale_t $ single_t $ result_t $ tbl_t
       $ Obs_cli.parse_common ~defaults:(Engine.config ~batch_size:1000 ()) ())
 
 let () = exit (Cmd.eval cmd)

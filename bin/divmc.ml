@@ -13,11 +13,7 @@ module Obs_cli = Divm_obs_cli.Obs_cli
 let run query sql mode preagg (common : Obs_cli.common) =
   let opts = common.opts in
   let level = common.engine.Engine.opt_level in
-  let w =
-    match sql with
-    | Some text -> Workload.of_sql text
-    | None -> Workload.find query
-  in
+  let w = Option.value sql ~default:query in
   let prog = Workload.compile ~preaggregate:preagg w in
   match mode with
   | `Local ->
@@ -44,15 +40,6 @@ let run query sql mode preagg (common : Obs_cli.common) =
             tr.drelation jobs stages l d)
         dp.dtriggers
 
-let query_t =
-  Arg.(value & pos 0 string "Q3" & info [] ~docv:"QUERY" ~doc:"Query name (Q1–Q22, DS3…)")
-
-let sql_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "sql" ] ~docv:"SQL" ~doc:"Compile this SQL string (TPC-H schema) instead")
-
 let mode_t =
   Arg.(
     value
@@ -72,7 +59,7 @@ let cmd =
   Cmd.v
     (Cmd.info "divmc" ~doc:"Compile queries to incremental maintenance programs")
     Term.(
-      const run $ query_t $ sql_t $ mode_t $ preagg_t
+      const run $ Obs_cli.query $ Obs_cli.sql $ mode_t $ preagg_t
       $ Obs_cli.parse_common ())
 
 let () = exit (Cmd.eval cmd)

@@ -1,12 +1,11 @@
 (** The one way to run a workload.
 
     Every front end (divmc, divm_stream, divm_cluster, the bench harness)
-    used to construct its own runtime, simulator, or cluster by hand —
-    four slightly different dances around the same three calls. [Engine]
-    replaces them: one {!config} record selects the {!backend} and the
-    shared knobs, one {!create}/{!apply_batch}/{!query}/{!shutdown}
-    signature drives all of them, and one {!report} shape carries the
-    per-batch numbers whichever backend produced them.
+    runs its workload through [Engine]: one {!config} record selects the
+    {!backend} and the shared knobs, one
+    {!create}/{!apply_batch}/{!query}/{!shutdown} signature drives every
+    backend, and one {!report} shape carries the per-batch numbers
+    whichever backend produced them.
 
     Backends:
     - [Local] — the specialized single-process runtime

@@ -126,6 +126,7 @@ let setup =
 (* ---------------- unified engine flags ---------------- *)
 
 module Engine = Divm_engine.Engine
+module Workload = Divm_workload.Workload
 
 type common = { engine : Engine.config; opts : opts }
 
@@ -174,6 +175,20 @@ let backend_conv =
   Arg.enum
     [ ("local", `Local); ("simulated", `Simulated); ("multiprocess", `Multiprocess) ]
 
+(* An integer flag confined to [lo, hi]: out-of-range values are a usage
+   error (exit 124) rather than an exception deep inside an engine. *)
+let int_within ?(hi = max_int) lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when lo <= n && n <= hi -> Ok n
+    | _ when hi = max_int ->
+        Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" lo s))
+    | _ ->
+        Error
+          (`Msg (Printf.sprintf "expected an integer from %d to %d, got %S" lo hi s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let parse_common ?(defaults = Engine.default_config) () =
   let backend_t =
     Arg.(
@@ -190,14 +205,14 @@ let parse_common ?(defaults = Engine.default_config) () =
   let workers_t =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (int_within 1)) None
       & info [ "workers"; "w" ] ~docv:"N"
           ~doc:"Worker count for the simulated or multiprocess backend.")
   in
   let domains_t =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (int_within 1)) None
       & info [ "domains" ] ~docv:"N"
           ~doc:
             "Execution domains (default: $(b,DIVM_DOMAINS) or 1): the local \
@@ -208,13 +223,13 @@ let parse_common ?(defaults = Engine.default_config) () =
   let batch_t =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (int_within 1)) None
       & info [ "batch" ] ~docv:"N" ~doc:"Update batch size.")
   in
   let level_t =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (int_within ~hi:3 0)) None
       & info [ "opt-level" ] ~docv:"L"
           ~doc:"Distributed optimization level 0\xE2\x80\x933 (Fig. 13).")
   in
@@ -222,8 +237,36 @@ let parse_common ?(defaults = Engine.default_config) () =
     const (combine defaults)
     $ backend_t $ workers_t $ domains_t $ batch_t $ level_t $ setup)
 
+let workload_conv parse =
+  Arg.conv (parse, fun ppf (w : Workload.t) -> Format.pp_print_string ppf w.wname)
+
+let query =
+  let parse s =
+    try Ok (Workload.find s)
+    with Invalid_argument _ ->
+      Error (`Msg (Printf.sprintf "unknown query %S (expected Q1-Q22 or DS...)" s))
+  in
+  Arg.(
+    value
+    & pos 0 (workload_conv parse) (Workload.find "Q3")
+    & info [] ~docv:"QUERY" ~doc:"Query name (Q1\xE2\x80\x93Q22, DS3\xE2\x80\xA6).")
+
+(* The SQL compiles while the flags parse, so a bad query is a usage
+   error like any other bad argument. *)
+let sql =
+  let parse text =
+    try Ok (Workload.of_sql text)
+    with Divm_sql.Sql.Parse_error m | Divm_sql.Sql.Compile_error m ->
+      Error (`Msg m)
+  in
+  Arg.(
+    value
+    & opt (some (workload_conv parse)) None
+    & info [ "sql" ] ~docv:"SQL"
+        ~doc:"Compile this SQL string (TPC-H schema) instead.")
+
 let activate_engine eng opts =
-  let name = (Engine.workload eng).Divm_workload.Workload.wname in
+  let name = (Engine.workload eng).Workload.wname in
   let plan =
     match Engine.dprog eng with
     | Some dp -> Profile.explain_dist ~name dp

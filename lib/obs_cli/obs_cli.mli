@@ -34,9 +34,12 @@ val activate :
 
     Every front end takes the same engine flags — [--backend
     local|simulated|multiprocess], [--workers], [--domains], [--batch],
-    [--opt-level] — plus the five observability flags above, and turns them into one {!Divm_engine.Engine.config}.
-    This is the only flag parser the binaries use; none of them
-    constructs a runtime, simulator or node engine by hand anymore. *)
+    [--opt-level] — plus the five observability flags above, and turns
+    them into one {!Divm_engine.Engine.config}. This is the only flag
+    parser the binaries use, and they construct every engine from its
+    result. Values the engines cannot run reject at parse time with
+    cmdliner's usage error (exit 124): [--workers], [--domains] and
+    [--batch] below 1, and [--opt-level] outside 0–3. *)
 
 type common = { engine : Divm_engine.Engine.config; opts : opts }
 
@@ -47,6 +50,15 @@ type common = { engine : Divm_engine.Engine.config; opts : opts }
     selected; [--backend simulated|multiprocess] starts from the default
     config of that backend when [defaults] named a different one. *)
 val parse_common : ?defaults:Divm_engine.Engine.config -> unit -> common Cmdliner.Term.t
+
+(** The positional [QUERY] argument (default [Q3]), resolved with
+    {!Divm_workload.Workload.find}: an unknown name is a usage error. *)
+val query : Divm_workload.Workload.t Cmdliner.Term.t
+
+(** The [--sql SQL] option, compiled over the TPC-H schema with
+    {!Divm_workload.Workload.of_sql} while the flags parse: SQL that does
+    not parse or compile is a usage error. *)
+val sql : Divm_workload.Workload.t option Cmdliner.Term.t
 
 (** [activate_engine eng opts] is {!activate} wired to an engine: the
     EXPLAIN plan is derived from the engine's compiled (distributed)

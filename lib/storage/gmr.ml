@@ -3,7 +3,7 @@ open Divm_ring
 type t = {
   mutable keys : Vtuple.t array;
   mutable mults : float array; (* 0. marks a dead slot: live ones are >= eps *)
-  mutable hs : int array; (* per-slot cached index hash, for bulk merges *)
+  mutable hs : int array; (* per-slot cached index hash: merges, [add_at] *)
   mutable hwm : int; (* high-water mark *)
   mutable count : int;
   free : Intvec.t;
@@ -11,7 +11,10 @@ type t = {
 }
 
 let zero_eps = Mult.zero_eps
-let is_zero = Mult.is_zero
+
+(* [Mult.is_zero], restated so that it inlines: an opaque cross-module
+   call would box its float argument on every upsert. *)
+let is_zero m = Float.abs m < zero_eps
 
 let create ?(size = 16) () =
   let cap = max 8 size in
@@ -56,49 +59,49 @@ let drop_slot r s =
   Intvec.push r.free s;
   r.count <- r.count - 1
 
-(* Single-probe upsert. [copy] implements the scratch-key protocol: a
-   borrowed key buffer is only duplicated when it must be retained, i.e.
-   on first insert of that key. *)
-let upsert_h ~copy r h tup m =
-  if not (is_zero m) then begin
-    let s = Oaidx.find_latched r.idx r.keys h tup in
-    if s >= 0 then begin
-      let m' = r.mults.(s) +. m in
-      if is_zero m' then drop_slot r s else r.mults.(s) <- m'
-    end
-    else begin
-      let s = alloc_slot r in
-      r.keys.(s) <- (if copy then Array.copy tup else tup);
-      r.mults.(s) <- m;
-      r.hs.(s) <- h;
-      Oaidx.add_latched r.idx h s;
-      r.count <- r.count + 1
-    end
-  end
+(* The two halves of a single-probe upsert; both need the index bucket
+   latched by the probe that found [s] or missed [key]. *)
+let insert_latched r h key m =
+  let s = alloc_slot r in
+  r.keys.(s) <- key;
+  r.mults.(s) <- m;
+  r.hs.(s) <- h;
+  Oaidx.add_latched r.idx h s;
+  r.count <- r.count + 1;
+  s
 
-let upsert ~copy r tup m = upsert_h ~copy r (Oaidx.hash tup) tup m
-let add r tup m = upsert ~copy:false r tup m
-let add_borrow r tup m = upsert ~copy:true r tup m
+let[@inline] update_latched r s m =
+  let m' = r.mults.(s) +. m in
+  if is_zero m' then drop_slot r s else r.mults.(s) <- m'
 
-(* Columnar upsert: the key exists only as typed cells on the producer's
-   side. [eq] compares those cells against a stored tuple; [make]
-   materializes the tuple, called only when this is the first insert. *)
-let add_by r ~hash ~eq ~make m =
-  if not (is_zero m) then begin
+(* Every add to a GMR or a pool runs through the two below; inlined, an
+   update makes no call beyond the probe. [copy] implements the
+   scratch-key protocol: a borrowed key buffer is only duplicated when it
+   must be retained, i.e. on first insert. *)
+let[@inline] upsert_slot ~copy r h key m =
+  if is_zero m then -1
+  else
+    let s = Oaidx.find_latched r.idx r.keys h key in
+    if s >= 0 then (update_latched r s m; s)
+    else insert_latched r h (if copy then Array.copy key else key) m
+
+let[@inline] upsert_slot_by r ~hash ~eq ~make m =
+  if is_zero m then -1
+  else
     let s = Oaidx.find_pred_latched r.idx r.keys hash eq in
-    if s >= 0 then begin
-      let m' = r.mults.(s) +. m in
-      if is_zero m' then drop_slot r s else r.mults.(s) <- m'
-    end
-    else begin
-      let s = alloc_slot r in
-      r.keys.(s) <- make ();
-      r.mults.(s) <- m;
-      r.hs.(s) <- hash;
-      Oaidx.add_latched r.idx hash s;
-      r.count <- r.count + 1
-    end
-  end
+    if s >= 0 then (update_latched r s m; s)
+    else insert_latched r hash (make ()) m
+
+(* Only a cancellation needs the bucket, so only it pays the probe. *)
+let add_at r s m =
+  if is_zero (r.mults.(s) +. m) then
+    ignore (Oaidx.find_latched r.idx r.keys r.hs.(s) r.keys.(s));
+  update_latched r s m
+
+let slot_of r h key = Oaidx.find r.idx r.keys h key
+let add r tup m = ignore (upsert_slot ~copy:false r (Oaidx.hash tup) tup m)
+let add_borrow r tup m = ignore (upsert_slot ~copy:true r (Oaidx.hash tup) tup m)
+let add_by r ~hash ~eq ~make m = ignore (upsert_slot_by r ~hash ~eq ~make m)
 
 (* Visit entries together with their cached hashes, in slot order — the
    same order as [iter]. Bulk merges into another hash-indexed store skip
@@ -119,20 +122,13 @@ let set r tup m =
   if s >= 0 then begin
     if is_zero m then drop_slot r s else r.mults.(s) <- m
   end
-  else if not (is_zero m) then begin
-    let s = alloc_slot r in
-    r.keys.(s) <- tup;
-    r.mults.(s) <- m;
-    r.hs.(s) <- h;
-    Oaidx.add_latched r.idx h s;
-    r.count <- r.count + 1
-  end
+  else if not (is_zero m) then ignore (insert_latched r h tup m)
 
 let mult r tup =
-  let s = Oaidx.find r.idx r.keys (Oaidx.hash tup) tup in
+  let s = slot_of r (Oaidx.hash tup) tup in
   if s >= 0 then r.mults.(s) else 0.
 
-let mem r tup = Oaidx.find r.idx r.keys (Oaidx.hash tup) tup >= 0
+let mem r tup = slot_of r (Oaidx.hash tup) tup >= 0
 
 let iter f r =
   for s = 0 to r.hwm - 1 do

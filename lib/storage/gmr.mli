@@ -6,15 +6,29 @@
     multiplicity). Addition is the bag union of the calculus: multiplicities
     of equal tuples sum, tuples reaching multiplicity zero disappear.
 
-    Rebased on the specialized storage core ({!Oaidx}): tuples and
-    multiplicities live in parallel slot arrays (multiplicities unboxed),
-    reached through an open-addressing index with cached hashes,
-    single-probe upserts and tombstone-free deletion — the direct
-    data-structure operations §5.1 compiles triggers down to. *)
+    This is the engine's one slot store, built on the specialized storage
+    core ({!Oaidx}): tuples, multiplicities (unboxed) and cached hashes
+    live in parallel slot arrays with a high-water mark and a LIFO free
+    list, reached through an open-addressing index with single-probe
+    upserts and tombstone-free deletion — the direct data-structure
+    operations §5.1 compiles triggers down to. {!Pool} keeps its records
+    and its secondary indexes' sub-keys in GMRs and reads their slots
+    directly, which is why the record is exposed (read-only). *)
 
 open Divm_ring
 
-type t
+(** Slot [s < hwm] is live iff [mults.(s) <> 0.]; a live slot holds its
+    key in [keys.(s)] and its finalized {!Oaidx.hash} in [hs.(s)]. Slots
+    are handed out from [free] (last freed first), else at [hwm]. *)
+type t = private {
+  mutable keys : Vtuple.t array;
+  mutable mults : float array;
+  mutable hs : int array;
+  mutable hwm : int;
+  mutable count : int;
+  free : Intvec.t;
+  idx : Oaidx.t;
+}
 
 val create : ?size:int -> unit -> t
 
@@ -35,6 +49,31 @@ val add_borrow : t -> Vtuple.t -> float -> unit
 val add_by :
   t -> hash:int -> eq:(Vtuple.t -> bool) -> make:(unit -> Vtuple.t) ->
   float -> unit
+
+(** {2 Slot-level access}
+
+    For stores layered over a GMR that keep per-slot state of their own
+    (see {!Pool}). *)
+
+(** [upsert_slot ~copy r h key m] is {!add} ([copy = false]) or
+    {!add_borrow} ([copy = true]) with [key]'s precomputed hash [h], and
+    returns the key's slot: where it was inserted, updated, or dropped on
+    cancellation (compare {!cardinal} before and after to tell). [-1]
+    when [m] is zero, which changes nothing. *)
+val upsert_slot : copy:bool -> t -> int -> Vtuple.t -> float -> int
+
+(** {!add_by}, returning the key's slot like {!upsert_slot}. *)
+val upsert_slot_by :
+  t -> hash:int -> eq:(Vtuple.t -> bool) -> make:(unit -> Vtuple.t) ->
+  float -> int
+
+(** [add_at r s m] adds [m] to live slot [s], dropping it when the result
+    cancels (re-probing with its cached hash only then). *)
+val add_at : t -> int -> float -> unit
+
+(** [slot_of r h key] is [key]'s live slot, or [-1]; [h] is its hash.
+    Side-effect free, so safe for concurrent readers. *)
+val slot_of : t -> int -> Vtuple.t -> int
 
 (** [iter_hashed f r] calls [f tup m h] per entry with its cached
     finalized hash, in slot (= insertion) order, same as {!iter}. Slot

@@ -22,8 +22,3 @@ let pop t =
 let clear t = t.len <- 0
 
 let copy t = { a = Array.copy t.a; len = t.len }
-
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f (Array.unsafe_get t.a i)
-  done

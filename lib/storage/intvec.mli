@@ -18,4 +18,3 @@ val pop : t -> int
 
 val clear : t -> unit
 val copy : t -> t
-val iter : (int -> unit) -> t -> unit

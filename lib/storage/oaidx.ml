@@ -20,8 +20,6 @@ let create ?(size = 16) () =
     last = 0;
   }
 
-let cardinal t = t.count
-
 (* Finalize [Vtuple.hash] (a multiplicative fold with little high-bit
    diffusion) so that low bits — the only ones the mask keeps — depend on
    every key field. The multiplier is the xorshift* constant, the largest
@@ -34,13 +32,6 @@ let finalize h =
   if h = 0 then 0x2545F491 else h
 
 let hash (k : Vtuple.t) = finalize (Vtuple.hash k)
-
-(* Visit every (cached hash, slot) pair, in bucket order. *)
-let iter t f =
-  for i = 0 to t.mask do
-    let h = Array.unsafe_get t.hashes i in
-    if h <> 0 then f h (Array.unsafe_get t.slots i)
-  done
 
 (* Side-effect-free probe: safe for concurrent readers of a shared table
    (the parallel batch executor probes store pools from many domains).

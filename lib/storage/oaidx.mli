@@ -34,7 +34,6 @@ open Divm_ring
 type t
 
 val create : ?size:int -> unit -> t
-val cardinal : t -> int
 
 (** Finalized, never-zero hash of a key. Cache it: every entry point below
     takes it instead of recomputing. *)
@@ -44,10 +43,6 @@ val hash : Vtuple.t -> int
     ([hash k = finalize (Vtuple.hash k)]). Columnar producers that fold
     hashes over typed cells use this to stay bit-compatible. *)
 val finalize : int -> int
-
-(** [iter t f] calls [f hash slot] for every entry, in bucket order. The
-    cached hashes let bulk merges into another table skip re-hashing. *)
-val iter : t -> (int -> int -> unit) -> unit
 
 (** [find t keys h k] returns the slot mapped to [k] (compared via
     [keys.(slot)]), or [-1]. Pure probe: no latch, safe for concurrent
@@ -87,5 +82,5 @@ val load : t -> float
 (** [probe_hist t] buckets every stored entry by its displacement from its
     home bucket (the probes a successful lookup of it costs). Index [i]
     counts displacement [i]; the last bucket ([max_len], default 16)
-    absorbs longer chains. Sums to {!cardinal}. *)
+    absorbs longer chains. Sums to the number of entries. *)
 val probe_hist : ?max_len:int -> t -> int array

@@ -1,13 +1,16 @@
 (** Multi-indexed record pools (§5.2, Figure 6).
 
-    A pool stores fixed-format records (a key tuple plus one aggregate
-    value) in a growable arena with a free-list stack. A unique
-    open-addressing index ({!Oaidx}: cached hashes, single-probe upserts,
-    tombstone-free deletion) serves [get]/[update]/[delete]; non-unique
-    indexes over key subsets serve [slice], with growable int-array
-    buckets and O(1) swap-remove maintenance. Indexes are declared up
-    front by the compiler's access-pattern analysis (§5.2.1) and
-    maintained incrementally.
+    A pool is a {!Gmr} plus its indexes. Its records (a key tuple plus
+    one aggregate value) are the entries of a GMR, so they take the
+    GMR's slots, and the GMR's open-addressing index ({!Oaidx}: cached
+    hashes, single-probe upserts, tombstone-free deletion) is the pool's
+    unique index, serving [get] and the upserts. Non-unique indexes over
+    key subsets serve [slice]. Each keeps its sub-keys in a GMR whose
+    multiplicity counts the records carrying the sub-key, so a sub-key
+    retires with its last record, and stacks each sub-key's pool slots
+    in a growable int-array bucket with O(1) swap-remove maintenance.
+    Indexes are declared up front by the compiler's access-pattern
+    analysis (§5.2.1) and maintained incrementally.
 
     Iteration callbacks ([foreach], [slice]) must not add or remove
     records of the pool being iterated (the runtime buffers self-reading
@@ -54,9 +57,6 @@ val add_by :
     after). *)
 val merge_gmr : t -> Gmr.t -> unit
 
-(** [set pool key m] overwrites (removing on zero). *)
-val set : t -> Vtuple.t -> float -> unit
-
 val foreach : t -> (Vtuple.t -> float -> unit) -> unit
 
 (** [slice pool ~index sub f] iterates the records whose key projected on
@@ -73,9 +73,6 @@ val to_gmr : t -> Gmr.t
 
 (** Number of free-list slots currently available for reuse. *)
 val free_slots : t -> int
-
-(** The [?name] given at creation (["anon"] otherwise). *)
-val name : t -> string
 
 (** {2 Self-metrics}
 

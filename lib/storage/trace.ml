@@ -13,5 +13,3 @@ let alloc_region bytes =
   (* 64-byte align regions so distinct pools never share a cache line *)
   next_addr := base + ((bytes + 63) / 64 * 64);
   base
-
-let reset () = next_addr := 0x1000

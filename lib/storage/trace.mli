@@ -15,6 +15,3 @@ val emit : int -> kind -> unit
 (** Allocate a fresh address region of [bytes] bytes; returns the base
     address. Used by pools to place their records in a fake address space. *)
 val alloc_region : int -> int
-
-(** Reset the fake address space (does not clear the sink). *)
-val reset : unit -> unit

@@ -20,8 +20,8 @@ type t = {
 
 (** [find name] resolves a benchmark query by (case-insensitive) name:
     names starting with ["DS"] come from {!Divm_tpcds.Queries}, everything
-    else from {!Divm_tpch.Queries}. Raises [Not_found] on unknown names,
-    like the underlying tables. *)
+    else from {!Divm_tpch.Queries}. Raises [Invalid_argument] on unknown
+    names, like the underlying tables. *)
 val find : string -> t
 
 (** [of_sql ?name text] compiles an SQL string over the TPC-H schema. *)

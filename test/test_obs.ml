@@ -663,6 +663,61 @@ let test_cluster_spans_sum_to_latency () =
     true
     (Float.abs (span_sum -. modeled) < 1e-6 *. float_of_int (List.length evs))
 
+(* ------------------------------------------------------------------ *)
+(* Command-line flags                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Inputs no engine can run are usage errors while the flags parse
+   (cmdliner exits 124), not exceptions out of an engine (exit 125) or
+   values silently replaced. *)
+let test_cli_rejects_bad_input () =
+  let module Obs_cli = Divm_obs_cli.Obs_cli in
+  let open Cmdliner in
+  let cmd =
+    Cmd.v (Cmd.info "divm")
+      Term.(
+        const (fun w sql (c : Obs_cli.common) -> (w, sql, c.engine))
+        $ Obs_cli.query $ Obs_cli.sql $ Obs_cli.parse_common ())
+  in
+  let quiet = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  let eval args =
+    Cmd.eval_value ~help:quiet ~err:quiet ~argv:(Array.of_list ("divm" :: args))
+      cmd
+  in
+  List.iter
+    (fun args ->
+      match eval args with
+      | Error `Parse -> ()
+      | _ -> Alcotest.failf "accepted: %s" (String.concat " " args))
+    [
+      [ "--workers"; "0" ];
+      [ "--workers"; "0"; "--backend"; "multiprocess" ];
+      [ "--domains"; "0" ];
+      [ "--batch"; "0" ];
+      [ "--batch=-5" ];
+      [ "--opt-level"; "9" ];
+      [ "--opt-level=-1" ];
+      [ "Q99" ];
+      [ "--sql"; "SELEC" ];
+      [ "--sql"; "SELECT SUM(x) FROM nosuch" ];
+    ];
+  (match eval [] with
+  | Ok (`Ok (w, None, e)) ->
+      Alcotest.(check string) "default query" "Q3" w.Workload.wname;
+      Alcotest.(check bool) "default config" true
+        (e = Divm_engine.Engine.default_config)
+  | _ -> Alcotest.fail "defaults do not parse");
+  match
+    eval
+      [ "ds3"; "--workers"; "1"; "--domains"; "1"; "--batch"; "1";
+        "--opt-level"; "0"; "--sql"; "SELECT SUM(l_qty) FROM lineitem" ]
+  with
+  | Ok (`Ok (w, Some _, e)) ->
+      Alcotest.(check string) "query name" "DS3" w.Workload.wname;
+      Alcotest.(check (list int)) "bounds are inclusive" [ 1; 1; 0 ]
+        [ Option.get e.domains; e.batch_size; e.opt_level ]
+  | _ -> Alcotest.fail "in-range flags do not parse"
+
 let suites =
   [
     ( "obs",
@@ -694,5 +749,7 @@ let suites =
           test_cluster_metrics_view_of_registry;
         Alcotest.test_case "cluster spans sum to modeled latency" `Quick
           test_cluster_spans_sum_to_latency;
+        Alcotest.test_case "cli rejects bad input" `Quick
+          test_cli_rejects_bad_input;
       ] );
   ]

@@ -15,8 +15,8 @@ let test_pool_basic () =
   Pool.add p (t2 1 10) (-5.);
   Alcotest.(check int) "cancel removes" 1 (Pool.cardinal p);
   Alcotest.(check (float 1e-9)) "absent" 0. (Pool.get p (t2 1 10));
-  Pool.set p (t2 2 20) 9.;
-  Alcotest.(check (float 1e-9)) "set overwrites" 9. (Pool.get p (t2 2 20))
+  Pool.add p (t2 2 20) 8.;
+  Alcotest.(check (float 1e-9)) "add sums" 9. (Pool.get p (t2 2 20))
 
 let test_pool_free_list () =
   let p = Pool.create ~key_width:1 ~slices:[] () in
@@ -49,6 +49,16 @@ let test_pool_slice () =
   let n = ref 0 in
   Pool.slice p ~index:0 [| i 10 |] (fun _ _ -> incr n);
   Alcotest.(check int) "slice after delete" 1 !n;
+  (* The last record of sub-key 20 retires the sub-key itself: the slice
+     probe misses instead of finding an empty bucket. *)
+  Pool.add p (t2 3 20) (-3.);
+  let misses = Obs.Counter.make "divm_index_probe_misses_total" in
+  let before = Obs.Counter.value misses in
+  let n = ref 0 in
+  Pool.slice p ~index:0 [| i 20 |] (fun _ _ -> incr n);
+  Alcotest.(check int) "retired sub-key slices nothing" 0 !n;
+  Alcotest.(check int) "retired sub-key probe misses" (before + 1)
+    (Obs.Counter.value misses);
   Alcotest.(check (option int)) "find_slice hit" (Some 0)
     (Pool.find_slice p [| 1 |]);
   Alcotest.(check (option int)) "find_slice miss" None
@@ -127,7 +137,7 @@ let qcheck_pool_model =
               Gmr.add model key m
           | `Set (a, m) ->
               let key = t2 a (a mod 3) in
-              Pool.set p key m;
+              Pool.add p key (m -. Pool.get p key);
               Gmr.set model key m
           | `Clear ->
               Pool.clear p;
@@ -226,11 +236,13 @@ let key_of = function
   | Clear -> None
 
 (* Pool vs the association-list model: get, foreach, and every slice must
-   agree after arbitrary churn (growth, free-slot reuse, mixed-type keys). *)
+   agree after arbitrary churn (growth, free-slot reuse, mixed-type keys).
+   Two slice indexes, so two sub-key tables grow and retire side by
+   side. *)
 let qcheck_pool_churn =
   QCheck.Test.make ~name:"pool = assoc-list model under churn" ~count:150
     arb_churn (fun ops ->
-      let p = Pool.create ~key_width:2 ~slices:[ [| 1 |] ] () in
+      let p = Pool.create ~key_width:2 ~slices:[ [| 1 |]; [| 0 |] ] () in
       let model = ref [] in
       List.iter
         (fun op ->
@@ -239,10 +251,10 @@ let qcheck_pool_churn =
               Pool.add p key m;
               model := Model.add !model key m
           | Set (_, _, _, _, m), Some key ->
-              Pool.set p key m;
+              Pool.add p key (m -. Pool.get p key);
               model := Model.set !model key m
           | Remove _, Some key ->
-              Pool.set p key 0.;
+              Pool.add p key (-.Pool.get p key);
               model := Model.set !model key 0.
           | _ ->
               Pool.clear p;
@@ -267,24 +279,81 @@ let qcheck_pool_churn =
           if Float.abs (v -. Model.get !model key) >= 1e-9 then
             ok_foreach := false);
       (* each slice bucket (queried in both key forms) sums like the model *)
-      let ok_slice =
+      let ok_slice index pos range =
         List.for_all
           (fun b ->
             List.for_all
               (fun fb ->
                 let got = ref 0. and want = ref 0. in
-                Pool.slice p ~index:0 [| field b fb |] (fun _ m ->
+                Pool.slice p ~index [| field b fb |] (fun _ m ->
                     got := !got +. m);
                 List.iter
                   (fun (k, v) ->
-                    if Value.equal k.(1) (i b) then want := !want +. v)
+                    if Value.equal k.(pos) (i b) then want := !want +. v)
                   !model;
                 Float.abs (!got -. !want) < 1e-9)
               [ false; true ])
-          [ 0; 1; 2; 3; 4; 5; 6; 7; 8 ]
+          (List.init range Fun.id)
       in
       ok_card && ok_get && !ok_foreach && !seen = List.length !model
-      && ok_slice)
+      && ok_slice 0 1 9 && ok_slice 1 0 41)
+
+(* A pool keeps its records in a GMR: with any number of slice indexes it
+   must assign slots exactly as a plain GMR does, so both iterate in the
+   same order with bit-equal multiplicities. Later float sums follow that
+   order, which is what keeps stores bit-identical. Fractional
+   multiplicities make the sums round and some of them cancel to residue
+   below [Gmr.zero_eps]. *)
+let qcheck_pool_slot_order =
+  let open QCheck in
+  let op =
+    Gen.(
+      frequency
+        [
+          ( 12,
+            map3
+              (fun a b m -> `Add (t2 a b, m))
+              (int_range 0 30) (int_range 0 5)
+              (oneofl [ 0.1; 0.2; -0.3; 0.7; -1.5; 2.; 1e-10 ]) );
+          (1, return `Clear);
+        ])
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun ops -> Printf.sprintf "<%d ops>" (List.length ops))
+      Gen.(list_size (int_range 1 400) op)
+  in
+  QCheck.Test.make ~name:"pool slot order = gmr slot order" ~count:100 arb
+    (fun ops ->
+      let pools =
+        List.map
+          (fun slices -> Pool.create ~key_width:2 ~slices ())
+          [ []; [ [| 1 |] ]; [ [| 1 |]; [| 0 |] ] ]
+      in
+      let g = Gmr.create () in
+      List.iter
+        (function
+          | `Add (key, m) ->
+              List.iter (fun p -> Pool.add p key m) pools;
+              Gmr.add g key m
+          | `Clear ->
+              List.iter Pool.clear pools;
+              Gmr.clear g)
+        ops;
+      let entries iter =
+        let l = ref [] in
+        iter (fun key m -> l := (key, Int64.bits_of_float m) :: !l);
+        List.rev !l
+      in
+      let want = entries (fun f -> Gmr.iter f g) in
+      List.for_all
+        (fun p ->
+          let got = entries (Pool.foreach p) in
+          List.length got = List.length want
+          && List.for_all2
+               (fun (k, m) (k', m') -> Vtuple.equal k k' && Int64.equal m m')
+               got want)
+        pools)
 
 (* ------------------------------------------------------------------ *)
 (* Radix key grouping vs the sort-based oracle                         *)
@@ -644,6 +713,7 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_compact_dict_vs_sorted;
         QCheck_alcotest.to_alcotest qcheck_pool_model;
         QCheck_alcotest.to_alcotest qcheck_pool_churn;
+        QCheck_alcotest.to_alcotest qcheck_pool_slot_order;
         QCheck_alcotest.to_alcotest qcheck_gmr_churn;
       ] );
   ]
