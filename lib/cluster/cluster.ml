@@ -115,44 +115,104 @@ let transfer_of wk idx =
 
 (* The worker a keyed transfer sends [tup] to: the hash partition of its
    key columns. (An empty key broadcasts to every worker instead.) *)
-let dest ~key ~parts tup =
-  Divm_ring.Vtuple.hash (Divm_ring.Vtuple.project tup key) mod parts
+let dest ~key ~parts tup = Divm_ring.Vtuple.hash_at tup key mod parts
 
-(* One worker's half of a direct shuffle: cut its partition of the
-   source into one buffer per destination. A partition holds each tuple
-   once, so a buffer never pre-sums. The modeled byte accounting is the
-   cost model's rule: a tuple that stays on its origin worker is free. *)
+(* One worker's half of a direct shuffle, the partition: walk the source
+   pool's live records once and list each destination's slots ([dest]).
+   A peer's list is transposed once into the column batch that travels;
+   the worker's own list stays as slots of the source pool. Lists keep
+   slot order, and a partition holds each tuple once, so nothing
+   pre-sums. Every row must have the first row's arity. The modeled byte
+   accounting is the cost model's rule: a tuple that stays on its origin
+   worker is free. *)
+type partition = {
+  peers : Colbatch.t array;
+  own : Pool.t * Intvec.t;
+  ser : int;
+  modeled : int array;
+}
+
 let shuffle_partition wk ~self ~parts idx =
   let _, key, source = transfer_of wk idx in
-  let outs = Array.init parts (fun _ -> Gmr.create ()) in
-  let ser = ref 0 in
-  let modeled = Array.make parts 0 in
-  let send d tup mult b =
-    Gmr.add outs.(d) tup mult;
+  let src = Runtime.map_pool wk.wrt source in
+  let slots = Array.init parts (fun _ -> Intvec.create ()) in
+  let ser = ref 0 and modeled = Array.make parts 0 in
+  let width = ref (-1) in
+  let send d slot b =
+    Intvec.push slots.(d) slot;
     if d <> self then modeled.(d) <- modeled.(d) + b
   in
-  Gmr.iter
-    (fun tup mult ->
+  Pool.foreach_slot src (fun slot tup ->
+      let wd = Array.length tup in
+      if !width < 0 then width := wd
+      else if wd <> !width then
+        failwith
+          (Printf.sprintf "transfer %d: source %s mixes rows of arity %d and %d"
+             idx source !width wd);
       let b = Costmodel.tuple_bytes tup in
       ser := !ser + b;
       if Array.length key = 0 then
         for d = 0 to parts - 1 do
-          send d tup mult b
+          send d slot b
         done
-      else send (dest ~key ~parts tup) tup mult b)
-    (worker_contents wk source);
-  (outs, !ser, modeled)
+      else send (dest ~key ~parts tup) slot b);
+  let width = max 0 !width in
+  let cols = Array.init width Fun.id in
+  let batch d =
+    let n = Intvec.length slots.(d) in
+    if d = self || n = 0 then Colbatch.empty
+    else
+      Colbatch.of_iter ~cols ~width ~count:n (Pool.iter_slots src slots.(d))
+  in
+  {
+    peers = Array.init parts batch;
+    own = (src, slots.(self));
+    ser = !ser;
+    modeled;
+  }
 
-(* The other half: replace the destination partition with the buffers
-   every source sent it, applied in ascending source id ([from src] is
-   called once per source, in order) — one fixed order for the float
-   association of cross-source collisions and for slot creation,
-   whichever transport carried the buffers. *)
-let shuffle_apply wk ~parts idx from =
+(* A peer's buffer for transfer [idx] must have its destination's arity
+   (an empty one has none): a shorter key would enter the pool and break
+   its slice indexes. A transport checks every buffer of an exchange
+   before it applies any. *)
+let shuffle_check wk ~src idx cb =
   let tname, _, _ = transfer_of wk idx in
-  Runtime.clear_map wk.wrt tname;
-  for src = 0 to parts - 1 do
-    Gmr.iter (fun tup m -> Runtime.add_to_map wk.wrt tname tup m) (from src)
+  let want = Pool.key_width (Runtime.map_pool wk.wrt tname) in
+  if Colbatch.length cb > 0 && Colbatch.width cb <> want then
+    failwith
+      (Printf.sprintf
+         "mesh buffer from peer %d for transfer %d (%s) has width %d, its \
+          destination arity %d"
+         src idx tname (Colbatch.width cb) want)
+
+(* Ring-(+) a batch's rows into a pool in row order, hashing the typed
+   cells in place; a key tuple is built only on first insert. *)
+let merge_batch p cb =
+  let cols = Array.init (Colbatch.width cb) (Colbatch.col cb) in
+  let all = Array.init (Array.length cols) Fun.id and ms = Colbatch.mults cb in
+  for i = 0 to Colbatch.length cb - 1 do
+    Pool.add_by p
+      ~hash:(Colbatch.row_hash cols all i)
+      ~eq:(Colbatch.row_eq cols all i)
+      ~make:(fun () -> Colbatch.row_tuple cols all i)
+      ms.(i)
+  done
+
+(* The other half: replace the destination partition with what every
+   source sent it, applied in ascending source id — the worker's own
+   slots replayed from the source pool with their cached hashes, and
+   [from src] for every other source, called once each, in order. One
+   fixed order for the float association of cross-source collisions and
+   for slot creation, whichever transport carried the buffers. The own
+   slots are read here, so no earlier transfer of the exchange may write
+   this one's source: the run rule ({!Dprog.calls}) starts a new exchange
+   at a transfer that reads a destination of the run. *)
+let shuffle_apply wk ~self ~parts idx ~own:(src, slots) from =
+  let tname, _, _ = transfer_of wk idx in
+  let dst = Runtime.map_pool wk.wrt tname in
+  Pool.clear dst;
+  for s = 0 to parts - 1 do
+    if s = self then Pool.merge_slots dst ~src slots else merge_batch dst (from s)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -205,7 +265,8 @@ let in_process ~domains (nodes : worker array) =
   in
   (* Every transfer of the run is partitioned on every worker before any
      is applied, then each is applied in run order — the order a worker
-     process follows around its one exchange. *)
+     process follows around its one exchange. The batches a peer sent
+     are the ones its partition built, so they need no check. *)
   let shuffle idxs =
     let walls = Array.make_matrix w (Array.length idxs) 0. in
     let timed wi j f =
@@ -228,18 +289,17 @@ let in_process ~domains (nodes : worker array) =
         Array.iteri
           (fun j idx ->
             timed d j (fun () ->
-                shuffle_apply wk ~parts:w idx (fun src ->
-                    let outs, _, _ = parts.(src).(j) in
-                    outs.(d))))
+                shuffle_apply wk ~self:d ~parts:w idx ~own:parts.(d).(j).own
+                  (fun src -> parts.(src).(j).peers.(d))))
           idxs)
       nodes;
     Array.mapi
       (fun wi per ->
         Array.mapi
-          (fun j (_, ser, modeled) ->
+          (fun j p ->
             {
-              ss_ser = ser;
-              ss_modeled = modeled;
+              ss_ser = p.ser;
+              ss_modeled = p.modeled;
               ss_sent = Array.make w 0;
               ss_wall = walls.(wi).(j);
             })

@@ -134,17 +134,48 @@ val worker_contents : worker -> string -> Gmr.t
     replay. *)
 val worker_replace : worker -> string -> Gmr.t -> unit
 
+(** One worker's partition of one transfer: [peers.(d)] is the column
+    batch for destination [d] ({!Colbatch.empty} at [self] and for a
+    destination that gets no row), [own] the source pool and the slots
+    of its records that stay on [self]. [ser] is the modeled serialized
+    bytes of the whole partition and [modeled.(d)] those sent to [d]. *)
+type partition = {
+  peers : Colbatch.t array;
+  own : Pool.t * Intvec.t;
+  ser : int;
+  modeled : int array;
+}
+
 (** [shuffle_partition wk ~self ~parts idx] cuts worker [self]'s
     partition of transfer [idx]'s source ({!Divm_dist.Dprog.transfers})
-    into one buffer per destination worker; returns the buffers, the
-    modeled serialized bytes and the modeled bytes per destination. *)
-val shuffle_partition :
-  worker -> self:int -> parts:int -> int -> Gmr.t array * int * int array
+    by destination worker in one walk of the source pool: each row goes
+    to the hash partition of its key columns, or to every worker when the
+    key is empty. Rows keep the source's slot order. Raises [Failure]
+    when the source's rows differ in arity. *)
+val shuffle_partition : worker -> self:int -> parts:int -> int -> partition
 
-(** [shuffle_apply wk ~parts idx from] replaces the worker's partition of
-    transfer [idx]'s destination with [from 0], …, [from (parts-1)],
-    applied in that order. *)
-val shuffle_apply : worker -> parts:int -> int -> (int -> Gmr.t) -> unit
+(** [shuffle_check wk ~src idx cb] accepts [cb], sent by peer [src] for
+    transfer [idx], when it has no rows or its width is the arity of the
+    transfer's destination; else it raises [Failure] naming the peer,
+    the transfer and both widths. A transport checks every buffer it
+    decoded for an exchange before it applies any transfer. *)
+val shuffle_check : worker -> src:int -> int -> Colbatch.t -> unit
+
+(** [shuffle_apply wk ~self ~parts idx ~own from] replaces worker
+    [self]'s partition of transfer [idx]'s destination with what each
+    source sent it, in ascending source order: [own] (the [own] of
+    [self]'s {!partition}), upserted with the source pool's cached
+    hashes, at [self], and the batch [from src] at every other source.
+    [own]'s slots are read now, so the source pool must not have
+    changed since the partition. *)
+val shuffle_apply :
+  worker ->
+  self:int ->
+  parts:int ->
+  int ->
+  own:Pool.t * Intvec.t ->
+  (int -> Colbatch.t) ->
+  unit
 
 (** {1 Transports} *)
 

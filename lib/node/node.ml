@@ -300,12 +300,12 @@ let mesh_exchange m (frames : string array) =
   Array.init w (fun i -> if i = self then "" else Buffer.contents bufs.(i))
 
 (* One exchange for a run of direct transfers: partition every transfer,
-   send each peer one frame with one buffer per transfer, then apply each
-   transfer in run order, each in ascending source order —
-   {!Cluster.shuffle_partition} and {!Cluster.shuffle_apply}, the
-   functions the in-process transport runs, with the socket exchange in
-   between. A transfer's wall is its partition and apply; the exchange
-   counts on the first. *)
+   send each peer one frame with one batch per transfer, check every
+   batch received, then apply each transfer in run order, each in
+   ascending source order — {!Cluster.shuffle_partition} and
+   {!Cluster.shuffle_apply}, the functions the in-process transport
+   runs, with the socket exchange in between. A transfer's wall is its
+   partition and apply; the exchange counts on the first. *)
 let mesh_shuffle wk m idxs =
   let w = Array.length m.mpeers in
   let self = m.mself in
@@ -329,7 +329,7 @@ let mesh_shuffle wk m idxs =
         else
           timed 0 (fun () ->
               Protocol.mesh_frame ~src:self
-                (Array.map (fun (outs, _, _) -> outs.(d)) parts)))
+                (Array.map (fun (p : Cluster.partition) -> p.peers.(d)) parts)))
   in
   let received =
     timed 0 (fun () ->
@@ -341,6 +341,9 @@ let mesh_shuffle wk m idxs =
               match Protocol.decode_frame f with
               | Protocol.Mesh_data (src', bufs), _
                 when src' = src && Array.length bufs = Array.length idxs ->
+                  Array.iteri
+                    (fun j cb -> Cluster.shuffle_check wk ~src idxs.(j) cb)
+                    bufs;
                   bufs
               | _ ->
                   failwith
@@ -353,17 +356,14 @@ let mesh_shuffle wk m idxs =
   Array.iteri
     (fun j idx ->
       timed j (fun () ->
-          Cluster.shuffle_apply wk ~parts:w idx (fun src ->
-              if src = self then
-                let outs, _, _ = parts.(j) in
-                outs.(self)
-              else received.(src).(j))))
+          Cluster.shuffle_apply wk ~self ~parts:w idx ~own:parts.(j).own
+            (fun src -> received.(src).(j))))
     idxs;
   Array.mapi
-    (fun j (_, ser, modeled) ->
+    (fun j (p : Cluster.partition) ->
       {
-        Protocol.ss_ser = ser;
-        ss_modeled = modeled;
+        Protocol.ss_ser = p.ser;
+        ss_modeled = p.modeled;
         ss_sent = Array.map (fun (_, sizes) -> sizes.(j)) framed;
         ss_wall = walls.(j);
       })

@@ -34,7 +34,7 @@ type msg =
   | Mesh_connect
   | Shuffle of int array
   | Shuffle_done of shuffle_stat array
-  | Mesh_data of int * Gmr.t array
+  | Mesh_data of int * Colbatch.t array
 
 exception Error of string
 
@@ -333,7 +333,7 @@ let put_last w sh =
    is the empty share: width 0, no rows, 9 bytes. *)
 exception Arity of int
 
-let empty_share = sized (Colbatch.of_cols [||] ~mults:[||]) [||]
+let empty_share = sized Colbatch.empty [||]
 
 let map_share g =
   match Gmr.iter (fun tup _ -> raise_notrace (Arity (Array.length tup))) g with
@@ -352,14 +352,21 @@ let map_share g =
         (Colbatch.of_iter ~cols:live ~width:wd ~count:(Gmr.cardinal g) rows)
         live
 
-(* Every map of a frame, always its last field: a count, then each map's
-   share. Returns the shares, for their sizes. *)
-let put_maps w gs =
-  put_count w (Array.length gs);
-  let shares = Array.map map_share gs in
+(* A mesh buffer is already a column batch, its rows in the source's
+   slot order: the share of every column, or the empty share when it has
+   no rows — the bytes [map_share] writes for the same rows. *)
+let batch_share cb =
+  if Colbatch.length cb = 0 then empty_share
+  else sized cb (Colbatch.live_cols cb)
+
+(* Every map or mesh buffer of a frame, always its last field: a count,
+   then each share, all sized before any is written. *)
+let put_shares w shares =
+  put_count w (Array.length shares);
   fit w (Array.fold_left (fun s sh -> s + sh.size) 0 shares);
-  Array.iter (put_share w) shares;
-  shares
+  Array.iter (put_share w) shares
+
+let put_maps w gs = put_shares w (Array.map map_share gs)
 
 let tag_of = function
   | Hello _ -> 1
@@ -431,9 +438,9 @@ let put_msg w m =
   | Block_done (ops, wall, gs) ->
       put_i64 w ops;
       put_f64 w wall;
-      ignore (put_maps w gs)
+      put_maps w gs
   | Pull_map names -> put_array w put_string names
-  | Map_contents gs -> ignore (put_maps w gs)
+  | Map_contents gs -> put_maps w gs
   | Deliver (name, g) ->
       put_string w name;
       put_last w (map_share g)
@@ -455,9 +462,9 @@ let put_msg w m =
           put_array w put_i32 st.ss_sent;
           put_f64 w st.ss_wall)
         sts
-  | Mesh_data (src, gs) ->
+  | Mesh_data (src, cbs) ->
       put_i32 w src;
-      ignore (put_maps w gs)
+      put_shares w (Array.map batch_share cbs)
 
 (* The frame is built once: the length prefix is reserved up front and
    patched in place. Frames whose last field is a share or maps come out
@@ -483,7 +490,9 @@ let mesh_frame ~src bufs =
   let w = new_writer () and tag = tag_of (Mesh_data (src, bufs)) in
   put_u8 w tag;
   put_i32 w src;
-  let sizes = Array.map (fun sh -> sh.size) (put_maps w bufs) in
+  let shares = Array.map batch_share bufs in
+  put_shares w shares;
+  let sizes = Array.map (fun sh -> sh.size) shares in
   let frame = finish_frame w ~tag in
   if Array.length sizes > 0 then
     sizes.(0) <-
@@ -827,7 +836,7 @@ let decode_at s ~base ~len =
       | 19 ->
           let src = get_i32 r in
           if src < 0 then err "negative mesh source id %d" src;
-          Mesh_data (src, get_maps r)
+          Mesh_data (src, get_array r "map" ~elt:9 (get_share ~map:true))
       | _ -> assert false
     with Error msg ->
       err "bad %s frame (tag %d, %d-byte payload): %s" (tag_name tag) tag len

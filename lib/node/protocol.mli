@@ -119,14 +119,19 @@ type msg =
       (** reply to [Shuffle]: one stat per transfer, in order. The
           per-peer byte arrays ride as i32 (each entry is bounded by
           [max_frame]) to keep the per-transfer control floor small. *)
-  | Mesh_data of int * Gmr.t array
+  | Mesh_data of int * Colbatch.t array
       (** worker → worker, on a mesh link: [(source worker id, one
-          pre-summed buffer per transfer of the exchange, each as a map
-          share)]. The destination maps are implied — the exchange is a
+          column batch per transfer of the exchange)], each batch the
+          rows of the sender's partition bound for the receiver, in the
+          source pool's slot order ({!Divm_cluster.Cluster.partition}).
+          A batch travels as the share of its live columns — every column
+          of a partition's batch — or as the empty share when it has no
+          rows: the bytes a map share of the same rows takes. The
+          decoder rejects a batch that lacks a column, and returns every
+          batch with all its columns and rows in order, without building
+          a row. The destination maps are implied — the exchange is a
           synchronous barrier per [Shuffle], so a frame can only belong to
-          the run in flight, and its buffers follow the run's order. The
-          sender's slot order is preserved, so replay stays
-          bit-identical. *)
+          the run in flight, and its batches follow the run's order. *)
 
 (** Malformed frame or payload. The message names the defect, and for a
     field-level failure also the frame's claimed message tag and payload
@@ -153,10 +158,10 @@ val decode : string -> msg
 val encode_frame : msg -> string
 
 (** [mesh_frame ~src bufs] is [encode_frame (Mesh_data (src, bufs))], and
-    the bytes of the frame each buffer accounts for: its own encoding,
+    the bytes of the frame each batch accounts for: its own encoding,
     with the frame's header charged to the first. The sizes sum to the
     frame's length. *)
-val mesh_frame : src:int -> Gmr.t array -> string * int array
+val mesh_frame : src:int -> Colbatch.t array -> string * int array
 
 (** [decode_frame s] parses one complete frame and returns the message and
     the number of bytes consumed. Raises {!Error} when [s] is shorter

@@ -27,6 +27,13 @@ let hash t =
   done;
   !h land max_int
 
+let hash_at t idxs =
+  let h = ref 17 in
+  for i = 0 to Array.length idxs - 1 do
+    h := (!h * 31) + Value.hash t.(idxs.(i))
+  done;
+  !h land max_int
+
 let concat = Array.append
 let project t idxs = Array.map (fun i -> t.(i)) idxs
 

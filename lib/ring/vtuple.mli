@@ -7,6 +7,10 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
 
+(** [hash_at t idxs] is [hash (project t idxs)], folded over the fields
+    in place. Positions are bounds-checked. *)
+val hash_at : t -> int array -> int
+
 (** [concat a b] appends [b]'s fields after [a]'s. *)
 val concat : t -> t -> t
 

@@ -2124,6 +2124,7 @@ let create ?(auto_index = true) ?(columnar = true) ?domains
   rt
 
 let prog rt = rt.prog
+let map_pool = pool
 let add_to_map rt name tup m = Pool.add (pool rt name) tup m
 let clear_map rt name = Pool.clear (pool rt name)
 

@@ -166,6 +166,8 @@ let of_cols cols ~mults =
     cols;
   { cols; mults; n; tbase = 0; tstride = 0; live = None }
 
+let empty = of_cols [||] ~mults:[||]
+
 let of_live_cols ~width (pairs : (int * col) array) ~mults =
   let n = Array.length mults in
   let pairs = Array.copy pairs in

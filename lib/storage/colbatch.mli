@@ -102,6 +102,9 @@ val of_gmr : width:int -> Gmr.t -> t
     batch, or a width-0 map's rows. *)
 val of_cols : col array -> mults:float array -> t
 
+(** No columns and no rows: [of_cols [||] ~mults:[||]]. *)
+val empty : t
+
 (** [of_live_cols ~width pairs ~mults] builds a [width]-column batch from
     [(position, column)] pairs; every position not named is absent. The
     wire decoder's constructor for a batch share. Raises [Invalid_argument] on a position

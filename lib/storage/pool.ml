@@ -26,6 +26,7 @@ type sec = {
 
 type t = {
   pname : string;
+  key_width : int;
   rec_bytes : int;
   base : int;
   recs : Gmr.t; (* the records; its index is the pool's unique index *)
@@ -42,6 +43,7 @@ let create ?(name = "anon") ~key_width ~slices () =
   Obs.Counter.add m_indexes (List.length slices);
   {
     pname = name;
+    key_width;
     rec_bytes = (key_width * 8) + 8 + 16;
     base = Trace.alloc_region (1 lsl 28);
     recs = Gmr.create ();
@@ -62,6 +64,7 @@ let create ?(name = "anon") ~key_width ~slices () =
   }
 
 let cardinal t = Gmr.cardinal t.recs
+let key_width t = t.key_width
 
 let addr t slot = t.base + (slot * t.rec_bytes)
 
@@ -175,6 +178,36 @@ let foreach t f =
     end
   done
 
+let foreach_slot t f =
+  let r = t.recs in
+  for slot = 0 to r.hwm - 1 do
+    if Array.unsafe_get r.mults slot <> 0. then begin
+      if Trace.enabled () then Trace.emit (addr t slot) Trace.Read;
+      f slot (Array.unsafe_get r.keys slot)
+    end
+  done
+
+(* Slots listed by [foreach_slot] name live records as long as the pool
+   is not changed in between; the reads stay bounds-checked. *)
+let iter_slots t slots f =
+  let r = t.recs in
+  for i = 0 to Intvec.length slots - 1 do
+    let slot = Intvec.get slots i in
+    if Trace.enabled () then Trace.emit (addr t slot) Trace.Read;
+    f r.keys.(slot) r.mults.(slot)
+  done
+
+(* Ring-(+) merge of another pool's records at [slots], in list order,
+   replaying their cached hashes; keys are shared by reference, which is
+   safe because a stored key is never mutated. *)
+let merge_slots t ~src slots =
+  let r = src.recs in
+  for i = 0 to Intvec.length slots - 1 do
+    let slot = Intvec.get slots i in
+    if Trace.enabled () then Trace.emit (addr src slot) Trace.Read;
+    upsert ~copy:false t r.hs.(slot) r.keys.(slot) r.mults.(slot)
+  done
+
 let slice t ~index sub f =
   let sec = t.secs.(index) in
   let h = Oaidx.hash sub in
@@ -207,9 +240,12 @@ let clear t =
   Gmr.clear t.recs;
   Array.iter (fun sec -> Gmr.clear sec.subs) t.secs
 
+(* Records keep their slot order and replay their cached hashes, so the
+   copy equals one built by [Gmr.add] without re-hashing a key. *)
 let to_gmr t =
-  let g = Gmr.create ~size:(cardinal t) () in
-  foreach t (fun key v -> Gmr.add g key v);
+  let g = Gmr.create ~size:(cardinal t) () and r = t.recs in
+  foreach_slot t (fun slot key ->
+      ignore (Gmr.upsert_slot ~copy:false g r.hs.(slot) key r.mults.(slot)));
   g
 
 let free_slots t = Intvec.length t.recs.free

@@ -27,6 +27,9 @@ val create : ?name:string -> key_width:int -> slices:int array list -> unit -> t
 
 val cardinal : t -> int
 
+(** The key width the pool was created with. *)
+val key_width : t -> int
+
 (** Multiplicity of [key]; [0.] if absent. *)
 val get : t -> Vtuple.t -> float
 
@@ -59,6 +62,21 @@ val merge_gmr : t -> Gmr.t -> unit
 
 val foreach : t -> (Vtuple.t -> float -> unit) -> unit
 
+(** [foreach_slot pool f] calls [f slot key] per live record, in slot
+    order, like {!foreach}. *)
+val foreach_slot : t -> (int -> Vtuple.t -> unit) -> unit
+
+(** [iter_slots pool slots f] calls [f key m] for the records at
+    [slots] (as {!foreach_slot} named them, the pool unchanged since), in
+    list order. *)
+val iter_slots : t -> Intvec.t -> (Vtuple.t -> float -> unit) -> unit
+
+(** [merge_slots pool ~src slots] upserts [src]'s records at [slots] into
+    [pool], in list order, replaying their cached hashes: the same
+    upserts as {!add} of each key and multiplicity. Keys are shared with
+    [src] by reference. *)
+val merge_slots : t -> src:t -> Intvec.t -> unit
+
 (** [slice pool ~index sub f] iterates the records whose key projected on
     the [index]-th declared slice equals [sub]. *)
 val slice : t -> index:int -> Vtuple.t -> (Vtuple.t -> float -> unit) -> unit
@@ -68,7 +86,8 @@ val find_slice : t -> int array -> int option
 
 val clear : t -> unit
 
-(** Snapshot to a GMR (fresh). *)
+(** Snapshot to a GMR (fresh), records in slot order, inserted with
+    their cached hashes. *)
 val to_gmr : t -> Gmr.t
 
 (** Number of free-list slots currently available for reuse. *)

@@ -252,6 +252,16 @@ let gen_gmrs ~rows ~map_rows =
 
 let gen_names = QCheck.Gen.(map Array.of_list (list_size (int_range 0 20) gen_name))
 
+(* A mesh buffer: a map's rows, in order, as the one column batch a
+   partition builds for them — the empty batch when there are none. *)
+let batch_of_gmr g =
+  match Gmr.to_list g with
+  | [] -> Colbatch.empty
+  | (tup, _) :: _ ->
+      let width = Array.length tup in
+      Colbatch.of_iter ~cols:(Array.init width Fun.id) ~width
+        ~count:(Gmr.cardinal g) (fun f -> Gmr.iter f g)
+
 (* [map_rows] sizes the maps of a multi-map frame, [rows] every other
    payload. *)
 let gen_msg_sized ~rows ~map_rows =
@@ -300,7 +310,7 @@ let gen_msg_sized ~rows ~map_rows =
             (list_size (int_range 0 20) gen_shuffle_stat) );
         ( 3,
           map2
-            (fun src gs -> Protocol.Mesh_data (src, gs))
+            (fun src gs -> Protocol.Mesh_data (src, Array.map batch_of_gmr gs))
             (int_range 0 8) gen_gmrs );
       ])
 
@@ -402,8 +412,8 @@ let msg_equal (a : Protocol.msg) (b : Protocol.msg) =
   | Protocol.Block_done (o1, w1, g1), Protocol.Block_done (o2, w2, g2) ->
       o1 = o2 && fbits_equal w1 w2 && all2 gmr_bits_equal g1 g2
   | Protocol.Telemetry t1, Protocol.Telemetry t2 -> telem_equal t1 t2
-  | Protocol.Mesh_data (s1, g1), Protocol.Mesh_data (s2, g2) ->
-      s1 = s2 && all2 gmr_bits_equal g1 g2
+  | Protocol.Mesh_data (s1, b1), Protocol.Mesh_data (s2, b2) ->
+      s1 = s2 && all2 share_bits_equal b1 b2
   | Protocol.Shuffle_done st1, Protocol.Shuffle_done st2 ->
       all2
         (fun (st1 : Protocol.shuffle_stat) (st2 : Protocol.shuffle_stat) ->
@@ -945,12 +955,35 @@ let test_codec_mesh_strict () =
     [ "Shuffle"; "tag 17"; "negative transfer index" ]
     (fun () -> Protocol.decode (Bytes.to_string neg_idx));
   (* Negative mesh source id: the i32 right after the tag byte. *)
-  let md = Protocol.encode (Protocol.Mesh_data (0, [| Gmr.create () |])) in
+  let md = Protocol.encode (Protocol.Mesh_data (0, [| Colbatch.empty |])) in
   let neg_src = Bytes.of_string md in
   Bytes.set neg_src 1 '\xff';
   expect_error_with "negative mesh source id"
     [ "Mesh_data"; "tag 19"; "negative mesh source id" ]
     (fun () -> Protocol.decode (Bytes.to_string neg_src));
+  (* A mesh buffer is a map share: the encoder writes a batch's live
+     columns, and the decoder rejects one that lacks a column... *)
+  let pruned =
+    Colbatch.of_live_cols ~width:3
+      [| (0, Colbatch.CInt [| 1; 2 |]); (2, Colbatch.CInt [| 3; 4 |]) |]
+      ~mults:[| 1.; 1. |]
+  in
+  expect_error_with "mesh buffer without a column"
+    [ "Mesh_data"; "tag 19"; "map payload carries 2 of its 3 columns" ]
+    (fun () ->
+      Protocol.decode (Protocol.encode (Protocol.Mesh_data (0, [| pruned |]))));
+  (* ...and one whose positions descend. *)
+  let mesh_data_head b =
+    Buffer.add_uint8 b 19 (* Mesh_data *);
+    Buffer.add_int32_be b 1l (* source *);
+    Buffer.add_int32_be b 1l (* one buffer *)
+  in
+  expect_error_with "mesh buffer with descending positions"
+    [ "Mesh_data"; "tag 19"; "column index 0 after 1" ]
+    (fun () ->
+      Protocol.decode
+        (share_payload ~head:mesh_data_head ~width:2
+           [ (1, 2, int_cells [ 1; 2 ]); (0, 2, int_cells [ 3; 4 ]) ]));
   (* Negative serialized byte count: the i64 right after the tag byte and
      the stat count. *)
   let sd =
@@ -994,6 +1027,278 @@ let test_codec_mesh_strict () =
   expect_error_with "frame-cap violation cites length and tag"
     [ "declared frame length"; string_of_int (Protocol.max_frame + 1); "Deliver" ]
     (fun () -> Protocol.decode_frame oversized)
+
+(* ------------------------------------------------------------------ *)
+(* Typed mesh buffers: partition and apply against a GMR reference     *)
+(* ------------------------------------------------------------------ *)
+
+module Prog = Divm_compiler.Prog
+module Calc = Divm_calc.Calc
+
+(* One repartition of [width]-column keys: block 0 runs S += ΔR on the
+   workers, and transfer 0 moves S into the transient T, keyed on [key]
+   (an empty key broadcasts). *)
+let mesh_dprog ~width ~key =
+  let vars = List.init width (fun c -> Schema.var (Printf.sprintf "x%d" c)) in
+  let r = { Calc.rname = "R"; rvars = vars } in
+  let decl mname mkind =
+    { Prog.mname; mschema = vars; mkind; definition = Calc.Rel r }
+  in
+  let fill =
+    { Prog.target = "S"; target_vars = vars; op = Prog.Add_to;
+      rhs = Calc.DeltaRel r }
+  in
+  let bcast = Array.length key = 0 in
+  {
+    Dprog.base =
+      {
+        Prog.maps = [ decl "S" Prog.Auxiliary; decl "T" Prog.Transient ];
+        triggers = [ { Prog.relation = "R"; stmts = [ fill ] } ];
+        queries = [ ("S", "S") ];
+        streams = [ ("R", vars) ];
+      };
+    locs =
+      [ ("S", Loc.Random); ("T", if bcast then Loc.Replicated else Loc.Dist key) ];
+    dtriggers =
+      [
+        {
+          Dprog.drelation = "R";
+          blocks =
+            [
+              { Dprog.bmode = Dprog.MDist; bstmts = [ Dprog.Compute fill ] };
+              {
+                Dprog.bmode = Dprog.MLocal;
+                bstmts =
+                  [
+                    Dprog.Transfer
+                      {
+                        Dprog.tname = "T";
+                        tkind = (if bcast then Dprog.Scatter else Dprog.Repart);
+                        key;
+                        source = "S";
+                      };
+                  ];
+              };
+            ];
+        };
+      ];
+  }
+
+(* Run S += ΔR for one batch on a worker. *)
+let fill_source wk ~width batch =
+  Cluster.worker_load wk ~rel:"R" (Colbatch.of_gmr ~width batch);
+  ignore (Cluster.worker_run_block wk ~rel:"R" 0)
+
+let rows_in_order g =
+  List.rev (Gmr.fold (fun tup m acc -> (tup, m) :: acc) g [])
+
+(* The same rows in the same slot order, floats compared by their bits. *)
+let same_rows_in_order a b =
+  let a = rows_in_order a and b = rows_in_order b in
+  List.length a = List.length b
+  && List.for_all2
+       (fun (t1, m1) (t2, m2) ->
+         Array.length t1 = Array.length t2
+         && Array.for_all2 value_bits_equal t1 t2
+         && fbits_equal m1 m2)
+       a b
+
+(* The parent design, kept here as the oracle: cut each source's
+   contents, in slot order, into one GMR per destination by
+   [Vtuple.hash (Vtuple.project tup key) mod parts] (every destination on
+   an empty key), then add each destination's GMRs to a fresh pool with
+   [Pool.add], in ascending source order. *)
+let mesh_reference ~width ~key ~parts sources =
+  Array.init parts (fun d ->
+      let p = Pool.create ~key_width:width ~slices:[] () in
+      Array.iter
+        (fun g ->
+          let buf = Gmr.create () in
+          Gmr.iter
+            (fun tup m ->
+              if
+                Array.length key = 0
+                || Vtuple.hash (Vtuple.project tup key) mod parts = d
+              then Gmr.add buf tup m)
+            g;
+          Gmr.iter (fun tup m -> Pool.add p tup m) buf)
+        sources;
+      Pool.to_gmr p)
+
+(* Key cells: each column draws from one flavor — small ints; ints next
+   to integer-valued floats (equal keys, one hash) and a fractional
+   float; dates; 100 distinct strings (a batch with more than 64 turns
+   boxed); or any kind (a mixed, boxed column). Small ranges make keys
+   meet across workers, so destinations sum them. *)
+let gen_mesh_flavor =
+  QCheck.Gen.(
+    oneofl
+      [
+        map (fun i -> Value.Int i) (int_range 0 5);
+        oneof
+          [
+            map (fun i -> Value.Int i) (int_range 0 5);
+            map (fun i -> Value.Float (float_of_int i)) (int_range 0 5);
+            return (Value.Float 2.5);
+          ];
+        map (fun d -> Value.Date d) (int_range 19920101 19920104);
+        map (fun i -> Value.String (Printf.sprintf "s%d" i)) (int_range 0 99);
+        oneof
+          [
+            map (fun i -> Value.Int i) (int_range 0 3);
+            map (fun i -> Value.String (Printf.sprintf "s%d" i)) (int_range 0 3);
+            map (fun d -> Value.Date d) (int_range 19920101 19920102);
+            return (Value.Float 1.5);
+          ];
+      ])
+
+(* Per worker: an insert batch, then a batch retracting a random subset
+   of it exactly (freeing source slots) plus fresh rows. *)
+let gen_mesh_case =
+  QCheck.Gen.(
+    int_range 1 4 >>= fun parts ->
+    int_range 0 4 >>= fun width ->
+    list_repeat width gen_mesh_flavor >>= fun flavors ->
+    shuffle_l (List.init width Fun.id) >>= fun perm ->
+    int_range 0 width >>= fun nkey ->
+    let key = Array.of_list (List.filteri (fun i _ -> i < nkey) perm) in
+    let gen_rows n =
+      list_repeat n
+        (pair
+           (map Array.of_list (flatten_l flavors))
+           (oneofl [ 1.; -1.; 0.5; 2.; 0.1; 3.; -0.3 ]))
+    in
+    let gen_worker =
+      frequency [ (4, int_range 0 40); (1, int_range 41 200) ] >>= fun n ->
+      gen_rows n >>= fun ins ->
+      list_repeat (List.length ins) bool >>= fun drop ->
+      int_range 0 10 >>= gen_rows >>= fun fresh ->
+      return (ins, List.filteri (fun i _ -> List.nth drop i) ins, fresh)
+    in
+    list_repeat parts gen_worker >>= fun ws -> return (parts, width, key, ws))
+
+let qcheck_mesh_reference =
+  let print (parts, width, key, ws) =
+    Printf.sprintf "parts %d, width %d, key [%s], rows %s" parts width
+      (String.concat ";" (Array.to_list (Array.map string_of_int key)))
+      (String.concat "/"
+         (List.map (fun (ins, _, _) -> string_of_int (List.length ins)) ws))
+  in
+  QCheck.Test.make
+    ~name:
+      "mesh partition and apply leave every destination equal to the GMR \
+       reference, in slot order, in process and over the wire"
+    ~count:300
+    (QCheck.make ~print gen_mesh_case)
+    (fun (parts, width, key, ws) ->
+      let dp = mesh_dprog ~width ~key in
+      let wks = Array.of_list (List.map (fun _ -> Cluster.worker dp) ws) in
+      List.iteri
+        (fun i (ins, drop, fresh) ->
+          let batch rows =
+            let g = Gmr.create () in
+            List.iter (fun (tup, m) -> Gmr.add g tup m) rows;
+            g
+          in
+          let b1 = batch ins in
+          fill_source wks.(i) ~width b1;
+          let b2 = Gmr.create () in
+          List.iter
+            (fun (tup, _) ->
+              let m = Gmr.mult b1 tup in
+              if m <> 0. then Gmr.set b2 tup (-.m))
+            drop;
+          List.iter (fun (tup, m) -> Gmr.add b2 tup m) fresh;
+          fill_source wks.(i) ~width b2)
+        ws;
+      let sources = Array.map (fun wk -> Cluster.worker_contents wk "S") wks in
+      let want = mesh_reference ~width ~key ~parts sources in
+      let ps =
+        Array.mapi (fun self wk -> Cluster.shuffle_partition wk ~self ~parts 0) wks
+      in
+      (* the ledger: every source row's modeled bytes, and those of the
+         rows each destination gets from another worker *)
+      Array.iteri
+        (fun self (p : Cluster.partition) ->
+          let bytes = ref 0 and sent = Array.make parts 0 in
+          Gmr.iter
+            (fun tup _ ->
+              let b = Divm_dist.Costmodel.tuple_bytes tup in
+              bytes := !bytes + b;
+              for d = 0 to parts - 1 do
+                if d <> self
+                   && (Array.length key = 0
+                      || Vtuple.hash (Vtuple.project tup key) mod parts = d)
+                then sent.(d) <- sent.(d) + b
+              done)
+            sources.(self);
+          if p.ser <> !bytes || p.modeled <> sent then
+            Alcotest.failf "worker %d: modeled bytes differ from the reference"
+              self)
+        ps;
+      let wire src cb =
+        match Protocol.decode_frame (fst (Protocol.mesh_frame ~src [| cb |])) with
+        | Protocol.Mesh_data (_, [| cb' |]), _ -> cb'
+        | _ -> Alcotest.fail "mesh frame decoded to a different message"
+      in
+      Array.iteri
+        (fun d wk ->
+          List.iter
+            (fun (how, from) ->
+              Cluster.shuffle_apply wk ~self:d ~parts 0 ~own:ps.(d).own from;
+              if not (same_rows_in_order want.(d) (Cluster.worker_contents wk "T"))
+              then
+                Alcotest.failf "destination %d (%s) differs from the reference"
+                  d how)
+            [
+              ("in process", fun src -> ps.(src).peers.(d));
+              ( "over the wire",
+                fun src ->
+                  let cb = wire src ps.(src).peers.(d) in
+                  Cluster.shuffle_check wk ~src 0 cb;
+                  cb );
+            ])
+        wks;
+      true)
+
+(* A mesh buffer travels as the map share of the same rows in the same
+   order, so [Mesh_data] frames keep the bytes they had when buffers were
+   GMRs: the payloads agree past their heads (tag, source and buffer
+   count; tag and map count). *)
+let qcheck_mesh_share_bytes =
+  QCheck.Test.make ~name:"mesh buffers encode to the bytes of map shares"
+    ~count:300
+    (QCheck.make ~print:(fun _ -> "<map>") (gen_gmr_sized large_rows))
+    (fun g ->
+      let md = Protocol.encode (Protocol.Mesh_data (3, [| batch_of_gmr g |])) in
+      let mc = Protocol.encode (Protocol.Map_contents [| g |]) in
+      String.sub md 9 (String.length md - 9) = String.sub mc 5 (String.length mc - 5))
+
+(* A peer's buffer whose width is not its destination's arity is
+   rejected, naming the peer, the transfer and both widths, and leaves
+   the destination as it was; an empty buffer of any width passes. *)
+let test_mesh_width_check () =
+  let wk = Cluster.worker (mesh_dprog ~width:2 ~key:[| 0 |]) in
+  fill_source wk ~width:2
+    (Gmr.of_list
+       [ ([| Value.Int 1; Value.Int 2 |], 1.); ([| Value.Int 3; Value.Int 4 |], 2.) ]);
+  let p = Cluster.shuffle_partition wk ~self:0 ~parts:1 0 in
+  Cluster.shuffle_apply wk ~self:0 ~parts:1 0 ~own:p.own (fun _ ->
+      Alcotest.fail "a one-worker exchange has no peer");
+  let before = Cluster.worker_contents wk "T" in
+  Alcotest.(check int) "destination filled" 2 (Gmr.cardinal before);
+  let narrow = Colbatch.of_cols [| Colbatch.CInt [| 7 |] |] ~mults:[| 1. |] in
+  (match Cluster.shuffle_check wk ~src:1 0 narrow with
+  | exception Failure msg ->
+      List.iter
+        (fun sub ->
+          if not (contains msg sub) then
+            Alcotest.failf "error %S lacks %S" msg sub)
+        [ "peer 1"; "transfer 0"; "width 1"; "arity 2" ]
+  | () -> Alcotest.fail "a width-1 buffer for a width-2 map was accepted");
+  Cluster.shuffle_check wk ~src:1 0 Colbatch.empty;
+  Alcotest.(check bool) "destination untouched" true
+    (same_rows_in_order before (Cluster.worker_contents wk "T"))
 
 (* ------------------------------------------------------------------ *)
 (* Simulated vs multiprocess store equivalence                         *)
@@ -1744,6 +2049,10 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_deal;
         Alcotest.test_case "mesh frames decode strictly with error context"
           `Quick test_codec_mesh_strict;
+        QCheck_alcotest.to_alcotest qcheck_mesh_reference;
+        QCheck_alcotest.to_alcotest qcheck_mesh_share_bytes;
+        Alcotest.test_case "a mesh buffer of the wrong width is rejected"
+          `Quick test_mesh_width_check;
         QCheck_alcotest.to_alcotest qcheck_node_equiv;
         QCheck_alcotest.to_alcotest qcheck_retraction_equiv;
         Alcotest.test_case "engine backends agree" `Quick test_engine_backends;
