@@ -97,15 +97,6 @@ let worker_run_block wk ~rel bi =
   if Prof.enabled () then Obs.Counter.add w_record_ops dops;
   (dops, Unix.gettimeofday () -. wall0)
 
-let worker_contents wk name = Runtime.map_contents wk.wrt name
-
-(* Replay in slot order: a GMR that crossed the wire preserves the
-   sender's buffer order, so any reordering here would permute the map's
-   slots and perturb downstream float summation. *)
-let worker_replace wk name g =
-  Runtime.clear_map wk.wrt name;
-  Gmr.iter (fun tup m -> Runtime.add_to_map wk.wrt name tup m) g
-
 let transfer_of wk idx =
   if idx < 0 || idx >= Array.length wk.wtransfers then
     failwith
@@ -117,14 +108,16 @@ let transfer_of wk idx =
    key columns. (An empty key broadcasts to every worker instead.) *)
 let dest ~key ~parts tup = Divm_ring.Vtuple.hash_at tup key mod parts
 
-(* One worker's half of a direct shuffle, the partition: walk the source
-   pool's live records once and list each destination's slots ([dest]).
-   A peer's list is transposed once into the column batch that travels;
-   the worker's own list stays as slots of the source pool. Lists keep
-   slot order, and a partition holds each tuple once, so nothing
-   pre-sums. Every row must have the first row's arity. The modeled byte
-   accounting is the cost model's rule: a tuple that stays on its origin
-   worker is free. *)
+(* The one walk by which rows leave a pool, whoever sends them and
+   wherever they go: a repartition's buffers, a scatter through the
+   driver, a partition pulled to the driver. Walk the pool's live records
+   once and list each destination's slots ([dest]). A list bound for
+   another node is transposed once into the column batch that travels;
+   [self]'s list stays as slots of the pool (the driver, [self = -1],
+   keeps none). Lists keep slot order, and a pool holds each tuple once,
+   so nothing pre-sums. Every row must have the first row's arity. The
+   modeled byte accounting is the cost model's rule: a tuple that stays
+   on its origin worker is free. *)
 type partition = {
   peers : Colbatch.t array;
   own : Pool.t * Intvec.t;
@@ -132,9 +125,7 @@ type partition = {
   modeled : int array;
 }
 
-let shuffle_partition wk ~self ~parts idx =
-  let _, key, source = transfer_of wk idx in
-  let src = Runtime.map_pool wk.wrt source in
+let partition ~self ~parts ~key name src =
   let slots = Array.init parts (fun _ -> Intvec.create ()) in
   let ser = ref 0 and modeled = Array.make parts 0 in
   let width = ref (-1) in
@@ -147,8 +138,7 @@ let shuffle_partition wk ~self ~parts idx =
       if !width < 0 then width := wd
       else if wd <> !width then
         failwith
-          (Printf.sprintf "transfer %d: source %s mixes rows of arity %d and %d"
-             idx source !width wd);
+          (Printf.sprintf "map %s mixes rows of arity %d and %d" name !width wd);
       let b = Costmodel.tuple_bytes tup in
       ser := !ser + b;
       if Array.length key = 0 then
@@ -166,24 +156,39 @@ let shuffle_partition wk ~self ~parts idx =
   in
   {
     peers = Array.init parts batch;
-    own = (src, slots.(self));
+    own = (src, if self < 0 then Intvec.create () else slots.(self));
     ser = !ser;
     modeled;
   }
 
-(* A peer's buffer for transfer [idx] must have its destination's arity
-   (an empty one has none): a shorter key would enter the pool and break
-   its slice indexes. A transport checks every buffer of an exchange
-   before it applies any. *)
-let shuffle_check wk ~src idx cb =
-  let tname, _, _ = transfer_of wk idx in
-  let want = Pool.key_width (Runtime.map_pool wk.wrt tname) in
+let shuffle_partition wk ~self ~parts idx =
+  let _, key, source = transfer_of wk idx in
+  partition ~self ~parts ~key source (Runtime.map_pool wk.wrt source)
+
+(* A pool's live records, in slot order, as one batch: the partition
+   walk's cut for one destination that is not the pool's node. *)
+let contents name p =
+  (partition ~self:(-1) ~parts:1 ~key:[||] name p).peers.(0)
+
+let worker_contents wk name = contents name (Runtime.map_pool wk.wrt name)
+
+(* A batch enters a pool only at the pool's arity (an empty batch has
+   none): a shorter key would enter the pool and break its slice
+   indexes. Every batch that crossed between nodes is checked before its
+   destination is cleared — a mesh buffer, a delivery, a gathered
+   partition, a snapshot; [what] names it, its map and its sender. *)
+let check_width p cb ~what =
+  let want = Pool.key_width p in
   if Colbatch.length cb > 0 && Colbatch.width cb <> want then
     failwith
-      (Printf.sprintf
-         "mesh buffer from peer %d for transfer %d (%s) has width %d, its \
-          destination arity %d"
-         src idx tname (Colbatch.width cb) want)
+      (Printf.sprintf "%s has width %d, its destination arity %d" (what ())
+         (Colbatch.width cb) want)
+
+let shuffle_check wk ~src idx cb =
+  let tname, _, _ = transfer_of wk idx in
+  check_width (Runtime.map_pool wk.wrt tname) cb ~what:(fun () ->
+      Printf.sprintf "mesh buffer from peer %d for transfer %d (%s)" src idx
+        tname)
 
 (* Ring-(+) a batch's rows into a pool in row order, hashing the typed
    cells in place; a key tuple is built only on first insert. *)
@@ -198,15 +203,27 @@ let merge_batch p cb =
       ms.(i)
   done
 
-(* The other half: replace the destination partition with what every
-   source sent it, applied in ascending source id — the worker's own
-   slots replayed from the source pool with their cached hashes, and
-   [from src] for every other source, called once each, in order. One
-   fixed order for the float association of cross-source collisions and
-   for slot creation, whichever transport carried the buffers. The own
-   slots are read here, so no earlier transfer of the exchange may write
-   this one's source: the run rule ({!Dprog.calls}) starts a new exchange
-   at a transfer that reads a destination of the run. *)
+(* Replace a map's contents with a batch the driver sent (a delivery,
+   or a snapshot it restores, its own included): its rows in order, so a
+   partition that crossed whole rebuilds its sender's slot order. *)
+let replace rt name cb =
+  let p = Runtime.map_pool rt name in
+  check_width p cb ~what:(fun () -> "batch from the driver for map " ^ name);
+  Pool.clear p;
+  merge_batch p cb
+
+let worker_replace wk = replace wk.wrt
+
+(* The other half of a repartition: replace the destination partition
+   with what every source sent it, applied in ascending source id — the
+   worker's own slots replayed from the source pool with their cached
+   hashes, and [from src] for every other source, called once each, in
+   order. One fixed order for the float association of cross-source
+   collisions and for slot creation, whichever transport carried the
+   buffers. The own slots are read here, so no earlier transfer of the
+   exchange may write this one's source: the run rule ({!Dprog.calls})
+   starts a new exchange at a transfer that reads a destination of the
+   run. *)
 let shuffle_apply wk ~self ~parts idx ~own:(src, slots) from =
   let tname, _, _ = transfer_of wk idx in
   let dst = Runtime.map_pool wk.wrt tname in
@@ -226,9 +243,9 @@ type transport = {
     int ->
     share:Colbatch.t array option ->
     pulls:string array ->
-    (int * float) array * Gmr.t array array;
-  pull : string array -> int array -> Gmr.t array array;
-  deliver : string -> Gmr.t array -> unit;
+    (int * float) array * Colbatch.t array array;
+  pull : string array -> int array -> Colbatch.t array array;
+  deliver : string -> Colbatch.t array -> unit;
   shuffle : int array -> shuffle_stat array array;
   wire : unit -> int;
   after_stage : unit -> unit;
@@ -609,53 +626,60 @@ let charge net ~origin ~dst b =
     else net.into_node.(dst) <- net.into_node.(dst) + b
   end
 
-(* Where a driver-bound transfer reads its source: on the driver
-   (origin -1), on one worker for a replicated map (origin -2), or every
-   worker's partition. *)
-let driver_sources t (tr : Dprog.transfer) =
-  match Loc.find t.dprog.locs tr.source with
-  | Loc.Local -> [| (-1, Runtime.map_contents t.driver tr.source) |]
-  | Loc.Replicated -> [| (-2, (t.tp.pull [| tr.source |] [| 0 |]).(0).(0)) |]
-  | Loc.Dist _ | Loc.Random ->
-      Array.mapi
-        (fun i g -> (i, g.(0)))
-        (t.tp.pull [| tr.source |] (all_workers t))
-
-(* A transfer through the driver, over its source contents: a gather
-   fills the driver's map, and a scatter deals per-destination buffers
-   that replace each worker's partition. Buffers pre-sum duplicates in
-   source-iteration order, the same float association as in-order adds
-   into a cleared map. Returns the modeled serialized bytes. *)
-let driver_transfer t net (tr : Dprog.transfer) sources =
-  let w = t.workers in
-  let gather = tr.tkind = Dprog.Gather in
-  if gather then Runtime.clear_map t.driver tr.tname;
-  let outs = Array.init (if gather then 0 else w) (fun _ -> Gmr.create ()) in
+(* A gather replaces the driver's map with every source batch, in
+   ascending origin order, once every batch passed the width check. One
+   pass per batch charges each row to the ledger and upserts it: a cell
+   is boxed once, and a key is copied only on insert. Returns the modeled
+   serialized bytes. *)
+let gather t net name sources =
+  let p = Runtime.map_pool t.driver name in
+  Array.iter
+    (fun (origin, cb) ->
+      check_width p cb ~what:(fun () ->
+          Printf.sprintf "batch gathered from %s for map %s"
+            (if origin < 0 then "the driver"
+             else Printf.sprintf "worker %d" origin)
+            name))
+    sources;
+  Pool.clear p;
   let ser = ref 0 in
   Array.iter
-    (fun (origin, contents) ->
-      Gmr.iter
-        (fun tup m ->
+    (fun (origin, cb) ->
+      Colbatch.iter_rows cb (fun tup m ->
           let b = Costmodel.tuple_bytes tup in
           ser := !ser + b;
-          if gather then begin
-            Runtime.add_to_map t.driver tr.tname tup m;
-            charge net ~origin ~dst:(-1) b
-          end
-          else if Array.length tr.key = 0 then
-            for d = 0 to w - 1 do
-              Gmr.add outs.(d) tup m;
-              charge net ~origin ~dst:d b
-            done
-          else begin
-            let d = dest ~key:tr.key ~parts:w tup in
-            Gmr.add outs.(d) tup m;
-            charge net ~origin ~dst:d b
-          end)
-        contents)
+          charge net ~origin ~dst:(-1) b;
+          Pool.add_borrow p tup m))
     sources;
-  if not gather then t.tp.deliver tr.tname outs;
   !ser
+
+(* A transfer through the driver reads its source where it lives: the
+   driver's own pool (origin -1) or, for a replicated map, worker 0's
+   copy (origin -2), put in a scratch pool so that a scatter can cut it.
+   A gather fills the driver's map; a scatter cuts the source by
+   destination in the partition walk and delivers each worker its batch.
+   ({!Dprog.calls} fetches every other gather and exchanges every other
+   transfer between the workers.) Returns the modeled serialized bytes. *)
+let via_driver t net (tr : Dprog.transfer) =
+  let origin, src =
+    match Loc.find t.dprog.locs tr.source with
+    | Loc.Local -> (-1, Runtime.map_pool t.driver tr.source)
+    | Loc.Replicated ->
+        let cb = (t.tp.pull [| tr.source |] [| 0 |]).(0).(0) in
+        let p = Pool.create ~key_width:(Colbatch.width cb) ~slices:[] () in
+        merge_batch p cb;
+        (-2, p)
+    | Loc.Dist _ | Loc.Random ->
+        invalid_arg ("Cluster: no route for transfer " ^ tr.tname)
+  in
+  if tr.tkind = Dprog.Gather then
+    gather t net tr.tname [| (origin, contents tr.source src) |]
+  else begin
+    let p = partition ~self:(-1) ~parts:t.workers ~key:tr.key tr.source src in
+    Array.iteri (fun d b -> charge net ~origin ~dst:d b) p.modeled;
+    t.tp.deliver tr.tname p.peers;
+    p.ser
+  end
 
 let link_counter t src dst =
   match Hashtbl.find_opt t.m.links (src, dst) with
@@ -672,8 +696,8 @@ let link_counter t src dst =
 
 (* The ledger of one direct shuffle, from every worker's stat for it:
    each worker partitioned, exchanged and applied on its own, and
-   reported the modeled bytes by the same origin-is-free rule as
-   [driver_transfer], so the ledger — and every modeled latency
+   reported the modeled bytes by the same origin-is-free rule as the
+   driver's transfers, so the ledger — and every modeled latency
    downstream — is the same whichever transport ran it. Payload bytes a
    transport put on sockets arrive in [ss_sent] and land on the per-link
    counters. Returns (modeled ser bytes, per-worker walls, (src, dst,
@@ -776,12 +800,11 @@ let apply_batch t ~rel batch =
                 match tr.troute with
                 | Mesh -> shuffle t net exchanged.(i)
                 | Fetched ->
-                    ( driver_transfer t net tr.tr
-                        (Array.mapi (fun wi g -> (wi, g)) fetched.(i)),
+                    ( gather t net tr.tr.tname
+                        (Array.mapi (fun wi cb -> (wi, cb)) fetched.(i)),
                       [||],
                       [] )
-                | Driver_bound ->
-                    (driver_transfer t net tr.tr (driver_sources t tr.tr), [||], [])
+                | Driver_bound -> (via_driver t net tr.tr, [||], [])
               in
               fetched.(i) <- [||];
               let sent = List.fold_left (fun a (_, _, b) -> a + b) 0 links in
@@ -928,11 +951,11 @@ let apply_batch t ~rel batch =
 let map_contents t name =
   match Loc.find t.dprog.locs name with
   | Loc.Local -> Runtime.map_contents t.driver name
-  | Loc.Replicated -> (t.tp.pull [| name |] [| 0 |]).(0).(0)
+  | Loc.Replicated -> Colbatch.to_gmr (t.tp.pull [| name |] [| 0 |]).(0).(0)
   | Loc.Dist _ | Loc.Random ->
       let out = Gmr.create () in
       Array.iter
-        (fun g -> Gmr.union_into out g.(0))
+        (fun cbs -> Colbatch.iter_rows cbs.(0) (Gmr.add_borrow out))
         (t.tp.pull [| name |] (all_workers t));
       out
 
@@ -959,9 +982,10 @@ let check_replicas t =
       match Loc.find t.dprog.locs m.mname with
       | Loc.Replicated ->
           let parts = t.tp.pull [| m.mname |] (all_workers t) in
+          let first = Colbatch.to_gmr parts.(0).(0) in
           Array.iteri
-            (fun wi g ->
-              if not (Gmr.equal parts.(0).(0) g.(0)) then
+            (fun wi cbs ->
+              if not (Gmr.equal first (Colbatch.to_gmr cbs.(0))) then
                 failwith
                   (Printf.sprintf
                      "Cluster.check_replicas: %s diverges on worker %d" m.mname
@@ -975,8 +999,9 @@ let check_replicas t =
 (* ------------------------------------------------------------------ *)
 
 module Checkpoint = struct
-  (* node -> (map name -> contents); index 0 is the driver, 1..W workers *)
-  type snapshot = (string * (Divm_ring.Vtuple.t * float) list) list array
+  (* node -> (map name -> contents in slot order); index 0 is the
+     driver, 1..W workers *)
+  type snapshot = (string * Colbatch.t) list array
 
   let save_file (s : snapshot) path =
     let oc = open_out_bin path in
@@ -990,12 +1015,12 @@ module Checkpoint = struct
     s
 
   let node_bytes node =
-    List.fold_left
-      (fun acc (_, entries) ->
-        List.fold_left
-          (fun acc (tup, _) -> acc + Divm_ring.Vtuple.byte_size tup + 8)
-          acc entries)
-      0 node
+    let n = ref 0 in
+    List.iter
+      (fun (_, cb) ->
+        Colbatch.iter_rows cb (fun tup _ -> n := !n + Costmodel.tuple_bytes tup))
+      node;
+    !n
 
   let byte_size (s : snapshot) =
     Array.fold_left (fun acc node -> acc + node_bytes node) 0 s
@@ -1010,18 +1035,12 @@ let persistent_maps t =
 let checkpoint t =
   let maps = persistent_maps t in
   (* one map per call, so no frame holds more than one map's contents *)
-  let pulled =
-    List.map
-      (fun n -> (n, Array.map (fun g -> g.(0)) (t.tp.pull [| n |] (all_workers t))))
-      maps
-  in
+  let pulled = List.map (fun n -> (n, t.tp.pull [| n |] (all_workers t))) maps in
   let snap =
     Array.init (1 + t.workers) (fun i ->
         if i = 0 then
-          List.map
-            (fun n -> (n, Gmr.to_list (Runtime.map_contents t.driver n)))
-            maps
-        else List.map (fun (n, parts) -> (n, Gmr.to_list parts.(i - 1))) pulled)
+          List.map (fun n -> (n, contents n (Runtime.map_pool t.driver n))) maps
+        else List.map (fun (n, parts) -> (n, parts.(i - 1).(0))) pulled)
   in
   (* Nodes serialize their partitions in parallel; the checkpoint barrier
      costs one sync round plus the slowest node's serialization. *)
@@ -1031,25 +1050,20 @@ let checkpoint t =
   ( snap,
     Costmodel.checkpoint_latency t.cost ~workers:t.workers ~max_node_bytes )
 
+(* Every pool gets its checkpointed rows back in their slot order: the
+   driver's merged here, the workers' delivered. *)
 let restore t (snap : Checkpoint.snapshot) =
-  List.iter
-    (fun (name, entries) ->
-      Runtime.clear_map t.driver name;
-      List.iter
-        (fun (tup, m) -> Runtime.add_to_map t.driver name tup m)
-        entries)
-    snap.(0);
+  List.iter (fun (name, cb) -> replace t.driver name cb) snap.(0);
   List.iter
     (fun (name, _) ->
       t.tp.deliver name
-        (Array.init t.workers (fun wi ->
-             Gmr.of_list (List.assoc name snap.(wi + 1)))))
+        (Array.init t.workers (fun wi -> List.assoc name snap.(wi + 1))))
     snap.(1)
 
 let fail_worker t wi =
   List.iter
     (fun name ->
       let parts = Array.map (fun g -> g.(0)) (t.tp.pull [| name |] (all_workers t)) in
-      parts.(wi) <- Gmr.create ();
+      parts.(wi) <- Colbatch.empty;
       t.tp.deliver name parts)
     (persistent_maps t)

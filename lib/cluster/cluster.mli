@@ -128,17 +128,27 @@ val worker_load : worker -> rel:string -> Colbatch.t -> unit
     trigger or block. *)
 val worker_run_block : worker -> rel:string -> int -> int * float
 
-val worker_contents : worker -> string -> Gmr.t
+(** The worker's partition of a map as one column batch, its live
+    records in slot order ({!Colbatch.empty} when it has none): the
+    partition walk's cut for one remote destination, so it passes the
+    same arity check as every batch that leaves a pool. *)
+val worker_contents : worker -> string -> Colbatch.t
 
-(** Replace the worker's partition of a map: clear, then slot-order
-    replay. *)
-val worker_replace : worker -> string -> Gmr.t -> unit
+(** Replace the worker's partition of a map with a batch the driver
+    delivered: the width check of {!shuffle_check}, then clear, then
+    merge the rows in order, as {!shuffle_apply} merges a peer's batch.
+    Raises [Failure] naming the map, the driver and both widths, before
+    the partition is touched, when the batch has rows of another width
+    than the map's arity. *)
+val worker_replace : worker -> string -> Colbatch.t -> unit
 
-(** One worker's partition of one transfer: [peers.(d)] is the column
-    batch for destination [d] ({!Colbatch.empty} at [self] and for a
-    destination that gets no row), [own] the source pool and the slots
-    of its records that stay on [self]. [ser] is the modeled serialized
-    bytes of the whole partition and [modeled.(d)] those sent to [d]. *)
+(** One node's partition of a pool: [peers.(d)] is the column batch for
+    destination [d] ({!Colbatch.empty} at [self] and for a destination
+    that gets no row), [own] the source pool and the slots of its
+    records that stay on [self]. [ser] is the modeled serialized bytes
+    of the whole partition and [modeled.(d)] those sent to [d]. The same
+    walk cuts a worker's repartition buffers, the driver's scatters
+    (which keep no own share) and a partition pulled to the driver. *)
 type partition = {
   peers : Colbatch.t array;
   own : Pool.t * Intvec.t;
@@ -158,7 +168,10 @@ val shuffle_partition : worker -> self:int -> parts:int -> int -> partition
     transfer [idx], when it has no rows or its width is the arity of the
     transfer's destination; else it raises [Failure] naming the peer,
     the transfer and both widths. A transport checks every buffer it
-    decoded for an exchange before it applies any transfer. *)
+    decoded for an exchange before it applies any transfer. The same
+    check guards every batch that enters a pool: deliveries
+    ({!worker_replace}), and gathered partitions and snapshots on the
+    driver. *)
 val shuffle_check : worker -> src:int -> int -> Colbatch.t -> unit
 
 (** [shuffle_apply wk ~self ~parts idx ~own from] replaces worker
@@ -192,15 +205,18 @@ type transport = {
     int ->
     share:Colbatch.t array option ->
     pulls:string array ->
-    (int * float) array * Gmr.t array array;
+    (int * float) array * Colbatch.t array array;
       (** [run_block ~rel bi ~share ~pulls] installs each worker's batch
           share (one per worker, when given), runs block [bi], then reads
-          each worker's partition of every [pulls] map; returns per-worker
-          (ops, wall) and the pulled partitions *)
-  pull : string array -> int array -> Gmr.t array array;
-      (** each listed worker's partition of every named map *)
-  deliver : string -> Gmr.t array -> unit;
-      (** replace each worker's partition of a map ({!worker_replace}) *)
+          each worker's partition of every [pulls] map
+          ({!worker_contents}); returns per-worker (ops, wall) and the
+          pulled partitions *)
+  pull : string array -> int array -> Colbatch.t array array;
+      (** each listed worker's partition of every named map, as
+          {!worker_contents} *)
+  deliver : string -> Colbatch.t array -> unit;
+      (** replace each worker's partition of a map with its batch
+          ({!worker_replace}) *)
   shuffle : int array -> shuffle_stat array array;
       (** run these {!Divm_dist.Dprog.transfers} entries as one direct
           exchange: every worker partitions each transfer's source, the
@@ -275,9 +291,13 @@ val check_replicas : t -> unit
     checkpoint adds to the processing pipeline. *)
 
 module Checkpoint : sig
+  (** Every persistent map of every node, the driver's and each
+      worker's, as one column batch of its live records in slot order:
+      the batches the workers' pulls carried, plus the driver's own. *)
   type snapshot
 
-  (** Persist to / read from a file (reliable-storage stand-in). *)
+  (** Persist to / read from a file (reliable-storage stand-in), through
+      [Marshal]: the file is only for the binary that wrote it. *)
   val save_file : snapshot -> string -> unit
 
   val load_file : string -> snapshot
@@ -291,7 +311,8 @@ end
     bounded by the slowest node). *)
 val checkpoint : t -> Checkpoint.snapshot * float
 
-(** Roll every node back to the snapshot (e.g. after [fail_worker]). *)
+(** Roll every node back to the snapshot (e.g. after [fail_worker]):
+    each pool gets its checkpointed rows back in their slot order. *)
 val restore : t -> Checkpoint.snapshot -> unit
 
 (** Simulate a worker crash: its partitions are lost. Subsequent results

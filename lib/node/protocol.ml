@@ -21,10 +21,10 @@ type msg =
   | Init of string
   | Load_batch of string * Gmr.t
   | Run_block of string * int * Colbatch.t option * string array
-  | Block_done of int * float * Gmr.t array
+  | Block_done of int * float * Colbatch.t array
   | Pull_map of string array
-  | Map_contents of Gmr.t array
-  | Deliver of string * Gmr.t
+  | Map_contents of Colbatch.t array
+  | Deliver of string * Colbatch.t
   | Ack
   | Shutdown
   | Start_telemetry of bool * bool
@@ -327,13 +327,19 @@ let put_last w sh =
   fit w sh.size;
   put_share w sh
 
-(* A map travels as the share of every column, its rows in slot order, so
-   replaying the decoded map rebuilds a bit-identical store. The width is
-   the arity of its first row, and every row must have it. An empty map
-   is the empty share: width 0, no rows, 9 bytes. *)
-exception Arity of int
-
+(* A map travels as the share of every column, its rows in slot order,
+   so merging the decoded rows in order rebuilds a bit-identical store:
+   it is already a column batch, the one a pool's partition walk cut. An
+   empty map is the empty share: width 0, no rows, 9 bytes. *)
 let empty_share = sized Colbatch.empty [||]
+
+let batch_share cb =
+  if Colbatch.length cb = 0 then empty_share
+  else sized cb (Colbatch.live_cols cb)
+
+(* [Load_batch] alone still carries a GMR, as the same bytes: the width
+   is the arity of its first row, and every row must have it. *)
+exception Arity of int
 
 let map_share g =
   match Gmr.iter (fun tup _ -> raise_notrace (Arity (Array.length tup))) g with
@@ -352,21 +358,14 @@ let map_share g =
         (Colbatch.of_iter ~cols:live ~width:wd ~count:(Gmr.cardinal g) rows)
         live
 
-(* A mesh buffer is already a column batch, its rows in the source's
-   slot order: the share of every column, or the empty share when it has
-   no rows — the bytes [map_share] writes for the same rows. *)
-let batch_share cb =
-  if Colbatch.length cb = 0 then empty_share
-  else sized cb (Colbatch.live_cols cb)
-
-(* Every map or mesh buffer of a frame, always its last field: a count,
-   then each share, all sized before any is written. *)
+(* Every map of a frame, always its last field: a count, then each
+   share, all sized before any is written. *)
 let put_shares w shares =
   put_count w (Array.length shares);
   fit w (Array.fold_left (fun s sh -> s + sh.size) 0 shares);
   Array.iter (put_share w) shares
 
-let put_maps w gs = put_shares w (Array.map map_share gs)
+let put_maps w cbs = put_shares w (Array.map batch_share cbs)
 
 let tag_of = function
   | Hello _ -> 1
@@ -435,15 +434,15 @@ let put_msg w m =
       | Some cb ->
           put_u8 w 1;
           put_last w (sized cb (Colbatch.live_cols cb)))
-  | Block_done (ops, wall, gs) ->
+  | Block_done (ops, wall, cbs) ->
       put_i64 w ops;
       put_f64 w wall;
-      put_maps w gs
+      put_maps w cbs
   | Pull_map names -> put_array w put_string names
-  | Map_contents gs -> put_maps w gs
-  | Deliver (name, g) ->
+  | Map_contents cbs -> put_maps w cbs
+  | Deliver (name, cb) ->
       put_string w name;
-      put_last w (map_share g)
+      put_last w (batch_share cb)
   | Ack | Shutdown | Pull_telemetry | Mesh_connect -> ()
   | Start_telemetry (profile, trace) ->
       put_u8 w (Bool.to_int profile);
@@ -464,7 +463,7 @@ let put_msg w m =
         sts
   | Mesh_data (src, cbs) ->
       put_i32 w src;
-      put_shares w (Array.map batch_share cbs)
+      put_maps w cbs
 
 (* The frame is built once: the length prefix is reserved up front and
    patched in place. Frames whose last field is a share or maps come out
@@ -685,10 +684,8 @@ let get_share r ~map =
       (Array.map2 (fun c col -> (c, col)) live cols)
       ~mults
 
-let get_map r = Colbatch.to_gmr (get_share r ~map:true)
-
 (* a map takes at least 9 bytes: the empty share *)
-let get_maps r = get_array r "map" ~elt:9 get_map
+let get_maps r = get_array r "map" ~elt:9 (get_share ~map:true)
 
 let get_snapshot r : Obs.snapshot =
   let n = get_count r "snapshot entry" ~elt:13 in
@@ -798,7 +795,7 @@ let decode_at s ~base ~len =
       | 2 -> Init (get_string r)
       | 3 ->
           let rel = get_string r in
-          Load_batch (rel, get_map r)
+          Load_batch (rel, Colbatch.to_gmr (get_share r ~map:true))
       | 4 ->
           let rel = get_string r in
           let bi = get_i32 r in
@@ -815,7 +812,7 @@ let decode_at s ~base ~len =
       | 7 -> Map_contents (get_maps r)
       | 8 ->
           let name = get_string r in
-          Deliver (name, get_map r)
+          Deliver (name, get_share r ~map:true)
       | 10 -> Ack
       | 11 -> Shutdown
       | 12 ->
@@ -836,7 +833,7 @@ let decode_at s ~base ~len =
       | 19 ->
           let src = get_i32 r in
           if src < 0 then err "negative mesh source id %d" src;
-          Mesh_data (src, get_array r "map" ~elt:9 (get_share ~map:true))
+          Mesh_data (src, get_maps r)
       | _ -> assert false
     with Error msg ->
       err "bad %s frame (tag %d, %d-byte payload): %s" (tag_name tag) tag len

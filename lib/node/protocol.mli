@@ -20,10 +20,13 @@
     dictionary plus codes, or boxed values — then the multiplicities,
     one f64 when every row has the same bit pattern. A batch share
     carries the columns its worker's blocks read. A map carries every
-    column, its width the arity of its rows (all rows must share it),
-    its rows in slot order, so replaying a decoded map rebuilds a
-    bit-identical store; an empty map is the 9-byte empty share. One
-    writer and one reader serve both.
+    column, its rows in slot order, so merging a decoded map's rows in
+    order rebuilds a bit-identical store; an empty map is the 9-byte
+    empty share. Maps travel as the column batches a pool's partition
+    walk cut ({!Divm_cluster.Cluster.partition}) and decode to column
+    batches, never to rows; only [Load_batch] still carries a GMR, whose
+    width is the arity of its rows (all rows must share it). One writer
+    and one reader serve both.
 
     Decoding is strict: a frame longer than [max_frame], a payload that
     ends mid-field, an unknown tag, or trailing bytes after the message
@@ -81,19 +84,23 @@ type msg =
           once. The decoder rejects a position at or past the stream
           width, positions that do not ascend, a cell count other than
           the row count, and a dictionary code out of range. *)
-  | Block_done of int * float * Gmr.t array
+  | Block_done of int * float * Colbatch.t array
       (** record-op delta and wall seconds the block took on the worker,
           then the worker's partition of every map [Run_block] named, in
-          order, each as a map share *)
+          order, each as a map share
+          ({!Divm_cluster.Cluster.worker_contents}) *)
   | Pull_map of string array
-  | Map_contents of Gmr.t array
+  | Map_contents of Colbatch.t array
       (** reply to [Pull_map]: the worker's partition of every named map,
           in order, each as a map share. The decoder rejects a map share
-          that lacks a column. *)
-  | Deliver of string * Gmr.t
-      (** replace the worker's partition of a map, shipped as a map
-          share: clear, then replay the entries in slot order
-          (driver-bound scatters, restores) *)
+          that lacks a column, and returns each map as a column batch
+          with all its columns and rows in order. *)
+  | Deliver of string * Colbatch.t
+      (** replace the worker's partition of a map with a column batch,
+          shipped as a map share: the receiver checks its width against
+          the map's arity, clears the partition and merges the rows in
+          order ({!Divm_cluster.Cluster.worker_replace}; driver-bound
+          scatters, restores, [fail_worker]) *)
   | Ack
   | Shutdown
   | Start_telemetry of bool * bool
@@ -154,7 +161,7 @@ val decode : string -> msg
 (** [encode_frame m] is the complete frame: length prefix + payload,
     built once in one buffer. A frame that carries several maps sizes
     them all before writing any, so it is returned without a copy.
-    Raises {!Error} on a map whose rows differ in arity. *)
+    Raises {!Error} on a [Load_batch] GMR whose rows differ in arity. *)
 val encode_frame : msg -> string
 
 (** [mesh_frame ~src bufs] is [encode_frame (Mesh_data (src, bufs))], and

@@ -2125,8 +2125,6 @@ let create ?(auto_index = true) ?(columnar = true) ?domains
 
 let prog rt = rt.prog
 let map_pool = pool
-let add_to_map rt name tup m = Pool.add (pool rt name) tup m
-let clear_map rt name = Pool.clear (pool rt name)
 
 let total_tuples rt =
   List.fold_left

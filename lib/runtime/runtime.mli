@@ -215,12 +215,7 @@ val deal : scatter -> parts:int -> Gmr.t -> Colbatch.t array
 
     The distributed engines move map contents between nodes themselves. *)
 
-(** The pool that stores a map; a repartition reads its source's and
+(** The pool that stores a map: every transfer reads its source's and
     fills its destination's directly. Raises [Invalid_argument] for an
     unknown map. *)
 val map_pool : t -> string -> Pool.t
-
-(** Add one tuple into a map (deliveries and gathers through the driver). *)
-val add_to_map : t -> string -> Vtuple.t -> float -> unit
-
-val clear_map : t -> string -> unit

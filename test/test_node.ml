@@ -235,6 +235,17 @@ let gen_share_sized rows =
            list_repeat n gen_f;
          ]))
 
+(* A map as it crosses: its rows, in order, as the one column batch a
+   pool's partition walk builds for them — the empty batch when there
+   are none. *)
+let batch_of_gmr g =
+  match Gmr.to_list g with
+  | [] -> Colbatch.empty
+  | (tup, _) :: _ ->
+      let width = Array.length tup in
+      Colbatch.of_iter ~cols:(Array.init width Fun.id) ~width
+        ~count:(Gmr.cardinal g) (fun f -> Gmr.iter f g)
+
 (* The maps of one frame: 0–20 of them, empty ones included, each of
    [map_rows] rows — or one map of [rows] rows. *)
 let gen_gmrs ~rows ~map_rows =
@@ -252,21 +263,13 @@ let gen_gmrs ~rows ~map_rows =
 
 let gen_names = QCheck.Gen.(map Array.of_list (list_size (int_range 0 20) gen_name))
 
-(* A mesh buffer: a map's rows, in order, as the one column batch a
-   partition builds for them — the empty batch when there are none. *)
-let batch_of_gmr g =
-  match Gmr.to_list g with
-  | [] -> Colbatch.empty
-  | (tup, _) :: _ ->
-      let width = Array.length tup in
-      Colbatch.of_iter ~cols:(Array.init width Fun.id) ~width
-        ~count:(Gmr.cardinal g) (fun f -> Gmr.iter f g)
-
 (* [map_rows] sizes the maps of a multi-map frame, [rows] every other
    payload. *)
 let gen_msg_sized ~rows ~map_rows =
   let gen_gmr = gen_gmr_sized rows in
   let gen_gmrs = gen_gmrs ~rows ~map_rows in
+  let gen_batch = QCheck.Gen.map batch_of_gmr gen_gmr in
+  let gen_batches = QCheck.Gen.map (Array.map batch_of_gmr) gen_gmrs in
   QCheck.Gen.(
     frequency
       [
@@ -282,11 +285,11 @@ let gen_msg_sized ~rows ~map_rows =
             gen_names );
         ( 3,
           map3
-            (fun i w gs -> Protocol.Block_done (i, w, gs))
-            (int_range 0 1_000_000) gen_f gen_gmrs );
+            (fun i w cbs -> Protocol.Block_done (i, w, cbs))
+            (int_range 0 1_000_000) gen_f gen_batches );
         (1, map (fun ms -> Protocol.Pull_map ms) gen_names);
-        (3, map (fun gs -> Protocol.Map_contents gs) gen_gmrs);
-        (3, map2 (fun m g -> Protocol.Deliver (m, g)) gen_name gen_gmr);
+        (3, map (fun cbs -> Protocol.Map_contents cbs) gen_batches);
+        (3, map2 (fun m cb -> Protocol.Deliver (m, cb)) gen_name gen_batch);
         (1, return Protocol.Ack);
         (1, return Protocol.Shutdown);
         ( 1,
@@ -310,8 +313,8 @@ let gen_msg_sized ~rows ~map_rows =
             (list_size (int_range 0 20) gen_shuffle_stat) );
         ( 3,
           map2
-            (fun src gs -> Protocol.Mesh_data (src, Array.map batch_of_gmr gs))
-            (int_range 0 8) gen_gmrs );
+            (fun src cbs -> Protocol.Mesh_data (src, cbs))
+            (int_range 0 8) gen_batches );
       ])
 
 (* Bit-exact multiset equality: same tuples (values compared structurally,
@@ -400,17 +403,18 @@ let all2 f a b = Array.length a = Array.length b && Array.for_all2 f a b
 
 let msg_equal (a : Protocol.msg) (b : Protocol.msg) =
   match (a, b) with
-  | Protocol.Load_batch (r1, g1), Protocol.Load_batch (r2, g2)
-  | Protocol.Deliver (r1, g1), Protocol.Deliver (r2, g2) ->
+  | Protocol.Load_batch (r1, g1), Protocol.Load_batch (r2, g2) ->
       String.equal r1 r2 && gmr_bits_equal g1 g2
+  | Protocol.Deliver (r1, b1), Protocol.Deliver (r2, b2) ->
+      String.equal r1 r2 && share_bits_equal b1 b2
   | Protocol.Run_block (r1, i1, s1, n1), Protocol.Run_block (r2, i2, s2, n2)
     ->
       String.equal r1 r2 && i1 = i2 && n1 = n2
       && Option.equal share_bits_equal s1 s2
-  | Protocol.Map_contents g1, Protocol.Map_contents g2 ->
-      all2 gmr_bits_equal g1 g2
-  | Protocol.Block_done (o1, w1, g1), Protocol.Block_done (o2, w2, g2) ->
-      o1 = o2 && fbits_equal w1 w2 && all2 gmr_bits_equal g1 g2
+  | Protocol.Map_contents b1, Protocol.Map_contents b2 ->
+      all2 share_bits_equal b1 b2
+  | Protocol.Block_done (o1, w1, b1), Protocol.Block_done (o2, w2, b2) ->
+      o1 = o2 && fbits_equal w1 w2 && all2 share_bits_equal b1 b2
   | Protocol.Telemetry t1, Protocol.Telemetry t2 -> telem_equal t1 t2
   | Protocol.Mesh_data (s1, b1), Protocol.Mesh_data (s2, b2) ->
       s1 = s2 && all2 share_bits_equal b1 b2
@@ -524,7 +528,7 @@ let test_codec_malformed () =
   let lying =
     let s =
       Bytes.of_string
-        (Protocol.encode (Protocol.Map_contents [| Gmr.create () |]))
+        (Protocol.encode (Protocol.Map_contents [| Colbatch.empty |]))
     in
     Bytes.set_int32_be s 7 1000l;
     Bytes.to_string s
@@ -537,7 +541,7 @@ let test_codec_malformed () =
     Gmr.of_list [ ([| Value.Int 1 |], 1.); ([| Value.Int 2; Value.Int 3 |], 1.) ]
   in
   expect_error_with "map mixing arities" [ "arity 1 and 2" ] (fun () ->
-      Protocol.encode (Protocol.Deliver ("m", mixed)));
+      Protocol.encode (Protocol.Load_batch ("m", mixed)));
   (* A map count larger than the payload is rejected before the map
      array is allocated: 10 bytes declaring 8,000,000 maps. *)
   let many =
@@ -587,28 +591,28 @@ let test_codec_dict_roundtrip () =
   for k = 0 to 39 do
     Gmr.add g [| Value.Int (k mod 7); Value.String modes.(k mod 4) |] 1.
   done;
-  let payload = Protocol.encode (Protocol.Map_contents [| g |]) in
+  let payload = Protocol.encode (Protocol.Map_contents [| batch_of_gmr g |]) in
   let kind_pos n = 1 + 4 + (2 + 4 + 2) + (2 + 4 + 1 + (8 * n)) + (2 + 4) in
   Alcotest.(check char)
     "string column ships dictionary-encoded" '\x04'
     payload.[kind_pos (Gmr.cardinal g)];
   (match Protocol.decode payload with
-  | Protocol.Map_contents [| g' |] ->
+  | Protocol.Map_contents [| cb |] ->
       Alcotest.(check bool) "dict round-trip bit-exact" true
-        (gmr_bits_equal g g')
+        (gmr_bits_equal g (Colbatch.to_gmr cb))
   | _ -> Alcotest.fail "decoded to a different message");
   let gh = Gmr.create () in
   for k = 0 to 69 do
     Gmr.add gh [| Value.Int k; Value.String (Printf.sprintf "name-%04d" k) |] 1.
   done;
-  let ph = Protocol.encode (Protocol.Map_contents [| gh |]) in
+  let ph = Protocol.encode (Protocol.Map_contents [| batch_of_gmr gh |]) in
   Alcotest.(check char)
     "high-cardinality column stays boxed" '\x03'
     ph.[kind_pos (Gmr.cardinal gh)];
   match Protocol.decode ph with
-  | Protocol.Map_contents [| g' |] ->
+  | Protocol.Map_contents [| cb |] ->
       Alcotest.(check bool) "boxed round-trip bit-exact" true
-        (gmr_bits_equal gh g')
+        (gmr_bits_equal gh (Colbatch.to_gmr cb))
   | _ -> Alcotest.fail "decoded to a different message"
 
 (* ------------------------------------------------------------------ *)
@@ -686,9 +690,9 @@ let test_codec_dict_strict () =
        (share_payload ~head:map_contents_head ~width:1 ~rows:3
           [ (0, 3, dict_cells [ "x"; "y" ] [ 0; 1; 0 ]) ])
    with
-  | Protocol.Map_contents [| g |] ->
+  | Protocol.Map_contents [| cb |] ->
       Alcotest.(check (float 1e-9)) "codes decode through the dictionary" 2.
-        (Gmr.mult g [| Value.String "x" |])
+        (Gmr.mult (Colbatch.to_gmr cb) [| Value.String "x" |])
   | _ -> Alcotest.fail "decoded to a different message");
   rejects ~map:true "duplicate dictionary entry" "duplicate dictionary entry"
     [ (0, 2, dict_cells [ "x"; "x" ] [ 0; 1 ]) ]
@@ -734,7 +738,8 @@ let test_codec_share_strict () =
             (2, 2, int_cells [ 1; 1 ]);
           ])
    with
-  | Protocol.Map_contents [| g |] ->
+  | Protocol.Map_contents [| cb |] ->
+      let g = Colbatch.to_gmr cb in
       Alcotest.(check int) "one distinct row" 1 (Gmr.cardinal g);
       Alcotest.(check (float 0.)) "codes decode through the dictionary" 2.
         (Gmr.mult g [| Value.Int 7; Value.String "x"; Value.Int 1 |])
@@ -1211,7 +1216,9 @@ let qcheck_mesh_reference =
           List.iter (fun (tup, m) -> Gmr.add b2 tup m) fresh;
           fill_source wks.(i) ~width b2)
         ws;
-      let sources = Array.map (fun wk -> Cluster.worker_contents wk "S") wks in
+      let sources =
+        Array.map (fun wk -> Colbatch.to_gmr (Cluster.worker_contents wk "S")) wks
+      in
       let want = mesh_reference ~width ~key ~parts sources in
       let ps =
         Array.mapi (fun self wk -> Cluster.shuffle_partition wk ~self ~parts 0) wks
@@ -1246,7 +1253,10 @@ let qcheck_mesh_reference =
           List.iter
             (fun (how, from) ->
               Cluster.shuffle_apply wk ~self:d ~parts 0 ~own:ps.(d).own from;
-              if not (same_rows_in_order want.(d) (Cluster.worker_contents wk "T"))
+              if
+                not
+                  (same_rows_in_order want.(d)
+                     (Colbatch.to_gmr (Cluster.worker_contents wk "T")))
               then
                 Alcotest.failf "destination %d (%s) differs from the reference"
                   d how)
@@ -1264,15 +1274,16 @@ let qcheck_mesh_reference =
 (* A mesh buffer travels as the map share of the same rows in the same
    order, so [Mesh_data] frames keep the bytes they had when buffers were
    GMRs: the payloads agree past their heads (tag, source and buffer
-   count; tag and map count). *)
+   count; tag and the empty relation name of [Load_batch], the one frame
+   that still encodes a GMR's map share). *)
 let qcheck_mesh_share_bytes =
   QCheck.Test.make ~name:"mesh buffers encode to the bytes of map shares"
     ~count:300
     (QCheck.make ~print:(fun _ -> "<map>") (gen_gmr_sized large_rows))
     (fun g ->
       let md = Protocol.encode (Protocol.Mesh_data (3, [| batch_of_gmr g |])) in
-      let mc = Protocol.encode (Protocol.Map_contents [| g |]) in
-      String.sub md 9 (String.length md - 9) = String.sub mc 5 (String.length mc - 5))
+      let lb = Protocol.encode (Protocol.Load_batch ("", g)) in
+      String.sub md 9 (String.length md - 9) = String.sub lb 5 (String.length lb - 5))
 
 (* A peer's buffer whose width is not its destination's arity is
    rejected, naming the peer, the transfer and both widths, and leaves
@@ -1285,7 +1296,7 @@ let test_mesh_width_check () =
   let p = Cluster.shuffle_partition wk ~self:0 ~parts:1 0 in
   Cluster.shuffle_apply wk ~self:0 ~parts:1 0 ~own:p.own (fun _ ->
       Alcotest.fail "a one-worker exchange has no peer");
-  let before = Cluster.worker_contents wk "T" in
+  let before = Colbatch.to_gmr (Cluster.worker_contents wk "T") in
   Alcotest.(check int) "destination filled" 2 (Gmr.cardinal before);
   let narrow = Colbatch.of_cols [| Colbatch.CInt [| 7 |] |] ~mults:[| 1. |] in
   (match Cluster.shuffle_check wk ~src:1 0 narrow with
@@ -1298,7 +1309,288 @@ let test_mesh_width_check () =
   | () -> Alcotest.fail "a width-1 buffer for a width-2 map was accepted");
   Cluster.shuffle_check wk ~src:1 0 Colbatch.empty;
   Alcotest.(check bool) "destination untouched" true
-    (same_rows_in_order before (Cluster.worker_contents wk "T"))
+    (same_rows_in_order before (Colbatch.to_gmr (Cluster.worker_contents wk "T")))
+
+(* ------------------------------------------------------------------ *)
+(* The driver path: gathers, scatters through the driver, restore      *)
+(* ------------------------------------------------------------------ *)
+
+(* Block 0 runs S += ΔR on the workers; then G gathers S to the driver,
+   D scatters G back keyed on [key] (an empty key broadcasts) and P
+   broadcasts G to every worker: the gather rides stage 1's reply, the
+   scatters go through the driver. Every map but the batch is kept, so a
+   checkpoint holds them all. *)
+let driver_dprog ~width ~key =
+  let vars = List.init width (fun c -> Schema.var (Printf.sprintf "x%d" c)) in
+  let r = { Calc.rname = "R"; rvars = vars } in
+  let decl mname =
+    { Prog.mname; mschema = vars; mkind = Prog.Auxiliary; definition = Calc.Rel r }
+  in
+  let fill =
+    { Prog.target = "S"; target_vars = vars; op = Prog.Add_to;
+      rhs = Calc.DeltaRel r }
+  in
+  let move tname tkind key source =
+    Dprog.Transfer { Dprog.tname; tkind; key; source }
+  in
+  {
+    Dprog.base =
+      {
+        Prog.maps = List.map decl [ "S"; "G"; "D"; "P" ];
+        triggers = [ { Prog.relation = "R"; stmts = [ fill ] } ];
+        queries = [ ("S", "S") ];
+        streams = [ ("R", vars) ];
+      };
+    locs =
+      [
+        ("S", Loc.Random);
+        ("G", Loc.Local);
+        ("D", if Array.length key = 0 then Loc.Replicated else Loc.Dist key);
+        ("P", Loc.Replicated);
+      ];
+    dtriggers =
+      [
+        {
+          Dprog.drelation = "R";
+          blocks =
+            [
+              { Dprog.bmode = Dprog.MDist; bstmts = [ Dprog.Compute fill ] };
+              {
+                Dprog.bmode = Dprog.MLocal;
+                bstmts =
+                  [
+                    move "G" Dprog.Gather [||] "S";
+                    move "D" Dprog.Scatter key "G";
+                    move "P" Dprog.Scatter [||] "G";
+                  ];
+              };
+            ];
+        };
+      ];
+  }
+
+(* A transport over in-process workers whose maps all cross as frames
+   when [codec]: pulled partitions in [Block_done] and [Map_contents],
+   deliveries in [Deliver], each encoded and decoded. The first stage
+   loads each worker's own rows, [rows.(wi)], not the executor's share,
+   so a test picks every worker's source. [tamper wi name cb] may replace
+   a pulled batch after it crossed. *)
+let test_transport ?(tamper = fun _ _ cb -> cb) ~codec ~width ~rows wks =
+  let cross m = if codec then Protocol.decode (Protocol.encode m) else m in
+  let contents wi names = Array.map (Cluster.worker_contents wks.(wi)) names in
+  let arrived wi names cbs = Array.mapi (fun j cb -> tamper wi names.(j) cb) cbs in
+  {
+    Cluster.name = "cluster";
+    run_block =
+      (fun ~rel bi ~share ~pulls ->
+        if share <> None then
+          Array.iteri
+            (fun wi wk ->
+              Cluster.worker_load wk ~rel (Colbatch.of_gmr ~width !rows.(wi)))
+            wks;
+        let stats = Array.map (fun wk -> Cluster.worker_run_block wk ~rel bi) wks in
+        ( stats,
+          Array.mapi
+            (fun wi (ops, wall) ->
+              match cross (Protocol.Block_done (ops, wall, contents wi pulls)) with
+              | Protocol.Block_done (_, _, cbs) -> arrived wi pulls cbs
+              | _ -> Alcotest.fail "Block_done decoded to another message")
+            stats ));
+    pull =
+      (fun names ws ->
+        Array.map
+          (fun wi ->
+            match cross (Protocol.Map_contents (contents wi names)) with
+            | Protocol.Map_contents cbs -> arrived wi names cbs
+            | _ -> Alcotest.fail "Map_contents decoded to another message")
+          ws);
+    deliver =
+      (fun name cbs ->
+        Array.iteri
+          (fun wi wk ->
+            match cross (Protocol.Deliver (name, cbs.(wi))) with
+            | Protocol.Deliver (name', cb) when name' = name ->
+                Cluster.worker_replace wk name cb
+            | _ -> Alcotest.fail "Deliver decoded to another message")
+          wks);
+    shuffle = (fun _ -> Alcotest.fail "the driver path makes no exchange");
+    wire = (fun () -> 0);
+    after_stage = ignore;
+  }
+
+let batch_of_rows rows =
+  let g = Gmr.create () in
+  List.iter (fun (tup, m) -> Gmr.add g tup m) rows;
+  g
+
+(* Modeled bytes of a map's rows, as the ledger charges them. *)
+let ledger_bytes g =
+  Gmr.fold (fun tup _ acc -> acc + Divm_dist.Costmodel.tuple_bytes tup) g 0
+
+let qcheck_driver_reference =
+  let print (parts, width, key, ws) =
+    Printf.sprintf "parts %d, width %d, key [%s], rows %s" parts width
+      (String.concat ";" (Array.to_list (Array.map string_of_int key)))
+      (String.concat "/"
+         (List.map (fun (ins, _, _) -> string_of_int (List.length ins)) ws))
+  in
+  QCheck.Test.make
+    ~name:
+      "gathers, scatters through the driver and restore leave every \
+       destination equal to the GMR reference, in slot order, in process \
+       and over the wire"
+    ~count:150
+    (QCheck.make ~print gen_mesh_case)
+    (fun (parts, width, key, ws) ->
+      let dp = driver_dprog ~width ~key in
+      let b1 = Array.of_list (List.map (fun (ins, _, _) -> batch_of_rows ins) ws) in
+      (* retract a subset of each worker's first rows exactly, add fresh
+         ones: slots free in S, and keys cancel across workers in G *)
+      let b2 =
+        Array.of_list
+          (List.mapi
+             (fun i (_, drop, fresh) ->
+               let g = Gmr.create () in
+               List.iter
+                 (fun (tup, _) ->
+                   let m = Gmr.mult b1.(i) tup in
+                   if m <> 0. then Gmr.set g tup (-.m))
+                 drop;
+               List.iter (fun (tup, m) -> Gmr.add g tup m) fresh;
+               g)
+             ws)
+      in
+      List.iter
+        (fun codec ->
+          let how = if codec then "over the wire" else "in process" in
+          let wks = Array.init parts (fun _ -> Cluster.worker dp) in
+          let rows = ref b1 in
+          let t =
+            Cluster.of_transport ~cost:Divm_dist.Costmodel.default ~workers:parts
+              (test_transport ~codec ~width ~rows wks)
+              dp
+          in
+          let on wi name = Colbatch.to_gmr (Cluster.worker_contents wks.(wi) name) in
+          let expect what want got =
+            if not (same_rows_in_order want got) then
+              Alcotest.failf "%s (%s) differs from the reference" what how
+          in
+          (* the reference: what the driver did when these transfers
+             carried GMRs — a gather adds every worker's partition, in
+             worker order, to the cleared driver map, and a scatter cuts
+             the driver's map into one GMR per destination — is the
+             mesh reference with one destination, or with one source *)
+          let apply b =
+            rows := b;
+            let m = Cluster.apply_batch t ~rel:"R" (Gmr.create ()) in
+            let sources = Array.init parts (fun wi -> on wi "S") in
+            let g = (mesh_reference ~width ~key:[||] ~parts:1 sources).(0) in
+            expect "G on the driver" g (Cluster.map_contents t "G");
+            let ds = mesh_reference ~width ~key ~parts [| g |] in
+            let ps = mesh_reference ~width ~key:[||] ~parts [| g |] in
+            Array.iteri
+              (fun d want ->
+                expect (Printf.sprintf "D on worker %d" d) want (on d "D");
+                expect (Printf.sprintf "P on worker %d" d) ps.(d) (on d "P"))
+              ds;
+            let sum a = Array.fold_left (fun n g -> n + ledger_bytes g) 0 a in
+            let want = sum sources + sum ds + sum ps in
+            if m.Cluster.bytes_shuffled <> want then
+              Alcotest.failf "modeled bytes (%s): %d, the reference %d" how
+                m.Cluster.bytes_shuffled want
+          in
+          apply b1;
+          let stores () =
+            ( Cluster.map_contents t "G",
+              Array.init parts (fun wi -> List.map (on wi) [ "S"; "D"; "P" ]) )
+          in
+          let at_ckpt = stores () in
+          let snap, _ = Cluster.checkpoint t in
+          apply b2;
+          Cluster.fail_worker t (parts - 1);
+          Cluster.restore t snap;
+          (* every pool gets its checkpointed rows back, in slot order *)
+          let g0, w0 = at_ckpt and g1, w1 = stores () in
+          expect "G restored" g0 g1;
+          Array.iteri
+            (fun wi l0 ->
+              List.iter2 (expect (Printf.sprintf "worker %d restored" wi)) l0 w1.(wi))
+            w0)
+        [ false; true ];
+      true)
+
+(* Gathered and delivered maps travel as the map share of the same rows in
+   the same order: [Block_done], [Map_contents] and [Deliver] payloads
+   agree with [Load_batch]'s past their heads. *)
+let qcheck_map_frame_bytes =
+  QCheck.Test.make
+    ~name:"gathered and delivered maps encode to the bytes of map shares"
+    ~count:300
+    (QCheck.make ~print:(fun _ -> "<map>") (gen_gmr_sized large_rows))
+    (fun g ->
+      let cb = batch_of_gmr g in
+      let past n m =
+        let s = Protocol.encode m in
+        String.sub s n (String.length s - n)
+      in
+      let share = past 5 (Protocol.Load_batch ("", g)) in
+      past 21 (Protocol.Block_done (7, 0.5, [| cb |])) = share
+      && past 5 (Protocol.Map_contents [| cb |]) = share
+      && past 5 (Protocol.Deliver ("", cb)) = share)
+
+(* A delivery or a gathered partition whose width is not its
+   destination's arity is rejected, naming the map, the sender and both
+   widths, and leaves the destination as it was. The codec lets such a
+   frame through: it checks a map's shape, not its destination. *)
+let test_delivery_width_check () =
+  let narrow = Colbatch.of_cols [| Colbatch.CInt [| 7 |] |] ~mults:[| 1. |] in
+  let rejects what subs f =
+    match f () with
+    | exception Failure msg ->
+        List.iter
+          (fun sub ->
+            if not (contains msg sub) then
+              Alcotest.failf "%s: error %S lacks %S" what msg sub)
+          subs
+    | () -> Alcotest.failf "%s: a width-1 batch for a width-2 map was accepted" what
+  in
+  let dp = driver_dprog ~width:2 ~key:[| 0 |] in
+  let two = Gmr.of_list [ ([| Value.Int 1; Value.Int 2 |], 1.); ([| Value.Int 3; Value.Int 4 |], 2.) ] in
+  let wk = Cluster.worker dp in
+  fill_source wk ~width:2 two;
+  let before = Colbatch.to_gmr (Cluster.worker_contents wk "S") in
+  let delivered =
+    match Protocol.decode (Protocol.encode (Protocol.Deliver ("S", narrow))) with
+    | Protocol.Deliver (_, cb) -> cb
+    | _ -> Alcotest.fail "Deliver decoded to another message"
+  in
+  rejects "delivery" [ "map S"; "the driver"; "width 1"; "arity 2" ] (fun () ->
+      Cluster.worker_replace wk "S" delivered);
+  Alcotest.(check bool) "delivered-to partition untouched" true
+    (same_rows_in_order before (Colbatch.to_gmr (Cluster.worker_contents wk "S")));
+  Cluster.worker_replace wk "S" Colbatch.empty;
+  Alcotest.(check int) "an empty delivery of any width clears" 0
+    (Colbatch.length (Cluster.worker_contents wk "S"));
+  (* a gather: worker 1's partition of S arrives one column short *)
+  let wks = [| Cluster.worker dp; Cluster.worker dp |] in
+  let rows = ref [| two; Gmr.create () |] in
+  let narrow_from_1 = ref false in
+  let t =
+    Cluster.of_transport ~cost:Divm_dist.Costmodel.default ~workers:2
+      (test_transport ~codec:true ~width:2 ~rows wks
+         ~tamper:(fun wi name cb ->
+           if !narrow_from_1 && wi = 1 && name = "S" then narrow else cb))
+      dp
+  in
+  ignore (Cluster.apply_batch t ~rel:"R" (Gmr.create ()));
+  let g = Cluster.map_contents t "G" in
+  Alcotest.(check int) "G gathered" 2 (Gmr.cardinal g);
+  narrow_from_1 := true;
+  rows := [| Gmr.of_list [ ([| Value.Int 5; Value.Int 6 |], 1.) ]; Gmr.create () |];
+  rejects "gather" [ "map G"; "worker 1"; "width 1"; "arity 2" ] (fun () ->
+      ignore (Cluster.apply_batch t ~rel:"R" (Gmr.create ())));
+  Alcotest.(check bool) "gathered-to map untouched" true
+    (same_rows_in_order g (Cluster.map_contents t "G"))
 
 (* ------------------------------------------------------------------ *)
 (* Simulated vs multiprocess store equivalence                         *)
@@ -2053,6 +2345,10 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_mesh_share_bytes;
         Alcotest.test_case "a mesh buffer of the wrong width is rejected"
           `Quick test_mesh_width_check;
+        QCheck_alcotest.to_alcotest qcheck_driver_reference;
+        QCheck_alcotest.to_alcotest qcheck_map_frame_bytes;
+        Alcotest.test_case "a delivery or gather of the wrong width is rejected"
+          `Quick test_delivery_width_check;
         QCheck_alcotest.to_alcotest qcheck_node_equiv;
         QCheck_alcotest.to_alcotest qcheck_retraction_equiv;
         Alcotest.test_case "engine backends agree" `Quick test_engine_backends;
