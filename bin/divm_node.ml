@@ -8,8 +8,8 @@
    The worker connects to the coordinator's Unix domain socket,
    identifies itself with a Hello frame, receives the marshaled
    distributed program, wires up direct sockets to its peers (Peers /
-   Mesh_connect), and then serves Run_block / Pull_map / Deliver /
-   Shuffle requests until Shutdown (see Protocol). A Shuffle's payload
+   Mesh_connect), and then hands every Run_block / Pull_map / Deliver /
+   Shuffle request to Cluster.serve until Shutdown (see Protocol). A Shuffle's payload
    travels peer-to-peer as Mesh_data frames, one per peer per run of
    transfers, not through the coordinator. It never parses queries or opens data files itself —
    everything arrives over the wire. *)

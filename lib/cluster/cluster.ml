@@ -86,17 +86,6 @@ let blocks_of wk rel =
   | Some b -> b
   | None -> invalid_arg ("no trigger for " ^ rel)
 
-let worker_load wk ~rel share =
-  Runtime.set_batch wk.wrt (blocks_of wk rel) (Runtime.Share share)
-
-let worker_run_block wk ~rel bi =
-  let o0 = Runtime.ops wk.wrt in
-  let wall0 = Unix.gettimeofday () in
-  Runtime.run_block wk.wrt (blocks_of wk rel) bi;
-  let dops = Runtime.ops wk.wrt - o0 in
-  if Prof.enabled () then Obs.Counter.add w_record_ops dops;
-  (dops, Unix.gettimeofday () -. wall0)
-
 let transfer_of wk idx =
   if idx < 0 || idx >= Array.length wk.wtransfers then
     failwith
@@ -115,9 +104,11 @@ let dest ~key ~parts tup = Divm_ring.Vtuple.hash_at tup key mod parts
    another node is transposed once into the column batch that travels;
    [self]'s list stays as slots of the pool (the driver, [self = -1],
    keeps none). Lists keep slot order, and a pool holds each tuple once,
-   so nothing pre-sums. Every row must have the first row's arity. The
-   modeled byte accounting is the cost model's rule: a tuple that stays
-   on its origin worker is free. *)
+   so nothing pre-sums. Every row must have the first row's arity. With
+   [ledger], the walk also does the modeled byte accounting, by the cost
+   model's rule: a tuple that stays on its origin worker is free. A cut
+   nobody charges (a pull: the driver charges what it gathers itself)
+   leaves [ser] and [modeled] at 0. *)
 type partition = {
   peers : Colbatch.t array;
   own : Pool.t * Intvec.t;
@@ -125,7 +116,7 @@ type partition = {
   modeled : int array;
 }
 
-let partition ~self ~parts ~key name src =
+let partition ~ledger ~self ~parts ~key name src =
   let slots = Array.init parts (fun _ -> Intvec.create ()) in
   let ser = ref 0 and modeled = Array.make parts 0 in
   let width = ref (-1) in
@@ -139,7 +130,7 @@ let partition ~self ~parts ~key name src =
       else if wd <> !width then
         failwith
           (Printf.sprintf "map %s mixes rows of arity %d and %d" name !width wd);
-      let b = Costmodel.tuple_bytes tup in
+      let b = if ledger then Costmodel.tuple_bytes tup else 0 in
       ser := !ser + b;
       if Array.length key = 0 then
         for d = 0 to parts - 1 do
@@ -161,16 +152,12 @@ let partition ~self ~parts ~key name src =
     modeled;
   }
 
-let shuffle_partition wk ~self ~parts idx =
-  let _, key, source = transfer_of wk idx in
-  partition ~self ~parts ~key source (Runtime.map_pool wk.wrt source)
-
 (* A pool's live records, in slot order, as one batch: the partition
    walk's cut for one destination that is not the pool's node. *)
 let contents name p =
-  (partition ~self:(-1) ~parts:1 ~key:[||] name p).peers.(0)
+  (partition ~ledger:false ~self:(-1) ~parts:1 ~key:[||] name p).peers.(0)
 
-let worker_contents wk name = contents name (Runtime.map_pool wk.wrt name)
+let pulled wk name = contents name (Runtime.map_pool wk.wrt name)
 
 (* A batch enters a pool only at the pool's arity (an empty batch has
    none): a shorter key would enter the pool and break its slice
@@ -183,12 +170,6 @@ let check_width p cb ~what =
     failwith
       (Printf.sprintf "%s has width %d, its destination arity %d" (what ())
          (Colbatch.width cb) want)
-
-let shuffle_check wk ~src idx cb =
-  let tname, _, _ = transfer_of wk idx in
-  check_width (Runtime.map_pool wk.wrt tname) cb ~what:(fun () ->
-      Printf.sprintf "mesh buffer from peer %d for transfer %d (%s)" src idx
-        tname)
 
 (* Ring-(+) a batch's rows into a pool in row order, hashing the typed
    cells in place; a key tuple is built only on first insert. *)
@@ -212,25 +193,110 @@ let replace rt name cb =
   Pool.clear p;
   merge_batch p cb
 
-let worker_replace wk = replace wk.wrt
+(* ---- a run of direct transfers: cut, exchange, settle ---- *)
 
-(* The other half of a repartition: replace the destination partition
-   with what every source sent it, applied in ascending source id — the
-   worker's own slots replayed from the source pool with their cached
-   hashes, and [from src] for every other source, called once each, in
-   order. One fixed order for the float association of cross-source
-   collisions and for slot creation, whichever transport carried the
-   buffers. The own slots are read here, so no earlier transfer of the
-   exchange may write this one's source: the run rule ({!Dprog.calls})
-   starts a new exchange at a transfer that reads a destination of the
-   run. *)
-let shuffle_apply wk ~self ~parts idx ~own:(src, slots) from =
-  let tname, _, _ = transfer_of wk idx in
-  let dst = Runtime.map_pool wk.wrt tname in
-  Pool.clear dst;
-  for s = 0 to parts - 1 do
-    if s = self then Pool.merge_slots dst ~src slots else merge_batch dst (from s)
-  done
+type cut = {
+  cself : int;
+  cparts : int;
+  cidxs : int array;
+  cuts : partition array; (* per transfer of the run *)
+  walls : float array; (* per transfer: its cut and apply *)
+}
+
+let timed walls j f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  walls.(j) <- walls.(j) +. (Unix.gettimeofday () -. t0);
+  r
+
+let cut wk ~self ~parts idxs =
+  let walls = Array.make (Array.length idxs) 0. in
+  let part j idx =
+    timed walls j (fun () ->
+        let _, key, source = transfer_of wk idx in
+        partition ~ledger:true ~self ~parts ~key source
+          (Runtime.map_pool wk.wrt source))
+  in
+  { cself = self; cparts = parts; cidxs = idxs; cuts = Array.mapi part idxs; walls }
+
+let outbound c =
+  Array.init c.cparts (fun d -> Array.map (fun p -> p.peers.(d)) c.cuts)
+
+(* The other half of a repartition. Every batch that arrived passes the
+   width check first; then each transfer, in run order, replaces its
+   destination partition with what every source sent it, in ascending
+   source id — the worker's own slots replayed from the source pool with
+   their cached hashes, every other source's batch merged in row order.
+   One fixed order for the float association of cross-source collisions
+   and for slot creation, whichever transport carried the batches. The
+   own slots are read here, so no earlier transfer of the run may write
+   this one's source: the run rule ({!Dprog.calls}) starts a new
+   exchange at a transfer that reads a destination of the run. *)
+let settle wk c ~received ~sent =
+  let dst idx =
+    let tname, _, _ = transfer_of wk idx in
+    (tname, Runtime.map_pool wk.wrt tname)
+  in
+  Array.iteri
+    (fun j idx ->
+      let tname, p = dst idx in
+      for s = 0 to c.cparts - 1 do
+        if s <> c.cself then
+          check_width p received.(s).(j) ~what:(fun () ->
+              Printf.sprintf "mesh buffer from peer %d for transfer %d (%s)" s
+                idx tname)
+      done)
+    c.cidxs;
+  Array.mapi
+    (fun j idx ->
+      timed c.walls j (fun () ->
+          let _, p = dst idx and src, slots = c.cuts.(j).own in
+          Pool.clear p;
+          for s = 0 to c.cparts - 1 do
+            if s = c.cself then Pool.merge_slots p ~src slots
+            else merge_batch p received.(s).(j)
+          done);
+      {
+        ss_ser = c.cuts.(j).ser;
+        ss_modeled = c.cuts.(j).modeled;
+        ss_sent = Array.map (fun per -> per.(j)) sent;
+        ss_wall = c.walls.(j);
+      })
+    c.cidxs
+
+type request =
+  | Run_block of string * int * Colbatch.t option * string array
+  | Pull_map of string array
+  | Deliver of string * Colbatch.t
+  | Shuffle of int array
+
+type reply =
+  | Block_done of int * float * Colbatch.t array
+  | Map_contents of Colbatch.t array
+  | Ack
+  | Shuffle_done of shuffle_stat array
+
+let serve wk ~self ~parts ~exchange = function
+  | Run_block (rel, bi, share, pulls) ->
+      let blocks = blocks_of wk rel in
+      Option.iter (fun s -> Runtime.set_batch wk.wrt blocks (Runtime.Share s)) share;
+      let o0 = Runtime.ops wk.wrt and wall0 = Unix.gettimeofday () in
+      Runtime.run_block wk.wrt blocks bi;
+      let dops = Runtime.ops wk.wrt - o0 in
+      if Prof.enabled () then Obs.Counter.add w_record_ops dops;
+      let wall = Unix.gettimeofday () -. wall0 in
+      Block_done (dops, wall, Array.map (pulled wk) pulls)
+  | Pull_map names -> Map_contents (Array.map (pulled wk) names)
+  | Deliver (name, cb) ->
+      replace wk.wrt name cb;
+      Ack
+  | Shuffle idxs ->
+      let c = cut wk ~self ~parts idxs in
+      let t0 = Unix.gettimeofday () in
+      let received, sent = exchange (outbound c) in
+      if Array.length idxs > 0 then
+        c.walls.(0) <- c.walls.(0) +. (Unix.gettimeofday () -. t0);
+      Shuffle_done (settle wk c ~received ~sent)
 
 (* ------------------------------------------------------------------ *)
 (* Transports                                                          *)
@@ -238,15 +304,7 @@ let shuffle_apply wk ~self ~parts idx ~own:(src, slots) from =
 
 type transport = {
   name : string;
-  run_block :
-    rel:string ->
-    int ->
-    share:Colbatch.t array option ->
-    pulls:string array ->
-    (int * float) array * Colbatch.t array array;
-  pull : string array -> int array -> Colbatch.t array array;
-  deliver : string -> Colbatch.t array -> unit;
-  shuffle : int array -> shuffle_stat array array;
+  call : int array -> (int -> request) -> reply array;
   wire : unit -> int;
   after_stage : unit -> unit;
 }
@@ -254,86 +312,50 @@ type transport = {
 let in_process ~domains (nodes : worker array) =
   let w = Array.length nodes in
   let par = if domains > 1 then Some (Par.get ~domains) else None in
-  let contents names wk = Array.map (worker_contents wk) names in
-  let run_block ~rel bi ~share ~pulls =
-    Option.iter
-      (fun shares ->
-        Array.iteri (fun wi wk -> worker_load wk ~rel shares.(wi)) nodes)
-      share;
-    (* Simulated workers own disjoint runtimes, so a stage is
-       embarrassingly parallel; each task writes only its own cell. The
-       profiler, span tracer and cachesim sink are single-writer, so
-       while any of them is on the stage runs serially. *)
-    let out = Array.make w (0, 0.) in
-    let run wi = out.(wi) <- worker_run_block nodes.(wi) ~rel bi in
-    (match par with
-    | Some pl
-      when (not (Prof.enabled ()))
-           && (not (Obs.tracing ()))
-           && not (Trace.enabled ()) ->
-        Par.Pool.run pl (Array.init w (fun wi () -> run wi))
-    | _ ->
-        for wi = 0 to w - 1 do
-          if Obs.tracing () then
-            Obs.span (Printf.sprintf "worker:%d" wi) (fun () -> run wi)
-          else run wi
-        done);
-    (out, Array.map (contents pulls) nodes)
+  let serve_on wi =
+    serve nodes.(wi) ~self:wi ~parts:w ~exchange:(fun _ ->
+        invalid_arg "Cluster: an in-process exchange cuts on every worker")
   in
-  (* Every transfer of the run is partitioned on every worker before any
-     is applied, then each is applied in run order — the order a worker
-     process follows around its one exchange. The batches a peer sent
-     are the ones its partition built, so they need no check. *)
-  let shuffle idxs =
-    let walls = Array.make_matrix w (Array.length idxs) 0. in
-    let timed wi j f =
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      walls.(wi).(j) <- walls.(wi).(j) +. (Unix.gettimeofday () -. t0);
-      r
-    in
-    let parts =
-      Array.mapi
-        (fun self wk ->
-          Array.mapi
-            (fun j idx ->
-              timed self j (fun () -> shuffle_partition wk ~self ~parts:w idx))
-            idxs)
-        nodes
-    in
-    Array.iteri
-      (fun d wk ->
-        Array.iteri
-          (fun j idx ->
-            timed d j (fun () ->
-                shuffle_apply wk ~self:d ~parts:w idx ~own:parts.(d).(j).own
-                  (fun src -> parts.(src).(j).peers.(d))))
-          idxs)
-      nodes;
-    Array.mapi
-      (fun wi per ->
-        Array.mapi
-          (fun j p ->
-            {
-              ss_ser = p.ser;
-              ss_modeled = p.modeled;
-              ss_sent = Array.make w 0;
-              ss_wall = walls.(wi).(j);
-            })
-          per)
-      parts
+  let call ws req =
+    match req ws.(0) with
+    | Shuffle idxs ->
+        (* One process cannot wait inside a worker: every worker cuts the
+           whole run before any settles — the order a worker process
+           follows around its one exchange — and each settles with what
+           the others cut for it. *)
+        let cuts = Array.mapi (fun self wk -> cut wk ~self ~parts:w idxs) nodes in
+        let out = Array.map outbound cuts in
+        let sent = Array.make w (Array.make (Array.length idxs) 0) in
+        Array.map
+          (fun d ->
+            Shuffle_done
+              (settle nodes.(d) cuts.(d)
+                 ~received:(Array.map (fun o -> o.(d)) out)
+                 ~sent))
+          ws
+    | Run_block _ | Pull_map _ | Deliver _ ->
+        (* Simulated workers own disjoint runtimes, so a stage is
+           embarrassingly parallel; each task writes only its own cell.
+           The profiler, span tracer and cachesim sink are single-writer,
+           so while any of them is on the workers run serially. *)
+        let out = Array.make (Array.length ws) Ack in
+        let run i = out.(i) <- serve_on ws.(i) (req ws.(i)) in
+        (match par with
+        | Some pl
+          when (not (Prof.enabled ()))
+               && (not (Obs.tracing ()))
+               && not (Trace.enabled ()) ->
+            Par.Pool.run pl (Array.init (Array.length ws) (fun i () -> run i))
+        | _ ->
+            Array.iteri
+              (fun i wi ->
+                if Obs.tracing () then
+                  Obs.span (Printf.sprintf "worker:%d" wi) (fun () -> run i)
+                else run i)
+              ws);
+        out
   in
-  {
-    name = "cluster";
-    run_block;
-    pull = (fun names ws -> Array.map (fun wi -> contents names nodes.(wi)) ws);
-    deliver =
-      (fun name gs ->
-        Array.iteri (fun wi wk -> worker_replace wk name gs.(wi)) nodes);
-    shuffle;
-    wire = (fun () -> 0);
-    after_stage = ignore;
-  }
+  { name = "cluster"; call; wire = (fun () -> 0); after_stage = ignore }
 
 (* ------------------------------------------------------------------ *)
 (* The executor                                                        *)
@@ -364,9 +386,9 @@ type call =
   | No_call
   | Fetch of string array * int array
       (* the sources of these gathers (a stage's [pulls], else one
-         [pull]), and the gathers' step positions *)
+         [Pull_map]), and the gathers' step positions *)
   | Exchange of int array * int array
-      (* one [shuffle] of these [Dprog.transfers] entries, and the
+      (* one [Shuffle] of these [Dprog.transfers] entries, and the
          transfers' step positions *)
 
 type plan = {
@@ -467,30 +489,6 @@ let crossings locs ~workers ~mesh (tr : Dprog.transfer) =
     | Dprog.Scatter | Dprog.Repart ->
         (if Loc.find locs tr.source = Loc.Local then 0 else 1) + fanout
 
-(* Every transport call addresses the workers and waits for all of them:
-   one round trip, counted here so both transports count alike. *)
-let counted c tp =
-  let call () = Obs.Counter.incr c in
-  {
-    tp with
-    run_block =
-      (fun ~rel bi ~share ~pulls ->
-        call ();
-        tp.run_block ~rel bi ~share ~pulls);
-    pull =
-      (fun names ws ->
-        call ();
-        tp.pull names ws);
-    deliver =
-      (fun name gs ->
-        call ();
-        tp.deliver name gs);
-    shuffle =
-      (fun idxs ->
-        call ();
-        tp.shuffle idxs);
-  }
-
 let make ~cost ~workers ~local tp (dp : Dprog.t) =
   let m = instruments tp.name workers in
   (* The driver never fires whole triggers, but the compute statements
@@ -567,7 +565,7 @@ let make ~cost ~workers ~local tp (dp : Dprog.t) =
     let scatter =
       Runtime.scatter_plan rprog ~rel:trigger (Dprog.worker_blocks dtr)
     in
-    (* the batch share rides the first stage's [run_block] *)
+    (* the batch share rides the first stage's [Run_block] *)
     assert (scatter = None || !nstages > 0);
     ( trigger,
       {
@@ -593,7 +591,7 @@ let make ~cost ~workers ~local tp (dp : Dprog.t) =
     driver;
     plans = List.map compile dp.dtriggers;
     delta_at_workers;
-    tp = counted m.round_trips tp;
+    tp;
     local;
     m;
   }
@@ -609,6 +607,65 @@ let create ?(config = default_config) ?domains (dp : Dprog.t) =
   let local = Array.init config.workers (fun _ -> worker_of rprog dp) in
   make ~cost:config.cost ~workers:config.workers ~local
     (in_process ~domains local) dp
+
+let request_name = function
+  | Run_block (rel, bi, _, pulls) ->
+      Printf.sprintf "Run_block %s/%d pulling %d maps" rel bi (Array.length pulls)
+  | Pull_map names -> Printf.sprintf "Pull_map of %d maps" (Array.length names)
+  | Deliver (name, _) -> "Deliver " ^ name
+  | Shuffle idxs -> Printf.sprintf "Shuffle of %d transfers" (Array.length idxs)
+
+let reply_name = function
+  | Block_done (_, _, cbs) ->
+      Printf.sprintf "Block_done with %d maps" (Array.length cbs)
+  | Map_contents cbs -> Printf.sprintf "Map_contents of %d maps" (Array.length cbs)
+  | Ack -> "Ack"
+  | Shuffle_done sts ->
+      Printf.sprintf "Shuffle_done of %d transfers" (Array.length sts)
+
+(* One round trip, counted here so both transports count alike: [req wi]
+   to each worker [wi] of [ws], then every reply through [expect], which
+   takes only the reply its request asks for (one map per pulled map,
+   one stat per transfer). Any other reply fails the call, naming the
+   worker and its request, before any reply is used. *)
+let call t ws req expect =
+  Obs.Counter.incr t.m.round_trips;
+  Array.mapi
+    (fun i r ->
+      match expect r with
+      | Some v -> v
+      | None ->
+          failwith
+            (Printf.sprintf "Cluster: worker %d answered %s with %s" ws.(i)
+               (request_name (req ws.(i)))
+               (reply_name r)))
+    (t.tp.call ws req)
+
+let run t ~rel bi ~share ~pulls =
+  let n = Array.length pulls in
+  call t (all_workers t)
+    (fun wi -> Run_block (rel, bi, Option.map (fun s -> s.(wi)) share, pulls))
+    (function
+      | Block_done (ops, wall, cbs) when Array.length cbs = n -> Some (ops, wall, cbs)
+      | _ -> None)
+
+let pull t names ws =
+  let n = Array.length names and r = Pull_map names in
+  call t ws (fun _ -> r) (function
+    | Map_contents cbs when Array.length cbs = n -> Some cbs
+    | _ -> None)
+
+let deliver t ws name batch =
+  ignore
+    (call t ws
+       (fun wi -> Deliver (name, batch wi))
+       (function Ack -> Some () | _ -> None))
+
+let exchange t idxs =
+  let n = Array.length idxs and r = Shuffle idxs in
+  call t (all_workers t) (fun _ -> r) (function
+    | Shuffle_done sts when Array.length sts = n -> Some sts
+    | _ -> None)
 
 (* Modeled bytes moved by one batch's transfers. *)
 type net = {
@@ -665,7 +722,7 @@ let via_driver t net (tr : Dprog.transfer) =
     match Loc.find t.dprog.locs tr.source with
     | Loc.Local -> (-1, Runtime.map_pool t.driver tr.source)
     | Loc.Replicated ->
-        let cb = (t.tp.pull [| tr.source |] [| 0 |]).(0).(0) in
+        let cb = (pull t [| tr.source |] [| 0 |]).(0).(0) in
         let p = Pool.create ~key_width:(Colbatch.width cb) ~slices:[] () in
         merge_batch p cb;
         (-2, p)
@@ -675,9 +732,12 @@ let via_driver t net (tr : Dprog.transfer) =
   if tr.tkind = Dprog.Gather then
     gather t net tr.tname [| (origin, contents tr.source src) |]
   else begin
-    let p = partition ~self:(-1) ~parts:t.workers ~key:tr.key tr.source src in
+    let p =
+      partition ~ledger:true ~self:(-1) ~parts:t.workers ~key:tr.key tr.source
+        src
+    in
     Array.iteri (fun d b -> charge net ~origin ~dst:d b) p.modeled;
-    t.tp.deliver tr.tname p.peers;
+    deliver t (all_workers t) tr.tname (Array.get p.peers);
     p.ser
   end
 
@@ -793,8 +853,8 @@ let apply_batch t ~rel batch =
               let bytes_before = net.total and before_max = max_into net in
               (match plan.calls.(i) with
               | Fetch (names, ps) ->
-                  unpack fetched ps (tp.pull names (all_workers t))
-              | Exchange (idxs, ps) -> unpack exchanged ps (tp.shuffle idxs)
+                  unpack fetched ps (pull t names (all_workers t))
+              | Exchange (idxs, ps) -> unpack exchanged ps (exchange t idxs)
               | No_call -> ());
               let ser, walls, links =
                 match tr.troute with
@@ -848,8 +908,8 @@ let apply_batch t ~rel batch =
           incr stages;
           Obs.span label (fun () ->
               let wall0 = now () and tw0 = tp.wire () in
-              let replies, got =
-                tp.run_block ~rel bi ~share:!shares
+              let replies =
+                run t ~rel bi ~share:!shares
                   ~pulls:
                     (match plan.calls.(i) with
                     | Fetch (names, _) -> names
@@ -857,13 +917,14 @@ let apply_batch t ~rel batch =
               in
               shares := None;
               (match plan.calls.(i) with
-              | Fetch (_, ps) -> unpack fetched ps got
+              | Fetch (_, ps) ->
+                  unpack fetched ps (Array.map (fun (_, _, cbs) -> cbs) replies)
               | No_call | Exchange _ -> ());
               let wall = now () -. wall0 in
-              let walls = Array.map snd replies in
+              let walls = Array.map (fun (_, wl, _) -> wl) replies in
               let ops = ref 0 and max_ops = ref 0 in
               Array.iteri
-                (fun wi (d, wl) ->
+                (fun wi (d, wl, _) ->
                   Obs.Counter.add m.wops.(wi) d;
                   Obs.Histogram.observe m.wstage.(wi) wl;
                   ops := !ops + d;
@@ -951,12 +1012,12 @@ let apply_batch t ~rel batch =
 let map_contents t name =
   match Loc.find t.dprog.locs name with
   | Loc.Local -> Runtime.map_contents t.driver name
-  | Loc.Replicated -> Colbatch.to_gmr (t.tp.pull [| name |] [| 0 |]).(0).(0)
+  | Loc.Replicated -> Colbatch.to_gmr (pull t [| name |] [| 0 |]).(0).(0)
   | Loc.Dist _ | Loc.Random ->
       let out = Gmr.create () in
       Array.iter
         (fun cbs -> Colbatch.iter_rows cbs.(0) (Gmr.add_borrow out))
-        (t.tp.pull [| name |] (all_workers t));
+        (pull t [| name |] (all_workers t));
       out
 
 let result t qname =
@@ -981,7 +1042,7 @@ let check_replicas t =
     (fun (m : Prog.map_decl) ->
       match Loc.find t.dprog.locs m.mname with
       | Loc.Replicated ->
-          let parts = t.tp.pull [| m.mname |] (all_workers t) in
+          let parts = pull t [| m.mname |] (all_workers t) in
           let first = Colbatch.to_gmr parts.(0).(0) in
           Array.iteri
             (fun wi cbs ->
@@ -1035,7 +1096,7 @@ let persistent_maps t =
 let checkpoint t =
   let maps = persistent_maps t in
   (* one map per call, so no frame holds more than one map's contents *)
-  let pulled = List.map (fun n -> (n, t.tp.pull [| n |] (all_workers t))) maps in
+  let pulled = List.map (fun n -> (n, pull t [| n |] (all_workers t))) maps in
   let snap =
     Array.init (1 + t.workers) (fun i ->
         if i = 0 then
@@ -1056,14 +1117,12 @@ let restore t (snap : Checkpoint.snapshot) =
   List.iter (fun (name, cb) -> replace t.driver name cb) snap.(0);
   List.iter
     (fun (name, _) ->
-      t.tp.deliver name
-        (Array.init t.workers (fun wi -> List.assoc name snap.(wi + 1))))
+      deliver t (all_workers t) name (fun wi -> List.assoc name snap.(wi + 1)))
     snap.(1)
 
+(* The failed worker alone is addressed: every survivor keeps its pools,
+   free slots included. *)
 let fail_worker t wi =
   List.iter
-    (fun name ->
-      let parts = Array.map (fun g -> g.(0)) (t.tp.pull [| name |] (all_workers t)) in
-      parts.(wi) <- Colbatch.empty;
-      t.tp.deliver name parts)
+    (fun name -> deliver t [| wi |] name (fun _ -> Colbatch.empty))
     (persistent_maps t)

@@ -109,9 +109,10 @@ type shuffle_stat = {
 
 (** {1 Workers}
 
-    One worker's state and the operations a transport performs on it —
-    shared by the in-process transport and the [divm_node] worker
-    processes, so both run identical code. *)
+    One worker's state and the one entry point by which any transport
+    reaches it, {!serve}: the in-process transport calls it on its
+    workers, and a [divm_node] worker process calls it on every request
+    it decodes, so both run identical code. *)
 
 type worker
 
@@ -119,109 +120,109 @@ type worker
     trigger's worker blocks compiled. *)
 val worker : Dprog.t -> worker
 
-(** Install this worker's share of the current batch of [rel]. *)
-val worker_load : worker -> rel:string -> Colbatch.t -> unit
+(** What the executor asks of a worker: one request per worker per round
+    trip. *)
+type request =
+  | Run_block of string * int * Colbatch.t option * string array
+      (** [(rel, bi, share, pulls)]: install this worker's share of the
+          batch of [rel] (the trigger's first stage only), run block [bi]
+          of [rel]'s worker blocks, then read the worker's partition of
+          every [pulls] map (the gathers that ride the stage) *)
+  | Pull_map of string array
+      (** the worker's partition of every named map *)
+  | Deliver of string * Colbatch.t
+      (** replace the worker's partition of a map with a batch from the
+          driver *)
+  | Shuffle of int array
+      (** run these {!Divm_dist.Dprog.transfers} entries as one direct
+          exchange with every other worker *)
 
-(** Run block [bi] of [rel]'s worker blocks; returns the record-op delta
-    and wall seconds. Under the profiler the delta is also folded into
+(** A worker's answer to each request, in order: [Block_done] to
+    [Run_block], [Map_contents] to [Pull_map], [Ack] to [Deliver] (and,
+    over sockets, to the control messages), [Shuffle_done] to
+    [Shuffle]. *)
+type reply =
+  | Block_done of int * float * Colbatch.t array
+      (** the block's record-op delta and wall seconds, then one batch
+          per pulled map, in order *)
+  | Map_contents of Colbatch.t array  (** one batch per map, in order *)
+  | Ack
+  | Shuffle_done of shuffle_stat array  (** one stat per transfer, in order *)
+
+(** [serve wk ~self ~parts ~exchange req] runs [req] on worker [self] of
+    [parts] and returns its reply.
+
+    A map leaves a pool as one column batch of its live records in slot
+    order ({!Colbatch.empty} when it has none), through the one partition
+    walk that cuts a repartition's buffers too, so every row must have the
+    pool's arity. A batch enters a pool only after the width check: a
+    batch with rows of another width than the destination's arity raises
+    [Failure] naming the map, the sender and both widths, before the
+    destination is touched. A delivery then clears the partition and
+    merges the rows in order.
+
+    [Shuffle] is {!cut}, then [exchange (outbound c)] — the transport's
+    crossing of the batches, which returns what every peer sent and the
+    bytes it framed for each ({!settle}'s [received] and [sent]) — then
+    {!settle}. Under the profiler a block's op delta is also folded into
     [divm_record_ops_total]. Raises [Invalid_argument] for an unknown
-    trigger or block. *)
-val worker_run_block : worker -> rel:string -> int -> int * float
-
-(** The worker's partition of a map as one column batch, its live
-    records in slot order ({!Colbatch.empty} when it has none): the
-    partition walk's cut for one remote destination, so it passes the
-    same arity check as every batch that leaves a pool. *)
-val worker_contents : worker -> string -> Colbatch.t
-
-(** Replace the worker's partition of a map with a batch the driver
-    delivered: the width check of {!shuffle_check}, then clear, then
-    merge the rows in order, as {!shuffle_apply} merges a peer's batch.
-    Raises [Failure] naming the map, the driver and both widths, before
-    the partition is touched, when the batch has rows of another width
-    than the map's arity. *)
-val worker_replace : worker -> string -> Colbatch.t -> unit
-
-(** One node's partition of a pool: [peers.(d)] is the column batch for
-    destination [d] ({!Colbatch.empty} at [self] and for a destination
-    that gets no row), [own] the source pool and the slots of its
-    records that stay on [self]. [ser] is the modeled serialized bytes
-    of the whole partition and [modeled.(d)] those sent to [d]. The same
-    walk cuts a worker's repartition buffers, the driver's scatters
-    (which keep no own share) and a partition pulled to the driver. *)
-type partition = {
-  peers : Colbatch.t array;
-  own : Pool.t * Intvec.t;
-  ser : int;
-  modeled : int array;
-}
-
-(** [shuffle_partition wk ~self ~parts idx] cuts worker [self]'s
-    partition of transfer [idx]'s source ({!Divm_dist.Dprog.transfers})
-    by destination worker in one walk of the source pool: each row goes
-    to the hash partition of its key columns, or to every worker when the
-    key is empty. Rows keep the source's slot order. Raises [Failure]
-    when the source's rows differ in arity. *)
-val shuffle_partition : worker -> self:int -> parts:int -> int -> partition
-
-(** [shuffle_check wk ~src idx cb] accepts [cb], sent by peer [src] for
-    transfer [idx], when it has no rows or its width is the arity of the
-    transfer's destination; else it raises [Failure] naming the peer,
-    the transfer and both widths. A transport checks every buffer it
-    decoded for an exchange before it applies any transfer. The same
-    check guards every batch that enters a pool: deliveries
-    ({!worker_replace}), and gathered partitions and snapshots on the
-    driver. *)
-val shuffle_check : worker -> src:int -> int -> Colbatch.t -> unit
-
-(** [shuffle_apply wk ~self ~parts idx ~own from] replaces worker
-    [self]'s partition of transfer [idx]'s destination with what each
-    source sent it, in ascending source order: [own] (the [own] of
-    [self]'s {!partition}), upserted with the source pool's cached
-    hashes, at [self], and the batch [from src] at every other source.
-    [own]'s slots are read now, so the source pool must not have
-    changed since the partition. *)
-val shuffle_apply :
+    trigger or block, [Failure] for a transfer index out of range. *)
+val serve :
   worker ->
   self:int ->
   parts:int ->
-  int ->
-  own:Pool.t * Intvec.t ->
-  (int -> Colbatch.t) ->
-  unit
+  exchange:(Colbatch.t array array -> Colbatch.t array array * int array array) ->
+  request ->
+  reply
+
+(** One worker's side of a direct exchange in progress: the halves
+    {!serve} composes around the crossing, for a transport that cannot
+    wait inside a worker (the in-process one runs {!cut} on every worker,
+    then {!settle} on each). *)
+type cut
+
+(** [cut wk ~self ~parts idxs] partitions, in one walk of its source
+    pool each, worker [self]'s share of every transfer of the run by
+    destination: each row goes to the hash partition of the transfer's
+    key columns, or to every worker when the key is empty. Rows keep the
+    source's slot order. Raises [Failure] when a source's rows differ in
+    arity. *)
+val cut : worker -> self:int -> parts:int -> int array -> cut
+
+(** [outbound c] is, per destination worker, one batch per transfer of
+    the run, in run order (empty batches at [self]). *)
+val outbound : cut -> Colbatch.t array array
+
+(** [settle wk c ~received ~sent] checks every batch of [received]
+    ([received.(s)] is what peer [s] sent, one batch per transfer; the
+    entry at [self] is not read) against its destination's arity —
+    raising [Failure] naming the peer, the transfer and both widths
+    before any destination is cleared — then replaces each transfer's
+    destination partition, in run order, with what every source sent it,
+    in ascending source order: the worker's own slots upserted from the
+    source pool with their cached hashes, every peer's batch merged in
+    row order. The source pools must not have changed since the cut.
+    [sent.(d).(j)] is the framed bytes of transfer [j]'s batch to peer
+    [d]. Returns one stat per transfer. *)
+val settle :
+  worker ->
+  cut ->
+  received:Colbatch.t array array ->
+  sent:int array array ->
+  shuffle_stat array
 
 (** {1 Transports} *)
 
-(** Where the workers' runtimes live. Every operation addresses all
-    workers at once (except [pull], which names them) and returns after
-    all of them finished: one round trip. Per-worker results are indexed
-    by worker, then by the call's maps or transfers in order. *)
+(** Where the workers' runtimes live. [call ws req] sends [req wi] to
+    every worker [wi] of [ws] and returns their replies in [ws]'s order,
+    after all of them answered: one round trip, which the executor
+    counts and whose replies it checks. A [Shuffle] addresses every
+    worker. *)
 type transport = {
   name : string;
       (** ["cluster"] or ["node"]: the batch span prefix and the
           [divm_NAME_*] metric family *)
-  run_block :
-    rel:string ->
-    int ->
-    share:Colbatch.t array option ->
-    pulls:string array ->
-    (int * float) array * Colbatch.t array array;
-      (** [run_block ~rel bi ~share ~pulls] installs each worker's batch
-          share (one per worker, when given), runs block [bi], then reads
-          each worker's partition of every [pulls] map
-          ({!worker_contents}); returns per-worker (ops, wall) and the
-          pulled partitions *)
-  pull : string array -> int array -> Colbatch.t array array;
-      (** each listed worker's partition of every named map, as
-          {!worker_contents} *)
-  deliver : string -> Colbatch.t array -> unit;
-      (** replace each worker's partition of a map with its batch
-          ({!worker_replace}) *)
-  shuffle : int array -> shuffle_stat array array;
-      (** run these {!Divm_dist.Dprog.transfers} entries as one direct
-          exchange: every worker partitions each transfer's source, the
-          buffers cross once, and each transfer is applied in order;
-          per-source stats, one per transfer *)
+  call : int array -> (int -> request) -> reply array;
   wire : unit -> int;  (** socket bytes so far (monotone) *)
   after_stage : unit -> unit;  (** hook after each stage barrier *)
 }
@@ -254,7 +255,7 @@ val workers : t -> int
     blocks read) unless the program was compiled with deltas at the
     driver. Distributed blocks run on every worker, then barrier.
     Distributed-to-distributed transfers run as direct shuffles
-    ({!transport.shuffle}); gathers and transfers from local or
+    ([Shuffle]); gathers and transfers from local or
     replicated sources go through the driver, where that data lives.
     Steps share transport calls as {!Divm_dist.Dprog.calls} groups them:
     the shares ride the first stage, gathers ride the stage before them
@@ -315,6 +316,8 @@ val checkpoint : t -> Checkpoint.snapshot * float
     each pool gets its checkpointed rows back in their slot order. *)
 val restore : t -> Checkpoint.snapshot -> unit
 
-(** Simulate a worker crash: its partitions are lost. Subsequent results
-    are incorrect until [restore] + replay. *)
+(** Simulate a worker crash: its partitions are lost, one [Deliver] of
+    the empty batch per persistent map to that worker alone, so the
+    survivors keep their pools as they are. Subsequent results are
+    incorrect until [restore] + replay. *)
 val fail_worker : t -> int -> unit

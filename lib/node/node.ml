@@ -299,75 +299,45 @@ let mesh_exchange m (frames : string array) =
   done;
   Array.init w (fun i -> if i = self then "" else Buffer.contents bufs.(i))
 
-(* One exchange for a run of direct transfers: partition every transfer,
-   send each peer one frame with one batch per transfer, check every
-   batch received, then apply each transfer in run order, each in
-   ascending source order — {!Cluster.shuffle_partition} and
-   {!Cluster.shuffle_apply}, the functions the in-process transport
-   runs, with the socket exchange in between. A transfer's wall is its
-   partition and apply; the exchange counts on the first. *)
-let mesh_shuffle wk m idxs =
-  let w = Array.length m.mpeers in
-  let self = m.mself in
-  let walls = Array.make (Array.length idxs) 0. in
-  let timed j f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    walls.(j) <- walls.(j) +. (Unix.gettimeofday () -. t0);
-    r
-  in
-  let parts =
-    Array.mapi
-      (fun j idx ->
-        timed j (fun () -> Cluster.shuffle_partition wk ~self ~parts:w idx))
-      idxs
-  in
-  (* per peer: its frame, and the bytes of it each transfer accounts for *)
-  let framed =
-    Array.init w (fun d ->
-        if d = self then ("", Array.make (Array.length idxs) 0)
-        else
-          timed 0 (fun () ->
-              Protocol.mesh_frame ~src:self
-                (Array.map (fun (p : Cluster.partition) -> p.peers.(d)) parts)))
-  in
-  let received =
-    timed 0 (fun () ->
-        let raw = if w > 1 then mesh_exchange m (Array.map fst framed) else [||] in
+(* The crossing of one exchange ({!Cluster.serve}'s [exchange]): frame
+   each peer's batches, swap the frames over the mesh, and decode what
+   every peer sent, which must come from that peer and hold one batch per
+   transfer. Returns the received batches and, per peer, the frame bytes
+   each transfer accounts for. *)
+let swap mesh out =
+  match mesh with
+  | None -> failwith "divm_node worker: Shuffle before the mesh handshake"
+  | Some m ->
+      let self = m.mself and n = Array.length out.(m.mself) in
+      let framed =
         Array.mapi
+          (fun d bufs ->
+            if d = self then ("", Array.make n 0)
+            else Protocol.mesh_frame ~src:self bufs)
+          out
+      in
+      let raw =
+        if Array.length out > 1 then mesh_exchange m (Array.map fst framed)
+        else [| "" |]
+      in
+      ( Array.mapi
           (fun src f ->
             if src = self then [||]
             else
               match Protocol.decode_frame f with
               | Protocol.Mesh_data (src', bufs), _
-                when src' = src && Array.length bufs = Array.length idxs ->
-                  Array.iteri
-                    (fun j cb -> Cluster.shuffle_check wk ~src idxs.(j) cb)
-                    bufs;
+                when src' = src && Array.length bufs = n ->
                   bufs
               | _ ->
                   failwith
                     (Printf.sprintf
                        "divm_node worker: peer %d did not send its Mesh_data \
                         with %d buffers"
-                       src (Array.length idxs)))
-          raw)
-  in
-  Array.iteri
-    (fun j idx ->
-      timed j (fun () ->
-          Cluster.shuffle_apply wk ~self ~parts:w idx ~own:parts.(j).own
-            (fun src -> received.(src).(j))))
-    idxs;
-  Array.mapi
-    (fun j (p : Cluster.partition) ->
-      {
-        Protocol.ss_ser = p.ser;
-        ss_modeled = p.modeled;
-        ss_sent = Array.map (fun (_, sizes) -> sizes.(j)) framed;
-        ss_wall = walls.(j);
-      })
-    parts
+                       src n))
+          raw,
+        Array.map snd framed )
+
+let ack = Protocol.Reply Cluster.Ack
 
 let serve ~id fd =
   let state = ref None in
@@ -386,52 +356,33 @@ let serve ~id fd =
           match msg with
           | Protocol.Init s ->
               state := Some (Cluster.worker (Marshal.from_string s 0 : Dprog.t));
-              Protocol.Ack
-          | Protocol.Run_block (rel, bi, share, names) -> (
-              let wk = st () in
-              match
-                Option.iter (Cluster.worker_load wk ~rel) share;
-                Cluster.worker_run_block wk ~rel bi
-              with
-              | ops, wall ->
-                  Protocol.Block_done
-                    (ops, wall, Array.map (Cluster.worker_contents wk) names)
-              | exception Invalid_argument msg ->
-                  failwith ("divm_node worker: " ^ msg))
-          | Protocol.Pull_map names ->
-              Protocol.Map_contents
-                (Array.map (Cluster.worker_contents (st ())) names)
-          | Protocol.Deliver (name, g) ->
-              Cluster.worker_replace (st ()) name g;
-              Protocol.Ack
+              ack
+          | Protocol.Request r ->
+              let parts =
+                match !mesh with Some m -> Array.length m.mpeers | None -> 1
+              in
+              Protocol.Reply
+                (Cluster.serve (st ()) ~self:id ~parts ~exchange:(swap !mesh) r)
           | Protocol.Start_telemetry (profile, trace) ->
               Prof.set_enabled profile;
               Obs.set_tracing trace;
               w_last_snap := Obs.snapshot ();
-              Protocol.Ack
-          | Protocol.Pull_telemetry ->
-              Protocol.Telemetry (collect_telemetry ())
+              ack
+          | Protocol.Pull_telemetry -> Protocol.Telemetry (collect_telemetry ())
           | Protocol.Peers paths ->
               (match !mesh with Some m -> mesh_close m | None -> ());
               mesh := Some (mesh_bind ~id paths);
-              Protocol.Ack
+              ack
           | Protocol.Mesh_connect ->
               (match !mesh with
               | Some m -> mesh_connect m
               | None -> failwith "divm_node worker: Mesh_connect before Peers");
-              Protocol.Ack
-          | Protocol.Shuffle idxs -> (
-              match !mesh with
-              | Some m -> Protocol.Shuffle_done (mesh_shuffle (st ()) m idxs)
-              | None ->
-                  failwith "divm_node worker: Shuffle before the mesh handshake")
+              ack
           | Protocol.Shutdown ->
               running := false;
-              Protocol.Ack
-          | Protocol.Hello _ | Protocol.Load_batch _ | Protocol.Ack
-          | Protocol.Block_done _
-          | Protocol.Map_contents _ | Protocol.Telemetry _
-          | Protocol.Shuffle_done _ | Protocol.Mesh_data _ ->
+              ack
+          | Protocol.Hello _ | Protocol.Load_batch _ | Protocol.Reply _
+          | Protocol.Telemetry _ | Protocol.Mesh_data _ ->
               failwith "divm_node worker: unexpected coordinator message"
         in
         ignore (Protocol.write_msg fd reply)
@@ -511,19 +462,7 @@ let unexpected wi what =
   failwith (Printf.sprintf "divm_node: worker %d: expected %s" wi what)
 
 let expect_ack t wi =
-  match recv t wi with Protocol.Ack -> () | _ -> unexpected wi "Ack"
-
-(* Replies that carry one entry per requested map or transfer must carry
-   exactly [n]. *)
-let expect_contents n t wi =
-  match recv t wi with
-  | Protocol.Map_contents gs when Array.length gs = n -> gs
-  | _ -> unexpected wi (Printf.sprintf "Map_contents of %d maps" n)
-
-let expect_shuffle_done n t wi =
-  match recv t wi with
-  | Protocol.Shuffle_done sts when Array.length sts = n -> sts
-  | _ -> unexpected wi (Printf.sprintf "Shuffle_done of %d transfers" n)
+  match recv t wi with Protocol.Reply Cluster.Ack -> () | _ -> unexpected wi "Ack"
 
 (* One frame to every worker, then every acknowledgment. *)
 let barrier t msg =
@@ -672,8 +611,8 @@ let pull_telemetry t =
 
 (* ---- the socket transport ---- *)
 
-(* Every transport operation first checks the engine is up and arms the
-   workers' telemetry if a collector was switched on since. Requests are
+(* Every call first checks the engine is up and arms the workers'
+   telemetry if a collector was switched on since. Requests are
    pipelined: one frame to every addressed worker, then every reply. *)
 let ready t =
   if not t.alive then failwith "divm_node: engine is shut down";
@@ -684,47 +623,27 @@ let ready t =
 let scatter_wire = Obs.Counter.make "divm_node_scatter_wire_bytes_total"
 
 let transport t =
-  let w = Array.length t.conns in
-  let broadcast msg =
+  let call ws req =
     ready t;
-    Array.iteri (fun wi _ -> send t wi (msg wi)) t.conns
+    Array.iter
+      (fun wi ->
+        let w0 = t.wire and r = req wi in
+        send t wi (Protocol.Request r);
+        match r with
+        | Cluster.Run_block (_, _, Some _, _) ->
+            Obs.Counter.add scatter_wire (t.wire - w0)
+        | _ -> ())
+      ws;
+    Array.map
+      (fun wi ->
+        match recv t wi with
+        | Protocol.Reply r -> r
+        | _ -> unexpected wi "a reply")
+      ws
   in
-  let replies expect = Array.init w (expect t) in
   {
     Cluster.name = "node";
-    run_block =
-      (fun ~rel bi ~share ~pulls ->
-        let w0 = t.wire in
-        broadcast (fun wi ->
-            Protocol.Run_block
-              ( rel,
-                bi,
-                (match share with Some s -> Some s.(wi) | None -> None),
-                pulls ));
-        if share <> None then Obs.Counter.add scatter_wire (t.wire - w0);
-        let n = Array.length pulls in
-        let stats = Array.make w (0, 0.) and got = Array.make w [||] in
-        for wi = 0 to w - 1 do
-          match recv t wi with
-          | Protocol.Block_done (ops, wall, gs) when Array.length gs = n ->
-              stats.(wi) <- (ops, wall);
-              got.(wi) <- gs
-          | _ -> unexpected wi (Printf.sprintf "Block_done with %d maps" n)
-        done;
-        (stats, got));
-    pull =
-      (fun names ws ->
-        ready t;
-        Array.iter (fun wi -> send t wi (Protocol.Pull_map names)) ws;
-        Array.map (expect_contents (Array.length names) t) ws);
-    deliver =
-      (fun name gs ->
-        broadcast (fun wi -> Protocol.Deliver (name, gs.(wi)));
-        ignore (replies expect_ack));
-    shuffle =
-      (fun idxs ->
-        broadcast (fun _ -> Protocol.Shuffle idxs);
-        replies (expect_shuffle_done (Array.length idxs)));
+    call;
     wire = (fun () -> t.wire);
     (* Ship the stage's telemetry right at the barrier. *)
     after_stage = (fun () -> if t.telem_started then pull_telemetry t);

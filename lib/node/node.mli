@@ -13,8 +13,10 @@
 
     Batches run through the same executor as the simulator
     ({!Divm_cluster.Cluster.apply_batch} on {!executor}): the same plan,
-    the same dealing, the same worker code ({!Divm_cluster.Cluster.worker}
-    on the far side of the socket), the same cost model. Stores are
+    the same dealing, the same worker entry point
+    ({!Divm_cluster.Cluster.serve}, on the far side of the socket), the
+    same cost model. The coordinator only sends each request as a frame
+    and returns the replies; the executor checks them. Stores are
     therefore bit-identical to a simulator run of the same program, and
     the cost model becomes a {e predictor}: the metrics report predicted
     latency next to measured wall time and actual wire bytes, per batch
@@ -97,6 +99,7 @@ val shutdown : t -> unit
 
 (** [worker_main ~socket ~id] is the child's entry point ([divm_node
     --worker]): connect to the coordinator's socket, identify with
-    [Hello id], and serve requests until [Shutdown]. Returns after the
-    shutdown handshake. *)
+    [Hello id], and hand every request to {!Divm_cluster.Cluster.serve}
+    until [Shutdown]; a [Shuffle]'s batches cross the worker mesh as
+    [Mesh_data] frames. Returns after the shutdown handshake. *)
 val worker_main : socket:string -> id:int -> unit

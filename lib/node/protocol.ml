@@ -1,6 +1,7 @@
 open Divm_ring
 open Divm_storage
 open Divm_obs
+module Cluster = Divm_cluster.Cluster
 
 type telem = {
   t_now : float;
@@ -9,31 +10,18 @@ type telem = {
   t_spans : Obs.event list;
 }
 
-type shuffle_stat = Divm_cluster.Cluster.shuffle_stat = {
-  ss_ser : int;
-  ss_modeled : int array;
-  ss_sent : int array;
-  ss_wall : float;
-}
-
 type msg =
   | Hello of int
   | Init of string
   | Load_batch of string * Gmr.t
-  | Run_block of string * int * Colbatch.t option * string array
-  | Block_done of int * float * Colbatch.t array
-  | Pull_map of string array
-  | Map_contents of Colbatch.t array
-  | Deliver of string * Colbatch.t
-  | Ack
+  | Request of Cluster.request
+  | Reply of Cluster.reply
   | Shutdown
   | Start_telemetry of bool * bool
   | Pull_telemetry
   | Telemetry of telem
   | Peers of string array
   | Mesh_connect
-  | Shuffle of int array
-  | Shuffle_done of shuffle_stat array
   | Mesh_data of int * Colbatch.t array
 
 exception Error of string
@@ -371,20 +359,20 @@ let tag_of = function
   | Hello _ -> 1
   | Init _ -> 2
   | Load_batch _ -> 3
-  | Run_block _ -> 4
-  | Block_done _ -> 5
-  | Pull_map _ -> 6
-  | Map_contents _ -> 7
-  | Deliver _ -> 8
-  | Ack -> 10
+  | Request (Cluster.Run_block _) -> 4
+  | Reply (Cluster.Block_done _) -> 5
+  | Request (Cluster.Pull_map _) -> 6
+  | Reply (Cluster.Map_contents _) -> 7
+  | Request (Cluster.Deliver _) -> 8
+  | Reply Cluster.Ack -> 10
   | Shutdown -> 11
   | Start_telemetry _ -> 12
   | Pull_telemetry -> 13
   | Telemetry _ -> 14
   | Peers _ -> 15
   | Mesh_connect -> 16
-  | Shuffle _ -> 17
-  | Shuffle_done _ -> 18
+  | Request (Cluster.Shuffle _) -> 17
+  | Reply (Cluster.Shuffle_done _) -> 18
   | Mesh_data _ -> 19
 
 (* Tag 9 is retired ([Deliver] clears the destination itself), and so is
@@ -425,7 +413,7 @@ let put_msg w m =
   | Load_batch (rel, g) ->
       put_string w rel;
       put_last w (map_share g)
-  | Run_block (rel, bi, share, names) -> (
+  | Request (Cluster.Run_block (rel, bi, share, names)) -> (
       put_string w rel;
       put_i32 w bi;
       put_array w put_string names;
@@ -434,28 +422,28 @@ let put_msg w m =
       | Some cb ->
           put_u8 w 1;
           put_last w (sized cb (Colbatch.live_cols cb)))
-  | Block_done (ops, wall, cbs) ->
+  | Reply (Cluster.Block_done (ops, wall, cbs)) ->
       put_i64 w ops;
       put_f64 w wall;
       put_maps w cbs
-  | Pull_map names -> put_array w put_string names
-  | Map_contents cbs -> put_maps w cbs
-  | Deliver (name, cb) ->
+  | Request (Cluster.Pull_map names) -> put_array w put_string names
+  | Reply (Cluster.Map_contents cbs) -> put_maps w cbs
+  | Request (Cluster.Deliver (name, cb)) ->
       put_string w name;
       put_last w (batch_share cb)
-  | Ack | Shutdown | Pull_telemetry | Mesh_connect -> ()
+  | Reply Cluster.Ack | Shutdown | Pull_telemetry | Mesh_connect -> ()
   | Start_telemetry (profile, trace) ->
       put_u8 w (Bool.to_int profile);
       put_u8 w (Bool.to_int trace)
   | Telemetry t -> put_telem w t
   | Peers paths -> put_array w put_string paths
-  | Shuffle idxs -> put_array w put_i32 idxs
-  | Shuffle_done sts ->
+  | Request (Cluster.Shuffle idxs) -> put_array w put_i32 idxs
+  | Reply (Cluster.Shuffle_done sts) ->
       (* control-plane reply on the hot per-transfer path: the per-peer
          byte counts are bounded by max_frame, so they ship as i32, not
          i64 — at w workers that is 8w fewer bytes on every transfer *)
       put_array w
-        (fun w st ->
+        (fun w (st : Cluster.shuffle_stat) ->
           put_i64 w st.ss_ser;
           put_array w put_i32 st.ss_modeled;
           put_array w put_i32 st.ss_sent;
@@ -778,7 +766,7 @@ let get_shuffle_stat r =
         get_nonneg32 r "sent byte count")
   in
   let ss_wall = get_f64 r in
-  { ss_ser; ss_modeled; ss_sent; ss_wall }
+  { Cluster.ss_ser; ss_modeled; ss_sent; ss_wall }
 
 (* Decode the payload at [s]'s bytes [base, base + len). *)
 let decode_at s ~base ~len =
@@ -803,17 +791,18 @@ let decode_at s ~base ~len =
           let share =
             if get_bool r "share" then Some (get_share r ~map:false) else None
           in
-          Run_block (rel, bi, share, names)
+          Request (Cluster.Run_block (rel, bi, share, names))
       | 5 ->
           let ops = Int64.to_int (get_i64 r) in
           let wall = get_f64 r in
-          Block_done (ops, wall, get_maps r)
-      | 6 -> Pull_map (get_array r "pulled map" ~elt:4 get_string)
-      | 7 -> Map_contents (get_maps r)
+          Reply (Cluster.Block_done (ops, wall, get_maps r))
+      | 6 ->
+          Request (Cluster.Pull_map (get_array r "pulled map" ~elt:4 get_string))
+      | 7 -> Reply (Cluster.Map_contents (get_maps r))
       | 8 ->
           let name = get_string r in
-          Deliver (name, get_share r ~map:true)
-      | 10 -> Ack
+          Request (Cluster.Deliver (name, get_share r ~map:true))
+      | 10 -> Reply Cluster.Ack
       | 11 -> Shutdown
       | 12 ->
           let profile = get_bool r "profile" in
@@ -823,13 +812,17 @@ let decode_at s ~base ~len =
       | 15 -> Peers (get_array r "peer" ~elt:4 get_string)
       | 16 -> Mesh_connect
       | 17 ->
-          Shuffle
-            (get_array r "transfer index" ~elt:4 (fun r ->
-                 let idx = get_i32 r in
-                 if idx < 0 then err "negative transfer index %d" idx;
-                 idx))
+          Request
+            (Cluster.Shuffle
+               (get_array r "transfer index" ~elt:4 (fun r ->
+                    let idx = get_i32 r in
+                    if idx < 0 then err "negative transfer index %d" idx;
+                    idx)))
       (* a stat takes at least 24 bytes: ser, two counts, wall *)
-      | 18 -> Shuffle_done (get_array r "shuffle stat" ~elt:24 get_shuffle_stat)
+      | 18 ->
+          Reply
+            (Cluster.Shuffle_done
+               (get_array r "shuffle stat" ~elt:24 get_shuffle_stat))
       | 19 ->
           let src = get_i32 r in
           if src < 0 then err "negative mesh source id %d" src;

@@ -23,7 +23,7 @@
     column, its rows in slot order, so merging a decoded map's rows in
     order rebuilds a bit-identical store; an empty map is the 9-byte
     empty share. Maps travel as the column batches a pool's partition
-    walk cut ({!Divm_cluster.Cluster.partition}) and decode to column
+    walk cut ({!Divm_cluster.Cluster.serve}) and decode to column
     batches, never to rows; only [Load_batch] still carries a GMR, whose
     width is the arity of its rows (all rows must share it). One writer
     and one reader serve both.
@@ -52,16 +52,6 @@ type telem = {
   t_spans : Obs.event list;
 }
 
-(** One worker's report of one transfer of a mesh exchange it just
-    finished, the coordinator's only involvement in the data movement
-    (the executor's {!Divm_cluster.Cluster.shuffle_stat}). *)
-type shuffle_stat = Divm_cluster.Cluster.shuffle_stat = {
-  ss_ser : int;
-  ss_modeled : int array;
-  ss_sent : int array;
-  ss_wall : float;
-}
-
 type msg =
   | Hello of int
       (** worker id, first message after connecting — to the coordinator,
@@ -73,35 +63,37 @@ type msg =
           engine itself ships each worker's share inside [Run_block];
           this message stays for the benchmark's codec replay. Workers
           reject it. *)
-  | Run_block of string * int * Colbatch.t option * string array
-      (** trigger relation, block index, this worker's share of the
-          update batch (the trigger's first stage only), and the maps to
-          send back once the block ran (the gathers that ride this
-          stage). The share travels as typed columns
-          ({!Colbatch.shares_of_gmr}): only its live columns — the ones
-          the worker's blocks for that trigger read — each tagged with
-          its position and cell count; a constant multiplicity travels
-          once. The decoder rejects a position at or past the stream
-          width, positions that do not ascend, a cell count other than
-          the row count, and a dictionary code out of range. *)
-  | Block_done of int * float * Colbatch.t array
-      (** record-op delta and wall seconds the block took on the worker,
-          then the worker's partition of every map [Run_block] named, in
-          order, each as a map share
-          ({!Divm_cluster.Cluster.worker_contents}) *)
-  | Pull_map of string array
-  | Map_contents of Colbatch.t array
-      (** reply to [Pull_map]: the worker's partition of every named map,
-          in order, each as a map share. The decoder rejects a map share
-          that lacks a column, and returns each map as a column batch
-          with all its columns and rows in order. *)
-  | Deliver of string * Colbatch.t
-      (** replace the worker's partition of a map with a column batch,
-          shipped as a map share: the receiver checks its width against
-          the map's arity, clears the partition and merges the rows in
-          order ({!Divm_cluster.Cluster.worker_replace}; driver-bound
-          scatters, restores, [fail_worker]) *)
-  | Ack
+  | Request of Divm_cluster.Cluster.request
+      (** coordinator → worker, handed to
+          {!Divm_cluster.Cluster.serve}. One tag per request:
+          - [Run_block] (tag 4): relation, block index, the names of the
+            maps to send back, then the share, if any. The share travels
+            as typed columns ({!Colbatch.shares_of_gmr}): only its live
+            columns — the ones the worker's blocks for that trigger read
+            — each tagged with its position and cell count; a constant
+            multiplicity travels once. The decoder rejects a position at
+            or past the stream width, positions that do not ascend, a cell
+            count other than the row count, and a dictionary code out of
+            range.
+          - [Pull_map] (tag 6): the map names.
+          - [Deliver] (tag 8): the map name, then its batch as a map
+            share.
+          - [Shuffle] (tag 17): each transfer as its index into
+            {!Divm_dist.Dprog.transfers} — both ends derive the identical
+            table from the [Init] program, so four bytes replace the (map
+            name, key, source) strings on the hottest control frame. *)
+  | Reply of Divm_cluster.Cluster.reply
+      (** worker → coordinator, the answer to each [Request] and, as
+          [Reply Ack] (tag 10), to every control message that expects
+          one:
+          - [Block_done] (tag 5): record-op delta and wall seconds, then
+            every pulled map as a map share.
+          - [Map_contents] (tag 7): every map as a map share. The decoder
+            rejects a map share that lacks a column, and returns each map
+            as a column batch with all its columns and rows in order.
+          - [Shuffle_done] (tag 18): one stat per transfer. The per-peer
+            byte arrays ride as i32 (each entry is bounded by
+            [max_frame]) to keep the per-transfer control floor small. *)
   | Shutdown
   | Start_telemetry of bool * bool
       (** (profile, trace): enable the worker-side profiler and/or span
@@ -114,23 +106,11 @@ type msg =
   | Mesh_connect
       (** coordinator → worker: establish the full connection mesh now
           (initiate to lower ids, accept from higher ids) *)
-  | Shuffle of int array
-      (** coordinator → worker: run a run of direct transfers as one
-          exchange, each named by its index into
-          {!Divm_dist.Dprog.transfers} — both ends derive the identical
-          table from the [Init] program, so four bytes replace the (map
-          name, key, source) strings on the hottest control frame. An
-          empty partition key in the table entry broadcasts to every
-          worker. *)
-  | Shuffle_done of shuffle_stat array
-      (** reply to [Shuffle]: one stat per transfer, in order. The
-          per-peer byte arrays ride as i32 (each entry is bounded by
-          [max_frame]) to keep the per-transfer control floor small. *)
   | Mesh_data of int * Colbatch.t array
       (** worker → worker, on a mesh link: [(source worker id, one
           column batch per transfer of the exchange)], each batch the
           rows of the sender's partition bound for the receiver, in the
-          source pool's slot order ({!Divm_cluster.Cluster.partition}).
+          source pool's slot order ({!Divm_cluster.Cluster.outbound}).
           A batch travels as the share of its live columns — every column
           of a partition's batch — or as the empty share when it has no
           rows: the bytes a map share of the same rows takes. The

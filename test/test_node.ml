@@ -174,7 +174,7 @@ let gen_shuffle_stat =
     map3
       (fun ser (modeled, sent) wall ->
         {
-          Protocol.ss_ser = ser;
+          Cluster.ss_ser = ser;
           ss_modeled = Array.of_list modeled;
           ss_sent = Array.of_list sent;
           ss_wall = wall;
@@ -279,18 +279,22 @@ let gen_msg_sized ~rows ~map_rows =
           map2 (fun r g -> Protocol.Load_batch (r, g)) gen_name gen_gmr );
         ( 4,
           map4
-            (fun r i share names -> Protocol.Run_block (r, i, share, names))
+            (fun r i share names ->
+              Protocol.Request (Cluster.Run_block (r, i, share, names)))
             gen_name (int_range 0 50)
             (opt (gen_share_sized rows))
             gen_names );
         ( 3,
           map3
-            (fun i w cbs -> Protocol.Block_done (i, w, cbs))
+            (fun i w cbs -> Protocol.Reply (Cluster.Block_done (i, w, cbs)))
             (int_range 0 1_000_000) gen_f gen_batches );
-        (1, map (fun ms -> Protocol.Pull_map ms) gen_names);
-        (3, map (fun cbs -> Protocol.Map_contents cbs) gen_batches);
-        (3, map2 (fun m cb -> Protocol.Deliver (m, cb)) gen_name gen_batch);
-        (1, return Protocol.Ack);
+        (1, map (fun ms -> Protocol.Request (Cluster.Pull_map ms)) gen_names);
+        (3, map (fun cbs -> Protocol.Reply (Cluster.Map_contents cbs)) gen_batches);
+        ( 3,
+          map2
+            (fun m cb -> Protocol.Request (Cluster.Deliver (m, cb)))
+            gen_name gen_batch );
+        (1, return (Protocol.Reply Cluster.Ack));
         (1, return Protocol.Shutdown);
         ( 1,
           map2
@@ -305,11 +309,11 @@ let gen_msg_sized ~rows ~map_rows =
         (1, return Protocol.Mesh_connect);
         ( 1,
           map
-            (fun l -> Protocol.Shuffle (Array.of_list l))
+            (fun l -> Protocol.Request (Cluster.Shuffle (Array.of_list l)))
             (list_size (int_range 0 20) (int_range 0 1000)) );
         ( 1,
           map
-            (fun l -> Protocol.Shuffle_done (Array.of_list l))
+            (fun l -> Protocol.Reply (Cluster.Shuffle_done (Array.of_list l)))
             (list_size (int_range 0 20) gen_shuffle_stat) );
         ( 3,
           map2
@@ -405,22 +409,26 @@ let msg_equal (a : Protocol.msg) (b : Protocol.msg) =
   match (a, b) with
   | Protocol.Load_batch (r1, g1), Protocol.Load_batch (r2, g2) ->
       String.equal r1 r2 && gmr_bits_equal g1 g2
-  | Protocol.Deliver (r1, b1), Protocol.Deliver (r2, b2) ->
+  | ( Protocol.Request (Cluster.Deliver (r1, b1)),
+      Protocol.Request (Cluster.Deliver (r2, b2)) ) ->
       String.equal r1 r2 && share_bits_equal b1 b2
-  | Protocol.Run_block (r1, i1, s1, n1), Protocol.Run_block (r2, i2, s2, n2)
-    ->
+  | ( Protocol.Request (Cluster.Run_block (r1, i1, s1, n1)),
+      Protocol.Request (Cluster.Run_block (r2, i2, s2, n2)) ) ->
       String.equal r1 r2 && i1 = i2 && n1 = n2
       && Option.equal share_bits_equal s1 s2
-  | Protocol.Map_contents b1, Protocol.Map_contents b2 ->
+  | ( Protocol.Reply (Cluster.Map_contents b1),
+      Protocol.Reply (Cluster.Map_contents b2) ) ->
       all2 share_bits_equal b1 b2
-  | Protocol.Block_done (o1, w1, b1), Protocol.Block_done (o2, w2, b2) ->
+  | ( Protocol.Reply (Cluster.Block_done (o1, w1, b1)),
+      Protocol.Reply (Cluster.Block_done (o2, w2, b2)) ) ->
       o1 = o2 && fbits_equal w1 w2 && all2 share_bits_equal b1 b2
   | Protocol.Telemetry t1, Protocol.Telemetry t2 -> telem_equal t1 t2
   | Protocol.Mesh_data (s1, b1), Protocol.Mesh_data (s2, b2) ->
       s1 = s2 && all2 share_bits_equal b1 b2
-  | Protocol.Shuffle_done st1, Protocol.Shuffle_done st2 ->
+  | ( Protocol.Reply (Cluster.Shuffle_done st1),
+      Protocol.Reply (Cluster.Shuffle_done st2) ) ->
       all2
-        (fun (st1 : Protocol.shuffle_stat) (st2 : Protocol.shuffle_stat) ->
+        (fun (st1 : Cluster.shuffle_stat) (st2 : Cluster.shuffle_stat) ->
           st1.ss_ser = st2.ss_ser
           && st1.ss_modeled = st2.ss_modeled
           && st1.ss_sent = st2.ss_sent
@@ -522,13 +530,14 @@ let test_codec_malformed () =
       Protocol.decode "\x09\x00\x00\x00\x01m");
   (* Trailing garbage after a complete message. *)
   expect_error "trailing bytes" (fun () ->
-      Protocol.decode (Protocol.encode Protocol.Ack ^ "\x00"));
+      Protocol.decode (Protocol.encode (Protocol.Reply Cluster.Ack) ^ "\x00"));
   (* A map claiming more rows than the payload holds: patch the row count
      of the one empty map (after tag, map count and width). *)
   let lying =
     let s =
       Bytes.of_string
-        (Protocol.encode (Protocol.Map_contents [| Colbatch.empty |]))
+        (Protocol.encode
+           (Protocol.Reply (Cluster.Map_contents [| Colbatch.empty |])))
     in
     Bytes.set_int32_be s 7 1000l;
     Bytes.to_string s
@@ -591,13 +600,15 @@ let test_codec_dict_roundtrip () =
   for k = 0 to 39 do
     Gmr.add g [| Value.Int (k mod 7); Value.String modes.(k mod 4) |] 1.
   done;
-  let payload = Protocol.encode (Protocol.Map_contents [| batch_of_gmr g |]) in
+  let payload =
+    Protocol.encode (Protocol.Reply (Cluster.Map_contents [| batch_of_gmr g |]))
+  in
   let kind_pos n = 1 + 4 + (2 + 4 + 2) + (2 + 4 + 1 + (8 * n)) + (2 + 4) in
   Alcotest.(check char)
     "string column ships dictionary-encoded" '\x04'
     payload.[kind_pos (Gmr.cardinal g)];
   (match Protocol.decode payload with
-  | Protocol.Map_contents [| cb |] ->
+  | Protocol.Reply (Cluster.Map_contents [| cb |]) ->
       Alcotest.(check bool) "dict round-trip bit-exact" true
         (gmr_bits_equal g (Colbatch.to_gmr cb))
   | _ -> Alcotest.fail "decoded to a different message");
@@ -605,12 +616,14 @@ let test_codec_dict_roundtrip () =
   for k = 0 to 69 do
     Gmr.add gh [| Value.Int k; Value.String (Printf.sprintf "name-%04d" k) |] 1.
   done;
-  let ph = Protocol.encode (Protocol.Map_contents [| batch_of_gmr gh |]) in
+  let ph =
+    Protocol.encode (Protocol.Reply (Cluster.Map_contents [| batch_of_gmr gh |]))
+  in
   Alcotest.(check char)
     "high-cardinality column stays boxed" '\x03'
     ph.[kind_pos (Gmr.cardinal gh)];
   match Protocol.decode ph with
-  | Protocol.Map_contents [| cb |] ->
+  | Protocol.Reply (Cluster.Map_contents [| cb |]) ->
       Alcotest.(check bool) "boxed round-trip bit-exact" true
         (gmr_bits_equal gh (Colbatch.to_gmr cb))
   | _ -> Alcotest.fail "decoded to a different message"
@@ -690,7 +703,7 @@ let test_codec_dict_strict () =
        (share_payload ~head:map_contents_head ~width:1 ~rows:3
           [ (0, 3, dict_cells [ "x"; "y" ] [ 0; 1; 0 ]) ])
    with
-  | Protocol.Map_contents [| cb |] ->
+  | Protocol.Reply (Cluster.Map_contents [| cb |]) ->
       Alcotest.(check (float 1e-9)) "codes decode through the dictionary" 2.
         (Gmr.mult (Colbatch.to_gmr cb) [| Value.String "x" |])
   | _ -> Alcotest.fail "decoded to a different message");
@@ -719,7 +732,7 @@ let test_codec_share_strict () =
        (share_payload
           [ (0, 2, int_cells [ 7; 8 ]); (2, 2, dict_cells [ "A"; "R" ] [ 1; 0 ]) ])
    with
-  | Protocol.Run_block ("r", 0, Some cb, [||]) ->
+  | Protocol.Request (Cluster.Run_block ("r", 0, Some cb, [||])) ->
       Alcotest.(check (array int)) "live positions" [| 0; 2 |]
         (Colbatch.live_cols cb);
       Alcotest.(check int) "stream width" 3 (Colbatch.width cb);
@@ -738,7 +751,7 @@ let test_codec_share_strict () =
             (2, 2, int_cells [ 1; 1 ]);
           ])
    with
-  | Protocol.Map_contents [| cb |] ->
+  | Protocol.Reply (Cluster.Map_contents [| cb |]) ->
       let g = Colbatch.to_gmr cb in
       Alcotest.(check int) "one distinct row" 1 (Gmr.cardinal g);
       Alcotest.(check (float 0.)) "codes decode through the dictionary" 2.
@@ -779,7 +792,9 @@ let test_codec_share_strict () =
       ~mults:[| 1.; 1. |]
   in
   let size cb =
-    String.length (Protocol.encode (Protocol.Run_block ("r", 0, Some cb, [||])))
+    String.length
+      (Protocol.encode
+         (Protocol.Request (Cluster.Run_block ("r", 0, Some cb, [||]))))
   in
   Alcotest.(check int) "15 absent columns save 15 column runs"
     (15 * (2 + 4 + 1 + 16))
@@ -953,7 +968,7 @@ let qcheck_deal =
 let test_codec_mesh_strict () =
   (* Negative transfer index: the first i32 after the tag byte and the
      index count. *)
-  let shuffle = Protocol.encode (Protocol.Shuffle [| 3 |]) in
+  let shuffle = Protocol.encode (Protocol.Request (Cluster.Shuffle [| 3 |])) in
   let neg_idx = Bytes.of_string shuffle in
   Bytes.set neg_idx 5 '\xff';
   expect_error_with "negative transfer index"
@@ -993,15 +1008,16 @@ let test_codec_mesh_strict () =
      the stat count. *)
   let sd =
     Protocol.encode
-      (Protocol.Shuffle_done
-         [|
-           {
-             Protocol.ss_ser = 1;
-             ss_modeled = [| 2 |];
-             ss_sent = [| 3 |];
-             ss_wall = 0.;
-           };
-         |])
+      (Protocol.Reply
+         (Cluster.Shuffle_done
+            [|
+              {
+                Cluster.ss_ser = 1;
+                ss_modeled = [| 2 |];
+                ss_sent = [| 3 |];
+                ss_wall = 0.;
+              };
+            |]))
   in
   let neg_ser = Bytes.of_string sd in
   Bytes.set neg_ser 5 '\xff';
@@ -1089,10 +1105,21 @@ let mesh_dprog ~width ~key =
       ];
   }
 
+(* Worker [self] of [parts] serves one request that makes no exchange. *)
+let serve ?(self = 0) ?(parts = 1) wk req =
+  Cluster.serve wk ~self ~parts req ~exchange:(fun _ ->
+      Alcotest.fail "this request makes no exchange")
+
+(* A worker's partition of a map, in slot order. *)
+let contents wk name =
+  match serve wk (Cluster.Pull_map [| name |]) with
+  | Cluster.Map_contents [| cb |] -> cb
+  | _ -> Alcotest.fail "Pull_map answered with another reply"
+
 (* Run S += ΔR for one batch on a worker. *)
 let fill_source wk ~width batch =
-  Cluster.worker_load wk ~rel:"R" (Colbatch.of_gmr ~width batch);
-  ignore (Cluster.worker_run_block wk ~rel:"R" 0)
+  ignore
+    (serve wk (Cluster.Run_block ("R", 0, Some (Colbatch.of_gmr ~width batch), [||])))
 
 let rows_in_order g =
   List.rev (Gmr.fold (fun tup m acc -> (tup, m) :: acc) g [])
@@ -1216,33 +1243,28 @@ let qcheck_mesh_reference =
           List.iter (fun (tup, m) -> Gmr.add b2 tup m) fresh;
           fill_source wks.(i) ~width b2)
         ws;
-      let sources =
-        Array.map (fun wk -> Colbatch.to_gmr (Cluster.worker_contents wk "S")) wks
-      in
+      let sources = Array.map (fun wk -> Colbatch.to_gmr (contents wk "S")) wks in
       let want = mesh_reference ~width ~key ~parts sources in
-      let ps =
-        Array.mapi (fun self wk -> Cluster.shuffle_partition wk ~self ~parts 0) wks
-      in
+      let cuts = Array.mapi (fun self wk -> Cluster.cut wk ~self ~parts [| 0 |]) wks in
+      let out = Array.map Cluster.outbound cuts in
       (* the ledger: every source row's modeled bytes, and those of the
          rows each destination gets from another worker *)
-      Array.iteri
-        (fun self (p : Cluster.partition) ->
-          let bytes = ref 0 and sent = Array.make parts 0 in
-          Gmr.iter
-            (fun tup _ ->
-              let b = Divm_dist.Costmodel.tuple_bytes tup in
-              bytes := !bytes + b;
-              for d = 0 to parts - 1 do
-                if d <> self
-                   && (Array.length key = 0
-                      || Vtuple.hash (Vtuple.project tup key) mod parts = d)
-                then sent.(d) <- sent.(d) + b
-              done)
-            sources.(self);
-          if p.ser <> !bytes || p.modeled <> sent then
-            Alcotest.failf "worker %d: modeled bytes differ from the reference"
-              self)
-        ps;
+      let ledger self (st : Cluster.shuffle_stat) =
+        let bytes = ref 0 and sent = Array.make parts 0 in
+        Gmr.iter
+          (fun tup _ ->
+            let b = Divm_dist.Costmodel.tuple_bytes tup in
+            bytes := !bytes + b;
+            for d = 0 to parts - 1 do
+              if d <> self
+                 && (Array.length key = 0
+                    || Vtuple.hash (Vtuple.project tup key) mod parts = d)
+              then sent.(d) <- sent.(d) + b
+            done)
+          sources.(self);
+        if st.ss_ser <> !bytes || st.ss_modeled <> sent then
+          Alcotest.failf "worker %d: modeled bytes differ from the reference" self
+      in
       let wire src cb =
         match Protocol.decode_frame (fst (Protocol.mesh_frame ~src [| cb |])) with
         | Protocol.Mesh_data (_, [| cb' |]), _ -> cb'
@@ -1252,21 +1274,19 @@ let qcheck_mesh_reference =
         (fun d wk ->
           List.iter
             (fun (how, from) ->
-              Cluster.shuffle_apply wk ~self:d ~parts 0 ~own:ps.(d).own from;
-              if
-                not
-                  (same_rows_in_order want.(d)
-                     (Colbatch.to_gmr (Cluster.worker_contents wk "T")))
+              let st =
+                Cluster.settle wk cuts.(d)
+                  ~received:(Array.init parts (fun src -> [| from src |]))
+                  ~sent:(Array.make parts [| 0 |])
+              in
+              ledger d st.(0);
+              if not (same_rows_in_order want.(d) (Colbatch.to_gmr (contents wk "T")))
               then
                 Alcotest.failf "destination %d (%s) differs from the reference"
                   d how)
             [
-              ("in process", fun src -> ps.(src).peers.(d));
-              ( "over the wire",
-                fun src ->
-                  let cb = wire src ps.(src).peers.(d) in
-                  Cluster.shuffle_check wk ~src 0 cb;
-                  cb );
+              ("in process", fun src -> out.(src).(d).(0));
+              ("over the wire", fun src -> wire src out.(src).(d).(0));
             ])
         wks;
       true)
@@ -1293,23 +1313,31 @@ let test_mesh_width_check () =
   fill_source wk ~width:2
     (Gmr.of_list
        [ ([| Value.Int 1; Value.Int 2 |], 1.); ([| Value.Int 3; Value.Int 4 |], 2.) ]);
-  let p = Cluster.shuffle_partition wk ~self:0 ~parts:1 0 in
-  Cluster.shuffle_apply wk ~self:0 ~parts:1 0 ~own:p.own (fun _ ->
-      Alcotest.fail "a one-worker exchange has no peer");
-  let before = Colbatch.to_gmr (Cluster.worker_contents wk "T") in
+  (* a one-worker exchange crosses nothing *)
+  ignore
+    (Cluster.serve wk ~self:0 ~parts:1 (Cluster.Shuffle [| 0 |]) ~exchange:(fun out ->
+         (out, Array.map (Array.map (fun _ -> 0)) out)));
+  let before = Colbatch.to_gmr (contents wk "T") in
   Alcotest.(check int) "destination filled" 2 (Gmr.cardinal before);
+  (* worker 0 of 2, whose peer sends [cb] *)
+  let from_peer cb =
+    Cluster.serve wk ~self:0 ~parts:2 (Cluster.Shuffle [| 0 |]) ~exchange:(fun _ ->
+        ([| [||]; [| cb |] |], [| [| 0 |]; [| 0 |] |]))
+  in
   let narrow = Colbatch.of_cols [| Colbatch.CInt [| 7 |] |] ~mults:[| 1. |] in
-  (match Cluster.shuffle_check wk ~src:1 0 narrow with
+  (match from_peer narrow with
   | exception Failure msg ->
       List.iter
         (fun sub ->
           if not (contains msg sub) then
             Alcotest.failf "error %S lacks %S" msg sub)
         [ "peer 1"; "transfer 0"; "width 1"; "arity 2" ]
-  | () -> Alcotest.fail "a width-1 buffer for a width-2 map was accepted");
-  Cluster.shuffle_check wk ~src:1 0 Colbatch.empty;
+  | _ -> Alcotest.fail "a width-1 buffer for a width-2 map was accepted");
   Alcotest.(check bool) "destination untouched" true
-    (same_rows_in_order before (Colbatch.to_gmr (Cluster.worker_contents wk "T")))
+    (same_rows_in_order before (Colbatch.to_gmr (contents wk "T")));
+  match from_peer Colbatch.empty with
+  | Cluster.Shuffle_done [| _ |] -> ()
+  | _ -> Alcotest.fail "an empty buffer was not accepted"
 
 (* ------------------------------------------------------------------ *)
 (* The driver path: gathers, scatters through the driver, restore      *)
@@ -1369,51 +1397,80 @@ let driver_dprog ~width ~key =
       ];
   }
 
-(* A transport over in-process workers whose maps all cross as frames
-   when [codec]: pulled partitions in [Block_done] and [Map_contents],
-   deliveries in [Deliver], each encoded and decoded. The first stage
-   loads each worker's own rows, [rows.(wi)], not the executor's share,
-   so a test picks every worker's source. [tamper wi name cb] may replace
-   a pulled batch after it crossed. *)
-let test_transport ?(tamper = fun _ _ cb -> cb) ~codec ~width ~rows wks =
+(* A transport over in-process workers, each served through
+   [Cluster.serve]. With [codec], every request and reply crosses
+   [Protocol.encode]/[decode], and an exchange's batches cross as the
+   [Mesh_data] frames a worker process sends, between [Cluster.cut] and
+   [Cluster.settle]. With [rows], the first stage loads each worker's own
+   rows, [rows.(wi)], not the executor's share, so a test picks every
+   worker's source. [tamper wi name cb] may replace a pulled batch after
+   it crossed. *)
+let test_transport ?rows ?(tamper = fun _ _ cb -> cb) ~codec wks =
+  let w = Array.length wks in
   let cross m = if codec then Protocol.decode (Protocol.encode m) else m in
-  let contents wi names = Array.map (Cluster.worker_contents wks.(wi)) names in
-  let arrived wi names cbs = Array.mapi (fun j cb -> tamper wi names.(j) cb) cbs in
+  let request wi r =
+    let r =
+      match (r, rows) with
+      | Cluster.Run_block (rel, bi, Some sh, pulls), Some rows ->
+          let mine = Colbatch.of_gmr ~width:(Colbatch.width sh) !rows.(wi) in
+          Cluster.Run_block (rel, bi, Some mine, pulls)
+      | r, _ -> r
+    in
+    match cross (Protocol.Request r) with
+    | Protocol.Request r -> r
+    | _ -> Alcotest.fail "a request decoded to another message"
+  in
+  let reply r =
+    match cross (Protocol.Reply r) with
+    | Protocol.Reply r -> r
+    | _ -> Alcotest.fail "a reply decoded to another message"
+  in
+  let answer wi r =
+    let tampered names = Array.mapi (fun j cb -> tamper wi names.(j) cb) in
+    match (r, reply (serve ~self:wi ~parts:w wks.(wi) r)) with
+    | Cluster.Run_block (_, _, _, names), Cluster.Block_done (ops, wall, cbs) ->
+        Cluster.Block_done (ops, wall, tampered names cbs)
+    | Cluster.Pull_map names, Cluster.Map_contents cbs ->
+        Cluster.Map_contents (tampered names cbs)
+    | _, a -> a
+  in
+  let exchange idxs =
+    let cuts = Array.mapi (fun self wk -> Cluster.cut wk ~self ~parts:w idxs) wks in
+    let out = Array.map Cluster.outbound cuts in
+    let none = Array.map (fun _ -> 0) idxs in
+    let frames =
+      Array.mapi
+        (fun s per ->
+          Array.mapi
+            (fun d bufs ->
+              if codec && d <> s then Protocol.mesh_frame ~src:s bufs
+              else ("", none))
+            per)
+        out
+    in
+    Array.mapi
+      (fun d wk ->
+        let received =
+          Array.init w (fun s ->
+              if s = d || not codec then out.(s).(d)
+              else
+                match Protocol.decode_frame (fst frames.(s).(d)) with
+                | Protocol.Mesh_data (s', bufs), _ when s' = s -> bufs
+                | _ -> Alcotest.fail "a mesh frame decoded to another message")
+        in
+        reply
+          (Cluster.Shuffle_done
+             (Cluster.settle wk cuts.(d) ~received ~sent:(Array.map snd frames.(d)))))
+      wks
+  in
   {
     Cluster.name = "cluster";
-    run_block =
-      (fun ~rel bi ~share ~pulls ->
-        if share <> None then
-          Array.iteri
-            (fun wi wk ->
-              Cluster.worker_load wk ~rel (Colbatch.of_gmr ~width !rows.(wi)))
-            wks;
-        let stats = Array.map (fun wk -> Cluster.worker_run_block wk ~rel bi) wks in
-        ( stats,
-          Array.mapi
-            (fun wi (ops, wall) ->
-              match cross (Protocol.Block_done (ops, wall, contents wi pulls)) with
-              | Protocol.Block_done (_, _, cbs) -> arrived wi pulls cbs
-              | _ -> Alcotest.fail "Block_done decoded to another message")
-            stats ));
-    pull =
-      (fun names ws ->
-        Array.map
-          (fun wi ->
-            match cross (Protocol.Map_contents (contents wi names)) with
-            | Protocol.Map_contents cbs -> arrived wi names cbs
-            | _ -> Alcotest.fail "Map_contents decoded to another message")
-          ws);
-    deliver =
-      (fun name cbs ->
-        Array.iteri
-          (fun wi wk ->
-            match cross (Protocol.Deliver (name, cbs.(wi))) with
-            | Protocol.Deliver (name', cb) when name' = name ->
-                Cluster.worker_replace wk name cb
-            | _ -> Alcotest.fail "Deliver decoded to another message")
-          wks);
-    shuffle = (fun _ -> Alcotest.fail "the driver path makes no exchange");
+    call =
+      (fun ws req ->
+        let reqs = Array.map (fun wi -> request wi (req wi)) ws in
+        match reqs.(0) with
+        | Cluster.Shuffle idxs -> exchange idxs
+        | _ -> Array.map2 answer ws reqs);
     wire = (fun () -> 0);
     after_stage = ignore;
   }
@@ -1467,10 +1524,10 @@ let qcheck_driver_reference =
           let rows = ref b1 in
           let t =
             Cluster.of_transport ~cost:Divm_dist.Costmodel.default ~workers:parts
-              (test_transport ~codec ~width ~rows wks)
+              (test_transport ~codec ~rows wks)
               dp
           in
-          let on wi name = Colbatch.to_gmr (Cluster.worker_contents wks.(wi) name) in
+          let on wi name = Colbatch.to_gmr (contents wks.(wi) name) in
           let expect what want got =
             if not (same_rows_in_order want got) then
               Alcotest.failf "%s (%s) differs from the reference" what how
@@ -1534,9 +1591,9 @@ let qcheck_map_frame_bytes =
         String.sub s n (String.length s - n)
       in
       let share = past 5 (Protocol.Load_batch ("", g)) in
-      past 21 (Protocol.Block_done (7, 0.5, [| cb |])) = share
-      && past 5 (Protocol.Map_contents [| cb |]) = share
-      && past 5 (Protocol.Deliver ("", cb)) = share)
+      past 21 (Protocol.Reply (Cluster.Block_done (7, 0.5, [| cb |]))) = share
+      && past 5 (Protocol.Reply (Cluster.Map_contents [| cb |])) = share
+      && past 5 (Protocol.Request (Cluster.Deliver ("", cb))) = share)
 
 (* A delivery or a gathered partition whose width is not its
    destination's arity is rejected, naming the map, the sender and both
@@ -1558,26 +1615,26 @@ let test_delivery_width_check () =
   let two = Gmr.of_list [ ([| Value.Int 1; Value.Int 2 |], 1.); ([| Value.Int 3; Value.Int 4 |], 2.) ] in
   let wk = Cluster.worker dp in
   fill_source wk ~width:2 two;
-  let before = Colbatch.to_gmr (Cluster.worker_contents wk "S") in
-  let delivered =
-    match Protocol.decode (Protocol.encode (Protocol.Deliver ("S", narrow))) with
-    | Protocol.Deliver (_, cb) -> cb
+  let before = Colbatch.to_gmr (contents wk "S") in
+  let deliver cb =
+    match Protocol.decode (Protocol.encode (Protocol.Request (Cluster.Deliver ("S", cb)))) with
+    | Protocol.Request r -> ignore (serve wk r)
     | _ -> Alcotest.fail "Deliver decoded to another message"
   in
   rejects "delivery" [ "map S"; "the driver"; "width 1"; "arity 2" ] (fun () ->
-      Cluster.worker_replace wk "S" delivered);
+      deliver narrow);
   Alcotest.(check bool) "delivered-to partition untouched" true
-    (same_rows_in_order before (Colbatch.to_gmr (Cluster.worker_contents wk "S")));
-  Cluster.worker_replace wk "S" Colbatch.empty;
+    (same_rows_in_order before (Colbatch.to_gmr (contents wk "S")));
+  deliver Colbatch.empty;
   Alcotest.(check int) "an empty delivery of any width clears" 0
-    (Colbatch.length (Cluster.worker_contents wk "S"));
+    (Colbatch.length (contents wk "S"));
   (* a gather: worker 1's partition of S arrives one column short *)
   let wks = [| Cluster.worker dp; Cluster.worker dp |] in
   let rows = ref [| two; Gmr.create () |] in
   let narrow_from_1 = ref false in
   let t =
     Cluster.of_transport ~cost:Divm_dist.Costmodel.default ~workers:2
-      (test_transport ~codec:true ~width:2 ~rows wks
+      (test_transport ~codec:true ~rows wks
          ~tamper:(fun wi name cb ->
            if !narrow_from_1 && wi = 1 && name = "S" then narrow else cb))
       dp
@@ -1745,6 +1802,291 @@ let qcheck_retraction_equiv =
             [ (None, 2); (None, 4); (Some 0, 2) ])
         Tpch_suite.queries;
       true)
+
+(* ------------------------------------------------------------------ *)
+(* One entry point: the codec harness, reply checks, a failed worker   *)
+(* ------------------------------------------------------------------ *)
+
+(* Every TPC-H and TPC-DS query, on a stream whose every batch is
+   retracted three batches later, through the codec harness at 2 and 3
+   workers: every request, reply and mesh buffer crosses the wire format
+   on its way to [Cluster.serve]. Per batch every modeled quantity, and
+   after the stream every map, transients included, in slot order, must
+   equal the plain simulator's bit for bit; every view must match
+   [Exec]. No other test runs a TPC-DS query on a distributed backend. *)
+let test_harness_every_query () =
+  let streams = Hashtbl.create 2 in
+  let stream (w : Workload.t) =
+    let tpcds = Workload.is_tpcds w in
+    match Hashtbl.find_opt streams tpcds with
+    | Some s -> s
+    | None ->
+        let inserts =
+          if tpcds then Workload.stream w ~scale:0.1 ~seed:4 ~batch_size:40
+          else Workload.stream w ~scale:0.03 ~seed:4 ~batch_size:40
+        in
+        let s = Tpch_suite.with_retractions ~k:3 inserts in
+        let s = (s, Tpch_suite.net_contents s) in
+        Hashtbl.replace streams tpcds s;
+        s
+  in
+  List.iter
+    (fun qn ->
+      let w = Workload.find qn in
+      let prog = Workload.compile w in
+      let dp = Workload.distribute w prog in
+      let stream, net = stream w in
+      let ex = Divm_runtime.Exec.create prog in
+      Divm_runtime.Exec.load ex net;
+      List.iter
+        (fun workers ->
+          let fail what = Alcotest.failf "%s/%dw: %s diverges" qn workers what in
+          let sim = Cluster.create ~config:(Cluster.config ~workers ()) ~domains:1 dp in
+          let h =
+            Cluster.of_transport ~cost:Divm_dist.Costmodel.default ~workers
+              (test_transport ~codec:true
+                 (Array.init workers (fun _ -> Cluster.worker dp)))
+              dp
+          in
+          List.iter
+            (fun (rel, b) ->
+              let ms = Cluster.apply_batch sim ~rel b in
+              let mh = Cluster.apply_batch h ~rel b in
+              if not (fbits_equal ms.latency mh.latency) then fail "modeled latency";
+              if ms.bytes_shuffled <> mh.bytes_shuffled then fail "shuffled bytes";
+              if ms.stages <> mh.stages then fail "stage count";
+              if ms.max_worker_ops <> mh.max_worker_ops then fail "worker ops";
+              if ms.driver_ops <> mh.driver_ops then fail "driver ops";
+              if ms.round_trips <> mh.round_trips then fail "round trips";
+              if
+                not
+                  (all2
+                     (fun (a : Cluster.stage_stat) (b : Cluster.stage_stat) ->
+                       a.sname = b.sname && a.sbytes = b.sbytes
+                       && a.spwire = b.spwire
+                       && fbits_equal a.predicted b.predicted)
+                     (Array.of_list ms.stage_stats)
+                     (Array.of_list mh.stage_stats))
+              then fail "a stage")
+            stream;
+          List.iter
+            (fun (m : Divm_compiler.Prog.map_decl) ->
+              if
+                not
+                  (same_rows_in_order
+                     (Cluster.map_contents sim m.mname)
+                     (Cluster.map_contents h m.mname))
+              then fail ("map " ^ m.mname))
+            dp.base.maps;
+          List.iter
+            (fun (name, _) ->
+              let want = Divm_runtime.Exec.result ex name in
+              List.iter
+                (fun (which, got) ->
+                  match Tpch_suite.view_difference want got with
+                  | None -> ()
+                  | Some key ->
+                      Alcotest.failf
+                        "%s/%dw/%s: view %s differs from Exec at %s: expected \
+                         %.17g, got %.17g"
+                        qn workers which name (Vtuple.to_string key)
+                        (Gmr.mult want key) (Gmr.mult got key))
+                [ ("simulator", Cluster.result sim name); ("harness", Cluster.result h name) ])
+            w.Workload.maps)
+        [ 2; 3 ])
+    Tpch_suite.all_queries
+
+(* Block 0 runs S += ΔR on the workers; G gathers S (riding stage 1's
+   reply), T repartitions S on column 0 (one exchange), and H gathers T
+   (one pull, since the exchange comes between): a batch makes every
+   kind of worker request. *)
+let calls_dprog ~width =
+  let vars = List.init width (fun c -> Schema.var (Printf.sprintf "x%d" c)) in
+  let r = { Calc.rname = "R"; rvars = vars } in
+  let decl mname =
+    { Prog.mname; mschema = vars; mkind = Prog.Auxiliary; definition = Calc.Rel r }
+  in
+  let fill =
+    { Prog.target = "S"; target_vars = vars; op = Prog.Add_to;
+      rhs = Calc.DeltaRel r }
+  in
+  let move tname tkind key source =
+    Dprog.Transfer { Dprog.tname; tkind; key; source }
+  in
+  {
+    Dprog.base =
+      {
+        Prog.maps = List.map decl [ "S"; "G"; "T"; "H" ];
+        triggers = [ { Prog.relation = "R"; stmts = [ fill ] } ];
+        queries = [ ("S", "S") ];
+        streams = [ ("R", vars) ];
+      };
+    locs =
+      [ ("S", Loc.Random); ("G", Loc.Local); ("T", Loc.Dist [| 0 |]); ("H", Loc.Local) ];
+    dtriggers =
+      [
+        {
+          Dprog.drelation = "R";
+          blocks =
+            [
+              { Dprog.bmode = Dprog.MDist; bstmts = [ Dprog.Compute fill ] };
+              {
+                Dprog.bmode = Dprog.MLocal;
+                bstmts =
+                  [
+                    move "G" Dprog.Gather [||] "S";
+                    move "T" Dprog.Repart [| 0 |] "S";
+                    move "H" Dprog.Gather [||] "T";
+                  ];
+              };
+            ];
+        };
+      ];
+  }
+
+(* A reply of the wrong kind, or short of one map or one stat, fails the
+   batch in the executor, for either transport: the error names the
+   worker and its request, and no driver map or worker pool changes
+   after the reply arrived. *)
+let test_reply_checks () =
+  let dp = calls_dprog ~width:2 in
+  let rows_of l =
+    Gmr.of_list (List.map (fun (a, b) -> ([| Value.Int a; Value.Int b |], 1.)) l)
+  in
+  Alcotest.(check (list string)) "one batch makes every kind of call"
+    [ "run"; "exchange"; "pull" ]
+    (List.map
+       (function
+         | Dprog.Run _ -> "run"
+         | Dprog.Pull _ -> "pull"
+         | Dprog.Exchange _ -> "exchange"
+         | Dprog.Via_driver _ -> "driver")
+       (let steps = Dprog.steps (Dprog.find_trigger dp "R") in
+        Dprog.calls dp.locs steps));
+  let short a = Array.sub a 0 (Array.length a - 1) in
+  List.iter
+    (fun (what, forge) ->
+      let wks = Array.init 2 (fun _ -> Cluster.worker dp) in
+      let rows = ref [| rows_of [ (1, 2); (3, 4) ]; rows_of [ (5, 6) ] |] in
+      let tp = test_transport ~codec:true ~rows wks in
+      let t = ref None and armed = ref false and at_reply = ref None in
+      let stores () =
+        let t = Option.get !t in
+        ( List.map (Cluster.map_contents t) [ "G"; "H" ],
+          Array.map
+            (fun wk -> List.map (fun n -> Colbatch.to_gmr (contents wk n)) [ "S"; "T" ])
+            wks )
+      in
+      let call ws req =
+        Array.mapi
+          (fun i r ->
+            match forge (req ws.(i)) r with
+            | Some bad when !armed && ws.(i) = 1 ->
+                armed := false;
+                at_reply := Some (stores ());
+                bad
+            | _ -> r)
+          (tp.call ws req)
+      in
+      t := Some (Cluster.of_transport ~cost:Divm_dist.Costmodel.default ~workers:2
+                   { tp with call } dp);
+      let t = Option.get !t in
+      ignore (Cluster.apply_batch t ~rel:"R" (Gmr.create ()));
+      rows := [| rows_of [ (7, 8) ]; rows_of [ (9, 10); (11, 12) ] |];
+      armed := true;
+      match Cluster.apply_batch t ~rel:"R" (Gmr.create ()) with
+      | exception Failure msg ->
+          List.iter
+            (fun sub ->
+              if not (contains msg sub) then
+                Alcotest.failf "%s: error %S lacks %S" what msg sub)
+            [ "worker 1"; what ];
+          let d0, w0 = Option.get !at_reply and d1, w1 = stores () in
+          List.iteri
+            (fun k n ->
+              if not (same_rows_in_order (List.nth d0 k) (List.nth d1 k)) then
+                Alcotest.failf "%s: %s changed after the reply" what n)
+            [ "G"; "H" ];
+          Array.iteri
+            (fun wi l0 ->
+              if not (List.for_all2 same_rows_in_order l0 w1.(wi)) then
+                Alcotest.failf "%s: worker %d changed after the reply" what wi)
+            w0
+      | _ -> Alcotest.failf "%s: a forged reply was accepted" what)
+    [
+      ( "Pull_map",
+        fun req _ ->
+          match req with Cluster.Pull_map _ -> Some Cluster.Ack | _ -> None );
+      ( "Run_block",
+        fun req r ->
+          match (req, r) with
+          | Cluster.Run_block _, Cluster.Block_done (ops, wall, cbs) ->
+              Some (Cluster.Block_done (ops, wall, short cbs))
+          | _ -> None );
+      ( "Shuffle",
+        fun req r ->
+          match (req, r) with
+          | Cluster.Shuffle _, Cluster.Shuffle_done sts ->
+              Some (Cluster.Shuffle_done (short sts))
+          | _ -> None );
+    ]
+
+(* Failing a worker sends it alone one empty delivery per persistent map:
+   one round trip each, after which its maps are empty and every
+   survivor keeps its pools as they were — contents in slot order, and
+   free slots. *)
+let test_fail_worker_survivors () =
+  let w = Workload.find "Q3" in
+  let dp = Workload.distribute w (Workload.compile w) in
+  let maps = non_transient dp.base in
+  let stream =
+    Tpch_suite.with_retractions ~k:3
+      (Tpch.Gen.stream { Tpch.Gen.scale = 0.02; seed = 5 } ~batch_size:100)
+  in
+  let feed c = List.iter (fun (rel, b) -> ignore (Cluster.apply_batch c ~rel b)) stream in
+  let sim = Cluster.create ~config:(Cluster.config ~workers:3 ()) ~domains:1 dp in
+  feed sim;
+  let w0 () =
+    List.filter
+      (fun (n, _) -> String.starts_with ~prefix:"w0/" n)
+      (Cluster.storage_stats sim)
+  in
+  let before = w0 () in
+  Alcotest.(check bool) "worker 0 holds free slots" true
+    (List.exists (fun (_, (st : Pool.stats)) -> st.s_free > 0) before);
+  let rts () = Obs.counter_value (Obs.snapshot ()) "divm_cluster_round_trips_total" in
+  let rt0 = rts () in
+  Cluster.fail_worker sim 1;
+  Alcotest.(check int) "one round trip per persistent map" (List.length maps)
+    (rts () - rt0);
+  List.iter2
+    (fun (n, (a : Pool.stats)) (_, (b : Pool.stats)) ->
+      Alcotest.(check (pair int int)) ("worker 0 keeps " ^ n ^ " (live, free)")
+        (a.s_live, a.s_free) (b.s_live, b.s_free))
+    before (w0 ());
+  let wks = Array.init 3 (fun _ -> Cluster.worker dp) in
+  let h =
+    Cluster.of_transport ~cost:Divm_dist.Costmodel.default ~workers:3
+      (test_transport ~codec:false wks) dp
+  in
+  feed h;
+  let held () =
+    Array.map (fun wk -> List.map (fun n -> Colbatch.to_gmr (contents wk n)) maps) wks
+  in
+  let before = held () in
+  Cluster.fail_worker h 1;
+  let after = held () in
+  Array.iteri
+    (fun wi l ->
+      List.iteri
+        (fun k g ->
+          let n = List.nth maps k in
+          if wi = 1 then
+            Alcotest.(check int) ("worker 1 lost " ^ n) 0 (Gmr.cardinal g)
+          else if not (same_rows_in_order (List.nth before.(wi) k) g) then
+            Alcotest.failf "worker %d: %s changed" wi n)
+        l)
+    after
 
 (* ------------------------------------------------------------------ *)
 (* Round trips: one transport call per transfer run                    *)
@@ -2349,6 +2691,12 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_map_frame_bytes;
         Alcotest.test_case "a delivery or gather of the wrong width is rejected"
           `Quick test_delivery_width_check;
+        Alcotest.test_case "every query through the codec harness = simulator"
+          `Quick test_harness_every_query;
+        Alcotest.test_case "a wrong or short reply fails the batch" `Quick
+          test_reply_checks;
+        Alcotest.test_case "a failed worker loses only its own partitions"
+          `Quick test_fail_worker_survivors;
         QCheck_alcotest.to_alcotest qcheck_node_equiv;
         QCheck_alcotest.to_alcotest qcheck_retraction_equiv;
         Alcotest.test_case "engine backends agree" `Quick test_engine_backends;
