@@ -10,29 +10,21 @@ let engine_name = function
   | Rivm_interp -> "rivm-interpreted"
   | Rivm -> "rivm-specialized"
 
-type impl = Interp of Exec.t | Compiled of Runtime.t
-
-type t = { impl : impl; p : Prog.t }
+type t = Interp of Exec.t | Compiled of Runtime.t
 
 let create engine ~streams queries =
   match engine with
-  | Reeval ->
-      let p = Compile.compile_reeval ~streams queries in
-      { impl = Interp (Exec.create p); p }
+  | Reeval -> Interp (Exec.create (Compile.compile_reeval ~streams queries))
   | Classical ->
-      let p = Compile.compile_classical ~streams queries in
-      { impl = Interp (Exec.create p); p }
-  | Rivm_interp ->
-      let p = Compile.compile ~streams queries in
-      { impl = Interp (Exec.create p); p }
-  | Rivm ->
-      let p = Compile.compile ~streams queries in
-      { impl = Compiled (Runtime.create p); p }
+      Interp (Exec.create (Compile.compile_classical ~streams queries))
+  | Rivm_interp -> Interp (Exec.create (Compile.compile ~streams queries))
+  | Rivm -> Compiled (Runtime.create (Compile.compile ~streams queries))
 
 let load t tables =
-  match t.impl with
+  match t with
   | Interp ex -> Exec.load ex tables
-  | Compiled rt -> Runtime.load rt tables
+  | Compiled rt ->
+      List.iter (fun (rel, b) -> ignore (Runtime.apply_batch rt ~rel b)) tables
 
 let timed f =
   let t0 = Unix.gettimeofday () in
@@ -40,20 +32,18 @@ let timed f =
   Unix.gettimeofday () -. t0
 
 let apply_batch t ~rel batch =
-  match t.impl with
+  match t with
   | Interp ex -> timed (fun () -> Exec.apply_batch ex ~rel batch)
   | Compiled rt -> (Runtime.apply_batch rt ~rel batch).Runtime.wall
 
 let apply_single t ~rel tup m =
-  match t.impl with
+  match t with
   | Compiled rt -> (Runtime.apply_single rt ~rel tup m).Runtime.wall
   | Interp ex ->
       timed (fun () ->
           Exec.apply_batch ex ~rel (Gmr.of_list [ (tup, m) ]))
 
 let result t q =
-  match t.impl with
+  match t with
   | Interp ex -> Exec.result ex q
   | Compiled rt -> Runtime.result rt q
-
-let prog t = t.p

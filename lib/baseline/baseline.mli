@@ -30,8 +30,9 @@ val create :
   (string * Calc.expr) list ->
   t
 
-(** Bulk initial load of base-table contents (computes every materialized
-    view once from scratch). *)
+(** Initial load of base-table contents. The interpreted engines compute
+    every materialized view once from scratch ({!Divm_runtime.Exec.load});
+    [Rivm] fires each table as one batch of its relation. *)
 val load : t -> (string * Gmr.t) list -> unit
 
 (** Process one batch; returns elapsed wall-clock seconds. *)
@@ -42,4 +43,3 @@ val apply_batch : t -> rel:string -> Gmr.t -> float
 val apply_single : t -> rel:string -> Vtuple.t -> float -> float
 
 val result : t -> string -> Gmr.t
-val prog : t -> Divm_compiler.Prog.t

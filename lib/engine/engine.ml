@@ -125,20 +125,12 @@ let apply_single t ~rel tup m =
       apply_batch t ~rel b
 
 let load t entries =
-  match t.impl with
-  | ILocal rt -> Runtime.load rt entries
-  | IDist c ->
-      List.iter (fun (rel, b) -> ignore (Cluster.apply_batch c ~rel b)) entries
+  List.iter (fun (rel, b) -> ignore (apply_batch t ~rel b)) entries
 
 let query t qname =
   match t.impl with
   | ILocal rt -> Runtime.result rt qname
   | IDist c -> Cluster.result c qname
-
-let map_contents t name =
-  match t.impl with
-  | ILocal rt -> Runtime.map_contents rt name
-  | IDist c -> Cluster.map_contents c name
 
 let storage_stats t =
   match t.impl with

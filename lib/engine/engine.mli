@@ -100,10 +100,10 @@ val dprog : t -> Dprog.t option
     the distributed backends' parallelism is workers, not domains). *)
 val domains : t -> int
 
-(** Bulk initial load. [Local] evaluates map definitions directly over
-    the given base contents; the distributed backends maintain
-    incrementally from empty (one batch per entry), which reaches the
-    same state. *)
+(** Initial load of an existing database: fires each entry as one batch
+    of its relation, on every backend. A batch of a whole table is the
+    largest batch there is, and maintaining from empty reaches the state
+    a re-evaluation would. *)
 val load : t -> (string * Gmr.t) list -> unit
 
 val apply_batch : t -> rel:string -> Gmr.t -> report
@@ -114,9 +114,6 @@ val apply_single : t -> rel:string -> Vtuple.t -> float -> report
 
 (** Result of a named query. *)
 val query : t -> string -> Gmr.t
-
-(** Assembled global contents of a map. *)
-val map_contents : t -> string -> Gmr.t
 
 (** Per-pool storage self-metrics (driver + representative worker for the
     simulator; the coordinator's driver for multiprocess). *)

@@ -18,8 +18,6 @@ let create (prog : Prog.t) =
     prog.maps;
   { prog; store }
 
-let prog t = t.prog
-
 let map_contents t name =
   match Hashtbl.find_opt t.store name with
   | Some g -> g

@@ -12,15 +12,15 @@ open Divm_compiler
 type t
 
 val create : Prog.t -> t
-val prog : t -> Prog.t
 
 (** [apply_batch t ~rel batch] fires the trigger for [rel] with the update
     batch (positive multiplicities insert, negative delete). *)
 val apply_batch : t -> rel:string -> Gmr.t -> unit
 
-(** Bulk initial load: set every non-transient map to its definition
-    evaluated over the given base-table contents (the "initial view
-    computation" of a freshly started system). *)
+(** Re-evaluation: set every non-transient map to its definition
+    evaluated over the given base-table contents. The oracle that the
+    compiled and distributed engines are checked against, and the
+    interpreted baselines' initial load. *)
 val load : t -> (string * Gmr.t) list -> unit
 
 (** Contents of a map (keyed in the map declaration's variable order). The

@@ -78,8 +78,8 @@ type t = {
   par : Par.Pool.t option; (* shared domain pool when [domains > 1] *)
   par_min_rows : int; (* batches below this stay on the serial path *)
   columnar : bool; (* plan vectorized groups, else every unit is generic *)
-  mutable triggers : (string * blocks) list; (* one block per trigger *)
-  mutable triggers_single : (string * (int * (unit -> unit)) list) list;
+  mutable triggers : (string * blocks Lazy.t) list; (* one block per trigger *)
+  mutable triggers_single : (string * (int * (unit -> unit)) list Lazy.t) list;
 }
 
 type batch_report = { ops : int; tuples : int; wall : float }
@@ -208,8 +208,8 @@ let compile_pool_atom (rt : t) ~pool ~bound l vars : code =
       let bpos = Array.of_list (List.map (fun (i, _, _) -> i) bound_cls) in
       let bslots = Array.of_list (List.map (fun (_, s, _) -> s) bound_cls) in
       (* the slice index is resolved once per compiled statement, not per
-         visited tuple: pools and their declared indexes are fixed at
-         program-load time *)
+         visited tuple: pools and their declared indexes are fixed when
+         the runtime is created *)
       match Pool.find_slice pool bpos with
       | Some index ->
           let bw = Array.length bslots in
@@ -2105,25 +2105,28 @@ let create ?(auto_index = true) ?(columnar = true) ?domains
   in
   (* Batch mode: each trigger is one block — vectorized (possibly fused)
      statement groups interleaved with generic compiled statements, in
-     original statement order. *)
+     original statement order. Nothing compiles until the trigger fires:
+     the worker and driver runtimes of a distributed executor run only
+     their own [compile_blocks]. *)
   rt.triggers <-
     List.map
       (fun (tr : Prog.trigger) ->
-        (tr.relation, compile_blocks rt ~rel:tr.relation [ ([], tr.stmts) ]))
+        ( tr.relation,
+          lazy (compile_blocks rt ~rel:tr.relation [ ([], tr.stmts) ]) ))
       prog.triggers;
   rt.triggers_single <-
     List.map
       (fun (tr : Prog.trigger) ->
         ( tr.relation,
-          List.map
-            (fun (st : Prog.stmt) ->
-              ( Prof.slot ~trigger:tr.relation ~label:("stmt:" ^ st.target),
-                compile_stmt rt ~mode:Single st ))
-            tr.stmts ))
+          lazy
+            (List.map
+               (fun (st : Prog.stmt) ->
+                 ( Prof.slot ~trigger:tr.relation ~label:("stmt:" ^ st.target),
+                   compile_stmt rt ~mode:Single st ))
+               tr.stmts) ))
       prog.triggers;
   rt
 
-let prog rt = rt.prog
 let map_pool = pool
 
 let total_tuples rt =
@@ -2153,7 +2156,7 @@ let report (rt : t) ~ops0 ~tuples ~t0 ~single =
 let apply_batch rt ~rel batch =
   let bk =
     match List.assoc_opt rel rt.triggers with
-    | Some bk -> bk
+    | Some bk -> Lazy.force bk
     | None -> invalid_arg ("Runtime.apply_batch: no trigger for " ^ rel)
   in
   let t0 = Unix.gettimeofday () in
@@ -2166,7 +2169,7 @@ let apply_batch rt ~rel batch =
 let apply_single rt ~rel tup m =
   let stmts =
     match List.assoc_opt rel rt.triggers_single with
-    | Some stmts -> stmts
+    | Some stmts -> Lazy.force stmts
     | None -> invalid_arg ("Runtime.apply_single: no trigger for " ^ rel)
   in
   let t0 = Unix.gettimeofday () in
@@ -2201,33 +2204,6 @@ let scatter_plan (prog : Prog.t) ~rel blocks =
 
 let deal sc ~parts batch =
   Colbatch.shares_of_gmr ~cols:sc.sc_cols ~width:sc.sc_width ~parts batch
-
-let load rt tables =
-  (* streams absent from the load are empty relations *)
-  let tables =
-    tables
-    @ List.filter_map
-        (fun (r, _) ->
-          if List.mem_assoc r tables then None else Some (r, Gmr.create ()))
-        rt.prog.streams
-  in
-  let src = Divm_eval.Interp.source_of_rels tables in
-  List.iter
-    (fun (m : Prog.map_decl) ->
-      match m.mkind with
-      | Prog.Transient -> ()
-      | _ ->
-          let sch, g = Divm_eval.Interp.eval_closed src m.definition in
-          let p = pool rt m.mname in
-          Pool.clear p;
-          if sch = m.mschema then Gmr.iter (fun tup mm -> Pool.add p tup mm) g
-          else begin
-            let pos = Schema.positions m.mschema sch in
-            Gmr.iter
-              (fun tup mm -> Pool.add p (Vtuple.project tup pos) mm)
-              g
-          end)
-    rt.prog.maps
 
 let map_contents rt name = Pool.to_gmr (pool rt name)
 

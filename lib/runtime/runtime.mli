@@ -1,6 +1,7 @@
-(** Specialized local runtime (§5): trigger statements are compiled, at
-    program-load time, into OCaml closures in continuation-passing style —
-    the stand-in for the paper's LMS-generated native code.
+(** Specialized local runtime (§5): trigger statements are compiled,
+    when their trigger first fires, into OCaml closures in
+    continuation-passing style — the stand-in for the paper's
+    LMS-generated native code.
 
     Specialization performed here, mirroring §5.1–§5.2:
     - high-level operators become concrete [foreach] / [get] / [slice]
@@ -39,7 +40,11 @@ type batch_report = {
   wall : float;  (** wall-clock seconds *)
 }
 
-(** [create prog] loads a program. [auto_index] (default true) controls the
+(** [create prog] sets up a program's pools and indexes, all empty, and
+    compiles nothing: each trigger compiles its batch block on its first
+    {!apply_batch} and its single-tuple closures on its first
+    {!apply_single}. An existing database is loaded by firing it, one
+    batch per relation. [auto_index] (default true) controls the
     §5.2.1 automatic secondary-index creation — disabling it falls back to
     scans with checks (the index ablation). [columnar] (default true)
     routes supported batch pre-aggregations through the §5.2.2 columnar
@@ -69,8 +74,6 @@ val create :
   Prog.t ->
   t
 
-val prog : t -> Prog.t
-
 (** Domain count this runtime was created with (1 = serial). *)
 val domains : t -> int
 
@@ -81,10 +84,6 @@ val apply_batch : t -> rel:string -> Gmr.t -> batch_report
 
 (** Fire the single-tuple fast path for [rel] with one (tuple, mult). *)
 val apply_single : t -> rel:string -> Vtuple.t -> float -> batch_report
-
-(** Bulk initial load: set every non-transient map to its definition
-    evaluated over the given base-table contents. *)
-val load : t -> (string * Gmr.t) list -> unit
 
 (** Fresh snapshot of a map. *)
 val map_contents : t -> string -> Gmr.t

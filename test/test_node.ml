@@ -2309,10 +2309,87 @@ let test_engine_backends () =
     in
     has json "\"predicted_ms\"" && has json "\"measured_ms\"")
 
+(* [Engine.load] fires the first 70% of a stream, coalesced into one
+   batch per relation, on every backend; the rest follows with every
+   batch retracted three batches later. Every view then matches [Exec]
+   fed the same net tuples: on Local for every query, on the simulator at
+   2 workers for the equivalence suite plus DS19 and DS46, and on 2
+   worker processes for Q3, whose views equal the simulator's bit for
+   bit. *)
+let test_engine_load_then_retract () =
+  let streams = Hashtbl.create 2 in
+  let stream (w : Workload.t) =
+    let tpcds = Workload.is_tpcds w in
+    match Hashtbl.find_opt streams tpcds with
+    | Some s -> s
+    | None ->
+        (* batches of 8, so the small tables' rows reach the prefix too *)
+        let inserts = Workload.stream w ~scale:0.3 ~seed:5 ~batch_size:8 in
+        let cut =
+          List.fold_left (fun a (_, b) -> a + Gmr.cardinal b) 0 inserts * 7 / 10
+        in
+        let rec split n acc = function
+          | ((_, b) as x) :: tl when n < cut ->
+              split (n + Gmr.cardinal b) (x :: acc) tl
+          | rest -> (Tpch_suite.net_contents (List.rev acc), rest)
+        in
+        let prefix, rest = split 0 [] inserts in
+        let rest = Tpch_suite.with_retractions ~k:3 rest in
+        let s = (prefix, rest, Tpch_suite.net_contents (prefix @ rest)) in
+        Hashtbl.replace streams tpcds s;
+        s
+  in
+  let loaded backend (w : Workload.t) =
+    let prefix, rest, _ = stream w in
+    let eng = Engine.create ~config:(Engine.config ~backend ()) w in
+    Fun.protect
+      ~finally:(fun () -> Engine.shutdown eng)
+      (fun () ->
+        Engine.load eng prefix;
+        List.iter (fun (rel, b) -> ignore (Engine.apply_batch eng ~rel b)) rest;
+        List.map (fun (name, _) -> Engine.query eng name) w.Workload.maps)
+  in
+  let sim = Engine.Simulated (Cluster.config ~workers:2 ()) in
+  let distributed = Tpch_suite.queries @ [ "DS19"; "DS46" ] in
+  List.iter
+    (fun qn ->
+      let w = Workload.find qn in
+      let _, _, net = stream w in
+      let ex = Divm_runtime.Exec.create (Workload.compile w) in
+      Divm_runtime.Exec.load ex net;
+      let runs =
+        ("local", loaded Engine.Local w)
+        :: (if List.mem qn distributed then [ ("simulated", loaded sim w) ] else [])
+      in
+      List.iter
+        (fun (which, views) ->
+          List.iter2
+            (fun (name, _) got ->
+              let want = Divm_runtime.Exec.result ex name in
+              match Tpch_suite.view_difference want got with
+              | None -> ()
+              | Some key ->
+                  Alcotest.failf
+                    "%s/%s: view %s differs from Exec at %s: expected %.17g, \
+                     got %.17g"
+                    qn which name (Vtuple.to_string key) (Gmr.mult want key)
+                    (Gmr.mult got key))
+            w.Workload.maps views)
+        runs)
+    Tpch_suite.all_queries;
+  let q3 = Workload.find "Q3" in
+  List.iter2
+    (fun a b ->
+      Alcotest.(check bool) "Q3 is not empty" true (Gmr.cardinal a > 0);
+      Alcotest.(check bool) "Q3: processes = simulator, bit for bit" true
+        (gmr_bits_equal a b))
+    (loaded sim q3)
+    (loaded (Engine.Multiprocess (Node.config ~workers:2 ())) q3)
+
 let test_engine_single_and_load () =
-  (* apply_single on a distributed backend is a one-tuple batch; load on a
-     distributed backend replays entries incrementally. Both must agree
-     with the simulator fed the same tuples. *)
+  (* apply_single on a distributed backend is a one-tuple batch, which
+     must agree with the simulator fed the same tuples; the load path is
+     [test_engine_load_then_retract]'s. *)
   let stream =
     Tpch.Gen.stream { Tpch.Gen.scale = 0.03; seed = 3 } ~batch_size:50
   in
@@ -2347,7 +2424,8 @@ let test_engine_single_and_load () =
     [
       Engine.Simulated (Cluster.config ~workers:2 ());
       Engine.Multiprocess (Node.config ~workers:2 ());
-    ]
+    ];
+  test_engine_load_then_retract ()
 
 (* Both backends report the same per-stage reconciliation: the stage
    names, modeled bytes and predictions in [Engine.reconcile_json] agree

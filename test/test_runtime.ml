@@ -21,6 +21,25 @@ let q_running =
 
 let mk2 l = Gmr.of_list (List.map (fun (a, b, m) -> ([| i a; i b |], m)) l)
 
+(* A relation with no trigger (a static table) cannot be loaded by
+   firing: add each table's rows to the pools of [prog]'s base maps of
+   it, the maps defined as the bare relation (e.g. BASE_S_1[B] := S(B)). *)
+let fill_base rt (prog : Prog.t) tables =
+  List.iter
+    (fun (r, g) ->
+      let bases =
+        List.filter
+          (fun (m : Prog.map_decl) ->
+            m.definition = Rel { rname = r; rvars = m.mschema })
+          prog.maps
+      in
+      if bases = [] then Alcotest.failf "no base map of %s" r;
+      List.iter
+        (fun (m : Prog.map_decl) ->
+          Gmr.iter (Pool.add (Runtime.map_pool rt m.mname)) g)
+        bases)
+    tables
+
 (* Run the same stream through the interpreted executor and the compiled
    runtime (batch and single-tuple paths) and demand identical query maps
    after every batch. *)
@@ -707,7 +726,7 @@ let test_zero_get_skips_slice () =
     ]
   in
   let rt = Runtime.create prog and ex = Exec.create prog in
-  Runtime.load rt tables;
+  fill_base rt prog tables;
   Exec.load ex tables;
   let same what =
     Alcotest.(check bool) what true
@@ -779,8 +798,8 @@ let test_duplicate_rows_not_merged () =
     | _ -> Alcotest.failf "%s: expected one key-grouped statement" what);
     let vec = Runtime.create prog in
     let row = Runtime.create ~columnar:false prog in
-    Runtime.load vec tables;
-    Runtime.load row tables;
+    fill_base vec prog tables;
+    fill_base row prog tables;
     let batch =
       r3 [ (1, 1, 1, 1.); (1, 1, 2, m2); (2, 1, 3, 1.); (3, 2, 1, 1.) ]
     in
@@ -802,6 +821,58 @@ let test_duplicate_rows_not_merged () =
   Alcotest.(check (float 0.)) "Q(2)" 2. (Gmr.mult q [| i 2 |]);
   let q = run "Exists-wrapped rows" exists_prog 2. in
   Alcotest.(check (float 0.)) "Q(1) = 2 * S(1)" 4. (Gmr.mult q [| i 1 |])
+
+(* A trigger compiles when it first fires: [create] registers no
+   profiler slot of it, its first batch registers exactly the route
+   labels of its block, and its first single tuple adds the stmt: slots
+   of its closures. Q's batch route is a selection-vector kernel, so the
+   two sets differ. Slots are process-wide: no other test fires this
+   relation. *)
+let test_trigger_compiles_on_first_firing () =
+  let r = "FIRST_FIRING_R" in
+  let prog =
+    Compile.compile ~streams:[ (r, [ va; vb ]) ]
+      [
+        ( "Q",
+          sum [ va ]
+            (prod [ rel r [ va; vb ]; cmp Lt (Vexpr.var vb) (Vexpr.const_i 3) ])
+        );
+      ]
+  in
+  let stmts = (Prog.find_trigger prog r).stmts in
+  let labels () =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (row : Prof.row) ->
+           if row.r_trigger = r then Some row.r_label else None)
+         (Prof.rows ()))
+  in
+  let routes =
+    List.sort_uniq compare
+      (List.map
+         (fun (_, label, _, _, _) -> label)
+         (List.concat (Runtime.block_routes_ex prog ~rel:r [ ([], stmts) ])))
+  in
+  let closures =
+    List.map (fun (st : Prog.stmt) -> "stmt:" ^ st.target) stmts
+  in
+  Alcotest.(check bool) "the batch route is vectorized" true
+    (List.exists (fun l -> not (List.mem l closures)) routes);
+  let rt = Runtime.create prog in
+  Alcotest.(check (list string)) "create registers no slot" [] (labels ());
+  ignore (Runtime.apply_batch rt ~rel:r (mk2 [ (1, 2, 1.); (2, 5, 1.) ]));
+  Alcotest.(check (list string)) "the first batch registers its routes"
+    routes (labels ());
+  ignore (Runtime.apply_batch rt ~rel:r (mk2 [ (1, 1, 1.) ]));
+  Alcotest.(check (list string)) "a second batch registers nothing" routes
+    (labels ());
+  ignore (Runtime.apply_single rt ~rel:r [| i 3; i 0 |] 1.);
+  Alcotest.(check (list string)) "the first single tuple adds its closures"
+    (List.sort_uniq compare (routes @ closures))
+    (labels ());
+  Alcotest.(check bool) "Q" true
+    (Gmr.equal (Runtime.result rt "Q")
+       (Gmr.of_list [ ([| i 1 |], 2.); ([| i 3 |], 1.) ]))
 
 (* A local firing transposes only the columns its groups read, and that
    pruned batch stays visible to the cache model: with a [Trace] sink
@@ -854,6 +925,8 @@ let suites =
           test_zero_get_skips_slice;
         Alcotest.test_case "duplicate batch rows are not merged" `Quick
           test_duplicate_rows_not_merged;
+        Alcotest.test_case "a trigger compiles when it first fires" `Quick
+          test_trigger_compiles_on_first_firing;
         Alcotest.test_case "a pruned local batch is traced" `Quick
           test_pruned_batch_traced;
         QCheck_alcotest.to_alcotest qcheck_rt_agree;
