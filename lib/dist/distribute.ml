@@ -9,16 +9,19 @@ let default_options = { level = 3; delta_at = `Workers }
 
 type locus = LLocal | LKey of Schema.t | LRepl | LRandom
 
+(* One access of a map: its name and the variables it is read with. Two
+   accesses of one map (a self-join) may need different transfers. *)
+let access_key (m : map_access) =
+  (m.mname, List.map (fun (v : Schema.var) -> v.name) m.mvars)
+
 (* Map references with their variables, in evaluation order, deduplicated by
-   (name, variable names). *)
+   access. *)
 let refs_of expr =
   let acc = ref [] in
   let rec go e =
     match e with
     | Map m ->
-        let key =
-          (m.mname, List.map (fun (v : Schema.var) -> v.name) m.mvars)
-        in
+        let key = access_key m in
         if not (List.mem_assoc key !acc) then acc := !acc @ [ (key, m) ]
     | Lift (_, q) | Exists q | Sum (_, q) -> go q
     | Prod es | Add es -> List.iter go es
@@ -147,11 +150,11 @@ let result_loc locus target_vars ~has_random =
         | Some pos -> Loc.Dist pos
         | None -> Loc.Random)
 
-let rename_refs subst expr =
+let rename_refs find expr =
   let rec go e =
     match e with
     | Map m -> (
-        match List.assoc_opt m.mname subst with
+        match find m with
         | Some n -> Map { m with mname = n }
         | None -> e)
     | Lift (v, q) -> Lift (v, go q)
@@ -182,7 +185,7 @@ let plan_stmt st locus (s : Prog.stmt) =
         | None -> None
         | Some (trs, name, random) ->
             let subst =
-              if name = m.mname then subst else (m.mname, name) :: subst
+              if name = m.mname then subst else (access_key m, name) :: subst
             in
             plan_all (acc @ trs) subst
               (n_random + if random then 1 else 0)
@@ -198,7 +201,9 @@ let plan_stmt st locus (s : Prog.stmt) =
   | Some (transfers, subst, n_random) ->
       let rloc = result_loc locus s.target_vars ~has_random:(n_random > 0) in
       let tloc = Loc.find st.locs s.target in
-      let rhs = rename_refs subst s.rhs in
+      let rhs =
+        rename_refs (fun m -> List.assoc_opt (access_key m) subst) s.rhs
+      in
       let stmts, extra =
         if Loc.equal rloc tloc then ([ Dprog.Compute { s with rhs } ], [])
         else begin
@@ -515,7 +520,7 @@ let cse_dce st dstmts =
         | Dprog.Compute s -> (
             let rhs =
               rename_refs
-                (Hashtbl.fold (fun k v acc -> (k, v) :: acc) subst [])
+                (fun (m : map_access) -> Hashtbl.find_opt subst m.mname)
                 s.rhs
             in
             let s = { s with rhs } in

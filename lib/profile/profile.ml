@@ -37,6 +37,7 @@ type stmt_plan = {
   sp_grouped : bool;
       (** its group groups the batch by probe key (some member probes or
           slices a store) *)
+  sp_generic : string option;
   sp_block : int option;
   sp_stage : int option;
   sp_loc : string option;
@@ -115,7 +116,7 @@ let route_of_label lbl =
 
 (* One statement's plan entry from its planner route. *)
 let stmt_plan sp bp ~trigger ?block ?stage ?loc
-    ((st : Prog.stmt), lbl, selvec, rowwise, grouped) =
+    ((st : Prog.stmt), lbl, selvec, rowwise, grouped, generic) =
   {
     sp_trigger = trigger;
     sp_label = lbl;
@@ -125,6 +126,7 @@ let stmt_plan sp bp ~trigger ?block ?stage ?loc
     sp_selvec = selvec;
     sp_rowwise = rowwise;
     sp_grouped = grouped;
+    sp_generic = generic;
     sp_block = block;
     sp_stage = stage;
     sp_loc = loc;
@@ -351,6 +353,9 @@ let render_stmt buf indent s =
          survivors only\n"
         indent (filter_split_str s)
   | _ ->
+      Option.iter
+        (Printf.bprintf buf "%s    generic: %s\n" indent)
+        s.sp_generic;
       List.iter
         (fun a ->
           Printf.bprintf buf "%s    read %-20s via %s\n" indent (atom_str a)

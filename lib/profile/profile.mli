@@ -64,6 +64,9 @@ type stmt_plan = {
       (** its group groups the batch by probe key before running, so
           each store accessor resolves once per key group: only groups
           with a member that probes or slices a store do *)
+  sp_generic : string option;
+      (** on the generic (["stmt:"]) route, the planner rule that put it
+          there; [None] on vectorized routes *)
   sp_block : int option;  (** distributed programs only *)
   sp_stage : int option;  (** 1-based distributed stage, if any *)
   sp_loc : string option;  (** rendered location tag of the target *)

@@ -444,9 +444,11 @@ let compile_stmt rt ~mode (s : Prog.stmt) : unit -> unit =
    update batch or a transient pre-aggregation assigned earlier in the
    same trigger, optionally Exists-wrapped — joined against store maps
    that are fully keyed by source columns (get probes, resolved once per
-   distinct key group), at most one partially keyed map (a slice probe),
-   lifts of fully keyed probes, and comparisons / value terms over the
-   bound columns. The source's used columns are grouped by the probe
+   distinct key group), partially keyed maps whose bound columns are
+   source columns (slice probes, each resolved once per key group and
+   looped over in factor order), lifts of fully keyed probes, and
+   comparisons / value terms over the bound columns. The source's used
+   columns are grouped by the probe
    key columns, so every accessor resolves once per distinct key instead
    of once per batch row — O(K) probes for a batch with K distinct keys
    (§5.2). Rows are never merged: each runs the member chain and equal
@@ -491,24 +493,59 @@ type vplan = {
   vp_sign : float; (* product of constant factors *)
   vp_source : vsource;
   vp_probes : vprobe list; (* accessor table; VGet/VExists/VLift indices *)
-  vp_steps : vstep list; (* gates first, then factor order; ≤ 1 VSlice *)
+  vp_steps : vstep list; (* gates first, then factor order *)
   vp_tkey : vref list; (* target key, one ref per target variable *)
   vp_used : int list; (* source columns read anywhere, sorted *)
   vp_keycols : int list; (* source columns feeding probes/slice binds *)
   vp_reads : string list; (* store maps probed or sliced *)
 }
 
-exception Not_vectorizable
+(* The rule that left a statement on the generic closure route: one
+   constructor per rejection in [plan_stmt_exn] and [plan_stmts], so
+   EXPLAIN and the census name it. *)
+type generic_reason =
+  | Reads_target
+  | Group_by_not_target
+  | No_source
+  | Source_repeats_var
+  | Unbound_var
+  | Lift_not_map
+  | Lift_not_keyed
+  | Lift_on_bound
+  | Slice_on_bound
+  | Slice_repeats_var
+  | Other_factor
+  | Lone_copy
+  | Columnar_off
+
+let generic_reason_text = function
+  | Reads_target -> "reads its own target"
+  | Group_by_not_target -> "group-by is not the target key"
+  | No_source -> "first factor is neither the batch nor a ready transient"
+  | Source_repeats_var -> "source repeats a variable"
+  | Unbound_var -> "reads a variable no source column, lift or slice binds"
+  | Lift_not_map -> "lift of a non-map expression"
+  | Lift_not_keyed -> "lift term not keyed by source columns"
+  | Lift_on_bound -> "lift into a bound variable"
+  | Slice_on_bound -> "a slice on a bound variable"
+  | Slice_repeats_var -> "a slice repeats an unbound variable"
+  | Other_factor -> "another factor kind"
+  | Lone_copy -> "lone copy of a transient"
+  | Columnar_off -> "vectorized executor off"
+
+exception Not_vectorizable of generic_reason
+
+let reject r = raise (Not_vectorizable r)
 
 let plan_stmt_exn ~rel ~transient_ready (s : Prog.stmt) : vplan =
   (* self-reading statements need buffered evaluation: generic path *)
-  if List.mem s.target (Calc.map_refs s.rhs) then raise Not_vectorizable;
+  if List.mem s.target (Calc.map_refs s.rhs) then reject Reads_target;
   let body =
     match s.rhs with
     | Sum (gb, body) ->
         (* only the accumulate-into-the-pool fast path of [compile_stmt] *)
         if Schema.equal_as_sets gb s.target_vars then body
-        else raise Not_vectorizable
+        else reject Group_by_not_target
     | rhs -> rhs
   in
   let distinct (vars : Schema.t) =
@@ -534,11 +571,12 @@ let plan_stmt_exn ~rel ~transient_ready (s : Prog.stmt) : vplan =
     | f :: tl -> (
         let wrapped, atom = match f with Exists q -> (true, q) | q -> (false, q) in
         match source_of atom with
-        | Some (name, batch, vars) when distinct vars ->
+        | Some (name, batch, vars) ->
+            if not (distinct vars) then reject Source_repeats_var;
             ( { vs_name = name; vs_batch = batch; vs_exists = wrapped; vs_vars = vars },
               tl )
-        | _ -> raise Not_vectorizable)
-    | [] -> raise Not_vectorizable
+        | None -> reject No_source)
+    | [] -> reject No_source
   in
   let pos_of (v : Schema.var) =
     let rec go i = function
@@ -563,7 +601,7 @@ let plan_stmt_exn ~rel ~transient_ready (s : Prog.stmt) : vplan =
         use p;
         VSrc p
     | None ->
-        if List.mem v.name !aux then VAux v.name else raise Not_vectorizable
+        if List.mem v.name !aux then VAux v.name else reject Unbound_var
   in
   let check_vexpr ve = List.iter (fun v -> ignore (vref v)) (Vexpr.vars ve) in
   let probes = ref [] in
@@ -580,6 +618,7 @@ let plan_stmt_exn ~rel ~transient_ready (s : Prog.stmt) : vplan =
   in
   (* probe keys must be source columns: that is what makes the accessor
      constant over a sort group and therefore shareable *)
+  let fully_src (vars : Schema.t) = List.for_all (fun v -> pos_of v <> None) vars in
   let get_cols (vars : Schema.t) =
     List.map
       (fun v ->
@@ -587,11 +626,9 @@ let plan_stmt_exn ~rel ~transient_ready (s : Prog.stmt) : vplan =
         | Some p ->
             usek p;
             p
-        | None -> raise Not_vectorizable)
+        | None -> assert false)
       vars
   in
-  let fully_src (vars : Schema.t) = List.for_all (fun v -> pos_of v <> None) vars in
-  let slice_seen = ref false in
   let steps =
     List.filter_map
       (fun f ->
@@ -617,31 +654,34 @@ let plan_stmt_exn ~rel ~transient_ready (s : Prog.stmt) : vplan =
               | Map m when fully_src m.mvars ->
                   reads := m.mname :: !reads;
                   probe_id m.mname (get_cols m.mvars)
-              | _ -> raise Not_vectorizable
+              | _ -> reject Lift_not_keyed
             in
             let ids =
               match q with
               | Map _ -> [ term q ]
               | Add qs -> List.map term qs
-              | _ -> raise Not_vectorizable
+              | _ -> reject Lift_not_map
             in
             aux := v.name :: !aux;
             Some (VLift (v.name, ids))
+        | Lift _ -> reject Lift_on_bound
         | Map m ->
-            (* partially keyed: the single slice probe *)
-            if !slice_seen then raise Not_vectorizable;
-            slice_seen := true;
+            (* partially keyed: a slice probe. Its bound columns are
+               source columns, so it is constant over a key group; a
+               member may hold several, their loops nested in factor
+               order. *)
             reads := m.mname :: !reads;
             let indexed = List.mapi (fun i v -> (i, v)) m.mvars in
             let bound, free =
               List.partition (fun (_, v) -> pos_of v <> None) indexed
             in
             let free_vars = List.map snd free in
-            if free = [] || not (distinct free_vars) then
-              raise Not_vectorizable;
+            if not (distinct free_vars) then reject Slice_repeats_var;
+            (* a free variable an earlier lift or slice binds is a join
+               on that output: it needs a per-row probe *)
             List.iter
               (fun (v : Schema.var) ->
-                if List.mem v.name !aux then raise Not_vectorizable)
+                if List.mem v.name !aux then reject Slice_on_bound)
               free_vars;
             let bcol (_, v) =
               match pos_of v with
@@ -676,7 +716,7 @@ let plan_stmt_exn ~rel ~transient_ready (s : Prog.stmt) : vplan =
                           (op, a, b)
                       | _ -> assert false)
                     es))
-        | _ -> raise Not_vectorizable)
+        | _ -> reject Other_factor)
       rest
   in
   (* Gates first: a get/exists probe is keyed only by source columns and
@@ -706,7 +746,7 @@ let plan_stmt_exn ~rel ~transient_ready (s : Prog.stmt) : vplan =
 (* One entry of a trigger's planned executor: a statement on the generic
    closure path, or a group of ≥1 consecutive vectorized statements
    sharing a source (and, when fused, one pass over the grouped batch). *)
-type unit_plan = UStmt of Prog.stmt | UGroup of vplan list
+type unit_plan = UStmt of Prog.stmt * generic_reason | UGroup of vplan list
 
 (* Fusing [p] into [group] is sound when they share the source and no
    member's writes can be observed by another member's reads before the
@@ -747,8 +787,8 @@ let plan_stmts (prog : Prog.t) ~rel ~assigned (stmts : Prog.stmt list) :
         in
         let p =
           match plan_stmt_exn ~rel ~transient_ready s with
-          | p -> Some p
-          | exception Not_vectorizable -> None
+          | p -> Ok p
+          | exception Not_vectorizable r -> Error r
         in
         if
           s.op = Prog.Assign
@@ -762,8 +802,8 @@ let plan_stmts (prog : Prog.t) ~rel ~assigned (stmts : Prog.stmt list) :
   in
   let rec go acc group = function
     | [] -> List.rev (finish group acc)
-    | (s, None) :: tl -> go (UStmt s :: finish group acc) [] tl
-    | (_, Some p) :: tl ->
+    | (s, Error r) :: tl -> go (UStmt (s, r) :: finish group acc) [] tl
+    | (_, Ok p) :: tl ->
         if group <> [] && fuse_ok group p then go acc (p :: group) tl
         else go (finish group acc) [ p ] tl
   in
@@ -773,7 +813,7 @@ let plan_stmts (prog : Prog.t) ~rel ~assigned (stmts : Prog.stmt list) :
   List.map
     (function
       | UGroup [ p ] when (not p.vp_source.vs_batch) && p.vp_reads = [] ->
-          UStmt p.vp_stmt
+          UStmt (p.vp_stmt, Lone_copy)
       | u -> u)
     units
 
@@ -793,7 +833,8 @@ let plan_blocks (prog : Prog.t) ~rel (blocks : (string list * Prog.stmt list) li
    those read the batch pool, so only they make a firing fill it. *)
 let reads_batch_pool (units : unit_plan list) =
   List.exists
-    (function UStmt st -> Calc.has_deltas st.Prog.rhs | UGroup _ -> false)
+    (function
+      | UStmt (st, _) -> Calc.has_deltas st.Prog.rhs | UGroup _ -> false)
     units
 
 (* ------------------------------------------------------------------ *)
@@ -1937,7 +1978,7 @@ let bind_group (rt : t) (ps : vplan list) : Colbatch.t Lazy.t -> bool -> unit =
 (* One planned unit bound against [rt]'s pools: a generic compiled
    statement, or a vectorized group. *)
 let compile_unit (rt : t) ~trigger = function
-  | UStmt st ->
+  | UStmt (st, _) ->
       let label = "stmt:" ^ st.Prog.target in
       let f = compile_stmt rt ~mode:Batch st in
       {
@@ -1965,7 +2006,10 @@ let stream_width (prog : Prog.t) rel =
 let compile_blocks rt ~rel blocks =
   let plans =
     if rt.columnar then plan_blocks rt.prog ~rel blocks
-    else List.map (fun (_, stmts) -> List.map (fun s -> UStmt s) stmts) blocks
+    else
+      List.map
+        (fun (_, stmts) -> List.map (fun s -> UStmt (s, Columnar_off)) stmts)
+        blocks
   in
   let width = stream_width rt.prog rel in
   {
@@ -2231,14 +2275,16 @@ let domains (rt : t) = rt.domains
 let block_routes_ex (prog : Prog.t) ~rel blocks =
   List.map
     (List.concat_map (function
-      | UStmt s -> [ (s, "stmt:" ^ s.Prog.target, 0, 0, false) ]
+      | UStmt (s, r) ->
+          let why = Some (generic_reason_text r) in
+          [ (s, "stmt:" ^ s.Prog.target, 0, 0, false, why) ]
       | UGroup ps ->
           let lbl = route_label_of_group ps in
           let grouped = plans_have_access ps in
           List.map
             (fun (p : vplan) ->
               let sv, rw = plan_filter_split p in
-              (p.vp_stmt, lbl, sv, rw, grouped))
+              (p.vp_stmt, lbl, sv, rw, grouped, None))
             ps))
     (plan_blocks prog ~rel blocks)
 

@@ -144,7 +144,9 @@ val storage_stats : t -> (string * Pool.stats) list
     its group groups the batch by probe key before running, so each
     store accessor resolves once per key group (only a group with a
     member that probes or slices a store does; [false] for ["stmt:"]
-    routes). [blocks] holds, per block in trigger order,
+    routes). A ["stmt:"] route also names the planner rule that left it
+    there (e.g. ["a slice on a bound variable"]); [None] on the other
+    routes. [blocks] holds, per block in trigger order,
     the transient maps transfers filled before the block and its
     statements. Produced by the planner {!compile_blocks} uses, so
     EXPLAIN cannot disagree with the runtime. *)
@@ -152,7 +154,7 @@ val block_routes_ex :
   Prog.t ->
   rel:string ->
   (string list * Prog.stmt list) list ->
-  (Prog.stmt * string * int * int * bool) list list
+  (Prog.stmt * string * int * int * bool * string option) list list
 
 (** The column rule: the stream columns (ascending positions) the
     vectorized groups of [blocks] that read the update batch read —

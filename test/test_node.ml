@@ -500,17 +500,28 @@ let expect_error_with name substrings f =
         (Printexc.to_string e)
   | _ -> Alcotest.failf "%s: malformed input accepted" name
 
-(* Words allocated by [f ()], exceptions included. *)
+(* Words allocated by [f ()], exceptions included, counted exactly:
+   [Gc.minor_words ()] moves as the minor heap fills, and [Gc.counters]'
+   major and promoted words move together, while [Gc.quick_stat]'s
+   major words move only at a major slice. *)
 let alloc_words f =
   let words () =
-    let s = Gc.quick_stat () in
-    Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
   in
   let w0 = words () in
   (try f () with _ -> ());
   words () -. w0
 
 let test_codec_malformed () =
+  (* the counter the rejection bounds below rely on sees a large
+     allocation, which goes straight to the major heap *)
+  let big =
+    alloc_words (fun () -> ignore (Sys.opaque_identity (Array.make 50_000 0)))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "a 50,000-word array counts %.0f words" big)
+    true (big >= 50_000.);
   (* Length prefix exceeding max_frame. *)
   let oversized =
     let b = Buffer.create 8 in
