@@ -54,17 +54,39 @@ let positions_of kvars vars =
 (* Per-statement planning                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The planner tries several plans per statement and keeps one. Every map
+   a candidate creates goes into [created] with its location. A losing
+   candidate's entries stay. The counter rolls back over a losing
+   candidate's own names only, so a later candidate may reuse one of them
+   (and overwrite its entry) but never a name of a plan still kept.
+   [compile] declares only the created maps the kept plan names. *)
 type st = {
   opts : options;
   mutable counter : int;
-  mutable new_maps : Prog.map_decl list; (* reverse *)
-  mutable locs : Loc.catalog;
+  created : (string, Prog.map_decl * Loc.t) Hashtbl.t;
+  catalog : Loc.catalog;
   prog : Prog.t;
 }
 
+let create st (m : Prog.map_decl) loc =
+  Hashtbl.replace st.created m.mname (m, loc)
+
+let decl st name =
+  match Hashtbl.find_opt st.created name with
+  | Some (m, _) -> m
+  | None -> Prog.find_map st.prog name
+
+let loc_of st name =
+  match Hashtbl.find_opt st.created name with
+  | Some (_, loc) -> loc
+  | None -> Loc.find st.catalog name
+
+(* Batch-derived maps: the program's transients and every created map. *)
+let transient st name = (decl st name).mkind = Prog.Transient
+
 let fresh_transfer st ~kind ~key ~source ~dest_loc =
   st.counter <- st.counter + 1;
-  let sdecl = Prog.find_map { st.prog with maps = st.prog.maps @ List.rev st.new_maps } source in
+  let sdecl = decl st source in
   let suffix =
     match kind with
     | Dprog.Scatter -> "scatter"
@@ -72,28 +94,20 @@ let fresh_transfer st ~kind ~key ~source ~dest_loc =
     | Dprog.Gather -> "gather"
   in
   let tname = Printf.sprintf "%s_%s%d" source suffix st.counter in
-  st.new_maps <-
+  create st
     {
       Prog.mname = tname;
       mschema = sdecl.mschema;
       mkind = Prog.Transient;
       definition = Map { mname = source; mvars = sdecl.mschema };
     }
-    :: st.new_maps;
-  st.locs <- (tname, dest_loc) :: st.locs;
+    dest_loc;
   (tname, Dprog.Transfer { tname; tkind = kind; key; source })
-
-(* Size rank of shuffling a map: batch-derived transients are cheap. *)
-let size_rank st source =
-  let maps = st.prog.maps @ List.rev st.new_maps in
-  match List.find_opt (fun m -> m.Prog.mname = source) maps with
-  | Some { Prog.mkind = Prog.Transient; _ } -> 1
-  | _ -> 10
 
 (* Plan the transfers needed to make one map reference readable at the
    locus. Returns (transfers, replacement name, still_random). *)
 let plan_ref st locus (m : map_access) =
-  let loc = Loc.find st.locs m.mname in
+  let loc = loc_of st m.mname in
   let fail = ref false in
   let transfers = ref [] in
   let emit kind key dest_loc src =
@@ -169,14 +183,8 @@ let rename_refs find expr =
 (* Build the full plan (transfers + compute statements) for one statement at
    one locus. Returns (cost, dstmts) or None when infeasible. *)
 let plan_stmt st locus (s : Prog.stmt) =
-  let saved_counter = st.counter
-  and saved_maps = st.new_maps
-  and saved_locs = st.locs in
-  let rollback () =
-    st.counter <- saved_counter;
-    st.new_maps <- saved_maps;
-    st.locs <- saved_locs
-  in
+  let saved_counter = st.counter in
+  let rollback () = st.counter <- saved_counter in
   let refs = refs_of s.rhs in
   let rec plan_all acc subst n_random = function
     | [] -> Some (acc, subst, n_random)
@@ -200,7 +208,7 @@ let plan_stmt st locus (s : Prog.stmt) =
       None
   | Some (transfers, subst, n_random) ->
       let rloc = result_loc locus s.target_vars ~has_random:(n_random > 0) in
-      let tloc = Loc.find st.locs s.target in
+      let tloc = loc_of st s.target in
       let rhs =
         rename_refs (fun m -> List.assoc_opt (access_key m) subst) s.rhs
       in
@@ -210,15 +218,14 @@ let plan_stmt st locus (s : Prog.stmt) =
           (* materialize at the locus, transfer, apply at the target *)
           st.counter <- st.counter + 1;
           let out = Printf.sprintf "%s_part%d" s.target st.counter in
-          st.new_maps <-
+          create st
             {
               Prog.mname = out;
               mschema = s.target_vars;
               mkind = Prog.Transient;
               definition = rhs;
             }
-            :: st.new_maps;
-          st.locs <- (out, rloc) :: st.locs;
+            rloc;
           let move =
             match tloc with
             | Loc.Local -> [ (Dprog.Gather, [||], Loc.Local) ]
@@ -281,11 +288,13 @@ let plan_stmt st locus (s : Prog.stmt) =
                | _ -> false)
              all)
       in
+      (* size rank: shuffling batch-derived transients is cheap *)
       let rank =
         List.fold_left
           (fun acc d ->
             match d with
-            | Dprog.Transfer { source; _ } -> acc + size_rank st source
+            | Dprog.Transfer { source; _ } ->
+                acc + if transient st source then 1 else 10
             | _ -> acc)
           0 all
       in
@@ -294,7 +303,7 @@ let plan_stmt st locus (s : Prog.stmt) =
 (* Candidate loci for a statement. *)
 let candidates st (s : Prog.stmt) =
   let refs = refs_of s.rhs in
-  let target_loc = Loc.find st.locs s.target in
+  let target_loc = loc_of st s.target in
   let base = [ LLocal; LRepl; LRandom ] in
   let from_target =
     match target_loc with
@@ -304,7 +313,7 @@ let candidates st (s : Prog.stmt) =
   let from_refs =
     List.filter_map
       (fun (m : map_access) ->
-        match Loc.find st.locs m.mname with
+        match loc_of st m.mname with
         | Loc.Dist pos -> Some (LKey (key_vars m.mvars pos))
         | _ -> None)
       refs
@@ -331,7 +340,7 @@ let naive_candidate st (s : Prog.stmt) =
      last relational factor, whatever the cost *)
   match List.rev (refs_of s.rhs) with
   | m :: _ -> (
-      match Loc.find st.locs m.mname with
+      match loc_of st m.mname with
       | Loc.Local -> LLocal
       | Loc.Replicated -> LRepl
       | Loc.Random -> LRandom
@@ -407,7 +416,7 @@ and try_splits st ~depth (s : Prog.stmt) =
                   let rec pick = function
                     | [] -> Loc.Replicated
                     | (m : map_access) :: rest -> (
-                        match Loc.find st.locs m.mname with
+                        match loc_of st m.mname with
                         | Loc.Dist pos -> (
                             match
                               positions_of (key_vars m.mvars pos) keep
@@ -418,15 +427,14 @@ and try_splits st ~depth (s : Prog.stmt) =
                   in
                   pick (refs_of suffix)
                 in
-                st.new_maps <-
+                create st
                   {
                     Prog.mname = tname;
                     mschema = keep;
                     mkind = Prog.Transient;
                     definition = Calc.sum keep prefix;
                   }
-                  :: st.new_maps;
-                st.locs <- (tname, tloc) :: st.locs;
+                  tloc;
                 let stmt1 =
                   {
                     Prog.target = tname;
@@ -494,15 +502,6 @@ let cse_dce st dstmts =
   let resolve n =
     match Hashtbl.find_opt subst n with Some n' -> n' | None -> n
   in
-  let transient name =
-    match
-      List.find_opt
-        (fun m -> m.Prog.mname = name)
-        (st.prog.maps @ List.rev st.new_maps)
-    with
-    | Some { Prog.mkind = Prog.Transient; _ } -> true
-    | _ -> false
-  in
   let dstmts =
     List.filter_map
       (fun d ->
@@ -524,11 +523,11 @@ let cse_dce st dstmts =
                 s.rhs
             in
             let s = { s with rhs } in
-            if s.op = Prog.Assign && transient s.target then begin
+            if s.op = Prog.Assign && transient st s.target then begin
               let key =
                 ( Calc.to_string s.rhs,
                   List.map (fun (v : Schema.var) -> v.name) s.target_vars,
-                  Loc.find st.locs s.target )
+                  loc_of st s.target )
               in
               match Hashtbl.find_opt seen_assign key with
               | Some existing ->
@@ -542,21 +541,12 @@ let cse_dce st dstmts =
       dstmts
   in
   (* backward pass: drop writes to transients nobody reads *)
-  let transient name =
-    match
-      List.find_opt
-        (fun m -> m.Prog.mname = name)
-        (st.prog.maps @ List.rev st.new_maps)
-    with
-    | Some { Prog.mkind = Prog.Transient; _ } -> true
-    | _ -> false
-  in
   let rec dce rev_stmts live =
     match rev_stmts with
     | [] -> []
     | d :: rest ->
         let w = Dprog.writes d in
-        if transient w && not (List.mem w live) then dce rest live
+        if transient st w && not (List.mem w live) then dce rest live
         else d :: dce rest (Dprog.reads d @ live)
   in
   List.rev (dce (List.rev dstmts) [])
@@ -580,26 +570,44 @@ let compile ?(options = default_options) ~catalog (prog : Prog.t) =
           catalog
   in
   let st =
-    {
-      opts = options;
-      counter = 0;
-      new_maps = [];
-      locs = catalog;
-      prog;
-    }
+    { opts = options; counter = 0; created = Hashtbl.create 64; catalog; prog }
   in
-  let dtriggers =
+  let planned =
     List.map
       (fun (tr : Prog.trigger) ->
         let dstmts = List.concat_map (compile_stmt st) tr.stmts in
-        let dstmts = if options.level >= 3 then cse_dce st dstmts else dstmts in
-        let blocks = Dprog.promote st.locs dstmts in
-        let blocks = if options.level >= 2 then Dprog.fuse blocks else blocks in
-        { Dprog.drelation = tr.relation; blocks })
+        ( tr.relation,
+          if options.level >= 3 then cse_dce st dstmts else dstmts ))
       prog.triggers
   in
+  (* declare, in first-use order, the created maps the kept plan names:
+     each entry leaves the table when it is first named *)
+  let take n =
+    let e = Hashtbl.find_opt st.created n in
+    Hashtbl.remove st.created n;
+    e
+  in
+  let created =
+    List.concat_map
+      (fun (_, dstmts) ->
+        List.concat_map
+          (fun d -> List.filter_map take (Dprog.writes d :: Dprog.reads d))
+          dstmts)
+      planned
+  in
+  let locs =
+    List.map (fun ((m : Prog.map_decl), l) -> (m.mname, l)) created @ catalog
+  in
+  let dtriggers =
+    List.map
+      (fun (drelation, dstmts) ->
+        let blocks = Dprog.promote locs dstmts in
+        let blocks = if options.level >= 2 then Dprog.fuse blocks else blocks in
+        { Dprog.drelation; blocks })
+      planned
+  in
   {
-    Dprog.base = { prog with maps = prog.maps @ List.rev st.new_maps };
-    locs = st.locs;
+    Dprog.base = { prog with maps = prog.maps @ List.map fst created };
+    locs;
     dtriggers;
   }

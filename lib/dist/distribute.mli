@@ -32,6 +32,7 @@ val default_options : options
 (** [compile ~catalog prog] requires [prog] to be pre-aggregated (no raw
     delta atom outside transient definitions) and raises [Invalid_argument]
     naming the offending statement's target otherwise. The catalog gives
-    locations for [prog]'s maps; locations for transfer transients are
-    added. *)
+    locations for [prog]'s maps. Of the maps the planner creates while it
+    tries candidate plans, the program declares and locates exactly those
+    its statements and transfers name. *)
 val compile : ?options:options -> catalog:Loc.catalog -> Prog.t -> Dprog.t

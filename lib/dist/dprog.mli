@@ -24,8 +24,14 @@ type block = { bmode : mode; bstmts : dstmt list }
 type dtrigger = { drelation : string; blocks : block list }
 
 type t = {
-  base : Prog.t;  (** map declarations incl. transfer transients *)
-  locs : Loc.catalog;  (** location of every map *)
+  base : Prog.t;
+      (** the local program's map declarations, then those of the maps the
+          distributed compiler created (transfer destinations, partial
+          results, stage intermediates) that a statement or transfer
+          names, in first-use order *)
+  locs : Loc.catalog;
+      (** one location per created map of [base], then the catalog's
+          locations of the local program's maps *)
   dtriggers : dtrigger list;
 }
 

@@ -257,6 +257,73 @@ let test_plan_quality_no_view_gather () =
     (Printf.sprintf "orders trigger multi-stage (%d)" stages)
     true (stages >= 2)
 
+(* A distributed program declares the maps its statements and transfers
+   name, and no other map the planner created: a candidate the planner
+   discards leaves no declaration, location or pool behind. Over every
+   TPC-H and TPC-DS query at every level, each named map is declared
+   once and each created one has one location. The level-3 total of
+   declarations is pinned; it may only go down. *)
+let test_declares_named_maps () =
+  let module Workload = Divm_workload.Workload in
+  let count h n = Option.value ~default:0 (Hashtbl.find_opt h n) in
+  let counts names =
+    let h = Hashtbl.create 64 in
+    List.iter (fun n -> Hashtbl.replace h n (1 + count h n)) names;
+    h
+  in
+  let decl_names = List.map (fun (m : Prog.map_decl) -> m.mname) in
+  let declared_l3 = ref 0 in
+  List.iter
+    (fun qn ->
+      let w = Workload.find qn in
+      let prog = Workload.compile w in
+      let input = counts (decl_names prog.maps) in
+      for level = 0 to 3 do
+        let dp = Workload.distribute ~level w prog in
+        let named =
+          counts
+            (List.concat_map
+               (fun (tr : Dprog.dtrigger) ->
+                 List.concat_map
+                   (fun (b : Dprog.block) ->
+                     List.concat_map
+                       (fun d -> Dprog.writes d :: Dprog.reads d)
+                       b.bstmts)
+                   tr.blocks)
+               dp.dtriggers)
+        in
+        let declared = counts (decl_names dp.base.maps) in
+        let located = counts (List.map fst dp.locs) in
+        let fail fmt =
+          Printf.ksprintf
+            (fun msg ->
+              Alcotest.failf "%s at level %d (%d maps declared, %d named): %s"
+                qn level (List.length dp.base.maps) (Hashtbl.length named) msg)
+            fmt
+        in
+        Hashtbl.iter
+          (fun n _ ->
+            if count input n = 0 && count named n = 0 then
+              fail "%s is declared but no statement or transfer names it" n)
+          declared;
+        Hashtbl.iter
+          (fun n _ ->
+            if count declared n <> 1 then
+              fail "%s is named and declared %d times" n (count declared n);
+            if count input n = 0 && count located n <> 1 then
+              fail "%s was created and has %d locations" n (count located n))
+          named;
+        if level = 3 then
+          declared_l3 := !declared_l3 + List.length dp.base.maps
+      done)
+    Tpch_suite.all_queries;
+  let pinned = 2721 in
+  if !declared_l3 <> pinned then
+    Alcotest.failf "the programs declare %d maps at level 3, pinned at %d%s"
+      !declared_l3 pinned
+      (if !declared_l3 < pinned then ": the count fell, lower the pin to it"
+       else "")
+
 (* A cluster without workers would run no stage and report an empty
    view: creating one is an error, as it is for the process engine. *)
 let test_cluster_rejects_no_workers () =
@@ -295,5 +362,7 @@ let suites =
           test_plan_quality_no_view_gather;
         Alcotest.test_case "cluster rejects fewer than one worker" `Quick
           test_cluster_rejects_no_workers;
+        Alcotest.test_case "a distributed program declares the maps it names"
+          `Quick test_declares_named_maps;
       ] );
   ]
