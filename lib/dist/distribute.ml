@@ -54,101 +54,95 @@ let positions_of kvars vars =
 (* Per-statement planning                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* The planner tries several plans per statement and keeps one. Every map
-   a candidate creates goes into [created] with its location. A losing
-   candidate's entries stay. The counter rolls back over a losing
-   candidate's own names only, so a later candidate may reuse one of them
-   (and overwrite its entry) but never a name of a plan still kept.
-   [compile] declares only the created maps the kept plan names. *)
-type st = {
-  opts : options;
-  mutable counter : int;
-  created : (string, Prog.map_decl * Loc.t) Hashtbl.t;
-  catalog : Loc.catalog;
-  prog : Prog.t;
+type env = { level : int; catalog : Loc.catalog; prog : Prog.t }
+
+(* A candidate plan of one statement, as a value: its statements and the
+   maps it created with their locations (both newest first), and the next
+   free name number. Every candidate of a statement starts from the same
+   number and sees only the maps it created itself, so a losing one is
+   dropped with everything it made. *)
+type plan = {
+  stmts : Dprog.dstmt list;
+  maps : (string * (Prog.map_decl * Loc.t)) list;
+  next : int;
 }
 
-let create st (m : Prog.map_decl) loc =
-  Hashtbl.replace st.created m.mname (m, loc)
-
-let decl st name =
-  match Hashtbl.find_opt st.created name with
+(* [find] looks a name up among created maps; any other map is the
+   program's, located by the catalog. *)
+let decl env find name =
+  match find name with
   | Some (m, _) -> m
-  | None -> Prog.find_map st.prog name
+  | None -> Prog.find_map env.prog name
 
-let loc_of st name =
-  match Hashtbl.find_opt st.created name with
+let loc_of env find name =
+  match find name with
   | Some (_, loc) -> loc
-  | None -> Loc.find st.catalog name
+  | None -> Loc.find env.catalog name
 
 (* Batch-derived maps: the program's transients and every created map. *)
-let transient st name = (decl st name).mkind = Prog.Transient
+let transient env find name = (decl env find name).mkind = Prog.Transient
+let in_plan p name = List.assoc_opt name p.maps
+let fresh p stem = Printf.sprintf "%s%d" stem p.next
+let extend p stmts = { p with stmts = List.rev_append stmts p.stmts }
 
-let fresh_transfer st ~kind ~key ~source ~dest_loc =
-  st.counter <- st.counter + 1;
-  let sdecl = decl st source in
-  let suffix =
-    match kind with
-    | Dprog.Scatter -> "scatter"
-    | Dprog.Repart -> "repart"
-    | Dprog.Gather -> "gather"
-  in
-  let tname = Printf.sprintf "%s_%s%d" source suffix st.counter in
-  create st
-    {
-      Prog.mname = tname;
-      mschema = sdecl.mschema;
-      mkind = Prog.Transient;
-      definition = Map { mname = source; mvars = sdecl.mschema };
-    }
-    dest_loc;
-  (tname, Dprog.Transfer { tname; tkind = kind; key; source })
+(* [p] extended by a transient map it creates at [loc], and [stmts]. *)
+let create p mname mschema definition loc stmts =
+  let m = { Prog.mname; mschema; mkind = Prog.Transient; definition } in
+  let p = extend p stmts in
+  { p with maps = (mname, (m, loc)) :: p.maps; next = p.next + 1 }
 
-(* Plan the transfers needed to make one map reference readable at the
-   locus. Returns (transfers, replacement name, still_random). *)
-let plan_ref st locus (m : map_access) =
-  let loc = loc_of st m.mname in
-  let fail = ref false in
-  let transfers = ref [] in
-  let emit kind key dest_loc src =
-    let name, tr = fresh_transfer st ~kind ~key ~source:src ~dest_loc in
-    transfers := !transfers @ [ tr ];
-    name
-  in
-  let name, random =
-    match (locus, loc) with
-    | LLocal, Loc.Local -> (m.mname, false)
-    | LLocal, (Loc.Dist _ | Loc.Random | Loc.Replicated) ->
-        (emit Dprog.Gather [||] Loc.Local m.mname, false)
-    | LKey _, Loc.Replicated -> (m.mname, false)
-    | LKey kv, Loc.Local -> (
-        match positions_of kv m.mvars with
-        | Some pos -> (emit Dprog.Scatter pos (Loc.Dist pos) m.mname, false)
-        | None -> (emit Dprog.Scatter [||] Loc.Replicated m.mname, false))
-    | LKey kv, Loc.Dist pos
-      when Schema.equal_as_sets (key_vars m.mvars pos) kv ->
-        (m.mname, false)
-    | LKey kv, (Loc.Dist _ | Loc.Random) -> (
-        match positions_of kv m.mvars with
-        | Some pos -> (emit Dprog.Repart pos (Loc.Dist pos) m.mname, false)
-        | None ->
-            let g = emit Dprog.Gather [||] Loc.Local m.mname in
-            (emit Dprog.Scatter [||] Loc.Replicated g, false))
-    | LRepl, Loc.Replicated -> (m.mname, false)
-    | LRepl, Loc.Local ->
-        (emit Dprog.Scatter [||] Loc.Replicated m.mname, false)
-    | LRepl, (Loc.Dist _ | Loc.Random) ->
-        let g = emit Dprog.Gather [||] Loc.Local m.mname in
-        (emit Dprog.Scatter [||] Loc.Replicated g, false)
-    | LRandom, Loc.Random -> (m.mname, true)
-    | LRandom, Loc.Replicated -> (m.mname, false)
-    | LRandom, Loc.Local ->
-        (emit Dprog.Scatter [||] Loc.Replicated m.mname, false)
-    | LRandom, Loc.Dist _ ->
-        fail := true;
-        (m.mname, false)
-  in
-  if !fail then None else Some (!transfers, name, random)
+(* The transfers that move a map from [src] to [dest], as data: each one's
+   kind, key and destination location, in order. *)
+let moves src dest =
+  let gather = (Dprog.Gather, [||], Loc.Local)
+  and replicate = (Dprog.Scatter, [||], Loc.Replicated) in
+  match (dest, src) with
+  | Loc.Dist pos, Loc.Local -> [ (Dprog.Scatter, pos, dest) ]
+  | Loc.Dist pos, _ -> [ (Dprog.Repart, pos, dest) ]
+  | Loc.Replicated, Loc.Local -> [ replicate ]
+  | Loc.Replicated, _ -> [ gather; replicate ]
+  | (Loc.Local | Loc.Random), _ -> [ gather ]
+
+(* The transfers that make a reference to a map at [loc] readable at the
+   locus, or None when it cannot be read there. *)
+let plan_ref locus loc (m : map_access) =
+  match (locus, loc) with
+  | LLocal, Loc.Local
+  | (LKey _ | LRepl | LRandom), Loc.Replicated
+  | LRandom, Loc.Random ->
+      Some []
+  | LKey kv, Loc.Dist pos when Schema.equal_as_sets (key_vars m.mvars pos) kv
+    ->
+      Some []
+  | LRandom, Loc.Dist _ -> None
+  | LLocal, _ -> Some (moves loc Loc.Local)
+  | LKey kv, _ ->
+      Some
+        (moves loc
+           (match positions_of kv m.mvars with
+           | Some pos -> Loc.Dist pos
+           | None -> Loc.Replicated))
+  | (LRepl | LRandom), _ -> Some (moves loc Loc.Replicated)
+
+(* [p] extended by a chain of transfers from [source], each into a new
+   map that is the next one's source; also returns the last map's name. *)
+let chain env p source route =
+  List.fold_left
+    (fun (p, src) (tkind, key, loc) ->
+      let suffix =
+        match tkind with
+        | Dprog.Scatter -> "_scatter"
+        | Dprog.Repart -> "_repart"
+        | Dprog.Gather -> "_gather"
+      in
+      let tname = fresh p (src ^ suffix) in
+      let mschema = (decl env (in_plan p) src).mschema in
+      ( create p tname mschema
+          (Map { mname = src; mvars = mschema })
+          loc
+          [ Dprog.Transfer { tname; tkind; key; source = src } ],
+        tname ))
+    (p, source) route
 
 (* Result location of evaluating at [locus] a statement producing
    [target_vars]; [has_random] marks an in-place random factor. *)
@@ -180,130 +174,75 @@ let rename_refs find expr =
   in
   go expr
 
-(* Build the full plan (transfers + compute statements) for one statement at
-   one locus. Returns (cost, dstmts) or None when infeasible. *)
-let plan_stmt st locus (s : Prog.stmt) =
-  let saved_counter = st.counter in
-  let rollback () = st.counter <- saved_counter in
-  let refs = refs_of s.rhs in
-  let rec plan_all acc subst n_random = function
-    | [] -> Some (acc, subst, n_random)
-    | m :: rest -> (
-        match plan_ref st locus m with
+(* [p] extended by the plan of one statement at one locus, or None when a
+   reference cannot be read there or more than one stays random in place:
+   the chains that bring each reference to the locus, then the statement.
+   When its result lands elsewhere than its target, the statement fills a
+   partial result and a chain moves that to the target. *)
+let plan_stmt env p locus (s : Prog.stmt) =
+  let rec plan_refs p subst n_random = function
+    | [] -> if n_random > 1 then None else Some (p, subst, n_random > 0)
+    | (m : map_access) :: rest -> (
+        let loc = loc_of env (in_plan p) m.mname in
+        match plan_ref locus loc m with
         | None -> None
-        | Some (trs, name, random) ->
-            let subst =
-              if name = m.mname then subst else (access_key m, name) :: subst
-            in
-            plan_all (acc @ trs) subst
-              (n_random + if random then 1 else 0)
-              rest)
+        | Some [] ->
+            let random = locus = LRandom && Loc.equal loc Loc.Random in
+            plan_refs p subst (n_random + Bool.to_int random) rest
+        | Some route ->
+            let p, name = chain env p m.mname route in
+            plan_refs p ((access_key m, name) :: subst) n_random rest)
   in
-  match plan_all [] [] 0 refs with
-  | None ->
-      rollback ();
-      None
-  | Some (_, _, n_random) when n_random > 1 ->
-      rollback ();
-      None
-  | Some (transfers, subst, n_random) ->
-      let rloc = result_loc locus s.target_vars ~has_random:(n_random > 0) in
-      let tloc = loc_of st s.target in
+  match plan_refs p [] 0 (refs_of s.rhs) with
+  | None -> None
+  | Some (p, subst, has_random) ->
       let rhs =
         rename_refs (fun m -> List.assoc_opt (access_key m) subst) s.rhs
       in
-      let stmts, extra =
-        if Loc.equal rloc tloc then ([ Dprog.Compute { s with rhs } ], [])
-        else begin
-          (* materialize at the locus, transfer, apply at the target *)
-          st.counter <- st.counter + 1;
-          let out = Printf.sprintf "%s_part%d" s.target st.counter in
-          create st
-            {
-              Prog.mname = out;
-              mschema = s.target_vars;
-              mkind = Prog.Transient;
-              definition = rhs;
-            }
-            rloc;
-          let move =
-            match tloc with
-            | Loc.Local -> [ (Dprog.Gather, [||], Loc.Local) ]
-            | Loc.Dist pos -> (
-                match rloc with
-                | Loc.Local -> [ (Dprog.Scatter, pos, Loc.Dist pos) ]
-                | _ -> [ (Dprog.Repart, pos, Loc.Dist pos) ])
-            | Loc.Replicated -> (
-                match rloc with
-                | Loc.Local -> [ (Dprog.Scatter, [||], Loc.Replicated) ]
-                | _ ->
-                    [
-                      (Dprog.Gather, [||], Loc.Local);
-                      (Dprog.Scatter, [||], Loc.Replicated);
-                    ])
-            | Loc.Random -> [ (Dprog.Gather, [||], Loc.Local) ]
-          in
-          let src = ref out in
-          let moves =
-            List.map
-              (fun (kind, key, dloc) ->
-                let name, tr =
-                  fresh_transfer st ~kind ~key ~source:!src ~dest_loc:dloc
-                in
-                src := name;
-                tr)
-              move
-          in
-          ( [
-              Dprog.Compute
-                {
-                  Prog.target = out;
-                  target_vars = s.target_vars;
-                  op = Prog.Assign;
-                  rhs;
-                };
-            ]
-            @ moves
-            @ [
-                Dprog.Compute
-                  {
-                    Prog.target = s.target;
-                    target_vars = s.target_vars;
-                    op = s.op;
-                    rhs = Map { mname = !src; mvars = s.target_vars };
-                  };
-              ],
-            moves )
-        end
-      in
-      let all = transfers @ stmts in
-      let n_transfers =
-        List.length transfers + List.length extra
-      in
-      let gathers =
-        List.length
-          (List.filter
-             (function
-               | Dprog.Transfer { tkind = Dprog.Gather; _ } -> true
-               | _ -> false)
-             all)
-      in
-      (* size rank: shuffling batch-derived transients is cheap *)
-      let rank =
-        List.fold_left
-          (fun acc d ->
-            match d with
-            | Dprog.Transfer { source; _ } ->
-                acc + if transient st source then 1 else 10
-            | _ -> acc)
-          0 all
-      in
-      Some ((n_transfers, rank, gathers), all, rollback)
+      let rloc = result_loc locus s.target_vars ~has_random in
+      let tloc = loc_of env (in_plan p) s.target in
+      if Loc.equal rloc tloc then
+        Some (extend p [ Dprog.Compute { s with rhs } ])
+      else
+        let out = fresh p (s.target ^ "_part") in
+        let p =
+          create p out s.target_vars rhs rloc
+            [ Dprog.Compute { s with target = out; op = Prog.Assign; rhs } ]
+        in
+        let p, src = chain env p out (moves rloc tloc) in
+        let rhs = Map { mname = src; mvars = s.target_vars } in
+        Some (extend p [ Dprog.Compute { s with rhs } ])
+
+(* A plan's cost: its transfers, then their size rank (shuffling
+   batch-derived transients is cheap), then its gathers. *)
+let cost env p =
+  let rec go n rank gathers = function
+    | [] -> (n, rank, gathers)
+    | Dprog.Transfer { tkind; source; _ } :: rest ->
+        go (n + 1)
+          (rank + if transient env (in_plan p) source then 1 else 10)
+          (gathers + if tkind = Dprog.Gather then 1 else 0)
+          rest
+    | Dprog.Compute _ :: rest -> go n rank gathers rest
+  in
+  go 0 0 0 p.stmts
+
+(* The cheapest feasible plan, the earliest on a tie. It chooses between
+   loci, between split points, and between one locus and a split. *)
+let cheapest env plans =
+  match List.filter_map (Option.map (fun p -> (cost env p, p))) plans with
+  | [] -> None
+  | first :: rest ->
+      Some
+        (snd
+           (List.fold_left
+              (fun (bc, bp) (c, p) -> if c < bc then (c, p) else (bc, bp))
+              first rest))
 
 (* Candidate loci for a statement. *)
-let candidates st (s : Prog.stmt) =
+let candidates env p (s : Prog.stmt) =
   let refs = refs_of s.rhs in
-  let target_loc = loc_of st s.target in
+  let target_loc = loc_of env (in_plan p) s.target in
   let base = [ LLocal; LRepl; LRandom ] in
   let from_target =
     match target_loc with
@@ -313,7 +252,7 @@ let candidates st (s : Prog.stmt) =
   let from_refs =
     List.filter_map
       (fun (m : map_access) ->
-        match loc_of st m.mname with
+        match loc_of env (in_plan p) m.mname with
         | Loc.Dist pos -> Some (LKey (key_vars m.mvars pos))
         | _ -> None)
       refs
@@ -335,157 +274,117 @@ let candidates st (s : Prog.stmt) =
       | _ -> true)
     (from_target @ from_refs @ base)
 
-let naive_candidate st (s : Prog.stmt) =
+let naive_candidate env p (s : Prog.stmt) =
   (* bottom-up annotation without optimization: adopt the location of the
      last relational factor, whatever the cost *)
   match List.rev (refs_of s.rhs) with
   | m :: _ -> (
-      match loc_of st m.mname with
+      match loc_of env (in_plan p) m.mname with
       | Loc.Local -> LLocal
       | Loc.Replicated -> LRepl
       | Loc.Random -> LRandom
       | Loc.Dist pos -> LKey (key_vars m.mvars pos))
   | [] -> LLocal
 
-let add3 (a1, a2, a3) (b1, b2, b3) = (a1 + b1, a2 + b2, a3 + b3)
-
 (* Best single-locus plan for one statement. *)
-let single_locus_plan st (s : Prog.stmt) =
-  let cands =
-    if st.opts.level = 0 then [ naive_candidate st s ] else candidates st s
+let single_locus env p (s : Prog.stmt) =
+  let loci =
+    if env.level = 0 then [ naive_candidate env p s ]
+    else candidates env p s
   in
-  let best = ref None in
-  List.iter
-    (fun c ->
-      match plan_stmt st c s with
-      | None -> ()
-      | Some (cost, dstmts, rollback) -> (
-          match !best with
-          | Some (bcost, _) when bcost <= cost -> rollback ()
-          | _ -> best := Some (cost, dstmts)))
-    cands;
-  !best
+  cheapest env (List.map (fun locus -> plan_stmt env p locus s) loci)
 
 (* Multi-stage plans: split the product at a join boundary, materialize the
    (usually batch-derived) prefix as an intermediate at the location the
    suffix wants, and continue — the partial-join-then-repartition idiom of
    the Figure 5 programs. Replaces Gather∘Scatter round-trips of whole
-   views with one shuffle of a small intermediate. *)
-let rec best_plan st ~depth (s : Prog.stmt) =
-  let base = single_locus_plan st s in
-  if depth >= 1 || st.opts.level < 1 then base
-  else
-    match try_splits st ~depth s with
-    | Some (c2, d2) -> (
-        match base with
-        | Some (c1, _) when c1 <= c2 -> base
-        | _ -> Some (c2, d2))
-    | None -> base
-
-and try_splits st ~depth (s : Prog.stmt) =
+   views with one shuffle of a small intermediate. One plan per split
+   point, None where the split does not type or a half reads no map. *)
+let splits env p (s : Prog.stmt) =
   let gb, fs =
     match s.rhs with
     | Sum (g, b) -> (Some g, Divm_delta.Poly.factors b)
     | e -> (None, Divm_delta.Poly.factors e)
   in
+  let split i =
+    let prefix = Calc.prod (List.filteri (fun j _ -> j < i) fs) in
+    let suffix_fs = List.filteri (fun j _ -> j >= i) fs in
+    let suffix = Calc.prod suffix_fs in
+    if refs_of prefix = [] || refs_of suffix = [] then None
+    else
+      match Calc.schema ~bound:[] prefix with
+      | exception Type_error _ -> None
+      | psch -> (
+          let needed = Schema.union (Calc.all_vars suffix) s.target_vars in
+          let keep = Schema.inter psch needed in
+          match Calc.schema ~bound:keep suffix with
+          | exception Type_error _ -> None
+          | _ ->
+              let stage = fresh p (s.target ^ "_stage") in
+              (* co-partition the intermediate with the first suffix view
+                 it joins; replicate when no key fits (it is small) *)
+              let loc =
+                List.find_map
+                  (fun (m : map_access) ->
+                    match loc_of env (in_plan p) m.mname with
+                    | Loc.Dist pos ->
+                        Option.map
+                          (fun k -> Loc.Dist k)
+                          (positions_of (key_vars m.mvars pos) keep)
+                    | _ -> None)
+                  (refs_of suffix)
+                |> Option.value ~default:Loc.Replicated
+              in
+              let def = Calc.sum keep prefix in
+              let p = create p stage keep def loc [] in
+              let body =
+                Calc.prod (Map { mname = stage; mvars = keep } :: suffix_fs)
+              in
+              let rhs =
+                match gb with Some g -> Calc.sum g body | None -> body
+              in
+              let fill =
+                {
+                  Prog.target = stage;
+                  target_vars = keep;
+                  op = Prog.Assign;
+                  rhs = def;
+                }
+              in
+              Option.bind (single_locus env p fill) (fun p ->
+                  single_locus env p { s with rhs }))
+  in
   let n = List.length fs in
-  if n < 3 then None
-  else begin
-    let arr = Array.of_list fs in
-    let best = ref None in
-    for i = 1 to n - 1 do
-      let prefix = Calc.prod (Array.to_list (Array.sub arr 0 i)) in
-      let suffix_fs = Array.to_list (Array.sub arr i (n - i)) in
-      let suffix = Calc.prod suffix_fs in
-      if refs_of prefix <> [] && refs_of suffix <> [] then begin
-        match Calc.schema ~bound:[] prefix with
-        | exception Type_error _ -> ()
-        | psch -> (
-            let needed =
-              Schema.union (Calc.all_vars suffix) s.target_vars
-            in
-            let keep = Schema.inter psch needed in
-            match Calc.schema ~bound:keep suffix with
-            | exception Type_error _ -> ()
-            | _ ->
-                st.counter <- st.counter + 1;
-                let tname = Printf.sprintf "%s_stage%d" s.target st.counter in
-                (* co-partition the intermediate with the first suffix view
-                   it joins; replicate when no key fits (it is small) *)
-                let tloc =
-                  let rec pick = function
-                    | [] -> Loc.Replicated
-                    | (m : map_access) :: rest -> (
-                        match loc_of st m.mname with
-                        | Loc.Dist pos -> (
-                            match
-                              positions_of (key_vars m.mvars pos) keep
-                            with
-                            | Some p -> Loc.Dist p
-                            | None -> pick rest)
-                        | _ -> pick rest)
-                  in
-                  pick (refs_of suffix)
-                in
-                create st
-                  {
-                    Prog.mname = tname;
-                    mschema = keep;
-                    mkind = Prog.Transient;
-                    definition = Calc.sum keep prefix;
-                  }
-                  tloc;
-                let stmt1 =
-                  {
-                    Prog.target = tname;
-                    target_vars = keep;
-                    op = Prog.Assign;
-                    rhs = Calc.sum keep prefix;
-                  }
-                in
-                let body2 =
-                  Calc.prod (Map { mname = tname; mvars = keep } :: suffix_fs)
-                in
-                let rhs2 =
-                  match gb with Some g -> Calc.sum g body2 | None -> body2
-                in
-                let stmt2 = { s with rhs = rhs2 } in
-                match
-                  ( best_plan st ~depth:(depth + 1) stmt1,
-                    best_plan st ~depth:(depth + 1) stmt2 )
-                with
-                | Some (c1, d1), Some (c2, d2) -> (
-                    let c = add3 c1 c2 in
-                    match !best with
-                    | Some (bc, _) when bc <= c -> ()
-                    | _ -> best := Some (c, d1 @ d2))
-                | _ -> ())
-      end
-    done;
-    !best
-  end
+  if n < 3 then [] else List.init (n - 1) (fun i -> split (i + 1))
 
-let compile_stmt st (s : Prog.stmt) =
+(* The kept plan of one statement, its created maps numbered from
+   [next]. *)
+let plan_of env next (s : Prog.stmt) =
+  let p = { stmts = []; maps = []; next } in
   (* transient delta pre-aggregations are pinned where batches arrive *)
   let is_delta_def =
-    match Prog.find_map st.prog s.target with
+    match Prog.find_map env.prog s.target with
     | { Prog.mkind = Prog.Transient; _ } -> Calc.delta_rels s.rhs <> []
     | _ -> false
     | exception _ -> false
   in
-  if is_delta_def then [ Dprog.Compute s ]
+  if is_delta_def then extend p [ Dprog.Compute s ]
   else begin
     if Calc.delta_rels s.rhs <> [] then
       invalid_arg
         ("Distribute: statement of " ^ s.target
        ^ " reads the update batch directly; the distributed compiler needs \
           batch pre-aggregation (compile with preaggregate)");
-    match best_plan st ~depth:0 s with
-    | Some (_, dstmts) -> dstmts
+    let best =
+      if env.level = 0 then single_locus env p s
+      else cheapest env (single_locus env p s :: splits env p s)
+    in
+    match best with
+    | Some p -> p
     | None -> (
         (* fall back to full gather at the driver *)
-        match plan_stmt st LLocal s with
-        | Some (_, dstmts, _) -> dstmts
+        match plan_stmt env p LLocal s with
+        | Some p -> p
         | None -> failwith ("Distribute: no plan for stmt of " ^ s.target))
   end
 
@@ -493,7 +392,10 @@ let compile_stmt st (s : Prog.stmt) =
 (* CSE + DCE over transfers                                            *)
 (* ------------------------------------------------------------------ *)
 
-let cse_dce st dstmts =
+(* [kept] holds the kept plans' maps; the definitions of those a kept
+   statement writes are renamed as the statements are. *)
+let cse_dce env kept dstmts =
+  let find = Hashtbl.find_opt kept in
   (* forward pass: identical transfers — and identical assignments into
      transient intermediates — collapse to the first occurrence *)
   let subst = Hashtbl.create 8 in
@@ -501,6 +403,9 @@ let cse_dce st dstmts =
   let seen_assign = Hashtbl.create 8 in
   let resolve n =
     match Hashtbl.find_opt subst n with Some n' -> n' | None -> n
+  in
+  let rename =
+    rename_refs (fun (m : map_access) -> Hashtbl.find_opt subst m.mname)
   in
   let dstmts =
     List.filter_map
@@ -517,17 +422,12 @@ let cse_dce st dstmts =
                 Hashtbl.replace seen key t.tname;
                 Some (Dprog.Transfer { t with source }))
         | Dprog.Compute s -> (
-            let rhs =
-              rename_refs
-                (fun (m : map_access) -> Hashtbl.find_opt subst m.mname)
-                s.rhs
-            in
-            let s = { s with rhs } in
-            if s.op = Prog.Assign && transient st s.target then begin
+            let s = { s with rhs = rename s.rhs } in
+            if s.op = Prog.Assign && transient env find s.target then begin
               let key =
                 ( Calc.to_string s.rhs,
                   List.map (fun (v : Schema.var) -> v.name) s.target_vars,
-                  loc_of st s.target )
+                  loc_of env find s.target )
               in
               match Hashtbl.find_opt seen_assign key with
               | Some existing ->
@@ -540,13 +440,22 @@ let cse_dce st dstmts =
             else Some (Dprog.Compute s)))
       dstmts
   in
+  List.iter
+    (fun d ->
+      let w = Dprog.writes d in
+      Option.iter
+        (fun ((m : Prog.map_decl), loc) ->
+          let m = { m with definition = rename m.definition } in
+          Hashtbl.replace kept w (m, loc))
+        (find w))
+    dstmts;
   (* backward pass: drop writes to transients nobody reads *)
   let rec dce rev_stmts live =
     match rev_stmts with
     | [] -> []
     | d :: rest ->
         let w = Dprog.writes d in
-        if transient st w && not (List.mem w live) then dce rest live
+        if transient env find w && not (List.mem w live) then dce rest live
         else d :: dce rest (Dprog.reads d @ live)
   in
   List.rev (dce (List.rev dstmts) [])
@@ -569,22 +478,33 @@ let compile ?(options = default_options) ~catalog (prog : Prog.t) =
             | _ -> (n, l))
           catalog
   in
-  let st =
-    { opts = options; counter = 0; created = Hashtbl.create 64; catalog; prog }
+  let env = { level = options.level; catalog; prog } in
+  (* the maps of the kept plans; names are numbered along them *)
+  let kept = Hashtbl.create 64 in
+  let _, planned =
+    List.fold_left_map
+      (fun next (tr : Prog.trigger) ->
+        let next, plans =
+          List.fold_left_map
+            (fun next s ->
+              let p = plan_of env next s in
+              (p.next, p))
+            next tr.stmts
+        in
+        List.iter
+          (fun p -> List.iter (fun (n, e) -> Hashtbl.replace kept n e) p.maps)
+          plans;
+        let dstmts = List.concat_map (fun p -> List.rev p.stmts) plans in
+        ( next,
+          ( tr.relation,
+            if options.level >= 3 then cse_dce env kept dstmts else dstmts ) ))
+      1 prog.triggers
   in
-  let planned =
-    List.map
-      (fun (tr : Prog.trigger) ->
-        let dstmts = List.concat_map (compile_stmt st) tr.stmts in
-        ( tr.relation,
-          if options.level >= 3 then cse_dce st dstmts else dstmts ))
-      prog.triggers
-  in
-  (* declare, in first-use order, the created maps the kept plan names:
-     each entry leaves the table when it is first named *)
+  (* declare, in first-use order, the created maps the kept statements
+     name: each entry leaves the table when it is first named *)
   let take n =
-    let e = Hashtbl.find_opt st.created n in
-    Hashtbl.remove st.created n;
+    let e = Hashtbl.find_opt kept n in
+    Hashtbl.remove kept n;
     e
   in
   let created =

@@ -32,7 +32,12 @@ val default_options : options
 (** [compile ~catalog prog] requires [prog] to be pre-aggregated (no raw
     delta atom outside transient definitions) and raises [Invalid_argument]
     naming the offending statement's target otherwise. The catalog gives
-    locations for [prog]'s maps. Of the maps the planner creates while it
-    tries candidate plans, the program declares and locates exactly those
-    its statements and transfers name. *)
+    locations for [prog]'s maps. Each statement is planned on its own,
+    and a candidate plan is a value: a losing candidate leaves no map
+    behind, and the names of created maps are numbered from 1 along the
+    kept plans only (on Q17 the first is [DELTA_lineitem_1_repart1]). Of
+    those maps the program declares and locates exactly the ones its
+    statements and transfers name, and a declared map's definition names
+    only declared maps. Compiling the same program twice gives equal
+    programs. *)
 val compile : ?options:options -> catalog:Loc.catalog -> Prog.t -> Dprog.t

@@ -28,7 +28,8 @@ type t = {
       (** the local program's map declarations, then those of the maps the
           distributed compiler created (transfer destinations, partial
           results, stage intermediates) that a statement or transfer
-          names, in first-use order *)
+          names, in first-use order. Every declared map's definition
+          names only declared maps. *)
   locs : Loc.catalog;
       (** one location per created map of [base], then the catalog's
           locations of the local program's maps *)
