@@ -363,7 +363,7 @@ let derive st (m : Prog.map_decl) rel =
     let rhss =
       List.map
         (fun mono -> sum m.mschema (mat_mono st ~ctx:m.mschema ~bound:[] mono))
-        (Poly.monomials d.expr)
+        (Poly.merge ~bound:[] (Poly.monomials d.expr))
     in
     (* A statement's RHS reads pre-update map state; if any monomial reads
        the target itself, all monomials must apply atomically — merge them

@@ -39,6 +39,20 @@ let priority e =
   | _ when Calc.has_deltas e -> 3
   | _ -> 4
 
+(* The variables bound before each factor when [fs] evaluate left to
+   right from [bound]. *)
+let bound_before ~bound fs =
+  List.fold_left
+    (fun (acc, b) f ->
+      let b' =
+        match Calc.schema ~bound:b f with
+        | s -> Schema.union b s
+        | exception Type_error _ -> b
+      in
+      (b :: acc, b'))
+    ([], bound) fs
+  |> fst |> List.rev
+
 let reorder ~bound ?orig fs =
   (* Boundness of each factor's variables at its position in the input
      order; Lift/Exists semantics depend on it (a lift over a bound
@@ -48,18 +62,7 @@ let reorder ~bound ?orig fs =
      reference boundness per factor when the caller knows the semantic
      context the factor came from (e.g. after materialization rewrote the
      product around it). *)
-  let input_bound =
-    List.fold_left
-      (fun (acc, b) f ->
-        let b' =
-          match Calc.schema ~bound:b f with
-          | s -> Schema.union b s
-          | exception Type_error _ -> b
-        in
-        (acc @ [ b ], b'))
-      ([], bound) fs
-    |> fst
-  in
+  let input_bound = bound_before ~bound fs in
   let orig_bound =
     match orig with
     | None -> input_bound
@@ -111,3 +114,73 @@ let reorder ~bound ?orig fs =
             go bound (f :: acc) (List.filter (fun (j, _) -> j <> i) remaining))
   in
   go bound [] indexed
+
+(* A monomial as its projection, coefficient and remaining factors, with
+   an order-independent hash of the factors that rules most pairs out
+   before any comparison. *)
+type term = {
+  mono : expr;
+  gb : Schema.t option;
+  coef : float;
+  fs : expr list;
+  hash : int;
+  bound_at : Schema.t list Lazy.t;
+}
+
+let term ~bound m =
+  let gb, body = match m with Sum (gb, q) -> (Some gb, q) | q -> (None, q) in
+  let coef, fs =
+    match factors body with Const c :: fs -> (c, fs) | fs -> (1., fs)
+  in
+  {
+    mono = m;
+    gb;
+    coef;
+    fs;
+    hash = List.fold_left (fun h f -> h + Hashtbl.hash f) 0 fs;
+    bound_at = lazy (bound_before ~bound fs);
+  }
+
+(* The same factors up to order, each Lift matched with one that has the
+   same of its variables bound at its position. *)
+let same_factors a b =
+  let with_bound t = List.combine t.fs (Lazy.force t.bound_at) in
+  let rec go gs = function
+    | [] -> true
+    | (f, bf) :: fs -> (
+        let matches (g, bg) =
+          Calc.equal f g
+          &&
+          match f with
+          | Lift _ ->
+              let vs = Calc.all_vars f in
+              Schema.equal_as_sets (Schema.inter vs bf) (Schema.inter vs bg)
+          | _ -> true
+        in
+        match List.find_opt matches gs with
+        | None -> false
+        | Some m -> go (List.filter (( != ) m) gs) fs)
+  in
+  go (with_bound b) (with_bound a)
+
+let equal a b =
+  a.hash = b.hash
+  && List.compare_lengths a.fs b.fs = 0
+  && Option.equal (List.equal Schema.var_equal) a.gb b.gb
+  && same_factors a b
+
+let merge ~bound ms =
+  let rec group = function
+    | [] -> []
+    | t :: rest -> (
+        match List.partition (equal t) rest with
+        | [], _ -> t.mono :: group rest
+        | same, rest ->
+            let c = List.fold_left (fun c u -> c +. u.coef) t.coef same in
+            if Calc.is_zero (Const c) then group rest
+            else
+              let p = Calc.prod (Const c :: t.fs) in
+              (match t.gb with Some gb -> Calc.sum gb p | None -> p)
+              :: group rest)
+  in
+  group (List.map (term ~bound) ms)

@@ -28,3 +28,11 @@ val reorder :
   ?orig:Divm_ring.Schema.t option list ->
   Calc.expr list ->
   Calc.expr list option
+
+(** [merge ~bound ms] sums the coefficients of monomials that are equal up
+    to the order of their factors, compared with [Calc.equal], where each
+    [Lift] sees the same bound variables at its position ([bound] is the
+    context the monomials are evaluated in). The sum takes the place of the
+    first monomial of its group and is dropped when it is zero; a monomial
+    equal to no other is returned as it was, in its place. *)
+val merge : bound:Divm_ring.Schema.t -> Calc.expr list -> Calc.expr list

@@ -158,6 +158,10 @@ let result_loc locus target_vars ~has_random =
         | Some pos -> Loc.Dist pos
         | None -> Loc.Random)
 
+(* [expr] with each map reference [find] names renamed. A node none of
+   whose children changed is returned itself, so the renamed expression
+   shares its unchanged subtrees with [expr] (and [Init] marshals them
+   once). *)
 let rename_refs find expr =
   let rec go e =
     match e with
@@ -165,12 +169,18 @@ let rename_refs find expr =
         match find m with
         | Some n -> Map { m with mname = n }
         | None -> e)
-    | Lift (v, q) -> Lift (v, go q)
-    | Exists q -> Exists (go q)
-    | Sum (gb, q) -> Sum (gb, go q)
-    | Prod es -> Prod (List.map go es)
-    | Add es -> Add (List.map go es)
+    | Lift (v, q) -> keep1 e q (fun q -> Lift (v, q))
+    | Exists q -> keep1 e q (fun q -> Exists q)
+    | Sum (gb, q) -> keep1 e q (fun q -> Sum (gb, q))
+    | Prod es -> keep_list e es (fun es -> Prod es)
+    | Add es -> keep_list e es (fun es -> Add es)
     | e -> e
+  and keep1 e q mk =
+    let q' = go q in
+    if q' == q then e else mk q'
+  and keep_list e es mk =
+    let es' = List.map go es in
+    if List.for_all2 ( == ) es es' then e else mk es'
   in
   go expr
 

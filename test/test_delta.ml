@@ -10,6 +10,7 @@ let va = Schema.var "A"
 let vb = Schema.var "B"
 let vc = Schema.var "C"
 let vx = Schema.var "X"
+let vy = Schema.var "Y"
 
 let src_of ~rels ~deltas =
   let find tbl n =
@@ -200,6 +201,21 @@ let qcheck_delta_invariant =
       ( "self-join",
         sum [ va ] (prod [ rel "R" [ va; vb ]; rel "R" [ vc; vb ] ]),
         `R );
+      (* Q17's shape: the update reaches the product both through R and
+         through two lifts over R correlated on B, so a nonzero ΔR(A,B)
+         meets the lifts after the update. *)
+      ( "two lifts over the updated relation",
+        sum []
+          (prod
+             [
+               rel "R" [ va; vb ];
+               lift vx
+                 (sum [ vb ] (prod [ rel "R" [ vc; vb ]; value (Vexpr.var vc) ]));
+               lift vy (sum [ vb ] (rel "R" [ vc; vb ]));
+               cmp Gt (Vexpr.var vx) (Vexpr.Mul (Vexpr.var va, Vexpr.var vy));
+               value (Vexpr.var va);
+             ]),
+        `R );
     ]
   in
   let arb =
@@ -297,6 +313,50 @@ let test_reorder_preserves_semantics () =
       let v2 = Interp.eval_scalar src (sum [] (prod fs')) in
       Alcotest.(check (float 1e-9)) "same value" v1 v2
 
+(* Merging equal monomials: terms equal up to factor order add up or
+   cancel, and a lift that iterates its groups in one term and is looked
+   up in the other keeps both terms. Each merge keeps the value. *)
+let test_merge_monomials () =
+  let r = rel "R" [ va; vb ] and s = rel "S" [ vb; vc ] in
+  let cnt = lift vx (sum [ vb ] (rel "S" [ vb; vc ])) in
+  (* R's B = 30 has no S group: the lookup gives it X = 0, the iteration
+     no row. *)
+  let rels = [ ("R", mk_r [ (1, 10, 1.); (4, 30, 1.) ]); ("S", db_s ()) ] in
+  let src = src_of ~rels ~deltas:[] in
+  List.iter
+    (fun (msg, e, n) ->
+      let ms = Poly.merge ~bound:[] (Poly.monomials e) in
+      Alcotest.(check int) (msg ^ ": monomials") n (List.length ms);
+      let _, want = Interp.eval_closed src e in
+      let _, got = Interp.eval_closed src (add ms) in
+      if not (Gmr.equal want got) then Alcotest.failf "%s: value changed" msg)
+    [
+      ("cancel", add [ prod [ r; s ]; neg (prod [ s; r ]) ], 0);
+      ( "add up",
+        sum [ va ]
+          (add [ prod [ r; exists (sum [ vb ] s) ]; prod [ exists (sum [ vb ] s); r ] ]),
+        1 );
+      ("lift boundness", add [ prod [ cnt; r ]; neg (prod [ r; cnt ]) ], 2);
+    ]
+
+(* The product rule keeps each lift whole and equal monomials merge, so
+   Q17's lineitem trigger writes Q17 in three statements: the batch's rows
+   against the new sum and count, and new minus old for the rows whose
+   sum and count the batch changes (seventeen under the Leibniz rule). *)
+let test_q17_lineitem_writes () =
+  let module Workload = Divm_workload.Workload in
+  let prog = Workload.compile (Workload.find "Q17") in
+  let tr =
+    List.find
+      (fun (tr : Divm_compiler.Prog.trigger) -> tr.relation = "lineitem")
+      prog.triggers
+  in
+  Alcotest.(check int) "statements writing Q17" 3
+    (List.length
+       (List.filter
+          (fun (st : Divm_compiler.Prog.stmt) -> st.target = "Q17")
+          tr.stmts))
+
 let suites =
   [
     ( "delta",
@@ -317,5 +377,9 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_monomials_equiv;
         Alcotest.test_case "reorder preserves semantics" `Quick
           test_reorder_preserves_semantics;
+        Alcotest.test_case "merge sums equal monomials" `Quick
+          test_merge_monomials;
+        Alcotest.test_case "Q17's lineitem trigger writes Q17 3 times" `Quick
+          test_q17_lineitem_writes;
       ] );
   ]

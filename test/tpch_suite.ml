@@ -15,15 +15,18 @@ let all_queries =
 
 (* The stream with every batch retracted [k] batches later (after the
    last insert, the remaining ones in order): about half the rows are
-   deletes, and keys cancel to zero and leave pools. *)
-let with_retractions ~k stream =
+   deletes, and keys cancel to zero and leave pools. [retract], given a
+   batch's position, narrows the retractions to the batches it holds. *)
+let with_retractions ?(retract = fun _ -> true) ~k stream =
   let a = Array.of_list stream in
   let n = Array.length a in
   let neg (rel, b) = (rel, Gmr.scale b (-1.)) in
   List.concat
     (List.init (n + k) (fun i ->
          (if i < n then [ a.(i) ] else [])
-         @ if i >= k && i - k < n then [ neg a.(i - k) ] else []))
+         @
+         if i >= k && i - k < n && retract (i - k) then [ neg a.(i - k) ]
+         else []))
 
 (* The base contents a stream leaves behind, per relation: what the
    reference interpreter re-evaluates every view over. *)
