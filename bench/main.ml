@@ -365,7 +365,8 @@ let table2 () =
 (* Fig. 5 + Table 3: distributed program structure                     *)
 (* ------------------------------------------------------------------ *)
 
-let dist_prog ?(level = 3) ?(delta_at = `Workers) (q : Tpch.Queries.t) =
+let dist_prog ?(level = Distribute.default_options.level) ?(delta_at = `Workers)
+    (q : Tpch.Queries.t) =
   let prog = compile_tpch q in
   let catalog = Loc.heuristic ~keys:Tpch.Schema.partition_keys prog in
   Distribute.compile ~options:{ Distribute.level; delta_at } ~catalog prog
@@ -452,8 +453,8 @@ let measured_rel q =
 
 (* Feed the stream into the cluster; collect modeled metrics of the measured
    relation's batches. *)
-let cluster_run ?(level = 3) ~workers ~batch q =
-  let dp = dist_prog ~level (Tpch.Queries.find q) in
+let cluster_run ?level ~workers ~batch q =
+  let dp = dist_prog ?level (Tpch.Queries.find q) in
   let c = Cluster.create ~config:(Cluster.config ~workers ()) dp in
   let need = 3 * batch in
   let scale = Float.max 1.0 (float_of_int need /. 6000. *. 1.15) in
@@ -625,6 +626,7 @@ let fig13 () =
         (1, "O1 +simplification");
         (2, "O2 +block fusion");
         (3, "O3 +CSE/DCE");
+        (4, "O4 +keyed dealing");
       ]
   in
   B.print_table
@@ -646,7 +648,7 @@ let fig13 () =
           string_of_int
             (match ms with m :: _ -> m.Cluster.stages | [] -> 0);
         ])
-      [ 0; 1; 2; 3 ]
+      [ 0; 1; 2; 3; 4 ]
   in
   B.print_table ~title:"Fig 13 (mechanism) — bytes shuffled and stages per batch at W=8"
     ~header:[ "level"; "shuffled/batch"; "stages" ] rows2

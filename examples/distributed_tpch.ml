@@ -30,7 +30,7 @@ let () =
           bytes := !bytes + m.Cluster.bytes_shuffled;
           if rel = "lineitem" then lats := m.Cluster.latency :: !lats)
         stream;
-      Cluster.check_replicas c;
+      Cluster.check_placement c;
       let sorted = List.sort compare !lats in
       let median = List.nth sorted (List.length sorted / 2) in
       Printf.printf "%8d %10d %10.1fms %8dKB %12d\n" workers

@@ -94,8 +94,9 @@ let transfer_of wk idx =
   wk.wtransfers.(idx)
 
 (* The worker a keyed transfer sends [tup] to: the hash partition of its
-   key columns. (An empty key broadcasts to every worker instead.) *)
-let dest ~key ~parts tup = Divm_ring.Vtuple.hash_at tup key mod parts
+   key columns, where a keyed deal sends a batch row. (An empty key
+   broadcasts to every worker instead.) *)
+let dest = Colbatch.dest
 
 (* The one walk by which rows leave a pool, whoever sends them and
    wherever they go: a repartition's buffers, a scatter through the
@@ -396,6 +397,7 @@ type plan = {
   calls : call array; (* per step *)
   driver : Runtime.blocks; (* [Dprog.driver_blocks], on the driver *)
   scatter : Runtime.scatter option; (* share layout; [None]: no Δ read *)
+  deal : int option; (* the column shares are dealt on; [None]: round-robin *)
 }
 
 (* Registry instruments of one executor, named after its transport. The
@@ -573,6 +575,7 @@ let make ~cost ~workers ~local tp (dp : Dprog.t) =
         calls;
         driver = Runtime.compile_blocks driver ~rel:trigger runs;
         scatter;
+        deal = dtr.deal;
       } )
   in
   (* Batches live at the workers when the delta pre-aggregations do. *)
@@ -818,15 +821,16 @@ let apply_batch t ~rel batch =
   let rt0 = Obs.Counter.value m.round_trips in
   Obs.span (tp.name ^ ":" ^ rel) @@ fun () ->
   (* Deal the batch into column shares carrying only the columns the
-     workers' blocks read; it lives at the workers when the delta
-     pre-aggregations do, otherwise the driver keeps it and workers that
-     read Δ see none. The shares ride the first stage's call. *)
+     workers' blocks read, round-robin or on the trigger's deal column;
+     it lives at the workers when the delta pre-aggregations do,
+     otherwise the driver keeps it and workers that read Δ see none. The
+     shares ride the first stage's call. *)
   let shares = ref None in
   (match plan.scatter with
   | Some sc ->
       let shipped = if t.delta_at_workers then batch else Gmr.create () in
       Obs.Counter.add m.scattered (Gmr.cardinal shipped);
-      shares := Some (Runtime.deal sc ~parts:w shipped)
+      shares := Some (Runtime.deal sc ?key:plan.deal ~parts:w shipped)
   | None -> ());
   Runtime.set_batch t.driver plan.driver
     (Runtime.Rows (if t.delta_at_workers then Gmr.create () else batch));
@@ -1037,22 +1041,30 @@ let storage_stats t =
       (fun (n, s) -> ("w0/" ^ n, s))
       (Runtime.storage_stats t.local.(0).wrt)
 
-let check_replicas t =
+let check_placement t =
+  let fail fmt = Printf.ksprintf failwith ("Cluster.check_placement: " ^^ fmt) in
+  let parts name = pull t [| name |] (all_workers t) in
   List.iter
     (fun (m : Prog.map_decl) ->
       match Loc.find t.dprog.locs m.mname with
       | Loc.Replicated ->
-          let parts = pull t [| m.mname |] (all_workers t) in
+          let parts = parts m.mname in
           let first = Colbatch.to_gmr parts.(0).(0) in
           Array.iteri
             (fun wi cbs ->
               if not (Gmr.equal first (Colbatch.to_gmr cbs.(0))) then
-                failwith
-                  (Printf.sprintf
-                     "Cluster.check_replicas: %s diverges on worker %d" m.mname
-                     wi))
+                fail "%s diverges on worker %d" m.mname wi)
             parts
-      | _ -> ())
+      | Loc.Dist key ->
+          Array.iteri
+            (fun wi cbs ->
+              Colbatch.iter_rows cbs.(0) (fun row _ ->
+                  let d = dest ~key ~parts:t.workers row in
+                  if d <> wi then
+                    fail "%s holds %s on worker %d; its key hashes to worker %d"
+                      m.mname (Divm_ring.Vtuple.to_string row) wi d))
+            (parts m.mname)
+      | Loc.Local | Loc.Random -> ())
     t.dprog.base.maps
 
 (* ------------------------------------------------------------------ *)

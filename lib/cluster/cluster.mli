@@ -250,10 +250,13 @@ val of_transport : cost:Costmodel.t -> workers:int -> transport -> Dprog.t -> t
 val workers : t -> int
 
 (** Process one batch through the trigger of [rel]. Each batch is
-    transposed once and dealt round-robin to the workers as column
-    shares ({!Divm_runtime.Runtime.deal}: only the columns the workers'
-    blocks read) unless the program was compiled with deltas at the
-    driver. Distributed blocks run on every worker, then barrier.
+    transposed once and dealt to the workers as column shares
+    ({!Divm_runtime.Runtime.deal}: only the columns the workers' blocks
+    read) unless the program was compiled with deltas at the driver:
+    on the trigger's [deal] column when it has one (a row goes to
+    worker {!Divm_storage.Colbatch.dest} of that column, where every
+    keyed transfer sends a row), round-robin otherwise. Distributed
+    blocks run on every worker, then barrier.
     Distributed-to-distributed transfers run as direct shuffles
     ([Shuffle]); gathers and transfers from local or
     replicated sources go through the driver, where that data lives.
@@ -278,9 +281,12 @@ val result : t -> string -> Gmr.t
     are symmetric modulo hashing skew. Cold path. *)
 val storage_stats : t -> (string * Divm_storage.Pool.stats) list
 
-(** Consistency check: replicated maps hold identical contents on every
-    worker. Raises [Failure] when violated. *)
-val check_replicas : t -> unit
+(** Consistency check of where maps live: replicated maps hold identical
+    contents on every worker, and a map located [Dist key] holds on
+    worker [w] only rows whose {!Divm_storage.Colbatch.dest} of [key] is
+    [w] — the worker a keyed transfer, or a keyed deal, sends them to.
+    Raises [Failure] naming the map and the worker when violated. *)
+val check_placement : t -> unit
 
 (** {1 Fault tolerance}
 

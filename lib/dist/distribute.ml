@@ -5,7 +5,7 @@ open Divm_compiler
 
 type options = { level : int; delta_at : [ `Workers | `Driver ] }
 
-let default_options = { level = 3; delta_at = `Workers }
+let default_options = { level = 4; delta_at = `Workers }
 
 type locus = LLocal | LKey of Schema.t | LRepl | LRandom
 
@@ -471,6 +471,141 @@ let cse_dce env kept dstmts =
   List.rev (dce (List.rev dstmts) [])
 
 (* ------------------------------------------------------------------ *)
+(* One trigger                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The plan of one trigger, as a value: its statements (after CSE and DCE
+   from level 3), the maps its kept plans created with their declarations
+   and locations, the next free name number, and where its batch is dealt:
+   on a stream column, with the pre-aggregations that moved with it, or
+   round-robin. *)
+type tplan = {
+  dstmts : Dprog.dstmt list;
+  made : (string, Prog.map_decl * Loc.t) Hashtbl.t;
+  tnext : int;
+  deal : int option;
+  moved : Loc.catalog;
+}
+
+let plan_trigger ?deal ?(moved = []) env next (tr : Prog.trigger) =
+  let tnext, plans =
+    List.fold_left_map
+      (fun next s ->
+        let p = plan_of env next s in
+        (p.next, p))
+      next tr.stmts
+  in
+  let made = Hashtbl.create 16 in
+  List.iter
+    (fun p -> List.iter (fun (n, e) -> Hashtbl.replace made n e) p.maps)
+    plans;
+  let dstmts = List.concat_map (fun p -> List.rev p.stmts) plans in
+  let dstmts = if env.level >= 3 then cse_dce env made dstmts else dstmts in
+  { dstmts; made; tnext; deal; moved }
+
+let blocks_of level locs dstmts =
+  let blocks = Dprog.promote locs dstmts in
+  if level >= 2 then Dprog.fuse blocks else blocks
+
+(* A trigger plan's round trips per batch, after fusion, then its
+   transfers. *)
+let score env tp =
+  let locs = Hashtbl.fold (fun n (_, l) acc -> (n, l) :: acc) tp.made env.catalog in
+  let steps =
+    Dprog.steps
+      { drelation = ""; blocks = blocks_of env.level locs tp.dstmts; deal = None }
+  in
+  ( Dprog.round_trips locs steps (Dprog.calls locs steps),
+    List.length
+      (List.filter (function Dprog.Transfer _ -> true | _ -> false) tp.dstmts) )
+
+(* ------------------------------------------------------------------ *)
+(* Level 4: deal each batch on the key its trigger repartitions by     *)
+(* ------------------------------------------------------------------ *)
+
+(* The stream column a pre-aggregation's variable [v] holds: its position
+   in each delta atom of the definition [def], when every atom has it at
+   the same position and no lift binds it. *)
+let batch_column def (v : Schema.var) =
+  let at = ref [] and lifted = ref false in
+  let rec go = function
+    | DeltaRel r ->
+        at :=
+          List.find_index (fun (u : Schema.var) -> u.name = v.name) r.rvars
+          :: !at
+    | Lift (u, q) ->
+        if u.name = v.name then lifted := true;
+        go q
+    | Exists q | Sum (_, q) -> go q
+    | Prod es | Add es -> List.iter go es
+    | _ -> ()
+  in
+  go def;
+  match !at with
+  | Some c :: rest when (not !lifted) && List.for_all (( = ) (Some c)) rest ->
+      Some c
+  | _ -> None
+
+(* The trigger's pre-aggregations of the batch that live where it
+   arrives, on the workers at random. *)
+let preaggs env (tr : Prog.trigger) =
+  List.filter_map
+    (fun (s : Prog.stmt) ->
+      match Prog.find_map env.prog s.target with
+      | { Prog.mkind = Prog.Transient; _ } as m
+        when Calc.delta_rels s.rhs <> []
+             && Loc.equal (Loc.find env.catalog s.target) Loc.Random ->
+          Some m
+      | _ -> None
+      | exception _ -> None)
+    tr.stmts
+
+(* The stream columns on which [dstmts] repartition a pre-aggregation of
+   [pre], ascending. *)
+let deal_candidates pre dstmts =
+  List.sort_uniq compare
+    (List.filter_map
+       (function
+         | Dprog.Transfer { tkind = Dprog.Repart; key = [| k |]; source; _ } ->
+             Option.bind
+               (List.find_opt (fun (m : Prog.map_decl) -> m.mname = source) pre)
+               (fun (m : Prog.map_decl) ->
+                 batch_column m.definition (List.nth m.mschema k))
+         | _ -> None)
+       dstmts)
+
+(* Where a batch dealt on column [c] leaves each pre-aggregation: one that
+   groups by the column is partitioned on it; any other stays random,
+   since a hash partition of the batch is still a random one. *)
+let dealt_on pre c =
+  List.filter_map
+    (fun (m : Prog.map_decl) ->
+      Option.map
+        (fun i -> (m.mname, Loc.Dist [| i |]))
+        (List.find_index (fun v -> batch_column m.definition v = Some c) m.mschema))
+    pre
+
+(* The trigger's plan: from level 4, the best of dealing its batch on each
+   column its level-3 plan repartitions a pre-aggregation on, re-planned
+   with the pre-aggregations that move, when it makes fewer round trips
+   per batch than the level-3 plan, or as many and fewer transfers. *)
+let plan_dealt env next tr =
+  let l3 = plan_trigger env next tr in
+  let pre = if env.level >= 4 then preaggs env tr else [] in
+  match deal_candidates pre l3.dstmts with
+  | [] -> l3
+  | cs ->
+      snd
+        (List.fold_left
+           (fun (best, bp) c ->
+             let moved = dealt_on pre c in
+             let env = { env with catalog = moved @ env.catalog } in
+             let tp = plan_trigger ~deal:c ~moved env next tr in
+             let s = score env tp in
+             if s < best then (s, tp) else (best, bp))
+           (score env l3, l3) cs)
+
+(* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -489,27 +624,22 @@ let compile ?(options = default_options) ~catalog (prog : Prog.t) =
           catalog
   in
   let env = { level = options.level; catalog; prog } in
-  (* the maps of the kept plans; names are numbered along them *)
-  let kept = Hashtbl.create 64 in
+  (* names of created maps are numbered along the kept plans *)
   let _, planned =
     List.fold_left_map
       (fun next (tr : Prog.trigger) ->
-        let next, plans =
-          List.fold_left_map
-            (fun next s ->
-              let p = plan_of env next s in
-              (p.next, p))
-            next tr.stmts
-        in
-        List.iter
-          (fun p -> List.iter (fun (n, e) -> Hashtbl.replace kept n e) p.maps)
-          plans;
-        let dstmts = List.concat_map (fun p -> List.rev p.stmts) plans in
-        ( next,
-          ( tr.relation,
-            if options.level >= 3 then cse_dce env kept dstmts else dstmts ) ))
+        let tp = plan_dealt env next tr in
+        (tp.tnext, (tr.relation, tp)))
       1 prog.triggers
   in
+  let moved = List.concat_map (fun (_, tp) -> tp.moved) planned in
+  let catalog =
+    List.map
+      (fun (n, l) -> (n, Option.value ~default:l (List.assoc_opt n moved)))
+      catalog
+  in
+  let kept = Hashtbl.create 64 in
+  List.iter (fun (_, tp) -> Hashtbl.iter (Hashtbl.replace kept) tp.made) planned;
   (* declare, in first-use order, the created maps the kept statements
      name: each entry leaves the table when it is first named *)
   let take n =
@@ -519,10 +649,10 @@ let compile ?(options = default_options) ~catalog (prog : Prog.t) =
   in
   let created =
     List.concat_map
-      (fun (_, dstmts) ->
+      (fun (_, tp) ->
         List.concat_map
           (fun d -> List.filter_map take (Dprog.writes d :: Dprog.reads d))
-          dstmts)
+          tp.dstmts)
       planned
   in
   let locs =
@@ -530,10 +660,12 @@ let compile ?(options = default_options) ~catalog (prog : Prog.t) =
   in
   let dtriggers =
     List.map
-      (fun (drelation, dstmts) ->
-        let blocks = Dprog.promote locs dstmts in
-        let blocks = if options.level >= 2 then Dprog.fuse blocks else blocks in
-        { Dprog.drelation; blocks })
+      (fun (drelation, tp) ->
+        {
+          Dprog.drelation;
+          blocks = blocks_of options.level locs tp.dstmts;
+          deal = tp.deal;
+        })
       planned
   in
   {

@@ -12,21 +12,34 @@
     and away from [Gather], the paper's heuristics); the naive [level 0]
     annotator mimics the pre-optimization plans of Example 4.1.
 
-    Optimization levels (the Figure 13 ablation):
+    Optimization levels (the Figure 13 ablation, then one step past it):
     - 0: naive bottom-up annotation;
     - 1: + locus optimization / transformer simplification;
     - 2: + block fusion (Appendix C.3);
-    - 3: + transfer CSE and dead-code elimination. *)
+    - 3: + transfer CSE and dead-code elimination;
+    - 4: + keyed dealing. The paper's batches arrive at the workers at
+      random. Here the coordinator holds each batch and deals it, so it
+      can deal it on a key for the cost of one hash per row. For each
+      trigger, every stream column on which the level-3 plan repartitions
+      a pre-aggregation is a candidate. The pre-aggregations that group
+      by that column start partitioned on it, and the trigger is planned
+      again. A candidate is kept when the trigger then makes fewer round
+      trips per batch ({!Dprog.round_trips}, after CSE, DCE and fusion),
+      or as many and fewer transfers. {!Dprog.dtrigger}'s [deal] records
+      the column, and the program's locations the pre-aggregations that
+      moved. Levels 0–3 plan as before. *)
 
 open Divm_compiler
 
 type options = {
-  level : int;  (** 0–3 *)
+  level : int;  (** 0–4 *)
   delta_at : [ `Workers | `Driver ];
       (** where update batches arrive: pre-partitioned across workers (the
           experiments of §6.2) or at the driver (the Figure 5 listing) *)
 }
 
+(** Level 4, batches at the workers: what {!Divm_workload.Workload}'s
+    [distribute] and the engine use unless told otherwise. *)
 val default_options : options
 
 (** [compile ~catalog prog] requires [prog] to be pre-aggregated (no raw

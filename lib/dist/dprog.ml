@@ -15,7 +15,7 @@ type dstmt = Compute of Prog.stmt | Transfer of transfer
 type mode = MLocal | MDist
 
 type block = { bmode : mode; bstmts : dstmt list }
-type dtrigger = { drelation : string; blocks : block list }
+type dtrigger = { drelation : string; blocks : block list; deal : int option }
 type t = { base : Prog.t; locs : Loc.catalog; dtriggers : dtrigger list }
 
 let writes = function
@@ -148,10 +148,20 @@ let pp_dstmt locs ppf s =
       Format.fprintf ppf "%-11s %s := %s%a { %s }" mode tname kw pp_key key
         source
 
+let deal_column t tr =
+  Option.map
+    (fun c ->
+      (List.nth (List.assoc tr.drelation t.base.streams) c : Divm_ring.Schema.var)
+        .name)
+    tr.deal
+
 let pp ppf t =
   List.iter
     (fun tr ->
-      Format.fprintf ppf "@[<v>ON UPDATE %s:@ " tr.drelation;
+      Format.fprintf ppf "@[<v>ON UPDATE %s%s:@ " tr.drelation
+        (match deal_column t tr with
+        | Some v -> " (batch dealt on " ^ v ^ ")"
+        | None -> "");
       List.iteri
         (fun i b ->
           Format.fprintf ppf "-- block %d (%s)@ " i

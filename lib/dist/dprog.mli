@@ -21,7 +21,15 @@ type dstmt = Compute of Prog.stmt | Transfer of transfer
 type mode = MLocal | MDist
 
 type block = { bmode : mode; bstmts : dstmt list }
-type dtrigger = { drelation : string; blocks : block list }
+
+type dtrigger = {
+  drelation : string;
+  blocks : block list;
+  deal : int option;
+      (** the batch column the trigger's update batches are dealt on: a
+          row goes to worker [Vtuple.hash_at row [|c|] mod workers], the
+          hash partition every keyed transfer uses. [None]: round-robin. *)
+}
 
 type t = {
   base : Prog.t;
@@ -32,7 +40,9 @@ type t = {
           names only declared maps. *)
   locs : Loc.catalog;
       (** one location per created map of [base], then the catalog's
-          locations of the local program's maps *)
+          locations of the local program's maps, with the
+          pre-aggregations of a trigger dealt on a key partitioned on
+          it *)
   dtriggers : dtrigger list;
 }
 
@@ -62,6 +72,11 @@ val promote : Loc.catalog -> dstmt list -> block list
 val jobs_and_stages : t -> string -> int * int
 
 val find_trigger : t -> string -> dtrigger
+
+(** The name of the stream column the trigger's batches are dealt on
+    ([deal]), or [None] for round-robin. *)
+val deal_column : t -> dtrigger -> string option
+
 val pp_dstmt : Loc.catalog -> Format.formatter -> dstmt -> unit
 val pp : Format.formatter -> t -> unit
 

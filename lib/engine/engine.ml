@@ -19,8 +19,8 @@ type config = {
   preaggregate : bool;
 }
 
-let config ?(backend = Local) ?domains ?(batch_size = 1000) ?(opt_level = 3)
-    ?(preaggregate = true) () =
+let config ?(backend = Local) ?domains ?(batch_size = 1000)
+    ?(opt_level = Distribute.default_options.level) ?(preaggregate = true) () =
   { backend; domains; batch_size; opt_level; preaggregate }
 
 let default_config = config ()

@@ -40,7 +40,8 @@ type config = {
           parallelism is the worker processes. [None] defers to
           [DIVM_DOMAINS]. *)
   batch_size : int;  (** for front ends that synthesize streams *)
-  opt_level : int;  (** distributed optimization level 0–3 (Fig. 13) *)
+  opt_level : int;
+      (** distributed optimization level 0–4 ({!Divm_dist.Distribute.options}) *)
   preaggregate : bool;  (** §3.3 batch pre-aggregation *)
 }
 
@@ -52,8 +53,8 @@ val config :
   ?preaggregate:bool ->
   unit ->
   config
-(** Defaults: [Local], [batch_size = 1000], [opt_level = 3],
-    pre-aggregation on. *)
+(** Defaults: [Local], [batch_size = 1000], [opt_level] the distributed
+    compiler's default (4), pre-aggregation on. *)
 
 val default_config : config
 

@@ -229,9 +229,12 @@ let parse_common ?(defaults = Engine.default_config) () =
   let level_t =
     Arg.(
       value
-      & opt (some (int_within ~hi:3 0)) None
+      & opt (some (int_within ~hi:4 0)) None
       & info [ "opt-level" ] ~docv:"L"
-          ~doc:"Distributed optimization level 0\xE2\x80\x933 (Fig. 13).")
+          ~doc:
+            "Distributed optimization level 0\xE2\x80\x934: the Fig. 13 \
+             levels 0\xE2\x80\x933, then 4, each batch dealt on the key its \
+             trigger repartitions by.")
   in
   Term.(
     const (combine defaults)

@@ -39,7 +39,7 @@ val activate :
     parser the binaries use, and they construct every engine from its
     result. Values the engines cannot run reject at parse time with
     cmdliner's usage error (exit 124): [--workers], [--domains] and
-    [--batch] below 1, and [--opt-level] outside 0–3. *)
+    [--batch] below 1, and [--opt-level] outside 0–4. *)
 
 type common = { engine : Divm_engine.Engine.config; opts : opts }
 

@@ -59,6 +59,7 @@ type call_plan = {
   cp_kind : string;
   cp_stage : int option;
   cp_share : bool;
+  cp_deal : string option;
   cp_transfers : string list;
   cp_round_trips : int;
 }
@@ -201,6 +202,7 @@ let calls_of (dp : Dprog.t) cprog (tr : Dprog.dtrigger) =
         cp_kind = kind;
         cp_stage = (if kind = "stage" then Some !stage else None);
         cp_share = carries;
+        cp_deal = (if carries then Dprog.deal_column dp tr else None);
         cp_transfers = labels members;
         cp_round_trips = Dprog.round_trips dp.locs steps [ c ];
       })
@@ -432,7 +434,10 @@ let render (p : plan) =
               | "stage", Some st -> Printf.sprintf "stage %d" st
               | "driver", _ -> "through the driver"
               | k, _ -> k)
-              (if c.cp_share then " + batch share" else "")
+              (match (c.cp_share, c.cp_deal) with
+              | true, Some col -> " + batch share dealt on " ^ col
+              | true, None -> " + batch share"
+              | false, _ -> "")
               (match (c.cp_kind, c.cp_transfers) with
               | _, [] -> ""
               | "stage", ts -> ", gathers ride the reply: " ^ String.concat ", " ts
@@ -494,12 +499,16 @@ let plan_json (p : plan) =
     (fun i c ->
       if i > 0 then Buffer.add_char buf ',';
       Printf.bprintf buf
-        "{\"trigger\":%s,\"kind\":%s,%s\"share\":%b,\"transfers\":[%s],\"round_trips\":%d}"
+        "{\"trigger\":%s,\"kind\":%s,%s\"share\":%b,%s\"transfers\":[%s],\"round_trips\":%d}"
         (js c.cp_trigger) (js c.cp_kind)
         (match c.cp_stage with
         | Some st -> Printf.sprintf "\"stage\":%d," st
         | None -> "")
         c.cp_share
+        (if c.cp_share then
+           Printf.sprintf "\"deal\":%s,"
+             (js (Option.value c.cp_deal ~default:"round-robin"))
+         else "")
         (String.concat "," (List.map js c.cp_transfers))
         c.cp_round_trips)
     p.pl_calls;

@@ -90,6 +90,9 @@ type call_plan = {
   cp_kind : string;  (** ["stage"] / ["pull"] / ["exchange"] / ["driver"] *)
   cp_stage : int option;  (** 1-based stage a ["stage"] call runs *)
   cp_share : bool;  (** the call carries the batch share *)
+  cp_deal : string option;
+      (** on the call that carries the share, the stream column it is
+          dealt on ({!Divm_dist.Dprog.deal_column}); [None]: round-robin *)
   cp_transfers : string list;
       (** labels of the transfers the call moves: the gathers riding a
           stage's reply, a pull's gathers, an exchange's transfers, or a

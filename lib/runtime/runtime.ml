@@ -2246,8 +2246,8 @@ let scatter_plan (prog : Prog.t) ~rel blocks =
       (fun cols -> { sc_width = width; sc_cols = cols })
       (batch_cols plans)
 
-let deal sc ~parts batch =
-  Colbatch.shares_of_gmr ~cols:sc.sc_cols ~width:sc.sc_width ~parts batch
+let deal sc ?key ~parts batch =
+  Colbatch.shares_of_gmr ?key ~cols:sc.sc_cols ~width:sc.sc_width ~parts batch
 
 let map_contents rt name = Pool.to_gmr (pool rt name)
 

@@ -207,10 +207,13 @@ val scatter_plan :
 (** [deal sc ~parts batch] cuts [batch] round-robin into [parts] column
     shares in one pass over its rows, writing only [sc]'s columns
     ({!Colbatch.shares_of_gmr}: low-cardinality string columns share one
-    dictionary across shares): row [i] goes to worker [i mod parts]. The
-    simulator and the multiprocess coordinator both call this, so
-    simulated and real workers see identical shares. *)
-val deal : scatter -> parts:int -> Gmr.t -> Colbatch.t array
+    dictionary across shares): row [i] goes to worker [i mod parts].
+    With [~key:c] a row goes to worker
+    [Vtuple.hash_at row [|c|] mod parts] ({!Colbatch.dest}), in batch
+    order within each share. The simulator and the multiprocess
+    coordinator both call this, so simulated and real workers see
+    identical shares. *)
+val deal : scatter -> ?key:int -> parts:int -> Gmr.t -> Colbatch.t array
 
 (** {2 Moving map contents}
 

@@ -254,20 +254,24 @@ let box_upto c i cap =
   done;
   out
 
-(* One column of the dealing pass holds one typed array per share; batch
-   row [i] is share [i mod parts], position [i / parts]. A cell that does
-   not fit the committed representation — a second value kind, or a
-   string past [dict_demote] distinct entries — turns the column boxed in
-   every share: [box_shares] boxes every share's cells written so far —
-   rows [0, r) of each share, plus row [r] of the shares before [q] — and
-   puts [v] at share [q], position [r]. *)
-let box_shares (sh : col array) q r v =
+(* One column of the dealing pass holds one typed array per share. A cell
+   that does not fit the committed representation — a second value kind,
+   or a string past [dict_demote] distinct entries — turns the column
+   boxed in every share: [box_shares] boxes the [filled q'] cells each
+   share [q'] holds so far and puts [v] at share [q], position [r]. *)
+let box_shares (sh : col array) filled q r v =
   for q' = 0 to Array.length sh - 1 do
     let c = sh.(q') in
-    let a = box_upto c (if q' < q then r + 1 else r) (col_length c) in
+    let a = box_upto c (filled q') (col_length c) in
     if q' = q then a.(r) <- v;
     sh.(q') <- CBoxed a
   done
+
+(* The round-robin deal's cell: batch row [i] is share [i mod parts],
+   position [i / parts], so a share holds rows [0, r), plus row [r] in
+   the shares before [q]. *)
+let box_round_robin sh q r v =
+  box_shares sh (fun q' -> if q' < q then r + 1 else r) q r v
 
 let deal_cell (sh : col array) q r (v : Value.t) =
   match (Array.unsafe_get sh q, v) with
@@ -276,18 +280,65 @@ let deal_cell (sh : col array) q r (v : Value.t) =
   | CFloat a, Value.Float x -> Array.unsafe_set a r x
   | CDict (d, c), Value.String s ->
       Array.unsafe_set c r (dict_intern d s);
-      if d.dn > dict_demote then box_shares sh q r v
+      if d.dn > dict_demote then box_round_robin sh q r v
   | CBoxed a, v -> Array.unsafe_set a r v
-  | _, v -> box_shares sh q r v
+  | _, v -> box_round_robin sh q r v
+
+(* The keyed deal's cell: share [q'] holds [fill.(q')] rows, and the row
+   in progress goes to share [q] at position [fill.(q)]. A copy of
+   [deal_cell] rather than a generalization of it: the round-robin pass
+   transposes every local firing's batch, and a per-cell argument or
+   branch there costs the local runtime. *)
+let deal_cell_at (sh : col array) fill q (v : Value.t) =
+  let r = Array.unsafe_get fill q in
+  match (Array.unsafe_get sh q, v) with
+  | CInt a, Value.Int x -> Array.unsafe_set a r x
+  | CDate a, Value.Date x -> Array.unsafe_set a r x
+  | CFloat a, Value.Float x -> Array.unsafe_set a r x
+  | CDict (d, c), Value.String s ->
+      Array.unsafe_set c r (dict_intern d s);
+      if d.dn > dict_demote then box_shares sh (Array.get fill) q r v
+  | CBoxed a, v -> Array.unsafe_set a r v
+  | _, v -> box_shares sh (Array.get fill) q r v
+
+(* Under a cachesim sink a share has an arena, where a live cell and a
+   multiplicity are written per row. *)
+let trace_row ~live ~width tb cap r =
+  for k = 0 to Array.length live - 1 do
+    Trace.emit (tb + (((live.(k) * cap) + r) * 8)) Trace.Write
+  done;
+  Trace.emit (tb + (((width * cap) + r) * 8)) Trace.Write
+
+(* The shares of a finished deal: [sh.(k).(q)] is share [q]'s array for
+   live column [k], made by the batch's first row. *)
+let shares_of ~live ~width ~n sh mults tbases caps =
+  let nl = Array.length live in
+  Array.mapi
+    (fun qi cap ->
+      let cols = Array.make width (CInt [||]) in
+      if n > 0 then
+        for k = 0 to nl - 1 do
+          cols.(live.(k)) <- sh.(k).(qi)
+        done;
+      fill_absent cols cap live;
+      {
+        cols;
+        mults = mults.(qi);
+        n = cap;
+        tbase = tbases.(qi);
+        tstride = cap;
+        live = (if nl = width then None else Some live);
+      })
+    caps
 
 (* The one writer of built batches: deals the [count] rows [iter] emits
-   into [parts] shares, writing the columns at [live]. Arrays are sized
-   from [count] and written unchecked, so the row count is checked before
-   a row past it is written, and again at the end. *)
+   round-robin into [parts] shares, writing the columns at [live]. Arrays
+   are sized from [count] and written unchecked, so the row count is
+   checked before a row past it is written, and again at the end. *)
 let build ~cols:live ~width ~parts ~count:n iter =
   if parts < 1 then invalid_arg "Colbatch: parts < 1";
   (* share [q] holds [caps.(q)] rows; under a cachesim sink it gets an
-     arena, where a live cell and a multiplicity are written per row *)
+     arena *)
   let caps = Array.make parts 0 and tbases = Array.make parts 0 in
   for q = 0 to parts - 1 do
     let cap = if n > q then ((n - q - 1) / parts) + 1 else 0 in
@@ -312,13 +363,7 @@ let build ~cols:live ~width ~parts ~count:n iter =
       done;
       Array.unsafe_set (Array.unsafe_get mults qi) ri m;
       let tb = Array.unsafe_get tbases qi in
-      if tb <> 0 then begin
-        let cap = caps.(qi) in
-        for k = 0 to nl - 1 do
-          Trace.emit (tb + (((live.(k) * cap) + ri) * 8)) Trace.Write
-        done;
-        Trace.emit (tb + (((width * cap) + ri) * 8)) Trace.Write
-      end;
+      if tb <> 0 then trace_row ~live ~width tb caps.(qi) ri;
       if qi + 1 = parts then begin
         q := 0;
         r := ri + 1
@@ -326,26 +371,57 @@ let build ~cols:live ~width ~parts ~count:n iter =
       else q := qi + 1);
   if (!r * parts) + !q <> n then
     invalid_arg "Colbatch: fewer rows than ~count";
-  Array.mapi
-    (fun qi cap ->
-      let cols = Array.make width (CInt [||]) in
-      if n > 0 then
-        for k = 0 to nl - 1 do
-          cols.(live.(k)) <- sh.(k).(qi)
-        done;
-      fill_absent cols cap live;
-      {
-        cols;
-        mults = mults.(qi);
-        n = cap;
-        tbase = tbases.(qi);
-        tstride = cap;
-        live = (if nl = width then None else Some live);
-      })
-    caps
+  shares_of ~live ~width ~n sh mults tbases caps
 
-let shares_of_gmr ~cols ~width ~parts g =
-  build ~cols ~width ~parts ~count:(Gmr.cardinal g) (fun f -> Gmr.iter f g)
+let dest ~key ~parts tup = Vtuple.hash_at tup key mod parts
+
+(* The keyed deal: one pass over [g]'s slots counts each share's rows, a
+   second writes them, each row to share [dest] of its key column, in
+   [Gmr.iter] order. Both walk the slots in place, so no multiplicity is
+   boxed and nothing is allocated per row beyond the shares. *)
+let build_keyed ~cols:live ~width ~parts ~key (g : Gmr.t) =
+  let key = [| key |] in
+  let caps = Array.make parts 0 in
+  for s = 0 to g.hwm - 1 do
+    if Array.unsafe_get g.mults s <> 0. then begin
+      let q = dest ~key ~parts (Array.unsafe_get g.keys s) in
+      caps.(q) <- caps.(q) + 1
+    end
+  done;
+  let tbases = Array.map (fun cap -> alloc_arena width cap) caps in
+  let nl = Array.length live in
+  let sh = Array.make nl [||] in
+  let mults = Array.map Array.create_float caps in
+  let fill = Array.make parts 0 in
+  let first = ref true in
+  for s = 0 to g.hwm - 1 do
+    let m = Array.unsafe_get g.mults s in
+    if m <> 0. then begin
+      let tup = Array.unsafe_get g.keys s in
+      let qi = dest ~key ~parts tup in
+      let ri = fill.(qi) in
+      if !first then begin
+        first := false;
+        for k = 0 to nl - 1 do
+          sh.(k) <- new_cols caps tup.(live.(k))
+        done
+      end;
+      for k = 0 to nl - 1 do
+        deal_cell_at (Array.unsafe_get sh k) fill qi
+          tup.(Array.unsafe_get live k)
+      done;
+      Array.unsafe_set (Array.unsafe_get mults qi) ri m;
+      let tb = tbases.(qi) in
+      if tb <> 0 then trace_row ~live ~width tb caps.(qi) ri;
+      fill.(qi) <- ri + 1
+    end
+  done;
+  shares_of ~live ~width ~n:(Gmr.cardinal g) sh mults tbases caps
+
+let shares_of_gmr ?key ~cols ~width ~parts g =
+  match key with
+  | Some key when parts > 1 -> build_keyed ~cols ~width ~parts ~key g
+  | _ -> build ~cols ~width ~parts ~count:(Gmr.cardinal g) (fun f -> Gmr.iter f g)
 
 let of_iter ~cols ~width ~count iter =
   (build ~cols ~width ~parts:1 ~count iter).(0)

@@ -58,7 +58,11 @@ val length : t -> int
 
 (** [shares_of_gmr ~cols ~width ~parts g] deals [g]'s rows round-robin
     into [parts] column batches in one pass: row [i] (in [Gmr.iter]
-    order) becomes row [i / parts] of share [i mod parts]. Only the
+    order) becomes row [i / parts] of share [i mod parts]. With [~key:c]
+    and [parts > 1] it deals them on column [c] instead: a first pass
+    counts each share's rows, and a second writes every row to share
+    {!dest}[ ~key:[|c|] ~parts row], in [Gmr.iter] order within each
+    share, allocating nothing per row beyond the shares. Only the
     columns at [cols] (ascending, distinct positions below [width]) are
     written; the others are {e absent} (see {!live_cols}).
 
@@ -75,7 +79,13 @@ val length : t -> int
     arena and every written cell and multiplicity is reported as a
     write. *)
 val shares_of_gmr :
-  cols:int array -> width:int -> parts:int -> Gmr.t -> t array
+  ?key:int -> cols:int array -> width:int -> parts:int -> Gmr.t -> t array
+
+(** [dest ~key ~parts row] is the hash partition of [row]'s [key]
+    columns: [Vtuple.hash_at row key mod parts]. The keyed deal sends a
+    batch row there, and every keyed transfer between nodes sends a map
+    row there. *)
+val dest : key:int array -> parts:int -> Vtuple.t -> int
 
 (** [of_iter ~cols ~width ~count iter] is one share built, as
     {!shares_of_gmr} builds it, from the rows [iter emit] emits

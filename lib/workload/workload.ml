@@ -48,7 +48,7 @@ let stream w ~scale ~seed ~batch_size =
   if is_tpcds w then Divm_tpcds.Gen.stream { scale; seed } ~batch_size
   else Divm_tpch.Gen.stream { scale; seed } ~batch_size
 
-let distribute ?(level = 3) w prog =
+let distribute ?(level = Distribute.default_options.level) w prog =
   let catalog = Loc.heuristic ~keys:w.partition_keys prog in
   Distribute.compile
     ~options:{ Distribute.default_options with level }

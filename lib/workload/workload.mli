@@ -45,5 +45,6 @@ val compile : ?preaggregate:bool -> t -> Prog.t
 
 (** Distributed program for [prog]: heuristic placement over the
     workload's partition keys, then the distributed compiler at
-    [level] (default 3, the full Figure 13 pipeline). *)
+    [level] (default: {!Distribute.default_options}' level, 4 — the full
+    Figure 13 pipeline, then each batch dealt on a key). *)
 val distribute : ?level:int -> t -> Prog.t -> Dprog.t

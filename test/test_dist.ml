@@ -40,7 +40,8 @@ let compile_dist ?(level = 3) ?(delta_at = `Workers) ~keys queries =
     ~catalog prog
 
 (* Equivalence: the cluster simulation matches the local runtime after
-   every batch, for all optimization levels and several worker counts. *)
+   every batch, at levels 0, 3 and 4 and several worker counts, and every
+   map lives where its location puts it ([Cluster.check_placement]). *)
 let run_cluster_equiv ?(msg = "dist") ~keys ~queries batches =
   let prog = Compile.compile ~streams:streams_rst queries in
   let local = Exec.create prog in
@@ -56,15 +57,15 @@ let run_cluster_equiv ?(msg = "dist") ~keys ~queries batches =
                     (match delta_at with `Workers -> "wk" | `Driver -> "dr"),
                   Cluster.create ~config:(Cluster.config ~workers:w ()) dp ))
               [ `Workers; `Driver ])
-          [ 1; 3; 5 ])
-      [ 0; 3 ]
+          [ 1; 2; 3; 5 ])
+      [ 0; 3; 4 ]
   in
   List.iteri
     (fun bi (rel_name, batch) ->
       Exec.apply_batch local ~rel:rel_name batch;
       List.iter
         (fun (_cname, c) -> ignore (Cluster.apply_batch c ~rel:rel_name batch);
-          Cluster.check_replicas c)
+          Cluster.check_placement c)
         clusters;
       List.iter
         (fun (qname, _) ->
@@ -259,11 +260,13 @@ let test_plan_quality_no_view_gather () =
 
 (* A distributed program as text, up to the names of the maps the planner
    created ([created n]): those are numbered #1, #2, ... in first-use
-   order, each statement's reads before its write. Every block's mode,
+   order, each statement's reads before its write. Each trigger's deal
+   column (when its batches are dealt on a key), every block's mode,
    every statement with its full right-hand side, every transfer's kind,
    key and source, then each declaration in order (a created map with its
-   schema and location) and their count. *)
-let canonical ~created (dp : Dprog.t) =
+   schema and location, and every other map's location when it is not
+   the catalog's) and their count. *)
+let canonical ~created ?catalog (dp : Dprog.t) =
   let names = Hashtbl.create 64 in
   let name n =
     if not (created n) then n
@@ -295,7 +298,9 @@ let canonical ~created (dp : Dprog.t) =
   let line fmt = Printf.bprintf b (fmt ^^ "\n") in
   List.iter
     (fun (tr : Dprog.dtrigger) ->
-      line "on %s" tr.drelation;
+      (match tr.deal with
+      | Some c -> line "on %s dealt on %d" tr.drelation c
+      | None -> line "on %s" tr.drelation);
       List.iter
         (fun (bl : Dprog.block) ->
           line " %s block"
@@ -328,7 +333,12 @@ let canonical ~created (dp : Dprog.t) =
         let n = name m.mname in
         line "map %s[%s] %s" n (schema m.mschema)
           (Format.asprintf "%a" Loc.pp (Loc.find dp.locs m.mname))
-      else line "map %s" m.mname)
+      else
+        let loc = Loc.find dp.locs m.mname in
+        match catalog with
+        | Some cat when not (Loc.equal loc (Loc.find cat m.mname)) ->
+            line "map %s %s" m.mname (Format.asprintf "%a" Loc.pp loc)
+        | _ -> line "map %s" m.mname)
     dp.base.maps;
   line "declared %d" (List.length dp.base.maps);
   Buffer.contents b
@@ -376,15 +386,58 @@ let pinned_plans =
     ("DS79", "9f9df83549470eda3e748461608ab13a");
   ]
 
+(* Level 4's plans, pinned as [pinned_plans] pins levels 0–3: one digest
+   per query of [canonical] over its level-4 program, which also names
+   each trigger's deal column and the pre-aggregations that moved. *)
+let pinned_plans_l4 =
+  [
+    ("Q1", "c9bab3b0a31eaf1a39bf6a7cd1ed9d66");
+    ("Q2", "6ee59bf04297a7c986b120c08dc2cbed");
+    ("Q3", "bdfaecefe9e005956e4edfd15c9d2aa8");
+    ("Q4", "b5dce9d2349d51921d4fc8eaecf5fb54");
+    ("Q5", "b9a401cfcd6eaaba1b6e3f349ae0657f");
+    ("Q6", "f7e92224e255232bed15d59d5ffe2d61");
+    ("Q7", "097f3c420efa349da541eb7096a2f8b8");
+    ("Q8", "1f406181f64a9bb1b74cc083cfc1f1b4");
+    ("Q9", "a9b7d530b6c5ec841478e667b2cd351e");
+    ("Q10", "7da5d559c3508e70f1ad249b2d404e09");
+    ("Q11", "9b2ddbce5852c8a81bca088c9c633507");
+    ("Q12", "a4d9f4a85f855742ec78face79dd583d");
+    ("Q13", "fd6ce5ef4feba6b42b2cabda2e540fd5");
+    ("Q14", "eff6bc8c780f3a5d6e2e53332d5a4246");
+    ("Q15", "b75d692c06b2e15cee9db144420d5f08");
+    ("Q16", "870c6ad0e77b20722344ebace6d6bc99");
+    ("Q17", "898d6127a974fcaffeac1de23461aff5");
+    ("Q18", "d9f9b832bd93b781d7fb150e73a6faa0");
+    ("Q19", "74f3aa64ef8191e74c97905de19bc4a6");
+    ("Q20", "8de756e9f9bac231c1918037655c5316");
+    ("Q21", "302ddbd1cbc8d9345c99f14a7bda337d");
+    ("Q22", "4f43c298ec1746358b6d3f583014a260");
+    ("DS3", "e08c002a973d8909cdca3142f386cbaf");
+    ("DS7", "a21764d56f77c91f4fab0c8689abe1a0");
+    ("DS19", "b073baf71ca57ff89fa39e8230f159ae");
+    ("DS27", "0834da833ac2ed9fb52d57451b3ca937");
+    ("DS34", "02b81868d5ac212c54d02c5ca5fbdfed");
+    ("DS42", "4322ab0a79d696f0cfd8cd0d053f6200");
+    ("DS43", "eaac008a1b4faee198707d5bdc10a142");
+    ("DS46", "b37648cc95811f340924436267add9d8");
+    ("DS52", "b0e4aa7a9c5a40df96366aeef10bf516");
+    ("DS55", "ba553b4079d393abb2867eb36950c591");
+    ("DS68", "ebbcd8e1835aab8073a0e361d3f1a7a1");
+    ("DS73", "d0557cca46143da039503af87712a4f9");
+    ("DS79", "b4911fea45cf9c69a49898850178c31a");
+  ]
+
 (* A distributed program declares the maps its statements and transfers
    name, and no other map the planner created: a candidate the planner
    discards leaves no declaration, location or pool behind. Over every
    TPC-H and TPC-DS query at every level, each named map is declared
    once, each created one has one location, and each declared map's
    definition names only declared maps. Compiling a program twice gives
-   equal programs, and each query's plans equal [pinned_plans] up to the
-   names of created maps. The level-3 total of declarations is pinned;
-   it may only go down. *)
+   equal programs, and each query's plans equal [pinned_plans] (levels
+   0–3) and [pinned_plans_l4] up to the names of created maps. The
+   level-3 and level-4 totals of declarations are pinned; they may only
+   go down. *)
 let test_declares_named_maps () =
   let module Workload = Divm_workload.Workload in
   let count h n = Option.value ~default:0 (Hashtbl.find_opt h n) in
@@ -394,18 +447,23 @@ let test_declares_named_maps () =
     h
   in
   let decl_names = List.map (fun (m : Prog.map_decl) -> m.mname) in
-  let declared_l3 = ref 0 in
+  let declared_l3 = ref 0 and declared_l4 = ref 0 in
   let changed_plans = ref [] in
   List.iter
     (fun qn ->
       let w = Workload.find qn in
       let prog = Workload.compile w in
       let input = counts (decl_names prog.maps) in
-      let plans = Buffer.create 4096 in
-      for level = 0 to 3 do
+      let plans = Buffer.create 4096 and plans_l4 = Buffer.create 4096 in
+      for level = 0 to 4 do
         let dp = Workload.distribute ~level w prog in
-        Buffer.add_string plans
-          (canonical ~created:(fun n -> count input n = 0) dp);
+        let created n = count input n = 0 in
+        if level < 4 then Buffer.add_string plans (canonical ~created dp)
+        else
+          Buffer.add_string plans_l4
+            (canonical ~created
+               ~catalog:(Loc.heuristic ~keys:w.partition_keys prog)
+               dp);
         let named =
           counts
             (List.concat_map
@@ -451,21 +509,67 @@ let test_declares_named_maps () =
         if Workload.distribute ~level w prog <> dp then
           fail "compiling the program again gives a different program";
         if level = 3 then
-          declared_l3 := !declared_l3 + List.length dp.base.maps
+          declared_l3 := !declared_l3 + List.length dp.base.maps;
+        if level = 4 then
+          declared_l4 := !declared_l4 + List.length dp.base.maps
       done;
-      let digest = Digest.to_hex (Digest.string (Buffer.contents plans)) in
-      if List.assoc_opt qn pinned_plans <> Some digest then
-        changed_plans := Printf.sprintf "%s (%s)" qn digest :: !changed_plans)
+      List.iter
+        (fun (what, pins, buf) ->
+          let digest = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+          if List.assoc_opt qn pins <> Some digest then
+            changed_plans :=
+              Printf.sprintf "%s %s (%s)" qn what digest :: !changed_plans)
+        [ ("levels 0-3", pinned_plans, plans); ("level 4", pinned_plans_l4, plans_l4) ])
     Tpch_suite.all_queries;
   if !changed_plans <> [] then
     Alcotest.failf "plans differ from the pinned ones up to renaming: %s"
       (String.concat ", " (List.rev !changed_plans));
-  let pinned = 2653 in
-  if !declared_l3 <> pinned then
-    Alcotest.failf "the programs declare %d maps at level 3, pinned at %d%s"
-      !declared_l3 pinned
-      (if !declared_l3 < pinned then ": the count fell, lower the pin to it"
-       else "")
+  List.iter
+    (fun (level, declared, pinned) ->
+      if declared <> pinned then
+        Alcotest.failf "the programs declare %d maps at level %d, pinned at %d%s"
+          declared level pinned
+          (if declared < pinned then ": the count fell, lower the pin to it"
+           else ""))
+    [ (3, !declared_l3, 2653); (4, !declared_l4, 2474) ]
+
+(* Level 4 deals each batch on a key only where that makes fewer round
+   trips per batch (or as many and fewer transfers): over the 35
+   queries, no trigger makes more round trips per batch than at level 3,
+   and their total is pinned; it may only go down. *)
+let test_level4_round_trips () =
+  let module Workload = Divm_workload.Workload in
+  let round_trips (dp : Dprog.t) (tr : Dprog.dtrigger) =
+    let steps = Dprog.steps tr in
+    Dprog.round_trips dp.locs steps (Dprog.calls dp.locs steps)
+  in
+  let total = ref 0 and total_l3 = ref 0 in
+  List.iter
+    (fun qn ->
+      let w = Workload.find qn in
+      let prog = Workload.compile w in
+      let dp3 = Workload.distribute ~level:3 w prog in
+      let dp4 = Workload.distribute ~level:4 w prog in
+      List.iter2
+        (fun (t3 : Dprog.dtrigger) (t4 : Dprog.dtrigger) ->
+          let r3 = round_trips dp3 t3 and r4 = round_trips dp4 t4 in
+          if r4 > r3 then
+            Alcotest.failf "%s %s: %d round trips per batch at level 4, %d at 3"
+              qn t4.drelation r4 r3;
+          if t4.deal = None && r4 <> r3 then
+            Alcotest.failf "%s %s: dealt round-robin, yet %d round trips, not %d"
+              qn t4.drelation r4 r3;
+          total_l3 := !total_l3 + r3;
+          total := !total + r4)
+        dp3.dtriggers dp4.dtriggers)
+    Tpch_suite.all_queries;
+  Alcotest.(check int) "level-3 round trips over the 35 programs" 856 !total_l3;
+  let pinned = 689 in
+  if !total <> pinned then
+    Alcotest.failf "level 4: %d round trips per batch over the 35 programs, \
+                    pinned at %d%s"
+      !total pinned
+      (if !total < pinned then ": the count fell, lower the pin to it" else "")
 
 (* A cluster without workers would run no stage and report an empty
    view: creating one is an error, as it is for the process engine. *)
@@ -507,5 +611,7 @@ let suites =
           test_cluster_rejects_no_workers;
         Alcotest.test_case "a distributed program declares the maps it names"
           `Quick test_declares_named_maps;
+        Alcotest.test_case "level 4 makes no trigger take more round trips"
+          `Quick test_level4_round_trips;
       ] );
   ]

@@ -838,7 +838,7 @@ let test_codec_truncated_run () =
 (* [Runtime.deal] over random batches: every width 1–6, random column
    subsets, every cell kind, a column mixing Int and Float, a string
    column past the 64-entry dictionary cutoff, the empty batch and 1–4
-   parts. *)
+   parts, dealt round-robin or on a random key column. *)
 type cell_kind = KInt | KFloat | KDate | KStr | KStrWide | KMixed
 
 let gen_kind_cell = function
@@ -873,13 +873,14 @@ let gen_deal_case =
          (oneof [ oneofl [ 1.; -1.; 2. ]; float_range (-10.) 10. ]))
     >>= fun rows ->
     list_repeat width bool >>= fun sel ->
+    opt (int_range 0 (width - 1)) >>= fun key ->
     int_range 1 4 >|= fun parts ->
     let g = Gmr.create () in
     List.iter (fun (t, m) -> Gmr.add g t m) rows;
     let cols =
       List.concat (List.mapi (fun c s -> if s then [ c ] else []) sel)
     in
-    (width, Array.of_list cols, parts, g))
+    (width, Array.of_list cols, parts, key, g))
 
 let col_kind = function
   | Colbatch.CInt _ -> "int"
@@ -902,72 +903,114 @@ let expected_kind (cells : Value.t list) =
       else "boxed"
   | _ -> "boxed"
 
-let qcheck_deal =
-  let print (width, cols, parts, g) =
-    Printf.sprintf "width=%d cols=[%s] parts=%d rows=%d" width
-      (String.concat ";" (Array.to_list (Array.map string_of_int cols)))
-      parts (Gmr.cardinal g)
+(* [Runtime.deal]'s shares of [g]: round-robin, row [i] (in [Gmr.iter]
+   order) is row [i / parts] of share [i mod parts]; keyed on column [c],
+   each row goes to share [Vtuple.hash_at row [|c|] mod parts], the
+   partition every keyed transfer uses, in batch order within a share.
+   Either way each column keeps one representation over the batch, and a
+   string column one dictionary. *)
+let check_deal (width, cols, parts, key, g) =
+  let shares =
+    Runtime.deal { Runtime.sc_width = width; sc_cols = cols } ?key ~parts g
   in
-  QCheck.Test.make ~name:"deal: round-robin rows, batch-wide kinds, one dictionary"
-    ~count:300 (QCheck.make ~print gen_deal_case)
-    (fun (width, cols, parts, g) ->
-      let shares = Runtime.deal { Runtime.sc_width = width; sc_cols = cols } ~parts g in
-      let rows = Array.of_list (List.rev (Gmr.fold (fun t m acc -> (t, m) :: acc) g [])) in
-      let n = Array.length rows in
-      Alcotest.(check int) "one share per part" parts (Array.length shares);
-      Array.iteri
-        (fun p sh ->
-          Alcotest.(check int) "share width" width (Colbatch.width sh);
-          Alcotest.(check (array int)) "live columns = sc_cols" cols
-            (Colbatch.live_cols sh);
-          Alcotest.(check int) "share rows"
-            (if n > p then ((n - p - 1) / parts) + 1 else 0)
-            (Colbatch.length sh);
-          for j = 0 to Colbatch.length sh - 1 do
-            let tup, m = rows.(p + (j * parts)) in
-            if not (fbits_equal m (Colbatch.mults sh).(j)) then
-              Alcotest.failf "share %d row %d: multiplicity differs" p j;
-            Array.iter
-              (fun c ->
-                if not (value_bits_equal tup.(c) (Colbatch.get (Colbatch.col sh c) j))
-                then Alcotest.failf "share %d row %d column %d differs" p j c)
-              cols
-          done)
-        shares;
+  let rows = Array.of_list (List.rev (Gmr.fold (fun t m acc -> (t, m) :: acc) g [])) in
+  let share_of i (tup, _) =
+    match key with
+    | None -> i mod parts
+    | Some c -> Vtuple.hash_at tup [| c |] mod parts
+  in
+  Alcotest.(check int) "one share per part" parts (Array.length shares);
+  Array.iteri
+    (fun p sh ->
+      let want =
+        List.filteri (fun i r -> share_of i r = p) (Array.to_list rows)
+        |> Array.of_list
+      in
+      Alcotest.(check int) "share width" width (Colbatch.width sh);
+      Alcotest.(check (array int)) "live columns = sc_cols" cols
+        (Colbatch.live_cols sh);
+      Alcotest.(check int) "share rows" (Array.length want)
+        (Colbatch.length sh);
+      for j = 0 to Colbatch.length sh - 1 do
+        let tup, m = want.(j) in
+        if not (fbits_equal m (Colbatch.mults sh).(j)) then
+          Alcotest.failf "share %d row %d: multiplicity differs" p j;
+        Array.iter
+          (fun c ->
+            if not (value_bits_equal tup.(c) (Colbatch.get (Colbatch.col sh c) j))
+            then Alcotest.failf "share %d row %d column %d differs" p j c)
+          cols
+      done)
+    shares;
+  Array.iter
+    (fun c ->
+      let cells = Array.to_list (Array.map (fun (t, _) -> t.(c)) rows) in
+      let kinds = Array.map (fun sh -> col_kind (Colbatch.col sh c)) shares in
       Array.iter
-        (fun c ->
-          let cells = Array.to_list (Array.map (fun (t, _) -> t.(c)) rows) in
-          let kinds = Array.map (fun sh -> col_kind (Colbatch.col sh c)) shares in
+        (fun k ->
+          Alcotest.(check string)
+            (Printf.sprintf "column %d kind" c)
+            (expected_kind cells) k)
+        kinds;
+      match Colbatch.col shares.(0) c with
+      | Colbatch.CDict (d, _) ->
           Array.iter
-            (fun k ->
-              Alcotest.(check string)
-                (Printf.sprintf "column %d kind" c)
-                (expected_kind cells) k)
-            kinds;
-          match Colbatch.col shares.(0) c with
-          | Colbatch.CDict (d, _) ->
-              Array.iter
-                (fun sh ->
-                  match Colbatch.col sh c with
-                  | Colbatch.CDict (d', _) when d' == d -> ()
-                  | _ -> Alcotest.failf "column %d: a dictionary per share" c)
-                shares;
-              let first_seen =
-                List.fold_left
-                  (fun acc v ->
-                    match v with
-                    | Value.String s when not (List.mem s acc) -> s :: acc
-                    | _ -> acc)
-                  [] cells
-                |> List.rev
-              in
-              Alcotest.(check (list string))
-                (Printf.sprintf "column %d: entries in first-appearance order" c)
-                first_seen
-                (List.init (Colbatch.dict_size d) (Colbatch.dict_entry d))
-          | _ -> ())
-        cols;
+            (fun sh ->
+              match Colbatch.col sh c with
+              | Colbatch.CDict (d', _) when d' == d -> ()
+              | _ -> Alcotest.failf "column %d: a dictionary per share" c)
+            shares;
+          let first_seen =
+            List.fold_left
+              (fun acc v ->
+                match v with
+                | Value.String s when not (List.mem s acc) -> s :: acc
+                | _ -> acc)
+              [] cells
+            |> List.rev
+          in
+          Alcotest.(check (list string))
+            (Printf.sprintf "column %d: entries in first-appearance order" c)
+            first_seen
+            (List.init (Colbatch.dict_size d) (Colbatch.dict_entry d))
+      | _ -> ())
+    cols
+
+let qcheck_deal =
+  let print (width, cols, parts, key, g) =
+    Printf.sprintf "width=%d cols=[%s] parts=%d key=%s rows=%d" width
+      (String.concat ";" (Array.to_list (Array.map string_of_int cols)))
+      parts
+      (match key with Some c -> string_of_int c | None -> "round-robin")
+      (Gmr.cardinal g)
+  in
+  QCheck.Test.make
+    ~name:
+      "deal: round-robin rows, batch-wide kinds, one dictionary, keyed rows \
+       on their hash"
+    ~count:300 (QCheck.make ~print gen_deal_case)
+    (fun case ->
+      check_deal case;
       true)
+
+(* A keyed deal turns a column boxed only after rows have reached several
+   shares: a string column's 65th distinct entry, and a Float in a column
+   that held Ints, each arrive at row 100 of 120, dealt on column 0 over
+   3 parts. *)
+let test_deal_keyed_demotion () =
+  let g = Gmr.create () in
+  for i = 0 to 119 do
+    Gmr.add g
+      [|
+        Value.Int (i mod 7);
+        Value.String (Printf.sprintf "s%d" (if i < 100 then i mod 64 else i));
+        (if i < 100 then Value.Int i else Value.Float (float_of_int i));
+      |]
+      1.
+  done;
+  List.iter
+    (fun cols -> check_deal (3, cols, 3, Some 0, g))
+    [ [| 0; 1; 2 |]; [| 1; 2 |]; [| 2 |] ]
 
 (* ------------------------------------------------------------------ *)
 (* Mesh frame strictness + error context                               *)
@@ -1112,6 +1155,7 @@ let mesh_dprog ~width ~key =
                   ];
               };
             ];
+          deal = None;
         };
       ];
   }
@@ -1404,6 +1448,7 @@ let driver_dprog ~width ~key =
                   ];
               };
             ];
+          deal = None;
         };
       ];
   }
@@ -1784,11 +1829,12 @@ let qcheck_node_equiv =
         [ 2; 4 ];
       true)
 
-(* The simulator = processes contract over retraction streams, at 2 and
-   4 workers, and at opt level 0 (which moves more than twice the
-   transfers of level 3) at 2, with the reference interpreter as the
-   oracle: both backends' result views must match [Exec] re-evaluated
-   over the net base contents the stream leaves behind. *)
+(* The simulator = processes contract over retraction streams, at the
+   default level (4) at 2 and 4 workers, and at 2 workers at level 3
+   (batches dealt round-robin) and at level 0 (which moves more than
+   twice the transfers of level 3), with the reference interpreter as
+   the oracle: both backends' result views must match [Exec]
+   re-evaluated over the net base contents the stream leaves behind. *)
 let qcheck_retraction_equiv =
   let arb = QCheck.(make ~print:Print.int Gen.(int_range 0 10_000)) in
   QCheck.Test.make
@@ -1808,9 +1854,11 @@ let qcheck_retraction_equiv =
               let views, _ = replay_sim_proc ?level ~workers ~stream qn in
               check_views_vs_exec ~stream
                 ~what:
-                  (Printf.sprintf "%dw/O%d" workers (Option.value level ~default:3))
+                  (Printf.sprintf "%dw/O%d" workers
+                     (Option.value level
+                        ~default:Divm_dist.Distribute.default_options.level))
                 qn views)
-            [ (None, 2); (None, 4); (Some 0, 2) ])
+            [ (None, 2); (None, 4); (Some 3, 2); (Some 0, 2) ])
         Tpch_suite.queries;
       true)
 
@@ -1951,6 +1999,7 @@ let calls_dprog ~width =
                   ];
               };
             ];
+          deal = None;
         };
       ];
   }
@@ -2103,18 +2152,24 @@ let test_fail_worker_survivors () =
 (* Round trips: one transport call per transfer run                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Per batch at 2 workers, on both transports: Q1 and Q6 ship the share
-   with their one stage, whose reply carries every gather; Q17's lineitem
-   trigger runs stage 1 (with the share), one exchange of its four
-   repartitions, and stage 2 carrying its fifteen gathers back. *)
+(* Per batch at 2 workers, on both transports. At level 3, Q1 and Q6
+   ship the share with their one stage, whose reply carries every gather;
+   Q17's lineitem trigger runs stage 1 (with the share), one exchange of
+   its four repartitions, and stage 2 carrying its three gathers back.
+   At level 4 each batch of Q17 is dealt on pkey and each lineitem batch
+   of Q3 on okey: those triggers run one stage, gathers riding its reply.
+   Q3's orders batches, dealt on ckey, still make one exchange (stage,
+   exchange, stage), and its customer batches, dealt on ckey, a gather,
+   a scatter through the driver and a second stage. *)
 let test_round_trips () =
   let stream =
     Tpch.Gen.stream { Tpch.Gen.scale = 0.02; seed = 11 } ~batch_size:300
   in
   List.iter
-    (fun (qn, rel, want) ->
+    (fun (level, qn, rel, want) ->
       let w = Workload.find qn in
-      let dp = Workload.distribute w (Workload.compile w) in
+      let dp = Workload.distribute ~level w (Workload.compile w) in
+      let qn = Printf.sprintf "%s at level %d" qn level in
       Alcotest.(check int) (qn ^ " " ^ rel ^ ": grouping rule") want
         (static_round_trips dp rel);
       let batch = List.assoc rel stream in
@@ -2136,7 +2191,16 @@ let test_round_trips () =
                 want
                 (Obs.counter_value (Obs.snapshot ()) c - before))
             [ ("simulator", sim, "cluster"); ("processes", Node.executor node, "node") ]))
-    [ ("Q1", "lineitem", 1); ("Q6", "lineitem", 1); ("Q17", "lineitem", 3) ]
+    [
+      (3, "Q1", "lineitem", 1);
+      (3, "Q6", "lineitem", 1);
+      (3, "Q17", "lineitem", 3);
+      (4, "Q17", "lineitem", 1);
+      (4, "Q17", "part", 1);
+      (4, "Q3", "lineitem", 1);
+      (4, "Q3", "orders", 3);
+      (4, "Q3", "customer", 3);
+    ]
 
 (* Q17 with one repartition split into two hops: the first moves
    DELTA_lineitem_1 into a fresh map on another key, the second reads
@@ -2147,7 +2211,7 @@ let test_round_trips () =
    on small streams; the maps it is maintained from are not). *)
 let test_run_rule_chain () =
   let w = Workload.find "Q17" in
-  let dp = Workload.distribute w (Workload.compile w) in
+  let dp = Workload.distribute ~level:3 w (Workload.compile w) in
   let steps dp = Dprog.steps (Dprog.find_trigger dp "lineitem") in
   let exchanges dp =
     List.filter_map
@@ -2770,6 +2834,8 @@ let suites =
         Alcotest.test_case "truncated run rejected before allocating" `Quick
           test_codec_truncated_run;
         QCheck_alcotest.to_alcotest qcheck_deal;
+        Alcotest.test_case "deal: keyed shares box a column after rows spread"
+          `Quick test_deal_keyed_demotion;
         Alcotest.test_case "mesh frames decode strictly with error context"
           `Quick test_codec_mesh_strict;
         QCheck_alcotest.to_alcotest qcheck_mesh_reference;

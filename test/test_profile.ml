@@ -255,12 +255,15 @@ let test_explain_dist () =
     (contains ~affix:"\"statements\"" j
     && contains ~affix:"\"transfers\"" j
     && contains ~affix:"\"calls\"" j);
-  (* Each trigger ends with its transport calls: Q3's customer trigger
-     is stage 1 carrying the share and its gather, the driver-bound
-     scatter, one exchange and stage 2. *)
+  Alcotest.(check bool) "plan JSON names the lineitem deal" true
+    (contains ~affix:"\"trigger\":\"lineitem\",\"kind\":\"stage\",\"stage\":1,\"share\":true,\"deal\":\"okey\"" j);
+  (* Each trigger ends with its transport calls: Q3's customer trigger,
+     dealt on ckey, is stage 1 carrying the share and its gather, the
+     driver-bound scatter and stage 2; its level-3 plan repartitioned
+     the pre-aggregation in an exchange between the last two. *)
   Alcotest.(check (list (pair string int)))
     "Q3 customer calls"
-    [ ("stage", 1); ("driver", 1); ("exchange", 1); ("stage", 1) ]
+    [ ("stage", 1); ("driver", 1); ("stage", 1) ]
     (List.filter_map
        (fun c ->
          if c.Profile.cp_trigger = "customer" then
@@ -272,6 +275,7 @@ let test_explain_dist () =
     (List.exists
        (fun c ->
          c.Profile.cp_trigger = "customer" && c.Profile.cp_share
+         && c.Profile.cp_deal = Some "ckey"
          && c.Profile.cp_stage = Some 1
          && List.length c.Profile.cp_transfers = 1)
        p.Profile.pl_calls);
@@ -295,10 +299,15 @@ let test_explain_dist () =
     in
     String.concat "\n" (from lines)
   in
-  Alcotest.(check bool) "Q17 lineitem: 3 round trips per batch" true
-    (contains ~affix:"round trips per batch: 3" lineitem
-    && contains ~affix:"exchange: transfer:" lineitem
-    && contains ~affix:"gathers ride the reply" lineitem)
+  (* dealt on pkey, the trigger runs one stage; its gathers ride the
+     reply *)
+  Alcotest.(check bool) "Q17 lineitem: 1 round trip per batch" true
+    (contains ~affix:"round trips per batch: 1" lineitem
+    && contains
+         ~affix:"call 1 (1 round trip): stage 1 + batch share dealt on pkey, \
+                 gathers ride the reply"
+         lineitem
+    && not (contains ~affix:"exchange" lineitem))
 
 (* ------------------------------------------------------------------ *)
 (* Attribution: slot sums = registry deltas                            *)

@@ -73,32 +73,52 @@ let test_nonempty_results () =
     [ "Q1"; "Q3"; "Q4"; "Q6"; "Q9"; "Q10"; "Q12"; "Q13"; "Q18" ]
 
 (* Distributed spot checks: the cluster simulation of representative TPC-H
-   queries matches local execution under the §6.2 partitioning heuristic. *)
+   queries matches local execution under the §6.2 partitioning heuristic,
+   at levels 3 (batches dealt round-robin) and 4 (dealt on a key), on 2,
+   3 and 4 workers, and every map lives where its location puts it after
+   every batch. *)
 let check_query_cluster qname () =
   let q = Queries.find qname in
   let prog = Compile.compile ~streams:Schema.streams q.maps in
   let catalog = Divm_dist.Loc.heuristic ~keys:Schema.partition_keys prog in
-  let dp = Divm_dist.Distribute.compile ~catalog prog in
-  let c =
-    Divm_cluster.Cluster.create
-      ~config:(Divm_cluster.Cluster.config ~workers:4 ())
-      dp
-  in
   let ex = Exec.create prog in
+  let clusters =
+    List.concat_map
+      (fun level ->
+        let dp =
+          Divm_dist.Distribute.compile
+            ~options:{ Divm_dist.Distribute.default_options with level }
+            ~catalog prog
+        in
+        List.map
+          (fun workers ->
+            ( Printf.sprintf "L%d/W%d" level workers,
+              Divm_cluster.Cluster.create
+                ~config:(Divm_cluster.Cluster.config ~workers ())
+                dp ))
+          [ 2; 3; 4 ])
+      [ 3; 4 ]
+  in
   List.iter
     (fun (rel, b) ->
       Exec.apply_batch ex ~rel b;
-      ignore (Divm_cluster.Cluster.apply_batch c ~rel b))
+      List.iter
+        (fun (_, c) ->
+          ignore (Divm_cluster.Cluster.apply_batch c ~rel b);
+          Divm_cluster.Cluster.check_placement c)
+        clusters)
     (Lazy.force batches);
-  Divm_cluster.Cluster.check_replicas c;
   List.iter
-    (fun (mname, _) ->
-      let expect = Exec.result ex mname in
-      let got = Divm_cluster.Cluster.result c mname in
-      if not (Gmr.equal ~eps:2e-4 expect got) then
-        Alcotest.failf "%s cluster diverged on %s: %d vs %d tuples" qname
-          mname (Gmr.cardinal got) (Gmr.cardinal expect))
-    q.maps
+    (fun (cname, c) ->
+      List.iter
+        (fun (mname, _) ->
+          let expect = Exec.result ex mname in
+          let got = Divm_cluster.Cluster.result c mname in
+          if not (Gmr.equal ~eps:2e-4 expect got) then
+            Alcotest.failf "%s cluster %s diverged on %s: %d vs %d tuples"
+              qname cname mname (Gmr.cardinal got) (Gmr.cardinal expect))
+        q.maps)
+    clusters
 
 (* The comparison engines of Fig 8 / Table 1 must themselves be correct:
    classical IVM and re-evaluation match the oracle on real queries. *)
