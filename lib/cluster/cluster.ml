@@ -93,15 +93,12 @@ let transfer_of wk idx =
          (Array.length wk.wtransfers));
   wk.wtransfers.(idx)
 
-(* The worker a keyed transfer sends [tup] to: the hash partition of its
-   key columns, where a keyed deal sends a batch row. (An empty key
-   broadcasts to every worker instead.) *)
-let dest = Colbatch.dest
-
 (* The one walk by which rows leave a pool, whoever sends them and
    wherever they go: a repartition's buffers, a scatter through the
    driver, a partition pulled to the driver. Walk the pool's live records
-   once and list each destination's slots ([dest]). A list bound for
+   once and list each destination's slots: a keyed row goes to its key
+   columns' hash partition ([Colbatch.dest], where a keyed deal sends a
+   batch row), and an empty key broadcasts it. A list bound for
    another node is transposed once into the column batch that travels;
    [self]'s list stays as slots of the pool (the driver, [self = -1],
    keeps none). Lists keep slot order, and a pool holds each tuple once,
@@ -137,7 +134,7 @@ let partition ~ledger ~self ~parts ~key name src =
         for d = 0 to parts - 1 do
           send d slot b
         done
-      else send (dest ~key ~parts tup) slot b);
+      else send (Colbatch.dest ~key ~parts tup) slot b);
   let width = max 0 !width in
   let cols = Array.init width Fun.id in
   let batch d =
@@ -1059,7 +1056,7 @@ let check_placement t =
           Array.iteri
             (fun wi cbs ->
               Colbatch.iter_rows cbs.(0) (fun row _ ->
-                  let d = dest ~key ~parts:t.workers row in
+                  let d = Colbatch.dest ~key ~parts:t.workers row in
                   if d <> wi then
                     fail "%s holds %s on worker %d; its key hashes to worker %d"
                       m.mname (Divm_ring.Vtuple.to_string row) wi d))

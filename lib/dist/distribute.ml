@@ -474,13 +474,21 @@ let cse_dce env kept dstmts =
 (* One trigger                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* Where a trigger's created maps [made] and the catalog's maps live. *)
+let locs_of env made =
+  Hashtbl.fold (fun n (_, l) acc -> (n, l) :: acc) made env.catalog
+
 (* The plan of one trigger, as a value: its statements (after CSE and DCE
-   from level 3), the maps its kept plans created with their declarations
-   and locations, the next free name number, and where its batch is dealt:
-   on a stream column, with the pre-aggregations that moved with it, or
-   round-robin. *)
+   from level 3) and their blocks (fused from level 2), the maps its kept
+   plans created with their declarations and locations, the next free
+   name number, and where its batch is dealt: on a stream column, with
+   the pre-aggregations that moved with it, or round-robin. A block's mode
+   is where its statements' targets live, and the compiled program
+   locates every map a trigger writes as the trigger's plan does, so the
+   kept plan's blocks are the program's. *)
 type tplan = {
   dstmts : Dprog.dstmt list;
+  blocks : Dprog.block list;
   made : (string, Prog.map_decl * Loc.t) Hashtbl.t;
   tnext : int;
   deal : int option;
@@ -501,20 +509,15 @@ let plan_trigger ?deal ?(moved = []) env next (tr : Prog.trigger) =
     plans;
   let dstmts = List.concat_map (fun p -> List.rev p.stmts) plans in
   let dstmts = if env.level >= 3 then cse_dce env made dstmts else dstmts in
-  { dstmts; made; tnext; deal; moved }
-
-let blocks_of level locs dstmts =
-  let blocks = Dprog.promote locs dstmts in
-  if level >= 2 then Dprog.fuse blocks else blocks
+  let blocks = Dprog.promote (locs_of env made) dstmts in
+  let blocks = if env.level >= 2 then Dprog.fuse blocks else blocks in
+  { dstmts; blocks; made; tnext; deal; moved }
 
 (* A trigger plan's round trips per batch, after fusion, then its
    transfers. *)
 let score env tp =
-  let locs = Hashtbl.fold (fun n (_, l) acc -> (n, l) :: acc) tp.made env.catalog in
-  let steps =
-    Dprog.steps
-      { drelation = ""; blocks = blocks_of env.level locs tp.dstmts; deal = None }
-  in
+  let locs = locs_of env tp.made in
+  let steps = Dprog.steps { drelation = ""; blocks = tp.blocks; deal = None } in
   ( Dprog.round_trips locs steps (Dprog.calls locs steps),
     List.length
       (List.filter (function Dprog.Transfer _ -> true | _ -> false) tp.dstmts) )
@@ -661,11 +664,7 @@ let compile ?(options = default_options) ~catalog (prog : Prog.t) =
   let dtriggers =
     List.map
       (fun (drelation, tp) ->
-        {
-          Dprog.drelation;
-          blocks = blocks_of options.level locs tp.dstmts;
-          deal = tp.deal;
-        })
+        { Dprog.drelation; blocks = tp.blocks; deal = tp.deal })
       planned
   in
   {

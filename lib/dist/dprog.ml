@@ -38,30 +38,42 @@ let mode_of locs = function
       | Loc.Local -> MLocal
       | Loc.Dist _ | Loc.Replicated | Loc.Random -> MDist)
 
-let commute s1 s2 =
-  let w1 = writes s1 and w2 = writes s2 in
-  (not (List.mem w1 (reads s2)))
-  && (not (List.mem w2 (reads s1)))
-  && (w1 <> w2 || not (is_assign s1 || is_assign s2))
+(* What a statement writes and reads, and whether it overwrites. *)
+type effect = { w : string; r : string list; assign : bool }
+
+let effect s = { w = writes s; r = reads s; assign = is_assign s }
+
+let commutes e1 e2 =
+  (not (List.mem e1.w e2.r))
+  && (not (List.mem e2.w e1.r))
+  && (e1.w <> e2.w || not (e1.assign || e2.assign))
+
+let commute s1 s2 = commutes (effect s1) (effect s2)
 
 (* --- Appendix C.3, transcribed --- *)
 
-let blocks_commute b1 b2 =
-  List.for_all (fun l -> List.for_all (fun r -> commute l r) b2.bstmts) b1.bstmts
+(* Fusion tests statements pairwise, again after every merge, so each
+   block travels with its statements' effects, computed once. *)
+let blocks_commute (_, e1) (_, e2) =
+  List.for_all (fun l -> List.for_all (commutes l) e2) e1
 
 let merge_into_head hd tl =
   List.fold_left
-    (fun (b1, rhs) b2 ->
-      if b1.bmode = b2.bmode && List.for_all (fun b -> blocks_commute b b2) rhs
-      then ({ b1 with bstmts = b1.bstmts @ b2.bstmts }, rhs)
-      else (b1, rhs @ [ b2 ]))
+    (fun (((b1, e1) as h), rhs) ((b2, e2) as b) ->
+      if b1.bmode = b2.bmode && List.for_all (fun b' -> blocks_commute b' b) rhs
+      then (({ b1 with bstmts = b1.bstmts @ b2.bstmts }, e1 @ e2), rhs)
+      else (h, rhs @ [ b ]))
     (hd, []) tl
 
-let rec fuse = function
-  | [] -> []
-  | hd :: tl ->
-      let hd2, tl2 = merge_into_head hd tl in
-      if hd = hd2 then hd :: fuse tl else fuse (hd2 :: tl2)
+let fuse blocks =
+  let rec go = function
+    | [] -> []
+    | hd :: tl ->
+        let hd2, tl2 = merge_into_head hd tl in
+        (* a head nothing merged into comes back as it went in *)
+        if hd2 == hd then fst hd :: go tl else go (hd2 :: tl2)
+  in
+  go (List.map (fun b -> (b, List.map effect b.bstmts)) blocks)
 
 let promote locs stmts =
   List.map (fun s -> { bmode = mode_of locs s; bstmts = [ s ] }) stmts

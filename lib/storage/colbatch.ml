@@ -257,49 +257,34 @@ let box_upto c i cap =
 (* One column of the dealing pass holds one typed array per share. A cell
    that does not fit the committed representation — a second value kind,
    or a string past [dict_demote] distinct entries — turns the column
-   boxed in every share: [box_shares] boxes the [filled q'] cells each
-   share [q'] holds so far and puts [v] at share [q], position [r]. *)
-let box_shares (sh : col array) filled q r v =
+   boxed in every share: [box_shares] boxes the cells each share holds so
+   far and puts [v] at share [q], position [r]. A keyed deal's [fill]
+   holds each share's row count; a round-robin deal passes [round_robin],
+   whose batch row [i] is share [i mod parts], position [i / parts], so a
+   share holds rows [0, r), plus row [r] in the shares before [q]. *)
+let round_robin : int array = [||]
+
+let box_shares (sh : col array) fill q r v =
   for q' = 0 to Array.length sh - 1 do
     let c = sh.(q') in
-    let a = box_upto c (filled q') (col_length c) in
+    let filled =
+      if Array.length fill = 0 then if q' < q then r + 1 else r else fill.(q')
+    in
+    let a = box_upto c filled (col_length c) in
     if q' = q then a.(r) <- v;
     sh.(q') <- CBoxed a
   done
 
-(* The round-robin deal's cell: batch row [i] is share [i mod parts],
-   position [i / parts], so a share holds rows [0, r), plus row [r] in
-   the shares before [q]. *)
-let box_round_robin sh q r v =
-  box_shares sh (fun q' -> if q' < q then r + 1 else r) q r v
-
-let deal_cell (sh : col array) q r (v : Value.t) =
+let deal_cell (sh : col array) fill q r (v : Value.t) =
   match (Array.unsafe_get sh q, v) with
   | CInt a, Value.Int x -> Array.unsafe_set a r x
   | CDate a, Value.Date x -> Array.unsafe_set a r x
   | CFloat a, Value.Float x -> Array.unsafe_set a r x
   | CDict (d, c), Value.String s ->
       Array.unsafe_set c r (dict_intern d s);
-      if d.dn > dict_demote then box_round_robin sh q r v
+      if d.dn > dict_demote then box_shares sh fill q r v
   | CBoxed a, v -> Array.unsafe_set a r v
-  | _, v -> box_round_robin sh q r v
-
-(* The keyed deal's cell: share [q'] holds [fill.(q')] rows, and the row
-   in progress goes to share [q] at position [fill.(q)]. A copy of
-   [deal_cell] rather than a generalization of it: the round-robin pass
-   transposes every local firing's batch, and a per-cell argument or
-   branch there costs the local runtime. *)
-let deal_cell_at (sh : col array) fill q (v : Value.t) =
-  let r = Array.unsafe_get fill q in
-  match (Array.unsafe_get sh q, v) with
-  | CInt a, Value.Int x -> Array.unsafe_set a r x
-  | CDate a, Value.Date x -> Array.unsafe_set a r x
-  | CFloat a, Value.Float x -> Array.unsafe_set a r x
-  | CDict (d, c), Value.String s ->
-      Array.unsafe_set c r (dict_intern d s);
-      if d.dn > dict_demote then box_shares sh (Array.get fill) q r v
-  | CBoxed a, v -> Array.unsafe_set a r v
-  | _, v -> box_shares sh (Array.get fill) q r v
+  | _, v -> box_shares sh fill q r v
 
 (* Under a cachesim sink a share has an arena, where a live cell and a
    multiplicity are written per row. *)
@@ -359,7 +344,8 @@ let build ~cols:live ~width ~parts ~count:n iter =
           sh.(k) <- new_cols caps tup.(live.(k))
         done;
       for k = 0 to nl - 1 do
-        deal_cell (Array.unsafe_get sh k) qi ri tup.(Array.unsafe_get live k)
+        deal_cell (Array.unsafe_get sh k) round_robin qi ri
+          tup.(Array.unsafe_get live k)
       done;
       Array.unsafe_set (Array.unsafe_get mults qi) ri m;
       let tb = Array.unsafe_get tbases qi in
@@ -407,7 +393,7 @@ let build_keyed ~cols:live ~width ~parts ~key (g : Gmr.t) =
         done
       end;
       for k = 0 to nl - 1 do
-        deal_cell_at (Array.unsafe_get sh k) fill qi
+        deal_cell (Array.unsafe_get sh k) fill qi ri
           tup.(Array.unsafe_get live k)
       done;
       Array.unsafe_set (Array.unsafe_get mults qi) ri m;

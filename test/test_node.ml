@@ -873,7 +873,7 @@ let gen_deal_case =
          (oneof [ oneofl [ 1.; -1.; 2. ]; float_range (-10.) 10. ]))
     >>= fun rows ->
     list_repeat width bool >>= fun sel ->
-    opt (int_range 0 (width - 1)) >>= fun key ->
+    int_range 0 (width - 1) >>= fun key ->
     int_range 1 4 >|= fun parts ->
     let g = Gmr.create () in
     List.iter (fun (t, m) -> Gmr.add g t m) rows;
@@ -976,21 +976,21 @@ let check_deal (width, cols, parts, key, g) =
       | _ -> ())
     cols
 
+(* Every case is dealt twice: round-robin, then on its key column. *)
 let qcheck_deal =
   let print (width, cols, parts, key, g) =
-    Printf.sprintf "width=%d cols=[%s] parts=%d key=%s rows=%d" width
+    Printf.sprintf "width=%d cols=[%s] parts=%d key=%d rows=%d" width
       (String.concat ";" (Array.to_list (Array.map string_of_int cols)))
-      parts
-      (match key with Some c -> string_of_int c | None -> "round-robin")
-      (Gmr.cardinal g)
+      parts key (Gmr.cardinal g)
   in
   QCheck.Test.make
     ~name:
       "deal: round-robin rows, batch-wide kinds, one dictionary, keyed rows \
        on their hash"
     ~count:300 (QCheck.make ~print gen_deal_case)
-    (fun case ->
-      check_deal case;
+    (fun (width, cols, parts, key, g) ->
+      check_deal (width, cols, parts, None, g);
+      check_deal (width, cols, parts, Some key, g);
       true)
 
 (* A keyed deal turns a column boxed only after rows have reached several
