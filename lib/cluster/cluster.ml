@@ -851,6 +851,7 @@ let apply_batch t ~rel batch =
       | Move tr ->
           Obs.span ("transfer:" ^ tr.tr.tname) (fun () ->
               let wall0 = now () and tw0 = tp.wire () in
+              let words0 = Gc.minor_words () in
               let bytes_before = net.total and before_max = max_into net in
               (match plan.calls.(i) with
               | Fetch (names, ps) ->
@@ -875,7 +876,9 @@ let apply_batch t ~rel batch =
               let into = max_into net - before_max in
               if Prof.enabled () then
                 Prof.add tr.tslot ~ops:0 ~probes:0 ~misses:0 ~scanned:0
-                  ~svscan:0 ~svsel:0 ~bytes ~wall;
+                  ~svscan:0 ~svsel:0 ~bytes
+                  ~words:(int_of_float (Gc.minor_words () -. words0))
+                  ~wall;
               pending_max_into := max !pending_max_into into;
               let dt =
                 Costmodel.transfer_latency t.cost ~ser_bytes:ser ~max_into:into
@@ -909,6 +912,7 @@ let apply_batch t ~rel batch =
           incr stages;
           Obs.span label (fun () ->
               let wall0 = now () and tw0 = tp.wire () in
+              let words0 = Gc.minor_words () in
               let replies =
                 run t ~rel bi ~share:!shares
                   ~pulls:
@@ -944,7 +948,9 @@ let apply_batch t ~rel batch =
                    Obs.Histogram.observe h_straggler (sorted.(w - 1) /. med));
               if Prof.enabled () then
                 Prof.add slot ~ops:!ops ~probes:0 ~misses:0 ~scanned:0
-                  ~svscan:0 ~svsel:0 ~bytes:0 ~wall;
+                  ~svscan:0 ~svsel:0 ~bytes:0
+                  ~words:(int_of_float (Gc.minor_words () -. words0))
+                  ~wall;
               (* The modeled time is a pure function of the per-worker op
                  counts, so it is the same at any domain count and on
                  either transport. *)

@@ -165,6 +165,7 @@ let put_slots w (rows : Prof.row list) =
       put_i64 w r.r_svscan;
       put_i64 w r.r_svsel;
       put_i64 w r.r_bytes;
+      put_i64 w r.r_words;
       put_f64 w r.r_wall)
     rows
 
@@ -694,7 +695,7 @@ let get_snapshot r : Obs.snapshot =
       | k -> err "unknown snapshot value kind %d" k)
 
 let get_slots r : Prof.row list =
-  let n = get_count r "profiler slot" ~elt:80 in
+  let n = get_count r "profiler slot" ~elt:88 in
   List.init n (fun _ ->
       let r_trigger = get_string r in
       let r_label = get_string r in
@@ -706,6 +707,7 @@ let get_slots r : Prof.row list =
       let r_svscan = Int64.to_int (get_i64 r) in
       let r_svsel = Int64.to_int (get_i64 r) in
       let r_bytes = Int64.to_int (get_i64 r) in
+      let r_words = Int64.to_int (get_i64 r) in
       let r_wall = get_f64 r in
       {
         Prof.r_trigger;
@@ -718,6 +720,7 @@ let get_slots r : Prof.row list =
         r_svscan;
         r_svsel;
         r_bytes;
+        r_words;
         r_wall;
       })
 

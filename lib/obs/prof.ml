@@ -17,6 +17,7 @@ type row = {
   r_svscan : int;
   r_svsel : int;
   r_bytes : int;
+  r_words : int; (* minor-heap words allocated while the slot ran *)
   r_wall : float;
 }
 
@@ -39,6 +40,7 @@ let scanned = ref [||]
 let svscan = ref [||]
 let svsel = ref [||]
 let bytes = ref [||]
+let words = ref [||]
 let wall = ref [||]
 let ids : (string * string, int) Hashtbl.t = Hashtbl.create 64
 
@@ -56,6 +58,7 @@ let grow () =
   svscan := gi svscan;
   svsel := gi svsel;
   bytes := gi bytes;
+  words := gi words;
   wall := Array.append !wall (Array.make (cap' - !cap) 0.);
   cap := cap'
 
@@ -72,10 +75,10 @@ let slot ~trigger ~label =
       id
 
 let add id ~ops:o ~probes:p ~misses:m ~scanned:s ~svscan:v ~svsel:e ~bytes:b
-    ~wall:w =
+    ~words:mw ~wall:w =
   let fa = !firings and oa = !ops and pa = !probes in
   let ma = !misses and sa = !scanned and ba = !bytes and wa = !wall in
-  let va = !svscan and ea = !svsel in
+  let va = !svscan and ea = !svsel and wda = !words in
   Array.unsafe_set fa id (Array.unsafe_get fa id + 1);
   Array.unsafe_set oa id (Array.unsafe_get oa id + o);
   Array.unsafe_set pa id (Array.unsafe_get pa id + p);
@@ -84,6 +87,7 @@ let add id ~ops:o ~probes:p ~misses:m ~scanned:s ~svscan:v ~svsel:e ~bytes:b
   Array.unsafe_set va id (Array.unsafe_get va id + v);
   Array.unsafe_set ea id (Array.unsafe_get ea id + e);
   Array.unsafe_set ba id (Array.unsafe_get ba id + b);
+  Array.unsafe_set wda id (Array.unsafe_get wda id + mw);
   Array.unsafe_set wa id (Array.unsafe_get wa id +. w)
 
 (* Fold a whole row (e.g. a worker process's slot delta shipped over the
@@ -99,6 +103,7 @@ let merge ~trigger ~label (r : row) =
   !svscan.(id) <- !svscan.(id) + r.r_svscan;
   !svsel.(id) <- !svsel.(id) + r.r_svsel;
   !bytes.(id) <- !bytes.(id) + r.r_bytes;
+  !words.(id) <- !words.(id) + r.r_words;
   !wall.(id) <- !wall.(id) +. r.r_wall
 
 let rows () =
@@ -114,6 +119,7 @@ let rows () =
         r_svscan = !svscan.(id);
         r_svsel = !svsel.(id);
         r_bytes = !bytes.(id);
+        r_words = !words.(id);
         r_wall = !wall.(id);
       })
 
@@ -126,4 +132,5 @@ let reset () =
   Array.fill !svscan 0 !cap 0;
   Array.fill !svsel 0 !cap 0;
   Array.fill !bytes 0 !cap 0;
+  Array.fill !words 0 !cap 0;
   Array.fill !wall 0 !cap 0.

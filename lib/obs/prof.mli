@@ -21,7 +21,8 @@ val set_enabled : bool -> unit
     ["transfer:<name>"]. *)
 val slot : trigger:string -> label:string -> int
 
-(** Charge one firing plus counter deltas to a slot. *)
+(** Charge one firing plus counter deltas to a slot. [words] is the
+    [Gc.minor_words] delta of the firing. *)
 val add :
   int ->
   ops:int ->
@@ -31,6 +32,7 @@ val add :
   svscan:int ->
   svsel:int ->
   bytes:int ->
+  words:int ->
   wall:float ->
   unit
 
@@ -45,6 +47,9 @@ type row = {
   r_svscan : int;  (** rows examined by selection-vector filter kernels *)
   r_svsel : int;  (** rows surviving the kernels (survivor-vector length) *)
   r_bytes : int;  (** serialized bytes this transfer shuffled *)
+  r_words : int;
+      (** words allocated on the minor heap while the slot ran, in the
+          process that ran it: [Gc.minor_words] deltas *)
   r_wall : float;  (** seconds *)
 }
 

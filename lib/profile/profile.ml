@@ -34,9 +34,8 @@ type stmt_plan = {
           into packed survivor index vectors) *)
   sp_rowwise : int;
       (** filters left on the per-row closure path (dynamic predicates) *)
-  sp_grouped : bool;
-      (** its group groups the batch by probe key (some member probes or
-          slices a store) *)
+  sp_pass : Runtime.group_pass;
+      (** what its group runs: key groups, a hash aggregation, or rows *)
   sp_generic : string option;
   sp_block : int option;
   sp_stage : int option;
@@ -117,7 +116,7 @@ let route_of_label lbl =
 
 (* One statement's plan entry from its planner route. *)
 let stmt_plan sp bp ~trigger ?block ?stage ?loc
-    ((st : Prog.stmt), lbl, selvec, rowwise, grouped, generic) =
+    ((st : Prog.stmt), lbl, selvec, rowwise, pass, generic) =
   {
     sp_trigger = trigger;
     sp_label = lbl;
@@ -126,7 +125,7 @@ let stmt_plan sp bp ~trigger ?block ?stage ?loc
     sp_columnar = route_of_label lbl <> "stmt";
     sp_selvec = selvec;
     sp_rowwise = rowwise;
-    sp_grouped = grouped;
+    sp_pass = pass;
     sp_generic = generic;
     sp_block = block;
     sp_stage = stage;
@@ -333,12 +332,20 @@ let render_stmt buf indent s =
     | _ -> "compiled closure")
     (match s.sp_loc with Some l -> "  @" ^ l | None -> "");
   match route with
-  | ("columnar-join" | "fused") when s.sp_grouped ->
+  | ("columnar" | "selvec" | "fused" | "fused-selvec")
+    when s.sp_pass = Runtime.Summed ->
+      Printf.bprintf buf "%s    %ssummed per target key: one record per distinct key\n"
+        indent
+        (if s.sp_selvec > 0 then
+           Printf.sprintf "filters (%s): kernels pack survivors once per filter set; "
+             (filter_split_str s)
+         else "")
+  | ("columnar-join" | "fused") when s.sp_pass = Runtime.Key_groups ->
       Printf.bprintf buf
         "%s    batch grouped by probe key; store accessors resolved once \
          per key group\n"
         indent
-  | ("selvec-join" | "fused-selvec") when s.sp_grouped ->
+  | ("selvec-join" | "fused-selvec") when s.sp_pass = Runtime.Key_groups ->
       Printf.bprintf buf
         "%s    batch grouped by probe key; filters (%s) gate rows before \
          accessor resolution\n"
@@ -663,16 +670,17 @@ let report ?plan ?storage ?diff ?(top = 20) () =
   Printf.bprintf buf "== PROFILE%s: top %d of %d statements by wall time ==\n"
     (match plan with Some p -> " " ^ p.pl_name | None -> "")
     (List.length shown) (List.length rows);
-  Printf.bprintf buf "%-10s %-26s %8s %10s %10s %8s %9s %10s %10s %10s %9s  %s\n"
-    "trigger" "statement" "fires" "ops" "probes" "misses" "scanned" "svscan"
-    "svsel" "bytes" "wall_ms" "plan";
+  Printf.bprintf buf
+    "%-10s %-26s %8s %10s %10s %8s %9s %10s %10s %10s %9s %12s  %s\n" "trigger"
+    "statement" "fires" "ops" "probes" "misses" "scanned" "svscan" "svsel"
+    "bytes" "wall_ms" "minor_words" "plan";
   List.iter
     (fun r ->
       Printf.bprintf buf
-        "%-10s %-26s %8d %10d %10d %8d %9d %10d %10d %10d %9.2f  %s\n"
+        "%-10s %-26s %8d %10d %10d %8d %9d %10d %10d %10d %9.2f %12d  %s\n"
         r.Prof.r_trigger r.Prof.r_label r.Prof.r_firings r.Prof.r_ops
         r.Prof.r_probes r.Prof.r_misses r.Prof.r_scanned r.Prof.r_svscan
-        r.Prof.r_svsel r.Prof.r_bytes (r.Prof.r_wall *. 1e3)
+        r.Prof.r_svsel r.Prof.r_bytes (r.Prof.r_wall *. 1e3) r.Prof.r_words
         (plan_summary plan r))
     shown;
   let tot f = List.fold_left (fun acc r -> acc + f r) 0 rows in
@@ -719,10 +727,11 @@ let report_json ?plan ?storage ?diff () =
     (fun i r ->
       if i > 0 then Buffer.add_char buf ',';
       Printf.bprintf buf
-        "{\"trigger\":%s,\"label\":%s,\"firings\":%d,\"ops\":%d,\"probes\":%d,\"misses\":%d,\"scanned\":%d,\"svscan\":%d,\"svsel\":%d,\"bytes\":%d,\"wall_s\":%.9f,\"plan\":%s}"
+        "{\"trigger\":%s,\"label\":%s,\"firings\":%d,\"ops\":%d,\"probes\":%d,\"misses\":%d,\"scanned\":%d,\"svscan\":%d,\"svsel\":%d,\"bytes\":%d,\"minor_words\":%d,\"wall_s\":%.9f,\"plan\":%s}"
         (js r.Prof.r_trigger) (js r.Prof.r_label) r.Prof.r_firings
         r.Prof.r_ops r.Prof.r_probes r.Prof.r_misses r.Prof.r_scanned
-        r.Prof.r_svscan r.Prof.r_svsel r.Prof.r_bytes r.Prof.r_wall
+        r.Prof.r_svscan r.Prof.r_svsel r.Prof.r_bytes r.Prof.r_words
+        r.Prof.r_wall
         (js (plan_summary plan r)))
     (List.filter (fun r -> r.Prof.r_firings > 0) (Prof.rows ()));
   Buffer.add_string buf "]";

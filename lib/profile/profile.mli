@@ -60,10 +60,10 @@ type stmt_plan = {
           into packed survivor index vectors); 0 on generic routes *)
   sp_rowwise : int;
       (** filters left on the per-row closure path (dynamic predicates) *)
-  sp_grouped : bool;
-      (** its group groups the batch by probe key before running, so
-          each store accessor resolves once per key group: only groups
-          with a member that probes or slices a store do *)
+  sp_pass : Divm_runtime.Runtime.group_pass;
+      (** what its group runs ({!Divm_runtime.Runtime.group_pass}): key
+          groups when a member probes or slices a store, a hash
+          aggregation for a batch pre-aggregation, rows otherwise *)
   sp_generic : string option;
       (** on the generic (["stmt:"]) route, the planner rule that put it
           there; [None] on vectorized routes *)

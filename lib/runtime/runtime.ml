@@ -451,8 +451,11 @@ let compile_stmt rt ~mode (s : Prog.stmt) : unit -> unit =
    columns are grouped by the probe
    key columns, so every accessor resolves once per distinct key instead
    of once per batch row — O(K) probes for a batch with K distinct keys
-   (§5.2). Rows are never merged: each runs the member chain and equal
-   rows meet at the target, whose ring [+] sums them. *)
+   (§5.2). Such a group never merges rows: each runs the member chain
+   and equal rows meet at the target, whose ring [+] sums them. A group
+   that reads no store and only assigns its targets, a batch
+   pre-aggregation (§3.3), is instead summed per target key, one record
+   per distinct key ([summable], [run_summed]). *)
 
 type vsource = {
   vs_name : string; (* delta stream or transient map *)
@@ -836,6 +839,31 @@ let reads_batch_pool (units : unit_plan list) =
     (function
       | UStmt (st, _) -> Calc.has_deltas st.Prog.rhs | UGroup _ -> false)
     units
+
+(* Whether a value expression evaluates as a raw float, with no [Value]
+   boxed per row: statically numeric, and no [Date] operand under a
+   negation or a Min/Max, whose orderings under [Value.neg] and
+   [Value.compare] differ from plain numerics ([Some dateish] when it
+   does). Both float compilers, per row and per column, take exactly
+   these expressions. *)
+let rec float_kind (ve : Vexpr.t) : bool option =
+  match ve with
+  | Vexpr.Const (Value.Int _ | Value.Float _) -> Some false
+  | Vexpr.Const (Value.Date _) -> Some true
+  | Vexpr.Const (Value.String _) -> None
+  | Vexpr.Var x -> if x.ty = Value.TString then None else Some (x.ty = Value.TDate)
+  | Vexpr.Add (a, b) | Vexpr.Sub (a, b) | Vexpr.Mul (a, b) | Vexpr.Div (a, b) -> (
+      match (float_kind a, float_kind b) with
+      | Some da, Some db -> Some (da || db)
+      | _ -> None)
+  | Vexpr.Neg a -> ( match float_kind a with Some false -> Some false | _ -> None)
+  | Vexpr.Floor a -> float_kind a
+  | Vexpr.Min (a, b) | Vexpr.Max (a, b) -> (
+      match (float_kind a, float_kind b) with
+      | Some false, Some false -> Some false
+      | _ -> None)
+
+let float_ok ve = float_kind ve <> None
 
 (* ------------------------------------------------------------------ *)
 (* Selection-vector kernels: static classification                     *)
@@ -1240,11 +1268,118 @@ type ginst = {
   gi_gaccs : gacc array;
   gi_gslices : gslice array;
   gi_bufs : (Pool.t * Gmr.t) array; (* per member, only when buffered *)
-  gi_clears : Pool.t list; (* Assign targets, cleared before any run *)
   gi_boxed : int array;
       (* column slots read as boxed [Value]s by some per-row reader;
          batch prep pre-boxes these (see [box_reads]) *)
 }
+
+(* The selection-vector kernels hoisted from [p]'s filter chain, as
+   builders that read [ctx.vc_cols] (see [gmember]), and the steps left
+   on the per-row chain. *)
+let member_kernels (ctx : vctx) (cpos : int array) (p : vplan) :
+    (unit -> kern) array * vstep list =
+  (* Hoist statically-typed filters out of the per-row chain into
+     selection-vector kernels. [classify_filter] is the shared
+     authority with the EXPLAIN labels, so [selvec:]/[rowwise:] in the
+     plan matches what actually runs. A hoisted membership test
+     ([VFilterIn]) keeps its match-count multiply in the residual
+     chain — the kernel only gates zero-match rows. *)
+  let kerns = ref [] in
+  let pass_builder ((op, l, r) : Calc.cmp_op * kside * kside) :
+      unit -> int -> bool =
+    match (l, r) with
+    | KCol c, KNum v ->
+        let cc = cpos.(c) in
+        fun () -> pass_col_num ctx.vc_cols.(cc) op v
+    | KCol c1, KCol c2 ->
+        let a = cpos.(c1) and b = cpos.(c2) in
+        fun () -> pass_col_col ctx.vc_cols.(a) ctx.vc_cols.(b) op
+    | KSCol c, KStr s ->
+        let cc = cpos.(c) in
+        let kv = Value.String s in
+        let cache = ref None in
+        fun () -> pass_col_str cache ctx.vc_cols.(cc) op kv
+    | KSCol c1, KSCol c2 ->
+        let a = cpos.(c1) and b = cpos.(c2) in
+        fun () ->
+          let ca = ctx.vc_cols.(a) and cb = ctx.vc_cols.(b) in
+          fun i -> Calc.eval_cmp op (Colbatch.get ca i) (Colbatch.get cb i)
+    | _ -> assert false (* [classify_filter] returns no other pairing *)
+  in
+  (* A single comparison gets the fully-specialized loops when its
+     column is unboxed; everything else wraps its row predicate in the
+     generic packed loops. *)
+  let kern_builder ((op, l, r) as cf : Calc.cmp_op * kside * kside) :
+      unit -> kern =
+    match (l, r) with
+    | KCol c, KNum v ->
+        let cc = cpos.(c) in
+        fun () -> (
+          match ctx.vc_cols.(cc) with
+          | Colbatch.CFloat a -> kern_float_const a op v
+          | Colbatch.CInt a | Colbatch.CDate a -> kern_int_const a op v
+          | col -> kern_of_pass (pass_col_num col op v))
+    | _ ->
+        let pb = pass_builder cf in
+        fun () -> kern_of_pass (pb ())
+  in
+  (* Two constant comparisons on the same column fuse into one band
+     kernel — one pass, one load per row. *)
+  let kern_builder2 c op1 v1 op2 v2 : unit -> kern =
+    let cc = cpos.(c) in
+    fun () ->
+      match ctx.vc_cols.(cc) with
+      | Colbatch.CFloat a -> kern_float_const2 a op1 v1 op2 v2
+      | Colbatch.CInt a | Colbatch.CDate a -> kern_int_const2 a op1 v1 op2 v2
+      | col ->
+          let p1 = pass_col_num col op1 v1 and p2 = pass_col_num col op2 v2 in
+          kern_of_pass (fun i -> p1 i && p2 i)
+  in
+  let consts = ref [] (* constant filters, kept in step order *) in
+  let add_kern build = kerns := !kerns @ [ build ] in
+  let steps =
+    List.filter
+      (fun st ->
+        match st with
+        | VFilter (op, a, b) -> (
+            match classify_filter p (op, a, b) with
+            | Some (op', KCol c, KNum v) ->
+                consts := !consts @ [ (c, op', v) ];
+                false
+            | Some cf ->
+                add_kern (kern_builder cf);
+                false
+            | None -> true)
+        | VFilterIn cs ->
+            let cfs = List.map (classify_filter p) cs in
+            if List.for_all (fun o -> o <> None) cfs then begin
+              let builders =
+                Array.of_list (List.map (fun o -> pass_builder (Option.get o)) cfs)
+              in
+              add_kern (fun () ->
+                  let pfs = Array.map (fun b -> b ()) builders in
+                  let np = Array.length pfs in
+                  kern_of_pass (fun i ->
+                      let rec any j =
+                        j < np && ((Array.unsafe_get pfs j) i || any (j + 1))
+                      in
+                      any 0))
+            end;
+            true (* the match-count multiply stays in the chain *)
+        | _ -> true)
+      p.vp_steps
+  in
+  (* pair same-column constant filters into band kernels; constant
+     kernels run before the generic ones (cheapest per scanned row) *)
+  let rec pair = function
+    | [] -> []
+    | (c, op, v) :: rest -> (
+        match List.partition (fun (c2, _, _) -> c2 = c) rest with
+        | (_, op2, v2) :: more_same, others ->
+            kern_builder2 c op v op2 v2 :: pair (more_same @ others)
+        | [], _ -> kern_builder (op, KCol c, KNum v) :: pair rest)
+  in
+  (Array.of_list (pair !consts @ !kerns), steps)
 
 let bind_instance (rt : t) ~(shape : gshape) ~buffered (ps : vplan list) :
     ginst =
@@ -1355,162 +1490,49 @@ let bind_instance (rt : t) ~(shape : gshape) ~buffered (ps : vplan list) :
           reader_of
             (match pos_of v.name with Some c -> VSrc c | None -> VAux v.name))
     in
-    (* Float-specialized compilation: statically numeric expressions
-       evaluate as raw floats, so hot filters and weights never box a
-       [Value] per row (typed columns otherwise allocate on every read).
-       The bool tracks possible [Date] operands, whose ordering under
-       [Value.compare] (Min/Max) and [Value.neg] differ from plain
-       numerics — those shapes fall back to the boxed evaluator. *)
-    let rec compile_vf (ve : Vexpr.t) : ((unit -> float) * bool) option =
+    (* Float-specialized compilation of the expressions [float_ok]
+       accepts: hot filters and weights never box a [Value] per row
+       (typed columns otherwise allocate on every read). *)
+    let rec compile_f (ve : Vexpr.t) : unit -> float =
       match ve with
-      | Vexpr.Const (Value.Int i) ->
-          let f = float_of_int i in
-          Some ((fun () -> f), false)
-      | Vexpr.Const (Value.Float f) -> Some ((fun () -> f), false)
-      | Vexpr.Const (Value.Date d) ->
-          let f = float_of_int d in
-          Some ((fun () -> f), true)
-      | Vexpr.Const (Value.String _) -> None
+      | Vexpr.Const c ->
+          let f = Value.to_float c in
+          fun () -> f
       | Vexpr.Var x -> (
-          if x.ty = Value.TString then None
-          else
-            let dateish = x.ty = Value.TDate in
-            match pos_of x.name with
-            | Some c ->
-                let cc = cpos.(c) in
-                Some
-                  ( (fun () -> Colbatch.float_get ctx.vc_cols.(cc) ctx.vc_row),
-                    dateish )
-            | None ->
-                let i = aux_slot x.name in
-                Some ((fun () -> Value.to_float aux_arr.(i)), dateish))
-      | Vexpr.Add (a, b) -> fbin ( +. ) a b
-      | Vexpr.Sub (a, b) -> fbin ( -. ) a b
-      | Vexpr.Mul (a, b) -> fbin ( *. ) a b
-      | Vexpr.Div (a, b) -> fbin ( /. ) a b
-      | Vexpr.Neg a -> (
-          match compile_vf a with
-          | Some (fa, false) -> Some ((fun () -> -.fa ()), false)
-          | _ -> None)
-      | Vexpr.Floor a -> (
-          match compile_vf a with
-          | Some (fa, d) -> Some ((fun () -> Float.floor (fa ())), d)
-          | None -> None)
-      | Vexpr.Min (a, b) -> fminmax Float.min a b
-      | Vexpr.Max (a, b) -> fminmax Float.max a b
-    and fbin op a b =
-      match (compile_vf a, compile_vf b) with
-      | Some (fa, da), Some (fb, db) ->
-          Some ((fun () -> op (fa ()) (fb ())), da || db)
-      | _ -> None
-    and fminmax op a b =
-      match (compile_vf a, compile_vf b) with
-      | Some (fa, false), Some (fb, false) ->
-          Some ((fun () -> op (fa ()) (fb ())), false)
-      | _ -> None
+          match pos_of x.name with
+          | Some c ->
+              let cc = cpos.(c) in
+              fun () -> Colbatch.float_get ctx.vc_cols.(cc) ctx.vc_row
+          | None ->
+              let i = aux_slot x.name in
+              fun () -> Value.to_float aux_arr.(i))
+      | Vexpr.Add (a, b) ->
+          let fa = compile_f a and fb = compile_f b in
+          fun () -> fa () +. fb ()
+      | Vexpr.Sub (a, b) ->
+          let fa = compile_f a and fb = compile_f b in
+          fun () -> fa () -. fb ()
+      | Vexpr.Mul (a, b) ->
+          let fa = compile_f a and fb = compile_f b in
+          fun () -> fa () *. fb ()
+      | Vexpr.Div (a, b) ->
+          let fa = compile_f a and fb = compile_f b in
+          fun () -> fa () /. fb ()
+      | Vexpr.Neg a ->
+          let fa = compile_f a in
+          fun () -> -.fa ()
+      | Vexpr.Floor a ->
+          let fa = compile_f a in
+          fun () -> Float.floor (fa ())
+      | Vexpr.Min (a, b) ->
+          let fa = compile_f a and fb = compile_f b in
+          fun () -> Float.min (fa ()) (fb ())
+      | Vexpr.Max (a, b) ->
+          let fa = compile_f a and fb = compile_f b in
+          fun () -> Float.max (fa ()) (fb ())
     in
-    (* Hoist statically-typed filters out of the per-row chain into
-       selection-vector kernels. [classify_filter] is the shared
-       authority with the EXPLAIN labels, so [selvec:]/[rowwise:] in the
-       plan matches what actually runs. A hoisted membership test
-       ([VFilterIn]) keeps its match-count multiply in the residual
-       chain — the kernel only gates zero-match rows. *)
-    let kerns = ref [] in
-    let pass_builder ((op, l, r) : Calc.cmp_op * kside * kside) :
-        unit -> int -> bool =
-      match (l, r) with
-      | KCol c, KNum v ->
-          let cc = cpos.(c) in
-          fun () -> pass_col_num ctx.vc_cols.(cc) op v
-      | KCol c1, KCol c2 ->
-          let a = cpos.(c1) and b = cpos.(c2) in
-          fun () -> pass_col_col ctx.vc_cols.(a) ctx.vc_cols.(b) op
-      | KSCol c, KStr s ->
-          let cc = cpos.(c) in
-          let kv = Value.String s in
-          let cache = ref None in
-          fun () -> pass_col_str cache ctx.vc_cols.(cc) op kv
-      | KSCol c1, KSCol c2 ->
-          let a = cpos.(c1) and b = cpos.(c2) in
-          fun () ->
-            let ca = ctx.vc_cols.(a) and cb = ctx.vc_cols.(b) in
-            fun i -> Calc.eval_cmp op (Colbatch.get ca i) (Colbatch.get cb i)
-      | _ -> assert false (* [classify_filter] returns no other pairing *)
-    in
-    (* A single comparison gets the fully-specialized loops when its
-       column is unboxed; everything else wraps its row predicate in the
-       generic packed loops. *)
-    let kern_builder ((op, l, r) as cf : Calc.cmp_op * kside * kside) :
-        unit -> kern =
-      match (l, r) with
-      | KCol c, KNum v ->
-          let cc = cpos.(c) in
-          fun () -> (
-            match ctx.vc_cols.(cc) with
-            | Colbatch.CFloat a -> kern_float_const a op v
-            | Colbatch.CInt a | Colbatch.CDate a -> kern_int_const a op v
-            | col -> kern_of_pass (pass_col_num col op v))
-      | _ ->
-          let pb = pass_builder cf in
-          fun () -> kern_of_pass (pb ())
-    in
-    (* Two constant comparisons on the same column fuse into one band
-       kernel — one pass, one load per row. *)
-    let kern_builder2 c op1 v1 op2 v2 : unit -> kern =
-      let cc = cpos.(c) in
-      fun () ->
-        match ctx.vc_cols.(cc) with
-        | Colbatch.CFloat a -> kern_float_const2 a op1 v1 op2 v2
-        | Colbatch.CInt a | Colbatch.CDate a -> kern_int_const2 a op1 v1 op2 v2
-        | col ->
-            let p1 = pass_col_num col op1 v1 and p2 = pass_col_num col op2 v2 in
-            kern_of_pass (fun i -> p1 i && p2 i)
-    in
-    let consts = ref [] (* constant filters, kept in step order *) in
-    let add_kern build = kerns := !kerns @ [ build ] in
-    let steps =
-      List.filter
-        (fun st ->
-          match st with
-          | VFilter (op, a, b) -> (
-              match classify_filter p (op, a, b) with
-              | Some (op', KCol c, KNum v) ->
-                  consts := !consts @ [ (c, op', v) ];
-                  false
-              | Some cf ->
-                  add_kern (kern_builder cf);
-                  false
-              | None -> true)
-          | VFilterIn cs ->
-              let cfs = List.map (classify_filter p) cs in
-              if List.for_all (fun o -> o <> None) cfs then begin
-                let builders =
-                  Array.of_list (List.map (fun o -> pass_builder (Option.get o)) cfs)
-                in
-                add_kern (fun () ->
-                    let pfs = Array.map (fun b -> b ()) builders in
-                    let np = Array.length pfs in
-                    kern_of_pass (fun i ->
-                        let rec any j =
-                          j < np && ((Array.unsafe_get pfs j) i || any (j + 1))
-                        in
-                        any 0))
-              end;
-              true (* the match-count multiply stays in the chain *)
-          | _ -> true)
-        p.vp_steps
-    in
-    (* pair same-column constant filters into band kernels; constant
-       kernels run before the generic ones (cheapest per scanned row) *)
-    let rec pair = function
-      | [] -> []
-      | (c, op, v) :: rest -> (
-          match List.partition (fun (c2, _, _) -> c2 = c) rest with
-          | (_, op2, v2) :: more_same, others ->
-              kern_builder2 c op v op2 v2 :: pair (more_same @ others)
-          | [], _ -> kern_builder (op, KCol c, KNum v) :: pair rest)
-    in
-    kerns := pair !consts @ !kerns;
+    let compile_vf ve = if float_ok ve then Some (compile_f ve) else None in
+    let kerns, steps = member_kernels ctx cpos p in
     (* account member references for the probes-saved model *)
     List.iter
       (function
@@ -1596,7 +1618,7 @@ let bind_instance (rt : t) ~(shape : gshape) ~buffered (ps : vplan list) :
       | VFilter (op, a, b) :: tl -> (
           let next = chain tl k in
           match (compile_vf a, compile_vf b) with
-          | Some (fa, _), Some (fb, _) ->
+          | Some fa, Some fb ->
               (* unboxed comparison; [ftest] replicates exactly the
                  numeric branch of [Value.compare_approx] *)
               let test = ftest op in
@@ -1615,7 +1637,7 @@ let bind_instance (rt : t) ~(shape : gshape) ~buffered (ps : vplan list) :
               (List.map
                  (fun (op, a, b) ->
                    match (compile_vf a, compile_vf b) with
-                   | Some (fa, _), Some (fb, _) ->
+                   | Some fa, Some fb ->
                        let t = ftest op in
                        fun () -> t (fa ()) (fb ())
                    | _ ->
@@ -1630,7 +1652,7 @@ let bind_instance (rt : t) ~(shape : gshape) ~buffered (ps : vplan list) :
       | VWeight ve :: tl -> (
           let next = chain tl k in
           match compile_vf ve with
-          | Some (fv, _) ->
+          | Some fv ->
               fun m ->
                 let x = fv () in
                 if x <> 0. then next (m *. x)
@@ -1661,7 +1683,6 @@ let bind_instance (rt : t) ~(shape : gshape) ~buffered (ps : vplan list) :
     let body = chain steps emit in
     let sign = p.vp_sign in
     let exists = p.vp_source.vs_exists in
-    let clear = p.vp_stmt.op = Prog.Assign in
     let run () =
       let base = if exists then 1. else ctx.vc_mults.(ctx.vc_row) in
       if base <> 0. then begin
@@ -1669,27 +1690,15 @@ let bind_instance (rt : t) ~(shape : gshape) ~buffered (ps : vplan list) :
         body (base *. sign)
       end
     in
-    ((if clear then Some target else None), run, Array.of_list !kerns)
+    { gm_run = run; gm_kerns = kerns; gm_passes = [||]; gm_sel = [||]; gm_cnt = -1 }
   in
   let members = List.map bind_member ps in
   {
     gi_ctx = ctx;
-    gi_members =
-      Array.of_list
-        (List.map
-           (fun (_, run, kerns) ->
-             {
-               gm_run = run;
-               gm_kerns = kerns;
-               gm_passes = [||];
-               gm_sel = [||];
-               gm_cnt = -1;
-             })
-           members);
+    gi_members = Array.of_list members;
     gi_gaccs = Array.of_list !gaccs;
     gi_gslices = Array.of_list !gslices;
     gi_bufs = Array.of_list (List.rev !bufs);
-    gi_clears = List.filter_map (fun (c, _, _) -> c) members;
     gi_boxed =
       (let cs = Hashtbl.fold (fun c () acc -> c :: acc) boxed_cols [] in
        Array.of_list (List.sort compare cs));
@@ -1831,14 +1840,14 @@ let run_groups (inst : ginst) starts glo ghi =
   done;
   (!saved, !svscan, !svsel)
 
-(* A transient source is built like a batch: only the group's columns
-   [cols] (its [sh_sel], ascending), each committed once. *)
+(* A transient source is built like a batch, off its pool's slots in
+   place: only the group's columns [cols] (its [sh_sel], ascending),
+   each committed once. *)
 let source_colbatch rt (shape : gshape) ~cols raw =
   if shape.sh_src.vs_batch then Lazy.force raw
   else
-    let p = pool rt shape.sh_src.vs_name in
-    Colbatch.of_iter ~cols ~width:shape.sh_width ~count:(Pool.cardinal p)
-      (fun f -> Pool.foreach p f)
+    (Colbatch.shares_of_gmr ~cols ~width:shape.sh_width ~parts:1
+       (Pool.records (pool rt shape.sh_src.vs_name))).(0)
 
 (* Pre-box the columns in [boxed] (group column slots): per-row
    boxed readers then return an existing heap value instead of
@@ -1864,6 +1873,443 @@ let plans_have_access (ps : vplan list) =
       || List.exists (function VSlice _ -> true | _ -> false) p.vp_steps)
     ps
 
+(* ------------------------------------------------------------------ *)
+(* Store-free pre-aggregations: hash aggregation                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Whether a vectorized group runs as a hash aggregation
+   ([bind_summed]) instead of through [run_groups]'s per-row chain: no
+   member reads a store, every member assigns its target, and every
+   step is a filter that hoists to a kernel or a weight that compiles to
+   floats. These are the batch pre-aggregations [Preagg] emits.
+   [bind_group] and EXPLAIN ([block_routes_ex]) both test it. *)
+let summable (ps : vplan list) =
+  (not (plans_have_access ps))
+  && List.for_all
+       (fun p ->
+         p.vp_stmt.op = Prog.Assign
+         && List.for_all (function VSrc _ -> true | VAux _ -> false) p.vp_tkey
+         && List.for_all
+              (function
+                | VFilter (op, a, b) -> classify_filter p (op, a, b) <> None
+                | VWeight ve -> float_ok ve
+                | _ -> false)
+              p.vp_steps)
+       ps
+
+let rec pow2_above c n = if c >= n then c else pow2_above (2 * c) n
+
+(* Scratch of at least [n] cells: [a] itself, unless it is shorter, or
+   longer than 1,024 and eight times [n] ([Oaidx.clear]'s rule), so one
+   large batch (a warm load) does not pin its size. *)
+let fit (make : int -> 'a array) (a : 'a array) n =
+  let len = Array.length a in
+  if len >= n && not (len > 1024 && len > 8 * n) then a
+  else make (pow2_above 16 n)
+
+(* A weight compiled for column-at-a-time evaluation: [float_ok]'s
+   expressions with each variable resolved to its group column. *)
+type fop = FAdd | FSub | FMul | FDiv | FMin | FMax
+
+type fexpr =
+  | FConst of float
+  | FCol of int
+  | FBin of fop * fexpr * fexpr
+  | FNeg of fexpr
+  | FFloor of fexpr
+
+(* Scratch arrays one evaluation of [e] into one array needs, itself
+   included. *)
+let rec fexpr_depth = function
+  | FConst _ | FCol _ -> 1
+  | FNeg a | FFloor a -> fexpr_depth a
+  | FBin (_, a, b) -> max (fexpr_depth a) (1 + fexpr_depth b)
+
+(* [feval cols bufs e d sel n] writes [e] over the rows [sel.(0..n-1)]
+   into [bufs.(d)], using [bufs.(d+1 ..)] for operands: one loop per
+   node, with the arithmetic of the per-row float compiler. *)
+let rec feval (cols : Colbatch.col array) (bufs : float array array) e d
+    (sel : int array) n =
+  let dst = bufs.(d) in
+  match e with
+  | FConst f -> Array.fill dst 0 n f
+  | FCol c -> (
+      match cols.(c) with
+      | Colbatch.CFloat a ->
+          for j = 0 to n - 1 do
+            Array.unsafe_set dst j (Array.unsafe_get a (Array.unsafe_get sel j))
+          done
+      | Colbatch.CInt a | Colbatch.CDate a ->
+          for j = 0 to n - 1 do
+            Array.unsafe_set dst j
+              (float_of_int (Array.unsafe_get a (Array.unsafe_get sel j)))
+          done
+      | col ->
+          for j = 0 to n - 1 do
+            Array.unsafe_set dst j (Colbatch.float_get col (Array.unsafe_get sel j))
+          done)
+  | FNeg a ->
+      feval cols bufs a d sel n;
+      for j = 0 to n - 1 do
+        Array.unsafe_set dst j (-.Array.unsafe_get dst j)
+      done
+  | FFloor a ->
+      feval cols bufs a d sel n;
+      for j = 0 to n - 1 do
+        Array.unsafe_set dst j (Float.floor (Array.unsafe_get dst j))
+      done
+  | FBin (op, a, b) -> (
+      feval cols bufs a d sel n;
+      feval cols bufs b (d + 1) sel n;
+      let y = bufs.(d + 1) in
+      match op with
+      | FAdd ->
+          for j = 0 to n - 1 do
+            Array.unsafe_set dst j (Array.unsafe_get dst j +. Array.unsafe_get y j)
+          done
+      | FSub ->
+          for j = 0 to n - 1 do
+            Array.unsafe_set dst j (Array.unsafe_get dst j -. Array.unsafe_get y j)
+          done
+      | FMul ->
+          for j = 0 to n - 1 do
+            Array.unsafe_set dst j (Array.unsafe_get dst j *. Array.unsafe_get y j)
+          done
+      | FDiv ->
+          for j = 0 to n - 1 do
+            Array.unsafe_set dst j (Array.unsafe_get dst j /. Array.unsafe_get y j)
+          done
+      | FMin ->
+          for j = 0 to n - 1 do
+            Array.unsafe_set dst j
+              (Float.min (Array.unsafe_get dst j) (Array.unsafe_get y j))
+          done
+      | FMax ->
+          for j = 0 to n - 1 do
+            Array.unsafe_set dst j
+              (Float.max (Array.unsafe_get dst j) (Array.unsafe_get y j))
+          done)
+
+(* One distinct kernel set of a summed group: its survivors, packed,
+   shared by every member whose filters are the same. *)
+type kset = {
+  ks_kerns : (unit -> kern) array;
+  mutable ks_sel : int array;
+  mutable ks_n : int;
+}
+
+(* The batch's distinct keys over one target-key column list: an
+   open-addressing table of [Colbatch.key_hash] (0 marks an empty
+   bucket) to group ids, sized by the keys, and per group id the row it
+   was first seen at, its [Oaidx.hash] and its tuple, made once and
+   shared by every member keyed by these columns. *)
+type ktab = {
+  kt_cols : int array; (* group columns, in target-key order *)
+  mutable kt_hash : int array;
+  mutable kt_gid : int array;
+  mutable kt_n : int;
+  mutable kt_row : int array;
+  mutable kt_ohash : int array;
+  mutable kt_key : Vtuple.t array;
+}
+
+let ktab_create cols =
+  {
+    kt_cols = cols;
+    kt_hash = Array.make 16 0;
+    kt_gid = Array.make 16 0;
+    kt_n = 0;
+    kt_row = [||];
+    kt_ohash = [||];
+    kt_key = [||];
+  }
+
+(* Empty the table for a batch; one far larger than its last batch's
+   keys shrinks. *)
+let ktab_reset kt =
+  let cap = Array.length kt.kt_hash in
+  if cap > 1024 && 8 * kt.kt_n < cap then begin
+    let cap' = pow2_above 16 (2 * kt.kt_n) in
+    kt.kt_hash <- Array.make cap' 0;
+    kt.kt_gid <- Array.make cap' 0
+  end
+  else Array.fill kt.kt_hash 0 cap 0;
+  let n = kt.kt_n in
+  kt.kt_row <- fit (fun c -> Array.make c 0) kt.kt_row n;
+  kt.kt_ohash <- fit (fun c -> Array.make c 0) kt.kt_ohash n;
+  kt.kt_key <- fit (fun c -> Array.make c Vtuple.empty) kt.kt_key n;
+  (* the last batch's tuples must not outlive the records holding them *)
+  Array.fill kt.kt_key 0 (min n (Array.length kt.kt_key)) Vtuple.empty;
+  kt.kt_n <- 0
+
+let ktab_grow kt =
+  let cap = 2 * Array.length kt.kt_hash in
+  let mask = cap - 1 in
+  let nh = Array.make cap 0 and ng = Array.make cap 0 in
+  Array.iteri
+    (fun i h ->
+      if h <> 0 then begin
+        let j = ref (h land mask) in
+        while nh.(!j) <> 0 do
+          j := (!j + 1) land mask
+        done;
+        nh.(!j) <- h;
+        ng.(!j) <- kt.kt_gid.(i)
+      end)
+    kt.kt_hash;
+  kt.kt_hash <- nh;
+  kt.kt_gid <- ng
+
+let widen make a n =
+  let a' = make ((2 * n) + 16) in
+  Array.blit a 0 a' 0 n;
+  a'
+
+(* Add row [r]'s key, of table hash [h], as a new group at bucket [i]. *)
+let ktab_add kt (cols : Colbatch.col array) r h i =
+  let id = kt.kt_n in
+  if id = Array.length kt.kt_row then begin
+    kt.kt_row <- widen (fun c -> Array.make c 0) kt.kt_row id;
+    kt.kt_ohash <- widen (fun c -> Array.make c 0) kt.kt_ohash id;
+    kt.kt_key <- widen (fun c -> Array.make c Vtuple.empty) kt.kt_key id
+  end;
+  kt.kt_row.(id) <- r;
+  kt.kt_ohash.(id) <- Colbatch.row_hash cols kt.kt_cols r;
+  kt.kt_key.(id) <- Colbatch.row_tuple cols kt.kt_cols r;
+  kt.kt_hash.(i) <- h;
+  kt.kt_gid.(i) <- id;
+  kt.kt_n <- id + 1;
+  if 2 * kt.kt_n > Array.length kt.kt_hash then ktab_grow kt;
+  id
+
+(* Row [r]'s group id, adding its key on first sight. *)
+let ktab_find kt (cols : Colbatch.col array) r =
+  let h = Colbatch.key_hash cols kt.kt_cols r lor 1 in
+  let hs = kt.kt_hash and ids = kt.kt_gid in
+  let mask = Array.length hs - 1 in
+  let i = ref (h land mask) and g = ref (-1) in
+  while !g < 0 do
+    let hb = Array.unsafe_get hs !i in
+    if hb = 0 then g := ktab_add kt cols r h !i
+    else
+      let id = Array.unsafe_get ids !i in
+      if hb = h && Colbatch.key_eq cols kt.kt_cols kt.kt_row.(id) r then g := id
+      else i := (!i + 1) land mask
+  done;
+  !g
+
+(* The group ids of one kernel set's survivors in one key table, by
+   survivor position. *)
+type gvec = { gv_ks : int; gv_kt : int; mutable gv_ids : int array }
+
+type smember = {
+  sm_target : Pool.t;
+  sm_ks : int;
+  sm_kt : int;
+  sm_gv : int;
+  sm_exists : bool;
+  sm_sign : float;
+  sm_weights : fexpr array; (* in step order *)
+  mutable sm_slots : int array; (* per group id: its record's slot, or -1 *)
+}
+
+type summed = {
+  su_ctx : vctx; (* the kernels read the batch columns here *)
+  su_ksets : kset array;
+  su_ktabs : ktab array;
+  su_gvecs : gvec array;
+  su_members : smember array;
+  su_nbufs : int;
+  mutable su_bufs : float array array;
+}
+
+let bind_summed (rt : t) ~(shape : gshape) (ps : vplan list) : summed =
+  let cpos = shape.sh_cpos in
+  let ctx = { vc_cols = [||]; vc_mults = [||]; vc_row = 0 } in
+  (* index of [x] in [l], appending it when new *)
+  let intern l eq x =
+    let rec go i = function
+      | [] ->
+          l := !l @ [ x ];
+          i
+      | y :: tl -> if eq x y then i else go (i + 1) tl
+    in
+    go 0 !l
+  in
+  let kkeys = ref [] and ksets = ref [] and kcols = ref [] and gvs = ref [] in
+  let nbufs = ref 1 in
+  let members =
+    List.map
+      (fun (p : vplan) ->
+        let filters =
+          List.filter_map
+            (function
+              | VFilter (op, a, b) -> classify_filter p (op, a, b) | _ -> None)
+            p.vp_steps
+        in
+        let nks = List.length !kkeys in
+        let ks = intern kkeys ( = ) filters in
+        if ks = nks then
+          ksets :=
+            !ksets
+            @ [ { ks_kerns = fst (member_kernels ctx cpos p); ks_sel = [||]; ks_n = 0 } ];
+        let tkc =
+          Array.of_list
+            (List.map
+               (function VSrc c -> cpos.(c) | VAux _ -> assert false)
+               p.vp_tkey)
+        in
+        let kt = intern kcols ( = ) tkc in
+        let gv = intern gvs ( = ) (ks, kt) in
+        let pos_of name =
+          let rec go i = function
+            | [] -> invalid_arg ("Runtime: unbound vectorized variable " ^ name)
+            | (x : Schema.var) :: tl ->
+                if String.equal x.name name then cpos.(i) else go (i + 1) tl
+          in
+          go 0 p.vp_source.vs_vars
+        in
+        let rec fx (ve : Vexpr.t) =
+          match ve with
+          | Vexpr.Const c -> FConst (Value.to_float c)
+          | Vexpr.Var x -> FCol (pos_of x.name)
+          | Vexpr.Add (a, b) -> FBin (FAdd, fx a, fx b)
+          | Vexpr.Sub (a, b) -> FBin (FSub, fx a, fx b)
+          | Vexpr.Mul (a, b) -> FBin (FMul, fx a, fx b)
+          | Vexpr.Div (a, b) -> FBin (FDiv, fx a, fx b)
+          | Vexpr.Min (a, b) -> FBin (FMin, fx a, fx b)
+          | Vexpr.Max (a, b) -> FBin (FMax, fx a, fx b)
+          | Vexpr.Neg a -> FNeg (fx a)
+          | Vexpr.Floor a -> FFloor (fx a)
+        in
+        let weights =
+          Array.of_list
+            (List.filter_map
+               (function VWeight ve -> Some (fx ve) | _ -> None)
+               p.vp_steps)
+        in
+        (* weight [i] evaluates into [bufs.(i)] with operands above the
+           products' array [bufs.(k)] *)
+        let k = Array.length weights in
+        Array.iter
+          (fun e -> nbufs := max !nbufs (k + fexpr_depth e))
+          weights;
+        nbufs := max !nbufs (k + 1);
+        {
+          sm_target = pool rt p.vp_stmt.target;
+          sm_ks = ks;
+          sm_kt = kt;
+          sm_gv = gv;
+          sm_exists = p.vp_source.vs_exists;
+          sm_sign = p.vp_sign;
+          sm_weights = weights;
+          sm_slots = [||];
+        })
+      ps
+  in
+  {
+    su_ctx = ctx;
+    su_ksets = Array.of_list !ksets;
+    su_ktabs = Array.of_list (List.map ktab_create !kcols);
+    su_gvecs =
+      Array.of_list
+        (List.map (fun (ks, kt) -> { gv_ks = ks; gv_kt = kt; gv_ids = [||] }) !gvs);
+    su_members = Array.of_list members;
+    su_nbufs = !nbufs;
+    su_bufs = [||];
+  }
+
+(* One firing of a summed group over the batch's group columns [cols]:
+   each kernel set packs its survivors once, each key table gives every
+   survivor of the kernel sets it serves one group id, and each member
+   evaluates its weights column by column (the multiplicity times the
+   sign, then each weight in step order, a factor of 0 dropping the
+   row) and sums them per key into its cleared target with the per-row
+   upsert rule ([Pool.add_grouped]), so records, slots and sums come out
+   as the per-row chain leaves them. Counts the kernel passes' rows
+   scanned and selected. *)
+let run_summed (rt : t) su (cols : Colbatch.col array) (mults : float array)
+    rows =
+  su.su_ctx.vc_cols <- cols;
+  let scanned = ref 0 and selected = ref 0 and nmax = ref 0 in
+  for s = 0 to Array.length su.su_ksets - 1 do
+    let ks = su.su_ksets.(s) in
+    ks.ks_sel <- fit (fun c -> Array.make c 0) ks.ks_sel rows;
+    let sel = ks.ks_sel in
+    for j = 0 to rows - 1 do
+      Array.unsafe_set sel j j
+    done;
+    let c = ref rows in
+    for k = 0 to Array.length ks.ks_kerns - 1 do
+      scanned := !scanned + !c;
+      c := (ks.ks_kerns.(k) ()) !c sel
+    done;
+    if Array.length ks.ks_kerns > 0 then selected := !selected + !c;
+    ks.ks_n <- !c;
+    nmax := max !nmax !c
+  done;
+  Array.iter ktab_reset su.su_ktabs;
+  for v = 0 to Array.length su.su_gvecs - 1 do
+    let gv = su.su_gvecs.(v) in
+    let ks = su.su_ksets.(gv.gv_ks) and kt = su.su_ktabs.(gv.gv_kt) in
+    gv.gv_ids <- fit (fun c -> Array.make c 0) gv.gv_ids ks.ks_n;
+    let ids = gv.gv_ids and sel = ks.ks_sel in
+    for j = 0 to ks.ks_n - 1 do
+      Array.unsafe_set ids j (ktab_find kt cols (Array.unsafe_get sel j))
+    done
+  done;
+  if Array.length su.su_bufs < su.su_nbufs then
+    su.su_bufs <- Array.make su.su_nbufs [||];
+  let bufs = su.su_bufs in
+  for b = 0 to su.su_nbufs - 1 do
+    bufs.(b) <- fit Array.create_float bufs.(b) !nmax
+  done;
+  for mi = 0 to Array.length su.su_members - 1 do
+    let m = su.su_members.(mi) in
+    let ks = su.su_ksets.(m.sm_ks) and kt = su.su_ktabs.(m.sm_kt) in
+    let n = ks.ks_n and sel = ks.ks_sel in
+    let k = Array.length m.sm_weights in
+    for i = 0 to k - 1 do
+      feval cols bufs m.sm_weights.(i) i sel n
+    done;
+    let w = bufs.(k) and exists = m.sm_exists and sign = m.sm_sign in
+    let live = ref 0 in
+    for j = 0 to n - 1 do
+      let b =
+        if exists then 1. else Array.unsafe_get mults (Array.unsafe_get sel j)
+      in
+      if b = 0. then Array.unsafe_set w j 0.
+      else begin
+        incr live;
+        let x = ref (b *. sign) and i = ref 0 in
+        while !i < k do
+          let f = Array.unsafe_get (Array.unsafe_get bufs !i) j in
+          if f <> 0. then begin
+            x := !x *. f;
+            incr i
+          end
+          else begin
+            x := 0.;
+            i := k
+          end
+        done;
+        Array.unsafe_set w j !x
+      end
+    done;
+    Obs.Counter.add rt.ops !live;
+    (* only the groups of this member's survivors are looked up *)
+    let ids = su.su_gvecs.(m.sm_gv).gv_ids in
+    m.sm_slots <- fit (fun c -> Array.make c 0) m.sm_slots kt.kt_n;
+    let slots = m.sm_slots in
+    for j = 0 to n - 1 do
+      Array.unsafe_set slots (Array.unsafe_get ids j) (-1)
+    done;
+    Pool.add_grouped m.sm_target ~ids ~ws:w ~n ~slots ~hashes:kt.kt_ohash
+      ~keys:kt.kt_key
+  done;
+  Obs.Counter.add m_selvec_scanned !scanned;
+  Obs.Counter.add m_selvec_selected !selected
+
 (* [d] contiguous instance ranges of key groups, balanced by row count
    (a group must not split: its accessors resolve once). *)
 let ranges d ~rows starts =
@@ -1881,99 +2327,122 @@ let ranges d ~rows starts =
   bounds
 
 (* The one driver of a vectorized group. Each firing prepares the
-   source once — transpose or pool scan, Assign clears, key grouping
-   when some member resolves store accessors, pre-boxing — then runs
-   either the unbuffered serial instance over the whole range or, when
-   the caller's gate says [par], one buffered instance per domain over
-   disjoint contiguous ranges, whose buffers merge serially into the
-   target pools by ring [+] after the barrier (§6's argument applied
-   locally). The fan-out is sound for every plannable group: a
-   vectorized statement never reads its own target ([plan_stmt_exn])
-   and no member writes a pool any member probes ([fuse_ok]), so store
-   pools are read-only while it runs. Counter
-   totals (ops, probes, rows compacted, probes saved, selection-vector
-   tallies) are the same either way: the same groups resolve the same
-   accessors, only on different domains. Without store accessors
-   grouping has nothing to amortize, so it is skipped: each instance
-   runs its share of the source rows as one group. *)
+   source once (transpose or pool scan) and clears the Assign targets,
+   then runs one of three passes:
+   - a [summable] group, a batch pre-aggregation, runs as a hash
+     aggregation ([run_summed]) on one domain;
+   - a group whose members resolve store accessors groups the batch by
+     probe key, pre-boxes, and runs either the unbuffered serial
+     instance over every key group or, when the caller's gate says
+     [par], one buffered instance per domain over disjoint contiguous
+     ranges of key groups, whose buffers merge serially into the target
+     pools by ring [+] after the barrier (§6's argument applied
+     locally). The fan-out is sound: a vectorized statement never reads
+     its own target ([plan_stmt_exn]) and no member writes a pool any
+     member probes ([fuse_ok]), so store pools are read-only while it
+     runs. Counter totals are the same either way: the same groups
+     resolve the same accessors, only on different domains;
+   - any other group runs its members over the batch rows as one group.
+   A store-free group's freshly cleared Assign target then holds exactly
+   the distinct rows of the batch under that statement's key set: the
+   difference is the per-statement batch compaction. *)
 let bind_group (rt : t) (ps : vplan list) : Colbatch.t Lazy.t -> bool -> unit =
   let shape = group_shape ps in
   let has_access = plans_have_access ps in
   let src_cols = Array.copy shape.sh_sel in
   Array.sort compare src_cols;
-  let serial = bind_instance rt ~shape ~buffered:false ps in
-  let par =
-    Option.map
-      (fun pl ->
-        ( pl,
-          Array.init rt.domains (fun _ ->
-              bind_instance rt ~shape ~buffered:true ps) ))
-      rt.par
+  let clears =
+    List.filter_map
+      (fun p ->
+        if p.vp_stmt.op = Prog.Assign then Some (pool rt p.vp_stmt.target)
+        else None)
+      ps
   in
-  (* Assign targets are shared pools: every instance lists the same ones *)
-  let clears = serial.gi_clears in
-  fun raw use_par ->
+  let prepare raw =
     let cb = source_colbatch rt shape ~cols:src_cols raw in
     List.iter Pool.clear clears;
-    let rows = Colbatch.length cb in
-    let par = if use_par then par else None in
-    let cols, mults, starts =
-      if has_access then
-        let grouped, starts =
-          Colbatch.compact_group cb ~key:shape.sh_sk ~rest:shape.sh_rest
-        in
-        ( Array.init (Array.length shape.sh_sel) (Colbatch.col grouped),
-          Colbatch.mults grouped,
-          starts )
-      else
-        let d = match par with Some (_, insts) -> Array.length insts | None -> 1 in
-        ( Array.map (Colbatch.col cb) shape.sh_sel,
-          Colbatch.mults cb,
-          Array.init (d + 1) (fun di -> di * rows / d) )
-    in
-    box_reads cols rows serial.gi_boxed;
-    let run inst lo hi =
-      let ctx = inst.gi_ctx in
-      ctx.vc_cols <- cols;
-      ctx.vc_mults <- mults;
-      prep_inst inst;
-      run_groups inst starts lo hi
-    in
-    let saved, sc, se =
-      match par with
-      | Some (pl, insts) ->
-          let d = Array.length insts in
-          let bounds = ranges d ~rows starts in
-          let out = Array.make d (0, 0, 0) in
-          Par.Pool.run pl
-            (Array.init d (fun di () ->
-                 out.(di) <- run insts.(di) bounds.(di) bounds.(di + 1)));
-          Array.iter
-            (fun inst ->
-              Array.iter
-                (fun (target, buf) ->
-                  (* bulk merge replaying the buffer's cached hashes; keys
-                     are transferred (the buffer is cleared right after) *)
-                  Pool.merge_gmr target buf;
-                  Gmr.clear buf)
-                inst.gi_bufs)
-            insts;
-          Array.fold_left
-            (fun (a, b, c) (x, y, z) -> (a + x, b + y, c + z))
-            (0, 0, 0) out
-      | None -> run serial 0 (Array.length starts - 1)
-    in
-    Obs.Counter.add m_probes_saved saved;
-    Obs.Counter.add m_selvec_scanned sc;
-    Obs.Counter.add m_selvec_selected se;
-    (* a store-free Assign member's freshly-cleared target now holds
-       exactly the distinct rows of the batch under that statement's key
-       set: the difference is the per-statement batch compaction *)
+    cb
+  in
+  let compacted ~rows =
     if not has_access then
       List.iter
         (fun p ->
           Obs.Counter.add m_rows_compacted (max 0 (rows - Pool.cardinal p)))
         clears
+  in
+  if summable ps then begin
+    let su = bind_summed rt ~shape ps in
+    fun raw _ ->
+      let cb = prepare raw in
+      let rows = Colbatch.length cb in
+      run_summed rt su
+        (Array.map (Colbatch.col cb) shape.sh_sel)
+        (Colbatch.mults cb) rows;
+      compacted ~rows
+  end
+  else
+    let serial = bind_instance rt ~shape ~buffered:false ps in
+    let par =
+      if not has_access then None
+      else
+        Option.map
+          (fun pl ->
+            ( pl,
+              Array.init rt.domains (fun _ ->
+                  bind_instance rt ~shape ~buffered:true ps) ))
+          rt.par
+    in
+    fun raw use_par ->
+      let cb = prepare raw in
+      let rows = Colbatch.length cb in
+      let cols, mults, starts =
+        if has_access then
+          let grouped, starts =
+            Colbatch.compact_group cb ~key:shape.sh_sk ~rest:shape.sh_rest
+          in
+          ( Array.init (Array.length shape.sh_sel) (Colbatch.col grouped),
+            Colbatch.mults grouped,
+            starts )
+        else
+          (Array.map (Colbatch.col cb) shape.sh_sel, Colbatch.mults cb, [| 0; rows |])
+      in
+      box_reads cols rows serial.gi_boxed;
+      let run inst lo hi =
+        let ctx = inst.gi_ctx in
+        ctx.vc_cols <- cols;
+        ctx.vc_mults <- mults;
+        prep_inst inst;
+        run_groups inst starts lo hi
+      in
+      let saved, sc, se =
+        match par with
+        | Some (pl, insts) when use_par ->
+            let d = Array.length insts in
+            let bounds = ranges d ~rows starts in
+            let out = Array.make d (0, 0, 0) in
+            Par.Pool.run pl
+              (Array.init d (fun di () ->
+                   out.(di) <- run insts.(di) bounds.(di) bounds.(di + 1)));
+            Array.iter
+              (fun inst ->
+                Array.iter
+                  (fun (target, buf) ->
+                    (* bulk merge replaying the buffer's cached hashes;
+                       keys are transferred (the buffer is cleared right
+                       after) *)
+                    Pool.merge_gmr target buf;
+                    Gmr.clear buf)
+                  inst.gi_bufs)
+              insts;
+            Array.fold_left
+              (fun (a, b, c) (x, y, z) -> (a + x, b + y, c + z))
+              (0, 0, 0) out
+        | _ -> run serial 0 (Array.length starts - 1)
+      in
+      Obs.Counter.add m_probes_saved saved;
+      Obs.Counter.add m_selvec_scanned sc;
+      Obs.Counter.add m_selvec_selected se;
+      compacted ~rows
 
 (* One planned unit bound against [rt]'s pools: a generic compiled
    statement, or a vectorized group. *)
@@ -2051,12 +2520,14 @@ let set_batch rt bk batch =
          it keeps *)
       Option.iter (fun bp -> Colbatch.iter_rows cb (Pool.add_borrow bp)) fill
 
-(* Attribute one firing's counter deltas to a profiler slot. Reads four
-   counters before and after the closure — O(#statements) per batch, and
+(* Attribute one firing's counter deltas, and the minor words it
+   allocated, to a profiler slot. Reads the counters before and after
+   the closure — O(#statements) per batch, and
    with the profiler disabled the firing path pays only the flag check in
    [run_block]. *)
 let attributed (rt : t) slot f =
   let t0 = Unix.gettimeofday () in
+  let w0 = Gc.minor_words () in
   let o0 = Obs.Counter.value rt.ops
   and p0 = Obs.Counter.value m_probes
   and ms0 = Obs.Counter.value m_probe_misses
@@ -2072,6 +2543,7 @@ let attributed (rt : t) slot f =
     ~svscan:(Obs.Counter.value m_selvec_scanned - v0)
     ~svsel:(Obs.Counter.value m_selvec_selected - e0)
     ~bytes:0
+    ~words:(int_of_float (Gc.minor_words () -. w0))
     ~wall:(Unix.gettimeofday () -. t0)
 
 (* Parallel execution excludes itself while any single-writer observer is
@@ -2267,24 +2739,31 @@ let domains (rt : t) = rt.domains
    selection-vector kernel), and a shared "fused:T1+T2" /
    "fused-selvec:T1+T2" label for every member of a fused group. The
    ints are (filters hoisted to kernels, filters on the per-row path)
-   for that statement, and the bool is whether its group groups the
-   batch by probe key ([plans_have_access], the predicate [bind_group]
-   tests). The same [plan_blocks] that [compile_blocks] uses produces
+   for that statement, and the pass is what its group runs
+   ([group_pass], from the predicates [bind_group] tests). The same
+   [plan_blocks] that [compile_blocks] uses produces
    this, and the same [classify_filter] the binder uses decides the
    split — so EXPLAIN agrees with the runtime by construction. *)
+type group_pass = Key_groups | Summed | Rows
+
+let group_pass ps =
+  if summable ps then Summed
+  else if plans_have_access ps then Key_groups
+  else Rows
+
 let block_routes_ex (prog : Prog.t) ~rel blocks =
   List.map
     (List.concat_map (function
       | UStmt (s, r) ->
           let why = Some (generic_reason_text r) in
-          [ (s, "stmt:" ^ s.Prog.target, 0, 0, false, why) ]
+          [ (s, "stmt:" ^ s.Prog.target, 0, 0, Rows, why) ]
       | UGroup ps ->
           let lbl = route_label_of_group ps in
-          let grouped = plans_have_access ps in
+          let pass = group_pass ps in
           List.map
             (fun (p : vplan) ->
               let sv, rw = plan_filter_split p in
-              (p.vp_stmt, lbl, sv, rw, grouped, None))
+              (p.vp_stmt, lbl, sv, rw, pass, None))
             ps))
     (plan_blocks prog ~rel blocks)
 

@@ -130,6 +130,20 @@ val storage_stats : t -> (string * Pool.stats) list
     the installed batch has at least [par_min_rows] rows and no
     single-writer observer is live. *)
 
+(** What a firing of a vectorized group does with its source:
+    - [Key_groups]: some member probes or slices a store, so the batch
+      is grouped by probe key and each store accessor resolves once per
+      key group;
+    - [Summed]: a batch pre-aggregation (no store read, every member
+      assigns its target, every filter a selection-vector kernel and
+      every weight float-compiled) runs as a hash aggregation: each
+      distinct filter set packs its survivors once, each survivor looks
+      up its target key once, weights are evaluated column by column,
+      and each target gets one record per distinct key, in the slots
+      and with the sums a per-row pass would leave;
+    - [Rows]: the members run over the batch rows. *)
+type group_pass = Key_groups | Summed | Rows
+
 (** Each block's statements (in original order) with the route label its
     planner gives it: ["stmt:T"] for the generic closure path,
     ["columnar:T"] for a solo vectorized pass with no store reads,
@@ -140,11 +154,9 @@ val storage_stats : t -> (string * Pool.stats) list
     ["selvec-join:T"] / ["fused-selvec:T1+T2"]. Each statement also
     carries its filter split [(selvec, rowwise)]: the number of its
     filters compiled to selection-vector kernels and the number left on
-    the per-row closure path (both 0 for ["stmt:"] routes), and whether
-    its group groups the batch by probe key before running, so each
-    store accessor resolves once per key group (only a group with a
-    member that probes or slices a store does; [false] for ["stmt:"]
-    routes). A ["stmt:"] route also names the planner rule that left it
+    the per-row closure path (both 0 for ["stmt:"] routes), and the
+    {!group_pass} its group runs ([Rows] for ["stmt:"] routes). A
+    ["stmt:"] route also names the planner rule that left it
     there (e.g. ["a slice on a bound variable"]); [None] on the other
     routes. [blocks] holds, per block in trigger order,
     the transient maps transfers filled before the block and its
@@ -154,7 +166,7 @@ val block_routes_ex :
   Prog.t ->
   rel:string ->
   (string list * Prog.stmt list) list ->
-  (Prog.stmt * string * int * int * bool * string option) list list
+  (Prog.stmt * string * int * int * group_pass * string option) list list
 
 (** The column rule: the stream columns (ascending positions) the
     vectorized groups of [blocks] that read the update batch read —

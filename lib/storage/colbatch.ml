@@ -317,9 +317,12 @@ let shares_of ~live ~width ~n sh mults tbases caps =
     caps
 
 (* The one writer of built batches: deals the [count] rows [iter] emits
-   round-robin into [parts] shares, writing the columns at [live]. Arrays
-   are sized from [count] and written unchecked, so the row count is
-   checked before a row past it is written, and again at the end. *)
+   round-robin into [parts] shares, writing the columns at [live]. [iter
+   put] calls [put tup ms i] per row, whose multiplicity is [ms.(i)]: a
+   GMR's rows are read off its slots in place, so no multiplicity is
+   boxed. Arrays are sized from [count] and written unchecked, so the
+   row count is checked before a row past it is written, and again at
+   the end. *)
 let build ~cols:live ~width ~parts ~count:n iter =
   if parts < 1 then invalid_arg "Colbatch: parts < 1";
   (* share [q] holds [caps.(q)] rows; under a cachesim sink it gets an
@@ -335,7 +338,7 @@ let build ~cols:live ~width ~parts ~count:n iter =
   let sh = Array.make nl [||] in
   let mults = Array.map Array.create_float caps in
   let q = ref 0 and r = ref 0 in
-  iter (fun (tup : Vtuple.t) m ->
+  iter (fun (tup : Vtuple.t) (ms : float array) i ->
       let qi = !q and ri = !r in
       if ri >= Array.unsafe_get caps qi then
         invalid_arg "Colbatch: more rows than ~count";
@@ -347,7 +350,7 @@ let build ~cols:live ~width ~parts ~count:n iter =
         deal_cell (Array.unsafe_get sh k) round_robin qi ri
           tup.(Array.unsafe_get live k)
       done;
-      Array.unsafe_set (Array.unsafe_get mults qi) ri m;
+      Array.unsafe_set (Array.unsafe_get mults qi) ri (Array.unsafe_get ms i);
       let tb = Array.unsafe_get tbases qi in
       if tb <> 0 then trace_row ~live ~width tb caps.(qi) ri;
       if qi + 1 = parts then begin
@@ -404,13 +407,22 @@ let build_keyed ~cols:live ~width ~parts ~key (g : Gmr.t) =
   done;
   shares_of ~live ~width ~n:(Gmr.cardinal g) sh mults tbases caps
 
-let shares_of_gmr ?key ~cols ~width ~parts g =
+let shares_of_gmr ?key ~cols ~width ~parts (g : Gmr.t) =
   match key with
   | Some key when parts > 1 -> build_keyed ~cols ~width ~parts ~key g
-  | _ -> build ~cols ~width ~parts ~count:(Gmr.cardinal g) (fun f -> Gmr.iter f g)
+  | _ ->
+      build ~cols ~width ~parts ~count:(Gmr.cardinal g) (fun put ->
+          let keys = g.keys and ms = g.mults in
+          for s = 0 to g.hwm - 1 do
+            if Array.unsafe_get ms s <> 0. then put (Array.unsafe_get keys s) ms s
+          done)
 
 let of_iter ~cols ~width ~count iter =
-  (build ~cols ~width ~parts:1 ~count iter).(0)
+  let m1 = [| 0. |] in
+  (build ~cols ~width ~parts:1 ~count (fun put ->
+       iter (fun tup m ->
+           Array.unsafe_set m1 0 m;
+           put tup m1 0))).(0)
 
 let of_gmr ~width g =
   (shares_of_gmr ~cols:(Array.init width Fun.id) ~width ~parts:1 g).(0)
@@ -482,6 +494,12 @@ let hash_bits_for_tests : int option ref = ref None
 
 let mixmul = 0x2545F4914F6CDD1D
 
+(* Every NaN is one key under [Float.equal], so every NaN hashes alike. *)
+let[@inline] float_ih x =
+  if Float.is_integer x && Float.abs x < 1e15 then int_of_float x
+  else if Float.is_nan x then 0x7ff8
+  else Int64.to_int (Int64.bits_of_float x)
+
 (* Internal fast cell hash for key grouping — consistent with cell
    equality within one column (the only comparisons grouping makes),
    including the Int/Float normalization boxed columns need.
@@ -490,10 +508,7 @@ let cell_ih c i =
   match c with
   | CInt a -> Array.unsafe_get a i
   | CDate a -> Array.unsafe_get a i lxor 0x5a5a
-  | CFloat a ->
-      let x = Array.unsafe_get a i in
-      if Float.is_integer x && Float.abs x < 1e15 then int_of_float x
-      else Int64.to_int (Int64.bits_of_float x)
+  | CFloat a -> float_ih (Array.unsafe_get a i)
   | CDict (_, c) ->
       (* Codes are unique per string within one dict, and grouping only
          compares cells within one column, so the raw code is consistent
@@ -503,9 +518,7 @@ let cell_ih c i =
       match Array.unsafe_get a i with
       | Value.Int x -> x
       | Value.Date x -> x lxor 0x5a5a
-      | Value.Float x ->
-          if Float.is_integer x && Float.abs x < 1e15 then int_of_float x
-          else Int64.to_int (Int64.bits_of_float x)
+      | Value.Float x -> float_ih x
       | Value.String s -> Hashtbl.hash s)
 
 let fin h =
@@ -521,6 +534,25 @@ let cells_eq c a b =
   | CFloat x -> Float.equal (Array.unsafe_get x a) (Array.unsafe_get x b)
   | CDict (_, x) -> Array.unsafe_get x a = Array.unsafe_get x b
   | CBoxed x -> Value.equal (Array.unsafe_get x a) (Array.unsafe_get x b)
+
+let key_hash (cols : col array) (key : int array) i =
+  let cmask =
+    match !hash_bits_for_tests with None -> -1 | Some b -> (1 lsl b) - 1
+  in
+  let h = ref 17 in
+  for c = 0 to Array.length key - 1 do
+    let x = cell_ih (Array.unsafe_get cols (Array.unsafe_get key c)) i in
+    h := (!h + (x land cmask)) * mixmul
+  done;
+  fin !h
+
+let key_eq (cols : col array) (key : int array) a b =
+  let rec go c =
+    c < 0
+    || cells_eq (Array.unsafe_get cols (Array.unsafe_get key c)) a b
+       && go (c - 1)
+  in
+  go (Array.length key - 1)
 
 (* Stable counting partition of [perm_in] by [keys land bmask]. *)
 let counting_pass (keys : int array) (perm_in : int array)
@@ -592,19 +624,13 @@ let compact_group t ~key ~rest =
   let nk = Array.length key in
   (* Per-row key hashes; the test hook masks each cell hash to force
      collisions. *)
-  let cmask =
-    match !hash_bits_for_tests with None -> -1 | Some b -> (1 lsl b) - 1
-  in
   let hk = Array.make (max n 1) 0 in
-  let traced = t.tbase <> 0 in
   for i = 0 to n - 1 do
-    let h = ref 17 in
-    for c = 0 to nk - 1 do
-      let x = cell_ih (Array.unsafe_get t.cols (Array.unsafe_get key c)) i in
-      h := (!h + (x land cmask)) * mixmul;
-      if traced then Trace.emit (cell_addr t key.(c) i) Trace.Read
-    done;
-    Array.unsafe_set hk i (fin !h)
+    Array.unsafe_set hk i (key_hash t.cols key i);
+    if t.tbase <> 0 then
+      for c = 0 to nk - 1 do
+        Trace.emit (cell_addr t key.(c) i) Trace.Read
+      done
   done;
   (* One stable counting pass on the key hash's low bits: rows of one key
      share the hash, so they land adjacently, in source order. Keys whose
@@ -623,16 +649,7 @@ let compact_group t ~key ~rest =
       perm1
     end
   in
-  let key_eq a b =
-    hk.(a) = hk.(b)
-    &&
-    let rec go c =
-      c < 0
-      || cells_eq (Array.unsafe_get t.cols (Array.unsafe_get key c)) a b
-         && go (c - 1)
-    in
-    go (nk - 1)
-  in
+  let key_eq a b = hk.(a) = hk.(b) && key_eq t.cols key a b in
   gather_groups t ~sel:(Array.append key rest) ~perm ~key_eq
 
 (* Sort-based reference: a stable comparison sort by the boxed key

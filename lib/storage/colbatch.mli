@@ -58,7 +58,8 @@ val length : t -> int
 
 (** [shares_of_gmr ~cols ~width ~parts g] deals [g]'s rows round-robin
     into [parts] column batches in one pass: row [i] (in [Gmr.iter]
-    order) becomes row [i / parts] of share [i mod parts]. With [~key:c]
+    order, read off [g]'s slots in place) becomes row [i / parts] of
+    share [i mod parts]. With [~key:c]
     and [parts > 1] it deals them on column [c] instead: a first pass
     counts each share's rows, and a second writes every row to share
     {!dest}[ ~key:[|c|] ~parts row], in [Gmr.iter] order within each
@@ -185,6 +186,20 @@ val row_tuple : col array -> int array -> int -> Vtuple.t
     that key" — the executor's per-group accessor resolution is correct
     either way, it merely amortizes less on a split. *)
 val compact_group : t -> key:int array -> rest:int array -> t * int array
+
+(** [key_hash cols key i] is row [i]'s grouping hash over the columns
+    [cols.(key.(0))], [cols.(key.(1))], ...: typed cells, no boxing,
+    equal for rows {!key_eq} calls equal (every NaN alike). It is not
+    {!row_hash}: it serves tables that compare rows with one another,
+    not with stored tuples. {!compact_group} orders rows by it, and it
+    honours {!hash_bits_for_tests}. *)
+val key_hash : col array -> int array -> int -> int
+
+(** [key_eq cols key a b]: rows [a] and [b] hold equal cells in every
+    column of [key] (typed compare; [Value.equal] on boxed cells), the
+    equality {!row_eq} applies between a row and a tuple made from a
+    row of the same columns. *)
+val key_eq : col array -> int array -> int -> int -> bool
 
 (** Sort-based reference: a stable comparison sort over the boxed key
     cells. Slower, but its output satisfies the same contract with one

@@ -92,6 +92,12 @@ let[@inline] upsert_slot_by r ~hash ~eq ~make m =
     if s >= 0 then (update_latched r s m; s)
     else insert_latched r hash (make ()) m
 
+(* Insert [key], known absent, under its index hash [h]: the slot and
+   bucket a missing upsert would take, with no key compared. *)
+let insert_absent r h key m =
+  Oaidx.latch_absent r.idx h;
+  insert_latched r h key m
+
 (* Only a cancellation needs the bucket, so only it pays the probe. *)
 let add_at r s m =
   if is_zero (r.mults.(s) +. m) then

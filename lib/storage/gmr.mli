@@ -67,6 +67,12 @@ val upsert_slot_by :
   t -> hash:int -> eq:(Vtuple.t -> bool) -> make:(unit -> Vtuple.t) ->
   float -> int
 
+(** [insert_absent r h key m] inserts [key], which the caller knows is
+    absent, with hash [h] and nonzero [m], and returns its slot: the
+    slot and index bucket {!upsert_slot} would give it, without
+    comparing a key. [key] is kept by reference. *)
+val insert_absent : t -> int -> Vtuple.t -> float -> int
+
 (** [add_at r s m] adds [m] to live slot [s], dropping it when the result
     cancels (re-probing with its cached hash only then). *)
 val add_at : t -> int -> float -> unit

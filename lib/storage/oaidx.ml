@@ -89,6 +89,17 @@ let find_pred_latched t (keys : Vtuple.t array) h eq =
   t.last <- !i;
   !res
 
+(* Latch the bucket [find_latched] stops at for a key of hash [h] known
+   to be absent: the first empty bucket of its probe chain. No key is
+   compared. *)
+let latch_absent t h =
+  let mask = t.mask and hashes = t.hashes in
+  let i = ref (h land mask) in
+  while Array.unsafe_get hashes !i <> 0 do
+    i := (!i + 1) land mask
+  done;
+  t.last <- !i
+
 let grow t =
   let cap = (t.mask + 1) * 2 in
   let nmask = cap - 1 in

@@ -60,6 +60,11 @@ val find_latched : t -> Vtuple.t array -> int -> Vtuple.t -> int
     [eq]-unequal are probed past, as usual). *)
 val find_pred_latched : t -> Vtuple.t array -> int -> (Vtuple.t -> bool) -> int
 
+(** [latch_absent t h] latches the bucket a missing {!find_latched} of a
+    key with hash [h] would latch, for a key the caller knows is absent:
+    no stored key is compared. *)
+val latch_absent : t -> int -> unit
+
 (** Insert at the bucket latched by a missing [find]. Grows (and
     re-probes internally) when the load factor would exceed 1/2. *)
 val add_latched : t -> int -> int -> unit

@@ -159,6 +159,43 @@ let add_by t ~hash ~eq ~make m =
   let n = Gmr.cardinal t.recs in
   upserted t hash n (Gmr.upsert_slot_by t.recs ~hash ~eq ~make m)
 
+(* [Mult.is_zero], restated to inline, as [Gmr] does. *)
+let is_zero m = Float.abs m < Gmr.zero_eps
+
+(* The per-row upsert of [n] weighted rows by group id: row [j] adds
+   [ws.(j)] to group [ids.(j)]'s record. [slots.(g)] holds that record's
+   slot, or -1 while the group has none, in which case its key
+   [keys.(g)] (hash [hashes.(g)]) is absent from the pool. The records'
+   multiplicities are the running sums, so the slots, free list and
+   indexes come out as per-row upserts of the same rows leave them;
+   only a first insert or a cancellation touches the unique index. *)
+let add_grouped t ~ids ~ws ~n ~slots ~hashes ~keys =
+  let r = t.recs in
+  for j = 0 to n - 1 do
+    let m = Array.unsafe_get ws j in
+    if not (is_zero m) then begin
+      let g = Array.unsafe_get ids j in
+      let s = slots.(g) in
+      let c = Gmr.cardinal r in
+      if s < 0 then begin
+        let s = Gmr.insert_absent r hashes.(g) keys.(g) m in
+        slots.(g) <- s;
+        upserted t hashes.(g) c s
+      end
+      else
+        let m' = r.mults.(s) +. m in
+        if is_zero m' then begin
+          Gmr.add_at r s m;
+          slots.(g) <- -1;
+          upserted t hashes.(g) c s
+        end
+        else begin
+          r.mults.(s) <- m';
+          if Trace.enabled () then Trace.emit (addr t s) Trace.Write
+        end
+    end
+  done
+
 (* Ring-(+) bulk merge of a GMR buffer: replays the buffer's cached
    index hashes instead of re-hashing every key, in the buffer's slot
    (= insertion) order so destination slots are assigned
@@ -247,6 +284,10 @@ let to_gmr t =
   foreach_slot t (fun slot key ->
       ignore (Gmr.upsert_slot ~copy:false g r.hs.(slot) key r.mults.(slot)));
   g
+
+let records t =
+  if Trace.enabled () then foreach_slot t (fun _ _ -> ());
+  t.recs
 
 let free_slots t = Intvec.length t.recs.free
 

@@ -53,6 +53,20 @@ val add_by :
   t -> hash:int -> eq:(Vtuple.t -> bool) -> make:(unit -> Vtuple.t) ->
   float -> unit
 
+(** [add_grouped pool ~ids ~ws ~n ~slots ~hashes ~keys] applies [n]
+    weighted rows by group id, each as {!add} would: row [j] adds
+    [ws.(j)] to the record of group [ids.(j)], a zero weight changes
+    nothing, and a record whose sum cancels is removed. [slots.(g)] is
+    group [g]'s slot, kept up to date, or [-1] while the pool holds no
+    record of it; the caller sets [-1] for every group of a pool that
+    holds none of their keys. A group's first insert keeps [keys.(g)]
+    by reference, under its {!Oaidx.hash} [hashes.(g)]. Slots, free
+    list and indexes come out as [n] calls of {!add} leave them, while
+    only inserts and cancellations probe the unique index. *)
+val add_grouped :
+  t -> ids:int array -> ws:float array -> n:int -> slots:int array ->
+  hashes:int array -> keys:Vtuple.t array -> unit
+
 (** Ring-(+) bulk merge of a GMR buffer into the pool, replaying the
     buffer's cached hashes instead of re-hashing, in the buffer's slot
     order (deterministic destination slot assignment). Keys are retained
@@ -89,6 +103,11 @@ val clear : t -> unit
 (** Snapshot to a GMR (fresh), records in slot order, inserted with
     their cached hashes. *)
 val to_gmr : t -> Gmr.t
+
+(** The records, read-only: the pool's GMR, in slot order (a transpose
+    reads its slots in place). Under a cachesim sink each live record is
+    reported read, as {!foreach} reports it. *)
+val records : t -> Gmr.t
 
 (** Number of free-list slots currently available for reuse. *)
 val free_slots : t -> int

@@ -122,7 +122,7 @@ let gen_snapshot =
 let gen_row =
   QCheck.Gen.(
     map3
-      (fun trigger label (f, (o, (p, (ms, (s, (sv, (se, (b, w)))))))) ->
+      (fun trigger label (f, (o, (p, (ms, (s, (sv, (se, (b, (wd, w))))))))) ->
         {
           Prof.r_trigger = trigger;
           r_label = label;
@@ -134,13 +134,15 @@ let gen_row =
           r_svscan = sv;
           r_svsel = se;
           r_bytes = b;
+          r_words = wd;
           r_wall = w;
         })
       gen_name gen_name
       (pair (int_range 0 1000)
          (pair int
             (pair int
-               (pair int (pair int (pair int (pair int (pair int gen_f)))))))))
+               (pair int
+                  (pair int (pair int (pair int (pair int (pair int gen_f))))))))))
 
 let gen_event =
   QCheck.Gen.(
@@ -384,6 +386,7 @@ let row_equal (a : Prof.row) (b : Prof.row) =
   && a.r_firings = b.r_firings && a.r_ops = b.r_ops
   && a.r_probes = b.r_probes && a.r_misses = b.r_misses
   && a.r_scanned = b.r_scanned && a.r_bytes = b.r_bytes
+  && a.r_words = b.r_words
   && fbits_equal a.r_wall b.r_wall
 
 let event_equal (a : Obs.event) (b : Obs.event) =

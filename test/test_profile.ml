@@ -101,8 +101,9 @@ let test_explain_routes () =
 (* EXPLAIN says what a firing does with the batch. Q6 transposes 4 of
    lineitem's 14 columns. A group groups the batch by probe key only
    when a member probes or slices a store, so only those rows say so:
-   Q1's and Q17's DELTA pre-aggregations read no store and run over the
-   batch rows, while Q3's and Q17's store-probing groups group them. *)
+   Q1's and Q17's DELTA pre-aggregations read no store and are summed
+   per target key, while Q3's and Q17's store-probing groups group the
+   batch. *)
 let test_explain_batch_columns_and_grouping () =
   let explain qn = Profile.explain ~name:qn (Workload.compile (Workload.find qn)) in
   Alcotest.(check bool) "Q6 batch columns" true
@@ -119,29 +120,34 @@ let test_explain_batch_columns_and_grouping () =
     in
     go [] (String.split_on_char '\n' (Profile.render p))
   in
-  let expect what p prefix grouped =
+  let expect what p prefix pass =
     let ds = details p prefix in
     Alcotest.(check bool) (what ^ ": rows found") true (ds <> []);
     List.iter
       (fun d ->
         Alcotest.(check bool)
           (what ^ ": " ^ String.trim d)
-          grouped
-          (contains ~affix:"batch grouped by probe key" d))
+          true
+          (contains
+             ~affix:
+               (match pass with
+               | Runtime.Key_groups -> "batch grouped by probe key"
+               | Runtime.Summed -> "summed per target key: one record per distinct key"
+               | Runtime.Rows -> "no store reads")
+             d))
       ds;
     List.iter
       (fun s ->
         if String.starts_with ~prefix s.Profile.sp_label then
-          Alcotest.(check bool) (what ^ ": sp_grouped") grouped
-            s.Profile.sp_grouped)
+          Alcotest.(check bool) (what ^ ": sp_pass") true (s.Profile.sp_pass = pass))
       p.Profile.pl_stmts
   in
   let q1 = explain "Q1" and q3 = explain "Q3" and q17 = explain "Q17" in
-  expect "Q1 DELTA group" q1 "fused-selvec:DELTA_lineitem" false;
-  expect "Q17 DELTA pre-aggregation" q17 "fused:DELTA_lineitem" false;
-  expect "Q3 store-probing groups" q3 "fused:Q3" true;
-  expect "Q17 store-probing join" q17 "columnar-join:Q17" true;
-  expect "Q17 store-probing groups" q17 "fused:Q17" true
+  expect "Q1 DELTA group" q1 "fused-selvec:DELTA_lineitem" Runtime.Summed;
+  expect "Q17 DELTA pre-aggregation" q17 "fused:DELTA_lineitem" Runtime.Summed;
+  expect "Q3 store-probing groups" q3 "fused:Q3" Runtime.Key_groups;
+  expect "Q17 store-probing join" q17 "columnar-join:Q17" Runtime.Key_groups;
+  expect "Q17 store-probing groups" q17 "fused:Q17" Runtime.Key_groups
 
 (* EXPLAIN names what runs: every slot a firing charges — local trigger
    units, worker block units, the coordinator's driver runs, transfers —

@@ -301,6 +301,200 @@ let qcheck_parallel_equiv =
         Tpch_suite.queries;
       true)
 
+(* A store-free pre-aggregation runs as a hash aggregation and leaves its
+   target as per-row upserts of the batch rows would: a key that cancels
+   inside the batch frees its slot, and the next new key takes it. For
+   Q = Sum_[A] R(A,B) and the batch (1,5,+1) (2,5,+1) (1,7,-1) (3,5,+1),
+   the transient and Q both iterate <3>, <2>. *)
+let test_summed_slot_order () =
+  let prog =
+    Compile.compile ~streams:[ ("R", [ va; vb ]) ]
+      [ ("Q", sum [ va ] (rel "R" [ va; vb ])) ]
+  in
+  let trig = Prog.find_trigger prog "R" in
+  let delta =
+    match Runtime.block_routes_ex prog ~rel:"R" [ ([], trig.stmts) ] with
+    | [ (s, _, _, _, Runtime.Summed, _) :: _ ] -> s.Prog.target
+    | _ -> Alcotest.fail "expected the pre-aggregation on the summed route"
+  in
+  let rt = Runtime.create prog in
+  ignore
+    (Runtime.apply_batch rt ~rel:"R"
+       (mk2 [ (1, 5, 1.); (2, 5, 1.); (1, 7, -1.); (3, 5, 1.) ]));
+  let order name =
+    List.rev (Gmr.fold (fun t m acc -> (t, m) :: acc) (Runtime.map_contents rt name) [])
+  in
+  let want = [ ([| i 3 |], 1.); ([| i 2 |], 1.) ] in
+  let show l =
+    String.concat " "
+      (List.map (fun (t, m) -> Printf.sprintf "%s:%g" (Vtuple.to_string t) m) l)
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check string) (name ^ " iteration order") (show want) (show (order name)))
+    [ delta; "Q" ]
+
+(* The hash aggregation against a replay of the per-row rule: random
+   small batches with duplicate keys and mixed signs, through
+   [T[key] := Sum_[key] (src(ΔR(A,B,C)) * (B < k) * weights)] with the
+   source Exists-wrapped or not and the key one or two columns; the
+   transient must equal, in bits and iteration order, a GMR that
+   [Gmr.add]s each surviving row's weight in batch order. Half the cases
+   force grouping-hash collisions. *)
+let qcheck_summed_replay =
+  let vc_f = Schema.var "C" in
+  let gen =
+    QCheck.Gen.(
+      let row =
+        quad (int_range 0 3) (int_range 0 4)
+          (oneofl [ -2.; -1.; 0.; 0.5; 1.; 2.5 ])
+          (oneofl [ -2.; -1.; 1.; 2.; 3. ])
+      in
+      tup5 bool bool (int_range 1 5) (int_range 0 2) (list_size (int_range 0 40) row))
+  in
+  let print (exists, two, k, wf, rows) =
+    Printf.sprintf "exists=%b two-column key=%b B<%d weights=%d rows=[%s]" exists two k wf
+      (String.concat "; "
+         (List.map (fun (a, b, c, m) -> Printf.sprintf "(%d,%d,%g,%g)" a b c m) rows))
+  in
+  QCheck.Test.make ~name:"hash aggregation = per-row replay (bits, slot order)"
+    ~count:200 (QCheck.make ~print gen)
+    (fun ((exists, two, k, wf, rows) as case) ->
+      let vars = [ va; vb; vc_f ] in
+      let key = if two then [ va; vb ] else [ va ] in
+      let src = delta_rel "R" vars in
+      let weights =
+        match wf with
+        | 0 -> []
+        | 1 -> [ Vexpr.Var vc_f ]
+        | _ -> [ Vexpr.Var vc_f; Vexpr.Add (Vexpr.Var vc_f, Vexpr.Var va) ]
+      in
+      let rhs =
+        Sum
+          ( key,
+            Prod
+              ((if exists then Exists src else src)
+               :: Cmp (Lt, Vexpr.Var vb, Vexpr.Const (Value.Int k))
+               :: List.map (fun w -> Value w) weights) )
+      in
+      let prog : Prog.t =
+        {
+          maps =
+            [ { mname = "T"; mschema = key; mkind = Prog.Transient; definition = rhs } ];
+          triggers =
+            [ { relation = "R"; stmts = [ { target = "T"; target_vars = key; op = Prog.Assign; rhs } ] } ];
+          queries = [];
+          streams = [ ("R", vars) ];
+        }
+      in
+      (match Runtime.block_routes_ex prog ~rel:"R" [ ([], (List.hd prog.triggers).stmts) ] with
+      | [ [ (_, _, _, _, Runtime.Summed, _) ] ] -> ()
+      | _ -> Alcotest.fail "expected T on the summed route");
+      let batch =
+        Gmr.of_list
+          (List.map (fun (a, b, c, m) -> ([| i a; i b; Value.Float c |], m)) rows)
+      in
+      let want = Gmr.create () in
+      Gmr.iter
+        (fun (t : Vtuple.t) m ->
+          let f = Value.to_float in
+          if f t.(1) < float_of_int k then begin
+            let w = ref (if exists then 1. else m) and live = ref true in
+            List.iter
+              (fun e ->
+                let x =
+                  match e with
+                  | Vexpr.Var _ -> f t.(2)
+                  | _ -> f t.(2) +. f t.(0)
+                in
+                if !live then if x <> 0. then w := !w *. x else live := false)
+              weights;
+            if !live then Gmr.add want (if two then [| t.(0); t.(1) |] else [| t.(0) |]) !w
+          end)
+        batch;
+      let bits g =
+        List.rev
+          (Gmr.fold
+             (fun t m acc -> (Vtuple.to_string t, Int64.bits_of_float m) :: acc)
+             g [])
+      in
+      List.iter
+        (fun hb ->
+          Colbatch.hash_bits_for_tests := hb;
+          Fun.protect
+            ~finally:(fun () -> Colbatch.hash_bits_for_tests := None)
+            (fun () ->
+              let rt = Runtime.create ~domains:1 prog in
+              (* twice: the second firing reuses the first one's scratch *)
+              for _ = 1 to 2 do
+                ignore (Runtime.apply_batch rt ~rel:"R" batch);
+                if bits (Runtime.map_contents rt "T") <> bits want then
+                  QCheck.Test.fail_reportf "%s (hash bits %s): T differs from the replay"
+                    (print case)
+                    (match hb with None -> "all" | Some b -> string_of_int b)
+              done))
+        [ (if List.length rows mod 2 = 0 then None else Some 2) ];
+      true)
+
+(* The hash-aggregation census: every vectorized pre-aggregation (an
+   Assign of a transient in a group that reads no store) runs as a hash
+   aggregation ([Runtime.Summed]); one that falls back fails, named.
+   Over the 35 local programs the summed members are pinned, and over
+   the 35 level-4 distributed programs so are the store-free groups that
+   stay on the per-row chain: each also holds a [+=] member. *)
+let test_summed_census () =
+  let module Workload = Divm_workload.Workload in
+  let module Dprog = Divm_dist.Dprog in
+  let census qn (prog : Prog.t) ~rel blocks summed rows =
+    let transient n =
+      List.exists
+        (fun (m : Prog.map_decl) -> m.mname = n && m.mkind = Prog.Transient)
+        prog.maps
+    in
+    List.iter
+      (fun routes ->
+        List.iter
+          (fun ((s : Prog.stmt), label, _, _, pass, _) ->
+            match pass with
+            | Runtime.Summed -> incr summed
+            | Runtime.Rows
+              when s.op = Prog.Assign && transient s.target
+                   && not (String.starts_with ~prefix:"stmt:" label) ->
+                let group = qn ^ " " ^ label in
+                if not (List.mem group !rows) then rows := group :: !rows
+            | _ -> ())
+          routes)
+      (Runtime.block_routes_ex prog ~rel blocks)
+  in
+  let local = ref 0 and local_rows = ref [] in
+  let dist = ref 0 and dist_rows = ref [] in
+  List.iter
+    (fun qn ->
+      let w = Workload.find qn in
+      let prog = Workload.compile w in
+      List.iter
+        (fun (tr : Prog.trigger) ->
+          census qn prog ~rel:tr.relation [ ([], tr.stmts) ] local local_rows)
+        prog.triggers;
+      let dp = Workload.distribute w prog in
+      let cprog = Dprog.compute_prog dp in
+      List.iter
+        (fun (tr : Dprog.dtrigger) ->
+          census qn cprog ~rel:tr.drelation (Dprog.worker_blocks tr) dist dist_rows;
+          census qn cprog ~rel:tr.drelation (Dprog.driver_blocks tr) dist dist_rows)
+        dp.dtriggers)
+    Tpch_suite.all_queries;
+  List.iter (Alcotest.failf "a local pre-aggregation left the summed route: %s") !local_rows;
+  Alcotest.(check int) "local summed members" 208 !local;
+  Alcotest.(check (list string))
+    "level-4 store-free groups on the per-row chain"
+    [
+      "Q8 fused:V_lisuor_26+V_lisuorcuna_22_stage232";
+      "Q9 fused:V_supa_24+V_supapa_10_stage171";
+    ]
+    (List.sort compare !dist_rows);
+  Alcotest.(check int) "level-4 summed members" 208 !dist
+
 (* The generic-route census (ROADMAP item 5): over every TPC-H and
    TPC-DS query as compiled by default, each trigger planned as one
    block, the statements [block_routes_ex] leaves on the generic closure
@@ -680,8 +874,9 @@ let qcheck_selvec_equiv =
       in
       if probe then
         List.iter
-          (List.iter (fun (_, _, _, _, grouped, _) ->
-               if not grouped then Alcotest.fail "the S probe must group ΔR by B"))
+          (List.iter (fun (_, _, _, _, pass, _) ->
+               if pass <> Runtime.Key_groups then
+                 Alcotest.fail "the S probe must group ΔR by B"))
           (Runtime.block_routes_ex prog ~rel:"R" [ ([], r_trigger.stmts) ]);
       let s_rows = Gmr.of_list [ ([| i 0 |], 1.); ([| i 1 |], 2.); ([| i 2 |], -1.) ] in
       let gmrs =
@@ -798,7 +993,7 @@ let test_zero_get_skips_slice () =
       Runtime.block_routes_ex prog ~rel:"R"
         [ ([], (List.hd prog.triggers).stmts) ]
     with
-    | [ [ (_, l, _, _, true, _) ] ] -> l
+    | [ [ (_, l, _, _, Runtime.Key_groups, _) ] ] -> l
     | _ -> Alcotest.fail "expected one key-grouped vectorized statement"
   in
   let tables =
@@ -1079,7 +1274,7 @@ let test_duplicate_rows_not_merged () =
   let run what prog m2 =
     let trig = Prog.find_trigger prog "R" in
     (match Runtime.block_routes_ex prog ~rel:"R" [ ([], trig.stmts) ] with
-    | [ [ (_, _, _, _, true, _) ] ] -> ()
+    | [ [ (_, _, _, _, Runtime.Key_groups, _) ] ] -> ()
     | _ -> Alcotest.failf "%s: expected one key-grouped statement" what);
     let vec = Runtime.create prog in
     let row = Runtime.create ~columnar:false prog in
@@ -1202,6 +1397,9 @@ let suites =
         Alcotest.test_case "selvec route split" `Quick test_selvec_route_split;
         Alcotest.test_case "generic-route census" `Quick
           test_generic_route_census;
+        Alcotest.test_case "hash-aggregation census" `Quick test_summed_census;
+        Alcotest.test_case "a summed key cancelling in its batch frees its slot"
+          `Quick test_summed_slot_order;
         Alcotest.test_case "every query = Exec under retractions" `Quick
           test_oracle_retractions;
         Alcotest.test_case "Q2, Q17, Q21 = Exec with rows in the view" `Quick
@@ -1228,5 +1426,6 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_columnar_equiv;
         QCheck_alcotest.to_alcotest qcheck_parallel_equiv;
         QCheck_alcotest.to_alcotest qcheck_selvec_equiv;
+        QCheck_alcotest.to_alcotest qcheck_summed_replay;
       ] );
   ]
